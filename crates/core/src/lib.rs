@@ -12,6 +12,8 @@
 //!   race-free [`Specification`] with its four well-formedness restrictions;
 //! * [`graph`] — the specification graph, communicator cycles and the
 //!   memory-free check of §3;
+//! * [`hash`] — FNV-1a 64, the content hash behind certificate digests,
+//!   cache checksums and subspec units;
 //! * [`arch`] — architectures: fail-silent hosts, sensors, WCET/WCTT maps;
 //! * [`implmap`] — implementations: replication mappings from tasks to host
 //!   sets, sensor bindings, and periodic time-dependent mappings;
@@ -52,6 +54,7 @@
 pub mod arch;
 pub mod error;
 pub mod graph;
+pub mod hash;
 pub mod ids;
 pub mod implmap;
 pub mod prob;
@@ -63,6 +66,7 @@ pub mod value;
 pub use arch::{Architecture, ArchitectureBuilder, HostDecl, SensorDecl};
 pub use error::CoreError;
 pub use graph::{CommDependencyGraph, CycleReport, SpecGraph, SpecVertex};
+pub use hash::{fnv1a, FnvWriter};
 pub use ids::{CommunicatorId, HostId, SensorId, TaskId};
 pub use implmap::{Implementation, ImplementationBuilder, TimeDependentImplementation};
 pub use prob::Reliability;

@@ -5,8 +5,8 @@
 //! metric rows, per-task host mappings, plus shared communicator /
 //! architecture fragments. Each unit renders to a canonical, span-free
 //! text (the same discipline as [`crate::printer`], whose output is
-//! deterministic) and is hashed with FNV-1a 64 — the same hash family
-//! `logrel-validate` uses for certificate digests. One extra `layout`
+//! deterministic) and is hashed with FNV-1a 64 ([`logrel_core::hash`]) —
+//! the same hash `logrel-validate` uses for certificate digests. One extra `layout`
 //! unit hashes the source *positions* of every item, so queries whose
 //! results embed spans (diagnostics) are dirtied by edits that merely
 //! move items. Queries key their dependency edges on these hashes: an
@@ -20,83 +20,7 @@ use crate::ast::{ArchItem, Literal, MapItem, ModelName, Program, TypeName};
 use crate::token::Span;
 use std::fmt::Write;
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Hashes `bytes` with FNV-1a 64 (the certificate-hash discipline from
-/// `logrel-validate`).
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Streams formatted text straight into an FNV-1a 64 state: hashing a
-/// canonical unit text without ever materialising the text. Writing the
-/// same characters yields the same hash as [`fnv1a`] over the collected
-/// string.
-#[derive(Debug)]
-pub struct FnvWriter {
-    hash: u64,
-    len: usize,
-}
-
-impl FnvWriter {
-    /// A writer over the empty string.
-    #[must_use]
-    pub fn new() -> Self {
-        Self { hash: FNV_OFFSET, len: 0 }
-    }
-
-    /// The hash of everything written so far.
-    #[must_use]
-    pub fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    /// `true` if nothing has been written (hashed text is empty).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Folds raw bytes into the state — for hashing binary material
-    /// (other hashes, separators) without formatting it as text.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        self.len += bytes.len();
-        let mut h = self.hash;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.hash = h;
-    }
-}
-
-impl Default for FnvWriter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Write for FnvWriter {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.len += s.len();
-        let mut h = self.hash;
-        for &b in s.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.hash = h;
-        Ok(())
-    }
-}
+pub use logrel_core::hash::{fnv1a, FnvWriter};
 
 /// One content-hashed fragment of a program.
 #[derive(Debug, Clone, PartialEq, Eq)]

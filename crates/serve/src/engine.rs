@@ -6,25 +6,25 @@
 //! Jobs are keyed by the FNV-1a hash of the spec source. A miss runs the
 //! full front half once — incremental analysis ([`analyze_source`],
 //! warm-started from the service's [`SharedDb`] so a *resubmitted edited
-//! spec* reuses the refinement relation), elaboration, one
-//! [`Simulation::try_new_observed`] (which compiles the calendar and
-//! round program and, under the `validate` feature, self-certifies the
-//! kernel) and the analytic SRG pass — and caches the result behind an
-//! `Arc`. A hit shares everything; the only per-job work left is the
-//! Monte-Carlo campaign itself. The cache lock is held across a compile,
-//! so concurrent submissions of the same new spec compile it exactly
-//! once (single-flight).
+//! spec* reuses the refinement relation), elaboration, and
+//! [`CompiledSpec::new`] (analytic SRGs plus the round program, which
+//! under the `validate` feature self-certifies) — and caches the result
+//! behind an `Arc`. A hit shares everything; the only per-job work left
+//! is the Monte-Carlo campaign itself. The cache lock is held across a
+//! compile, so concurrent submissions of the same new spec compile it
+//! exactly once (single-flight).
 //!
 //! # Determinism
 //!
-//! Replications are sharded into [`CampaignUnit`]s and scattered over
-//! the worker pool; results land in per-job slots indexed by unit and
-//! are merged in unit (= replication) order. Seeds derive from
-//! `(base_seed, replication)`, never from a worker id, so the exported
-//! registry is **byte-identical at any worker count** and equal to a
-//! standalone `htlc inject` of the same `(spec, scenario, seed, lanes)`
-//! up to the wall-clock `*_seconds` span gauges, which a service job
-//! deliberately never records.
+//! A job is a [`pipeline`](crate::pipeline) campaign: [`Plan::new`]
+//! shards the replications into units, the units are scattered over the
+//! worker pool, and their results land in per-job slots indexed by unit
+//! for [`Plan::finish`] to merge in unit (= replication) order. Seeds
+//! derive from `(base_seed, replication)`, never from a worker id, so the
+//! exported registry is **byte-identical at any worker count**. `htlc
+//! inject` runs the same pipeline on scoped threads, so a job's export
+//! equals the standalone one up to the wall-clock `*_seconds` span
+//! gauges, which a service job never records.
 //!
 //! # Backpressure and shutdown
 //!
@@ -38,19 +38,13 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use logrel_core::{Architecture, Value};
-use logrel_lang::subspec::FnvWriter;
-use logrel_lang::ElaboratedSystem;
+use logrel_core::fnv1a;
 use logrel_obs::export::to_json_line;
 use logrel_obs::{names, MetricsSink, NoopSink, Registry};
 use logrel_query::{analyze_source, LoadOutcome, SharedDb};
-use logrel_sim::montecarlo::{BatchConfig, ReplicationContext};
-use logrel_sim::{
-    plan_units, run_campaign_unit, aggregate_campaign, BehaviorMap, CampaignConfig, CampaignUnit,
-    ConstantEnvironment, LaneMode, MonitorConfig, ProbabilisticFaults, RepStats, Scenario,
-    ScenarioSymbols, Simulation,
-};
+use logrel_sim::{LaneMode, RepSink, Scenario};
 
+use crate::pipeline::{campaign_config, CompiledSpec, Plan, Symbols, UnitResult};
 use crate::proto::{self, JobError};
 
 /// Service tuning knobs.
@@ -108,29 +102,7 @@ pub struct JobOutcome {
     pub cache_hit: bool,
 }
 
-/// Everything derived from a spec that campaigns can share: the
-/// elaborated system, its time-dependent implementation, the compiled
-/// calendar/round program, and the analytic SRG vector.
-struct CompiledSpec {
-    sys: ElaboratedSystem,
-    td: logrel_core::TimeDependentImplementation,
-    calendar: Arc<logrel_core::Calendar>,
-    program: Arc<logrel_core::RoundProgram>,
-    analytic: Vec<Option<f64>>,
-}
-
-struct Symbols<'a>(&'a ElaboratedSystem);
-
-impl ScenarioSymbols for Symbols<'_> {
-    fn host(&self, name: &str) -> Option<logrel_core::HostId> {
-        self.0.arch.find_host(name)
-    }
-    fn communicator(&self, name: &str) -> Option<logrel_core::CommunicatorId> {
-        self.0.spec.find_communicator(name)
-    }
-}
-
-/// One unit of pool work: run `job.units[unit_index]`.
+/// One unit of pool work: run `job.plan.units()[unit_index]`.
 struct WorkItem {
     job: Arc<JobState>,
     unit_index: usize,
@@ -138,19 +110,15 @@ struct WorkItem {
 
 /// Per-unit results are strings on the error side so a worker panic can
 /// be reported without widening [`logrel_sim::CampaignError`].
-type UnitResult = Result<Vec<(RepStats, Registry)>, String>;
+type SlotResult = UnitResult<Registry, String>;
 
 struct SlotBoard {
-    results: Vec<Option<UnitResult>>,
+    results: Vec<Option<SlotResult>>,
     remaining: usize,
 }
 
 struct JobState {
-    compiled: Arc<CompiledSpec>,
-    scenario: Scenario,
-    config: CampaignConfig,
-    units: Vec<CampaignUnit>,
-    recorder_capacity: usize,
+    plan: Plan,
     slots: Mutex<SlotBoard>,
     done_cv: Condvar,
 }
@@ -267,47 +235,25 @@ impl Engine {
 
     fn run_admitted(&self, job: &Job) -> Result<JobOutcome, JobError> {
         let inner = &*self.inner;
+        let campaign_failed = |msg: String| JobError::new(proto::S_CAMPAIGN, msg);
         let (compiled, cache_hit) = self.compiled(&job.spec_source, &job.spec_label)?;
-        let scenario = Scenario::parse_with(&job.scenario_source, &Symbols(&compiled.sys))
-            .map_err(|e| JobError::new(proto::S_CAMPAIGN, e.to_string()))?;
-        let host_count = compiled.sys.arch.host_count();
-        scenario
-            .check_bounds(host_count, compiled.sys.spec.communicator_count())
-            .map_err(|e| JobError::new(proto::S_CAMPAIGN, e.to_string()))?;
-        if job.replications == 0 {
-            return Err(JobError::new(
-                proto::S_CAMPAIGN,
-                "campaign needs at least one replication".to_owned(),
-            ));
-        }
-        let config = CampaignConfig {
-            batch: BatchConfig {
-                replications: job.replications,
-                rounds: job.rounds,
-                base_seed: job.seed,
-                // Unused here: sharding happens on the service pool, not
-                // inside the campaign runner.
-                threads: 1,
-            },
-            monitor: MonitorConfig::default(),
-            lanes: job.lanes,
-        };
-        let units = plan_units(job.replications, config.lanes.width());
+        let scenario = Scenario::parse_with(&job.scenario_source, &Symbols(compiled.sys()))
+            .map_err(|e| campaign_failed(e.to_string()))?;
+        let config = campaign_config(job.replications, job.rounds, job.seed, job.lanes);
+        let plan = Plan::new(compiled, scenario, config, inner.config.recorder_capacity)
+            .map_err(|e| campaign_failed(e.to_string()))?;
+        let unit_count = plan.units().len();
         let state = Arc::new(JobState {
-            compiled: Arc::clone(&compiled),
-            scenario,
-            config,
-            recorder_capacity: inner.config.recorder_capacity,
+            plan,
             slots: Mutex::new(SlotBoard {
-                results: (0..units.len()).map(|_| None).collect(),
-                remaining: units.len(),
+                results: (0..unit_count).map(|_| None).collect(),
+                remaining: unit_count,
             }),
-            units,
             done_cv: Condvar::new(),
         });
         {
             let mut q = lock(&inner.queue);
-            for unit_index in 0..state.units.len() {
+            for unit_index in 0..unit_count {
                 q.items.push_back(WorkItem { job: Arc::clone(&state), unit_index });
             }
         }
@@ -319,46 +265,23 @@ impl Engine {
                 .wait(board)
                 .unwrap_or_else(|poison| poison.into_inner());
         }
-        // Merge in unit order == replication order: this is what makes
-        // the export independent of worker count and scheduling.
-        let mut per_rep = Vec::with_capacity(job.replications as usize);
-        for slot in board.results.iter_mut() {
-            match slot.take().expect("remaining == 0 implies every slot is filled") {
-                Ok(unit_reps) => per_rep.extend(unit_reps),
-                Err(msg) => return Err(JobError::new(proto::S_CAMPAIGN, msg)),
-            }
-        }
+        let per_unit = board
+            .results
+            .iter_mut()
+            .map(|slot| slot.take().expect("remaining == 0 implies every slot is filled"))
+            .collect();
         drop(board);
-        let (_report, sinks) = aggregate_campaign(
-            &compiled.sys.spec,
-            &state.scenario,
-            host_count,
-            &state.config,
-            &compiled.analytic,
-            per_rep,
-        );
-        // Mirror `htlc inject`'s registry exactly, minus the wall-clock
-        // `*_seconds` spans (which would break byte-equality and are a
-        // per-process, not per-job, concern).
-        let mut registry = if inner.config.recorder_capacity > 0 {
-            Registry::with_recorder(inner.config.recorder_capacity)
-        } else {
-            Registry::new()
-        };
-        registry.set_gauge(names::BITSLICE_LANES, job.lanes.width() as f64);
-        registry.set_gauge(names::CAMPAIGN_SEED, job.seed as f64);
-        for sink in sinks {
-            registry.merge(sink);
-        }
+        // No wall-clock `*_seconds` spans on a job registry: they would
+        // break byte-equality and are a per-process, not per-job, concern.
+        let mut registry = Registry::fresh(inner.config.recorder_capacity);
+        state.plan.finish(per_unit, &mut registry).map_err(campaign_failed)?;
         Ok(JobOutcome { metrics_line: to_json_line(&registry), cache_hit })
     }
 
     /// The compiled form of `source`, from cache or compiled now.
     fn compiled(&self, source: &str, label: &str) -> Result<(Arc<CompiledSpec>, bool), JobError> {
         let inner = &*self.inner;
-        let mut hasher = FnvWriter::new();
-        hasher.write_bytes(source.as_bytes());
-        let key = hasher.finish();
+        let key = fnv1a(source.as_bytes());
         let mut cache = lock(&inner.cache);
         if let Some(hit) = cache.get(&key) {
             lock(&inner.metrics).inc(names::SERVE_CACHE_HITS);
@@ -396,24 +319,7 @@ impl Engine {
             inner.db.install(db);
         }
         let sys = logrel_lang::compile(source).map_err(|e| compile_failed(e.to_string()))?;
-        let analytic_report =
-            logrel_reliability::compute_srgs(&sys.spec, &sys.arch, &sys.imp)
-                .map_err(|e| compile_failed(e.to_string()))?;
-        let analytic: Vec<Option<f64>> = sys
-            .spec
-            .communicator_ids()
-            .map(|c| Some(analytic_report.communicator(c).get()))
-            .collect();
-        let td = logrel_core::TimeDependentImplementation::from(sys.imp.clone());
-        // Compile the calendar + round program once (and self-certify
-        // under the `validate` feature); workers only ever reattach to
-        // the shared Arcs via `Simulation::with_program`.
-        let (calendar, program) = {
-            let sim = Simulation::try_new_observed(&sys.spec, &sys.arch, &td, &mut NoopSink)
-                .map_err(|e| compile_failed(format!("{e}")))?;
-            sim.shared_program()
-        };
-        Ok(CompiledSpec { sys, td, calendar, program, analytic })
+        CompiledSpec::new(sys, &mut NoopSink).map_err(|e| compile_failed(e.to_string()))
     }
 
     /// The service's own metrics registry as one JSON line.
@@ -532,40 +438,7 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-fn run_unit(item: &WorkItem) -> UnitResult {
+fn run_unit(item: &WorkItem) -> SlotResult {
     let job = &*item.job;
-    let compiled = &*job.compiled;
-    // Reattach to the shared round program: per-unit cost is just this
-    // struct, not a recompilation.
-    let sim = Simulation::with_program(
-        &compiled.sys.spec,
-        &compiled.td,
-        Arc::clone(&compiled.calendar),
-        Arc::clone(&compiled.program),
-    );
-    let arch: &Architecture = &compiled.sys.arch;
-    let setup = |_rep: u64| ReplicationContext {
-        behaviors: BehaviorMap::new(),
-        environment: Box::new(ConstantEnvironment::new(Value::Float(1.0))),
-        injector: Box::new(ProbabilisticFaults::from_architecture(arch)),
-    };
-    let cap = job.recorder_capacity;
-    let make_sink = |_rep: u64| {
-        if cap > 0 {
-            Registry::with_recorder(cap)
-        } else {
-            Registry::new()
-        }
-    };
-    run_campaign_unit(
-        &sim,
-        &compiled.sys.spec,
-        &job.scenario,
-        arch.host_count(),
-        &job.config,
-        setup,
-        make_sink,
-        job.units[item.unit_index],
-    )
-    .map_err(|e| e.to_string())
+    job.plan.run_unit(job.plan.units()[item.unit_index]).map_err(|e| e.to_string())
 }

@@ -9,6 +9,8 @@
 //! * [`proto`] — the line-delimited `logrel-job-v1` request /
 //!   `logrel-metrics-v1` result / `logrel-job-status-v1` status
 //!   protocol, with stable `S001`–`S005` rejection codes;
+//! * [`pipeline`] — the one campaign pipeline (compile → plan → unit →
+//!   merge) that the engine and `htlc inject` both run;
 //! * [`engine`] — a compilation cache keyed by spec content hash
 //!   (warm-started from the incremental analysis database, so edited
 //!   resubmissions reuse the refinement relation), a bounded admission
@@ -21,9 +23,11 @@
 //! line is **byte-identical at any worker count** and equal to a
 //! standalone `htlc inject --metrics` export of the same
 //! `(spec, scenario, seed, lanes)` minus the wall-clock `*_seconds`
-//! span gauges. Caches and concurrency change cost, never results.
+//! span gauges — by construction, since both run [`pipeline`]. Caches
+//! and concurrency change cost, never results.
 
 pub mod engine;
+pub mod pipeline;
 pub mod proto;
 pub mod server;
 

@@ -1,8 +1,9 @@
 //! Scenario campaigns over the deterministic Monte-Carlo harness.
 //!
-//! A campaign runs a [`Scenario`] for a batch of seeded replications
-//! (via [`run_supervised_replications`]) with an online [`LrcMonitor`]
-//! attached to every replication, and aggregates per communicator: the
+//! A campaign runs a [`Scenario`] for a batch of seeded replications,
+//! planned by [`plan_campaign`] into [`CampaignUnit`]s, with an online
+//! [`LrcMonitor`] attached to every replication, and aggregates per
+//! communicator: the
 //! empirical long-run reliability λ̂ against a caller-supplied analytic
 //! SRG (with the Hoeffding radius over the pooled sample count), the
 //! time to the first LRC violation, and alarm counts. Scripted host
@@ -128,6 +129,8 @@ pub enum CampaignError {
     /// aggregate, and a report of all-zero counts would silently read as
     /// "perfectly reliable".
     NoReplications,
+    /// The batch requests more than [`MAX_REPLICATIONS`] replications.
+    TooManyReplications(u64),
     /// A sharded unit's lane width is outside `1..=64` (the bit-sliced
     /// kernel packs replications into one `u64` word per lane group).
     LaneWidth(usize),
@@ -140,6 +143,10 @@ impl fmt::Display for CampaignError {
             CampaignError::NoReplications => {
                 write!(f, "campaign requests zero replications")
             }
+            CampaignError::TooManyReplications(n) => write!(
+                f,
+                "campaign requests {n} replications; at most {MAX_REPLICATIONS} are allowed"
+            ),
             CampaignError::LaneWidth(w) => {
                 write!(f, "campaign unit width {w} outside 1..=64")
             }
@@ -180,6 +187,31 @@ pub struct CampaignUnit {
     pub width: usize,
 }
 
+/// The largest replication count a campaign accepts: 2^20, far beyond
+/// any useful Hoeffding band yet small enough that the unit plan and the
+/// per-replication results always fit in memory. A larger request is a
+/// diagnosed [`CampaignError::TooManyReplications`], never an abort.
+pub const MAX_REPLICATIONS: u64 = 1 << 20;
+
+/// Validates a campaign and plans its units: the scenario must fit the
+/// system's `host_count` hosts and the spec's communicators, and the
+/// replication count must lie in `1..=`[`MAX_REPLICATIONS`]. Every
+/// campaign driver plans through here, so every one of them rejects the
+/// same inputs the same way.
+pub fn plan_campaign(
+    spec: &Specification,
+    scenario: &Scenario,
+    host_count: usize,
+    config: &CampaignConfig,
+) -> Result<Vec<CampaignUnit>, CampaignError> {
+    scenario.check_bounds(host_count, spec.communicator_count())?;
+    match config.batch.replications {
+        0 => Err(CampaignError::NoReplications),
+        n if n > MAX_REPLICATIONS => Err(CampaignError::TooManyReplications(n)),
+        n => Ok(plan_units(n, config.lanes.width())),
+    }
+}
+
 /// Plans the work units of a campaign: groups of `width` consecutive
 /// replications plus one narrower tail group for a non-multiple
 /// remainder. `width` is clamped to 1..=64 (the bit-sliced lane limit).
@@ -214,6 +246,37 @@ pub struct RepStats {
     /// Per communicator: a dip occurred *and* the monitor alarmed within
     /// one window of it.
     alarmed_dip: Vec<bool>,
+}
+
+/// A per-replication metrics sink a campaign creates and folds into the
+/// caller's registry: a fresh [`Registry`], or a [`NoopSink`] when
+/// nobody reads the metrics.
+pub trait RepSink: MetricsSink + Send + Sized {
+    /// A fresh sink carrying a flight recorder of `recorder_capacity`
+    /// events (none when 0).
+    fn fresh(recorder_capacity: usize) -> Self;
+    /// Folds the filled sink into `registry`.
+    fn merge_into(self, registry: &mut Registry);
+}
+
+impl RepSink for Registry {
+    fn fresh(recorder_capacity: usize) -> Self {
+        if recorder_capacity > 0 {
+            Registry::with_recorder(recorder_capacity)
+        } else {
+            Registry::new()
+        }
+    }
+    fn merge_into(self, registry: &mut Registry) {
+        registry.merge(self);
+    }
+}
+
+impl RepSink for NoopSink {
+    fn fresh(_recorder_capacity: usize) -> Self {
+        NoopSink
+    }
+    fn merge_into(self, _registry: &mut Registry) {}
 }
 
 /// Reduces one replication's output and monitor to its [`RepStats`] —
@@ -268,10 +331,17 @@ pub fn run_campaign<'a, S>(
 where
     S: Fn(u64) -> ReplicationContext<'a> + Sync,
 {
-    campaign_core(sim, spec, scenario, host_count, config, setup, analytic, |_| {
-        NoopSink
-    })
-    .map(|(report, _sinks)| report)
+    campaign_core::<_, NoopSink>(
+        sim,
+        spec,
+        scenario,
+        host_count,
+        config,
+        setup,
+        analytic,
+        0,
+        &mut Registry::new(),
+    )
 }
 
 /// [`run_campaign`] with metrics: every replication carries a fresh
@@ -298,7 +368,7 @@ pub fn run_campaign_observed<'a, S>(
 where
     S: Fn(u64) -> ReplicationContext<'a> + Sync,
 {
-    let (report, sinks) = campaign_core(
+    campaign_core::<_, Registry>(
         sim,
         spec,
         scenario,
@@ -306,25 +376,16 @@ where
         config,
         setup,
         analytic,
-        |_rep| {
-            if recorder_capacity > 0 {
-                Registry::with_recorder(recorder_capacity)
-            } else {
-                Registry::new()
-            }
-        },
-    )?;
-    for sink in sinks {
-        registry.merge(sink);
-    }
-    Ok(report)
+        recorder_capacity,
+        registry,
+    )
 }
 
 /// Runs one planned [`CampaignUnit`] and returns its per-replication
 /// results in replication order.
 ///
 /// This is the sharding entry point for job services: bounds that
-/// [`run_campaign`] checks once up front are re-validated here per unit
+/// [`plan_campaign`] checks once up front are re-validated here per unit
 /// (scenario wrapping propagates its error instead of panicking), so a
 /// malformed unit diagnoses rather than takes down the worker. Width-1
 /// units run the scalar kernel (preserving [`LaneMode::Off`] semantics);
@@ -418,11 +479,11 @@ where
         .collect())
 }
 
-/// The shared campaign driver: plans the units, runs them over the
-/// batch's thread pool, and aggregates the report, returning the filled
-/// sinks in replication order for the caller to merge (or discard).
+/// The shared body of [`run_campaign`] and [`run_campaign_observed`]:
+/// plans the units, runs them over the batch's threads, aggregates the
+/// report, and merges the sinks into `registry` in replication order.
 #[allow(clippy::too_many_arguments)]
-fn campaign_core<'a, S, M, FM>(
+fn campaign_core<'a, S, M: RepSink>(
     sim: &Simulation<'_>,
     spec: &Specification,
     scenario: &Scenario,
@@ -430,30 +491,24 @@ fn campaign_core<'a, S, M, FM>(
     config: &CampaignConfig,
     setup: S,
     analytic: &[Option<f64>],
-    make_sink: FM,
-) -> Result<(ScenarioReport, Vec<M>), CampaignError>
+    recorder_capacity: usize,
+    registry: &mut Registry,
+) -> Result<ScenarioReport, CampaignError>
 where
     S: Fn(u64) -> ReplicationContext<'a> + Sync,
-    M: MetricsSink + Send,
-    FM: Fn(u64) -> M + Sync,
 {
-    let comm_count = spec.communicator_count();
-    // Validate once up front so per-unit wrapping cannot fail.
-    scenario.check_bounds(host_count, comm_count)?;
-    if config.batch.replications == 0 {
-        return Err(CampaignError::NoReplications);
+    let units = plan_campaign(spec, scenario, host_count, config)?;
+    let per_unit = run_indexed_units(config.batch.threads, &units, |&unit, _| {
+        let make_sink = |_rep| M::fresh(recorder_capacity);
+        run_campaign_unit(sim, spec, scenario, host_count, config, &setup, make_sink, unit)
+    });
+    let per_rep = per_unit.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let per_rep = per_rep.into_iter().flatten().collect();
+    let (report, sinks) = aggregate_campaign(spec, scenario, host_count, config, analytic, per_rep);
+    for sink in sinks {
+        sink.merge_into(registry);
     }
-
-    let units = plan_units(config.batch.replications, config.lanes.width());
-    let per_unit: Vec<Result<Vec<(RepStats, M)>, CampaignError>> =
-        run_indexed_units(config.batch.threads, &units, |&unit, _| {
-            run_campaign_unit(sim, spec, scenario, host_count, config, &setup, &make_sink, unit)
-        });
-    let mut per_rep = Vec::with_capacity(config.batch.replications as usize);
-    for unit_result in per_unit {
-        per_rep.extend(unit_result?);
-    }
-    Ok(aggregate_campaign(spec, scenario, host_count, config, analytic, per_rep))
+    Ok(report)
 }
 
 /// Aggregates per-replication results (in replication order) into the

@@ -64,9 +64,9 @@ pub mod voting;
 pub use behavior::{BehaviorMap, TaskBehavior};
 pub use bitslice::{BitslicedOutput, LaneContext, PackedTrace};
 pub use campaign::{
-    aggregate_campaign, plan_units, run_campaign, run_campaign_observed, run_campaign_unit,
-    CampaignConfig, CampaignError, CampaignUnit, CommunicatorReport, LaneMode, RepStats,
-    ScenarioReport,
+    aggregate_campaign, plan_campaign, plan_units, run_campaign, run_campaign_observed,
+    run_campaign_unit, CampaignConfig, CampaignError, CampaignUnit, CommunicatorReport, LaneMode,
+    RepSink, RepStats, ScenarioReport, MAX_REPLICATIONS,
 };
 pub use environment::{ConstantEnvironment, Environment};
 pub use fault::{
@@ -80,8 +80,7 @@ pub use monitor::{
     Response, Supervisor,
 };
 pub use montecarlo::{
-    derive_seed, run_batch, run_indexed_units, run_observed_replications, run_replications,
-    run_supervised_replications, BatchConfig, ReplicationContext,
+    derive_seed, run_batch, run_indexed_units, run_replications, BatchConfig, ReplicationContext,
 };
 pub use scenario::{
     HostSet, Scenario, ScenarioEnvironment, ScenarioError, ScenarioEvent, ScenarioInjector,

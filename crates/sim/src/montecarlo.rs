@@ -46,17 +46,6 @@ impl Default for BatchConfig {
     }
 }
 
-impl BatchConfig {
-    /// The per-replication simulator configuration of replication `rep`.
-    #[must_use]
-    pub fn sim_config(&self, rep: u64) -> SimConfig {
-        SimConfig {
-            rounds: self.rounds,
-            seed: derive_seed(self.base_seed, rep),
-        }
-    }
-}
-
 /// Derives the seed of replication `rep_index` from `base_seed`: the
 /// `rep_index`-th output of the SplitMix64 stream seeded at `base_seed`,
 /// computed by jumping the generator's additive state directly to that
@@ -69,62 +58,28 @@ pub fn derive_seed(base_seed: u64, rep_index: u64) -> u64 {
 }
 
 /// Runs `job(rep_index, seed)` for every replication of the batch and
-/// returns the results in replication order.
-///
-/// Replications are distributed over scoped worker threads in contiguous
-/// chunks; each worker writes into its own disjoint slice, so the merged
-/// vector is independent of the thread count and of scheduling order.
+/// returns the results in replication order: [`run_indexed_units`] over
+/// the replication indices.
 pub fn run_batch<T, F>(config: &BatchConfig, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(u64, u64) -> T + Sync,
 {
-    let n = config.replications as usize;
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        config.threads
-    }
-    .min(n);
-
-    let run_chunk = |first_rep: usize, slots: &mut [Option<T>]| {
-        for (j, slot) in slots.iter_mut().enumerate() {
-            let rep = (first_rep + j) as u64;
-            *slot = Some(job(rep, derive_seed(config.base_seed, rep)));
-        }
-    };
-
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    if threads == 1 {
-        run_chunk(0, &mut results);
-    } else {
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (ci, slots) in results.chunks_mut(chunk).enumerate() {
-                let run_chunk = &run_chunk;
-                scope.spawn(move || run_chunk(ci * chunk, slots));
-            }
-        });
-    }
-    results
-        .into_iter()
-        .map(|slot| slot.expect("every replication ran"))
-        .collect()
+    let reps: Vec<u64> = (0..config.replications).collect();
+    run_indexed_units(config.threads, &reps, |&rep, _| {
+        job(rep, derive_seed(config.base_seed, rep))
+    })
 }
 
 /// Distributes `job(&unit, index)` over the units of a work list and
 /// returns the results in unit order.
 ///
-/// The generalized sibling of [`run_batch`] for callers whose work items
-/// are not one-replication-per-seed — e.g. the campaign layer's
-/// bit-sliced lane groups, where one unit covers up to 64 replications.
-/// The same determinism argument applies: units are distributed over
-/// scoped workers in contiguous chunks writing disjoint slices, so the
-/// merged vector is independent of `threads` (with `0` using the
-/// machine's available parallelism).
+/// Units are distributed over scoped worker threads in contiguous chunks;
+/// each worker writes into its own disjoint slice, so the merged vector
+/// is independent of `threads` (with `0` using the machine's available
+/// parallelism) and of scheduling order. A unit may be one replication
+/// ([`run_batch`]) or a bit-sliced lane group of up to 64 (the campaign
+/// layer).
 pub fn run_indexed_units<T, U, F>(threads: usize, units: &[U], job: F) -> Vec<T>
 where
     T: Send,
@@ -206,84 +161,6 @@ where
             },
         );
         extract(rep, out)
-    })
-}
-
-/// Like [`run_replications`], but each replication also carries a
-/// [`Supervisor`] built by `setup` (an online monitor, a degrader, …)
-/// which `extract` receives back alongside the [`SimOutput`] — so
-/// per-replication alarm logs and first-violation instants survive into
-/// the merged results. Determinism is unchanged: supervisors never touch
-/// the RNG stream.
-///
-/// [`Supervisor`]: crate::monitor::Supervisor
-pub fn run_supervised_replications<'a, T, M, S, E>(
-    sim: &Simulation<'_>,
-    config: &BatchConfig,
-    setup: S,
-    extract: E,
-) -> Vec<T>
-where
-    T: Send,
-    M: crate::monitor::Supervisor,
-    S: Fn(u64) -> (ReplicationContext<'a>, M) + Sync,
-    E: Fn(u64, SimOutput, M) -> T + Sync,
-{
-    run_batch(config, |rep, seed| {
-        let (mut ctx, mut supervisor) = setup(rep);
-        let out = sim.run_supervised(
-            &mut ctx.behaviors,
-            &mut *ctx.environment,
-            &mut *ctx.injector,
-            &mut supervisor,
-            &SimConfig {
-                rounds: config.rounds,
-                seed,
-            },
-        );
-        extract(rep, out, supervisor)
-    })
-}
-
-/// Like [`run_supervised_replications`], but each replication also
-/// carries a [`MetricsSink`] built by `setup` (typically a fresh
-/// `Registry` per replication) which `extract` receives back filled.
-///
-/// This is the deterministic-aggregation point of the observability
-/// layer: because a per-replication registry holds only values that are
-/// a deterministic function of that replication, and results come back
-/// in replication order regardless of the thread count, merging the
-/// extracted registries in result order yields a bit-identical aggregate
-/// at any thread count.
-///
-/// [`MetricsSink`]: logrel_obs::MetricsSink
-pub fn run_observed_replications<'a, T, Sup, M, S, E>(
-    sim: &Simulation<'_>,
-    config: &BatchConfig,
-    setup: S,
-    extract: E,
-) -> Vec<T>
-where
-    T: Send,
-    Sup: crate::monitor::Supervisor,
-    M: logrel_obs::MetricsSink,
-    S: Fn(u64) -> (ReplicationContext<'a>, Sup, M) + Sync,
-    E: Fn(u64, SimOutput, Sup, M) -> T + Sync,
-{
-    run_batch(config, |rep, seed| {
-        let (mut ctx, mut supervisor, mut sink) = setup(rep);
-        let out = sim.run_observed(
-            &mut ctx.behaviors,
-            &mut *ctx.environment,
-            &mut *ctx.injector,
-            &mut supervisor,
-            &mut sink,
-            &SimConfig {
-                rounds: config.rounds,
-                seed,
-            },
-        );
-        extract(rep, out, supervisor, sink)
     })
 }
 

@@ -1,6 +1,7 @@
 //! The machine-readable certificate emitted on successful validation.
 
 use crate::denot::RoundDenotation;
+use logrel_core::fnv1a;
 use std::fmt;
 
 /// Proof summary that an artifact's round dataflow is isomorphic to the
@@ -30,16 +31,6 @@ pub struct Certificate {
     pub artifacts: Vec<&'static str>,
     /// FNV-1a digest of the canonical denotation.
     pub digest: u64,
-}
-
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl Certificate {

@@ -94,6 +94,7 @@ use logrel::obs::MetricsSink as _;
 use logrel::query::Report;
 use logrel::refine::{check_refinement, validate, Kappa, SystemRef};
 use logrel::reliability::architecture_importance;
+use logrel::serve::pipeline::{self, CompileError, CompiledSpec, Plan, Symbols};
 use std::process::ExitCode;
 
 /// A failed run: usage/I-O trouble (exit 1) or emitted diagnostics
@@ -166,18 +167,6 @@ fn analysis_failure(file: &str, code: &'static str, message: String) -> Failure 
 /// enough context to see the rounds leading up to a violation without
 /// unbounded growth.
 const FLIGHT_RING: usize = 256;
-
-/// Resolves scenario names against a compiled program.
-struct Symbols<'a>(&'a logrel::lang::ElaboratedSystem);
-
-impl logrel::sim::ScenarioSymbols for Symbols<'_> {
-    fn host(&self, name: &str) -> Option<logrel::core::HostId> {
-        self.0.arch.find_host(name)
-    }
-    fn communicator(&self, name: &str) -> Option<logrel::core::CommunicatorId> {
-        self.0.spec.find_communicator(name)
-    }
-}
 
 /// Removes a boolean `--flag` from `args`, returning whether it was
 /// present.
@@ -996,77 +985,30 @@ fn run(args: &[String]) -> Result<(), Failure> {
                 .transpose()?
                 .unwrap_or(8);
             let sys = compile_path(path)?;
-
             let scenario =
                 logrel::sim::Scenario::parse_with(&read(scenario_path)?, &Symbols(&sys))
                     .map_err(|e| Failure::Usage(format!("{scenario_path}: {e}")))?;
-
-            let analytic = logrel::reliability::compute_srgs(&sys.spec, &sys.arch, &sys.imp)
-                .map_err(|e| Failure::Usage(e.to_string()))?;
-            let analytic: Vec<Option<f64>> = sys
-                .spec
-                .communicator_ids()
-                .map(|c| Some(analytic.communicator(c).get()))
-                .collect();
-            let td = logrel::core::TimeDependentImplementation::from(sys.imp.clone());
             // The registry collects compile/certify spans even when
             // `--metrics` is absent; it is only exported when requested.
             let mut registry = logrel::obs::Registry::with_recorder(FLIGHT_RING);
-            let sim =
-                logrel::sim::Simulation::try_new_observed(&sys.spec, &sys.arch, &td, &mut registry)
-                    .map_err(|e| analysis_failure(path, "A003", format!("{e}")))?;
-            let config = logrel::sim::CampaignConfig {
-                batch: logrel::sim::montecarlo::BatchConfig {
-                    replications: reps,
-                    rounds,
-                    base_seed: seed,
-                    threads: 0,
-                },
-                monitor: logrel::sim::MonitorConfig::default(),
-                lanes,
-            };
-            // Echo the execution path and the effective seed in the export
-            // so downstream tooling can tell bit-sliced runs from scalar
-            // ones and can replay the campaign exactly.
-            registry.set_gauge(logrel::obs::names::BITSLICE_LANES, lanes.width() as f64);
-            registry.set_gauge(logrel::obs::names::CAMPAIGN_SEED, seed as f64);
-            let setup = |_rep| logrel::sim::montecarlo::ReplicationContext {
-                behaviors: logrel::sim::BehaviorMap::new(),
-                environment: Box::new(logrel::sim::ConstantEnvironment::new(
-                    logrel::core::Value::Float(1.0),
-                )),
-                injector: Box::new(logrel::sim::ProbabilisticFaults::from_architecture(
-                    &sys.arch,
-                )),
-            };
+            let compiled = CompiledSpec::new(sys, &mut registry).map_err(|e| match e {
+                CompileError::Srg(e) => Failure::Usage(e.to_string()),
+                CompileError::Program(e) => analysis_failure(path, "A003", format!("{e}")),
+            })?;
+            let compiled = std::sync::Arc::new(compiled);
+            let config = pipeline::campaign_config(reps, rounds, seed, lanes);
+            let plan = Plan::new(std::sync::Arc::clone(&compiled), scenario, config, FLIGHT_RING)
+                .map_err(|e| analysis_failure(path, "A004", e.to_string()))?;
             let report = if metrics.is_some() {
                 let run_span = logrel::obs::Span::start();
-                let report = logrel::sim::run_campaign_observed(
-                    &sim,
-                    &sys.spec,
-                    &scenario,
-                    sys.arch.host_count(),
-                    &config,
-                    setup,
-                    &analytic,
-                    &mut registry,
-                    FLIGHT_RING,
-                )
-                .map_err(|e| analysis_failure(path, "A004", e.to_string()))?;
+                let report = plan.run_scoped::<logrel::obs::Registry>(&mut registry);
                 run_span.finish(&mut registry, logrel::obs::names::RUN_SECONDS);
                 report
             } else {
-                logrel::sim::run_campaign(
-                    &sim,
-                    &sys.spec,
-                    &scenario,
-                    sys.arch.host_count(),
-                    &config,
-                    setup,
-                    &analytic,
-                )
-                .map_err(|e| analysis_failure(path, "A004", e.to_string()))?
-            };
+                plan.run_scoped::<logrel::obs::NoopSink>(&mut registry)
+            }
+            .map_err(|e| analysis_failure(path, "A004", e.to_string()))?;
+            let sys = compiled.sys();
 
             let lane_desc = match lanes.width() {
                 1 => "scalar".to_owned(),
@@ -1232,16 +1174,8 @@ fn run(args: &[String]) -> Result<(), Failure> {
             // One short, fixed campaign evaluates every candidate — the
             // same base seed throughout, so a reproducer replays through
             // `htlc inject` with exactly the parameters echoed below.
-            let campaign = logrel::sim::CampaignConfig {
-                batch: logrel::sim::montecarlo::BatchConfig {
-                    replications: 4,
-                    rounds: 400,
-                    base_seed: 0xC0FFEE,
-                    threads: 0,
-                },
-                monitor: logrel::sim::MonitorConfig::default(),
-                lanes: logrel::sim::LaneMode::Auto,
-            };
+            let campaign =
+                pipeline::campaign_config(4, 400, 0xC0FFEE, logrel::sim::LaneMode::Auto);
             let b = campaign.batch;
             let config = logrel::sim::FuzzConfig {
                 iters,
@@ -1256,15 +1190,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
                 ],
                 ..Default::default()
             };
-            let setup = |_rep| logrel::sim::montecarlo::ReplicationContext {
-                behaviors: logrel::sim::BehaviorMap::new(),
-                environment: Box::new(logrel::sim::ConstantEnvironment::new(
-                    logrel::core::Value::Float(1.0),
-                )),
-                injector: Box::new(logrel::sim::ProbabilisticFaults::from_architecture(
-                    &sys.arch,
-                )),
-            };
+            let setup = |_rep| pipeline::replication_context(&sys.arch);
             let mut registry = logrel::obs::Registry::new();
             let outcome = logrel::sim::run_fuzz(
                 &sim,

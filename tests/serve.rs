@@ -9,11 +9,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use logrel::obs::export::to_json_line;
 use logrel::obs::{names, MetricsSink, Registry};
-use logrel::serve::{proto, Engine, Job, JobOutcome, ServeConfig};
+use logrel::serve::pipeline::Symbols;
+use logrel::serve::proto::{self, parse_json, Json};
+use logrel::serve::{Engine, Job, JobOutcome, ServeConfig};
 use logrel::sim::montecarlo::{BatchConfig, ReplicationContext};
 use logrel::sim::{
     run_campaign_observed, BehaviorMap, CampaignConfig, ConstantEnvironment, LaneMode,
-    MonitorConfig, ProbabilisticFaults, Scenario, ScenarioSymbols, Simulation,
+    MonitorConfig, ProbabilisticFaults, Scenario, Simulation,
 };
 
 const SPEC_PATH: &str = "examples/htl/infusion_pump.htl";
@@ -43,20 +45,9 @@ fn engine(workers: usize, queue_capacity: usize) -> Engine {
     })
 }
 
-struct Symbols<'a>(&'a logrel::lang::ElaboratedSystem);
-
-impl ScenarioSymbols for Symbols<'_> {
-    fn host(&self, name: &str) -> Option<logrel::core::HostId> {
-        self.0.arch.find_host(name)
-    }
-    fn communicator(&self, name: &str) -> Option<logrel::core::CommunicatorId> {
-        self.0.spec.find_communicator(name)
-    }
-}
-
-/// The same campaign run through the library pipeline the way `htlc
-/// inject --metrics` runs it, minus the wall-clock span gauges a
-/// service job never records.
+/// The same campaign run through the library campaign driver
+/// (`run_campaign_observed`), independently of the service pipeline,
+/// minus the wall-clock span gauges a service job never records.
 fn library_reference_line() -> String {
     let source = std::fs::read_to_string(SPEC_PATH).unwrap();
     let sys = logrel::lang::compile(&source).unwrap();
@@ -221,7 +212,96 @@ fn malformed_lines_are_rejected_without_killing_the_service() {
     assert_eq!(responses.len(), 1);
     assert!(responses[0].contains("\"code\":\"S004\""), "{}", responses[0]);
     assert!(responses[0].contains("replication"), "{}", responses[0]);
+    // A replication count past the cap is rejected up front instead of
+    // aborting the process on a giant allocation.
+    let line = format!(
+        r#"{{"schema":"logrel-job-v1","id":"huge","spec_path":"{SPEC_PATH}","scenario_path":"{SCENARIO_PATH}","rounds":50,"replications":18446744073709551615,"seed":1}}"#
+    );
+    let responses = logrel::serve::process_line(&engine, &line);
+    assert_eq!(responses.len(), 1);
+    assert!(responses[0].contains("\"code\":\"S004\""), "{}", responses[0]);
+    assert!(responses[0].contains("replications"), "{}", responses[0]);
     engine.shutdown();
+}
+
+fn htlc(args: &[&str], stdin: &str) -> std::process::Output {
+    use std::io::Write as _;
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_htlc"))
+        .args(args)
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("htlc runs");
+    child.stdin.take().unwrap().write_all(stdin.as_bytes()).unwrap();
+    child.wait_with_output().expect("htlc exits")
+}
+
+/// A metrics document with every wall-clock `*_seconds` entry removed.
+fn without_seconds(doc: Json) -> Json {
+    match doc {
+        Json::Obj(fields) => Json::Obj(
+            fields
+                .into_iter()
+                .filter(|(k, _)| !k.ends_with("_seconds"))
+                .map(|(k, v)| (k, without_seconds(v)))
+                .collect(),
+        ),
+        other => other,
+    }
+}
+
+#[test]
+fn htlc_serve_matches_htlc_inject_modulo_seconds() {
+    let dir = std::env::temp_dir().join(format!("logrel-serve-inject-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let prom = dir.join("m.prom");
+    let prom = prom.to_str().unwrap();
+    let out = htlc(
+        &["inject", "--metrics", prom, SPEC_PATH, SCENARIO_PATH, "300", "65261", "8"],
+        "",
+    );
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let injected = parse_json(&std::fs::read_to_string(format!("{prom}.json")).unwrap()).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let line = format!(
+        r#"{{"schema":"logrel-job-v1","id":"eq","spec_path":"{SPEC_PATH}","scenario_path":"{SCENARIO_PATH}","rounds":{ROUNDS},"replications":{REPS},"seed":{SEED}}}"#
+    );
+    let out = htlc(&["serve", "--stdin", "--workers", "2"], &format!("{line}\n"));
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let served = parse_json(stdout.lines().next().expect("a metrics line")).unwrap();
+    assert_eq!(without_seconds(served), without_seconds(injected));
+}
+
+#[test]
+fn huge_replication_count_is_diagnosed_by_inject_and_serve() {
+    let out = htlc(
+        &["inject", SPEC_PATH, SCENARIO_PATH, "50", "1", "18446744073709551615"],
+        "",
+    );
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("A004:error:"), "{stderr}");
+    assert!(stderr.contains("at most 1048576"), "{stderr}");
+
+    // The repro: a good job, the huge one, a good job — the service
+    // answers all three and drains to a clean exit.
+    let good = |id: &str| {
+        format!(
+            r#"{{"schema":"logrel-job-v1","id":"{id}","spec_path":"{SPEC_PATH}","scenario_path":"{SCENARIO_PATH}","rounds":50,"replications":2,"seed":1}}"#
+        )
+    };
+    let huge = good("huge").replace(r#""replications":2"#, r#""replications":18446744073709551615"#);
+    let out = htlc(&["serve", "--stdin"], &format!("{}\n{huge}\n{}\n", good("a"), good("b")));
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let statuses: Vec<&str> = stdout.lines().filter(|l| l.contains("logrel-job-status-v1")).collect();
+    assert_eq!(statuses.len(), 3, "{stdout}");
+    assert!(statuses[0].contains(r#""status":"done""#), "{stdout}");
+    assert!(statuses[1].contains(r#""code":"S004""#), "{stdout}");
+    assert!(statuses[2].contains(r#""status":"done""#), "{stdout}");
 }
 
 /// A fleet of services sharing one `.logrel-cache` path: concurrent
