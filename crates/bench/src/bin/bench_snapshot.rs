@@ -5,9 +5,11 @@
 //!
 //! Measured, each as the best (minimum) of several timed repetitions:
 //!
-//! * compiled simulator kernel and the map-driven reference interpreter on
-//!   the 3TS baseline workload (rounds/sec, communicator-update events/sec,
-//!   and their speedup ratio);
+//! * compiled simulator kernel (a one-lane group of the lane-group
+//!   kernel) and the map-driven reference interpreter on the 3TS baseline
+//!   workload (rounds/sec, communicator-update events/sec, and the median
+//!   of paired per-rep speedup ratios, floor-gated at 1.95x under
+//!   `--compare`);
 //! * the kernel through `run_observed` with the no-op metrics sink
 //!   (`kernel_observed_noop_rounds_per_sec` — must match the plain kernel;
 //!   the sink monomorphizes to nothing) and with a live `Registry`
@@ -15,7 +17,7 @@
 //! * the bit-sliced kernel packing 64 replications per `u64` word
 //!   (`kernel_bitsliced_rounds_per_sec` — replication-rounds per second
 //!   across all lanes; `bitsliced_speedup_over_kernel` is its ratio to
-//!   the scalar kernel, floor-gated at 10x under `--compare`);
+//!   the one-lane kernel, floor-gated at 10x under `--compare`);
 //! * the kernel under the scenario layer: a plain timeline (crash/rejoin,
 //!   flaky window, GE burst) versus the same timeline plus every
 //!   correlated event kind (common-cause group, partition, Weibull
@@ -127,6 +129,12 @@ const RATIO_FLOORS: &[(&str, &str, &str, f64)] = &[
     // The campaign service's reason to exist: once a spec is in the
     // compilation cache, a job is just its (tiny, here) campaign.
     ("serve warm-cache speedup", "serve_warm_speedup", "", 5.0),
+    // A single run is a one-lane group of the lane-group kernel; it must
+    // keep the speed of the dedicated scalar loop it replaced. The
+    // reference interpreter is the in-binary yardstick: the floor is
+    // 0.95x the paired median measured on the scalar loop (2.05, median
+    // of six runs on the same 2-core VM, range 1.92-2.13).
+    ("one-lane kernel speedup over reference", "kernel_speedup_over_reference", "", 1.95),
 ];
 
 /// Absolute ratio ceilings, the mirror of [`RATIO_FLOORS`]: the metric
@@ -472,17 +480,40 @@ fn main() -> ExitCode {
         .map(|c| out.trace.update_count(c))
         .sum();
 
-    let kernel_secs = best_secs(|| {
-        std::hint::black_box(run_sim(&sim, &sys.arch, &Mode::Kernel));
-    });
+    // Kernel and reference samples are interleaved within each rep —
+    // alternating which side runs first — and the speedup is the median
+    // of the per-rep paired ratios: the reference interpreter is the
+    // fixed yardstick the one production kernel is gated against at
+    // width 1, and pairing cancels the machine-wide drift that a
+    // quotient of independent minima would not. The throughput numbers
+    // use the per-side minimum.
+    const KERNEL_REPS: usize = 31;
+    let time = |mode: &Mode| {
+        let start = Instant::now();
+        std::hint::black_box(run_sim(&sim, &sys.arch, mode));
+        start.elapsed().as_secs_f64()
+    };
+    let (mut kernel_secs, mut reference_secs) = (f64::MAX, f64::MAX);
+    let mut kernel_ratios = [0.0f64; KERNEL_REPS];
+    for (rep, ratio) in kernel_ratios.iter_mut().enumerate() {
+        let (kernel, reference) = if rep % 2 == 0 {
+            let k = time(&Mode::Kernel);
+            (k, time(&Mode::Reference))
+        } else {
+            let r = time(&Mode::Reference);
+            (time(&Mode::Kernel), r)
+        };
+        kernel_secs = kernel_secs.min(kernel);
+        reference_secs = reference_secs.min(reference);
+        *ratio = reference / kernel;
+    }
+    kernel_ratios.sort_by(f64::total_cmp);
+    let kernel_speedup = kernel_ratios[KERNEL_REPS / 2];
     let observed_noop_secs = best_secs(|| {
         std::hint::black_box(run_sim(&sim, &sys.arch, &Mode::ObservedNoop));
     });
     let observed_registry_secs = best_secs(|| {
         std::hint::black_box(run_sim(&sim, &sys.arch, &Mode::ObservedRegistry));
-    });
-    let reference_secs = best_secs(|| {
-        std::hint::black_box(run_sim(&sim, &sys.arch, &Mode::Reference));
     });
     // The bit-sliced kernel runs 64 independent replications per sample;
     // lane setup (64 RNGs and injectors) is noise against 10k rounds.
@@ -685,7 +716,7 @@ fn main() -> ExitCode {
         scenario_overhead,
         SIM_ROUNDS as f64 / reference_secs,
         events as f64 / reference_secs,
-        reference_secs / kernel_secs,
+        kernel_speedup,
         bitsliced_rps * kernel_secs / SIM_ROUNDS as f64,
         srg_secs * 1e9,
         1.0 / certify_secs,

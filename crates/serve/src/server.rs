@@ -165,20 +165,27 @@ fn accept_loop(engine: &Engine, listener: &TcpListener, stop: &AtomicBool) {
     }
 }
 
+/// Serves one client: each request's response lines go out as a single
+/// write, with Nagle's algorithm off — a reply split into segments would
+/// otherwise wait on the client's delayed ACK (tens of milliseconds).
 fn handle_connection(engine: &Engine, stream: TcpStream) {
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let reader = BufReader::new(read_half);
     let mut writer = stream;
+    let mut reply = String::new();
     for line in reader.lines() {
         let Ok(line) = line else { return };
+        reply.clear();
         for response in process_line(engine, &line) {
-            if writeln!(writer, "{response}").is_err() {
-                return;
-            }
+            reply.push_str(&response);
+            reply.push('\n');
         }
-        if writer.flush().is_err() {
+        if writer.write_all(reply.as_bytes()).is_err() {
             return;
         }
     }

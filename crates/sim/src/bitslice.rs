@@ -1,7 +1,7 @@
-//! Bit-sliced Monte-Carlo execution: up to 64 replications per run.
+//! The lane-group kernel: the one production round loop.
 //!
 //! [`Simulation::run_bitsliced`] evaluates the compiled [`RoundProgram`]
-//! for up to 64 *independent* replications ("lanes") in one pass. Boolean
+//! for 1..=64 *independent* replications ("lanes") in one pass. Boolean
 //! per-replica state — liveness, broadcast delivery, warm-up, exclusion,
 //! vote delivery — is packed into `u64` lane masks, and communicator
 //! values are kept as *value classes*: disjoint lane masks per distinct
@@ -10,24 +10,38 @@
 //! where a fault fired), a round's work collapses to a handful of classes
 //! instead of 64 scalar evaluations.
 //!
+//! A single run ([`Simulation::run`], `run_supervised`, `run_observed`)
+//! is an ordinary one-lane group through this same loop; only the
+//! map-driven [`Simulation::run_reference`] interprets the semantics a
+//! second time, as the differential oracle.
+//!
 //! # Lane semantics
 //!
-//! Lane `i` replays scalar replication `i` *exactly*: it owns a private
-//! RNG seeded with lane `i`'s seed, plus its own fault injector,
-//! environment, supervisor and metrics sink ([`LaneContext`]). At every
-//! site where the scalar kernel ([`Simulation::run_observed`]) consumes a
-//! draw or calls a hook, the bit-sliced kernel loops over the lanes and
-//! performs the same call on the lane's own context, in the same order —
-//! so each lane's RNG stream, trace, metrics and supervisor interactions
-//! are bit-identical to a scalar run of the same seed.
-//! [`BitslicedOutput::extract_lane`] recovers the scalar [`SimOutput`].
+//! Lane `i` replays replication `i` *exactly*: it owns a private RNG
+//! seeded with lane `i`'s seed, plus its own fault injector, environment,
+//! supervisor and metrics sink ([`LaneContext`]). At every site that
+//! consumes a draw or calls a hook, the kernel loops over the lanes and
+//! performs the call on the lane's own context, in lane order — so each
+//! lane's RNG stream, supervisor interactions and metrics are the ones a
+//! one-lane run of the same seed produces, whatever the group width.
+//!
+//! # What a run records
+//!
+//! The kernel keeps counts: per communicator the number of updates
+//! (lane-invariant) and of reliable updates per lane, per task the
+//! invocations and deliveries, and the final values ([`BitslicedOutput`]).
+//! Only the one-lane runs that return a [`SimOutput`] also write the
+//! update sequence into a [`Trace`]; a campaign unit stores nothing per
+//! update. (Any caller can still watch the sequence lane by lane through
+//! a supervisor: [`Supervisor::observe`] fires for every update in
+//! order.)
 //!
 //! # Shared behaviors — purity contract
 //!
 //! All lanes share one [`BehaviorMap`]: task behaviors must be pure
 //! functions of their inputs. The kernel invokes a behavior once per
 //! *input-class* (not once per lane), so a behavior with internal state
-//! would observe a different call sequence than under scalar execution.
+//! would observe a different call sequence than in a one-lane run.
 //!
 //! # Corruption and the fast path
 //!
@@ -39,18 +53,18 @@
 //! whole run to the slow path, which stores per-(replica, lane) output
 //! rows and votes each lane with [`vote_into`] — still bit-identical,
 //! just without the class compression on the vote.
+//!
+//! [`RoundProgram`]: logrel_core::RoundProgram
+//! [`vote_into`]: crate::voting::vote_into
 
 use crate::behavior::BehaviorMap;
 use crate::environment::Environment;
 use crate::fault::FaultInjector;
-use crate::kernel::{
-    drop_counter, task_audiences, vote_counter, warm_after_rejoin, SimOutput, Simulation,
-    TaskStats,
-};
+use crate::kernel::{task_audiences, warm_after_rejoin, SimOutput, Simulation, TaskStats};
 use crate::monitor::{NoSupervisor, Supervisor};
 use crate::trace::Trace;
 use logrel_core::roundprog::UpdateOp;
-use logrel_core::{CommunicatorId, FailureModel, HostId, Specification, TaskId, Tick, Value};
+use logrel_core::{CommunicatorId, FailureModel, HostId, TaskId, Tick, Value};
 use logrel_obs::{names, DropReason, MetricsSink, NoopSink, ObsEvent, VoteOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -118,54 +132,83 @@ impl LaneClasses {
     }
 }
 
-/// The packed analogue of [`Trace`]: per communicator, the chronological
-/// update records, each pointing at a [`LaneClasses`] snapshot in a
-/// shared class pool.
-#[derive(Debug, Clone, Default)]
-pub struct PackedTrace {
-    /// Per communicator: `(at, pool_start, class_count)` per update.
-    rows: Vec<Vec<(Tick, u32, u32)>>,
-    /// Flattened class snapshots, shared across all rows.
-    pool: Vec<(Value, u64)>,
+/// Per-key counts of lane-mask events: an empty mask costs nothing, a
+/// full one a single increment of `all[key]` whatever the width, and only
+/// the lanes of a partial mask are counted one by one in
+/// `extra[key * lanes + lane]`.
+#[derive(Debug, Clone)]
+struct MaskTally {
+    lanes: usize,
+    all: Vec<u64>,
+    extra: Vec<u64>,
 }
 
-impl PackedTrace {
-    fn new(comm_count: usize) -> Self {
-        PackedTrace {
-            rows: vec![Vec::new(); comm_count],
-            pool: Vec::new(),
+impl MaskTally {
+    fn new(keys: usize, lanes: usize) -> Self {
+        MaskTally {
+            lanes,
+            all: vec![0; keys],
+            extra: vec![0; keys * lanes],
         }
     }
 
-    fn record(&mut self, comm: usize, at: Tick, classes: &LaneClasses) {
-        let start = u32::try_from(self.pool.len()).expect("packed trace pool overflow");
-        self.pool.extend_from_slice(&classes.classes);
-        self.rows[comm].push((at, start, classes.classes.len() as u32));
+    fn add(&mut self, key: usize, mask: u64, all_mask: u64) {
+        if mask == all_mask {
+            self.all[key] += 1;
+        } else {
+            let mut m = mask;
+            while m != 0 {
+                self.extra[key * self.lanes + m.trailing_zeros() as usize] += 1;
+                m &= m - 1;
+            }
+        }
     }
 
-    /// Lane `lane`'s scalar value at row `(start, len)`.
-    fn value_at(&self, start: u32, len: u32, lane: usize) -> Value {
-        let bit = 1u64 << lane;
-        self.pool[start as usize..(start + len) as usize]
-            .iter()
-            .find(|&&(_, m)| m & bit != 0)
-            .map_or(Value::Unreliable, |&(v, _)| v)
+    fn get(&self, key: usize, lane: usize) -> u64 {
+        self.all[key] + self.extra[key * self.lanes + lane]
     }
 }
 
-/// The packed result of [`Simulation::run_bitsliced`]; one
-/// [`SimOutput`] per lane via [`BitslicedOutput::extract_lane`].
+/// Where a group run writes its update sequence: nowhere (`()`, the
+/// campaign units and benchmarks, which need only the counts), or one
+/// [`Trace`] per lane (the callers that return a [`SimOutput`]).
+pub(crate) trait UpdateLog {
+    /// Communicator `comm` was updated at `at` to the lane values
+    /// `classes`.
+    fn record(&mut self, comm: usize, at: Tick, classes: &LaneClasses);
+}
+
+impl UpdateLog for () {
+    fn record(&mut self, _comm: usize, _at: Tick, _classes: &LaneClasses) {}
+}
+
+impl UpdateLog for [Trace] {
+    fn record(&mut self, comm: usize, at: Tick, classes: &LaneClasses) {
+        let c = CommunicatorId::new(comm as u32);
+        for (li, trace) in self.iter_mut().enumerate() {
+            trace.record(c, at, classes.value_at(li));
+        }
+    }
+}
+
+/// The counts of a lane-group run ([`Simulation::run_bitsliced`]): per
+/// communicator the updates and reliable updates — the reliability
+/// abstraction's numerator and denominator — per task the invocations
+/// and deliveries, and the final communicator values, each per lane.
+///
+/// Memory is O(communicators × lanes + tasks × lanes), independent of the
+/// number of rounds.
 #[derive(Debug, Clone)]
 pub struct BitslicedOutput {
     lanes: usize,
-    trace: PackedTrace,
     /// Per task: executed rounds (lane-invariant).
     invocations: Vec<u64>,
-    /// Per task: rounds in which *every* lane delivered.
-    delivered_all: Vec<u64>,
-    /// Per `(task, lane)`: deliveries in rounds where not every lane
-    /// delivered (row-major, `task * lanes + lane`).
-    delivered_extra: Vec<u64>,
+    /// Per task: rounds in which at least one replica delivered.
+    delivered: MaskTally,
+    /// Per communicator: updates (lane-invariant).
+    updates: Vec<u64>,
+    /// Per communicator: unreliable (⊥) updates.
+    unreliable: MaskTally,
     /// Final communicator values, per communicator.
     final_classes: Vec<LaneClasses>,
 }
@@ -176,38 +219,171 @@ impl BitslicedOutput {
         self.lanes
     }
 
-    /// Reconstructs lane `lane`'s scalar [`SimOutput`] — bit-identical to
-    /// what [`Simulation::run`] (or `run_observed`) produces for that
-    /// lane's seed, injector and environment.
+    /// Updates of `comm` (every lane sees every update).
+    pub fn updates(&self, comm: CommunicatorId) -> u64 {
+        self.updates[comm.index()]
+    }
+
+    /// Reliable updates of `comm` on lane `lane`.
+    pub fn reliable(&self, comm: CommunicatorId, lane: usize) -> u64 {
+        self.updates[comm.index()] - self.unreliable.get(comm.index(), lane)
+    }
+
+    /// Lane `lane`'s per-task delivery statistics.
+    pub fn task_stats(&self, lane: usize) -> Vec<TaskStats> {
+        (0..self.invocations.len())
+            .map(|t| TaskStats {
+                delivered: self.delivered.get(t, lane),
+                invocations: self.invocations[t],
+            })
+            .collect()
+    }
+
+    /// Lane `lane`'s communicator values at the end of the run.
+    pub fn final_values(&self, lane: usize) -> Vec<Value> {
+        self.final_classes
+            .iter()
+            .map(|cls| cls.value_at(lane))
+            .collect()
+    }
+
+    /// Lane `lane`'s [`SimOutput`] around `trace`, that lane's update
+    /// sequence (recorded by the one-lane runs themselves, or by a lane
+    /// supervisor that writes down every update it observes).
     ///
     /// # Panics
     ///
     /// Panics if `lane >= self.lanes()`.
-    pub fn extract_lane(&self, spec: &Specification, lane: usize) -> SimOutput {
+    pub fn output(&self, lane: usize, trace: Trace) -> SimOutput {
         assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
-        let mut trace = Trace::new(spec);
-        for (ci, rows) in self.trace.rows.iter().enumerate() {
-            let c = CommunicatorId::new(ci as u32);
-            for &(at, start, len) in rows {
-                trace.record(c, at, self.trace.value_at(start, len, lane));
-            }
-        }
-        let task_count = self.invocations.len();
-        let task_stats = (0..task_count)
-            .map(|t| TaskStats {
-                delivered: self.delivered_all[t] + self.delivered_extra[t * self.lanes + lane],
-                invocations: self.invocations[t],
-            })
-            .collect();
-        let final_values = self
-            .final_classes
-            .iter()
-            .map(|cls| cls.value_at(lane))
-            .collect();
         SimOutput {
             trace,
-            task_stats,
-            final_values,
+            task_stats: self.task_stats(lane),
+            final_values: self.final_values(lane),
+        }
+    }
+}
+
+/// One observed lane's batched counters.
+///
+/// `Registry::inc` costs a `BTreeMap` lookup per call; at ~10 counter
+/// bumps per replica vote that lookup chain dominated observed runs. The
+/// hot loop instead bumps plain `u64` fields here and
+/// [`ObsTally::flush`] writes the totals to the lane's sink once per run,
+/// together with the counters the group already keeps for every lane
+/// (rounds, updates, invocations, deliveries). Only *counters* and
+/// histogram observations are tallied — events and gauges are
+/// order-sensitive (flight recorder, last-write-wins) and stay inline.
+/// Flushing adds only nonzero values, so a flushed registry has an entry
+/// exactly where a per-event form would have created one, and exports
+/// are independent of the batching (the registry sorts counters by name;
+/// histogram sums over integer-valued samples are order-independent in
+/// `f64`).
+#[derive(Debug, Clone)]
+struct ObsTally {
+    replica_ok: u64,
+    replica_drop: u64,
+    drop_silent: u64,
+    drop_host: u64,
+    drop_broadcast: u64,
+    drop_warmup: u64,
+    drop_excluded: u64,
+    broadcast_fail: u64,
+    host_up_transitions: u64,
+    host_down_transitions: u64,
+    vote_unanimous: u64,
+    vote_majority: u64,
+    vote_tie: u64,
+    vote_silent: u64,
+    /// `replicas_per_vote[n]` = votes with exactly `n` delivering
+    /// replicas (histogram samples, batched).
+    replicas_per_vote: Vec<u64>,
+}
+
+impl ObsTally {
+    fn new(max_replicas: usize) -> Self {
+        ObsTally {
+            replica_ok: 0,
+            replica_drop: 0,
+            drop_silent: 0,
+            drop_host: 0,
+            drop_broadcast: 0,
+            drop_warmup: 0,
+            drop_excluded: 0,
+            broadcast_fail: 0,
+            host_up_transitions: 0,
+            host_down_transitions: 0,
+            vote_unanimous: 0,
+            vote_majority: 0,
+            vote_tie: 0,
+            vote_silent: 0,
+            replicas_per_vote: vec![0; max_replicas + 1],
+        }
+    }
+
+    fn drop_reason(&mut self, reason: DropReason) {
+        self.replica_drop += 1;
+        match reason {
+            DropReason::NotExecuted => self.drop_silent += 1,
+            DropReason::HostDown => self.drop_host += 1,
+            DropReason::Broadcast => self.drop_broadcast += 1,
+            DropReason::Warmup => self.drop_warmup += 1,
+            DropReason::Excluded => self.drop_excluded += 1,
+        }
+    }
+
+    /// One vote with `delivering` replicas and outcome `outcome`.
+    fn vote(&mut self, outcome: VoteOutcome, delivering: usize) {
+        match outcome {
+            VoteOutcome::Unanimous => self.vote_unanimous += 1,
+            VoteOutcome::Majority => self.vote_majority += 1,
+            VoteOutcome::Tie => self.vote_tie += 1,
+            VoteOutcome::Silent => self.vote_silent += 1,
+        }
+        self.replicas_per_vote[delivering] += 1;
+    }
+
+    /// Writes every nonzero total of lane `lane` of the `rounds`-round
+    /// group run `out` to `sink`.
+    fn flush<M: MetricsSink>(&self, sink: &mut M, rounds: u64, out: &BitslicedOutput, lane: usize) {
+        let updates: u64 = out.updates.iter().sum();
+        let unreliable: u64 = (0..out.updates.len())
+            .map(|c| out.unreliable.get(c, lane))
+            .sum();
+        let invocations: u64 = out.invocations.iter().sum();
+        let delivered: u64 = (0..out.invocations.len())
+            .map(|t| out.delivered.get(t, lane))
+            .sum();
+        let counters = [
+            (names::ROUNDS, rounds),
+            (names::UPDATES, updates),
+            (names::UPDATES_UNRELIABLE, unreliable),
+            (names::TASK_INVOCATIONS, invocations),
+            (names::TASK_DELIVERED, delivered),
+            (names::REPLICA_OK, self.replica_ok),
+            (names::REPLICA_DROP, self.replica_drop),
+            (names::REPLICA_DROP_SILENT, self.drop_silent),
+            (names::REPLICA_DROP_HOST, self.drop_host),
+            (names::REPLICA_DROP_BROADCAST, self.drop_broadcast),
+            (names::REPLICA_DROP_WARMUP, self.drop_warmup),
+            (names::REPLICA_DROP_EXCLUDED, self.drop_excluded),
+            (names::BROADCAST_FAIL, self.broadcast_fail),
+            (names::HOST_UP_TRANSITIONS, self.host_up_transitions),
+            (names::HOST_DOWN_TRANSITIONS, self.host_down_transitions),
+            (names::VOTE_UNANIMOUS, self.vote_unanimous),
+            (names::VOTE_MAJORITY, self.vote_majority),
+            (names::VOTE_TIE, self.vote_tie),
+            (names::VOTE_SILENT, self.vote_silent),
+        ];
+        for (name, v) in counters {
+            if v != 0 {
+                sink.add(name, v);
+            }
+        }
+        for (n_del, &count) in self.replicas_per_vote.iter().enumerate() {
+            if count != 0 {
+                sink.observe_n(names::REPLICAS_PER_VOTE, n_del as f64, count);
+            }
         }
     }
 }
@@ -215,10 +391,8 @@ impl BitslicedOutput {
 /// One lane's private execution context: seeded RNG, fault injector,
 /// environment, supervisor and metrics sink.
 ///
-/// Lane `i` of a packed run behaves exactly like a scalar
-/// [`Simulation::run_observed`] call with seed `seed`, the same injector
-/// and environment, because the kernel performs every draw and hook call
-/// on this context in the scalar order.
+/// Every draw and hook call of the lane's replication happens on this
+/// context, in the order a one-lane run of seed `seed` makes them.
 #[derive(Debug, Clone)]
 pub struct LaneContext<I, E, S = NoSupervisor, M = NoopSink> {
     rng: StdRng,
@@ -229,7 +403,7 @@ pub struct LaneContext<I, E, S = NoSupervisor, M = NoopSink> {
 }
 
 impl<I, E, S, M> LaneContext<I, E, S, M> {
-    /// A fully supervised and observed lane. `seed` matches the scalar
+    /// A fully supervised and observed lane. `seed` matches the
     /// [`SimConfig::seed`](crate::SimConfig) of the replication this lane
     /// replays.
     pub fn new(seed: u64, injector: I, environment: E, supervisor: S, sink: M) -> Self {
@@ -258,10 +432,15 @@ impl<I, E> LaneContext<I, E> {
 }
 
 impl<'a> Simulation<'a> {
-    /// Runs up to 64 replications bit-sliced in one pass over the round
-    /// program. Lane `i` replays the scalar run of `lanes[i]`'s seed,
-    /// injector and environment exactly; see the module docs for the
-    /// shared-behaviors purity contract and the fast/slow path split.
+    /// Runs 1..=64 replications bit-sliced in one pass over the round
+    /// program. Lane `i` replays the replication of `lanes[i]`'s seed,
+    /// injector, environment and supervisor exactly; see the module docs
+    /// for the shared-behaviors purity contract and the fast/slow path
+    /// split.
+    ///
+    /// Counters and histogram samples for each observed lane are batched
+    /// and flushed to the lane's sink once, after the last round; events
+    /// and gauges are order-sensitive and go to the sink inline.
     ///
     /// # Panics
     ///
@@ -277,6 +456,25 @@ impl<'a> Simulation<'a> {
         E: Environment,
         S: Supervisor,
         M: MetricsSink,
+    {
+        self.run_lanes(behaviors, lanes, rounds, &mut ())
+    }
+
+    /// [`Simulation::run_bitsliced`], writing every update to `log` as
+    /// well.
+    pub(crate) fn run_lanes<I, E, S, M, L>(
+        &self,
+        behaviors: &mut BehaviorMap,
+        lanes: &mut [LaneContext<I, E, S, M>],
+        rounds: u64,
+        log: &mut L,
+    ) -> BitslicedOutput
+    where
+        I: FaultInjector,
+        E: Environment,
+        S: Supervisor,
+        M: MetricsSink,
+        L: UpdateLog + ?Sized,
     {
         let spec = self.spec;
         let prog = &self.program;
@@ -297,7 +495,7 @@ impl<'a> Simulation<'a> {
         let passive_sup = lanes.iter().all(|l| l.supervisor.is_passive());
         // Correlated-failure gates: the partition delivery check and the
         // adaptive vote echo are pure (no RNG draws), so lanes with a
-        // plain injector see exactly their scalar call sequence whether
+        // plain injector see exactly their one-lane call sequence whether
         // or not another lane partitions or adapts.
         let partitioned = lanes.iter().any(|l| l.injector.partitions());
         let adaptive = lanes.iter().any(|l| l.injector.adaptive());
@@ -308,7 +506,6 @@ impl<'a> Simulation<'a> {
         };
 
         let comm_count = spec.communicator_count();
-        let mut trace = PackedTrace::new(comm_count);
         let mut comm_classes: Vec<LaneClasses> = spec
             .communicator_ids()
             .map(|c| {
@@ -324,8 +521,8 @@ impl<'a> Simulation<'a> {
         ];
         let mut result_delivered = [vec![0u64; spec.task_count()], vec![0u64; spec.task_count()]];
         let mut invocations = vec![0u64; spec.task_count()];
-        let mut delivered_all = vec![0u64; spec.task_count()];
-        let mut delivered_extra = vec![0u64; spec.task_count() * n];
+        let mut delivered = MaskTally::new(spec.task_count(), n);
+        let mut unreliable = MaskTally::new(comm_count, n);
 
         // Scratch, allocated once per run.
         let max_out = prog.max_outputs;
@@ -336,7 +533,6 @@ impl<'a> Simulation<'a> {
         let mut next_vals: Vec<Value> = Vec::with_capacity(n * prog.max_inputs);
         let mut cell_outs: Vec<Value> = Vec::with_capacity(n * max_out);
         let mut lane_cell = vec![0usize; n];
-        let mut inputs_buf: Vec<Value> = Vec::with_capacity(prog.max_inputs);
         let mut outputs_buf: Vec<Value> = Vec::with_capacity(max_out);
         let mut ok_masks = vec![0u64; prog.max_replicas];
         // Slow path only: per-(replica, lane) output rows, and one lane's
@@ -364,6 +560,11 @@ impl<'a> Simulation<'a> {
                 .map_or(0, |m| m + 1)
         } else {
             0
+        };
+        let mut tallies: Vec<ObsTally> = if any_obs {
+            (0..n).map(|_| ObsTally::new(prog.max_replicas)).collect()
+        } else {
+            Vec::new()
         };
         // Per host: mask of lanes that consider the host up.
         let mut host_up = vec![all_mask; hosts];
@@ -395,8 +596,9 @@ impl<'a> Simulation<'a> {
                             for (li, lane) in lanes.iter_mut().enumerate() {
                                 let mut any_ok = false;
                                 for &s in sensors {
-                                    // Sample every sensor (no short-circuit),
-                                    // as in the scalar kernel.
+                                    // Sample every sensor (no short-circuit)
+                                    // so the failure process is independent
+                                    // of evaluation order.
                                     if lane.injector.sensor_ok(s, now, &mut lane.rng) {
                                         any_ok = true;
                                     }
@@ -408,7 +610,6 @@ impl<'a> Simulation<'a> {
                                 };
                             }
                             comm_classes[comm as usize].set_from_lane_values(&lane_vals);
-                            trace.record(comm as usize, now, &comm_classes[comm as usize]);
                             if !passive_sup {
                                 for (li, lane) in lanes.iter_mut().enumerate() {
                                     lane.supervisor
@@ -435,7 +636,6 @@ impl<'a> Simulation<'a> {
                                 }
                             }
                             // else: nothing produced yet, init persists.
-                            trace.record(comm as usize, now, &comm_classes[comm as usize]);
                             if !(passive_env && passive_sup) {
                                 let cls = &comm_classes[comm as usize];
                                 for (li, lane) in lanes.iter_mut().enumerate() {
@@ -447,7 +647,6 @@ impl<'a> Simulation<'a> {
                         }
                         UpdateOp::Persist { comm } => {
                             let c = CommunicatorId::new(comm);
-                            trace.record(comm as usize, now, &comm_classes[comm as usize]);
                             if !(passive_env && passive_sup) {
                                 let cls = &comm_classes[comm as usize];
                                 for (li, lane) in lanes.iter_mut().enumerate() {
@@ -458,25 +657,16 @@ impl<'a> Simulation<'a> {
                             }
                         }
                     }
-                    if any_obs {
-                        let un = comm_classes[op.comm()].union();
-                        for (li, lane) in lanes.iter_mut().enumerate() {
-                            if obs[li] {
-                                lane.sink.inc(names::UPDATES);
-                                if un & (1u64 << li) == 0 {
-                                    lane.sink.inc(names::UPDATES_UNRELIABLE);
-                                }
-                            }
-                        }
-                    }
+                    // The ⊥ lanes are those outside every value class.
+                    let ci = op.comm();
+                    unreliable.add(ci, !comm_classes[ci].union() & all_mask, all_mask);
+                    log.record(ci, now, &comm_classes[ci]);
                 }
 
                 // ---- 2. latch input accesses due at this instant ----
                 for l in &sp.latches {
-                    let (dst, src) = (l.dst as usize, l.comm as usize);
                     // `latched` and `comm_classes` are distinct vectors.
-                    let cls = &comm_classes[src];
-                    latched[dst].copy_from(cls);
+                    latched[l.dst as usize].copy_from(&comm_classes[l.comm as usize]);
                 }
 
                 // ---- 3. task reads / logical execution ----
@@ -499,7 +689,22 @@ impl<'a> Simulation<'a> {
                     // invocation serves the whole cell.
                     cells_mask.clear();
                     cells_vals.clear();
-                    if exec != 0 {
+                    // Common case (and always at width 1): no input splits
+                    // the executing lanes, so they form a single cell.
+                    let one_cell = raw.iter().all(|cls| match cls.classes.as_slice() {
+                        [] => true,
+                        [(_, m)] => exec & m == exec || exec & m == 0,
+                        _ => false,
+                    });
+                    if exec != 0 && one_cell {
+                        cells_mask.push(exec);
+                        cells_vals.extend(raw.iter().zip(&tt.defaults).map(|(cls, &d)| {
+                            match cls.classes.first() {
+                                Some(&(v, m)) if exec & m != 0 => v,
+                                _ => d,
+                            }
+                        }));
+                    } else if exec != 0 {
                         cells_mask.push(exec);
                         for (j, cls) in raw.iter().enumerate() {
                             next_mask.clear();
@@ -531,9 +736,8 @@ impl<'a> Simulation<'a> {
                     let n_out = tt.n_out;
                     cell_outs.clear();
                     for ci in 0..cells_mask.len() {
-                        inputs_buf.clear();
-                        inputs_buf.extend_from_slice(&cells_vals[ci * n_in..(ci + 1) * n_in]);
-                        behaviors.invoke_into(spec, TaskId::new(ti), &inputs_buf, &mut outputs_buf);
+                        let inputs = &cells_vals[ci * n_in..(ci + 1) * n_in];
+                        behaviors.invoke_into(spec, TaskId::new(ti), inputs, &mut outputs_buf);
                         cell_outs.extend_from_slice(&outputs_buf);
                     }
                     if corrupting {
@@ -553,8 +757,11 @@ impl<'a> Simulation<'a> {
                         let mut okm = 0u64;
                         for (li, lane) in lanes.iter_mut().enumerate() {
                             let bit = 1u64 << li;
-                            // Sample both draws for every replica, as in
-                            // the scalar kernel.
+                            // Sample both draws for every replica so the
+                            // process is order-independent. The partition
+                            // check is pure and folds into the broadcast
+                            // outcome: a replica cut off from any audience
+                            // host counts as a broadcast drop.
                             let host_ok = lane.injector.host_ok(h, now, &mut lane.rng);
                             let bc_ok = lane.injector.broadcast_ok(h, now, &mut lane.rng)
                                 && (!partitioned
@@ -583,19 +790,20 @@ impl<'a> Simulation<'a> {
                                 // so the call is skipped entirely.
                             }
                             if any_obs && obs[li] {
+                                let tally = &mut tallies[li];
                                 let hi = h.index();
                                 if (host_up[hi] & bit != 0) != host_ok {
                                     host_up[hi] ^= bit;
                                     if host_ok {
                                         hosts_up_count[li] += 1;
-                                        lane.sink.inc(names::HOST_UP_TRANSITIONS);
+                                        tally.host_up_transitions += 1;
                                         lane.sink.event(&ObsEvent::HostUp {
                                             at: now.as_u64(),
                                             host: hi,
                                         });
                                     } else {
                                         hosts_up_count[li] -= 1;
-                                        lane.sink.inc(names::HOST_DOWN_TRANSITIONS);
+                                        tally.host_down_transitions += 1;
                                         lane.sink.event(&ObsEvent::HostDown {
                                             at: now.as_u64(),
                                             host: hi,
@@ -605,10 +813,10 @@ impl<'a> Simulation<'a> {
                                         .set_gauge(names::HOSTS_UP, hosts_up_count[li] as f64);
                                 }
                                 if host_ok && !bc_ok {
-                                    lane.sink.inc(names::BROADCAST_FAIL);
+                                    tally.broadcast_fail += 1;
                                 }
                                 if ok {
-                                    lane.sink.inc(names::REPLICA_OK);
+                                    tally.replica_ok += 1;
                                 } else {
                                     let reason = if !executes {
                                         DropReason::NotExecuted
@@ -621,8 +829,11 @@ impl<'a> Simulation<'a> {
                                     } else {
                                         DropReason::Excluded
                                     };
-                                    lane.sink.inc(names::REPLICA_DROP);
-                                    lane.sink.inc(drop_counter(reason));
+                                    tally.drop_reason(reason);
+                                    // A not-executed logical task is a
+                                    // property of the vote, not of any
+                                    // single replica — the Vote event
+                                    // below records it as `silent`.
                                     if reason != DropReason::NotExecuted {
                                         lane.sink.event(&ObsEvent::ReplicaDrop {
                                             at: now.as_u64(),
@@ -686,15 +897,7 @@ impl<'a> Simulation<'a> {
                     }
 
                     invocations[t] += 1;
-                    if delivered_mask == all_mask {
-                        delivered_all[t] += 1;
-                    } else {
-                        let mut m = delivered_mask;
-                        while m != 0 {
-                            delivered_extra[t * n + m.trailing_zeros() as usize] += 1;
-                            m &= m - 1;
-                        }
-                    }
+                    delivered.add(t, delivered_mask, all_mask);
                     result_delivered[parity][t] = delivered_mask;
 
                     // Adaptive vote echo: lane `li`'s delivering hosts are
@@ -727,19 +930,13 @@ impl<'a> Simulation<'a> {
                                 continue;
                             }
                             let bit = 1u64 << li;
-                            lane.sink.inc(names::TASK_INVOCATIONS);
                             let n_del = ok_masks[..hosts_of.len()]
                                 .iter()
                                 .filter(|&&m| m & bit != 0)
                                 .count();
-                            lane.sink.observe(names::REPLICAS_PER_VOTE, n_del as f64);
-                            let lane_delivered = delivered_mask & bit != 0;
-                            if lane_delivered {
-                                lane.sink.inc(names::TASK_DELIVERED);
-                            }
                             let outcome = if !corrupting {
                                 // Uncorrupted delivering rows are equal.
-                                if lane_delivered {
+                                if delivered_mask & bit != 0 {
                                     VoteOutcome::Unanimous
                                 } else {
                                     VoteOutcome::Silent
@@ -762,7 +959,7 @@ impl<'a> Simulation<'a> {
                                     n_out,
                                 )
                             };
-                            lane.sink.inc(vote_counter(outcome));
+                            tallies[li].vote(outcome, n_del);
                             lane.sink.event(&ObsEvent::Vote {
                                 at: now.as_u64(),
                                 task: t,
@@ -774,23 +971,29 @@ impl<'a> Simulation<'a> {
                     }
                 }
             }
-            if any_obs {
-                for (li, lane) in lanes.iter_mut().enumerate() {
-                    if obs[li] {
-                        lane.sink.inc(names::ROUNDS);
-                    }
+        }
+
+        let out = BitslicedOutput {
+            lanes: n,
+            invocations,
+            delivered,
+            // Every round makes the same updates, and every lane sees them.
+            updates: self
+                .updates_per_round()
+                .iter()
+                .map(|k| k * rounds)
+                .collect(),
+            unreliable,
+            final_classes: comm_classes,
+        };
+        if any_obs {
+            for (li, lane) in lanes.iter_mut().enumerate() {
+                if obs[li] {
+                    tallies[li].flush(&mut lane.sink, rounds, &out, li);
                 }
             }
         }
-
-        BitslicedOutput {
-            lanes: n,
-            trace,
-            invocations,
-            delivered_all,
-            delivered_extra,
-            final_classes: comm_classes,
-        }
+        out
     }
 }
 
@@ -833,18 +1036,12 @@ mod tests {
     }
 
     #[test]
-    fn packed_trace_extracts_lane_values() {
-        let mut t = PackedTrace::new(1);
-        let mut cls = LaneClasses::default();
-        cls.push(Value::Int(7), 0b01);
-        t.record(0, Tick::new(0), &cls);
-        cls.clear();
-        t.record(0, Tick::new(5), &cls);
-        assert_eq!(t.rows[0].len(), 2);
-        let (_, s0, l0) = t.rows[0][0];
-        assert_eq!(t.value_at(s0, l0, 0), Value::Int(7));
-        assert_eq!(t.value_at(s0, l0, 1), Value::Unreliable);
-        let (_, s1, l1) = t.rows[0][1];
-        assert_eq!(t.value_at(s1, l1, 0), Value::Unreliable);
+    fn mask_tally_counts_full_and_partial_masks() {
+        let mut t = MaskTally::new(2, 3);
+        t.add(0, 0b111, 0b111);
+        t.add(0, 0b101, 0b111);
+        t.add(1, 0, 0b111);
+        assert_eq!((t.get(0, 0), t.get(0, 1), t.get(0, 2)), (2, 1, 2));
+        assert_eq!((t.get(1, 0), t.get(1, 1), t.get(1, 2)), (0, 0, 0));
     }
 }

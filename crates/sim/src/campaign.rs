@@ -11,10 +11,8 @@
 //! bit-deterministic in the batch configuration — rerunning a report, at
 //! any thread count, reproduces it exactly.
 
-use crate::bitslice::LaneContext;
-use crate::environment::Environment;
-use crate::fault::FaultInjector;
-use crate::kernel::{SimConfig, SimOutput, Simulation};
+use crate::bitslice::{BitslicedOutput, LaneContext};
+use crate::kernel::Simulation;
 use crate::monitor::{AlarmKind, LrcMonitor, MonitorConfig};
 use crate::montecarlo::{derive_seed, run_indexed_units, BatchConfig, ReplicationContext};
 use crate::scenario::{Scenario, ScenarioEnvironment, ScenarioError, ScenarioInjector};
@@ -23,22 +21,22 @@ use logrel_obs::{MetricsSink, NoopSink, Registry};
 use logrel_reliability::hoeffding_epsilon;
 use std::fmt;
 
-/// How a campaign executes its replications: bit-sliced lane groups (the
-/// default) or one scalar run per replication.
+/// How wide a campaign packs its replications into the lane groups of
+/// the one production kernel ([`crate::bitslice`]).
 ///
-/// The mode never changes results — every lane replays its scalar
-/// replication bit-exactly (see [`crate::bitslice`]) — only wall-clock
-/// time, so `Off` exists for debugging and differential testing.
+/// The mode never changes results — a lane's replication is bit-identical
+/// at any group width — only wall-clock time, so `Off` exists for
+/// debugging and differential testing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LaneMode {
-    /// Bit-sliced groups of 64 replications, plus one narrower group for
-    /// a non-multiple-of-64 tail.
+    /// Groups of 64 replications, plus one narrower group for a
+    /// non-multiple-of-64 tail.
     #[default]
     Auto,
-    /// Scalar execution, one replication at a time.
+    /// One replication per group (width 1).
     Off,
-    /// Bit-sliced groups of a fixed width (clamped to 1..=64; width 1
-    /// runs the scalar path).
+    /// Groups of a fixed width (clamped to 1..=64; width 1 is the same
+    /// as `Off`).
     Width(u8),
 }
 
@@ -61,7 +59,7 @@ pub struct CampaignConfig {
     pub batch: BatchConfig,
     /// The online monitor attached to each replication.
     pub monitor: MonitorConfig,
-    /// Scalar vs bit-sliced execution (default: 64-wide lane groups).
+    /// Lane-group width (default: 64-wide groups).
     pub lanes: LaneMode,
 }
 
@@ -131,6 +129,14 @@ pub enum CampaignError {
     NoReplications,
     /// The batch requests more than [`MAX_REPLICATIONS`] replications.
     TooManyReplications(u64),
+    /// The batch requests `rounds` rounds, more than the `max` the
+    /// system's horizon admits (see [`check_rounds`]).
+    TooManyRounds {
+        /// The requested round count.
+        rounds: u64,
+        /// The largest admissible round count.
+        max: u64,
+    },
     /// A sharded unit's lane width is outside `1..=64` (the bit-sliced
     /// kernel packs replications into one `u64` word per lane group).
     LaneWidth(usize),
@@ -146,6 +152,10 @@ impl fmt::Display for CampaignError {
             CampaignError::TooManyReplications(n) => write!(
                 f,
                 "campaign requests {n} replications; at most {MAX_REPLICATIONS} are allowed"
+            ),
+            CampaignError::TooManyRounds { rounds, max } => write!(
+                f,
+                "{rounds} rounds requested; at most {max} are allowed"
             ),
             CampaignError::LaneWidth(w) => {
                 write!(f, "campaign unit width {w} outside 1..=64")
@@ -182,8 +192,8 @@ impl From<ScenarioError> for CampaignError {
 pub struct CampaignUnit {
     /// Index of the unit's first replication.
     pub first_rep: u64,
-    /// Number of consecutive replications in the unit (1..=64; width 1
-    /// runs the scalar kernel, wider units run bit-sliced).
+    /// Number of consecutive replications in the unit (1..=64): the
+    /// width of the unit's one lane group.
     pub width: usize,
 }
 
@@ -193,11 +203,32 @@ pub struct CampaignUnit {
 /// diagnosed [`CampaignError::TooManyReplications`], never an abort.
 pub const MAX_REPLICATIONS: u64 = 1 << 20;
 
+/// The longest horizon a run accepts, in rounds: 2^24 (16 777 216),
+/// about 400 times the longest horizon any shipped workload uses, and
+/// already seconds to minutes of kernel time per replication. A longer
+/// request is a diagnosed [`CampaignError::TooManyRounds`] instead of a
+/// job that runs for hours.
+pub const MAX_ROUNDS: u64 = 1 << 24;
+
+/// Checks that `rounds` rounds of `spec` form an admissible horizon — at
+/// most [`MAX_ROUNDS`], and short enough that the last instant,
+/// `rounds × π_S`, fits in a [`Tick`] — and returns that horizon.
+pub fn check_rounds(spec: &Specification, rounds: u64) -> Result<Tick, CampaignError> {
+    let period = spec.round_period().as_u64();
+    match rounds.checked_mul(period) {
+        Some(horizon) if rounds <= MAX_ROUNDS => Ok(Tick::new(horizon)),
+        _ => Err(CampaignError::TooManyRounds {
+            rounds,
+            max: MAX_ROUNDS.min(u64::MAX / period.max(1)),
+        }),
+    }
+}
+
 /// Validates a campaign and plans its units: the scenario must fit the
-/// system's `host_count` hosts and the spec's communicators, and the
-/// replication count must lie in `1..=`[`MAX_REPLICATIONS`]. Every
-/// campaign driver plans through here, so every one of them rejects the
-/// same inputs the same way.
+/// system's `host_count` hosts and the spec's communicators, the horizon
+/// must pass [`check_rounds`], and the replication count must lie in
+/// `1..=`[`MAX_REPLICATIONS`]. Every campaign driver plans through here,
+/// so every one of them rejects the same inputs the same way.
 pub fn plan_campaign(
     spec: &Specification,
     scenario: &Scenario,
@@ -205,6 +236,7 @@ pub fn plan_campaign(
     config: &CampaignConfig,
 ) -> Result<Vec<CampaignUnit>, CampaignError> {
     scenario.check_bounds(host_count, spec.communicator_count())?;
+    check_rounds(spec, config.batch.rounds)?;
     match config.batch.replications {
         0 => Err(CampaignError::NoReplications),
         n if n > MAX_REPLICATIONS => Err(CampaignError::TooManyReplications(n)),
@@ -279,10 +311,15 @@ impl RepSink for NoopSink {
     fn merge_into(self, _registry: &mut Registry) {}
 }
 
-/// Reduces one replication's output and monitor to its [`RepStats`] —
-/// shared by the scalar and bit-sliced execution paths so both aggregate
-/// identically.
-fn rep_stats(spec: &Specification, out: &SimOutput, monitor: &LrcMonitor) -> RepStats {
+/// Reduces lane `lane` of a group run and its monitor to the lane's
+/// [`RepStats`]: the update and reliable-update counts the kernel kept,
+/// plus the monitor's verdicts.
+fn rep_stats(
+    spec: &Specification,
+    out: &BitslicedOutput,
+    lane: usize,
+    monitor: &LrcMonitor,
+) -> RepStats {
     let comm_count = spec.communicator_count();
     let mut stats = RepStats {
         updates: vec![0; comm_count],
@@ -294,9 +331,8 @@ fn rep_stats(spec: &Specification, out: &SimOutput, monitor: &LrcMonitor) -> Rep
         alarmed_dip: vec![false; comm_count],
     };
     for c in spec.communicator_ids() {
-        let bits = out.trace.abstraction(c);
-        stats.updates[c.index()] = bits.len() as u64;
-        stats.reliable[c.index()] = bits.iter().filter(|&&b| b).count() as u64;
+        stats.updates[c.index()] = out.updates(c);
+        stats.reliable[c.index()] = out.reliable(c, lane);
         stats.first_violation[c.index()] = monitor.first_violation(c).map(Tick::as_u64);
         stats.first_dip[c.index()] = monitor.first_dip(c).map(Tick::as_u64);
         stats.alarmed_dip[c.index()] = monitor.dip_alarmed(c);
@@ -387,11 +423,12 @@ where
 /// This is the sharding entry point for job services: bounds that
 /// [`plan_campaign`] checks once up front are re-validated here per unit
 /// (scenario wrapping propagates its error instead of panicking), so a
-/// malformed unit diagnoses rather than takes down the worker. Width-1
-/// units run the scalar kernel (preserving [`LaneMode::Off`] semantics);
-/// wider units run bit-sliced. Either way every replication is
-/// bit-identical to its place in a monolithic [`run_campaign`] — seeds
-/// depend only on `(base_seed, rep)`.
+/// malformed unit diagnoses rather than takes down the worker. The unit
+/// runs as one lane group of [`Simulation::run_bitsliced`], whatever
+/// its width, and reduces each lane to its [`RepStats`] from the counts
+/// the kernel kept — no trace is recorded, so memory does not grow with
+/// the rounds. Every replication is bit-identical to its place in a
+/// monolithic [`run_campaign`] — seeds depend only on `(base_seed, rep)`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_unit<'a, S, M, FM>(
     sim: &Simulation<'_>,
@@ -413,38 +450,10 @@ where
     if width == 0 || width > 64 {
         return Err(CampaignError::LaneWidth(width));
     }
-    if width == 1 {
-        // Scalar path: one kernel run, exactly as the monolithic
-        // campaign's `LaneMode::Off` executes it.
-        let rep = first_rep;
-        let base = setup(rep);
-        let injector = ScenarioInjector::new(base.injector, scenario, host_count, comm_count)?;
-        let mut environment: Box<dyn Environment + 'a> = Box::new(ScenarioEnvironment::new(
-            base.environment,
-            scenario,
-            comm_count,
-        ));
-        let mut injector: Box<dyn FaultInjector + 'a> = Box::new(injector);
-        let mut behaviors = base.behaviors;
-        let mut monitor = LrcMonitor::new(spec, config.monitor);
-        let mut sink = make_sink(rep);
-        let out = sim.run_observed(
-            &mut behaviors,
-            &mut *environment,
-            &mut *injector,
-            &mut monitor,
-            &mut sink,
-            &SimConfig {
-                rounds: config.batch.rounds,
-                seed: derive_seed(config.batch.base_seed, rep),
-            },
-        );
-        return Ok(vec![(rep_stats(spec, &out, &monitor), sink)]);
-    }
-    // Bit-sliced lane group. One shared behavior map per group (the
-    // first replication's): behaviors are pure by the bit-sliced
-    // kernel's contract. A lane's draw sequence never depends on the
-    // group width, so narrower tail groups need no special casing.
+    // One shared behavior map per group (the first replication's):
+    // behaviors are pure by the lane-group kernel's contract. A lane's
+    // draw sequence never depends on the group width, so narrower tail
+    // groups and width-1 units need no special casing.
     let mut behaviors = None;
     let mut lanes = Vec::with_capacity(width);
     for rep in first_rep..first_rep + width as u64 {
@@ -467,14 +476,13 @@ where
         // diagnose, never panic, inside a service worker.
         return Err(CampaignError::LaneWidth(0));
     };
-    let packed = sim.run_bitsliced(&mut behaviors, &mut lanes, config.batch.rounds);
+    let out = sim.run_bitsliced(&mut behaviors, &mut lanes, config.batch.rounds);
     Ok(lanes
         .into_iter()
         .enumerate()
         .map(|(li, lane)| {
-            let out = packed.extract_lane(spec, li);
             let (_injector, _environment, monitor, sink) = lane.into_parts();
-            (rep_stats(spec, &out, &monitor), sink)
+            (rep_stats(spec, &out, li, &monitor), sink)
         })
         .collect())
 }
@@ -526,7 +534,14 @@ pub fn aggregate_campaign<M>(
     analytic: &[Option<f64>],
     per_rep: Vec<(RepStats, M)>,
 ) -> (ScenarioReport, Vec<M>) {
-    let horizon = Tick::new(config.batch.rounds * spec.round_period().as_u64());
+    // Saturating: a planned campaign passed `check_rounds`, and an
+    // unplanned one must still not overflow.
+    let horizon = Tick::new(
+        config
+            .batch
+            .rounds
+            .saturating_mul(spec.round_period().as_u64()),
+    );
     let comms = spec
         .communicator_ids()
         .map(|c| {

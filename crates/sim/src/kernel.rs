@@ -19,6 +19,11 @@
 //!
 //! With a seeded RNG the whole run is bit-reproducible.
 //!
+//! [`Simulation::run`] executes the compiled round program as a one-lane
+//! group of the lane-group loop in [`crate::bitslice`], the one
+//! production round loop; [`Simulation::run_reference`] interprets the
+//! same semantics from the calendar's maps, as its differential oracle.
+//!
 //! # Host rejoin and warm-up
 //!
 //! When a scenario brings a crashed host back
@@ -34,19 +39,24 @@
 //! stream is unchanged.
 
 use crate::behavior::BehaviorMap;
+use crate::bitslice::LaneContext;
 use crate::environment::Environment;
 use crate::fault::FaultInjector;
+use crate::monitor::Supervisor;
 use crate::trace::Trace;
-use logrel_core::roundprog::UpdateOp;
 use logrel_core::{
-    Architecture, Calendar, CommunicatorId, FailureModel, HostId, RoundProgram, Specification,
-    TaskId, Tick, TimeDependentImplementation, Value,
+    Architecture, Calendar, CommunicatorId, FailureModel, HostId, RoundProgram, SensorId,
+    Specification, TaskId, Tick, TimeDependentImplementation, Value,
 };
-use logrel_obs::{names, DropReason, MetricsSink, NoopSink, ObsEvent, Span};
+use logrel_obs::{names, MetricsSink, NoopSink, ObsEvent, Span};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
 use std::sync::Arc;
+
+/// The most rounds whose trace [`Simulation::run_observed`] reserves up
+/// front.
+const MAX_RESERVED_ROUNDS: u64 = 1 << 16;
 
 /// Configuration of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -283,7 +293,9 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    /// Runs the simulation by interpreting the compiled round program.
+    /// Runs the simulation by interpreting the compiled round program as
+    /// a one-lane group of [`Simulation::run_bitsliced`], recording the
+    /// communicator trace.
     ///
     /// Produces bit-identical output to [`Simulation::run_reference`] for
     /// equal inputs and seed: the instruction lists replay the reference
@@ -322,7 +334,7 @@ impl<'a> Simulation<'a> {
         behaviors: &mut BehaviorMap,
         env: &mut dyn Environment,
         injector: &mut dyn FaultInjector,
-        supervisor: &mut dyn crate::monitor::Supervisor,
+        supervisor: &mut dyn Supervisor,
         config: &SimConfig,
     ) -> SimOutput {
         self.run_observed(behaviors, env, injector, supervisor, &mut NoopSink, config)
@@ -341,308 +353,43 @@ impl<'a> Simulation<'a> {
     /// runs of one seed produce bit-identical [`SimOutput`]s.
     ///
     /// [`Supervisor`]: crate::monitor::Supervisor
+    /// [`NoopSink`]: logrel_obs::NoopSink
     pub fn run_observed<M: MetricsSink>(
         &self,
         behaviors: &mut BehaviorMap,
         env: &mut dyn Environment,
         injector: &mut dyn FaultInjector,
-        supervisor: &mut dyn crate::monitor::Supervisor,
+        supervisor: &mut dyn Supervisor,
         sink: &mut M,
         config: &SimConfig,
     ) -> SimOutput {
-        let spec = self.spec;
-        let prog = &self.program;
-        let round = spec.round_period().as_u64();
-        let phase_count = prog.phases.len() as u64;
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut trace = Trace::new(spec);
-        let mut comm_values: Vec<Value> = spec
-            .communicator_ids()
-            .map(|c| spec.communicator(c).init())
-            .collect();
-        // Flat scratch state, allocated once per run. The two result
-        // buffers are indexed by round parity, as in the reference
-        // interpreter's `results` array; a `false` delivered flag covers
-        // both "no result yet" and "executed but silent" (both read as ⊥).
-        let mut latched = vec![Value::Unreliable; prog.total_inputs];
-        let mut result_vals =
-            [vec![Value::Unreliable; prog.total_outputs], vec![Value::Unreliable; prog.total_outputs]];
-        let mut result_delivered = [vec![false; spec.task_count()], vec![false; spec.task_count()]];
-        let mut task_stats = vec![TaskStats::default(); spec.task_count()];
-        let mut inputs_buf: Vec<Value> = Vec::with_capacity(prog.max_inputs);
-        let mut outputs_buf: Vec<Value> = Vec::with_capacity(prog.max_outputs);
-        let mut replica_vals = vec![Value::Unreliable; prog.max_replicas * prog.max_outputs];
-        let mut replica_ok = vec![false; prog.max_replicas];
-
-        // Correlated-failure hooks. Both gates are constant over a run:
-        // with a partition-free injector the audience tables are never
-        // built and the delivery check vanishes; with a non-adaptive
-        // injector the vote is never echoed back. Neither hook draws from
-        // the RNG, so gated and ungated runs share one fault-draw stream.
-        let parts = injector.partitions();
-        let adaptive = injector.adaptive();
-        let audiences = if parts {
-            task_audiences(spec, self.imp.phases())
-        } else {
-            Vec::new()
-        };
-        let mut delivered_hosts: Vec<HostId> = Vec::with_capacity(prog.max_replicas);
-
-        // Observation-only state. `obs` is a constant `false` for
-        // `NoopSink`, so with the default sink all the `if obs` blocks
-        // below vanish after monomorphization. Counters and histogram
-        // samples are batched in `tally` (flushed once after the loop);
-        // events and gauges are order-sensitive and stay inline.
-        let obs = sink.enabled();
-        let mut tally = ObsTally::new(prog.max_replicas);
-        let mut host_up: Vec<bool> = if obs {
-            // Hosts mentioned by any phase's mapping; assumed up until an
-            // availability draw says otherwise.
-            let hosts = prog
-                .phases
-                .iter()
-                .flat_map(|p| p.hosts.iter().flatten())
-                .map(|h| h.index())
-                .max()
-                .map_or(0, |m| m + 1);
-            sink.set_gauge(names::HOSTS_UP, hosts as f64);
-            vec![true; hosts]
-        } else {
-            Vec::new()
-        };
-        let mut hosts_up_count = host_up.len();
-
-        for r in 0..config.rounds {
-            let phase = &prog.phases[(r % phase_count) as usize];
-            let base = r * round;
-            let parity = (r % 2) as usize;
-            for sp in &prog.slots {
-                let now = Tick::new(base + sp.offset);
-                env.advance(now);
-
-                // ---- 1. communicator updates due at this instant ----
-                for op in &sp.updates {
-                    match *op {
-                        UpdateOp::Sensor { comm } => {
-                            let c = CommunicatorId::new(comm);
-                            let mut any_ok = false;
-                            for &s in &phase.sensors[comm as usize] {
-                                // Sample every sensor (no short-circuit) so
-                                // the failure process is independent of
-                                // evaluation order.
-                                if injector.sensor_ok(s, now, &mut rng) {
-                                    any_ok = true;
-                                }
-                            }
-                            comm_values[comm as usize] = if any_ok {
-                                env.sense(c, now)
-                            } else {
-                                Value::Unreliable
-                            };
-                            trace.record(c, now, comm_values[comm as usize]);
-                            supervisor.observe_with(c, now, comm_values[comm as usize], sink);
-                        }
-                        UpdateOp::Landed {
-                            comm,
-                            task,
-                            out_slot,
-                            rounds_back,
-                        } => {
-                            let c = CommunicatorId::new(comm);
-                            let rb = u64::from(rounds_back);
-                            if r >= rb {
-                                let p = ((r - rb) % 2) as usize;
-                                comm_values[comm as usize] = if result_delivered[p][task as usize]
-                                {
-                                    result_vals[p][out_slot as usize]
-                                } else {
-                                    Value::Unreliable
-                                };
-                            }
-                            // else: nothing produced yet, init persists.
-                            trace.record(c, now, comm_values[comm as usize]);
-                            supervisor.observe_with(c, now, comm_values[comm as usize], sink);
-                            env.actuate(c, comm_values[comm as usize], now);
-                        }
-                        UpdateOp::Persist { comm } => {
-                            let c = CommunicatorId::new(comm);
-                            trace.record(c, now, comm_values[comm as usize]);
-                            supervisor.observe_with(c, now, comm_values[comm as usize], sink);
-                            env.actuate(c, comm_values[comm as usize], now);
-                        }
-                    }
-                    if obs {
-                        tally.updates += 1;
-                        if !comm_values[op.comm()].is_reliable() {
-                            tally.updates_unreliable += 1;
-                        }
-                    }
-                }
-
-                // ---- 2. latch input accesses due at this instant ----
-                for l in &sp.latches {
-                    latched[l.dst as usize] = comm_values[l.comm as usize];
-                }
-
-                // ---- 3. task reads / logical execution ----
-                for &ti in &sp.reads {
-                    let t = ti as usize;
-                    let tt = &prog.tasks[t];
-                    let raw = &latched[tt.in_base..tt.in_base + tt.n_in];
-                    let any_reliable = raw.iter().any(Value::is_reliable);
-                    let all_reliable = raw.iter().all(Value::is_reliable);
-                    let executes = match tt.model {
-                        FailureModel::Series => all_reliable,
-                        FailureModel::Parallel => any_reliable,
-                        FailureModel::Independent => true,
-                    };
-                    if executes {
-                        inputs_buf.clear();
-                        inputs_buf.extend(raw.iter().enumerate().map(|(i, &v)| {
-                            if v.is_reliable() {
-                                v
-                            } else {
-                                tt.defaults[i]
-                            }
-                        }));
-                        behaviors.invoke_into(spec, TaskId::new(ti), &inputs_buf, &mut outputs_buf);
-                    }
-                    let hosts = &phase.hosts[t];
-                    let mut delivered = false;
-                    for (i, &h) in hosts.iter().enumerate() {
-                        // Sample both draws for every replica so the
-                        // process is order-independent. The partition
-                        // check is pure and folds into the broadcast
-                        // outcome: a replica cut off from any audience
-                        // host counts as a broadcast drop.
-                        let host_ok = injector.host_ok(h, now, &mut rng);
-                        let bc_ok = injector.broadcast_ok(h, now, &mut rng)
-                            && (!parts
-                                || audiences[t]
-                                    .iter()
-                                    .all(|&rcv| injector.delivers(h, rcv, now)));
-                        let warm = !tt.stateful
-                            || warm_after_rejoin(injector.rejoined_at(h, now), now, round);
-                        let excluded = supervisor.exclude_replica(TaskId::new(ti), h, now);
-                        let ok = executes && host_ok && bc_ok && warm && !excluded;
-                        replica_ok[i] = ok;
-                        if ok {
-                            let dst = &mut replica_vals[i * tt.n_out..(i + 1) * tt.n_out];
-                            dst.copy_from_slice(&outputs_buf);
-                            injector.corrupt(h, now, dst, &mut rng);
-                            delivered = true;
-                        }
-                        if obs {
-                            let hi = h.index();
-                            if host_up[hi] != host_ok {
-                                host_up[hi] = host_ok;
-                                if host_ok {
-                                    hosts_up_count += 1;
-                                    tally.host_up_transitions += 1;
-                                    sink.event(&ObsEvent::HostUp {
-                                        at: now.as_u64(),
-                                        host: hi,
-                                    });
-                                } else {
-                                    hosts_up_count -= 1;
-                                    tally.host_down_transitions += 1;
-                                    sink.event(&ObsEvent::HostDown {
-                                        at: now.as_u64(),
-                                        host: hi,
-                                    });
-                                }
-                                sink.set_gauge(names::HOSTS_UP, hosts_up_count as f64);
-                            }
-                            if host_ok && !bc_ok {
-                                tally.broadcast_fail += 1;
-                            }
-                            if ok {
-                                tally.replica_ok += 1;
-                            } else {
-                                let reason = if !executes {
-                                    DropReason::NotExecuted
-                                } else if !host_ok {
-                                    DropReason::HostDown
-                                } else if !bc_ok {
-                                    DropReason::Broadcast
-                                } else if !warm {
-                                    DropReason::Warmup
-                                } else {
-                                    DropReason::Excluded
-                                };
-                                tally.drop_reason(reason);
-                                // A not-executed logical task is a
-                                // property of the vote, not of any single
-                                // replica — the Vote event below records
-                                // it as `silent`.
-                                if reason != DropReason::NotExecuted {
-                                    sink.event(&ObsEvent::ReplicaDrop {
-                                        at: now.as_u64(),
-                                        task: t,
-                                        host: hi,
-                                        reason,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    crate::voting::vote_into(
-                        &replica_vals[..hosts.len() * tt.n_out],
-                        &replica_ok[..hosts.len()],
-                        tt.n_out,
-                        self.voting,
-                        &mut result_vals[parity][tt.out_base..tt.out_base + tt.n_out],
-                    );
-                    if adaptive {
-                        delivered_hosts.clear();
-                        for (i, &h) in hosts.iter().enumerate() {
-                            if replica_ok[i] {
-                                delivered_hosts.push(h);
-                            }
-                        }
-                        injector.observe_vote(TaskId::new(ti), now, &delivered_hosts, hosts.len());
-                    }
-                    task_stats[t].invocations += 1;
-                    if delivered {
-                        task_stats[t].delivered += 1;
-                    }
-                    result_delivered[parity][t] = delivered;
-                    if obs {
-                        tally.task_invocations += 1;
-                        let n_del =
-                            replica_ok[..hosts.len()].iter().filter(|&&ok| ok).count();
-                        tally.replicas_per_vote[n_del] += 1;
-                        if delivered {
-                            tally.task_delivered += 1;
-                        }
-                        let outcome = crate::voting::classify_outcome(
-                            &replica_vals[..hosts.len() * tt.n_out],
-                            &replica_ok[..hosts.len()],
-                            tt.n_out,
-                        );
-                        tally.vote(outcome);
-                        sink.event(&ObsEvent::Vote {
-                            at: now.as_u64(),
-                            task: t,
-                            outcome,
-                            delivered: n_del,
-                            replicas: hosts.len(),
-                        });
-                    }
-                }
-            }
-            if obs {
-                tally.rounds += 1;
-            }
+        let mut lanes = [LaneContext::new(
+            config.seed,
+            Fwd(injector),
+            Fwd(env),
+            Fwd(supervisor),
+            Fwd(sink),
+        )];
+        // The trace rows are sized up front (capped, so a huge horizon
+        // still grows on demand instead of reserving it all).
+        let rounds = config.rounds.min(MAX_RESERVED_ROUNDS);
+        let mut trace = Trace::new(self.spec);
+        for (comm, k) in self.updates_per_round().into_iter().enumerate() {
+            trace.reserve(comm, (k * rounds) as usize);
         }
-        if obs {
-            tally.flush(sink);
+        let mut trace = [trace];
+        let out = self.run_lanes(behaviors, &mut lanes, config.rounds, &mut trace[..]);
+        let [trace] = trace;
+        out.output(0, trace)
+    }
+
+    /// The number of updates every round makes to each communicator.
+    pub(crate) fn updates_per_round(&self) -> Vec<u64> {
+        let mut per_round = vec![0; self.spec.communicator_count()];
+        for op in self.program.slots.iter().flat_map(|sp| &sp.updates) {
+            per_round[op.comm()] += 1;
         }
-        SimOutput {
-            trace,
-            task_stats,
-            final_values: comm_values,
-        }
+        per_round
     }
 
     /// Runs the simulation with the original map-driven interpreter.
@@ -832,124 +579,101 @@ impl<'a> Simulation<'a> {
     }
 }
 
-/// Batched counters for the observed hot loop.
-///
-/// `Registry::inc` costs a `BTreeMap` lookup per call; at ~10 counter
-/// bumps per round that lookup chain dominated the observed kernel
-/// (515k vs 1.34M rounds/s in BENCH_pr5). The hot loop instead bumps
-/// plain `u64` fields here and [`ObsTally::flush`] writes the totals to
-/// the sink once per run. Only *counters* and histogram observations are
-/// tallied — events and gauges are order-sensitive (flight recorder,
-/// last-write-wins) and stay inline. Flushing adds only nonzero values,
-/// so a flushed registry has an entry exactly where the per-event form
-/// created one, and exports stay byte-identical (counter order is
-/// irrelevant: the registry sorts by name; histogram sums over
-/// integer-valued samples are order-independent in `f64`).
-#[derive(Debug, Clone)]
-pub(crate) struct ObsTally {
-    pub rounds: u64,
-    pub updates: u64,
-    pub updates_unreliable: u64,
-    pub task_invocations: u64,
-    pub task_delivered: u64,
-    pub replica_ok: u64,
-    pub replica_drop: u64,
-    pub drop_silent: u64,
-    pub drop_host: u64,
-    pub drop_broadcast: u64,
-    pub drop_warmup: u64,
-    pub drop_excluded: u64,
-    pub broadcast_fail: u64,
-    pub host_up_transitions: u64,
-    pub host_down_transitions: u64,
-    pub vote_unanimous: u64,
-    pub vote_majority: u64,
-    pub vote_tie: u64,
-    pub vote_silent: u64,
-    /// `replicas_per_vote[n]` = votes with exactly `n` delivering
-    /// replicas (histogram samples, batched).
-    pub replicas_per_vote: Vec<u64>,
+/// Forwards a borrowed hook object, so the one-lane entry points can
+/// hand their `&mut dyn` arguments to the lane-group kernel, whose lane
+/// contexts own their hooks by value.
+struct Fwd<'r, T: ?Sized>(&'r mut T);
+
+impl<T: FaultInjector + ?Sized> FaultInjector for Fwd<'_, T> {
+    fn host_ok(&mut self, host: HostId, now: Tick, rng: &mut StdRng) -> bool {
+        self.0.host_ok(host, now, rng)
+    }
+    fn sensor_ok(&mut self, sensor: SensorId, now: Tick, rng: &mut StdRng) -> bool {
+        self.0.sensor_ok(sensor, now, rng)
+    }
+    fn broadcast_ok(&mut self, host: HostId, now: Tick, rng: &mut StdRng) -> bool {
+        self.0.broadcast_ok(host, now, rng)
+    }
+    fn corrupt(&mut self, host: HostId, now: Tick, outputs: &mut [Value], rng: &mut StdRng) {
+        self.0.corrupt(host, now, outputs, rng);
+    }
+    fn rejoined_at(&self, host: HostId, now: Tick) -> Option<Tick> {
+        self.0.rejoined_at(host, now)
+    }
+    fn corrupts(&self) -> bool {
+        self.0.corrupts()
+    }
+    fn delivers(&self, sender: HostId, receiver: HostId, now: Tick) -> bool {
+        self.0.delivers(sender, receiver, now)
+    }
+    fn partitions(&self) -> bool {
+        self.0.partitions()
+    }
+    fn observe_vote(&mut self, task: TaskId, now: Tick, delivered: &[HostId], total: usize) {
+        self.0.observe_vote(task, now, delivered, total);
+    }
+    fn adaptive(&self) -> bool {
+        self.0.adaptive()
+    }
 }
 
-impl ObsTally {
-    pub fn new(max_replicas: usize) -> Self {
-        ObsTally {
-            rounds: 0,
-            updates: 0,
-            updates_unreliable: 0,
-            task_invocations: 0,
-            task_delivered: 0,
-            replica_ok: 0,
-            replica_drop: 0,
-            drop_silent: 0,
-            drop_host: 0,
-            drop_broadcast: 0,
-            drop_warmup: 0,
-            drop_excluded: 0,
-            broadcast_fail: 0,
-            host_up_transitions: 0,
-            host_down_transitions: 0,
-            vote_unanimous: 0,
-            vote_majority: 0,
-            vote_tie: 0,
-            vote_silent: 0,
-            replicas_per_vote: vec![0; max_replicas + 1],
-        }
+impl<T: Environment + ?Sized> Environment for Fwd<'_, T> {
+    fn advance(&mut self, now: Tick) {
+        self.0.advance(now);
     }
-
-    pub fn drop_reason(&mut self, reason: DropReason) {
-        self.replica_drop += 1;
-        match reason {
-            DropReason::NotExecuted => self.drop_silent += 1,
-            DropReason::HostDown => self.drop_host += 1,
-            DropReason::Broadcast => self.drop_broadcast += 1,
-            DropReason::Warmup => self.drop_warmup += 1,
-            DropReason::Excluded => self.drop_excluded += 1,
-        }
+    fn sense(&mut self, comm: CommunicatorId, now: Tick) -> Value {
+        self.0.sense(comm, now)
     }
-
-    pub fn vote(&mut self, outcome: logrel_obs::VoteOutcome) {
-        match outcome {
-            logrel_obs::VoteOutcome::Unanimous => self.vote_unanimous += 1,
-            logrel_obs::VoteOutcome::Majority => self.vote_majority += 1,
-            logrel_obs::VoteOutcome::Tie => self.vote_tie += 1,
-            logrel_obs::VoteOutcome::Silent => self.vote_silent += 1,
-        }
+    fn actuate(&mut self, comm: CommunicatorId, value: Value, now: Tick) {
+        self.0.actuate(comm, value, now);
     }
+    fn is_passive(&self) -> bool {
+        self.0.is_passive()
+    }
+}
 
-    /// Writes every nonzero total to `sink`.
-    pub fn flush<M: MetricsSink + ?Sized>(&self, sink: &mut M) {
-        let counters = [
-            (names::ROUNDS, self.rounds),
-            (names::UPDATES, self.updates),
-            (names::UPDATES_UNRELIABLE, self.updates_unreliable),
-            (names::TASK_INVOCATIONS, self.task_invocations),
-            (names::TASK_DELIVERED, self.task_delivered),
-            (names::REPLICA_OK, self.replica_ok),
-            (names::REPLICA_DROP, self.replica_drop),
-            (names::REPLICA_DROP_SILENT, self.drop_silent),
-            (names::REPLICA_DROP_HOST, self.drop_host),
-            (names::REPLICA_DROP_BROADCAST, self.drop_broadcast),
-            (names::REPLICA_DROP_WARMUP, self.drop_warmup),
-            (names::REPLICA_DROP_EXCLUDED, self.drop_excluded),
-            (names::BROADCAST_FAIL, self.broadcast_fail),
-            (names::HOST_UP_TRANSITIONS, self.host_up_transitions),
-            (names::HOST_DOWN_TRANSITIONS, self.host_down_transitions),
-            (names::VOTE_UNANIMOUS, self.vote_unanimous),
-            (names::VOTE_MAJORITY, self.vote_majority),
-            (names::VOTE_TIE, self.vote_tie),
-            (names::VOTE_SILENT, self.vote_silent),
-        ];
-        for (name, v) in counters {
-            if v != 0 {
-                sink.add(name, v);
-            }
-        }
-        for (n_del, &count) in self.replicas_per_vote.iter().enumerate() {
-            if count != 0 {
-                sink.observe_n(names::REPLICAS_PER_VOTE, n_del as f64, count);
-            }
-        }
+impl<T: Supervisor + ?Sized> Supervisor for Fwd<'_, T> {
+    fn observe(&mut self, comm: CommunicatorId, now: Tick, value: Value) {
+        self.0.observe(comm, now, value);
+    }
+    fn observe_with(
+        &mut self,
+        comm: CommunicatorId,
+        now: Tick,
+        value: Value,
+        sink: &mut dyn MetricsSink,
+    ) {
+        self.0.observe_with(comm, now, value, sink);
+    }
+    fn exclude_replica(&mut self, task: TaskId, host: HostId, now: Tick) -> bool {
+        self.0.exclude_replica(task, host, now)
+    }
+    fn is_passive(&self) -> bool {
+        self.0.is_passive()
+    }
+}
+
+impl<T: MetricsSink + ?Sized> MetricsSink for Fwd<'_, T> {
+    fn enabled(&self) -> bool {
+        self.0.enabled()
+    }
+    fn add(&mut self, name: &'static str, v: u64) {
+        self.0.add(name, v);
+    }
+    fn inc(&mut self, name: &'static str) {
+        self.0.inc(name);
+    }
+    fn set_gauge(&mut self, name: &'static str, v: f64) {
+        self.0.set_gauge(name, v);
+    }
+    fn observe(&mut self, name: &'static str, v: f64) {
+        self.0.observe(name, v);
+    }
+    fn observe_n(&mut self, name: &'static str, v: f64, n: u64) {
+        self.0.observe_n(name, v, n);
+    }
+    fn event(&mut self, event: &ObsEvent) {
+        self.0.event(event);
     }
 }
 
@@ -996,27 +720,6 @@ pub(crate) fn task_audiences(
             set.into_iter().collect()
         })
         .collect()
-}
-
-/// The per-reason replica-drop counter.
-pub(crate) fn drop_counter(reason: DropReason) -> &'static str {
-    match reason {
-        DropReason::NotExecuted => names::REPLICA_DROP_SILENT,
-        DropReason::HostDown => names::REPLICA_DROP_HOST,
-        DropReason::Broadcast => names::REPLICA_DROP_BROADCAST,
-        DropReason::Warmup => names::REPLICA_DROP_WARMUP,
-        DropReason::Excluded => names::REPLICA_DROP_EXCLUDED,
-    }
-}
-
-/// The per-outcome vote counter.
-pub(crate) fn vote_counter(outcome: logrel_obs::VoteOutcome) -> &'static str {
-    match outcome {
-        logrel_obs::VoteOutcome::Unanimous => names::VOTE_UNANIMOUS,
-        logrel_obs::VoteOutcome::Majority => names::VOTE_MAJORITY,
-        logrel_obs::VoteOutcome::Tie => names::VOTE_TIE,
-        logrel_obs::VoteOutcome::Silent => names::VOTE_SILENT,
-    }
 }
 
 #[cfg(test)]

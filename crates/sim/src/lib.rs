@@ -5,10 +5,14 @@
 //! tasks on fail-silent hosts that broadcast their outputs and vote. This
 //! crate executes that semantics directly:
 //!
-//! * [`kernel`] — the deterministic, seeded simulation loop: communicator
+//! * [`kernel`] — the deterministic, seeded simulation: communicator
 //!   updates (environment sensing, replica voting, value persistence),
 //!   task reads with the three input failure models, replica execution
-//!   with fault injection, and broadcast delivery;
+//!   with fault injection, and broadcast delivery, plus the map-driven
+//!   reference interpreter it is checked against;
+//! * [`bitslice`] — the one production round loop, over groups of 1..=64
+//!   replications packed into `u64` lane masks (a single run is a
+//!   one-lane group);
 //! * [`behavior`] — task function registries ([`TaskBehavior`]);
 //! * [`environment`] — the world outside the program: sensor value
 //!   sources and actuator sinks (a closed-loop plant implements this);
@@ -62,11 +66,11 @@ pub mod trace;
 pub mod voting;
 
 pub use behavior::{BehaviorMap, TaskBehavior};
-pub use bitslice::{BitslicedOutput, LaneContext, PackedTrace};
+pub use bitslice::{BitslicedOutput, LaneContext};
 pub use campaign::{
-    aggregate_campaign, plan_campaign, plan_units, run_campaign, run_campaign_observed,
-    run_campaign_unit, CampaignConfig, CampaignError, CampaignUnit, CommunicatorReport, LaneMode,
-    RepSink, RepStats, ScenarioReport, MAX_REPLICATIONS,
+    aggregate_campaign, check_rounds, plan_campaign, plan_units, run_campaign,
+    run_campaign_observed, run_campaign_unit, CampaignConfig, CampaignError, CampaignUnit,
+    CommunicatorReport, LaneMode, RepSink, RepStats, ScenarioReport, MAX_REPLICATIONS, MAX_ROUNDS,
 };
 pub use environment::{ConstantEnvironment, Environment};
 pub use fault::{

@@ -21,6 +21,11 @@ impl Trace {
         }
     }
 
+    /// Reserves room for `additional` more updates of `comm`.
+    pub(crate) fn reserve(&mut self, comm: usize, additional: usize) {
+        self.rows[comm].reserve(additional);
+    }
+
     /// Appends an update of `comm` at instant `at`.
     pub fn record(&mut self, comm: CommunicatorId, at: Tick, value: Value) {
         self.rows[comm.index()].push((at, value));

@@ -602,7 +602,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
                                                    PATH, JSON at PATH.json, `-` for stdout);\n\
                                                    --lanes packs up to N replications per\n\
                                                    u64 word (default auto = 64, `off` for\n\
-                                                   the scalar path; results are identical);\n\
+                                                   one per word; results are identical);\n\
                                                    --seed overrides the positional seed\n\
                  htlc trace [--seed N] <file> <scenario> [rounds [seed]]  flight-recorder trace\n\
                  htlc fuzz <file> [--iters N] [--seed S] [--corpus DIR]\n\
@@ -1090,27 +1090,30 @@ fn run(args: &[String]) -> Result<(), Failure> {
             let scenario =
                 logrel::sim::Scenario::parse_with(&read(scenario_path)?, &Symbols(&sys))
                     .map_err(|e| Failure::Usage(format!("{scenario_path}: {e}")))?;
+            let horizon = logrel::sim::check_rounds(&sys.spec, rounds)
+                .map_err(|e| analysis_failure(path, "A004", e.to_string()))?;
             let td = logrel::core::TimeDependentImplementation::from(sys.imp.clone());
             let mut registry = logrel::obs::Registry::with_recorder(FLIGHT_RING);
             registry.set_gauge(logrel::obs::names::CAMPAIGN_SEED, seed as f64);
             let sim =
                 logrel::sim::Simulation::try_new_observed(&sys.spec, &sys.arch, &td, &mut registry)
                     .map_err(|e| analysis_failure(path, "A003", format!("{e}")))?;
+            // One replication of the campaign pipeline's base context,
+            // under the scenario layers.
+            let base = pipeline::replication_context(&sys.arch);
+            let comms = sys.spec.communicator_count();
             let mut injector = logrel::sim::ScenarioInjector::new(
-                logrel::sim::ProbabilisticFaults::from_architecture(&sys.arch),
+                base.injector,
                 &scenario,
                 sys.arch.host_count(),
-                sys.spec.communicator_count(),
+                comms,
             )
             .map_err(|e| Failure::Usage(format!("{scenario_path}: {e}")))?;
-            let mut environment = logrel::sim::ScenarioEnvironment::new(
-                logrel::sim::ConstantEnvironment::new(logrel::core::Value::Float(1.0)),
-                &scenario,
-                sys.spec.communicator_count(),
-            );
+            let mut environment =
+                logrel::sim::ScenarioEnvironment::new(base.environment, &scenario, comms);
             let mut monitor =
                 logrel::sim::LrcMonitor::new(&sys.spec, logrel::sim::MonitorConfig::default());
-            let mut behaviors = logrel::sim::BehaviorMap::new();
+            let mut behaviors = base.behaviors;
             let config = logrel::sim::SimConfig { rounds, seed };
             let run_span = logrel::obs::Span::start();
             // If the kernel panics, dump the flight recorder before the
@@ -1129,9 +1132,8 @@ fn run(args: &[String]) -> Result<(), Failure> {
             match run {
                 Ok(_out) => {
                     run_span.finish(&mut registry, logrel::obs::names::RUN_SECONDS);
-                    let horizon = rounds * sys.spec.round_period().as_u64();
                     if let Some(rec) = registry.recorder_mut() {
-                        rec.dump_now(horizon);
+                        rec.dump_now(horizon.as_u64());
                     }
                     println!("{rounds} round(s), seed {seed}, scenario `{scenario_path}`\n");
                     println!("counters:");

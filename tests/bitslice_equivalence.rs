@@ -1,24 +1,61 @@
-//! Differential tests of the bit-sliced kernel: every lane of
+//! Differential tests of the lane-group kernel: every lane of
 //! `Simulation::run_bitsliced` must be bit-identical to the scalar
-//! `Simulation::run` of the same seed, injector and environment — under
-//! every scenario event kind (crash/rejoin, flaky windows, GE bursts,
-//! stuck sensors, unplug, common-cause groups, partitions, Weibull
-//! wear-out, adaptive adversaries), under value corruption (the slow
-//! voting path), on the 3TS and steer-by-wire systems, and on randomly
-//! generated pipeline systems.
+//! reference interpreter (`Simulation::run_reference`) run on the same
+//! seed, injector and environment — under every scenario event kind
+//! (crash/rejoin, flaky windows, GE bursts, stuck sensors, unplug,
+//! common-cause groups, partitions, Weibull wear-out, adaptive
+//! adversaries), under value corruption (the slow voting path), on the
+//! 3TS and steer-by-wire systems, and on randomly generated pipeline
+//! systems. Supervisors and metrics sinks, which the reference takes
+//! none of, are checked lane against a one-lane run of the same seed.
 
 use logrel_core::prelude::*;
 use logrel_core::TimeDependentImplementation;
+use logrel_obs::{export, NoopSink, Registry};
 use logrel_sim::bitslice::LaneContext;
 use logrel_sim::{
-    BehaviorMap, ConstantEnvironment, CorruptingFaults, HostSet, ProbabilisticFaults, Scenario,
-    ScenarioEnvironment, ScenarioEvent, ScenarioInjector, SimConfig, SimOutput, Simulation,
-    UnplugAt, VotingStrategy,
+    BehaviorMap, ConstantEnvironment, CorruptingFaults, Environment, FaultInjector, HostSet,
+    LrcMonitor, MonitorConfig, ProbabilisticFaults, Scenario, ScenarioEnvironment, ScenarioEvent,
+    ScenarioInjector, SimConfig, SimOutput, Simulation, Supervisor, Trace, UnplugAt,
+    VotingStrategy,
 };
 use logrel_steerbywire::{SteerScenario, SteerSystem};
 use logrel_threetank::behaviors::build_behaviors;
 use logrel_threetank::{PlantParams, Scenario as Deployment, ThreeTankSystem};
 use proptest::prelude::*;
+
+/// A supervisor that only writes down the update sequence: a lane's
+/// trace, recorded the way `Simulation::run` records its own.
+struct Recorder(Trace);
+
+impl Supervisor for Recorder {
+    fn observe(&mut self, comm: CommunicatorId, now: Tick, value: Value) {
+        self.0.record(comm, now, value);
+    }
+}
+
+/// Runs one lane group of `(seed, injector, environment)` lanes and
+/// returns every lane's output, trace included.
+fn run_group<I: FaultInjector, E: Environment>(
+    sim: &Simulation<'_>,
+    spec: &Specification,
+    behaviors: &mut BehaviorMap,
+    lanes: impl IntoIterator<Item = (u64, I, E)>,
+    rounds: u64,
+) -> Vec<SimOutput> {
+    let mut lanes: Vec<_> = lanes
+        .into_iter()
+        .map(|(seed, inj, env)| {
+            LaneContext::new(seed, inj, env, Recorder(Trace::new(spec)), NoopSink)
+        })
+        .collect();
+    let out = sim.run_bitsliced(behaviors, &mut lanes, rounds);
+    lanes
+        .into_iter()
+        .enumerate()
+        .map(|(i, lane)| out.output(i, lane.into_parts().2 .0))
+        .collect()
+}
 
 /// A scenario exercising every event kind at once (3TS ids): crash and
 /// rejoin, a flaky window, a stuck sensor, a Gilbert–Elliott burst, a
@@ -80,7 +117,7 @@ fn full_scenario(sys: &ThreeTankSystem) -> Scenario {
 }
 
 /// 3TS under every scenario event kind and probabilistic inner faults:
-/// each extracted lane equals the scalar run of the same seed.
+/// each lane equals the reference run of the same seed.
 #[test]
 fn threetank_lanes_match_scalar_under_full_scenario() {
     let sys = ThreeTankSystem::new(Deployment::ReplicatedControllers);
@@ -101,15 +138,14 @@ fn threetank_lanes_match_scalar_under_full_scenario() {
         )
         .unwrap()
     };
-    let fresh_env = || {
-        ScenarioEnvironment::new(ConstantEnvironment::new(Value::Float(0.25)), &scn, comms)
-    };
+    let fresh_env =
+        || ScenarioEnvironment::new(ConstantEnvironment::new(Value::Float(0.25)), &scn, comms);
 
     let scalar: Vec<SimOutput> = seeds
         .iter()
         .map(|&seed| {
             let mut behaviors = build_behaviors(&sys, &params);
-            sim.run(
+            sim.run_reference(
                 &mut behaviors,
                 &mut fresh_env(),
                 &mut fresh_inj(),
@@ -119,23 +155,105 @@ fn threetank_lanes_match_scalar_under_full_scenario() {
         .collect();
 
     let mut behaviors = build_behaviors(&sys, &params);
+    let packed = run_group(
+        &sim,
+        &sys.spec,
+        &mut behaviors,
+        seeds.iter().map(|&seed| (seed, fresh_inj(), fresh_env())),
+        rounds,
+    );
+    assert_eq!(packed, scalar, "a lane diverged from its reference run");
+}
+
+/// Supervisors and metrics sinks, which the reference interpreter does
+/// not take: lane `i` of a 64-wide group — its output, its monitor's
+/// alarms and its exported registry — equals a one-lane run of the same
+/// seed, under every scenario event kind.
+#[test]
+fn supervised_observed_lanes_match_one_lane_runs() {
+    let sys = ThreeTankSystem::with_options(Deployment::Baseline, 0.999, Some(0.95)).unwrap();
+    let imp = TimeDependentImplementation::from(sys.imp.clone());
+    let sim = Simulation::new(&sys.spec, &sys.arch, &imp);
+    let comms = sys.spec.communicator_count();
+    let scn = full_scenario(&sys);
+    let rounds = 200;
+    let monitor = MonitorConfig {
+        window: 20,
+        confidence: 0.9,
+    };
+    let fresh_inj = || {
+        ScenarioInjector::new(
+            ProbabilisticFaults::from_architecture(&sys.arch),
+            &scn,
+            sys.arch.host_count(),
+            comms,
+        )
+        .unwrap()
+    };
+    let fresh_env =
+        || ScenarioEnvironment::new(ConstantEnvironment::new(Value::Float(0.25)), &scn, comms);
+    let seeds: Vec<u64> = (0..64).map(|i| 0x5EED + 3 * i).collect();
+
     let mut lanes: Vec<_> = seeds
         .iter()
-        .map(|&seed| LaneContext::plain(seed, fresh_inj(), fresh_env()))
+        .map(|&seed| {
+            LaneContext::new(
+                seed,
+                fresh_inj(),
+                fresh_env(),
+                LrcMonitor::new(&sys.spec, monitor),
+                Registry::with_recorder(64),
+            )
+        })
         .collect();
-    let packed = sim.run_bitsliced(&mut behaviors, &mut lanes, rounds);
+    let packed = sim.run_bitsliced(&mut BehaviorMap::default(), &mut lanes, rounds);
 
-    for (i, expected) in scalar.iter().enumerate() {
-        assert_eq!(
-            &packed.extract_lane(&sys.spec, i),
-            expected,
-            "lane {i} diverged from scalar run"
+    let mut alarms = 0;
+    for (i, (lane, &seed)) in lanes.into_iter().zip(&seeds).enumerate() {
+        let (_, _, lane_monitor, lane_registry) = lane.into_parts();
+        let mut one_monitor = LrcMonitor::new(&sys.spec, monitor);
+        let mut one_registry = Registry::with_recorder(64);
+        let one = sim.run_observed(
+            &mut BehaviorMap::default(),
+            &mut fresh_env(),
+            &mut fresh_inj(),
+            &mut one_monitor,
+            &mut one_registry,
+            &SimConfig { rounds, seed },
         );
+        assert_eq!(packed.task_stats(i), one.task_stats, "lane {i} task stats");
+        assert_eq!(
+            packed.final_values(i),
+            one.final_values,
+            "lane {i} final values"
+        );
+        for c in sys.spec.communicator_ids() {
+            assert_eq!(packed.updates(c), one.trace.update_count(c) as u64);
+            let reliable = one.trace.abstraction(c).into_iter().filter(|&b| b).count();
+            assert_eq!(
+                packed.reliable(c, i),
+                reliable as u64,
+                "lane {i} comm {c:?}"
+            );
+        }
+        assert_eq!(
+            lane_monitor.alarms(),
+            one_monitor.alarms(),
+            "lane {i} alarms"
+        );
+        assert_eq!(
+            export::to_json(&lane_registry),
+            export::to_json(&one_registry),
+            "lane {i} metrics"
+        );
+        alarms += one_monitor.alarms().len();
     }
+    assert!(alarms > 0, "the scenario must exercise the monitor");
 }
 
 /// Steer-by-wire with an ECU unplug (the fifth fault kind): lanes match
-/// scalar runs, including the warm-up bookkeeping of the stateful tasks.
+/// reference runs, including the warm-up bookkeeping of the stateful
+/// tasks.
 #[test]
 fn steerbywire_lanes_match_scalar_with_unplug() {
     let sys = SteerSystem::new(SteerScenario::ReplicatedEcus, None).unwrap();
@@ -156,7 +274,7 @@ fn steerbywire_lanes_match_scalar_with_unplug() {
         .iter()
         .map(|&seed| {
             let mut behaviors = BehaviorMap::default();
-            sim.run(
+            sim.run_reference(
                 &mut behaviors,
                 &mut ConstantEnvironment::new(Value::Float(0.1)),
                 &mut fresh_inj(),
@@ -165,26 +283,24 @@ fn steerbywire_lanes_match_scalar_with_unplug() {
         })
         .collect();
 
-    let mut behaviors = BehaviorMap::default();
-    let mut lanes: Vec<_> = seeds
-        .iter()
-        .map(|&seed| {
-            LaneContext::plain(seed, fresh_inj(), ConstantEnvironment::new(Value::Float(0.1)))
-        })
-        .collect();
-    let packed = sim.run_bitsliced(&mut behaviors, &mut lanes, rounds);
-
-    for (i, expected) in scalar.iter().enumerate() {
-        assert_eq!(
-            &packed.extract_lane(&sys.spec, i),
-            expected,
-            "lane {i} diverged from scalar run"
-        );
-    }
+    let packed = run_group(
+        &sim,
+        &sys.spec,
+        &mut BehaviorMap::default(),
+        seeds.iter().map(|&seed| {
+            (
+                seed,
+                fresh_inj(),
+                ConstantEnvironment::new(Value::Float(0.1)),
+            )
+        }),
+        rounds,
+    );
+    assert_eq!(packed, scalar, "a lane diverged from its reference run");
 }
 
 /// Value corruption forces the slow (materialized-replicas) voting path;
-/// with `Majority` voting each lane must still replay its scalar run.
+/// with `Majority` voting each lane must still replay its reference run.
 #[test]
 fn corrupting_majority_voting_matches_scalar() {
     let sys = ThreeTankSystem::new(Deployment::ReplicatedControllers);
@@ -200,7 +316,7 @@ fn corrupting_majority_voting_matches_scalar() {
         .iter()
         .map(|&seed| {
             let mut behaviors = build_behaviors(&sys, &params);
-            sim.run(
+            sim.run_reference(
                 &mut behaviors,
                 &mut ConstantEnvironment::new(Value::Float(0.25)),
                 &mut fresh_inj(),
@@ -209,30 +325,27 @@ fn corrupting_majority_voting_matches_scalar() {
         })
         .collect();
 
-    let mut behaviors = build_behaviors(&sys, &params);
-    let mut lanes: Vec<_> = seeds
-        .iter()
-        .map(|&seed| {
-            LaneContext::plain(
+    let packed = run_group(
+        &sim,
+        &sys.spec,
+        &mut build_behaviors(&sys, &params),
+        seeds.iter().map(|&seed| {
+            (
                 seed,
                 fresh_inj(),
                 ConstantEnvironment::new(Value::Float(0.25)),
             )
-        })
-        .collect();
-    let packed = sim.run_bitsliced(&mut behaviors, &mut lanes, rounds);
-
-    for (i, expected) in scalar.iter().enumerate() {
-        assert_eq!(
-            &packed.extract_lane(&sys.spec, i),
-            expected,
-            "lane {i} diverged from scalar run under corruption"
-        );
-    }
+        }),
+        rounds,
+    );
+    assert_eq!(
+        packed, scalar,
+        "a lane diverged from its reference run under corruption"
+    );
 }
 
 /// A full 64-lane pack (the widest mask, exercising the `u64::MAX`
-/// all-lanes mask) matches scalar lane by lane.
+/// all-lanes mask) matches the reference lane by lane.
 #[test]
 fn full_64_lane_pack_matches_scalar() {
     let sys = ThreeTankSystem::new(Deployment::Baseline);
@@ -243,32 +356,29 @@ fn full_64_lane_pack_matches_scalar() {
     let seeds: Vec<u64> = (0..64).map(|i| 0xACE + i).collect();
     let fresh_inj = || ProbabilisticFaults::from_architecture(&sys.arch);
 
-    let mut behaviors = build_behaviors(&sys, &params);
-    let mut lanes: Vec<_> = seeds
-        .iter()
-        .map(|&seed| {
-            LaneContext::plain(
+    let packed = run_group(
+        &sim,
+        &sys.spec,
+        &mut build_behaviors(&sys, &params),
+        seeds.iter().map(|&seed| {
+            (
                 seed,
                 fresh_inj(),
                 ConstantEnvironment::new(Value::Float(0.25)),
             )
-        })
-        .collect();
-    let packed = sim.run_bitsliced(&mut behaviors, &mut lanes, rounds);
+        }),
+        rounds,
+    );
 
     for (i, &seed) in seeds.iter().enumerate() {
         let mut behaviors = build_behaviors(&sys, &params);
-        let expected = sim.run(
+        let expected = sim.run_reference(
             &mut behaviors,
             &mut ConstantEnvironment::new(Value::Float(0.25)),
             &mut fresh_inj(),
             &SimConfig { rounds, seed },
         );
-        assert_eq!(
-            packed.extract_lane(&sys.spec, i),
-            expected,
-            "lane {i} diverged at full width"
-        );
+        assert_eq!(packed[i], expected, "lane {i} diverged at full width");
     }
 }
 
@@ -354,7 +464,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random pipelines, seeds and lane counts: every lane equals its
-    /// scalar run (default behaviors — type-zero outputs).
+    /// reference run (default behaviors — type-zero outputs).
     #[test]
     fn random_pipelines_match_scalar(
         p in pipeline_strategy(),
@@ -367,32 +477,29 @@ proptest! {
         let rounds = 30;
         let fresh_inj = || ProbabilisticFaults::from_architecture(&arch);
 
-        let mut behaviors = BehaviorMap::default();
-        let mut lanes: Vec<_> = (0..width)
-            .map(|i| {
-                LaneContext::plain(
+        let packed = run_group(
+            &sim,
+            &spec,
+            &mut BehaviorMap::default(),
+            (0..width).map(|i| {
+                (
                     base_seed + i as u64,
                     fresh_inj(),
                     ConstantEnvironment::new(Value::Float(1.5)),
                 )
-            })
-            .collect();
-        let packed = sim.run_bitsliced(&mut behaviors, &mut lanes, rounds);
+            }),
+            rounds,
+        );
 
-        for i in 0..width {
+        for (i, lane) in packed.iter().enumerate() {
             let mut behaviors = BehaviorMap::default();
-            let expected = sim.run(
+            let expected = sim.run_reference(
                 &mut behaviors,
                 &mut ConstantEnvironment::new(Value::Float(1.5)),
                 &mut fresh_inj(),
                 &SimConfig { rounds, seed: base_seed + i as u64 },
             );
-            prop_assert_eq!(
-                packed.extract_lane(&spec, i),
-                expected,
-                "lane {} diverged",
-                i
-            );
+            prop_assert_eq!(lane, &expected, "lane {} diverged", i);
         }
     }
 }
@@ -401,7 +508,8 @@ proptest! {
 /// multiple of the lane width: 70 replications pack into one full
 /// 64-lane word plus a 6-lane tail (and, at width 16, four full words
 /// plus the same tail). Every packing must produce the byte-identical
-/// report the scalar path does, at any thread count.
+/// report one-replication (`LaneMode::Off`) units do, at any thread
+/// count.
 #[test]
 fn campaign_tail_packing_matches_scalar() {
     use logrel_sim::{

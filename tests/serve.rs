@@ -221,6 +221,16 @@ fn malformed_lines_are_rejected_without_killing_the_service() {
     assert_eq!(responses.len(), 1);
     assert!(responses[0].contains("\"code\":\"S004\""), "{}", responses[0]);
     assert!(responses[0].contains("replications"), "{}", responses[0]);
+    // So is a horizon past the round cap, which would otherwise run for
+    // hours.
+    let line = format!(
+        r#"{{"schema":"logrel-job-v1","id":"long","spec_path":"{SPEC_PATH}","scenario_path":"{SCENARIO_PATH}","rounds":18446744073709551615,"replications":2,"seed":1}}"#
+    );
+    let responses = logrel::serve::process_line(&engine, &line);
+    assert_eq!(responses.len(), 1);
+    let rejection = &responses[0];
+    assert!(rejection.contains("\"code\":\"S004\""), "{rejection}");
+    assert!(rejection.contains("rounds"), "{rejection}");
     engine.shutdown();
 }
 
@@ -285,6 +295,16 @@ fn huge_replication_count_is_diagnosed_by_inject_and_serve() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.starts_with("A004:error:"), "{stderr}");
     assert!(stderr.contains("at most 1048576"), "{stderr}");
+    // A horizon past `MAX_ROUNDS` is diagnosed the same way.
+    let out = htlc(
+        &["inject", SPEC_PATH, SCENARIO_PATH, "18446744073709551615", "1", "2"],
+        "",
+    );
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("A004:error:"), "{stderr}");
+    let cap = format!("at most {} are allowed", logrel::sim::MAX_ROUNDS);
+    assert!(stderr.contains(&cap), "{stderr}");
 
     // The repro: a good job, the huge one, a good job — the service
     // answers all three and drains to a clean exit.
@@ -302,6 +322,43 @@ fn huge_replication_count_is_diagnosed_by_inject_and_serve() {
     assert!(statuses[0].contains(r#""status":"done""#), "{stdout}");
     assert!(statuses[1].contains(r#""code":"S004""#), "{stdout}");
     assert!(statuses[2].contains(r#""status":"done""#), "{stdout}");
+}
+
+/// Many requests down one TCP connection: every reply comes back whole
+/// and in request order (each request's lines go out as one write).
+#[test]
+fn tcp_connection_answers_many_requests_in_order() {
+    use std::io::{BufRead, BufReader, Write};
+    let server = logrel::serve::Server::start(engine(1, 4), "127.0.0.1:0").unwrap();
+    let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    for i in 0..20 {
+        let line = if i % 2 == 0 {
+            format!(r#"{{"schema":"logrel-job-v1","id":"s{i}","op":"stats"}}"#)
+        } else {
+            format!(
+                r#"{{"schema":"logrel-job-v1","id":"j{i}","spec_path":"{SPEC_PATH}","scenario_path":"{SCENARIO_PATH}","rounds":20,"replications":1,"seed":{i}}}"#
+            )
+        };
+        writeln!(writer, "{line}").unwrap();
+        let mut first = String::new();
+        reader.read_line(&mut first).unwrap();
+        let mut status = String::new();
+        reader.read_line(&mut status).unwrap();
+        let first = parse_json(first.trim_end()).expect("a whole first line");
+        let status = parse_json(status.trim_end()).expect("a whole status line");
+        assert_eq!(
+            first.get("schema").and_then(Json::as_str),
+            Some("logrel-metrics-v1"),
+            "reply {i}"
+        );
+        let id = if i % 2 == 0 { format!("s{i}") } else { format!("j{i}") };
+        assert_eq!(status.get("id").and_then(Json::as_str), Some(id.as_str()));
+        assert_eq!(status.get("status").and_then(Json::as_str), Some("done"));
+    }
+    drop((reader, writer));
+    server.shutdown();
 }
 
 /// A fleet of services sharing one `.logrel-cache` path: concurrent
