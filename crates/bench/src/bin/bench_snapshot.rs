@@ -52,6 +52,7 @@
 //!
 //! Run with: `cargo run --release -p logrel-bench --bin bench_snapshot`
 
+use logrel_core::json::{self, Json};
 use logrel_core::prelude::*;
 use logrel_obs::{NoopSink, Registry};
 use logrel_reliability::{compute_srgs, exhaustive_synthesize, synthesize, SynthesisOptions};
@@ -249,30 +250,21 @@ fn synthesis_system() -> (Specification, Architecture, Implementation) {
     (spec, arch, imp)
 }
 
-/// Extracts every `"key": <number>` pair from a snapshot document — the
-/// minimal scanner the flat snapshot format needs (string values and
-/// object openers parse as no number and are skipped).
-fn scan_numbers(json: &str) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    let parts: Vec<&str> = json.split('"').collect();
-    // parts alternate outside/inside quotes; odd indices are quoted keys.
-    for i in (1..parts.len()).step_by(2) {
-        let Some(after) = parts.get(i + 1) else {
-            continue;
-        };
-        let Some(rest) = after.trim_start().strip_prefix(':') else {
-            continue;
-        };
-        let num: String = rest
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            out.insert(parts[i].to_owned(), v);
+/// Every numeric leaf of a snapshot document keyed by its object key,
+/// collected in document order (a later duplicate key wins; string
+/// values, objects and array items carry no gate and are skipped).
+fn snapshot_numbers(text: &str) -> Result<BTreeMap<String, f64>, String> {
+    fn walk(key: Option<&String>, v: &Json, out: &mut BTreeMap<String, f64>) {
+        match v {
+            Json::Num(raw) => out.extend(key.cloned().zip(raw.parse().ok())),
+            Json::Obj(fields) => fields.iter().for_each(|(k, v)| walk(Some(k), v, out)),
+            Json::Arr(items) => items.iter().for_each(|v| walk(None, v, out)),
+            _ => {}
         }
     }
-    out
+    let mut out = BTreeMap::new();
+    walk(None, &json::parse(text)?, &mut out);
+    Ok(out)
 }
 
 /// Compares current against baseline over [`GATES`]; returns the number
@@ -737,15 +729,15 @@ fn main() -> ExitCode {
     println!("wrote {}", args.out);
 
     if let Some(baseline_path) = &args.compare {
-        let baseline = match std::fs::read_to_string(baseline_path) {
-            Ok(text) => scan_numbers(&text),
-            Err(e) => {
-                eprintln!("bench_snapshot: cannot read `{baseline_path}`: {e}");
+        let read = std::fs::read_to_string(baseline_path).map_err(|e| e.to_string());
+        let (baseline, current) = match (read.and_then(|t| snapshot_numbers(&t)), snapshot_numbers(&json)) {
+            (Ok(baseline), Ok(current)) => (baseline, current),
+            (Err(e), _) | (_, Err(e)) => {
+                eprintln!("bench_snapshot: cannot compare with `{baseline_path}`: {e}");
                 return ExitCode::from(1);
             }
         };
         println!("\ncomparing against {baseline_path} (tolerance {:.0}%):", args.tolerance * 100.0);
-        let current = scan_numbers(&json);
         let mut regressions = compare(&current, &baseline, args.tolerance);
         for &(label, num, den, floor) in RATIO_FLOORS {
             let Some(&n) = current.get(num) else {
@@ -800,7 +792,7 @@ mod tests {
     fn scanner_extracts_numbers_and_skips_strings() {
         let doc = "{\n  \"workload\": \"3TS, 10000 rounds\",\n  \"sim\": {\n    \
                    \"kernel_rounds_per_sec\": 1267888,\n    \"speedup\": 2.08\n  }\n}\n";
-        let nums = scan_numbers(doc);
+        let nums = snapshot_numbers(doc).unwrap();
         assert_eq!(nums.get("kernel_rounds_per_sec"), Some(&1267888.0));
         assert_eq!(nums.get("speedup"), Some(&2.08));
         assert!(!nums.contains_key("workload"));

@@ -14,6 +14,8 @@
 //!   memory-free check of §3;
 //! * [`hash`] — FNV-1a 64, the content hash behind certificate digests,
 //!   cache checksums and subspec units;
+//! * [`json`] — the one JSON reader, string escaper and number writer
+//!   behind every schema the toolchain reads or emits;
 //! * [`arch`] — architectures: fail-silent hosts, sensors, WCET/WCTT maps;
 //! * [`implmap`] — implementations: replication mappings from tasks to host
 //!   sets, sensor bindings, and periodic time-dependent mappings;
@@ -57,6 +59,7 @@ pub mod graph;
 pub mod hash;
 pub mod ids;
 pub mod implmap;
+pub mod json;
 pub mod prob;
 pub mod roundprog;
 pub mod spec;

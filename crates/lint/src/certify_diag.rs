@@ -16,7 +16,8 @@
 //! they render through the ordinary lint machinery (`ci_line`, sorting,
 //! `--deny` promotion) like any other finding.
 
-use crate::diagnostic::{json_escape, sort_diagnostics, Diagnostic, Severity};
+use crate::diagnostic::{json_rows, sort_diagnostics, Diagnostic, Severity};
+use logrel_core::json::{self, number, opt_number, opt_string};
 use logrel_lang::ast::Program;
 use logrel_lang::token::Span;
 use logrel_reliability::certify::{Certificate, CommCertificate};
@@ -206,23 +207,6 @@ pub fn render_certificate(name: &str, cert: &Certificate) -> String {
     out
 }
 
-fn json_f64(x: f64) -> String {
-    // Shortest-roundtrip Display is deterministic and re-parses exactly;
-    // the `_bits` fields pin the value even against decimal parsers.
-    format!("{x}")
-}
-
-fn json_opt_f64(x: Option<f64>) -> String {
-    x.map_or_else(|| String::from("null"), json_f64)
-}
-
-fn json_opt_str(s: Option<&str>) -> String {
-    s.map_or_else(
-        || String::from("null"),
-        |s| format!("\"{}\"", json_escape(s)),
-    )
-}
-
 /// The stable `logrel-certificate-v1` JSON document: the full certificate
 /// plus its diagnostics (same object shape as `logrel-diagnostics-v1`).
 /// Every float carries a sibling `*_bits` hex field with its exact IEEE-754
@@ -236,75 +220,46 @@ pub fn certificate_json(
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"logrel-certificate-v1\",\n");
-    out.push_str(&format!("  \"file\": \"{}\",\n", json_escape(file)));
-    out.push_str(&format!("  \"program\": \"{}\",\n", json_escape(name)));
+    out.push_str(&format!("  \"file\": {},\n", json::string(file)));
+    out.push_str(&format!("  \"program\": {},\n", json::string(name)));
     out.push_str(&format!("  \"overall\": \"{}\",\n", cert.overall));
     out.push_str(&format!("  \"constrained\": {},\n", cert.constrained));
-    out.push_str(&format!(
-        "  \"box_delta\": {},\n",
-        json_opt_f64(cert.box_delta)
-    ));
+    out.push_str(&format!("  \"box_delta\": {},\n", opt_number(cert.box_delta)));
     out.push_str(&format!(
         "  \"box_overall\": {},\n",
-        json_opt_str(cert.box_overall.map(CertStatus::label))
+        opt_string(cert.box_overall.map(CertStatus::label))
     ));
-    out.push_str("  \"communicators\": [");
-    for (i, row) in cert.comms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(&format!(
-            r#"{{"name":"{}","point":{},"point_bits":"{:016x}","lo":{},"lo_bits":"{:016x}","hi":{},"hi_bits":"{:016x}","lrc":{},"status":{},"slack":{},"box_status":{},"bottleneck":{},"multilinear":{}}}"#,
-            json_escape(&row.name),
-            json_f64(row.point),
+    let comms = cert.comms.iter().map(|row| {
+        format!(
+            r#"{{"name":{},"point":{},"point_bits":"{:016x}","lo":{},"lo_bits":"{:016x}","hi":{},"hi_bits":"{:016x}","lrc":{},"status":{},"slack":{},"box_status":{},"bottleneck":{},"multilinear":{}}}"#,
+            json::string(&row.name),
+            number(row.point),
             row.point.to_bits(),
-            json_f64(row.interval.lo()),
+            number(row.interval.lo()),
             row.interval.lo().to_bits(),
-            json_f64(row.interval.hi()),
+            number(row.interval.hi()),
             row.interval.hi().to_bits(),
-            json_opt_f64(row.lrc),
-            json_opt_str(row.status.map(CertStatus::label)),
-            json_opt_f64(row.slack),
-            json_opt_str(row.box_status.map(CertStatus::label)),
-            json_opt_str(row.bottleneck.as_deref()),
+            opt_number(row.lrc),
+            opt_string(row.status.map(CertStatus::label)),
+            opt_number(row.slack),
+            opt_string(row.box_status.map(CertStatus::label)),
+            opt_string(row.bottleneck.as_deref()),
             row.multilinear
-        ));
-    }
-    if !cert.comms.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n");
-    out.push_str("  \"margins\": [");
-    for (i, m) in cert.margins.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(&format!(
-            r#"{{"component":"{}","reliability":{},"margin":{},"margin_bits":"{:016x}"}}"#,
-            json_escape(&m.name),
-            json_f64(m.reliability),
-            json_f64(m.margin),
+        )
+    });
+    out.push_str(&format!("  \"communicators\": {},\n", json_rows(comms)));
+    let margins = cert.margins.iter().map(|m| {
+        format!(
+            r#"{{"component":{},"reliability":{},"margin":{},"margin_bits":"{:016x}"}}"#,
+            json::string(&m.name),
+            number(m.reliability),
+            number(m.margin),
             m.margin.to_bits()
-        ));
-    }
-    if !cert.margins.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n");
-    out.push_str("  \"diagnostics\": [");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(&d.to_json());
-    }
-    if !diags.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
+        )
+    });
+    out.push_str(&format!("  \"margins\": {},\n", json_rows(margins)));
+    let diags = json_rows(diags.iter().map(Diagnostic::to_json));
+    out.push_str(&format!("  \"diagnostics\": {diags}\n}}\n"));
     out
 }
 

@@ -10,6 +10,7 @@
 //! * [`Diagnostic::ci_line`] — the stable, greppable single-line form
 //!   `code:severity:file:line:col: message` used by `htlc` for CI.
 
+use logrel_core::json;
 use logrel_lang::token::Span;
 use logrel_lang::LangError;
 use std::fmt;
@@ -172,27 +173,6 @@ pub fn deny_warnings(diags: &mut [Diagnostic]) {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-///
-/// Hand-rolled (the workspace deliberately carries no serde) but complete:
-/// quotes, backslashes and all control characters are escaped, so any
-/// diagnostic message round-trips through strict parsers.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Diagnostic {
     /// The diagnostic as a single-line JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
@@ -201,27 +181,23 @@ impl Diagnostic {
             .iter()
             .map(|l| {
                 format!(
-                    r#"{{"line":{},"col":{},"message":"{}"}}"#,
+                    r#"{{"line":{},"col":{},"message":{}}}"#,
                     l.span.line,
                     l.span.col,
-                    json_escape(&l.message)
+                    json::string(&l.message)
                 )
             })
             .collect::<Vec<_>>()
             .join(",");
-        let help = match &self.help {
-            Some(h) => format!(r#""{}""#, json_escape(h)),
-            None => String::from("null"),
-        };
         format!(
-            r#"{{"code":"{}","severity":"{}","line":{},"col":{},"message":"{}","labels":[{}],"help":{}}}"#,
+            r#"{{"code":"{}","severity":"{}","line":{},"col":{},"message":{},"labels":[{}],"help":{}}}"#,
             self.code,
             self.severity,
             self.span.line,
             self.span.col,
-            json_escape(&self.message),
+            json::string(&self.message),
             labels,
-            help
+            json::opt_string(self.help.as_deref())
         )
     }
 }
@@ -236,22 +212,25 @@ pub fn diagnostics_json(file: &str, diags: &[Diagnostic]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"logrel-diagnostics-v1\",\n");
-    out.push_str(&format!("  \"file\": \"{}\",\n", json_escape(file)));
+    out.push_str(&format!("  \"file\": {},\n", json::string(file)));
     out.push_str(&format!("  \"errors\": {errors},\n"));
     out.push_str(&format!("  \"warnings\": {warnings},\n"));
-    out.push_str("  \"diagnostics\": [");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(&d.to_json());
-    }
-    if !diags.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
+    out.push_str(&format!(
+        "  \"diagnostics\": {}\n}}\n",
+        json_rows(diags.iter().map(Diagnostic::to_json))
+    ));
     out
+}
+
+/// A JSON array with one row per line, indented under a top-level key:
+/// the array layout of the diagnostics and certificate documents.
+pub(crate) fn json_rows(rows: impl Iterator<Item = String>) -> String {
+    let rows: Vec<String> = rows.collect();
+    if rows.is_empty() {
+        "[]".to_owned()
+    } else {
+        format!("[\n    {}\n  ]", rows.join(",\n    "))
+    }
 }
 
 #[cfg(test)]
@@ -304,14 +283,6 @@ mod tests {
         sort_diagnostics(&mut diags);
         assert_eq!(diags.len(), 2);
         assert_eq!(diags[0].span.line, 2);
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(json_escape("x\ny\t"), "x\\ny\\t");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("plain"), "plain");
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub use certify_diag::{
     certificate_json, certify_diagnostics, certify_error_diagnostic, render_certificate,
 };
 pub use diagnostic::{
-    deny_warnings, diagnostics_json, json_escape, sort_diagnostics, Diagnostic, Label, Severity,
+    deny_warnings, diagnostics_json, sort_diagnostics, Diagnostic, Label, Severity,
 };
 pub use ecode::{verify, verify_instructions, ModeCtx, VerifyCtx};
 pub use refine_diag::{refine_error_diagnostics, violation_diagnostic};

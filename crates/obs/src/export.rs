@@ -3,26 +3,15 @@
 //!
 //! Both renderers are hand-rolled (the workspace is offline — no serde)
 //! and fully deterministic: the registry's `BTreeMap` stores fix the
-//! iteration order, and numbers render through a single formatting
-//! routine.
+//! iteration order, and floats render through the one number writer of
+//! [`logrel_core::json`], so the two documents agree with each other and
+//! with test expectations. The pretty document and the compact wire line
+//! come from one renderer that differs only in whitespace.
 
 use crate::catalog;
 use crate::metrics::{Histogram, Registry};
 use crate::recorder::{Dump, ObsEvent};
-
-/// Formats a float the way both exporters expect: integral values
-/// without a trailing `.0` mantissa in Prometheus would be fine, but we
-/// keep Rust's shortest-roundtrip `{}` formatting for both so the two
-/// documents agree with each other and with test expectations.
-fn fmt_f64(v: f64) -> String {
-    if v.is_infinite() {
-        if v > 0.0 { "+Inf".into() } else { "-Inf".into() }
-    } else if v.is_nan() {
-        "NaN".into()
-    } else {
-        format!("{v}")
-    }
-}
+use logrel_core::json::{self, float_text, number};
 
 fn help_and_type(out: &mut String, name: &str, kind: &str) {
     if let Some(def) = catalog::lookup(name) {
@@ -44,7 +33,7 @@ fn histogram_text(out: &mut String, name: &str, h: &Histogram) {
     for (bound, cum) in h.bounds().iter().zip(&cumulative) {
         out.push_str(name);
         out.push_str("_bucket{le=\"");
-        out.push_str(&fmt_f64(*bound));
+        out.push_str(&float_text(*bound));
         out.push_str("\"} ");
         out.push_str(&cum.to_string());
         out.push('\n');
@@ -55,7 +44,7 @@ fn histogram_text(out: &mut String, name: &str, h: &Histogram) {
     out.push('\n');
     out.push_str(name);
     out.push_str("_sum ");
-    out.push_str(&fmt_f64(h.sum()));
+    out.push_str(&float_text(h.sum()));
     out.push('\n');
     out.push_str(name);
     out.push_str("_count ");
@@ -82,7 +71,7 @@ pub fn to_prometheus(reg: &Registry) -> String {
         help_and_type(&mut out, name, "gauge");
         out.push_str(name);
         out.push(' ');
-        out.push_str(&fmt_f64(v));
+        out.push_str(&float_text(v));
         out.push('\n');
     }
     for (name, h) in reg.histograms() {
@@ -92,43 +81,9 @@ pub fn to_prometheus(reg: &Registry) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// JSON number rendering: JSON has no `Inf`/`NaN`, so those become
-/// strings.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        fmt_f64(v)
-    } else {
-        format!("\"{}\"", fmt_f64(v))
-    }
-}
-
-fn push_kv_str(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(&json_escape(key));
-    out.push_str("\": \"");
-    out.push_str(&json_escape(value));
-    out.push('"');
-}
-
 fn event_json(event: &ObsEvent) -> String {
     let mut s = String::from("{");
-    push_kv_str(&mut s, "kind", event.kind());
+    s.push_str(&format!("\"kind\": {}", json::string(event.kind())));
     s.push_str(&format!(", \"at\": {}", event.at()));
     match event {
         ObsEvent::Vote {
@@ -163,20 +118,19 @@ fn event_json(event: &ObsEvent) -> String {
         } => {
             s.push_str(&format!(
                 ", \"comm\": {comm}, \"mean\": {}, \"epsilon\": {}, \"lrc\": {}",
-                json_f64(*mean),
-                json_f64(*epsilon),
-                json_f64(*lrc)
+                number(*mean),
+                number(*epsilon),
+                number(*lrc)
             ));
         }
         ObsEvent::AlarmCleared { comm, mean, .. } => {
-            s.push_str(&format!(", \"comm\": {comm}, \"mean\": {}", json_f64(*mean)));
+            s.push_str(&format!(", \"comm\": {comm}, \"mean\": {}", number(*mean)));
         }
         ObsEvent::DegraderEngaged { rule, .. } => {
             s.push_str(&format!(", \"rule\": {rule}"));
         }
         ObsEvent::ModeSwitch { event, .. } => {
-            s.push_str(", ");
-            push_kv_str(&mut s, "event", event);
+            s.push_str(&format!(", \"event\": {}", json::string(event)));
         }
     }
     s.push('}');
@@ -185,7 +139,7 @@ fn event_json(event: &ObsEvent) -> String {
 
 fn dump_json(dump: &Dump) -> String {
     let mut s = String::from("{");
-    push_kv_str(&mut s, "trigger", dump.trigger.label());
+    s.push_str(&format!("\"trigger\": {}", json::string(dump.trigger.label())));
     if let crate::recorder::DumpTrigger::AlarmRaised { comm } = &dump.trigger {
         s.push_str(&format!(", \"comm\": {comm}"));
     }
@@ -199,6 +153,125 @@ fn dump_json(dump: &Dump) -> String {
     }
     s.push_str("]}");
     s
+}
+
+/// Whitespace of a `logrel-metrics-v1` document: the only difference
+/// between [`to_json`] and [`to_json_line`].
+struct Layout {
+    /// Before each top-level key and section close.
+    outer: &'static str,
+    /// Before each entry inside a section.
+    inner: &'static str,
+    /// Between a key and its value.
+    colon: &'static str,
+    /// Between the items of a histogram.
+    comma: &'static str,
+    /// The document's closing brace.
+    end: &'static str,
+}
+
+const PRETTY: Layout = Layout {
+    outer: "\n  ",
+    inner: "\n    ",
+    colon: ": ",
+    comma: ", ",
+    end: "\n}\n",
+};
+
+const COMPACT: Layout = Layout {
+    outer: "",
+    inner: "",
+    colon: ":",
+    comma: ",",
+    end: "}",
+};
+
+impl Layout {
+    /// Writes `"name": ` after `indent`.
+    fn key(&self, out: &mut String, indent: &str, name: &str) {
+        out.push_str(indent);
+        out.push('"');
+        json::escape_into(out, name);
+        out.push('"');
+        out.push_str(self.colon);
+    }
+
+    /// Writes the object `"title": {"name": value, ...}`.
+    fn section(
+        &self,
+        out: &mut String,
+        title: &str,
+        entries: impl Iterator<Item = (&'static str, String)>,
+    ) {
+        self.key(out, self.outer, title);
+        out.push('{');
+        for (i, (name, value)) in entries.enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            self.key(out, self.inner, name);
+            out.push_str(&value);
+        }
+        out.push_str(self.outer);
+        out.push('}');
+    }
+
+    /// `{"buckets": [[le, cum], ..., ["+Inf", count]], "sum": s, "count": n}`.
+    fn histogram(&self, h: &Histogram) -> String {
+        let sep = self.comma;
+        let mut out = String::from("{");
+        self.key(&mut out, "", "buckets");
+        out.push('[');
+        for (bound, cum) in h.bounds().iter().zip(&h.cumulative()) {
+            out.push_str(&format!("[{}{sep}{cum}]{sep}", number(*bound)));
+        }
+        out.push_str(&format!("[\"+Inf\"{sep}{}]]{sep}", h.count()));
+        self.key(&mut out, "", "sum");
+        out.push_str(&number(h.sum()));
+        out.push_str(sep);
+        self.key(&mut out, "", "count");
+        out.push_str(&format!("{}}}", h.count()));
+        out
+    }
+}
+
+fn render_json(reg: &Registry, l: &Layout) -> String {
+    let mut out = String::from("{");
+    l.key(&mut out, l.outer, "schema");
+    out.push_str("\"logrel-metrics-v1\",");
+    l.section(
+        &mut out,
+        "counters",
+        reg.counters().map(|(n, v)| (n, v.to_string())),
+    );
+    out.push(',');
+    l.section(
+        &mut out,
+        "gauges",
+        reg.gauges().map(|(n, v)| (n, number(v))),
+    );
+    out.push(',');
+    l.section(
+        &mut out,
+        "histograms",
+        reg.histograms().map(|(n, h)| (n, l.histogram(h))),
+    );
+    if let Some(rec) = reg.recorder() {
+        out.push(',');
+        l.key(&mut out, l.outer, "dumps");
+        out.push('[');
+        for (i, dump) in rec.dumps().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(l.inner);
+            out.push_str(&dump_json(dump));
+        }
+        out.push_str(l.outer);
+        out.push(']');
+    }
+    out.push_str(l.end);
+    out
 }
 
 /// Renders the registry as a self-describing JSON document.
@@ -219,118 +292,18 @@ fn dump_json(dump: &Dump) -> String {
 /// `dumps` is present only when the registry carries a flight recorder.
 #[must_use]
 pub fn to_json(reg: &Registry) -> String {
-    let mut out = String::from("{\n  \"schema\": \"logrel-metrics-v1\",\n  \"counters\": {");
-    for (i, (name, v)) in reg.counters().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n    \"{name}\": {v}"));
-    }
-    out.push_str("\n  },\n  \"gauges\": {");
-    for (i, (name, v)) in reg.gauges().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n    \"{name}\": {}", json_f64(v)));
-    }
-    out.push_str("\n  },\n  \"histograms\": {");
-    for (i, (name, h)) in reg.histograms().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n    \"{name}\": {{\"buckets\": ["));
-        let cumulative = h.cumulative();
-        for (j, (bound, cum)) in h.bounds().iter().zip(&cumulative).enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("[{}, {cum}]", json_f64(*bound)));
-        }
-        if !h.bounds().is_empty() {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("[\"+Inf\", {}]", h.count()));
-        out.push_str(&format!(
-            "], \"sum\": {}, \"count\": {}}}",
-            json_f64(h.sum()),
-            h.count()
-        ));
-    }
-    out.push_str("\n  }");
-    if let Some(rec) = reg.recorder() {
-        out.push_str(",\n  \"dumps\": [");
-        for (i, dump) in rec.dumps().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            out.push_str(&dump_json(dump));
-        }
-        out.push_str("\n  ]");
-    }
-    out.push_str("\n}\n");
-    out
+    render_json(reg, &PRETTY)
 }
 
 /// Renders the registry as a single compact `logrel-metrics-v1` JSON
 /// line (no interior newlines, no trailing newline) — the wire format of
 /// the line-delimited job service, where one response is one line.
 ///
-/// Same schema and key order as [`to_json`], minus the pretty-printing;
-/// a whitespace-insensitive JSON parse of either document yields the
-/// same value.
+/// The same renderer as [`to_json`] with the whitespace left out, so the
+/// two documents parse to the same value by construction.
 #[must_use]
 pub fn to_json_line(reg: &Registry) -> String {
-    let mut out = String::from("{\"schema\":\"logrel-metrics-v1\",\"counters\":{");
-    for (i, (name, v)) in reg.counters().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{name}\":{v}"));
-    }
-    out.push_str("},\"gauges\":{");
-    for (i, (name, v)) in reg.gauges().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{name}\":{}", json_f64(v)));
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, (name, h)) in reg.histograms().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{name}\":{{\"buckets\":["));
-        let cumulative = h.cumulative();
-        for (j, (bound, cum)) in h.bounds().iter().zip(&cumulative).enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{},{cum}]", json_f64(*bound)));
-        }
-        if !h.bounds().is_empty() {
-            out.push(',');
-        }
-        out.push_str(&format!("[\"+Inf\",{}]", h.count()));
-        out.push_str(&format!(
-            "],\"sum\":{},\"count\":{}}}",
-            json_f64(h.sum()),
-            h.count()
-        ));
-    }
-    out.push('}');
-    if let Some(rec) = reg.recorder() {
-        out.push_str(",\"dumps\":[");
-        for (i, dump) in rec.dumps().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&dump_json(dump));
-        }
-        out.push(']');
-    }
-    out.push('}');
-    out
+    render_json(reg, &COMPACT)
 }
 
 #[cfg(test)]
@@ -389,22 +362,22 @@ mod tests {
     }
 
     #[test]
-    fn json_line_is_single_line_and_whitespace_equivalent_to_pretty() {
-        let line = to_json_line(&sample());
+    fn json_line_is_single_line_and_parses_to_the_pretty_document() {
+        let mut reg = sample();
+        reg.set_gauge(names::CERTIFY_MIN_SLACK, f64::NEG_INFINITY);
+        let line = to_json_line(&reg);
         assert!(!line.contains('\n'), "line format must be newline-free");
         assert!(line.starts_with("{\"schema\":\"logrel-metrics-v1\""));
-        // Stripping all whitespace outside strings from the pretty form
-        // must yield the compact form (same keys, order and values). The
-        // sample has no whitespace inside string values, so a blanket
-        // strip is faithful — except the spaces dump_json itself emits,
-        // which appear identically in both documents.
-        let pretty = to_json(&sample());
-        let strip = |s: &str| {
-            s.chars()
-                .filter(|c| !c.is_ascii_whitespace())
-                .collect::<String>()
-        };
-        assert_eq!(strip(&pretty), strip(&line));
+        let pretty = json::parse(&to_json(&reg)).expect("pretty document parses");
+        assert_eq!(json::parse(&line).expect("line parses"), pretty);
+        assert!(pretty.get("dumps").is_some());
+        let gauges = pretty.get("gauges").unwrap();
+        assert_eq!(
+            gauges
+                .get(names::CERTIFY_MIN_SLACK)
+                .and_then(json::Json::as_str),
+            Some("-Inf")
+        );
     }
 
     #[test]

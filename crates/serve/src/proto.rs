@@ -2,11 +2,10 @@
 //! `logrel-metrics-v1` results and `logrel-job-status-v1` status lines
 //! out.
 //!
-//! Every message is one line of JSON. The parser is a small
-//! recursive-descent implementation over a byte cursor — the repo
-//! carries no serde, and the protocol surface is deliberately tiny, so
-//! hand-rolling keeps the service dependency-free and the error
-//! positions exact.
+//! Every message is one line of JSON, read and escaped by the one JSON
+//! module, [`logrel_core::json`] (re-exported here as [`parse_json`],
+//! [`Json`] and [`escape`]). Its nesting cap makes the reader total: a
+//! line of any depth is a value or an `S001`, never a stack overflow.
 //!
 //! Structured rejections carry stable `S`-codes:
 //!
@@ -18,6 +17,7 @@
 //! | S004 | bad scenario or campaign parameters |
 //! | S005 | service is shutting down |
 
+pub use logrel_core::json::{escape, parse as parse_json, Json};
 use logrel_sim::LaneMode;
 
 /// Stable rejection code: malformed request line.
@@ -57,235 +57,6 @@ impl std::fmt::Display for JobError {
 }
 
 impl std::error::Error for JobError {}
-
-/// A parsed JSON value. Numbers keep their source literal so integer
-/// fields (seeds are full-range `u64`) round-trip without a lossy `f64`
-/// detour.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    /// The raw number literal, e.g. `"18446744073709551615"`.
-    Num(String),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object field lookup (first match).
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a string, if it is one.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a non-negative integer, if the literal parses as one.
-    #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document; trailing garbage is an error.
-pub fn parse_json(input: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing input at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(format!("unexpected `{}` at byte {}", c as char, self.pos)),
-            None => Err("unexpected end of input".to_owned()),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_owned()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_owned())?;
-                            self.pos += 4;
-                            // Surrogate pairs are not worth supporting for
-                            // this protocol; map them to the replacement
-                            // character rather than rejecting the line.
-                            out.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
-                        }
-                        c => return Err(format!("bad escape `\\{}`", c as char)),
-                    }
-                }
-                Some(_) => {
-                    // Copy a maximal run of plain bytes (UTF-8 passes
-                    // through untouched).
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == b'"' || b == b'\\' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| "invalid UTF-8 in string".to_owned())?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
-            self.pos += 1;
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        // Validate via f64 parse (u64 literals above 2^53 still keep
-        // their exact raw form for `as_u64`).
-        raw.parse::<f64>()
-            .map_err(|_| format!("bad number at byte {start}"))?;
-        Ok(Json::Num(raw.to_owned()))
-    }
-}
 
 /// Where a job's spec or scenario text comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -401,24 +172,6 @@ fn parse_job(doc: &Json, id: String) -> Result<Request, String> {
     })))
 }
 
-/// Escapes `s` for embedding inside a JSON string literal.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the status line for a completed job.
 #[must_use]
 pub fn status_done(id: &str, cache_hit: bool) -> String {
@@ -492,24 +245,6 @@ mod tests {
             Ok(Request::Stats { .. })
         ));
         assert!(parse_request(r#"{"schema":"logrel-job-v1","id":"a","op":"dance"}"#).is_err());
-    }
-
-    #[test]
-    fn json_parser_handles_nesting_escapes_and_rejects_garbage() {
-        let v = parse_json(r#"{"a":[1,2.5,{"b":"x\ny"}],"c":true,"d":null}"#).unwrap();
-        assert_eq!(
-            v.get("a").unwrap(),
-            &Json::Arr(vec![
-                Json::Num("1".into()),
-                Json::Num("2.5".into()),
-                Json::Obj(vec![("b".into(), Json::Str("x\ny".into()))]),
-            ])
-        );
-        assert_eq!(v.get("c"), Some(&Json::Bool(true)));
-        assert_eq!(v.get("d"), Some(&Json::Null));
-        assert!(parse_json("{").is_err());
-        assert!(parse_json(r#"{"a":1} extra"#).is_err());
-        assert!(parse_json(r#"{"a":}"#).is_err());
     }
 
     #[test]

@@ -206,26 +206,33 @@ cargo test -q --test serve > /dev/null
 echo "==> htlc serve --stdin smoke (job service survives malformed jobs)"
 SERVE_DIR=$(mktemp -d)
 trap 'rm -rf "$METRICS_DIR" "$FUZZ_DIR" "$INCR_DIR" "$SERVE_DIR"' EXIT
-# Four jobs down one pipe: a fresh compile, a malformed request, a job
-# asking for more replications than the cap, and a resubmission of the
-# first spec. The malformed and oversized lines must yield structured
+# Five lines down one pipe: a fresh compile, a malformed request, a job
+# asking for more replications than the cap, a line of 50,000 `[` (far
+# past the JSON reader's depth cap), and a resubmission of the first
+# spec. The malformed, oversized and deep lines must yield structured
 # rejections — not kill the service — and the pipe must drain to a clean
 # exit 0 at EOF.
-"$HTLC" serve --stdin --workers 2 > "$SERVE_DIR/out.ndjson" <<'JOBS'
+{
+    cat <<'JOBS'
 {"schema":"logrel-job-v1","id":"smoke-1","spec_path":"examples/htl/infusion_pump.htl","scenario_path":"examples/scenarios/pump_outage.scn","rounds":500,"replications":2,"seed":7}
 {"schema":"logrel-job-v1","id":"smoke-bad","spec_path":"examples/htl/infusion_pump.htl"}
 {"schema":"logrel-job-v1","id":"smoke-huge","spec_path":"examples/htl/infusion_pump.htl","scenario_path":"examples/scenarios/pump_outage.scn","rounds":500,"replications":18446744073709551615,"seed":7}
+JOBS
+    python3 -c 'print("[" * 50000)'
+    cat <<'JOBS'
 {"schema":"logrel-job-v1","id":"smoke-2","spec_path":"examples/htl/infusion_pump.htl","scenario_path":"examples/scenarios/pump_outage.scn","rounds":500,"replications":2,"seed":7}
 JOBS
+} | "$HTLC" serve --stdin --workers 2 > "$SERVE_DIR/out.ndjson"
 python3 - "$SERVE_DIR/out.ndjson" "$METRICS_DIR/m.prom.json" <<'PY'
 import json, sys
 lines = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
-assert len(lines) == 6, f"expected 6 response lines, got {len(lines)}"
-m1, s1, rej, huge, m2, s2 = lines
+assert len(lines) == 7, f"expected 7 response lines, got {len(lines)}"
+m1, s1, rej, huge, deep, m2, s2 = lines
 assert m1["schema"] == "logrel-metrics-v1", m1.get("schema")
 assert (s1["id"], s1["status"], s1["cache"]) == ("smoke-1", "done", "miss"), s1
 assert (rej["id"], rej["status"], rej["code"]) == ("smoke-bad", "rejected", "S001"), rej
 assert (huge["id"], huge["status"], huge["code"]) == ("smoke-huge", "rejected", "S004"), huge
+assert (deep["id"], deep["status"], deep["code"]) == ("?", "rejected", "S001"), deep
 assert (s2["id"], s2["status"], s2["cache"]) == ("smoke-2", "done", "hit"), s2
 assert m1 == m2, "resubmitted job must reproduce the metrics byte-for-byte"
 # The served registry equals the standalone `htlc inject --metrics`

@@ -231,6 +231,14 @@ fn malformed_lines_are_rejected_without_killing_the_service() {
     let rejection = &responses[0];
     assert!(rejection.contains("\"code\":\"S004\""), "{rejection}");
     assert!(rejection.contains("rounds"), "{rejection}");
+    // A line nested far past the reader's depth cap is a malformed
+    // request, not a stack overflow.
+    let responses = logrel::serve::process_line(&engine, &"[".repeat(100_000));
+    assert_eq!(responses.len(), 1);
+    let rejection = &responses[0];
+    assert!(rejection.contains("\"code\":\"S001\""), "{rejection}");
+    assert!(rejection.contains("\"id\":\"?\""), "{rejection}");
+    assert!(rejection.contains("nesting"), "{rejection}");
     engine.shutdown();
 }
 
