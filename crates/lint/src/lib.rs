@@ -6,9 +6,9 @@
 //! race-freedom restrictions of §2). This crate adds the two missing
 //! layers:
 //!
-//! * [`spec_lints`] — a registry of lints over the parsed and elaborated
-//!   program, from dead communicators to provably unsatisfiable LRCs (see
-//!   the module docs for the `L0xx` catalog);
+//! * [`spec_lints`](mod@spec_lints) — a registry of lints over the
+//!   parsed and elaborated program, from dead communicators to provably
+//!   unsatisfiable LRCs (see the module docs for the `L0xx` catalog);
 //! * [`ecode`] — an abstract interpreter over per-host
 //!   [`logrel_emachine`] programs proving the invariants the
 //!   co-simulation otherwise only observes at runtime (`E0xx`).

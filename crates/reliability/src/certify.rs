@@ -1,7 +1,8 @@
 //! Static reliability certification: sound three-valued LRC verdicts,
 //! per-component degradation margins and bottleneck attribution.
 //!
-//! [`certify`] combines the three analysis views of one system:
+//! [`certify`] combines the three analysis views of one system, each the
+//! one §3 induction of [`crate::srg`] run in its own carrier:
 //!
 //! * the point SRGs of [`crate::srg::compute_srgs`] (what the paper's
 //!   Proposition 1 check evaluates),

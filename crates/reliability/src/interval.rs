@@ -2,12 +2,13 @@
 //!
 //! [`crate::srg::compute_srgs`] evaluates the §3 induction in point `f64`
 //! arithmetic, so the Proposition 1 check `λ_c ≥ µ_c` is a rounding error
-//! away from certifying an unreliable spec. This module re-runs the same
-//! induction over [`Interval`]s whose endpoints are widened *outward* after
-//! every floating-point operation: IEEE-754 round-to-nearest is off by at
-//! most half an ulp, so stepping one ulp down on the lower endpoint and one
-//! ulp up on the upper endpoint after each multiplication/complement keeps
-//! the true real-arithmetic value — and, by monotonicity of rounding, every
+//! away from certifying an unreliable spec. This module runs the one
+//! induction of [`crate::srg`] with [`Interval`]s as its carrier, whose
+//! endpoints are widened *outward* after every floating-point operation:
+//! IEEE-754 round-to-nearest is off by at most half an ulp, so stepping
+//! one ulp down on the lower endpoint and one ulp up on the upper
+//! endpoint after each multiplication/complement keeps the true
+//! real-arithmetic value — and, by monotonicity of rounding, every
 //! faithfully computed point value — inside the enclosure.
 //!
 //! Because the whole induction is monotone nondecreasing in every host,
@@ -25,11 +26,9 @@
 //! because the enclosure already absorbs all rounding slop soundly.
 
 use crate::error::ReliabilityError;
-use crate::srg::analysis_order;
-use logrel_core::{
-    Architecture, CommunicatorId, CoreError, FailureModel, HostId, Implementation, SensorId,
-    Specification, TaskId,
-};
+use crate::srg::{induction, Carrier, Srgs};
+use logrel_core::{Architecture, CoreError, Implementation, Specification};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Rounds a lower endpoint outward (towards `0`) by one ulp.
@@ -202,6 +201,20 @@ impl std::ops::Mul for Interval {
     }
 }
 
+impl Carrier for Interval {
+    fn one() -> Self {
+        Interval::point(1.0)
+    }
+
+    fn series<B: Borrow<Self>>(items: impl IntoIterator<Item = B>) -> Result<Self, CoreError> {
+        Ok(Interval::series(items.into_iter().map(|i| *i.borrow())))
+    }
+
+    fn parallel<B: Borrow<Self>>(items: impl IntoIterator<Item = B>) -> Result<Self, CoreError> {
+        Interval::parallel(items.into_iter().map(|i| *i.borrow()))
+    }
+}
+
 impl fmt::Display for Interval {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{}, {}]", self.lo, self.hi)
@@ -241,33 +254,7 @@ impl fmt::Display for CertStatus {
 }
 
 /// Sound enclosures of every task reliability and communicator SRG.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IntervalSrgReport {
-    task: Vec<Interval>,
-    comm: Vec<Interval>,
-}
-
-impl IntervalSrgReport {
-    /// The enclosure of `λ_t`.
-    pub fn task(&self, t: TaskId) -> Interval {
-        self.task[t.index()]
-    }
-
-    /// The enclosure of `λ_c`.
-    pub fn communicator(&self, c: CommunicatorId) -> Interval {
-        self.comm[c.index()]
-    }
-
-    /// All communicator enclosures in declaration order.
-    pub fn communicators(&self) -> &[Interval] {
-        &self.comm
-    }
-
-    /// All task enclosures in declaration order.
-    pub fn tasks(&self) -> &[Interval] {
-        &self.task
-    }
-}
+pub type IntervalSrgReport = Srgs<Interval>;
 
 /// Interval mirror of [`crate::srg::compute_srgs`]: every endpoint pair
 /// soundly encloses both the true real-arithmetic SRG and the point-`f64`
@@ -309,8 +296,12 @@ pub fn compute_degraded_srgs(
     )
 }
 
-/// The shared interval induction, parameterised over how a declared host /
-/// sensor reliability becomes an input enclosure.
+/// The §3 induction over enclosures, parameterised over how a declared
+/// host / sensor reliability becomes an input enclosure.
+///
+/// # Errors
+///
+/// Same conditions as [`crate::srg::compute_srgs`].
 pub fn interval_srgs_with(
     spec: &Specification,
     arch: &Architecture,
@@ -319,62 +310,12 @@ pub fn interval_srgs_with(
     sensor_box: impl Fn(f64) -> Interval,
 ) -> Result<IntervalSrgReport, ReliabilityError> {
     let brel = Interval::point(arch.broadcast_reliability().get());
-    let mut task = Vec::with_capacity(spec.task_count());
-    for t in spec.task_ids() {
-        let replicas: Vec<Interval> = imp
-            .hosts_of(t)
-            .iter()
-            .map(|&h: &HostId| host_box(arch.host(h).reliability().get()) * brel)
-            .collect();
-        task.push(Interval::parallel(replicas).map_err(ReliabilityError::Core)?);
-    }
-    let order = analysis_order(spec)?;
-    let mut comm: Vec<Option<Interval>> = vec![None; spec.communicator_count()];
-    for &c in &order {
-        let lambda = if spec.is_sensor_input(c) {
-            let sensors = imp.sensors_of(c);
-            if sensors.is_empty() {
-                return Err(ReliabilityError::UnboundInput {
-                    communicator: spec.communicator(c).name().to_owned(),
-                });
-            }
-            Interval::parallel(
-                sensors
-                    .iter()
-                    .map(|&s: &SensorId| sensor_box(arch.sensor(s).reliability().get())),
-            )
-            .map_err(ReliabilityError::Core)?
-        } else if let Some(t) = spec.writer(c) {
-            let lt = task[t.index()];
-            match spec.task(t).failure_model() {
-                FailureModel::Independent => lt,
-                FailureModel::Series => {
-                    let inputs = spec
-                        .task(t)
-                        .input_comm_set()
-                        .into_iter()
-                        .map(|c2| comm[c2.index()].expect("topological order"));
-                    Interval::series(std::iter::once(lt).chain(inputs))
-                }
-                FailureModel::Parallel => {
-                    let inputs = spec
-                        .task(t)
-                        .input_comm_set()
-                        .into_iter()
-                        .map(|c2| comm[c2.index()].expect("topological order"));
-                    let any_input = Interval::parallel(inputs).map_err(ReliabilityError::Core)?;
-                    Interval::series([lt, any_input])
-                }
-            }
-        } else {
-            Interval::point(1.0)
-        };
-        comm[c.index()] = Some(lambda);
-    }
-    Ok(IntervalSrgReport {
-        task,
-        comm: comm.into_iter().map(|r| r.expect("all computed")).collect(),
-    })
+    induction(
+        spec,
+        imp,
+        |_, h| Ok(host_box(arch.host(h).reliability().get()) * brel),
+        |s| sensor_box(arch.sensor(s).reliability().get()),
+    )
 }
 
 #[cfg(test)]

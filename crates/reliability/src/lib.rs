@@ -23,8 +23,9 @@
 //!   rounding: sound `[lo, hi]` enclosures and three-valued LRC verdicts;
 //! * [`symbolic`] — symbolic SRGs as polynomials over component symbols,
 //!   with exact derivatives and pinned Birnbaum importance;
-//! * [`certify`] — the static certification report combining the three:
-//!   verdicts, slacks, degradation margins and bottleneck attribution.
+//! * [`certify`](mod@certify) — the static certification report
+//!   combining the three: verdicts, slacks, degradation margins and
+//!   bottleneck attribution.
 
 pub mod analysis;
 pub mod certify;
@@ -57,5 +58,7 @@ pub use longrun::{
 };
 pub use netrel::ReliabilityGraph;
 pub use rbd::Block;
-pub use srg::{communicator_block, compute_srgs, task_reliability, SrgComputation, SrgReport};
+pub use srg::{
+    communicator_block, compute_srgs, task_reliability, SrgComputation, SrgReport, Srgs,
+};
 pub use synthesis::{exhaustive_synthesize, synthesize, SynthesisOptions};

@@ -22,44 +22,90 @@
 //! folded in by derating each replication: a replication contributes only
 //! if its host works *and* its broadcast is delivered, so the effective
 //! per-replication reliability is `hrel(h) · brel`.
+//!
+//! The induction is written once, generic over the value it computes
+//! with: point [`Reliability`]s here, outward-rounded
+//! [`Interval`](crate::interval::Interval)s in [`crate::interval`] and
+//! polynomials [`Poly`](crate::symbolic::Poly) in [`crate::symbolic`].
+//! Each caller supplies only the leaves — one value per task replica and
+//! per sensor — and gets back an [`Srgs`] report in its own carrier.
 
 use crate::error::ReliabilityError;
 use crate::rbd::Block;
 use logrel_core::graph::CommDependencyGraph;
 use logrel_core::{
-    Architecture, CommunicatorId, FailureModel, Implementation, Reliability, Specification, TaskId,
+    Architecture, CommunicatorId, CoreError, FailureModel, HostId, Implementation, Reliability,
+    SensorId, Specification, TaskId,
 };
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// The computed SRGs of every task and communicator of a system.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SrgReport {
-    task: Vec<Reliability>,
-    comm: Vec<Reliability>,
+/// A value the §3 induction computes with: the RBD combinators over
+/// borrowed (or owned) operands, so no input SRG is cloned or collected.
+pub(crate) trait Carrier: Clone {
+    /// The reliability of a constant communicator.
+    fn one() -> Self;
+
+    /// Series combination `Π x_i` (the empty product is `1`).
+    fn series<B: Borrow<Self>>(items: impl IntoIterator<Item = B>) -> Result<Self, CoreError>;
+
+    /// Parallel combination `1 − Π (1 − x_i)`.
+    fn parallel<B: Borrow<Self>>(items: impl IntoIterator<Item = B>) -> Result<Self, CoreError>;
 }
 
-impl SrgReport {
-    /// The reliability λ_t of task `t` under the analysed implementation.
-    pub fn task(&self, t: TaskId) -> Reliability {
-        self.task[t.index()]
+impl Carrier for Reliability {
+    fn one() -> Self {
+        Reliability::ONE
     }
 
-    /// The SRG λ_c of communicator `c`.
-    pub fn communicator(&self, c: CommunicatorId) -> Reliability {
-        self.comm[c.index()]
+    fn series<B: Borrow<Self>>(items: impl IntoIterator<Item = B>) -> Result<Self, CoreError> {
+        Reliability::series(items.into_iter().map(|r| *r.borrow()))
     }
 
+    fn parallel<B: Borrow<Self>>(items: impl IntoIterator<Item = B>) -> Result<Self, CoreError> {
+        Reliability::parallel(items.into_iter().map(|r| *r.borrow()))
+    }
+}
+
+/// The computed SRGs of every task and communicator of a system, in one
+/// carrier: [`SrgReport`],
+/// [`IntervalSrgReport`](crate::interval::IntervalSrgReport) or
+/// [`SymbolicSrgReport`](crate::symbolic::SymbolicSrgReport).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Srgs<C> {
+    task: Vec<C>,
+    comm: Vec<C>,
+}
+
+/// Point SRGs, as [`compute_srgs`] returns them.
+pub type SrgReport = Srgs<Reliability>;
+
+impl<C> Srgs<C> {
     /// All communicator SRGs in declaration order.
-    pub fn communicators(&self) -> &[Reliability] {
+    pub fn communicators(&self) -> &[C] {
         &self.comm
     }
 
     /// All task reliabilities in declaration order.
-    pub fn tasks(&self) -> &[Reliability] {
+    pub fn tasks(&self) -> &[C] {
         &self.task
     }
+}
 
+impl<C: Copy> Srgs<C> {
+    /// The reliability λ_t of task `t` under the analysed implementation.
+    pub fn task(&self, t: TaskId) -> C {
+        self.task[t.index()]
+    }
+
+    /// The SRG λ_c of communicator `c`.
+    pub fn communicator(&self, c: CommunicatorId) -> C {
+        self.comm[c.index()]
+    }
+}
+
+impl SrgReport {
     /// Renders a human-readable table using the names from `spec`.
     pub fn render(&self, spec: &Specification) -> String {
         let mut out = String::new();
@@ -96,6 +142,11 @@ impl fmt::Display for SrgReport {
     }
 }
 
+/// The point leaf of a replica on `h`: `hrel(h) · brel`.
+fn point_replica(arch: &Architecture, h: HostId) -> Result<Reliability, CoreError> {
+    Reliability::series([arch.host(h).reliability(), arch.broadcast_reliability()])
+}
+
 /// The reliability `λ_t` of `task` under `imp`: the parallel combination of
 /// its replications' effective reliabilities (`hrel · brel`).
 ///
@@ -108,13 +159,7 @@ pub fn task_reliability(
     imp: &Implementation,
     task: TaskId,
 ) -> Result<Reliability, ReliabilityError> {
-    let brel = arch.broadcast_reliability();
-    let replicas = imp
-        .hosts_of(task)
-        .iter()
-        .map(|&h| Reliability::series([arch.host(h).reliability(), brel]))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Reliability::parallel(replicas)?)
+    Ok(task_block(imp, task, |h| point_replica(arch, h))?)
 }
 
 /// Computes the SRGs of every task and communicator for a static
@@ -170,29 +215,16 @@ pub fn compute_srgs(
     arch: &Architecture,
     imp: &Implementation,
 ) -> Result<SrgReport, ReliabilityError> {
-    let mut task = Vec::with_capacity(spec.task_count());
-    for t in spec.task_ids() {
-        task.push(task_reliability(arch, imp, t)?);
-    }
-    let order = analysis_order(spec)?;
-    let comm = comm_induction(spec, &order, &task, |c| {
-        let sensors = imp.sensors_of(c);
-        if sensors.is_empty() {
-            return Err(ReliabilityError::UnboundInput {
-                communicator: spec.communicator(c).name().to_owned(),
-            });
-        }
-        Ok(Reliability::parallel(
-            sensors.iter().map(|&s| arch.sensor(s).reliability()),
-        )?)
-    })?;
-    Ok(SrgReport { task, comm })
+    induction(
+        spec,
+        imp,
+        |_, h| point_replica(arch, h),
+        |s| arch.sensor(s).reliability(),
+    )
 }
 
 /// The communicator analysis order, with cycles reported as errors.
-pub(crate) fn analysis_order(
-    spec: &Specification,
-) -> Result<Vec<CommunicatorId>, ReliabilityError> {
+fn analysis_order(spec: &Specification) -> Result<Vec<CommunicatorId>, ReliabilityError> {
     CommDependencyGraph::new(spec)
         .analysis_order()
         .map_err(|cyclic| ReliabilityError::CyclicDependencies {
@@ -203,45 +235,91 @@ pub(crate) fn analysis_order(
         })
 }
 
-/// The §3 induction over communicators: given every task's reliability and
-/// a source of sensor-input reliabilities, computes every SRG along a
-/// topological `order`.
-fn comm_induction(
+/// The whole §3 induction in carrier `C`: `replica(t, h)` is the leaf of
+/// task `t`'s replica on host `h`, `sensor(s)` the leaf of sensor `s`.
+///
+/// # Errors
+///
+/// Same conditions as [`compute_srgs`].
+pub(crate) fn induction<C: Carrier>(
+    spec: &Specification,
+    imp: &Implementation,
+    mut replica: impl FnMut(TaskId, HostId) -> Result<C, CoreError>,
+    mut sensor: impl FnMut(SensorId) -> C,
+) -> Result<Srgs<C>, ReliabilityError> {
+    let mut task = Vec::with_capacity(spec.task_count());
+    for t in spec.task_ids() {
+        task.push(task_block(imp, t, |h| replica(t, h))?);
+    }
+    let order = analysis_order(spec)?;
+    let comm = comm_induction(spec, &order, &task, |c| {
+        sensor_block(spec, imp, c, &mut sensor)
+    })?;
+    Ok(Srgs { task, comm })
+}
+
+/// `λ_t`: the parallel block over the leaves of `task`'s replicas.
+fn task_block<C: Carrier>(
+    imp: &Implementation,
+    task: TaskId,
+    leaf: impl FnMut(HostId) -> Result<C, CoreError>,
+) -> Result<C, CoreError> {
+    let replicas = imp
+        .hosts_of(task)
+        .iter()
+        .copied()
+        .map(leaf)
+        .collect::<Result<Vec<_>, _>>()?;
+    C::parallel(&replicas)
+}
+
+/// The base case of sensor input `c`: the parallel block over the leaves
+/// of its bound sensors.
+fn sensor_block<C: Carrier>(
+    spec: &Specification,
+    imp: &Implementation,
+    c: CommunicatorId,
+    leaf: impl FnMut(SensorId) -> C,
+) -> Result<C, ReliabilityError> {
+    let sensors = imp.sensors_of(c);
+    if sensors.is_empty() {
+        return Err(ReliabilityError::UnboundInput {
+            communicator: spec.communicator(c).name().to_owned(),
+        });
+    }
+    Ok(C::parallel(sensors.iter().copied().map(leaf))?)
+}
+
+/// The §3 induction over communicators: given every task's `λ_t` and a
+/// source of sensor-input SRGs, computes every SRG along a topological
+/// `order`.
+fn comm_induction<C: Carrier>(
     spec: &Specification,
     order: &[CommunicatorId],
-    task: &[Reliability],
-    mut sensor_lambda: impl FnMut(CommunicatorId) -> Result<Reliability, ReliabilityError>,
-) -> Result<Vec<Reliability>, ReliabilityError> {
-    let mut comm: Vec<Option<Reliability>> = vec![None; spec.communicator_count()];
+    task: &[C],
+    mut sensor_lambda: impl FnMut(CommunicatorId) -> Result<C, ReliabilityError>,
+) -> Result<Vec<C>, ReliabilityError> {
+    let mut comm: Vec<Option<C>> = vec![None; spec.communicator_count()];
     for &c in order {
         let lambda = if spec.is_sensor_input(c) {
             sensor_lambda(c)?
         } else if let Some(t) = spec.writer(c) {
-            let lt = task[t.index()];
+            let lt = &task[t.index()];
+            let inputs = || {
+                spec.task(t)
+                    .input_comm_set()
+                    .into_iter()
+                    .map(|c2| comm[c2.index()].as_ref().expect("topological order"))
+            };
             match spec.task(t).failure_model() {
-                FailureModel::Independent => lt,
-                FailureModel::Series => {
-                    let inputs = spec
-                        .task(t)
-                        .input_comm_set()
-                        .into_iter()
-                        .map(|c2| comm[c2.index()].expect("topological order"));
-                    Reliability::series(std::iter::once(lt).chain(inputs))?
-                }
-                FailureModel::Parallel => {
-                    let inputs = spec
-                        .task(t)
-                        .input_comm_set()
-                        .into_iter()
-                        .map(|c2| comm[c2.index()].expect("topological order"));
-                    let any_input = Reliability::parallel(inputs)?;
-                    Reliability::series([lt, any_input])?
-                }
+                FailureModel::Independent => lt.clone(),
+                FailureModel::Series => C::series(std::iter::once(lt).chain(inputs()))?,
+                FailureModel::Parallel => C::series([lt, &C::parallel(inputs())?])?,
             }
         } else {
             // A constant communicator holds its (reliable) initial value
             // forever.
-            Reliability::ONE
+            C::one()
         };
         comm[c.index()] = Some(lambda);
     }
@@ -288,15 +366,9 @@ impl<'a> SrgComputation<'a> {
         let mut sensor_lambda = vec![None; spec.communicator_count()];
         for c in spec.communicator_ids() {
             if spec.is_sensor_input(c) {
-                let sensors = base.sensors_of(c);
-                if sensors.is_empty() {
-                    return Err(ReliabilityError::UnboundInput {
-                        communicator: spec.communicator(c).name().to_owned(),
-                    });
-                }
-                sensor_lambda[c.index()] = Some(Reliability::parallel(
-                    sensors.iter().map(|&s| arch.sensor(s).reliability()),
-                )?);
+                sensor_lambda[c.index()] = Some(sensor_block(spec, base, c, |s| {
+                    arch.sensor(s).reliability()
+                })?);
             }
         }
         Ok(SrgComputation {
@@ -346,7 +418,7 @@ impl<'a> SrgComputation<'a> {
         let comm = comm_induction(self.spec, &self.order, &task, |c| {
             Ok(sensor_lambda[c.index()].expect("validated in new()"))
         })?;
-        Ok(SrgReport { task, comm })
+        Ok(Srgs { task, comm })
     }
 
     /// [`crate::analysis::check`] with memoized SRGs: identical verdict,
@@ -387,15 +459,7 @@ pub fn communicator_block(
     comm: CommunicatorId,
 ) -> Result<Block, ReliabilityError> {
     // Reject cyclic structures up front so recursion terminates.
-    let graph = CommDependencyGraph::new(spec);
-    graph
-        .analysis_order()
-        .map_err(|cyclic| ReliabilityError::CyclicDependencies {
-            communicators: cyclic
-                .iter()
-                .map(|&c| spec.communicator(c).name().to_owned())
-                .collect(),
-        })?;
+    analysis_order(spec)?;
     block_rec(spec, arch, imp, comm)
 }
 

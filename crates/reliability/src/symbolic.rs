@@ -1,8 +1,8 @@
 //! Symbolic SRGs: exact polynomial expressions over component symbols.
 //!
-//! The §3 induction is re-run with a polynomial [`Poly`] in place of every
-//! `f64`, over one symbol per *replica unit* (`task@host`, carrying the
-//! derated reliability `hrel · brel`) and per *sensor*. This symbol
+//! The one induction of [`crate::srg`] runs with a polynomial [`Poly`] as
+//! its carrier, over one symbol per *replica unit* (`task@host`, carrying
+//! the derated reliability `hrel · brel`) and per *sensor*. This symbol
 //! granularity deliberately matches the unit names of
 //! [`crate::importance::architecture_importance`], so the pinned Birnbaum
 //! measure computed here is term-for-term comparable with the numeric RBD
@@ -21,11 +21,12 @@
 //!   multilinear in `x` and with the RBD pinning semantics always.
 
 use crate::error::ReliabilityError;
-use crate::srg::analysis_order;
+use crate::srg::{induction, Carrier, Srgs};
 use logrel_core::{
-    Architecture, CommunicatorId, FailureModel, HostId, Implementation, SensorId, Specification,
+    Architecture, CommunicatorId, CoreError, HostId, Implementation, SensorId, Specification,
     TaskId,
 };
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A reliability symbol: one replica unit or one sensor.
@@ -152,17 +153,19 @@ impl Poly {
     }
 
     /// Series combination `Π p_i` (empty product is `1`).
-    pub fn series<'a, I: IntoIterator<Item = &'a Poly>>(items: I) -> Poly {
+    pub fn series<B: Borrow<Poly>>(items: impl IntoIterator<Item = B>) -> Poly {
         items
             .into_iter()
-            .fold(Poly::constant(1.0), |acc, p| acc.mul(p))
+            .fold(Poly::constant(1.0), |acc, p| acc.mul(p.borrow()))
     }
 
     /// Parallel combination `1 − Π (1 − p_i)`.
-    pub fn parallel<'a, I: IntoIterator<Item = &'a Poly>>(items: I) -> Poly {
+    pub fn parallel<B: Borrow<Poly>>(items: impl IntoIterator<Item = B>) -> Poly {
         items
             .into_iter()
-            .fold(Poly::constant(1.0), |acc, p| acc.mul(&p.one_minus()))
+            .fold(Poly::constant(1.0), |acc, p| {
+                acc.mul(&p.borrow().one_minus())
+            })
             .one_minus()
     }
 
@@ -237,6 +240,20 @@ impl Poly {
     }
 }
 
+impl Carrier for Poly {
+    fn one() -> Self {
+        Poly::constant(1.0)
+    }
+
+    fn series<B: Borrow<Self>>(items: impl IntoIterator<Item = B>) -> Result<Self, CoreError> {
+        Ok(Poly::series(items))
+    }
+
+    fn parallel<B: Borrow<Self>>(items: impl IntoIterator<Item = B>) -> Result<Self, CoreError> {
+        Ok(Poly::parallel(items))
+    }
+}
+
 /// Birnbaum importance as the pinned difference `f(x := 1) − f(x := 0)`,
 /// matching the RBD pinning semantics of [`crate::importance`] even when
 /// the polynomial is not multilinear in `sym`.
@@ -255,21 +272,17 @@ pub fn standard_assignment(arch: &Architecture) -> impl Fn(Sym) -> f64 + '_ {
 }
 
 /// Symbolic SRG expressions for every task and communicator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SymbolicSrgReport {
-    task: Vec<Poly>,
-    comm: Vec<Poly>,
-}
+pub type SymbolicSrgReport = Srgs<Poly>;
 
 impl SymbolicSrgReport {
     /// The symbolic `λ_t`.
     pub fn task(&self, t: TaskId) -> &Poly {
-        &self.task[t.index()]
+        &self.tasks()[t.index()]
     }
 
     /// The symbolic `λ_c`.
     pub fn communicator(&self, c: CommunicatorId) -> &Poly {
-        &self.comm[c.index()]
+        &self.communicators()[c.index()]
     }
 }
 
@@ -284,65 +297,12 @@ pub fn compute_symbolic_srgs(
     spec: &Specification,
     imp: &Implementation,
 ) -> Result<SymbolicSrgReport, ReliabilityError> {
-    let mut task = Vec::with_capacity(spec.task_count());
-    for t in spec.task_ids() {
-        let replicas: Vec<Poly> = imp
-            .hosts_of(t)
-            .iter()
-            .map(|&h| Poly::var(Sym::Replica(t, h)))
-            .collect();
-        if replicas.is_empty() {
-            return Err(ReliabilityError::Structure {
-                detail: format!("task `{}` has no replicas", spec.task(t).name()),
-            });
-        }
-        task.push(Poly::parallel(&replicas));
-    }
-    let order = analysis_order(spec)?;
-    let mut comm: Vec<Option<Poly>> = vec![None; spec.communicator_count()];
-    for &c in &order {
-        let lambda = if spec.is_sensor_input(c) {
-            let sensors = imp.sensors_of(c);
-            if sensors.is_empty() {
-                return Err(ReliabilityError::UnboundInput {
-                    communicator: spec.communicator(c).name().to_owned(),
-                });
-            }
-            let vars: Vec<Poly> = sensors.iter().map(|&s| Poly::var(Sym::Sensor(s))).collect();
-            Poly::parallel(&vars)
-        } else if let Some(t) = spec.writer(c) {
-            let lt = &task[t.index()];
-            match spec.task(t).failure_model() {
-                FailureModel::Independent => lt.clone(),
-                FailureModel::Series => {
-                    let inputs: Vec<Poly> = spec
-                        .task(t)
-                        .input_comm_set()
-                        .into_iter()
-                        .map(|c2| comm[c2.index()].clone().expect("topological order"))
-                        .collect();
-                    Poly::series(std::iter::once(lt).chain(inputs.iter()))
-                }
-                FailureModel::Parallel => {
-                    let inputs: Vec<Poly> = spec
-                        .task(t)
-                        .input_comm_set()
-                        .into_iter()
-                        .map(|c2| comm[c2.index()].clone().expect("topological order"))
-                        .collect();
-                    let any_input = Poly::parallel(&inputs);
-                    Poly::series([lt, &any_input])
-                }
-            }
-        } else {
-            Poly::constant(1.0)
-        };
-        comm[c.index()] = Some(lambda);
-    }
-    Ok(SymbolicSrgReport {
-        task,
-        comm: comm.into_iter().map(|p| p.expect("all computed")).collect(),
-    })
+    induction(
+        spec,
+        imp,
+        |t, h| Ok(Poly::var(Sym::Replica(t, h))),
+        |s| Poly::var(Sym::Sensor(s)),
+    )
 }
 
 #[cfg(test)]

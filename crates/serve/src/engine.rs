@@ -10,9 +10,12 @@
 //! [`CompiledSpec::new`] (analytic SRGs plus the round program, which
 //! under the `validate` feature self-certifies) — and caches the result
 //! behind an `Arc`. A hit shares everything; the only per-job work left
-//! is the Monte-Carlo campaign itself. The cache lock is held across a
-//! compile, so concurrent submissions of the same new spec compile it
-//! exactly once (single-flight).
+//! is the Monte-Carlo campaign itself. Compiles are single-flight per
+//! hash: the cache map lock is held only to find or insert a spec's slot,
+//! and the compile runs under that slot's own lock. Concurrent
+//! submissions of the same new spec therefore compile it exactly once,
+//! while jobs on other specs — cache hits included — never wait for it.
+//! A failed compile leaves no entry, so errors are never cached.
 //!
 //! # Determinism
 //!
@@ -128,11 +131,15 @@ struct WorkQueue {
     stop: bool,
 }
 
+/// One spec's cache entry: empty while its first compile runs (or after
+/// it failed), then the shared compiled form.
+type CacheSlot = Arc<Mutex<Option<Arc<CompiledSpec>>>>;
+
 struct Inner {
     config: ServeConfig,
     queue: Mutex<WorkQueue>,
     work_cv: Condvar,
-    cache: Mutex<HashMap<u64, Arc<CompiledSpec>>>,
+    cache: Mutex<HashMap<u64, CacheSlot>>,
     db: SharedDb,
     metrics: Mutex<Registry>,
     active_jobs: AtomicUsize,
@@ -279,19 +286,36 @@ impl Engine {
     }
 
     /// The compiled form of `source`, from cache or compiled now.
+    ///
+    /// The map lock is held only to find or insert the spec's slot; the
+    /// compile runs under the slot's own lock, so it blocks submissions
+    /// of the same spec (which then hit) and nothing else.
     fn compiled(&self, source: &str, label: &str) -> Result<(Arc<CompiledSpec>, bool), JobError> {
         let inner = &*self.inner;
         let key = fnv1a(source.as_bytes());
-        let mut cache = lock(&inner.cache);
-        if let Some(hit) = cache.get(&key) {
+        let slot = Arc::clone(lock(&inner.cache).entry(key).or_default());
+        let mut entry = lock(&slot);
+        if let Some(hit) = &*entry {
             lock(&inner.metrics).inc(names::SERVE_CACHE_HITS);
             return Ok((Arc::clone(hit), true));
         }
         lock(&inner.metrics).inc(names::SERVE_CACHE_MISSES);
-        let compiled = self.compile(source, label)?;
-        let compiled = Arc::new(compiled);
-        cache.insert(key, Arc::clone(&compiled));
-        Ok((compiled, false))
+        match self.compile(source, label) {
+            Ok(compiled) => {
+                let compiled = Arc::new(compiled);
+                *entry = Some(Arc::clone(&compiled));
+                Ok((compiled, false))
+            }
+            Err(e) => {
+                // Errors stay uncached: drop the empty slot unless a
+                // `clear_cache` already replaced it.
+                let mut cache = lock(&inner.cache);
+                if cache.get(&key).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
+                    cache.remove(&key);
+                }
+                Err(e)
+            }
+        }
     }
 
     fn compile(&self, source: &str, label: &str) -> Result<CompiledSpec, JobError> {

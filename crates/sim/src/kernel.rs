@@ -186,7 +186,7 @@ impl<'a> Simulation<'a> {
 
     /// Fallible form of [`Simulation::new`]: a failed self-certification
     /// under the `validate` feature comes back as
-    /// [`SimBuildError::Certification`] carrying the certifier's
+    /// `SimBuildError::Certification` carrying the certifier's
     /// diagnostics instead of panicking. Without the feature the error
     /// type is uninhabited and this always succeeds.
     pub fn try_new(

@@ -10,6 +10,7 @@
 //! price of needing a strict majority.
 
 use logrel_core::Value;
+use logrel_obs::VoteOutcome;
 
 /// How a communicator replication decides among received replica outputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -130,12 +131,7 @@ pub fn vote_into(
 /// The classification is independent of the [`VotingStrategy`] actually
 /// used to decide the value — it describes the ballot, not the decision.
 #[must_use]
-pub fn classify_outcome(
-    replica_vals: &[Value],
-    replica_ok: &[bool],
-    arity: usize,
-) -> logrel_obs::VoteOutcome {
-    use logrel_obs::VoteOutcome;
+pub fn classify_outcome(replica_vals: &[Value], replica_ok: &[bool], arity: usize) -> VoteOutcome {
     // Alloc-free: this runs once per vote in the observed hot loop, so
     // the delivering-index set is re-derived from `replica_ok` on the fly
     // instead of being collected.

@@ -23,7 +23,7 @@
 //! On success a machine-readable [`Certificate`] is returned; on failure,
 //! stable V-series diagnostics (V001–V010, rendered through
 //! `logrel-lint`'s shared [`Diagnostic`] model — see
-//! [`compare`](crate::compare) for the catalog).
+//! [`compare`] for the catalog).
 //!
 //! Soundness (DESIGN.md §8): the denotation captures every dataflow
 //! choice the artifact makes within one round — which instance each

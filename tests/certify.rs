@@ -1,8 +1,9 @@
 //! Soundness and cross-validation suite for the static certification
 //! engine: the point SRG of every shipped and corpus spec lies inside its
-//! certified enclosure, the symbolic Birnbaum partials agree with the
-//! RBD-pinning `importance` analysis on both case studies, random specs
-//! keep the enclosure property (proptest), a Monte-Carlo fault-injection
+//! certified enclosure and equals its symbolic SRG, the symbolic Birnbaum
+//! partials agree with the RBD-pinning `importance` analysis on every
+//! shipped spec, random specs covering every input failure model keep
+//! both properties (proptest), a Monte-Carlo fault-injection
 //! campaign's ε-band overlaps the certified interval, and the query
 //! layer's certify refinement reuse is exercised in both directions
 //! (LRC weakening reuses, tightening recomputes, warm ≡ cold always).
@@ -42,11 +43,29 @@ fn all_specs() -> Vec<PathBuf> {
     files
 }
 
+/// Checks that the symbolic SRG of every communicator, evaluated at the
+/// declared architecture, equals the point SRG up to rounding.
+fn assert_symbolic_matches_point(sys: &logrel::lang::ElaboratedSystem, ctx: &str) {
+    let srgs = compute_srgs(&sys.spec, &sys.arch, &sys.imp).unwrap();
+    let symbolic = compute_symbolic_srgs(&sys.spec, &sys.imp).unwrap();
+    let assign = standard_assignment(&sys.arch);
+    for c in sys.spec.communicator_ids() {
+        let point = srgs.communicator(c).get();
+        let exact = symbolic.communicator(c).eval(&assign);
+        assert!(
+            (exact - point).abs() <= 1e-12,
+            "{ctx}: `{}` symbolic {exact} vs point {point}",
+            sys.spec.communicator(c).name()
+        );
+    }
+}
+
 /// Checks the certification invariants of one elaborated system: the
-/// point SRG lies inside the certified enclosure for every communicator,
-/// verdicts are exactly what the enclosure dictates, and the degradation
-/// box only ever widens the enclosure.
+/// point SRG lies inside the certified enclosure for every communicator
+/// and equals the symbolic SRG, verdicts are exactly what the enclosure
+/// dictates, and the degradation box only ever widens the enclosure.
 fn assert_sound(sys: &logrel::lang::ElaboratedSystem, ctx: &str) {
+    assert_symbolic_matches_point(sys, ctx);
     let srgs = compute_srgs(&sys.spec, &sys.arch, &sys.imp).unwrap();
     let cert = certify(&sys.spec, &sys.arch, &sys.imp, Some(1e-3)).unwrap();
     assert_eq!(cert.comms.len(), sys.spec.communicator_count(), "{ctx}");
@@ -102,17 +121,19 @@ fn point_srg_inside_certified_interval_for_every_shipped_spec() {
 /// Differential test of the two independent sensitivity analyses: the
 /// symbolic polynomial's pinned Birnbaum (`λ_c(x=1) − λ_c(x=0)`) must
 /// agree with `importance.rs`, which pins the named unit inside the RBD
-/// instead, on every communicator of both case studies.
+/// instead, on every communicator of every shipped spec, and the
+/// polynomial itself must evaluate to the point SRG.
 #[test]
-fn symbolic_birnbaum_matches_rbd_importance_on_case_studies() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    for name in ["three_tank.htl", "steer_by_wire.htl"] {
-        let source = fs::read_to_string(root.join("assets").join(name)).unwrap();
+fn symbolic_birnbaum_matches_rbd_importance_on_every_shipped_spec() {
+    let mut compared = 0usize;
+    for path in all_specs() {
+        let name = path.display().to_string();
+        let source = fs::read_to_string(&path).unwrap();
         let program = logrel::lang::parse(&source).unwrap();
         let sys = logrel::lang::elaborate(&program).unwrap();
+        assert_symbolic_matches_point(&sys, &name);
         let symbolic = compute_symbolic_srgs(&sys.spec, &sys.imp).unwrap();
         let assign = standard_assignment(&sys.arch);
-        let mut compared = 0usize;
         for c in sys.spec.communicator_ids() {
             let rows = architecture_importance(&sys.spec, &sys.arch, &sys.imp, c).unwrap();
             let poly = symbolic.communicator(c);
@@ -131,33 +152,57 @@ fn symbolic_birnbaum_matches_rbd_importance_on_case_studies() {
                 compared += 1;
             }
         }
-        assert!(compared >= 8, "{name}: only {compared} partials compared");
     }
+    assert!(compared >= 73, "only {compared} partials compared");
 }
 
 /// Renders a well-formed random spec: `replicas` controller replicas over
-/// hosts of the given reliabilities, a sensor chain and an optional LRC.
-fn render_spec(period: u64, replicas: usize, hrel: [u32; 3], srel: u32, lrc: &str) -> String {
+/// hosts of the given reliabilities, a sensor chain and an optional LRC,
+/// plus a task `fuse` with input failure model `model` that reads both
+/// the sensor and the controller's output.
+fn render_spec(
+    period: u64,
+    replicas: usize,
+    hrel: [u32; 3],
+    srel: u32,
+    lrc: &str,
+    model: &str,
+) -> String {
     let hosts = ["h1", "h2", "h3"];
-    let constraint = if lrc.is_empty() { String::new() } else { format!(" {lrc}") };
+    let constraint = if lrc.is_empty() {
+        String::new()
+    } else {
+        format!(" {lrc}")
+    };
+    let defaults = if model == "series" {
+        ""
+    } else {
+        " defaults 0.0, 0.0"
+    };
     let mut out = format!(
-        "program rnd {{\n    communicator s : float period {period} sensor;\n    communicator u : float period {period}{constraint};\n"
+        "program rnd {{\n    communicator s : float period {period} sensor;\n    communicator u : float period {period}{constraint};\n    communicator v : float period {period};\n"
     );
     out.push_str(&format!(
-        "    module m {{\n        start mode main period {period} {{\n            invoke ctrl reads s[0] writes u[1];\n        }}\n    }}\n"
+        "    module m {{\n        start mode main period {period} {{\n            invoke ctrl reads s[0] writes u[1];\n            invoke fuse model {model} reads s[0], u[0] writes v[1]{defaults};\n        }}\n    }}\n"
     ));
     out.push_str("    architecture {\n");
     for (h, r) in hosts.iter().zip(hrel) {
         out.push_str(&format!("        host {h} reliability 0.{r:04};\n"));
     }
     out.push_str(&format!("        sensor sen reliability 0.{srel:04};\n"));
-    for h in hosts {
-        out.push_str(&format!(
-            "        wcet ctrl on {h} 2; wctt ctrl on {h} 1;\n"
-        ));
+    for task in ["ctrl", "fuse"] {
+        for h in hosts {
+            out.push_str(&format!(
+                "        wcet {task} on {h} 2; wctt {task} on {h} 1;\n"
+            ));
+        }
     }
     out.push_str("    }\n    map {\n");
-    out.push_str(&format!("        ctrl -> {};\n", hosts[..replicas].join(", ")));
+    out.push_str(&format!(
+        "        ctrl -> {};\n",
+        hosts[..replicas].join(", ")
+    ));
+    out.push_str("        fuse -> h2, h3;\n");
     out.push_str("        bind s -> sen;\n    }\n}\n");
     out
 }
@@ -166,12 +211,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The enclosure property is not an artifact of the shipped examples:
-    /// it holds across randomly drawn architectures, replication degrees
-    /// and constraints.
+    /// it holds across randomly drawn architectures, replication degrees,
+    /// input failure models and constraints.
     #[test]
     fn certified_interval_encloses_point_srg(
         period in (0usize..3).prop_map(|i| [5u64, 10, 20][i]),
         replicas in 1usize..=3,
+        model in (0usize..3).prop_map(|i| ["series", "parallel", "independent"][i]),
         h1 in 5000u32..=9999,
         h2 in 5000u32..=9999,
         h3 in 5000u32..=9999,
@@ -183,7 +229,7 @@ proptest! {
             Some(m) => format!("lrc 0.{m:06}"),
             None => String::new(),
         };
-        let source = render_spec(period, replicas, hrel, srel, &lrc);
+        let source = render_spec(period, replicas, hrel, srel, &lrc, model);
         let program = logrel::lang::parse(&source).unwrap();
         let sys = logrel::lang::elaborate(&program).unwrap();
         assert_sound(&sys, "random spec");
@@ -244,7 +290,14 @@ fn campaign_epsilon_band_overlaps_certified_interval() {
 /// Renders the incremental-test spec with communicator `u` constrained at
 /// the given LRC.
 fn spec_with_lrc(lrc: &str) -> String {
-    render_spec(10, 2, [9900, 9800, 9700], 9990, &format!("lrc {lrc}"))
+    render_spec(
+        10,
+        2,
+        [9900, 9800, 9700],
+        9990,
+        &format!("lrc {lrc}"),
+        "series",
+    )
 }
 
 /// Weakening the only LRC refine-reuses the certify query (the prior was

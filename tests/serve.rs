@@ -242,6 +242,123 @@ fn malformed_lines_are_rejected_without_killing_the_service() {
     engine.shutdown();
 }
 
+/// A layered spec: `width` sensors feed `layers` layers of `width` tasks,
+/// each later-layer task reading two communicators of the layer before.
+/// Every task but the last of a layer runs on two of three hosts at
+/// 0.999, and the last layer carries the LRC `lrc`. Cold analysis cost
+/// grows steeply with `layers` (certification's symbolic SRGs).
+fn layered_spec(layers: usize, width: usize, lrc: &str) -> String {
+    use std::fmt::Write as _;
+    let period = 100;
+    let round = period * (layers + 1);
+    let mut s = String::from("program layered {\n");
+    for i in 0..width {
+        let _ = writeln!(s, "    communicator s{i} : float period {round} sensor;");
+    }
+    for k in 1..=layers {
+        let constraint = if k == layers {
+            format!(" lrc {lrc}")
+        } else {
+            String::new()
+        };
+        for i in 0..width {
+            let _ = writeln!(
+                s,
+                "    communicator c{k}_{i} : float period {period}{constraint};"
+            );
+        }
+    }
+    let _ = writeln!(
+        s,
+        "    module m {{\n        start mode main period {round} {{"
+    );
+    for k in 1..=layers {
+        for i in 0..width {
+            let reads = if k == 1 {
+                format!("s{i}[0]")
+            } else {
+                let j = (i + 1) % width;
+                format!("c{p}_{i}[{p}], c{p}_{j}[{p}]", p = k - 1)
+            };
+            let _ = writeln!(
+                s,
+                "            invoke t{k}_{i} reads {reads} writes c{k}_{i}[{k}];"
+            );
+        }
+    }
+    s.push_str("        }\n    }\n    architecture {\n");
+    for h in 0..3 {
+        let _ = writeln!(s, "        host h{h} reliability 0.999;");
+    }
+    for i in 0..width {
+        let _ = writeln!(s, "        sensor sn{i} reliability 0.9999;");
+    }
+    for k in 1..=layers {
+        for i in 0..width {
+            for h in 0..3 {
+                let _ = writeln!(
+                    s,
+                    "        wcet t{k}_{i} on h{h} 2; wctt t{k}_{i} on h{h} 1;"
+                );
+            }
+        }
+    }
+    s.push_str("    }\n    map {\n");
+    for k in 1..=layers {
+        for i in 0..width {
+            let a = (k + i) % 3;
+            if i + 1 == width {
+                let _ = writeln!(s, "        t{k}_{i} -> h{a};");
+            } else {
+                let _ = writeln!(s, "        t{k}_{i} -> h{a}, h{};", (a + 1) % 3);
+            }
+        }
+    }
+    for i in 0..width {
+        let _ = writeln!(s, "        bind s{i} -> sn{i};");
+    }
+    s.push_str("    }\n}\n");
+    s
+}
+
+/// A cold compile must not block the cache: while one submission spends
+/// its cold analysis on a new spec (which then fails with `S003`, its
+/// LRC being out of reach), a job on an already cached spec, submitted
+/// meanwhile, returns first.
+#[test]
+fn cold_compile_does_not_block_cache_hits() {
+    let engine = engine(2, 4);
+    let hot = Job {
+        rounds: 50,
+        replications: 2,
+        ..job()
+    };
+    assert!(!submit_ok(&engine, &hot).cache_hit);
+    let cold = Job {
+        spec_source: layered_spec(3, 4, "0.99999"),
+        spec_label: "layered.htl".to_owned(),
+        ..hot.clone()
+    };
+    let finished = std::sync::Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let err = engine.submit(&cold).expect_err("the LRC cannot be met");
+            assert_eq!(err.code, proto::S_COMPILE, "{}", err.message);
+            finished.lock().unwrap().push("cold");
+        });
+        // The miss is counted just before the cold compile starts.
+        while engine.counter(names::SERVE_CACHE_MISSES) < 2 {
+            std::thread::yield_now();
+        }
+        assert!(submit_ok(&engine, &hot).cache_hit);
+        finished.lock().unwrap().push("hot");
+    });
+    assert_eq!(*finished.lock().unwrap(), ["hot", "cold"]);
+    assert_eq!(engine.counter(names::SERVE_CACHE_MISSES), 2);
+    assert_eq!(engine.counter(names::SERVE_CACHE_HITS), 1);
+    engine.shutdown();
+}
+
 fn htlc(args: &[&str], stdin: &str) -> std::process::Output {
     use std::io::Write as _;
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_htlc"))
