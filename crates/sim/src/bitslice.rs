@@ -34,7 +34,9 @@
 //! update sequence into a [`Trace`]; a campaign unit stores nothing per
 //! update. (Any caller can still watch the sequence lane by lane through
 //! a supervisor: [`Supervisor::observe`] fires for every update in
-//! order.)
+//! order.) [`Simulation::run_monitored`] adds one group [`LrcMonitor`]
+//! that sees each update once, as the mask of lanes holding a reliable
+//! value; campaign units use it instead of a monitor per lane.
 //!
 //! # Shared behaviors — purity contract
 //!
@@ -61,7 +63,7 @@ use crate::behavior::BehaviorMap;
 use crate::environment::Environment;
 use crate::fault::FaultInjector;
 use crate::kernel::{task_audiences, warm_after_rejoin, SimOutput, Simulation, TaskStats};
-use crate::monitor::{NoSupervisor, Supervisor};
+use crate::monitor::{emit_alarm, LrcMonitor, NoSupervisor, Supervisor};
 use crate::trace::Trace;
 use logrel_core::roundprog::UpdateOp;
 use logrel_core::{CommunicatorId, FailureModel, HostId, TaskId, Tick, Value};
@@ -457,15 +459,48 @@ impl<'a> Simulation<'a> {
         S: Supervisor,
         M: MetricsSink,
     {
-        self.run_lanes(behaviors, lanes, rounds, &mut ())
+        self.run_lanes(behaviors, lanes, None, rounds, &mut ())
     }
 
-    /// [`Simulation::run_bitsliced`], writing every update to `log` as
-    /// well.
+    /// [`Simulation::run_bitsliced`] watched by one group [`LrcMonitor`]
+    /// (built with [`LrcMonitor::with_lanes`] for `lanes.len()` lanes).
+    /// The monitor sees every communicator update once, as the mask of
+    /// lanes holding a reliable value, and each alarm it fires goes to
+    /// that lane's sink right there, where a per-lane supervisor's
+    /// alarm would have gone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the monitor's width differs from the number of lanes,
+    /// or as [`Simulation::run_bitsliced`] does.
+    pub fn run_monitored<I, E, S, M>(
+        &self,
+        behaviors: &mut BehaviorMap,
+        lanes: &mut [LaneContext<I, E, S, M>],
+        monitor: &mut LrcMonitor,
+        rounds: u64,
+    ) -> BitslicedOutput
+    where
+        I: FaultInjector,
+        E: Environment,
+        S: Supervisor,
+        M: MetricsSink,
+    {
+        assert_eq!(
+            monitor.width(),
+            lanes.len(),
+            "the monitor must watch every lane"
+        );
+        self.run_lanes(behaviors, lanes, Some(monitor), rounds, &mut ())
+    }
+
+    /// [`Simulation::run_bitsliced`], watched by `monitor` when given
+    /// and writing every update to `log` as well.
     pub(crate) fn run_lanes<I, E, S, M, L>(
         &self,
         behaviors: &mut BehaviorMap,
         lanes: &mut [LaneContext<I, E, S, M>],
+        mut monitor: Option<&mut LrcMonitor>,
         rounds: u64,
         log: &mut L,
     ) -> BitslicedOutput
@@ -659,7 +694,14 @@ impl<'a> Simulation<'a> {
                     }
                     // The ⊥ lanes are those outside every value class.
                     let ci = op.comm();
-                    unreliable.add(ci, !comm_classes[ci].union() & all_mask, all_mask);
+                    let reliable = comm_classes[ci].union();
+                    if let Some(monitor) = monitor.as_deref_mut() {
+                        let c = CommunicatorId::new(ci as u32);
+                        monitor.observe_lanes(c, now, reliable, |li, alarm| {
+                            emit_alarm(alarm, &mut lanes[li].sink);
+                        });
+                    }
+                    unreliable.add(ci, !reliable & all_mask, all_mask);
                     log.record(ci, now, &comm_classes[ci]);
                 }
 

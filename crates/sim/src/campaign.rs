@@ -1,9 +1,9 @@
 //! Scenario campaigns over the deterministic Monte-Carlo harness.
 //!
 //! A campaign runs a [`Scenario`] for a batch of seeded replications,
-//! planned by [`plan_campaign`] into [`CampaignUnit`]s, with an online
-//! [`LrcMonitor`] attached to every replication, and aggregates per
-//! communicator: the
+//! planned by [`plan_campaign`] into [`CampaignUnit`]s, with one online
+//! [`LrcMonitor`] watching every replication of a unit, and aggregates
+//! per communicator: the
 //! empirical long-run reliability λ̂ against a caller-supplied analytic
 //! SRG (with the Hoeffding radius over the pooled sample count), the
 //! time to the first LRC violation, and alarm counts. Scripted host
@@ -13,7 +13,7 @@
 
 use crate::bitslice::{BitslicedOutput, LaneContext};
 use crate::kernel::Simulation;
-use crate::monitor::{AlarmKind, LrcMonitor, MonitorConfig};
+use crate::monitor::{AlarmKind, LrcMonitor, MonitorConfig, MonitorLane, NoSupervisor};
 use crate::montecarlo::{derive_seed, run_indexed_units, BatchConfig, ReplicationContext};
 use crate::scenario::{Scenario, ScenarioEnvironment, ScenarioError, ScenarioInjector};
 use logrel_core::{CommunicatorId, Specification, Tick};
@@ -57,7 +57,7 @@ impl LaneMode {
 pub struct CampaignConfig {
     /// The Monte-Carlo batch (replications, rounds, base seed, threads).
     pub batch: BatchConfig,
-    /// The online monitor attached to each replication.
+    /// The online LRC monitor watching each replication.
     pub monitor: MonitorConfig,
     /// Lane-group width (default: 64-wide groups).
     pub lanes: LaneMode,
@@ -318,7 +318,7 @@ fn rep_stats(
     spec: &Specification,
     out: &BitslicedOutput,
     lane: usize,
-    monitor: &LrcMonitor,
+    monitor: MonitorLane<'_>,
 ) -> RepStats {
     let comm_count = spec.communicator_count();
     let mut stats = RepStats {
@@ -352,9 +352,9 @@ fn rep_stats(
 /// `setup(rep)` builds each replication's *base* context — behaviors,
 /// environment, inner fault injector — which the campaign wraps in the
 /// scenario layers ([`ScenarioInjector`], [`ScenarioEnvironment`]) and
-/// an [`LrcMonitor`]. `analytic` carries the per-communicator SRGs to
-/// compare λ̂ against (`None` entries skip the comparison); pass `&[]`
-/// to skip it entirely.
+/// watches with an [`LrcMonitor`]. `analytic` carries the
+/// per-communicator SRGs to compare λ̂ against (`None` entries skip the
+/// comparison); pass `&[]` to skip it entirely.
 pub fn run_campaign<'a, S>(
     sim: &Simulation<'_>,
     spec: &Specification,
@@ -424,10 +424,12 @@ where
 /// [`plan_campaign`] checks once up front are re-validated here per unit
 /// (scenario wrapping propagates its error instead of panicking), so a
 /// malformed unit diagnoses rather than takes down the worker. The unit
-/// runs as one lane group of [`Simulation::run_bitsliced`], whatever
-/// its width, and reduces each lane to its [`RepStats`] from the counts
-/// the kernel kept — no trace is recorded, so memory does not grow with
-/// the rounds. Every replication is bit-identical to its place in a
+/// runs as one lane group of [`Simulation::run_monitored`], whatever
+/// its width, under one group [`LrcMonitor`] (the lanes themselves are
+/// passive [`NoSupervisor`]s), and reduces each lane to its
+/// [`RepStats`] from the counts the kernel kept and the monitor's
+/// verdicts — no trace is recorded, so memory does not grow with the
+/// rounds. Every replication is bit-identical to its place in a
 /// monolithic [`run_campaign`] — seeds depend only on `(base_seed, rep)`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_unit<'a, S, M, FM>(
@@ -467,7 +469,7 @@ where
             derive_seed(config.batch.base_seed, rep),
             injector,
             environment,
-            LrcMonitor::new(spec, config.monitor),
+            NoSupervisor,
             make_sink(rep),
         ));
     }
@@ -476,13 +478,19 @@ where
         // diagnose, never panic, inside a service worker.
         return Err(CampaignError::LaneWidth(0));
     };
-    let out = sim.run_bitsliced(&mut behaviors, &mut lanes, config.batch.rounds);
+    let mut monitor = LrcMonitor::with_lanes(spec, config.monitor, width);
+    let out = sim.run_monitored(
+        &mut behaviors,
+        &mut lanes,
+        &mut monitor,
+        config.batch.rounds,
+    );
     Ok(lanes
         .into_iter()
         .enumerate()
         .map(|(li, lane)| {
-            let (_injector, _environment, monitor, sink) = lane.into_parts();
-            (rep_stats(spec, &out, li, &monitor), sink)
+            let (_injector, _environment, _supervisor, sink) = lane.into_parts();
+            (rep_stats(spec, &out, li, monitor.lane(li)), sink)
         })
         .collect())
 }

@@ -378,7 +378,7 @@ impl<'a> Simulation<'a> {
             trace.reserve(comm, (k * rounds) as usize);
         }
         let mut trace = [trace];
-        let out = self.run_lanes(behaviors, &mut lanes, config.rounds, &mut trace[..]);
+        let out = self.run_lanes(behaviors, &mut lanes, None, config.rounds, &mut trace[..]);
         let [trace] = trace;
         out.output(0, trace)
     }

@@ -80,8 +80,8 @@ pub use fault::{
 pub use fuzz::{run_fuzz, FuzzArtifact, FuzzConfig, FuzzOutcome};
 pub use kernel::{SimBuildError, SimConfig, SimOutput, Simulation};
 pub use monitor::{
-    Alarm, AlarmKind, DegradationRule, Degrader, LrcMonitor, MonitorConfig, NoSupervisor,
-    Response, Supervisor,
+    Alarm, AlarmKind, DegradationRule, Degrader, LrcMonitor, MonitorConfig, MonitorLane,
+    NoSupervisor, Response, Supervisor,
 };
 pub use montecarlo::{
     derive_seed, run_batch, run_indexed_units, run_replications, BatchConfig, ReplicationContext,

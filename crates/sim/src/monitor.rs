@@ -11,6 +11,11 @@
 //! µ_c — a natural hysteresis, since clearing needs the plain mean while
 //! raising needs mean + ε to fall short.
 //!
+//! One monitor watches a whole lane group: the lanes share the update
+//! instants, so each window is one ring of reliable-lane masks, and once
+//! it is full only the lanes whose bit changed are evaluated again. The
+//! one-lane form is a [`Supervisor`].
+//!
 //! A [`Degrader`] turns alarms into scripted responses: drop a flaky
 //! replica from the vote (the kernel consults
 //! [`Supervisor::exclude_replica`] per invocation), or emit an HTL mode
@@ -20,8 +25,8 @@
 //! [`Platform::event`]: logrel_emachine::Platform
 
 use logrel_core::{CommunicatorId, HostId, Specification, TaskId, Tick, Value};
-use logrel_obs::{names, MetricsSink, ObsEvent};
-use logrel_reliability::{hoeffding_epsilon, SlidingMean};
+use logrel_obs::{names, MetricsSink, NoopSink, ObsEvent};
+use logrel_reliability::hoeffding_epsilon;
 
 /// Runtime hook invoked by the simulation kernel.
 ///
@@ -130,12 +135,11 @@ pub struct Alarm {
     pub lrc: f64,
 }
 
-/// Per-communicator window state.
-#[derive(Debug, Clone)]
-struct CommWindow {
-    lrc: f64,
-    window: SlidingMean,
-    active: bool,
+/// One lane's verdicts on one LRC communicator.
+#[derive(Debug, Clone, Default)]
+struct LaneVerdicts {
+    /// Reliable updates in the lane's current window.
+    ones: usize,
     first_violation: Option<Tick>,
     /// First instant the full-window mean dipped below µ_c by at least
     /// *half* the Hoeffding band — the ground-truth violation the alarm
@@ -146,51 +150,114 @@ struct CommWindow {
     /// alarmed on within one window is a monitor miss (the fuzzer's
     /// headline objective).
     first_dip: Option<Tick>,
-    /// Updates observed so far (the clock [`CommWindow::dip_update`] and
-    /// [`CommWindow::alarm_update`] are measured on).
-    updates: u64,
     /// Update index of `first_dip`.
     dip_update: Option<u64>,
     /// Update index of the first raised alarm.
     alarm_update: Option<u64>,
 }
 
-/// The online LRC monitor: one sliding window per communicator carrying
-/// a long-run constraint.
+/// One LRC communicator's window, shared by the whole lane group: every
+/// lane sees the same update instants, so one ring of reliable-lane
+/// masks replaces a ring of bits per lane.
+#[derive(Debug, Clone)]
+struct CommWindow {
+    lrc: f64,
+    /// The reliable-lane masks of the last `window` updates; once the
+    /// window is full, the oldest sits at `next`.
+    ring: Vec<u64>,
+    next: usize,
+    /// Masks in `ring`: the window length seen by every lane.
+    filled: usize,
+    /// Updates observed so far (the clock `dip_update` and
+    /// `alarm_update` are measured on).
+    updates: u64,
+    /// Lanes with a raised, not yet cleared alarm.
+    active: u64,
+    /// Lanes whose first dip has been seen.
+    dipped: u64,
+    /// Per lane.
+    lanes: Vec<LaneVerdicts>,
+}
+
+/// The lanes of `mask`, lowest first.
+fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let li = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            li
+        })
+    })
+}
+
+/// The online LRC monitor of a lane group of 1..=64 replications: one
+/// sliding window per communicator carrying a long-run constraint,
+/// shared by every lane.
+///
+/// [`LrcMonitor::new`] builds the one-lane monitor, which is also a
+/// [`Supervisor`]; [`LrcMonitor::with_lanes`] builds the group form
+/// that [`Simulation::run_monitored`] feeds one reliable-lane mask per
+/// communicator update. A lane's alarms and verdicts are exactly those
+/// of a one-lane monitor fed that lane's updates.
+///
+/// [`Simulation::run_monitored`]: crate::Simulation::run_monitored
 #[derive(Debug, Clone)]
 pub struct LrcMonitor {
     config: MonitorConfig,
+    /// The Hoeffding band of a full window.
+    full_epsilon: f64,
+    /// The group's lanes.
+    all_mask: u64,
     /// Indexed by communicator; `None` for communicators without an LRC.
     windows: Vec<Option<CommWindow>>,
-    alarms: Vec<Alarm>,
+    /// Per lane: alarm transitions, in firing order.
+    alarms: Vec<Vec<Alarm>>,
 }
 
 impl LrcMonitor {
-    /// A monitor over every communicator of `spec` that declares an LRC.
+    /// A one-lane monitor over every communicator of `spec` that
+    /// declares an LRC.
     pub fn new(spec: &Specification, config: MonitorConfig) -> Self {
+        LrcMonitor::with_lanes(spec, config, 1)
+    }
+
+    /// A monitor of a group of `lanes` replications over every
+    /// communicator of `spec` that declares an LRC.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is outside `1..=64`, the window is empty or
+    /// the confidence is outside `(0, 1)`.
+    pub fn with_lanes(spec: &Specification, config: MonitorConfig, lanes: usize) -> Self {
         assert!(config.window > 0, "window must be positive");
         assert!(
             config.confidence > 0.0 && config.confidence < 1.0,
             "confidence must be in (0, 1)"
         );
+        assert!(
+            (1..=64).contains(&lanes),
+            "monitor needs 1..=64 lanes, got {lanes}"
+        );
         LrcMonitor {
             config,
+            full_epsilon: hoeffding_epsilon(config.window, config.confidence),
+            all_mask: u64::MAX >> (64 - lanes),
             windows: spec
                 .communicator_ids()
                 .map(|c| {
                     spec.communicator(c).lrc().map(|lrc| CommWindow {
                         lrc: lrc.get(),
-                        window: SlidingMean::new(config.window),
-                        active: false,
-                        first_violation: None,
-                        first_dip: None,
+                        ring: vec![0; config.window],
+                        next: 0,
+                        filled: 0,
                         updates: 0,
-                        dip_update: None,
-                        alarm_update: None,
+                        active: 0,
+                        dipped: 0,
+                        lanes: vec![LaneVerdicts::default(); lanes],
                     })
                 })
                 .collect(),
-            alarms: Vec::new(),
+            alarms: vec![Vec::new(); lanes],
         }
     }
 
@@ -199,33 +266,184 @@ impl LrcMonitor {
         self.config
     }
 
-    /// All alarm transitions so far, in firing order.
+    /// The number of lanes the monitor watches.
+    pub fn width(&self) -> usize {
+        self.alarms.len()
+    }
+
+    /// Lane `lane`'s alarms and verdicts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= self.width()`.
+    pub fn lane(&self, lane: usize) -> MonitorLane<'_> {
+        assert!(lane < self.width(), "lane {lane} out of {}", self.width());
+        MonitorLane {
+            monitor: self,
+            lane,
+        }
+    }
+
+    /// Lane 0's [`MonitorLane::alarms`].
     pub fn alarms(&self) -> &[Alarm] {
-        &self.alarms
+        self.lane(0).alarms()
+    }
+
+    /// Lane 0's [`MonitorLane::active`].
+    pub fn active(&self, comm: CommunicatorId) -> bool {
+        self.lane(0).active(comm)
+    }
+
+    /// Lane 0's [`MonitorLane::first_violation`].
+    pub fn first_violation(&self, comm: CommunicatorId) -> Option<Tick> {
+        self.lane(0).first_violation(comm)
+    }
+
+    /// Lane 0's [`MonitorLane::first_dip`].
+    pub fn first_dip(&self, comm: CommunicatorId) -> Option<Tick> {
+        self.lane(0).first_dip(comm)
+    }
+
+    /// Lane 0's [`MonitorLane::dip_alarmed`].
+    pub fn dip_alarmed(&self, comm: CommunicatorId) -> bool {
+        self.lane(0).dip_alarmed(comm)
+    }
+
+    /// One update of `comm` at `now` on every lane: `reliable` is the
+    /// mask of lanes whose new value is reliable. Calls `fired(lane,
+    /// alarm)` for each alarm transition the update causes, in lane
+    /// order; a lane fires at most one per update.
+    ///
+    /// Once the window is full, ε is the constant band of a full window,
+    /// and only the lanes whose new bit differs from the evicted one are
+    /// evaluated. Every other lane keeps its count and so its mean, and
+    /// its predicates are at a fixed point: a raise leaves mean < µ, so
+    /// no clear can follow at the same mean; a clear leaves mean ≥ µ, so
+    /// no raise can follow; a dip latches. The rule needs the window to
+    /// have been full *before* the push, so that the lane's last
+    /// evaluation saw the same length and band.
+    pub(crate) fn observe_lanes(
+        &mut self,
+        comm: CommunicatorId,
+        now: Tick,
+        reliable: u64,
+        mut fired: impl FnMut(usize, &Alarm),
+    ) {
+        let Some(w) = &mut self.windows[comm.index()] else {
+            return;
+        };
+        let reliable = reliable & self.all_mask;
+        let was_full = w.filled == w.ring.len();
+        let evicted = if was_full {
+            w.ring[w.next]
+        } else {
+            w.filled += 1;
+            0
+        };
+        w.ring[w.next] = reliable;
+        w.next += 1;
+        if w.next == w.ring.len() {
+            w.next = 0;
+        }
+        w.updates += 1;
+        let changed = reliable ^ evicted;
+        for li in lanes_of(changed) {
+            if reliable >> li & 1 != 0 {
+                w.lanes[li].ones += 1;
+            } else {
+                w.lanes[li].ones -= 1;
+            }
+        }
+        let evaluate = if was_full { changed } else { self.all_mask };
+        let full = w.filled == w.ring.len();
+        let epsilon = if full {
+            self.full_epsilon
+        } else {
+            hoeffding_epsilon(w.filled, self.config.confidence)
+        };
+        for li in lanes_of(evaluate) {
+            let bit = 1u64 << li;
+            let lane = &mut w.lanes[li];
+            let mean = lane.ones as f64 / w.filled as f64;
+            if w.dipped & bit == 0 && full && mean + epsilon / 2.0 < w.lrc {
+                // The full-window mean is under µ_c by half the band: a
+                // ground-truth violation, whether or not the full band
+                // makes it confident enough to alarm.
+                w.dipped |= bit;
+                lane.first_dip = Some(now);
+                lane.dip_update = Some(w.updates);
+            }
+            let kind = if w.active & bit == 0 && mean + epsilon < w.lrc {
+                // Even the optimistic end of the confidence band is
+                // below µ_c: the violation is statistically confident.
+                w.active |= bit;
+                lane.alarm_update.get_or_insert(w.updates);
+                lane.first_violation.get_or_insert(now);
+                AlarmKind::Raised
+            } else if w.active & bit != 0 && mean >= w.lrc {
+                w.active &= !bit;
+                AlarmKind::Cleared
+            } else {
+                continue;
+            };
+            let alarm = Alarm {
+                comm,
+                at: now,
+                kind,
+                mean,
+                epsilon,
+                lrc: w.lrc,
+            };
+            self.alarms[li].push(alarm);
+            fired(li, &alarm);
+        }
+    }
+
+    fn verdicts(&self, comm: CommunicatorId, lane: usize) -> Option<(&CommWindow, &LaneVerdicts)> {
+        self.windows[comm.index()]
+            .as_ref()
+            .map(|w| (w, &w.lanes[lane]))
+    }
+}
+
+/// One lane of an [`LrcMonitor`]: the alarms and verdicts a one-lane
+/// monitor fed that lane's updates would hold.
+#[derive(Debug, Clone, Copy)]
+pub struct MonitorLane<'a> {
+    monitor: &'a LrcMonitor,
+    lane: usize,
+}
+
+impl<'a> MonitorLane<'a> {
+    /// All alarm transitions of the lane so far, in firing order.
+    pub fn alarms(&self) -> &'a [Alarm] {
+        &self.monitor.alarms[self.lane]
     }
 
     /// Is an alarm currently active for `comm`?
     pub fn active(&self, comm: CommunicatorId) -> bool {
-        self.windows[comm.index()]
-            .as_ref()
-            .is_some_and(|w| w.active)
+        self.monitor
+            .verdicts(comm, self.lane)
+            .is_some_and(|(w, _)| w.active >> self.lane & 1 != 0)
     }
 
     /// The instant of the first raised alarm for `comm`, if any — the
     /// "time to first LRC violation" statistic of the campaign report.
     pub fn first_violation(&self, comm: CommunicatorId) -> Option<Tick> {
-        self.windows[comm.index()]
-            .as_ref()
-            .and_then(|w| w.first_violation)
+        self.monitor
+            .verdicts(comm, self.lane)
+            .and_then(|(_, v)| v.first_violation)
     }
 
     /// The first instant the full-window mean for `comm` dipped below
     /// µ_c by at least half the Hoeffding band, if it ever did — the
     /// empirical µ-violation the alarm is supposed to catch. When
-    /// `first_dip` is `Some` and [`LrcMonitor::dip_alarmed`] is `false`,
+    /// `first_dip` is `Some` and [`MonitorLane::dip_alarmed`] is `false`,
     /// the monitor *missed* the violation.
     pub fn first_dip(&self, comm: CommunicatorId) -> Option<Tick> {
-        self.windows[comm.index()].as_ref().and_then(|w| w.first_dip)
+        self.monitor
+            .verdicts(comm, self.lane)
+            .and_then(|(_, v)| v.first_dip)
     }
 
     /// Whether the dip on `comm` was caught: an alarm was raised no
@@ -236,59 +454,23 @@ impl LrcMonitor {
     /// only a monitor that stayed silent for a whole further window — or
     /// forever — has missed it. `false` when there was no dip.
     ///
-    /// [`first_dip`]: LrcMonitor::first_dip
+    /// [`first_dip`]: MonitorLane::first_dip
     pub fn dip_alarmed(&self, comm: CommunicatorId) -> bool {
-        self.windows[comm.index()].as_ref().is_some_and(|w| {
-            match (w.dip_update, w.alarm_update) {
-                (Some(d), Some(a)) => a <= d + self.config.window as u64,
+        let window = self.monitor.config.window as u64;
+        self.monitor
+            .verdicts(comm, self.lane)
+            .is_some_and(|(_, v)| match (v.dip_update, v.alarm_update) {
+                (Some(d), Some(a)) => a <= d + window,
                 _ => false,
-            }
-        })
+            })
     }
 }
 
+/// As a [`Supervisor`], the monitor watches one lane: build it with
+/// [`LrcMonitor::new`].
 impl Supervisor for LrcMonitor {
     fn observe(&mut self, comm: CommunicatorId, now: Tick, value: Value) {
-        let Some(w) = &mut self.windows[comm.index()] else {
-            return;
-        };
-        w.window.push(value.is_reliable());
-        w.updates += 1;
-        let mean = w.window.mean();
-        let epsilon = hoeffding_epsilon(w.window.len(), self.config.confidence);
-        if w.first_dip.is_none() && w.window.len() >= self.config.window && mean + epsilon / 2.0 < w.lrc
-        {
-            // The full-window mean is under µ_c by half the band: a
-            // ground-truth violation, whether or not the full band makes
-            // it confident enough to alarm.
-            w.first_dip = Some(now);
-            w.dip_update = Some(w.updates);
-        }
-        if !w.active && mean + epsilon < w.lrc {
-            // Even the optimistic end of the confidence band is below
-            // µ_c: the violation is statistically confident.
-            w.active = true;
-            w.alarm_update.get_or_insert(w.updates);
-            w.first_violation.get_or_insert(now);
-            self.alarms.push(Alarm {
-                comm,
-                at: now,
-                kind: AlarmKind::Raised,
-                mean,
-                epsilon,
-                lrc: w.lrc,
-            });
-        } else if w.active && mean >= w.lrc {
-            w.active = false;
-            self.alarms.push(Alarm {
-                comm,
-                at: now,
-                kind: AlarmKind::Cleared,
-                mean,
-                epsilon,
-                lrc: w.lrc,
-            });
-        }
+        self.observe_with(comm, now, value, &mut NoopSink);
     }
 
     fn observe_with(
@@ -298,38 +480,38 @@ impl Supervisor for LrcMonitor {
         value: Value,
         sink: &mut dyn MetricsSink,
     ) {
-        let seen = self.alarms.len();
-        self.observe(comm, now, value);
-        if sink.enabled() {
-            emit_alarms(&self.alarms[seen..], sink);
-        }
+        debug_assert_eq!(self.width(), 1, "a supervisor watches one lane");
+        self.observe_lanes(comm, now, u64::from(value.is_reliable()), |_, alarm| {
+            emit_alarm(alarm, sink);
+        });
     }
 }
 
-/// Records freshly fired alarm transitions on the sink — counters plus
-/// flight-recorder events (an `AlarmRaised` event is what triggers the
-/// recorder's automatic dump).
-fn emit_alarms(fresh: &[Alarm], sink: &mut dyn MetricsSink) {
-    for alarm in fresh {
-        match alarm.kind {
-            AlarmKind::Raised => {
-                sink.inc(names::ALARM_RAISED);
-                sink.event(&ObsEvent::AlarmRaised {
-                    at: alarm.at.as_u64(),
-                    comm: alarm.comm.index(),
-                    mean: alarm.mean,
-                    epsilon: alarm.epsilon,
-                    lrc: alarm.lrc,
-                });
-            }
-            AlarmKind::Cleared => {
-                sink.inc(names::ALARM_CLEARED);
-                sink.event(&ObsEvent::AlarmCleared {
-                    at: alarm.at.as_u64(),
-                    comm: alarm.comm.index(),
-                    mean: alarm.mean,
-                });
-            }
+/// Records a freshly fired alarm transition on an enabled sink — a
+/// counter plus a flight-recorder event (an `AlarmRaised` event is what
+/// triggers the recorder's automatic dump).
+pub(crate) fn emit_alarm<M: MetricsSink + ?Sized>(alarm: &Alarm, sink: &mut M) {
+    if !sink.enabled() {
+        return;
+    }
+    match alarm.kind {
+        AlarmKind::Raised => {
+            sink.inc(names::ALARM_RAISED);
+            sink.event(&ObsEvent::AlarmRaised {
+                at: alarm.at.as_u64(),
+                comm: alarm.comm.index(),
+                mean: alarm.mean,
+                epsilon: alarm.epsilon,
+                lrc: alarm.lrc,
+            });
+        }
+        AlarmKind::Cleared => {
+            sink.inc(names::ALARM_CLEARED);
+            sink.event(&ObsEvent::AlarmCleared {
+                at: alarm.at.as_u64(),
+                comm: alarm.comm.index(),
+                mean: alarm.mean,
+            });
         }
     }
 }
@@ -405,15 +587,7 @@ impl Degrader {
 
 impl Supervisor for Degrader {
     fn observe(&mut self, comm: CommunicatorId, now: Tick, value: Value) {
-        self.monitor.observe(comm, now, value);
-        for (i, rule) in self.rules.iter().enumerate() {
-            if self.engaged[i].is_none() && rule.comm == comm && self.monitor.active(comm) {
-                self.engaged[i] = Some(now);
-                if let Response::ModeSwitch { event } = rule.response {
-                    self.mode_events.push((now, event));
-                }
-            }
-        }
+        self.observe_with(comm, now, value, &mut NoopSink);
     }
 
     fn observe_with(
@@ -423,22 +597,29 @@ impl Supervisor for Degrader {
         value: Value,
         sink: &mut dyn MetricsSink,
     ) {
-        if !sink.enabled() {
-            self.observe(comm, now, value);
+        self.monitor.observe_with(comm, now, value, sink);
+        if !self.monitor.active(comm) {
             return;
         }
-        let alarms_seen = self.monitor.alarms.len();
-        let engaged_seen: Vec<bool> = self.engaged.iter().map(Option::is_some).collect();
-        self.observe(comm, now, value);
-        emit_alarms(&self.monitor.alarms[alarms_seen..], sink);
-        for (i, was) in engaged_seen.iter().enumerate() {
-            if !was && self.engaged[i].is_some() {
+        for (i, rule) in self.rules.iter().enumerate() {
+            if self.engaged[i].is_some() || rule.comm != comm {
+                continue;
+            }
+            self.engaged[i] = Some(now);
+            let mode_switch = match rule.response {
+                Response::ModeSwitch { event } => Some(event),
+                Response::DropReplica { .. } => None,
+            };
+            if let Some(event) = mode_switch {
+                self.mode_events.push((now, event));
+            }
+            if sink.enabled() {
                 sink.inc(names::DEGRADER_ENGAGED);
                 sink.event(&ObsEvent::DegraderEngaged {
                     at: now.as_u64(),
                     rule: i,
                 });
-                if let Response::ModeSwitch { event } = self.rules[i].response {
+                if let Some(event) = mode_switch {
                     sink.inc(names::MODE_SWITCH);
                     sink.event(&ObsEvent::ModeSwitch {
                         at: now.as_u64(),
@@ -462,8 +643,122 @@ impl Supervisor for Degrader {
 mod tests {
     use super::*;
     use logrel_core::{CommunicatorDecl, Reliability, TaskDecl, ValueType};
+    use logrel_reliability::SlidingMean;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    fn spec_with_lrc(lrc: f64) -> (Specification, CommunicatorId) {
+    /// One lane's window on one communicator, written the direct way: a
+    /// [`SlidingMean`] of bits and every predicate evaluated on every
+    /// update.
+    #[derive(Debug, Clone)]
+    struct OracleWindow {
+        lrc: f64,
+        window: SlidingMean,
+        active: bool,
+        first_violation: Option<Tick>,
+        first_dip: Option<Tick>,
+        updates: u64,
+        dip_update: Option<u64>,
+        alarm_update: Option<u64>,
+    }
+
+    /// The per-lane monitor the group monitor must reproduce lane by
+    /// lane. It shares no window or predicate code with [`LrcMonitor`].
+    #[derive(Debug, Clone)]
+    struct OracleMonitor {
+        config: MonitorConfig,
+        windows: Vec<Option<OracleWindow>>,
+        alarms: Vec<Alarm>,
+    }
+
+    impl OracleMonitor {
+        fn new(spec: &Specification, config: MonitorConfig) -> Self {
+            OracleMonitor {
+                config,
+                windows: spec
+                    .communicator_ids()
+                    .map(|c| {
+                        spec.communicator(c).lrc().map(|lrc| OracleWindow {
+                            lrc: lrc.get(),
+                            window: SlidingMean::new(config.window),
+                            active: false,
+                            first_violation: None,
+                            first_dip: None,
+                            updates: 0,
+                            dip_update: None,
+                            alarm_update: None,
+                        })
+                    })
+                    .collect(),
+                alarms: Vec::new(),
+            }
+        }
+
+        fn observe(&mut self, comm: CommunicatorId, now: Tick, reliable: bool) {
+            let Some(w) = &mut self.windows[comm.index()] else {
+                return;
+            };
+            w.window.push(reliable);
+            w.updates += 1;
+            let mean = w.window.mean();
+            let epsilon = hoeffding_epsilon(w.window.len(), self.config.confidence);
+            if w.first_dip.is_none()
+                && w.window.len() >= self.config.window
+                && mean + epsilon / 2.0 < w.lrc
+            {
+                w.first_dip = Some(now);
+                w.dip_update = Some(w.updates);
+            }
+            let kind = if !w.active && mean + epsilon < w.lrc {
+                w.active = true;
+                w.alarm_update.get_or_insert(w.updates);
+                w.first_violation.get_or_insert(now);
+                AlarmKind::Raised
+            } else if w.active && mean >= w.lrc {
+                w.active = false;
+                AlarmKind::Cleared
+            } else {
+                return;
+            };
+            self.alarms.push(Alarm {
+                comm,
+                at: now,
+                kind,
+                mean,
+                epsilon,
+                lrc: w.lrc,
+            });
+        }
+
+        fn window(&self, comm: CommunicatorId) -> Option<&OracleWindow> {
+            self.windows[comm.index()].as_ref()
+        }
+
+        fn dip_alarmed(&self, comm: CommunicatorId) -> bool {
+            self.window(comm)
+                .is_some_and(|w| match (w.dip_update, w.alarm_update) {
+                    (Some(d), Some(a)) => a <= d + self.config.window as u64,
+                    _ => false,
+                })
+        }
+    }
+
+    /// An alarm with its floats as bits, so equality is bit-identity.
+    fn alarm_bits(a: &Alarm) -> (CommunicatorId, Tick, AlarmKind, u64, u64, u64) {
+        (
+            a.comm,
+            a.at,
+            a.kind,
+            a.mean.to_bits(),
+            a.epsilon.to_bits(),
+            a.lrc.to_bits(),
+        )
+    }
+
+    /// A spec with one unconstrained sensor communicator `s` and one
+    /// communicator per entry of `lrcs`, each written by its own task.
+    fn spec_with_lrcs(lrcs: &[f64]) -> (Specification, Vec<CommunicatorId>) {
         let mut sb = Specification::builder();
         let s = sb
             .communicator(
@@ -472,15 +767,154 @@ mod tests {
                     .from_sensor(),
             )
             .unwrap();
-        let u = sb
-            .communicator(
-                CommunicatorDecl::new("u", ValueType::Float, 10)
-                    .unwrap()
-                    .with_lrc(Reliability::new(lrc).unwrap()),
-            )
-            .unwrap();
-        sb.task(TaskDecl::new("t").reads(s, 0).writes(u, 1)).unwrap();
-        (sb.build().unwrap(), u)
+        let mut comms = vec![s];
+        for (i, &lrc) in lrcs.iter().enumerate() {
+            let u = sb
+                .communicator(
+                    CommunicatorDecl::new(format!("u{i}"), ValueType::Float, 10)
+                        .unwrap()
+                        .with_lrc(Reliability::new(lrc).unwrap()),
+                )
+                .unwrap();
+            sb.task(TaskDecl::new(format!("t{i}")).reads(s, 0).writes(u, 1))
+                .unwrap();
+            comms.push(u);
+        }
+        (sb.build().unwrap(), comms)
+    }
+
+    /// An LRC for `window` and `confidence`: (just above) 0, 1, anywhere,
+    /// or a window mean `k / n` plus none, half or all of the band ε(n),
+    /// give or take one ulp — the values on which the `<` and `>=`
+    /// predicates flip. `n` is the full window half the time, since full
+    /// windows last longest. A [`Reliability`] is positive, so the
+    /// smallest positive `f64` stands in for 0.
+    fn pick_lrc(rng: &mut StdRng, window: usize, confidence: f64) -> f64 {
+        let zero = f64::from_bits(1);
+        let lrc = match rng.gen_range(0..4u32) {
+            0 => zero,
+            1 => 1.0,
+            2 => rng.gen::<f64>(),
+            _ => {
+                let n = if rng.gen_bool(0.5) {
+                    window
+                } else {
+                    rng.gen_range(1..=window)
+                };
+                let epsilon = hoeffding_epsilon(n, confidence);
+                let band = [0.0, epsilon / 2.0, epsilon][rng.gen_range(0..3usize)];
+                let top = ((1.0 - band) * n as f64).floor().max(0.0) as usize;
+                let lrc = rng.gen_range(0..=top) as f64 / n as f64 + band;
+                match rng.gen_range(0..3u32) {
+                    0 => f64::from_bits(lrc.to_bits().saturating_sub(1)),
+                    1 => f64::from_bits(lrc.to_bits() + 1),
+                    _ => lrc,
+                }
+            }
+        };
+        lrc.clamp(zero, 1.0)
+    }
+
+    /// Feeds one random reliable-mask stream to a `width`-lane monitor
+    /// and to one oracle per lane, and checks every fired alarm and
+    /// every verdict lane by lane.
+    fn check_against_oracle(width: usize, config: MonitorConfig, seed: u64, updates: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let lrcs: Vec<f64> = (0..3)
+            .map(|_| pick_lrc(&mut rng, config.window, config.confidence))
+            .collect();
+        let (spec, comms) = spec_with_lrcs(&lrcs);
+        let mut group = LrcMonitor::with_lanes(&spec, config, width);
+        let mut oracles = vec![OracleMonitor::new(&spec, config); width];
+        // Piecewise-constant failure rates: long healthy or failing
+        // stretches fill windows whose bits mostly repeat (the skipped
+        // lanes), and the switches move means across the thresholds.
+        const RATES: [f64; 6] = [0.0, 0.01, 0.1, 0.3, 0.7, 1.0];
+        let mut p_fail = 0.0;
+        for i in 0..updates {
+            if i % 64 == 0 {
+                p_fail = RATES[rng.gen_range(0..RATES.len())];
+            }
+            let comm = comms[rng.gen_range(0..comms.len())];
+            let mask = (0..width).fold(0u64, |m, li| {
+                m | u64::from(rng.gen::<f64>() >= p_fail) << li
+            });
+            let now = Tick::new(i * 10);
+            let mut fired = Vec::new();
+            group.observe_lanes(comm, now, mask, |li, a| fired.push((li, alarm_bits(a))));
+            let mut expected = Vec::new();
+            for (li, oracle) in oracles.iter_mut().enumerate() {
+                let seen = oracle.alarms.len();
+                oracle.observe(comm, now, mask >> li & 1 == 1);
+                expected.extend(oracle.alarms[seen..].iter().map(|a| (li, alarm_bits(a))));
+            }
+            assert_eq!(fired, expected, "update {i} of {comm:?}, lrcs {lrcs:?}");
+        }
+        for (li, oracle) in oracles.iter().enumerate() {
+            let lane = group.lane(li);
+            let got: Vec<_> = lane.alarms().iter().map(alarm_bits).collect();
+            let want: Vec<_> = oracle.alarms.iter().map(alarm_bits).collect();
+            assert_eq!(got, want, "lane {li}, lrcs {lrcs:?}");
+            for &c in &comms {
+                let w = oracle.window(c);
+                assert_eq!(lane.active(c), w.is_some_and(|w| w.active));
+                assert_eq!(lane.first_violation(c), w.and_then(|w| w.first_violation));
+                assert_eq!(lane.first_dip(c), w.and_then(|w| w.first_dip));
+                assert_eq!(lane.dip_alarmed(c), oracle.dip_alarmed(c));
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn group_monitor_matches_per_lane_oracle(
+            width in 1usize..=64,
+            window in prop_oneof![Just(1usize), Just(2usize), Just(3usize), Just(200usize)],
+            confidence in prop_oneof![Just(0.9), Just(0.99)],
+            seed in any::<u64>(),
+            updates in 1u64..1200,
+        ) {
+            check_against_oracle(width, MonitorConfig { window, confidence }, seed, updates);
+        }
+    }
+
+    #[test]
+    fn one_lane_supervisor_matches_oracle() {
+        let (spec, comms) = spec_with_lrcs(&[0.9]);
+        let u = comms[1];
+        let config = MonitorConfig {
+            window: 20,
+            confidence: 0.99,
+        };
+        let mut monitor = LrcMonitor::new(&spec, config);
+        let mut oracle = OracleMonitor::new(&spec, config);
+        let mut sink = logrel_obs::Registry::new();
+        for i in 0..400u64 {
+            let now = Tick::new(i);
+            let reliable = (i / 50) % 2 == 0 || i % 3 == 0;
+            let value = if reliable {
+                Value::Float(1.0)
+            } else {
+                Value::Unreliable
+            };
+            monitor.observe_with(u, now, value, &mut sink);
+            oracle.observe(u, now, reliable);
+        }
+        let got: Vec<_> = monitor.alarms().iter().map(alarm_bits).collect();
+        let want: Vec<_> = oracle.alarms.iter().map(alarm_bits).collect();
+        assert!(!want.is_empty());
+        assert_eq!(got, want);
+        let raised = want.iter().filter(|a| a.2 == AlarmKind::Raised).count() as u64;
+        assert_eq!(sink.counter(names::ALARM_RAISED), raised);
+        assert_eq!(
+            sink.counter(names::ALARM_CLEARED),
+            want.len() as u64 - raised
+        );
+    }
+
+    fn spec_with_lrc(lrc: f64) -> (Specification, CommunicatorId) {
+        let (spec, comms) = spec_with_lrcs(&[lrc]);
+        (spec, comms[1])
     }
 
     #[test]
@@ -605,7 +1039,7 @@ mod tests {
     #[test]
     fn degrader_latches_and_excludes() {
         let (spec, u) = spec_with_lrc(0.9);
-        let t = spec.find_task("t").unwrap();
+        let t = spec.find_task("t0").unwrap();
         let h = HostId::new(1);
         let mut d = Degrader::new(
             LrcMonitor::new(

@@ -118,6 +118,19 @@ grep -q '^logrel_bitslice_lanes 1$' "$METRICS_DIR/scalar.prom"
 grep -q '^logrel_bitslice_lanes 64$' "$METRICS_DIR/sliced.prom"
 diff <(grep -v '^logrel_bitslice_lanes' "$METRICS_DIR/scalar.prom" | grep -v '_seconds') \
      <(grep -v '^logrel_bitslice_lanes' "$METRICS_DIR/sliced.prom" | grep -v '_seconds')
+# The same diff on a campaign that exercises the LRC monitor: the
+# steer-by-wire scenario with every event kind raises and clears over a
+# hundred alarms, so the group monitor's alarm counters and
+# flight-recorder dumps must match width 1 with a 6-lane tail.
+"$HTLC" inject --lanes off --metrics "$METRICS_DIR/steer_scalar.prom" \
+    assets/steer_by_wire.htl tests/assets/scenarios/steer_every_event.scn 400 7 70 \
+    > /dev/null
+"$HTLC" inject --lanes 64 --metrics "$METRICS_DIR/steer_sliced.prom" \
+    assets/steer_by_wire.htl tests/assets/scenarios/steer_every_event.scn 400 7 70 \
+    > /dev/null
+grep -q '^logrel_alarm_raised_total [1-9][0-9]' "$METRICS_DIR/steer_sliced.prom"
+diff <(grep -v '^logrel_bitslice_lanes' "$METRICS_DIR/steer_scalar.prom" | grep -v '_seconds') \
+     <(grep -v '^logrel_bitslice_lanes' "$METRICS_DIR/steer_sliced.prom" | grep -v '_seconds')
 
 echo "==> htlc inject smoke (partition + wear-out scenarios)"
 "$HTLC" inject examples/htl/infusion_pump.htl examples/scenarios/partition.scn 400 7 2 \

@@ -15,8 +15,8 @@ use logrel_obs::{export, NoopSink, Registry};
 use logrel_sim::bitslice::LaneContext;
 use logrel_sim::{
     BehaviorMap, ConstantEnvironment, CorruptingFaults, Environment, FaultInjector, HostSet,
-    LrcMonitor, MonitorConfig, ProbabilisticFaults, Scenario, ScenarioEnvironment, ScenarioEvent,
-    ScenarioInjector, SimConfig, SimOutput, Simulation, Supervisor, Trace, UnplugAt,
+    LrcMonitor, MonitorConfig, NoSupervisor, ProbabilisticFaults, Scenario, ScenarioEnvironment,
+    ScenarioEvent, ScenarioInjector, SimConfig, SimOutput, Simulation, Supervisor, Trace, UnplugAt,
     VotingStrategy,
 };
 use logrel_steerbywire::{SteerScenario, SteerSystem};
@@ -168,7 +168,8 @@ fn threetank_lanes_match_scalar_under_full_scenario() {
 /// Supervisors and metrics sinks, which the reference interpreter does
 /// not take: lane `i` of a 64-wide group — its output, its monitor's
 /// alarms and its exported registry — equals a one-lane run of the same
-/// seed, under every scenario event kind.
+/// seed, under every scenario event kind. The group is run twice: with
+/// a monitor per lane, and with one group monitor (`run_monitored`).
 #[test]
 fn supervised_observed_lanes_match_one_lane_runs() {
     let sys = ThreeTankSystem::with_options(Deployment::Baseline, 0.999, Some(0.95)).unwrap();
@@ -207,6 +208,29 @@ fn supervised_observed_lanes_match_one_lane_runs() {
         })
         .collect();
     let packed = sim.run_bitsliced(&mut BehaviorMap::default(), &mut lanes, rounds);
+    let mut group = LrcMonitor::with_lanes(&sys.spec, monitor, seeds.len());
+    let mut group_lanes: Vec<_> = seeds
+        .iter()
+        .map(|&seed| {
+            LaneContext::new(
+                seed,
+                fresh_inj(),
+                fresh_env(),
+                NoSupervisor,
+                Registry::with_recorder(64),
+            )
+        })
+        .collect();
+    sim.run_monitored(
+        &mut BehaviorMap::default(),
+        &mut group_lanes,
+        &mut group,
+        rounds,
+    );
+    let group_registries: Vec<Registry> = group_lanes
+        .into_iter()
+        .map(|lane| lane.into_parts().3)
+        .collect();
 
     let mut alarms = 0;
     for (i, (lane, &seed)) in lanes.into_iter().zip(&seeds).enumerate() {
@@ -245,6 +269,16 @@ fn supervised_observed_lanes_match_one_lane_runs() {
             export::to_json(&lane_registry),
             export::to_json(&one_registry),
             "lane {i} metrics"
+        );
+        assert_eq!(
+            group.lane(i).alarms(),
+            one_monitor.alarms(),
+            "lane {i} group alarms"
+        );
+        assert_eq!(
+            export::to_json(&group_registries[i]),
+            export::to_json(&one_registry),
+            "lane {i} group metrics"
         );
         alarms += one_monitor.alarms().len();
     }
