@@ -27,6 +27,10 @@
 //!   flight-recorder registries) with and without its group LRC monitor
 //!   — `campaign_monitor_overhead` is the median paired monitored/plain
 //!   ratio, ceiling-gated under `--compare`;
+//! * the same monitored unit with the production registries against
+//!   `NoopSink` lanes — `campaign_obs_overhead` is the median paired
+//!   registry/no-op ratio, what observation costs a campaign unit,
+//!   ceiling-gated under `--compare`;
 //! * `compute_srgs` on the 3TS (ns per full report);
 //! * full static reliability certification on the 3TS
 //!   (`certify_specs_per_sec` — interval SRGs, symbolic sensitivities and
@@ -58,7 +62,7 @@
 
 use logrel_core::json::{self, Json};
 use logrel_core::prelude::*;
-use logrel_obs::{NoopSink, Registry};
+use logrel_obs::{MetricsSink, NoopSink, Registry};
 use logrel_reliability::{compute_srgs, exhaustive_synthesize, synthesize, SynthesisOptions};
 use logrel_serve::pipeline::{replication_context, Symbols};
 use logrel_sim::{
@@ -160,6 +164,12 @@ const RATIO_FLOORS: &[(&str, &str, &str, f64)] = &[
 /// monitor may cost at most 1.15x the same unit without one: nine runs
 /// on a 2-core VM measured 1.046–1.067 (64 per-lane monitors, the design
 /// the group monitor replaced, measured 1.62–1.65).
+///
+/// The same monitored unit with the production registries (counters,
+/// vote histogram, 256-event flight recorders) may cost at most 1.25x
+/// the unit with `NoopSink` lanes: eight runs on a 2-core VM measured
+/// 1.131–1.174 with the group tallies and the group event ring (per-lane
+/// events, the design they replaced, measured 1.36–1.57).
 const RATIO_CEILS: &[(&str, &str, f64)] = &[
     ("correlated-scenario overhead", "scenario_overhead", 1.2),
     (
@@ -167,7 +177,74 @@ const RATIO_CEILS: &[(&str, &str, f64)] = &[
         "campaign_monitor_overhead",
         1.15,
     ),
+    ("campaign observation overhead", "campaign_obs_overhead", 1.25),
 ];
+
+/// One 64-lane steer-by-wire campaign unit: the campaign's base context
+/// under the every-event scenario, for the campaign overhead ratios.
+struct SteerUnit<'a> {
+    sim: &'a Simulation<'a>,
+    spec: &'a Specification,
+    arch: &'a Architecture,
+    scenario: &'a FaultScenario,
+}
+
+impl SteerUnit<'_> {
+    /// Wall-clock seconds of one run of the unit with a sink per lane
+    /// from `sink`, watched by its group LRC monitor when `monitored`.
+    fn time<M: MetricsSink>(&self, monitored: bool, sink: impl Fn() -> M) -> f64 {
+        const LANES: usize = 64;
+        let comms = self.spec.communicator_count();
+        let hosts = self.arch.host_count();
+        let mut lanes: Vec<_> = (0..LANES as u64)
+            .map(|rep| {
+                let base = replication_context(self.arch);
+                LaneContext::new(
+                    derive_seed(1, rep),
+                    ScenarioInjector::new(base.injector, self.scenario, hosts, comms)
+                        .expect("valid scenario"),
+                    ScenarioEnvironment::new(base.environment, self.scenario, comms),
+                    NoSupervisor,
+                    sink(),
+                )
+            })
+            .collect();
+        let mut behaviors = BehaviorMap::new();
+        let start = Instant::now();
+        if monitored {
+            let mut monitor = LrcMonitor::with_lanes(self.spec, MonitorConfig::default(), LANES);
+            std::hint::black_box(self.sim.run_monitored(
+                &mut behaviors,
+                &mut lanes,
+                &mut monitor,
+                STEER_ROUNDS,
+            ));
+        } else {
+            std::hint::black_box(self.sim.run_bitsliced(&mut behaviors, &mut lanes, STEER_ROUNDS));
+        }
+        start.elapsed().as_secs_f64()
+    }
+}
+
+/// The median of 31 paired ratios `numerator() / denominator()` of two
+/// timed runs, alternating which side runs first so that clock drift
+/// within a pair cancels in expectation.
+fn paired_median_ratio(numerator: impl Fn() -> f64, denominator: impl Fn() -> f64) -> f64 {
+    const PAIRS: usize = 31;
+    let mut ratios = [0.0f64; PAIRS];
+    for (rep, ratio) in ratios.iter_mut().enumerate() {
+        let (num, den) = if rep % 2 == 0 {
+            let n = numerator();
+            (n, denominator())
+        } else {
+            let d = denominator();
+            (numerator(), d)
+        };
+        *ratio = num / den;
+    }
+    ratios.sort_by(f64::total_cmp);
+    ratios[PAIRS / 2]
+}
 
 /// Minimum wall-clock seconds over `REPS` runs of `f`. The minimum is
 /// the noise-robust estimator for throughput on shared machines: every
@@ -663,52 +740,21 @@ fn main() -> ExitCode {
         FaultScenario::parse_with(STEER_SCN, &Symbols(&steer_sys)).expect("steer scenario parses");
     let steer_td = TimeDependentImplementation::from(steer_sys.imp.clone());
     let steer_sim = Simulation::new(&steer_sys.spec, &steer_sys.arch, &steer_td);
-    let steer_unit = |monitored: bool| -> f64 {
-        let comms = steer_sys.spec.communicator_count();
-        let hosts = steer_sys.arch.host_count();
-        let mut lanes: Vec<_> = (0..LANES as u64)
-            .map(|rep| {
-                let base = replication_context(&steer_sys.arch);
-                LaneContext::new(
-                    derive_seed(1, rep),
-                    ScenarioInjector::new(base.injector, &steer_scenario, hosts, comms)
-                        .expect("valid scenario"),
-                    ScenarioEnvironment::new(base.environment, &steer_scenario, comms),
-                    NoSupervisor,
-                    Registry::with_recorder(STEER_RECORDER),
-                )
-            })
-            .collect();
-        let mut behaviors = BehaviorMap::new();
-        let start = Instant::now();
-        if monitored {
-            let mut monitor =
-                LrcMonitor::with_lanes(&steer_sys.spec, MonitorConfig::default(), LANES);
-            std::hint::black_box(steer_sim.run_monitored(
-                &mut behaviors,
-                &mut lanes,
-                &mut monitor,
-                STEER_ROUNDS,
-            ));
-        } else {
-            std::hint::black_box(steer_sim.run_bitsliced(&mut behaviors, &mut lanes, STEER_ROUNDS));
-        }
-        start.elapsed().as_secs_f64()
+    let unit = SteerUnit {
+        sim: &steer_sim,
+        spec: &steer_sys.spec,
+        arch: &steer_sys.arch,
+        scenario: &steer_scenario,
     };
-    const MONITOR_REPS: usize = 31;
-    let mut monitor_ratios = [0.0f64; MONITOR_REPS];
-    for (rep, ratio) in monitor_ratios.iter_mut().enumerate() {
-        let (plain, monitored) = if rep % 2 == 0 {
-            let p = steer_unit(false);
-            (p, steer_unit(true))
-        } else {
-            let m = steer_unit(true);
-            (steer_unit(false), m)
-        };
-        *ratio = monitored / plain;
-    }
-    monitor_ratios.sort_by(f64::total_cmp);
-    let monitor_overhead = monitor_ratios[MONITOR_REPS / 2];
+    let registry = || Registry::with_recorder(STEER_RECORDER);
+    let monitor_overhead = paired_median_ratio(
+        || unit.time(true, registry),
+        || unit.time(false, registry),
+    );
+    // Campaign observation overhead: the same monitored unit with the
+    // production registries against `NoopSink` lanes — what the
+    // counters, the vote histogram and the flight recorders cost.
+    let obs_overhead = paired_median_ratio(|| unit.time(true, registry), || unit.time(true, || NoopSink));
 
     let srg_secs = best_secs(|| {
         std::hint::black_box(compute_srgs(&sys.spec, &sys.arch, &sys.imp).expect("memory-free"));
@@ -759,6 +805,7 @@ fn main() -> ExitCode {
          \"kernel_scenario_correlated_rounds_per_sec\": {:.0},\n    \
          \"scenario_overhead\": {:.3},\n    \
          \"campaign_monitor_overhead\": {:.3},\n    \
+         \"campaign_obs_overhead\": {:.3},\n    \
          \"reference_rounds_per_sec\": {:.0},\n    \
          \"reference_events_per_sec\": {:.0},\n    \
          \"kernel_speedup_over_reference\": {:.2},\n    \
@@ -788,6 +835,7 @@ fn main() -> ExitCode {
         SIM_ROUNDS as f64 / scenario_correlated_secs,
         scenario_overhead,
         monitor_overhead,
+        obs_overhead,
         SIM_ROUNDS as f64 / reference_secs,
         events as f64 / reference_secs,
         kernel_speedup,

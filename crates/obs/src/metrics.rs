@@ -57,8 +57,21 @@ pub trait MetricsSink {
     }
 
     /// Records a structured event (flight recorder).
+    ///
+    /// The simulator's lane-group kernel does not call this for the
+    /// events it makes itself (votes, replica drops, host transitions):
+    /// it keeps one event ring per lane group and writes each lane's
+    /// share straight into the lane's [`MetricsSink::flight_recorder`].
     fn event(&mut self, event: &ObsEvent) {
         let _ = event;
+    }
+
+    /// The flight recorder this sink's events go to, if any — the hook
+    /// through which the lane-group kernel installs each lane's rebuilt
+    /// ring, its dumps and its eviction count.
+    #[doc(hidden)]
+    fn flight_recorder(&mut self) -> Option<&mut FlightRecorder> {
+        None
     }
 }
 
@@ -323,6 +336,10 @@ impl MetricsSink for Registry {
         if let Some(rec) = &mut self.recorder {
             rec.push(event.clone());
         }
+    }
+
+    fn flight_recorder(&mut self) -> Option<&mut FlightRecorder> {
+        self.recorder.as_mut()
     }
 }
 

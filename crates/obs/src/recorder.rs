@@ -307,14 +307,37 @@ impl FlightRecorder {
     }
 
     fn snapshot(&mut self, at: u64, trigger: DumpTrigger) {
-        if self.dumps.len() >= Self::MAX_DUMPS {
-            return;
+        if self.dumps.len() < Self::MAX_DUMPS {
+            let events = self.ring.iter().cloned().collect();
+            self.install_dump(at, trigger, events);
         }
-        self.dumps.push(Dump {
-            at,
-            trigger,
-            events: self.ring.iter().cloned().collect(),
-        });
+    }
+
+    /// Replaces the live ring by `events` (oldest first, at most
+    /// `capacity`) and counts `evicted` more evictions — the state the
+    /// ring reaches by being pushed every event of a run one at a time.
+    ///
+    /// A hook for the simulator's lane-group kernel, which keeps one
+    /// event ring per group and rebuilds each lane's recorder from it.
+    #[doc(hidden)]
+    pub fn install_ring(&mut self, events: VecDeque<ObsEvent>, evicted: u64) {
+        debug_assert!(events.len() <= self.capacity);
+        self.ring = events;
+        self.dropped += evicted;
+    }
+
+    /// Retains a dump of `events`, unless [`FlightRecorder::MAX_DUMPS`]
+    /// dumps are retained already (the lane-group kernel's counterpart
+    /// of an automatic dump; see [`FlightRecorder::install_ring`]).
+    #[doc(hidden)]
+    pub fn install_dump(&mut self, at: u64, trigger: DumpTrigger, events: Vec<ObsEvent>) {
+        if self.dumps.len() < Self::MAX_DUMPS {
+            self.dumps.push(Dump {
+                at,
+                trigger,
+                events,
+            });
+        }
     }
 
     /// Merges another recorder's dumps into this one (used when

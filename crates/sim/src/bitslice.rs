@@ -38,6 +38,13 @@
 //! that sees each update once, as the mask of lanes holding a reliable
 //! value; campaign units use it instead of a monitor per lane.
 //!
+//! The lanes' metrics sinks are observed the same way, once per group:
+//! the kernel folds each replica's draw outcomes into lane masks, counts
+//! over those masks, and keeps one event ring for the whole group, from
+//! which each lane's flight recorder is rebuilt where it can be looked
+//! at (the group observation module, `observe.rs`). Each sink ends up
+//! exactly as a one-lane run's.
+//!
 //! # Shared behaviors — purity contract
 //!
 //! All lanes share one [`BehaviorMap`]: task behaviors must be pure
@@ -64,13 +71,15 @@ use crate::environment::Environment;
 use crate::fault::FaultInjector;
 use crate::kernel::{task_audiences, warm_after_rejoin, SimOutput, Simulation, TaskStats};
 use crate::monitor::{emit_alarm, LrcMonitor, NoSupervisor, Supervisor};
+use crate::observe::{GroupObs, ReplicaMasks};
 use crate::trace::Trace;
 use logrel_core::roundprog::UpdateOp;
 use logrel_core::{CommunicatorId, FailureModel, HostId, TaskId, Tick, Value};
-use logrel_obs::{names, DropReason, MetricsSink, NoopSink, ObsEvent, VoteOutcome};
+use logrel_obs::{names, MetricsSink, NoopSink, VoteOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::mem;
+use std::panic::{self, AssertUnwindSafe};
 
 /// A partition of the lane set by communicator value.
 ///
@@ -135,18 +144,21 @@ impl LaneClasses {
 }
 
 /// Per-key counts of lane-mask events: an empty mask costs nothing, a
-/// full one a single increment of `all[key]` whatever the width, and only
-/// the lanes of a partial mask are counted one by one in
-/// `extra[key * lanes + lane]`.
+/// full one a single increment of `all[key]` whatever the width, and a
+/// partial mask costs one step per lane on its smaller side — its set
+/// lanes, counted one by one in `extra[key * lanes + lane]`, or, when
+/// more than half the lanes are set, one increment of `all[key]` and a
+/// (wrapping) decrement of `extra` for each lane it misses. A lane's
+/// count is `all[key] + extra[..]`, wrapping.
 #[derive(Debug, Clone)]
-struct MaskTally {
+pub(crate) struct MaskTally {
     lanes: usize,
     all: Vec<u64>,
     extra: Vec<u64>,
 }
 
 impl MaskTally {
-    fn new(keys: usize, lanes: usize) -> Self {
+    pub(crate) fn new(keys: usize, lanes: usize) -> Self {
         MaskTally {
             lanes,
             all: vec![0; keys],
@@ -154,20 +166,40 @@ impl MaskTally {
         }
     }
 
-    fn add(&mut self, key: usize, mask: u64, all_mask: u64) {
+    /// Counts one event on the lanes of `mask` (a subset of `all_mask`,
+    /// the mask of all `lanes` lanes).
+    #[inline]
+    pub(crate) fn add(&mut self, key: usize, mask: u64, all_mask: u64) {
         if mask == all_mask {
             self.all[key] += 1;
+        } else if mask != 0 {
+            self.add_partial(key, mask, all_mask);
+        }
+    }
+
+    #[inline(never)]
+    fn add_partial(&mut self, key: usize, mask: u64, all_mask: u64) {
+        let extra = &mut self.extra[key * self.lanes..][..self.lanes];
+        if 2 * mask.count_ones() as usize > self.lanes {
+            self.all[key] += 1;
+            let mut missing = all_mask & !mask;
+            while missing != 0 {
+                let slot = &mut extra[missing.trailing_zeros() as usize];
+                *slot = slot.wrapping_sub(1);
+                missing &= missing - 1;
+            }
         } else {
             let mut m = mask;
             while m != 0 {
-                self.extra[key * self.lanes + m.trailing_zeros() as usize] += 1;
+                let slot = &mut extra[m.trailing_zeros() as usize];
+                *slot = slot.wrapping_add(1);
                 m &= m - 1;
             }
         }
     }
 
-    fn get(&self, key: usize, lane: usize) -> u64 {
-        self.all[key] + self.extra[key * self.lanes + lane]
+    pub(crate) fn get(&self, key: usize, lane: usize) -> u64 {
+        self.all[key].wrapping_add(self.extra[key * self.lanes + lane])
     }
 }
 
@@ -266,130 +298,6 @@ impl BitslicedOutput {
     }
 }
 
-/// One observed lane's batched counters.
-///
-/// `Registry::inc` costs a `BTreeMap` lookup per call; at ~10 counter
-/// bumps per replica vote that lookup chain dominated observed runs. The
-/// hot loop instead bumps plain `u64` fields here and
-/// [`ObsTally::flush`] writes the totals to the lane's sink once per run,
-/// together with the counters the group already keeps for every lane
-/// (rounds, updates, invocations, deliveries). Only *counters* and
-/// histogram observations are tallied — events and gauges are
-/// order-sensitive (flight recorder, last-write-wins) and stay inline.
-/// Flushing adds only nonzero values, so a flushed registry has an entry
-/// exactly where a per-event form would have created one, and exports
-/// are independent of the batching (the registry sorts counters by name;
-/// histogram sums over integer-valued samples are order-independent in
-/// `f64`).
-#[derive(Debug, Clone)]
-struct ObsTally {
-    replica_ok: u64,
-    replica_drop: u64,
-    drop_silent: u64,
-    drop_host: u64,
-    drop_broadcast: u64,
-    drop_warmup: u64,
-    drop_excluded: u64,
-    broadcast_fail: u64,
-    host_up_transitions: u64,
-    host_down_transitions: u64,
-    vote_unanimous: u64,
-    vote_majority: u64,
-    vote_tie: u64,
-    vote_silent: u64,
-    /// `replicas_per_vote[n]` = votes with exactly `n` delivering
-    /// replicas (histogram samples, batched).
-    replicas_per_vote: Vec<u64>,
-}
-
-impl ObsTally {
-    fn new(max_replicas: usize) -> Self {
-        ObsTally {
-            replica_ok: 0,
-            replica_drop: 0,
-            drop_silent: 0,
-            drop_host: 0,
-            drop_broadcast: 0,
-            drop_warmup: 0,
-            drop_excluded: 0,
-            broadcast_fail: 0,
-            host_up_transitions: 0,
-            host_down_transitions: 0,
-            vote_unanimous: 0,
-            vote_majority: 0,
-            vote_tie: 0,
-            vote_silent: 0,
-            replicas_per_vote: vec![0; max_replicas + 1],
-        }
-    }
-
-    fn drop_reason(&mut self, reason: DropReason) {
-        self.replica_drop += 1;
-        match reason {
-            DropReason::NotExecuted => self.drop_silent += 1,
-            DropReason::HostDown => self.drop_host += 1,
-            DropReason::Broadcast => self.drop_broadcast += 1,
-            DropReason::Warmup => self.drop_warmup += 1,
-            DropReason::Excluded => self.drop_excluded += 1,
-        }
-    }
-
-    /// One vote with `delivering` replicas and outcome `outcome`.
-    fn vote(&mut self, outcome: VoteOutcome, delivering: usize) {
-        match outcome {
-            VoteOutcome::Unanimous => self.vote_unanimous += 1,
-            VoteOutcome::Majority => self.vote_majority += 1,
-            VoteOutcome::Tie => self.vote_tie += 1,
-            VoteOutcome::Silent => self.vote_silent += 1,
-        }
-        self.replicas_per_vote[delivering] += 1;
-    }
-
-    /// Writes every nonzero total of lane `lane` of the `rounds`-round
-    /// group run `out` to `sink`.
-    fn flush<M: MetricsSink>(&self, sink: &mut M, rounds: u64, out: &BitslicedOutput, lane: usize) {
-        let updates: u64 = out.updates.iter().sum();
-        let unreliable: u64 = (0..out.updates.len())
-            .map(|c| out.unreliable.get(c, lane))
-            .sum();
-        let invocations: u64 = out.invocations.iter().sum();
-        let delivered: u64 = (0..out.invocations.len())
-            .map(|t| out.delivered.get(t, lane))
-            .sum();
-        let counters = [
-            (names::ROUNDS, rounds),
-            (names::UPDATES, updates),
-            (names::UPDATES_UNRELIABLE, unreliable),
-            (names::TASK_INVOCATIONS, invocations),
-            (names::TASK_DELIVERED, delivered),
-            (names::REPLICA_OK, self.replica_ok),
-            (names::REPLICA_DROP, self.replica_drop),
-            (names::REPLICA_DROP_SILENT, self.drop_silent),
-            (names::REPLICA_DROP_HOST, self.drop_host),
-            (names::REPLICA_DROP_BROADCAST, self.drop_broadcast),
-            (names::REPLICA_DROP_WARMUP, self.drop_warmup),
-            (names::REPLICA_DROP_EXCLUDED, self.drop_excluded),
-            (names::BROADCAST_FAIL, self.broadcast_fail),
-            (names::HOST_UP_TRANSITIONS, self.host_up_transitions),
-            (names::HOST_DOWN_TRANSITIONS, self.host_down_transitions),
-            (names::VOTE_UNANIMOUS, self.vote_unanimous),
-            (names::VOTE_MAJORITY, self.vote_majority),
-            (names::VOTE_TIE, self.vote_tie),
-            (names::VOTE_SILENT, self.vote_silent),
-        ];
-        for (name, v) in counters {
-            if v != 0 {
-                sink.add(name, v);
-            }
-        }
-        for (n_del, &count) in self.replicas_per_vote.iter().enumerate() {
-            if count != 0 {
-                sink.observe_n(names::REPLICAS_PER_VOTE, n_del as f64, count);
-            }
-        }
-    }
-}
-
 /// One lane's private execution context: seeded RNG, fault injector,
 /// environment, supervisor and metrics sink.
 ///
@@ -440,9 +348,13 @@ impl<'a> Simulation<'a> {
     /// for the shared-behaviors purity contract and the fast/slow path
     /// split.
     ///
-    /// Counters and histogram samples for each observed lane are batched
-    /// and flushed to the lane's sink once, after the last round; events
-    /// and gauges are order-sensitive and go to the sink inline.
+    /// Observation is a group object too: counters and the vote
+    /// histogram are tallied over lane masks and written to each observed
+    /// lane's sink once, after the last round, and flight-recorder events
+    /// go into one group ring from which each lane's recorder is rebuilt
+    /// (at its alarm dumps, at the end, and on a panic). Every sink ends
+    /// up as if it had been fed each event one at a time; see
+    /// `DESIGN.md` §9–§10.
     ///
     /// # Panics
     ///
@@ -465,9 +377,9 @@ impl<'a> Simulation<'a> {
     /// [`Simulation::run_bitsliced`] watched by one group [`LrcMonitor`]
     /// (built with [`LrcMonitor::with_lanes`] for `lanes.len()` lanes).
     /// The monitor sees every communicator update once, as the mask of
-    /// lanes holding a reliable value, and each alarm it fires goes to
-    /// that lane's sink right there, where a per-lane supervisor's
-    /// alarm would have gone.
+    /// lanes holding a reliable value, and each alarm it fires is
+    /// recorded for that lane right there, where a per-lane supervisor's
+    /// alarm would have been.
     ///
     /// # Panics
     ///
@@ -500,6 +412,55 @@ impl<'a> Simulation<'a> {
         &self,
         behaviors: &mut BehaviorMap,
         lanes: &mut [LaneContext<I, E, S, M>],
+        monitor: Option<&mut LrcMonitor>,
+        rounds: u64,
+        log: &mut L,
+    ) -> BitslicedOutput
+    where
+        I: FaultInjector,
+        E: Environment,
+        S: Supervisor,
+        M: MetricsSink,
+        L: UpdateLog + ?Sized,
+    {
+        let n = lanes.len();
+        assert!(
+            (1..=64).contains(&n),
+            "bit-sliced run needs 1..=64 lanes, got {n}"
+        );
+        let hosts = self
+            .program
+            .phases
+            .iter()
+            .flat_map(|p| p.hosts.iter().flatten())
+            .map(|h| h.index())
+            .max()
+            .map_or(0, |m| m + 1);
+        let mut obs = GroupObs::new(
+            lanes.iter_mut().map(|l| &mut l.sink),
+            hosts,
+            self.program.max_replicas,
+        );
+        let run = panic::catch_unwind(AssertUnwindSafe(|| {
+            self.run_rounds(behaviors, lanes, &mut obs, monitor, rounds, log)
+        }));
+        run.unwrap_or_else(|payload| {
+            // A panic unwinding through the kernel still leaves each
+            // observed lane's sink as per-event observation would have:
+            // hosts-up gauge and flight recorder current.
+            if obs.enabled() {
+                obs.unwind(lanes.iter_mut().map(|l| &mut l.sink));
+            }
+            panic::resume_unwind(payload)
+        })
+    }
+
+    /// The rounds of [`Simulation::run_lanes`], observed through `obs`.
+    fn run_rounds<I, E, S, M, L>(
+        &self,
+        behaviors: &mut BehaviorMap,
+        lanes: &mut [LaneContext<I, E, S, M>],
+        obs: &mut GroupObs,
         mut monitor: Option<&mut LrcMonitor>,
         rounds: u64,
         log: &mut L,
@@ -516,10 +477,6 @@ impl<'a> Simulation<'a> {
         let round = spec.round_period().as_u64();
         let phase_count = prog.phases.len() as u64;
         let n = lanes.len();
-        assert!(
-            (1..=64).contains(&n),
-            "bit-sliced run needs 1..=64 lanes, got {n}"
-        );
         let all_mask: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
         // Any corrupting lane forces the slow (materialized-replicas)
         // path for the whole run; see the module docs.
@@ -582,33 +539,9 @@ impl<'a> Simulation<'a> {
         let mut voted_buf = vec![Value::Unreliable; max_out];
         let mut delivered_hosts: Vec<HostId> = Vec::with_capacity(prog.max_replicas);
 
-        // Observation state, per lane. With `NoopSink` this is constant
-        // `false` and the obs blocks below monomorphize away.
+        // Constant `false` for `NoopSink` lanes, so the obs blocks below
+        // monomorphize away.
         let any_obs = lanes.iter().any(|l| l.sink.enabled());
-        let obs: Vec<bool> = lanes.iter().map(|l| l.sink.enabled()).collect();
-        let hosts = if any_obs {
-            prog.phases
-                .iter()
-                .flat_map(|p| p.hosts.iter().flatten())
-                .map(|h| h.index())
-                .max()
-                .map_or(0, |m| m + 1)
-        } else {
-            0
-        };
-        let mut tallies: Vec<ObsTally> = if any_obs {
-            (0..n).map(|_| ObsTally::new(prog.max_replicas)).collect()
-        } else {
-            Vec::new()
-        };
-        // Per host: mask of lanes that consider the host up.
-        let mut host_up = vec![all_mask; hosts];
-        let mut hosts_up_count = vec![hosts; n];
-        if any_obs {
-            for lane in lanes.iter_mut().filter(|l| l.sink.enabled()) {
-                lane.sink.set_gauge(names::HOSTS_UP, hosts as f64);
-            }
-        }
 
         for r in 0..rounds {
             let phase = &prog.phases[(r % phase_count) as usize];
@@ -647,8 +580,12 @@ impl<'a> Simulation<'a> {
                             comm_classes[comm as usize].set_from_lane_values(&lane_vals);
                             if !passive_sup {
                                 for (li, lane) in lanes.iter_mut().enumerate() {
-                                    lane.supervisor
-                                        .observe_with(c, now, lane_vals[li], &mut lane.sink);
+                                    lane.supervisor.observe_with(
+                                        c,
+                                        now,
+                                        lane_vals[li],
+                                        &mut obs.lane(li, &mut lane.sink),
+                                    );
                                 }
                             }
                         }
@@ -675,7 +612,8 @@ impl<'a> Simulation<'a> {
                                 let cls = &comm_classes[comm as usize];
                                 for (li, lane) in lanes.iter_mut().enumerate() {
                                     let v = cls.value_at(li);
-                                    lane.supervisor.observe_with(c, now, v, &mut lane.sink);
+                                    let sink = &mut obs.lane(li, &mut lane.sink);
+                                    lane.supervisor.observe_with(c, now, v, sink);
                                     lane.environment.actuate(c, v, now);
                                 }
                             }
@@ -686,7 +624,8 @@ impl<'a> Simulation<'a> {
                                 let cls = &comm_classes[comm as usize];
                                 for (li, lane) in lanes.iter_mut().enumerate() {
                                     let v = cls.value_at(li);
-                                    lane.supervisor.observe_with(c, now, v, &mut lane.sink);
+                                    let sink = &mut obs.lane(li, &mut lane.sink);
+                                    lane.supervisor.observe_with(c, now, v, sink);
                                     lane.environment.actuate(c, v, now);
                                 }
                             }
@@ -698,7 +637,7 @@ impl<'a> Simulation<'a> {
                     if let Some(monitor) = monitor.as_deref_mut() {
                         let c = CommunicatorId::new(ci as u32);
                         monitor.observe_lanes(c, now, reliable, |li, alarm| {
-                            emit_alarm(alarm, &mut lanes[li].sink);
+                            emit_alarm(alarm, &mut obs.lane(li, &mut lanes[li].sink));
                         });
                     }
                     unreliable.add(ci, !reliable & all_mask, all_mask);
@@ -794,9 +733,19 @@ impl<'a> Simulation<'a> {
                     }
 
                     let hosts_of = &phase.hosts[t];
+                    if any_obs {
+                        obs.begin_read(now.as_u64(), t, exec);
+                    }
                     let mut delivered_mask = 0u64;
                     for (i, &h) in hosts_of.iter().enumerate() {
                         let mut okm = 0u64;
+                        let mut masks = ReplicaMasks {
+                            host: h.index(),
+                            host_ok: 0,
+                            bc_ok: 0,
+                            warm: 0,
+                            excluded: 0,
+                        };
                         for (li, lane) in lanes.iter_mut().enumerate() {
                             let bit = 1u64 << li;
                             // Sample both draws for every replica so the
@@ -814,8 +763,11 @@ impl<'a> Simulation<'a> {
                                 || warm_after_rejoin(lane.injector.rejoined_at(h, now), now, round);
                             let excluded =
                                 lane.supervisor.exclude_replica(TaskId::new(ti), h, now);
-                            let executes = exec & bit != 0;
-                            let ok = executes && host_ok && bc_ok && warm && !excluded;
+                            masks.host_ok |= u64::from(host_ok) << li;
+                            masks.bc_ok |= u64::from(bc_ok) << li;
+                            masks.warm |= u64::from(warm) << li;
+                            masks.excluded |= u64::from(excluded) << li;
+                            let ok = exec & bit != 0 && host_ok && bc_ok && warm && !excluded;
                             if ok {
                                 okm |= bit;
                                 if corrupting {
@@ -831,61 +783,9 @@ impl<'a> Simulation<'a> {
                                 // corrupt hook neither mutates nor draws,
                                 // so the call is skipped entirely.
                             }
-                            if any_obs && obs[li] {
-                                let tally = &mut tallies[li];
-                                let hi = h.index();
-                                if (host_up[hi] & bit != 0) != host_ok {
-                                    host_up[hi] ^= bit;
-                                    if host_ok {
-                                        hosts_up_count[li] += 1;
-                                        tally.host_up_transitions += 1;
-                                        lane.sink.event(&ObsEvent::HostUp {
-                                            at: now.as_u64(),
-                                            host: hi,
-                                        });
-                                    } else {
-                                        hosts_up_count[li] -= 1;
-                                        tally.host_down_transitions += 1;
-                                        lane.sink.event(&ObsEvent::HostDown {
-                                            at: now.as_u64(),
-                                            host: hi,
-                                        });
-                                    }
-                                    lane.sink
-                                        .set_gauge(names::HOSTS_UP, hosts_up_count[li] as f64);
-                                }
-                                if host_ok && !bc_ok {
-                                    tally.broadcast_fail += 1;
-                                }
-                                if ok {
-                                    tally.replica_ok += 1;
-                                } else {
-                                    let reason = if !executes {
-                                        DropReason::NotExecuted
-                                    } else if !host_ok {
-                                        DropReason::HostDown
-                                    } else if !bc_ok {
-                                        DropReason::Broadcast
-                                    } else if !warm {
-                                        DropReason::Warmup
-                                    } else {
-                                        DropReason::Excluded
-                                    };
-                                    tally.drop_reason(reason);
-                                    // A not-executed logical task is a
-                                    // property of the vote, not of any
-                                    // single replica — the Vote event
-                                    // below records it as `silent`.
-                                    if reason != DropReason::NotExecuted {
-                                        lane.sink.event(&ObsEvent::ReplicaDrop {
-                                            at: now.as_u64(),
-                                            task: t,
-                                            host: hi,
-                                            reason,
-                                        });
-                                    }
-                                }
-                            }
+                        }
+                        if any_obs {
+                            obs.replica(masks);
                         }
                         ok_masks[i] = okm;
                         delivered_mask |= okm;
@@ -896,7 +796,9 @@ impl<'a> Simulation<'a> {
                     for cls in &mut result_classes[parity][tt.out_range()] {
                         cls.clear();
                     }
-                    if !corrupting {
+                    // The corrupting path's observed (majority, tie) lanes;
+                    // every other delivering lane's vote is unanimous.
+                    let outcomes = if !corrupting {
                         // All delivering replicas of a lane agree (no
                         // corruption), so any strategy votes the cell's
                         // output for every delivering lane.
@@ -909,7 +811,9 @@ impl<'a> Simulation<'a> {
                                 }
                             }
                         }
+                        None
                     } else {
+                        let mut outcomes = [0u64; 2];
                         for li in 0..n {
                             let bit = 1u64 << li;
                             if delivered_mask & bit == 0 {
@@ -935,8 +839,22 @@ impl<'a> Simulation<'a> {
                             for k in 0..n_out {
                                 result_classes[parity][out_base + k].push(voted_buf[k], bit);
                             }
+                            if any_obs {
+                                match crate::voting::classify_outcome(
+                                    &lane_rep_vals[..hosts_of.len() * n_out],
+                                    &lane_rep_ok[..hosts_of.len()],
+                                    n_out,
+                                ) {
+                                    VoteOutcome::Majority => outcomes[0] |= bit,
+                                    VoteOutcome::Tie => outcomes[1] |= bit,
+                                    // A delivering lane's vote is never
+                                    // silent.
+                                    VoteOutcome::Unanimous | VoteOutcome::Silent => {}
+                                }
+                            }
                         }
-                    }
+                        Some(outcomes)
+                    };
 
                     invocations[t] += 1;
                     delivered.add(t, delivered_mask, all_mask);
@@ -967,49 +885,7 @@ impl<'a> Simulation<'a> {
                     }
 
                     if any_obs {
-                        for (li, lane) in lanes.iter_mut().enumerate() {
-                            if !obs[li] {
-                                continue;
-                            }
-                            let bit = 1u64 << li;
-                            let n_del = ok_masks[..hosts_of.len()]
-                                .iter()
-                                .filter(|&&m| m & bit != 0)
-                                .count();
-                            let outcome = if !corrupting {
-                                // Uncorrupted delivering rows are equal.
-                                if delivered_mask & bit != 0 {
-                                    VoteOutcome::Unanimous
-                                } else {
-                                    VoteOutcome::Silent
-                                }
-                            } else {
-                                for (i, ok) in
-                                    lane_rep_ok[..hosts_of.len()].iter_mut().enumerate()
-                                {
-                                    *ok = ok_masks[i] & bit != 0;
-                                    if *ok {
-                                        lane_rep_vals[i * n_out..(i + 1) * n_out]
-                                            .copy_from_slice(
-                                                &rep_vals[(i * n + li) * max_out..][..n_out],
-                                            );
-                                    }
-                                }
-                                crate::voting::classify_outcome(
-                                    &lane_rep_vals[..hosts_of.len() * n_out],
-                                    &lane_rep_ok[..hosts_of.len()],
-                                    n_out,
-                                )
-                            };
-                            tallies[li].vote(outcome, n_del);
-                            lane.sink.event(&ObsEvent::Vote {
-                                at: now.as_u64(),
-                                task: t,
-                                outcome,
-                                delivered: n_del,
-                                replicas: hosts_of.len(),
-                            });
-                        }
+                        obs.vote(outcomes);
                     }
                 }
             }
@@ -1029,10 +905,26 @@ impl<'a> Simulation<'a> {
             final_classes: comm_classes,
         };
         if any_obs {
+            let updates: u64 = out.updates.iter().sum();
+            let invocations: u64 = out.invocations.iter().sum();
             for (li, lane) in lanes.iter_mut().enumerate() {
-                if obs[li] {
-                    tallies[li].flush(&mut lane.sink, rounds, &out, li);
+                if !lane.sink.enabled() {
+                    continue;
                 }
+                let unreliable = (0..out.updates.len())
+                    .map(|c| out.unreliable.get(c, li))
+                    .sum();
+                let delivered = (0..out.invocations.len())
+                    .map(|t| out.delivered.get(t, li))
+                    .sum();
+                let kernel = [
+                    (names::ROUNDS, rounds),
+                    (names::UPDATES, updates),
+                    (names::UPDATES_UNRELIABLE, unreliable),
+                    (names::TASK_INVOCATIONS, invocations),
+                    (names::TASK_DELIVERED, delivered),
+                ];
+                obs.flush(li, &mut lane.sink, kernel);
             }
         }
         out
@@ -1085,5 +977,38 @@ mod tests {
         t.add(1, 0, 0b111);
         assert_eq!((t.get(0, 0), t.get(0, 1), t.get(0, 2)), (2, 1, 2));
         assert_eq!((t.get(1, 0), t.get(1, 1), t.get(1, 2)), (0, 0, 0));
+    }
+
+    proptest::proptest! {
+        /// Counting a mask by its smaller side — set lanes up, or one
+        /// `all` step and missing lanes down — agrees with a plain
+        /// per-lane counter, at every width, on empty, full, near-full
+        /// and random masks.
+        #[test]
+        fn mask_tally_matches_per_lane_counts(
+            width in 1usize..=64,
+            picks in proptest::collection::vec((0u8..4, proptest::prelude::any::<u64>(), 0usize..3), 0..200),
+        ) {
+            let all = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
+            let mut tally = MaskTally::new(3, width);
+            let mut naive = vec![[0u64; 3]; width];
+            for (kind, bits, key) in picks {
+                let mask = match kind {
+                    0 => 0,
+                    1 => all,
+                    2 => all & !(1 << (bits % width as u64)),
+                    _ => all & bits,
+                };
+                tally.add(key, mask, all);
+                for (lane, counts) in naive.iter_mut().enumerate() {
+                    counts[key] += mask >> lane & 1;
+                }
+            }
+            for (lane, counts) in naive.iter().enumerate() {
+                for (key, &count) in counts.iter().enumerate() {
+                    proptest::prop_assert_eq!(tally.get(key, lane), count, "lane {} key {}", lane, key);
+                }
+            }
+        }
     }
 }

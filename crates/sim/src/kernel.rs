@@ -48,7 +48,7 @@ use logrel_core::{
     Architecture, Calendar, CommunicatorId, FailureModel, HostId, RoundProgram, SensorId,
     Specification, TaskId, Tick, TimeDependentImplementation, Value,
 };
-use logrel_obs::{names, MetricsSink, NoopSink, ObsEvent, Span};
+use logrel_obs::{names, FlightRecorder, MetricsSink, NoopSink, ObsEvent, Span};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -674,6 +674,9 @@ impl<T: MetricsSink + ?Sized> MetricsSink for Fwd<'_, T> {
     }
     fn event(&mut self, event: &ObsEvent) {
         self.0.event(event);
+    }
+    fn flight_recorder(&mut self) -> Option<&mut FlightRecorder> {
+        self.0.flight_recorder()
     }
 }
 

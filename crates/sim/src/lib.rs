@@ -61,6 +61,7 @@ pub mod fuzz;
 pub mod kernel;
 pub mod monitor;
 pub mod montecarlo;
+mod observe;
 pub mod scenario;
 pub mod trace;
 pub mod voting;

@@ -1,0 +1,999 @@
+//! Lane-group observation: the counters, the vote histogram and the
+//! flight-recorder events of a group run, kept once per group.
+//!
+//! The kernel ([`crate::bitslice`]) already holds each replica's draw
+//! outcomes as lane masks — host up, broadcast delivered, warm, excluded
+//! — so [`GroupObs`] counts with [`MaskTally`]s over those masks instead
+//! of bumping per-lane counters, and writes each observed lane's totals
+//! to its sink once, at the end of the run.
+//!
+//! Events take the same route. Each task read pushes one record into a
+//! single group ring ([`GroupRing`]): the instant, the task, the
+//! executing lanes, the lanes on which a replica made an event of its
+//! own and, only when there are any, each replica's host and masks (plus
+//! the vote outcome masks on the corrupting path). Events made outside
+//! the kernel for one lane — monitor alarms, a supervisor's degrader
+//! events — reach the ring verbatim, tagged with their lane, through
+//! [`LaneSink`]. A
+//! lane's flight recorder is rebuilt from the ring only where someone can
+//! look at it: at each of its alarms (the automatic dump, while it has
+//! room for one), at the end of the run, and when a panic unwinds through
+//! the kernel.
+//!
+//! Every task read gives every lane at least one event, its vote, so the
+//! last `c` task records (and the verbatim events after the oldest of
+//! them) hold each lane's last `c` events: the ring keeps at least as
+//! many records as the largest recorder holds events.
+
+use crate::bitslice::MaskTally;
+use logrel_obs::{
+    names, DropReason, DumpTrigger, FlightRecorder, MetricsSink, ObsEvent, VoteOutcome,
+};
+use std::collections::VecDeque;
+
+// Keys of `GroupObs::counts`. `PER_VOTE + k` counts the votes with
+// exactly `k` delivering replicas; the replica-ok and the unanimous and
+// silent vote counts follow from those and the number of reads.
+const DROP_SILENT: usize = 0;
+const DROP_HOST: usize = 1;
+const DROP_BROADCAST: usize = 2;
+const DROP_WARMUP: usize = 3;
+const DROP_EXCLUDED: usize = 4;
+const BROADCAST_FAIL: usize = 5;
+const HOST_UP: usize = 6;
+const HOST_DOWN: usize = 7;
+const VOTE_MAJORITY: usize = 8;
+const VOTE_TIE: usize = 9;
+const PER_VOTE: usize = 10;
+
+/// The counters a group tallies, by key.
+const TALLIED: [(&str, usize); 10] = [
+    (names::REPLICA_DROP_SILENT, DROP_SILENT),
+    (names::REPLICA_DROP_HOST, DROP_HOST),
+    (names::REPLICA_DROP_BROADCAST, DROP_BROADCAST),
+    (names::REPLICA_DROP_WARMUP, DROP_WARMUP),
+    (names::REPLICA_DROP_EXCLUDED, DROP_EXCLUDED),
+    (names::BROADCAST_FAIL, BROADCAST_FAIL),
+    (names::HOST_UP_TRANSITIONS, HOST_UP),
+    (names::HOST_DOWN_TRANSITIONS, HOST_DOWN),
+    (names::VOTE_MAJORITY, VOTE_MAJORITY),
+    (names::VOTE_TIE, VOTE_TIE),
+];
+
+/// One replica of one task read, as lane masks of its draw outcomes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ReplicaMasks {
+    /// Host index the replica runs on.
+    pub host: usize,
+    /// Lanes whose host-availability draw succeeded.
+    pub host_ok: u64,
+    /// Lanes whose broadcast reached the whole audience.
+    pub bc_ok: u64,
+    /// Lanes on which the (stateful) replica is warm.
+    pub warm: u64,
+    /// Lanes whose supervisor excludes the replica.
+    pub excluded: u64,
+}
+
+/// A replica as recorded: its masks and the lanes on which its host's
+/// up/down state flipped at this draw.
+#[derive(Debug, Clone, Copy)]
+struct Replica {
+    masks: ReplicaMasks,
+    transitions: u64,
+}
+
+impl Replica {
+    /// The lanes on which the replica delivered, of a read executing on
+    /// `exec`.
+    #[inline]
+    fn delivered(&self, exec: u64) -> u64 {
+        let m = &self.masks;
+        exec & m.host_ok & m.bc_ok & m.warm & !m.excluded
+    }
+
+    /// Why the replica did not deliver on lane `bit` of a read executing
+    /// on `exec`, or `None` when it delivered.
+    fn drop_reason(&self, exec: u64, bit: u64) -> Option<DropReason> {
+        let m = &self.masks;
+        if exec & bit == 0 {
+            Some(DropReason::NotExecuted)
+        } else if m.host_ok & bit == 0 {
+            Some(DropReason::HostDown)
+        } else if m.bc_ok & bit == 0 {
+            Some(DropReason::Broadcast)
+        } else if m.warm & bit == 0 {
+            Some(DropReason::Warmup)
+        } else if m.excluded & bit != 0 {
+            Some(DropReason::Excluded)
+        } else {
+            None
+        }
+    }
+
+    /// Lane `bit`'s events of this replica, newest first — its drop,
+    /// then its host's transition — into `push`.
+    fn lane_events_rev(
+        &self,
+        at: u64,
+        task: usize,
+        exec: u64,
+        bit: u64,
+        mut push: impl FnMut(ObsEvent),
+    ) {
+        let host = self.masks.host;
+        match self.drop_reason(exec, bit) {
+            // A not-executed logical task is a property of the vote, not
+            // of any single replica: its vote records it as `silent`.
+            None | Some(DropReason::NotExecuted) => {}
+            Some(reason) => push(ObsEvent::ReplicaDrop {
+                at,
+                task,
+                host,
+                reason,
+            }),
+        }
+        if self.transitions & bit != 0 {
+            push(if self.masks.host_ok & bit != 0 {
+                ObsEvent::HostUp { at, host }
+            } else {
+                ObsEvent::HostDown { at, host }
+            });
+        }
+    }
+}
+
+/// One task read in the ring. Its replicas follow in
+/// [`GroupRing::replicas`] when it is noisy on some lane; on a quiet lane
+/// every replica delivered if the task executed there, and none did if
+/// it did not.
+#[derive(Debug)]
+struct Read {
+    at: u64,
+    task: usize,
+    replicas: usize,
+    exec: u64,
+    /// Lanes on which some replica makes an event of its own (a drop or
+    /// a host transition); on the other lanes the read's one event is
+    /// its vote.
+    noisy: u64,
+    /// The corrupting path's majority and tie votes; every other
+    /// delivering lane's vote is unanimous.
+    majority: u64,
+    tie: u64,
+}
+
+impl Read {
+    /// The number of replicas the ring keeps for this read.
+    fn stored(&self) -> usize {
+        if self.noisy == 0 {
+            0
+        } else {
+            self.replicas
+        }
+    }
+
+    /// Lane `lane`'s vote event of this read, whose replicas are
+    /// `replicas`.
+    fn vote<'r>(&self, replicas: impl Iterator<Item = &'r Replica>, lane: usize) -> ObsEvent {
+        let bit = 1u64 << lane;
+        let delivered = if self.noisy & bit != 0 {
+            replicas
+                .filter(|rep| rep.delivered(self.exec) & bit != 0)
+                .count()
+        } else if self.exec & bit != 0 {
+            self.replicas
+        } else {
+            0
+        };
+        let outcome = if delivered == 0 {
+            VoteOutcome::Silent
+        } else if self.majority & bit != 0 {
+            VoteOutcome::Majority
+        } else if self.tie & bit != 0 {
+            VoteOutcome::Tie
+        } else {
+            VoteOutcome::Unanimous
+        };
+        ObsEvent::Vote {
+            at: self.at,
+            task: self.task,
+            outcome,
+            delivered,
+            replicas: self.replicas,
+        }
+    }
+}
+
+#[derive(Debug)]
+enum Entry {
+    Read(Read),
+    /// An event made outside the kernel for one lane.
+    Verbatim {
+        lane: usize,
+        event: ObsEvent,
+    },
+}
+
+/// The event ring of a lane group: at least the last `keep` task reads,
+/// and the verbatim events since the oldest of them, oldest first.
+#[derive(Debug, Default)]
+struct GroupRing {
+    keep: usize,
+    /// Reads held beyond `keep` until the oldest are dropped in one go,
+    /// which keeps the cost per read constant.
+    slack: usize,
+    entries: VecDeque<Entry>,
+    /// The replicas the reads in `entries` keep, in order, after the first
+    /// `evicted` (those of reads already dropped).
+    replicas: Vec<Replica>,
+    evicted: usize,
+    reads: usize,
+}
+
+impl GroupRing {
+    /// Sets the number of reads to keep: the largest recorder capacity.
+    fn set_keep(&mut self, keep: usize) {
+        self.keep = keep;
+        self.slack = (keep / 8).max(1);
+        // Room for the reads and a few verbatim events among them.
+        self.entries.reserve(keep + 2 * self.slack);
+    }
+
+    fn push_read(&mut self, read: Read, replicas: &[Replica]) {
+        if self.reads == self.keep + self.slack {
+            // `keep` reads remain with this one.
+            self.evict(self.slack + 1);
+        }
+        self.replicas.extend_from_slice(&replicas[..read.stored()]);
+        self.entries.push_back(Entry::Read(read));
+        self.reads += 1;
+    }
+
+    /// Drops the oldest `count` reads and the verbatim events before the
+    /// next one, which are older than every lane's last `keep` events.
+    fn evict(&mut self, count: usize) {
+        let (mut reads, mut replicas) = (0, 0);
+        let cut = self
+            .entries
+            .iter()
+            .position(|entry| match entry {
+                Entry::Read(_) if reads == count => true,
+                Entry::Read(read) => {
+                    reads += 1;
+                    replicas += read.stored();
+                    false
+                }
+                Entry::Verbatim { .. } => false,
+            })
+            .unwrap_or(self.entries.len());
+        self.entries.drain(..cut);
+        self.reads -= reads;
+        self.evicted += replicas;
+        if self.evicted > self.replicas.len() / 2 {
+            self.replicas.drain(..self.evicted);
+            self.evicted = 0;
+        }
+    }
+
+    fn push_verbatim(&mut self, lane: usize, event: ObsEvent) {
+        self.entries.push_back(Entry::Verbatim { lane, event });
+    }
+
+    /// Lane `lane`'s last `count` events (fewer if the ring holds fewer),
+    /// oldest first: made newest first, walking back from the newest
+    /// entry — a read's vote, then its replicas' events from the last
+    /// replica back.
+    fn tail(&self, lane: usize, count: usize) -> VecDeque<ObsEvent> {
+        let bit = 1u64 << lane;
+        let mut events = VecDeque::with_capacity(count);
+        let mut end = self.replicas.len();
+        for entry in self.entries.iter().rev() {
+            if events.len() >= count {
+                break;
+            }
+            match entry {
+                Entry::Verbatim { lane: l, event } => {
+                    if *l == lane {
+                        events.push_front(event.clone());
+                    }
+                }
+                Entry::Read(read) => {
+                    let start = end - read.stored();
+                    let replicas = &self.replicas[start..end];
+                    end = start;
+                    events.push_front(read.vote(replicas.iter(), lane));
+                    if read.noisy & bit != 0 {
+                        for rep in replicas.iter().rev() {
+                            rep.lane_events_rev(read.at, read.task, read.exec, bit, |event| {
+                                if events.len() < count {
+                                    events.push_front(event);
+                                }
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        events
+    }
+}
+
+/// The observation state of one lane-group run: counters and the vote
+/// histogram as [`MaskTally`]s, each host's up mask, and the group event
+/// ring. See the module docs.
+#[derive(Debug)]
+pub(crate) struct GroupObs {
+    all: u64,
+    /// Lanes whose sink is enabled.
+    observed: u64,
+    /// Lanes whose sink carries a flight recorder, and each lane's
+    /// recorder capacity.
+    recording: u64,
+    capacity: Vec<usize>,
+    counts: MaskTally,
+    /// Task reads tallied so far.
+    reads: u64,
+    /// Per lane: events that reached the ring verbatim.
+    verbatim: Vec<u64>,
+    /// Per host: the lanes that last saw it up.
+    host_up: Vec<u64>,
+    /// The open task read: instant, task, executing lanes, and the
+    /// replicas drawn so far.
+    at: u64,
+    task: usize,
+    exec: u64,
+    /// The lanes on which a replica of the open read made an event of
+    /// its own (see [`Read::noisy`]).
+    noisy: u64,
+    open: Vec<Replica>,
+    /// Scratch: `exactly[k]` = lanes on which exactly `k` replicas
+    /// delivered.
+    exactly: Vec<u64>,
+    ring: GroupRing,
+}
+
+impl GroupObs {
+    /// The observation state of a group over `sinks` (one per lane), on
+    /// `hosts` hosts with tasks of at most `max_replicas` replicas. A
+    /// recorder's events from before the run enter the ring first, so its
+    /// rebuilt ring continues them.
+    pub(crate) fn new<'m, M: MetricsSink + 'm>(
+        sinks: impl ExactSizeIterator<Item = &'m mut M>,
+        hosts: usize,
+        max_replicas: usize,
+    ) -> Self {
+        let n = sinks.len();
+        let all = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+        let mut obs = GroupObs {
+            all,
+            observed: 0,
+            recording: 0,
+            capacity: vec![0; n],
+            counts: MaskTally::new(0, n),
+            reads: 0,
+            verbatim: vec![0; n],
+            host_up: Vec::new(),
+            at: 0,
+            task: 0,
+            exec: 0,
+            noisy: 0,
+            open: Vec::with_capacity(max_replicas),
+            exactly: vec![0; max_replicas + 1],
+            ring: GroupRing::default(),
+        };
+        for (lane, sink) in sinks.enumerate() {
+            if !sink.enabled() {
+                continue;
+            }
+            obs.observed |= 1 << lane;
+            if let Some(rec) = sink.flight_recorder() {
+                obs.recording |= 1 << lane;
+                obs.capacity[lane] = rec.capacity();
+                for event in rec.events() {
+                    obs.ring.push_verbatim(lane, event.clone());
+                    obs.verbatim[lane] += 1;
+                }
+            }
+        }
+        if obs.observed != 0 {
+            obs.counts = MaskTally::new(PER_VOTE + max_replicas + 1, n);
+            obs.host_up = vec![all; hosts];
+            obs.ring
+                .set_keep(obs.capacity.iter().copied().max().unwrap_or(0));
+        }
+        obs
+    }
+
+    /// Whether any lane is observed.
+    pub(crate) fn enabled(&self) -> bool {
+        self.observed != 0
+    }
+
+    /// Opens the read of task `task` at `at`, which executes on `exec`.
+    #[inline]
+    pub(crate) fn begin_read(&mut self, at: u64, task: usize, exec: u64) {
+        self.at = at;
+        self.task = task;
+        self.exec = exec;
+        self.noisy = 0;
+        self.open.clear();
+    }
+
+    /// Tallies the next replica of the open read.
+    #[inline]
+    pub(crate) fn replica(&mut self, masks: ReplicaMasks) {
+        let all = self.all;
+        let exec = self.exec;
+        let up = &mut self.host_up[masks.host];
+        let transitions = *up ^ masks.host_ok;
+        *up = masks.host_ok;
+        let rep = Replica { masks, transitions };
+        let noisy = transitions | (exec & !rep.delivered(exec));
+        self.open.push(rep);
+        if noisy == 0 && exec == all {
+            // The common case: delivered on every lane, which the vote
+            // counts.
+            return;
+        }
+        self.noisy |= noisy;
+        let reached = exec & masks.host_ok & masks.bc_ok;
+        let c = &mut self.counts;
+        c.add(DROP_SILENT, all & !exec, all);
+        c.add(DROP_HOST, exec & !masks.host_ok, all);
+        c.add(DROP_BROADCAST, exec & masks.host_ok & !masks.bc_ok, all);
+        c.add(DROP_WARMUP, reached & !masks.warm, all);
+        c.add(DROP_EXCLUDED, reached & masks.warm & masks.excluded, all);
+        c.add(BROADCAST_FAIL, masks.host_ok & !masks.bc_ok, all);
+        c.add(HOST_UP, transitions & masks.host_ok, all);
+        c.add(HOST_DOWN, transitions & !masks.host_ok, all);
+    }
+
+    /// Closes the open read: tallies its vote — unanimous wherever a
+    /// replica delivered, but for the corrupting path's (majority, tie)
+    /// `outcomes` — and records it in the ring. The number of delivering
+    /// replicas on each lane goes to the vote histogram's tallies.
+    #[inline]
+    pub(crate) fn vote(&mut self, outcomes: Option<[u64; 2]>) {
+        let all = self.all;
+        let exec = self.exec;
+        let n = self.open.len();
+        if self.noisy == 0 {
+            // The common case: every replica delivered wherever the task
+            // executed.
+            self.counts.add(PER_VOTE + n, exec, all);
+            if n > 0 {
+                self.counts.add(PER_VOTE, all & !exec, all);
+            }
+        } else {
+            // `exactly[k]`: the lanes on which exactly `k` replicas
+            // delivered.
+            let exactly = &mut self.exactly[..=n];
+            exactly[0] = all;
+            for (i, rep) in self.open.iter().enumerate() {
+                let ok = rep.delivered(exec);
+                exactly[i + 1] = 0;
+                for k in (1..=i + 1).rev() {
+                    exactly[k] = (exactly[k] & !ok) | (exactly[k - 1] & ok);
+                }
+                exactly[0] &= !ok;
+            }
+            for (k, &mask) in exactly.iter().enumerate() {
+                self.counts.add(PER_VOTE + k, mask, all);
+            }
+        }
+        if let Some([majority, tie]) = outcomes {
+            self.counts.add(VOTE_MAJORITY, majority, all);
+            self.counts.add(VOTE_TIE, tie, all);
+        }
+        self.reads += 1;
+        if self.recording != 0 {
+            let [majority, tie] = outcomes.unwrap_or_default();
+            let read = Read {
+                at: self.at,
+                task: self.task,
+                replicas: n,
+                exec,
+                noisy: self.noisy,
+                majority,
+                tie,
+            };
+            self.ring.push_read(read, &self.open);
+        }
+        self.open.clear();
+    }
+
+    /// Lane `lane`'s view of its sink `sink` (see [`LaneSink`]).
+    pub(crate) fn lane<'a, M: ?Sized>(
+        &'a mut self,
+        lane: usize,
+        sink: &'a mut M,
+    ) -> LaneSink<'a, M> {
+        LaneSink {
+            obs: self,
+            lane,
+            sink,
+        }
+    }
+
+    /// Takes `event`, made outside the kernel for lane `lane` whose sink
+    /// is `sink`: into the ring when the lane records (dumping the lane's
+    /// rebuilt ring on an alarm, while its recorder has room for a dump),
+    /// else straight to the sink.
+    pub(crate) fn event<M: MetricsSink + ?Sized>(
+        &mut self,
+        lane: usize,
+        event: &ObsEvent,
+        sink: &mut M,
+    ) {
+        if self.recording & (1 << lane) == 0 {
+            sink.event(event);
+            return;
+        }
+        self.ring.push_verbatim(lane, event.clone());
+        self.verbatim[lane] += 1;
+        if let ObsEvent::AlarmRaised { at, comm, .. } = *event {
+            if let Some(rec) = sink.flight_recorder() {
+                if rec.dumps().len() < FlightRecorder::MAX_DUMPS {
+                    let (_, kept) = self.events(lane);
+                    let events = self.ring.tail(lane, kept);
+                    rec.install_dump(at, DumpTrigger::AlarmRaised { comm }, events.into());
+                }
+            }
+        }
+    }
+
+    /// Writes observed lane `lane`'s totals to `sink` once the run is
+    /// over: `kernel` (the counts the group keeps for every lane), the
+    /// tallied counters and the vote histogram — nonzero values only, so
+    /// the registry has an entry exactly where per-event counting would
+    /// have made one — and then everything [`GroupObs::restore`] writes.
+    pub(crate) fn flush<M: MetricsSink + ?Sized>(
+        &self,
+        lane: usize,
+        sink: &mut M,
+        kernel: [(&'static str, u64); 5],
+    ) {
+        let get = |key| self.counts.get(key, lane);
+        let per_vote: Vec<u64> = (0..self.exactly.len()).map(|k| get(PER_VOTE + k)).collect();
+        let ok = per_vote
+            .iter()
+            .enumerate()
+            .map(|(k, &n)| k as u64 * n)
+            .sum();
+        let silent = per_vote[0];
+        let unanimous = self.reads - silent - get(VOTE_MAJORITY) - get(VOTE_TIE);
+        let drops = (DROP_SILENT..=DROP_EXCLUDED).map(get).sum();
+        let counters = kernel
+            .into_iter()
+            .chain([
+                (names::REPLICA_OK, ok),
+                (names::REPLICA_DROP, drops),
+                (names::VOTE_UNANIMOUS, unanimous),
+                (names::VOTE_SILENT, silent),
+            ])
+            .chain(TALLIED.iter().map(|&(name, key)| (name, get(key))));
+        for (name, v) in counters {
+            if v != 0 {
+                sink.add(name, v);
+            }
+        }
+        for (k, &count) in per_vote.iter().enumerate() {
+            if count != 0 {
+                sink.observe_n(names::REPLICAS_PER_VOTE, k as f64, count);
+            }
+        }
+        self.restore(lane, sink);
+    }
+
+    /// Writes observed lane `lane`'s hosts-up gauge and installs its
+    /// recorder's rebuilt ring and eviction count: the state per-event
+    /// observation keeps current, so a panic unwinding through the
+    /// kernel leaves it behind too.
+    pub(crate) fn restore<M: MetricsSink + ?Sized>(&self, lane: usize, sink: &mut M) {
+        let bit = 1u64 << lane;
+        let up = self.host_up.iter().filter(|&&m| m & bit != 0).count();
+        sink.set_gauge(names::HOSTS_UP, up as f64);
+        if self.recording & bit == 0 {
+            return;
+        }
+        if let Some(rec) = sink.flight_recorder() {
+            let (events, kept) = self.events(lane);
+            rec.install_ring(self.ring.tail(lane, kept), events - kept as u64);
+        }
+    }
+
+    /// Recording lane `lane`'s events so far, and how many of the last of
+    /// them its recorder holds.
+    fn events(&self, lane: usize) -> (u64, usize) {
+        let get = |key| self.counts.get(key, lane);
+        let events = self.reads
+            + (DROP_HOST..=DROP_EXCLUDED).map(get).sum::<u64>()
+            + get(HOST_UP)
+            + get(HOST_DOWN)
+            + self.verbatim[lane];
+        (events, events.min(self.capacity[lane] as u64) as usize)
+    }
+
+    /// Moves the open read's replica events — a panic cut the read short
+    /// before its vote — into the ring as verbatim events, where the
+    /// tallies already count them.
+    fn close_unwound_read(&mut self) {
+        for lane in 0..self.capacity.len() {
+            let bit = 1u64 << lane;
+            if self.recording & bit == 0 {
+                continue;
+            }
+            let mut events = VecDeque::new();
+            for rep in self.open.iter().rev() {
+                rep.lane_events_rev(self.at, self.task, self.exec, bit, |e| events.push_front(e));
+            }
+            for event in events {
+                self.ring.push_verbatim(lane, event);
+            }
+        }
+        self.open.clear();
+    }
+
+    /// [`GroupObs::restore`] for every observed lane of `sinks`, after a
+    /// panic interrupted the run.
+    pub(crate) fn unwind<'m, M: MetricsSink + 'm>(
+        &mut self,
+        sinks: impl Iterator<Item = &'m mut M>,
+    ) {
+        self.close_unwound_read();
+        for (lane, sink) in sinks.enumerate() {
+            if self.observed & (1 << lane) != 0 {
+                self.restore(lane, sink);
+            }
+        }
+    }
+}
+
+/// Lane `lane`'s view of its sink during a group run: metrics go to the
+/// sink, events to the group's [`GroupObs::event`]. The kernel hands it
+/// to monitors and supervisors in place of the lane's sink.
+pub(crate) struct LaneSink<'a, M: ?Sized> {
+    obs: &'a mut GroupObs,
+    lane: usize,
+    sink: &'a mut M,
+}
+
+impl<M: MetricsSink + ?Sized> MetricsSink for LaneSink<'_, M> {
+    fn enabled(&self) -> bool {
+        self.sink.enabled()
+    }
+    fn add(&mut self, name: &'static str, v: u64) {
+        self.sink.add(name, v);
+    }
+    fn inc(&mut self, name: &'static str) {
+        self.sink.inc(name);
+    }
+    fn set_gauge(&mut self, name: &'static str, v: f64) {
+        self.sink.set_gauge(name, v);
+    }
+    fn observe(&mut self, name: &'static str, v: f64) {
+        self.sink.observe(name, v);
+    }
+    fn observe_n(&mut self, name: &'static str, v: f64, n: u64) {
+        self.sink.observe_n(name, v, n);
+    }
+    fn event(&mut self, event: &ObsEvent) {
+        self.obs.event(self.lane, event, self.sink);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use logrel_obs::Registry;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A random lane mask over `all`: full with probability `1 - noise`,
+    /// else empty, near-full or random.
+    fn mask(rng: &mut StdRng, all: u64, noise: f64) -> u64 {
+        if !rng.gen_bool(noise) {
+            return all;
+        }
+        match rng.gen_range(0..3) {
+            0 => 0,
+            1 => all & !(1 << rng.gen_range(0..all.count_ones())),
+            _ => all & rng.gen::<u64>(),
+        }
+    }
+
+    /// One step of a group run as the kernel drives [`GroupObs`].
+    enum Step {
+        Read {
+            at: u64,
+            task: usize,
+            exec: u64,
+            replicas: Vec<ReplicaMasks>,
+            outcomes: Option<[u64; 2]>,
+        },
+        Event(usize, ObsEvent),
+    }
+
+    /// Whether replica `r` delivers on lane `bit` of a read on `exec`.
+    fn delivers(r: &ReplicaMasks, exec: u64, bit: u64) -> bool {
+        exec & r.host_ok & r.bc_ok & r.warm & !r.excluded & bit != 0
+    }
+
+    fn random_steps(
+        rng: &mut StdRng,
+        width: usize,
+        len: usize,
+        noise: f64,
+        corrupting: bool,
+    ) -> Vec<Step> {
+        let all = if width == 64 {
+            u64::MAX
+        } else {
+            (1 << width) - 1
+        };
+        (0..len as u64)
+            .map(|i| {
+                if rng.gen_bool(0.1) {
+                    let at = i * 10;
+                    let event = match rng.gen_range(0..4) {
+                        0 => ObsEvent::AlarmRaised {
+                            at,
+                            comm: rng.gen_range(0..3),
+                            mean: 0.5,
+                            epsilon: 0.25,
+                            lrc: 0.9,
+                        },
+                        1 => ObsEvent::AlarmCleared {
+                            at,
+                            comm: rng.gen_range(0..3),
+                            mean: 0.95,
+                        },
+                        2 => ObsEvent::DegraderEngaged { at, rule: 1 },
+                        _ => ObsEvent::ModeSwitch {
+                            at,
+                            event: "7".into(),
+                        },
+                    };
+                    return Step::Event(rng.gen_range(0..width), event);
+                }
+                let exec = mask(rng, all, noise);
+                let replicas: Vec<ReplicaMasks> = (0..rng.gen_range(1..=4))
+                    .map(|_| ReplicaMasks {
+                        host: rng.gen_range(0..3),
+                        host_ok: mask(rng, all, noise),
+                        bc_ok: mask(rng, all, noise),
+                        warm: mask(rng, all, noise),
+                        excluded: !mask(rng, all, noise) & all,
+                    })
+                    .collect();
+                // Each delivering lane's vote: unanimous, majority or tie.
+                let outcomes = corrupting.then(|| {
+                    let mut outcomes = [0; 2];
+                    for lane in 0..width {
+                        let bit = 1 << lane;
+                        let slot = rng.gen_range(0..3);
+                        if slot < 2 && replicas.iter().any(|r| delivers(r, exec, bit)) {
+                            outcomes[slot] |= bit;
+                        }
+                    }
+                    outcomes
+                });
+                Step::Read {
+                    at: i * 10,
+                    task: rng.gen_range(0..5),
+                    exec,
+                    replicas,
+                    outcomes,
+                }
+            })
+            .collect()
+    }
+
+    /// The events and counters one lane's own sink receives when the
+    /// kernel observes it event by event.
+    struct LaneOracle {
+        recorder: Option<FlightRecorder>,
+        host_up: [bool; 3],
+        counters: Registry,
+    }
+
+    impl LaneOracle {
+        fn push(&mut self, event: ObsEvent) {
+            if let Some(rec) = &mut self.recorder {
+                rec.push(event);
+            }
+        }
+
+        fn replica(&mut self, at: u64, task: usize, exec: u64, r: &ReplicaMasks, bit: u64) -> bool {
+            let host_ok = r.host_ok & bit != 0;
+            let bc_ok = r.bc_ok & bit != 0;
+            if self.host_up[r.host] != host_ok {
+                self.host_up[r.host] = host_ok;
+                let host = r.host;
+                if host_ok {
+                    self.counters.inc(names::HOST_UP_TRANSITIONS);
+                    self.push(ObsEvent::HostUp { at, host });
+                } else {
+                    self.counters.inc(names::HOST_DOWN_TRANSITIONS);
+                    self.push(ObsEvent::HostDown { at, host });
+                }
+            }
+            if host_ok && !bc_ok {
+                self.counters.inc(names::BROADCAST_FAIL);
+            }
+            let (name, reason) = if exec & bit == 0 {
+                (names::REPLICA_DROP_SILENT, DropReason::NotExecuted)
+            } else if !host_ok {
+                (names::REPLICA_DROP_HOST, DropReason::HostDown)
+            } else if !bc_ok {
+                (names::REPLICA_DROP_BROADCAST, DropReason::Broadcast)
+            } else if r.warm & bit == 0 {
+                (names::REPLICA_DROP_WARMUP, DropReason::Warmup)
+            } else if r.excluded & bit != 0 {
+                (names::REPLICA_DROP_EXCLUDED, DropReason::Excluded)
+            } else {
+                self.counters.inc(names::REPLICA_OK);
+                return true;
+            };
+            self.counters.inc(names::REPLICA_DROP);
+            self.counters.inc(name);
+            if reason != DropReason::NotExecuted {
+                let host = r.host;
+                self.push(ObsEvent::ReplicaDrop {
+                    at,
+                    task,
+                    host,
+                    reason,
+                });
+            }
+            false
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The group ring, rebuilt per lane, against plain per-lane
+        /// flight recorders fed every event one at a time: equal dumps,
+        /// live rings, eviction counts, counters and hosts-up gauges on
+        /// every lane — after a completed run, or after a panic cut the
+        /// last read short.
+        #[test]
+        fn group_ring_matches_per_lane_recorders(
+            seed in any::<u64>(),
+            width in 1usize..=64,
+            len in 0usize..=700,
+            corrupting in any::<bool>(),
+            unwound in any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Quiet runs give lanes long stretches of reads whose only
+            // event is the vote, where the ring must keep exactly as many
+            // reads as the largest recorder holds events.
+            let noise = [0.0, 0.01, 0.3][rng.gen_range(0..3)];
+            let steps = random_steps(&mut rng, width, len, noise, corrupting);
+            // Per lane: no recorder, or one of capacity 1, 2, 7 or 256 up
+            // to this run's largest, possibly holding events from before
+            // the run.
+            let capacities = [1, 2, 7, 256];
+            let largest = rng.gen_range(0..capacities.len());
+            let mut sinks = Vec::new();
+            let mut oracles = Vec::new();
+            for _ in 0..width {
+                let capacity = match rng.gen_range(0..5) {
+                    0 => 0,
+                    1 | 2 => capacities[largest],
+                    _ => capacities[rng.gen_range(0..=largest)],
+                };
+                let mut sink = if capacity == 0 { Registry::new() } else { Registry::with_recorder(capacity) };
+                let mut recorder = (capacity != 0).then(|| FlightRecorder::new(capacity));
+                for at in 0..rng.gen_range(0..3) {
+                    let event = ObsEvent::HostUp { at, host: 9 };
+                    sink.event(&event);
+                    if let Some(rec) = &mut recorder {
+                        rec.push(event);
+                    }
+                }
+                sinks.push(sink);
+                oracles.push(LaneOracle { recorder, host_up: [true; 3], counters: Registry::new() });
+            }
+
+            let mut obs = GroupObs::new(sinks.iter_mut(), 3, 4);
+            for step in &steps {
+                match step {
+                    Step::Read { at, task, exec, replicas, outcomes } => {
+                        obs.begin_read(*at, *task, *exec);
+                        for r in replicas {
+                            obs.replica(*r);
+                        }
+                        obs.vote(*outcomes);
+                        for (lane, oracle) in oracles.iter_mut().enumerate() {
+                            let bit = 1 << lane;
+                            let delivered = replicas
+                                .iter()
+                                .filter(|r| oracle.replica(*at, *task, *exec, r, bit))
+                                .count();
+                            let outcome = match outcomes {
+                                _ if delivered == 0 => VoteOutcome::Silent,
+                                Some([m, _]) if m & bit != 0 => VoteOutcome::Majority,
+                                Some([_, t]) if t & bit != 0 => VoteOutcome::Tie,
+                                _ => VoteOutcome::Unanimous,
+                            };
+                            let name = match outcome {
+                                VoteOutcome::Unanimous => names::VOTE_UNANIMOUS,
+                                VoteOutcome::Majority => names::VOTE_MAJORITY,
+                                VoteOutcome::Tie => names::VOTE_TIE,
+                                VoteOutcome::Silent => names::VOTE_SILENT,
+                            };
+                            oracle.counters.inc(name);
+                            oracle.counters.observe(names::REPLICAS_PER_VOTE, delivered as f64);
+                            oracle.push(ObsEvent::Vote {
+                                at: *at,
+                                task: *task,
+                                outcome,
+                                delivered,
+                                replicas: replicas.len(),
+                            });
+                        }
+                    }
+                    Step::Event(lane, event) => {
+                        obs.event(*lane, event, &mut sinks[*lane]);
+                        oracles[*lane].push(event.clone());
+                    }
+                }
+            }
+            if unwound {
+                // A panic after some replicas of one more read were drawn.
+                let all = obs.all;
+                let exec = mask(&mut rng, all, noise);
+                obs.begin_read(1 << 40, 0, exec);
+                for _ in 0..rng.gen_range(0..=3) {
+                    let r = ReplicaMasks {
+                        host: rng.gen_range(0..3),
+                        host_ok: mask(&mut rng, all, 0.3),
+                        bc_ok: mask(&mut rng, all, 0.3),
+                        warm: all,
+                        excluded: 0,
+                    };
+                    obs.replica(r);
+                    for (lane, oracle) in oracles.iter_mut().enumerate() {
+                        oracle.replica(1 << 40, 0, exec, &r, 1 << lane);
+                    }
+                }
+                obs.unwind(sinks.iter_mut());
+            } else {
+                for (lane, sink) in sinks.iter_mut().enumerate() {
+                    obs.flush(lane, sink, [(names::ROUNDS, 0); 5]);
+                }
+            }
+
+            for (lane, (sink, oracle)) in sinks.iter().zip(&oracles).enumerate() {
+                let ups = oracle.host_up.iter().filter(|&&up| up).count();
+                prop_assert_eq!(sink.gauge(names::HOSTS_UP), Some(ups as f64), "lane {}", lane);
+                if !unwound {
+                    let counters: Vec<_> = sink.counters().collect();
+                    let expected: Vec<_> = oracle.counters.counters().collect();
+                    prop_assert_eq!(counters, expected, "lane {} counters", lane);
+                    prop_assert_eq!(
+                        sink.histogram(names::REPLICAS_PER_VOTE),
+                        oracle.counters.histogram(names::REPLICAS_PER_VOTE),
+                        "lane {} histogram", lane
+                    );
+                }
+                let (Some(rec), Some(expected)) = (sink.recorder(), &oracle.recorder) else {
+                    prop_assert!(sink.recorder().is_none() && oracle.recorder.is_none());
+                    continue;
+                };
+                prop_assert_eq!(rec.dumps(), expected.dumps(), "lane {} dumps", lane);
+                prop_assert_eq!(
+                    rec.events().collect::<Vec<_>>(),
+                    expected.events().collect::<Vec<_>>(),
+                    "lane {} live ring", lane
+                );
+                prop_assert_eq!(rec.dropped(), expected.dropped(), "lane {} evictions", lane);
+            }
+        }
+    }
+}
