@@ -23,14 +23,20 @@
 //!   correlated event kind (common-cause group, partition, Weibull
 //!   wear-out, adaptive adversary) — `scenario_overhead` is the
 //!   correlated/plain slowdown, floor-gated at ≤1.2x under `--compare`;
-//! * one 64-lane steer-by-wire campaign unit (every scenario event kind,
-//!   flight-recorder registries) with and without its group LRC monitor
-//!   — `campaign_monitor_overhead` is the median paired monitored/plain
+//! * one 64-lane steer-by-wire campaign unit through the campaign path
+//!   (`run_campaign_unit`: every scenario event kind, flight-recorder
+//!   registries) with and without LRCs for its group monitor to watch —
+//!   `campaign_monitor_overhead` is the median paired monitored/plain
 //!   ratio, ceiling-gated under `--compare`;
 //! * the same monitored unit with the production registries against
 //!   `NoopSink` lanes — `campaign_obs_overhead` is the median paired
 //!   registry/no-op ratio, what observation costs a campaign unit,
 //!   ceiling-gated under `--compare`;
+//! * the same unit under an empty scenario against the unit on its bare
+//!   base injectors — `campaign_scenario_overhead` is the median paired
+//!   ratio, what the scenario layer itself costs (both sides make the
+//!   same draws and reach the same outcomes), ceiling-gated under
+//!   `--compare`;
 //! * `compute_srgs` on the 3TS (ns per full report);
 //! * full static reliability certification on the 3TS
 //!   (`certify_specs_per_sec` — interval SRGs, symbolic sensitivities and
@@ -64,11 +70,12 @@ use logrel_core::json::{self, Json};
 use logrel_core::prelude::*;
 use logrel_obs::{MetricsSink, NoopSink, Registry};
 use logrel_reliability::{compute_srgs, exhaustive_synthesize, synthesize, SynthesisOptions};
-use logrel_serve::pipeline::{replication_context, Symbols};
+use logrel_serve::pipeline::{campaign_config, replication_context, Symbols};
 use logrel_sim::{
-    derive_seed, BehaviorMap, ConstantEnvironment, HostSet, LaneContext, LrcMonitor, MonitorConfig,
-    NoSupervisor, ProbabilisticFaults, Scenario as FaultScenario, ScenarioEnvironment,
-    ScenarioEvent, ScenarioInjector, SimConfig, SimOutput, Simulation,
+    derive_seed, run_campaign_unit, BehaviorMap, CampaignUnit, ConstantEnvironment, HostSet,
+    LaneContext, LaneMode, LrcMonitor, MonitorConfig, NoSupervisor, ProbabilisticFaults,
+    Scenario as FaultScenario, ScenarioEnvironment, ScenarioEvent, ScenarioInjector, SimConfig,
+    SimOutput, Simulation,
 };
 use logrel_threetank::{Scenario, ThreeTankSystem};
 use std::collections::BTreeMap;
@@ -169,7 +176,15 @@ const RATIO_FLOORS: &[(&str, &str, &str, f64)] = &[
 /// vote histogram, 256-event flight recorders) may cost at most 1.25x
 /// the unit with `NoopSink` lanes: eight runs on a 2-core VM measured
 /// 1.131–1.174 with the group tallies and the group event ring (per-lane
-/// events, the design they replaced, measured 1.36–1.57).
+/// events, the design they replaced, measured 1.36–1.57). Both ceilings
+/// were measured on units with a `ScenarioInjector` per lane; the group
+/// scenario layer halves the unit, so both ratios now read higher.
+///
+/// The production unit under an empty scenario may cost at most 1.2x
+/// the same unit on its bare base injectors: thirteen runs on a 2-core
+/// VM measured 1.019–1.110 with the group scenario layer (a
+/// `ScenarioInjector` per lane, the design it replaced, measured
+/// 1.68–1.73).
 const RATIO_CEILS: &[(&str, &str, f64)] = &[
     ("correlated-scenario overhead", "scenario_overhead", 1.2),
     (
@@ -178,49 +193,65 @@ const RATIO_CEILS: &[(&str, &str, f64)] = &[
         1.15,
     ),
     ("campaign observation overhead", "campaign_obs_overhead", 1.25),
+    ("campaign scenario-layer overhead", "campaign_scenario_overhead", 1.2),
 ];
 
-/// One 64-lane steer-by-wire campaign unit: the campaign's base context
-/// under the every-event scenario, for the campaign overhead ratios.
+/// One 64-lane steer-by-wire campaign unit as campaigns run it
+/// ([`run_campaign_unit`]: the campaign's base context under one group
+/// scenario layer, watched by one group LRC monitor), for the campaign
+/// overhead ratios.
 struct SteerUnit<'a> {
     sim: &'a Simulation<'a>,
+    /// The spec the unit's monitor watches.
     spec: &'a Specification,
+    /// The same spec without its LRCs: a monitor over it watches nothing.
+    unwatched: &'a Specification,
     arch: &'a Architecture,
-    scenario: &'a FaultScenario,
 }
 
 impl SteerUnit<'_> {
-    /// Wall-clock seconds of one run of the unit with a sink per lane
-    /// from `sink`, watched by its group LRC monitor when `monitored`.
-    fn time<M: MetricsSink>(&self, monitored: bool, sink: impl Fn() -> M) -> f64 {
-        const LANES: usize = 64;
-        let comms = self.spec.communicator_count();
+    const LANES: usize = 64;
+
+    /// Wall-clock seconds of one run of the unit under `scenario`, with
+    /// a sink per lane from `sink`, watched by its group LRC monitor when
+    /// `monitored`. Without a scenario the lanes run their bare base
+    /// injectors and environments, outside the campaign's scenario layer.
+    fn time<M: MetricsSink>(
+        &self,
+        scenario: Option<&FaultScenario>,
+        monitored: bool,
+        sink: impl Fn() -> M,
+    ) -> f64 {
+        let spec = if monitored { self.spec } else { self.unwatched };
         let hosts = self.arch.host_count();
-        let mut lanes: Vec<_> = (0..LANES as u64)
-            .map(|rep| {
-                let base = replication_context(self.arch);
-                LaneContext::new(
-                    derive_seed(1, rep),
-                    ScenarioInjector::new(base.injector, self.scenario, hosts, comms)
-                        .expect("valid scenario"),
-                    ScenarioEnvironment::new(base.environment, self.scenario, comms),
-                    NoSupervisor,
-                    sink(),
-                )
-            })
-            .collect();
-        let mut behaviors = BehaviorMap::new();
         let start = Instant::now();
-        if monitored {
-            let mut monitor = LrcMonitor::with_lanes(self.spec, MonitorConfig::default(), LANES);
+        if let Some(scenario) = scenario {
+            let config = campaign_config(Self::LANES as u64, STEER_ROUNDS, 1, LaneMode::Auto);
+            let unit = CampaignUnit {
+                first_rep: 0,
+                width: Self::LANES,
+            };
+            let setup = |_rep| replication_context(self.arch);
+            let make_sink = |_rep| sink();
+            let run = run_campaign_unit(
+                self.sim, spec, scenario, hosts, &config, setup, make_sink, unit,
+            );
+            std::hint::black_box(run.expect("the unit runs"));
+        } else {
+            let mut lanes: Vec<_> = (0..Self::LANES as u64)
+                .map(|rep| {
+                    let base = replication_context(self.arch);
+                    let seed = derive_seed(1, rep);
+                    LaneContext::new(seed, base.injector, base.environment, NoSupervisor, sink())
+                })
+                .collect();
+            let mut monitor = LrcMonitor::with_lanes(spec, MonitorConfig::default(), Self::LANES);
             std::hint::black_box(self.sim.run_monitored(
-                &mut behaviors,
+                &mut BehaviorMap::new(),
                 &mut lanes,
                 &mut monitor,
                 STEER_ROUNDS,
             ));
-        } else {
-            std::hint::black_box(self.sim.run_bitsliced(&mut behaviors, &mut lanes, STEER_ROUNDS));
         }
         start.elapsed().as_secs_f64()
     }
@@ -740,21 +771,45 @@ fn main() -> ExitCode {
         FaultScenario::parse_with(STEER_SCN, &Symbols(&steer_sys)).expect("steer scenario parses");
     let steer_td = TimeDependentImplementation::from(steer_sys.imp.clone());
     let steer_sim = Simulation::new(&steer_sys.spec, &steer_sys.arch, &steer_td);
+    let unwatched_src = STEER_SRC
+        .replace(" lrc 0.9995", "")
+        .replace(" lrc 0.999", "");
+    let unwatched = logrel_lang::compile(&unwatched_src).expect("steer-by-wire compiles");
+    assert!(
+        unwatched
+            .spec
+            .communicator_ids()
+            .all(|c| unwatched.spec.communicator(c).lrc().is_none()),
+        "the unwatched spec keeps no LRC"
+    );
     let unit = SteerUnit {
         sim: &steer_sim,
         spec: &steer_sys.spec,
+        unwatched: &unwatched.spec,
         arch: &steer_sys.arch,
-        scenario: &steer_scenario,
     };
     let registry = || Registry::with_recorder(STEER_RECORDER);
+    let scn = Some(&steer_scenario);
     let monitor_overhead = paired_median_ratio(
-        || unit.time(true, registry),
-        || unit.time(false, registry),
+        || unit.time(scn, true, registry),
+        || unit.time(scn, false, registry),
     );
     // Campaign observation overhead: the same monitored unit with the
     // production registries against `NoopSink` lanes — what the
     // counters, the vote histogram and the flight recorders cost.
-    let obs_overhead = paired_median_ratio(|| unit.time(true, registry), || unit.time(true, || NoopSink));
+    let obs_overhead = paired_median_ratio(
+        || unit.time(scn, true, registry),
+        || unit.time(scn, true, || NoopSink),
+    );
+    // Campaign scenario overhead: the production unit under an empty
+    // scenario against the same unit on its bare base injectors. Both
+    // make the same draws and reach the same outcomes, so the ratio is
+    // what the scenario layer itself costs.
+    let empty = FaultScenario::new();
+    let scenario_layer_overhead = paired_median_ratio(
+        || unit.time(Some(&empty), true, registry),
+        || unit.time(None, true, registry),
+    );
 
     let srg_secs = best_secs(|| {
         std::hint::black_box(compute_srgs(&sys.spec, &sys.arch, &sys.imp).expect("memory-free"));
@@ -806,6 +861,7 @@ fn main() -> ExitCode {
          \"scenario_overhead\": {:.3},\n    \
          \"campaign_monitor_overhead\": {:.3},\n    \
          \"campaign_obs_overhead\": {:.3},\n    \
+         \"campaign_scenario_overhead\": {:.3},\n    \
          \"reference_rounds_per_sec\": {:.0},\n    \
          \"reference_events_per_sec\": {:.0},\n    \
          \"kernel_speedup_over_reference\": {:.2},\n    \
@@ -836,6 +892,7 @@ fn main() -> ExitCode {
         scenario_overhead,
         monitor_overhead,
         obs_overhead,
+        scenario_layer_overhead,
         SIM_ROUNDS as f64 / reference_secs,
         events as f64 / reference_secs,
         kernel_speedup,

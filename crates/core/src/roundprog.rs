@@ -243,6 +243,37 @@ pub struct RoundProgram {
 }
 
 impl RoundProgram {
+    /// The bytes the program's tables occupy: its struct, every list's
+    /// elements, and each list's own header.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        fn list<T>(v: &[T]) -> usize {
+            size_of::<Vec<T>>() + std::mem::size_of_val(v)
+        }
+        let slots: usize = self
+            .slots
+            .iter()
+            .map(|s| list(&s.updates) + list(&s.latches) + list(&s.reads))
+            .sum();
+        let phases: usize = self
+            .phases
+            .iter()
+            .map(|p| {
+                p.sensors.iter().map(|v| list(v)).sum::<usize>()
+                    + p.hosts.iter().map(|v| list(v)).sum::<usize>()
+            })
+            .sum();
+        let tasks: usize = self.tasks.iter().map(|t| list(&t.defaults)).sum();
+        size_of::<Self>()
+            + list(&self.slots)
+            + slots
+            + list(&self.phases)
+            + phases
+            + list(&self.tasks)
+            + tasks
+    }
+
     /// Lowers the event calendar and replication mapping into the dense
     /// round program interpreted by the simulator.
     pub fn compile(

@@ -135,6 +135,9 @@ pub mod names {
     pub const SERVE_CACHE_HITS: &str = "logrel_serve_cache_hits_total";
     /// Jobs whose spec had to be compiled (elaborate/lint/verify/program).
     pub const SERVE_CACHE_MISSES: &str = "logrel_serve_cache_misses_total";
+    /// Compiled specs the service dropped from its compilation cache to
+    /// stay within its byte budget.
+    pub const SERVE_CACHE_EVICTIONS: &str = "logrel_serve_cache_evictions_total";
     /// Jobs currently queued or running in the service (gauge).
     pub const SERVE_QUEUE_DEPTH: &str = "logrel_serve_queue_depth";
 }
@@ -322,6 +325,10 @@ pub const CATALOG: &[MetricDef] = &[
     counter!(
         names::SERVE_CACHE_MISSES,
         "Jobs that compiled their spec from scratch"
+    ),
+    counter!(
+        names::SERVE_CACHE_EVICTIONS,
+        "Compiled specs evicted from the compilation cache"
     ),
     gauge!(
         names::SERVE_QUEUE_DEPTH,

@@ -17,6 +17,13 @@
 //! while jobs on other specs — cache hits included — never wait for it.
 //! A failed compile leaves no entry, so errors are never cached.
 //!
+//! The cache is bounded: each compiled entry is charged an estimate of
+//! the memory it keeps alive ([`entry_bytes`]), and once the entries
+//! together exceed [`COMPILE_CACHE_BYTES`] the least recently used ones
+//! are dropped (counted in `logrel_serve_cache_evictions_total`). A job
+//! already running on an evicted spec keeps its `Arc`; the next job on
+//! that spec compiles it again, to the same bytes.
+//!
 //! # Determinism
 //!
 //! A job is a [`pipeline`](crate::pipeline) campaign: [`Plan::new`]
@@ -135,11 +142,101 @@ struct WorkQueue {
 /// it failed), then the shared compiled form.
 type CacheSlot = Arc<Mutex<Option<Arc<CompiledSpec>>>>;
 
+/// The byte budget of the compilation cache, as charged by
+/// [`entry_bytes`]: about 30 compiled specs of the size of
+/// `assets/steer_by_wire.htl` (4.3 KB each).
+pub const COMPILE_CACHE_BYTES: usize = 128 << 10;
+
+/// The memory a compiled spec is charged in the cache: its source text
+/// (the parsed and elaborated forms it keeps grow with it) plus its round
+/// program's tables.
+#[must_use]
+pub fn entry_bytes(source: &str, compiled: &CompiledSpec) -> usize {
+    source.len() + compiled.program().heap_bytes()
+}
+
+/// A cache slot with its LRU bookkeeping.
+struct CacheEntry {
+    slot: CacheSlot,
+    /// The cache clock at the entry's last use.
+    used: u64,
+    /// The entry's charge; 0 until its compile succeeds.
+    bytes: usize,
+}
+
+/// The compilation cache: slots by spec hash, least recently used first
+/// out once the filled entries exceed [`COMPILE_CACHE_BYTES`].
+#[derive(Default)]
+struct CompileCache {
+    entries: HashMap<u64, CacheEntry>,
+    clock: u64,
+    bytes: usize,
+}
+
+impl CompileCache {
+    /// The slot of `key`, created empty if absent, marked as just used.
+    fn slot(&mut self, key: u64) -> CacheSlot {
+        self.clock += 1;
+        let used = self.clock;
+        let entry = self.entries.entry(key).or_insert_with(|| CacheEntry {
+            slot: CacheSlot::default(),
+            used,
+            bytes: 0,
+        });
+        entry.used = used;
+        Arc::clone(&entry.slot)
+    }
+
+    /// Charges `bytes` to `key`'s freshly filled `slot`, then evicts the
+    /// least recently used other filled entries while over budget.
+    /// Returns the number evicted.
+    fn charge(&mut self, key: u64, slot: &CacheSlot, bytes: usize) -> u64 {
+        match self.entries.get_mut(&key) {
+            Some(e) if Arc::ptr_eq(&e.slot, slot) => {
+                self.bytes = self.bytes - e.bytes + bytes;
+                e.bytes = bytes;
+            }
+            // `clear_cache` ran during the compile: nothing to charge.
+            _ => return 0,
+        }
+        let mut evicted = 0;
+        while self.bytes > COMPILE_CACHE_BYTES {
+            // Empty slots are compiles in flight: evicting one would let
+            // a concurrent submission compile the same spec again.
+            let Some((&victim, _)) = self
+                .entries
+                .iter()
+                .filter(|&(&k, e)| k != key && e.bytes > 0)
+                .min_by_key(|(_, e)| e.used)
+            else {
+                break;
+            };
+            let e = self.entries.remove(&victim).expect("victim is cached");
+            self.bytes -= e.bytes;
+            evicted += 1;
+        }
+        evicted
+    }
+
+    /// Drops `key`'s entry if it is still `slot` (a failed compile).
+    fn forget(&mut self, key: u64, slot: &CacheSlot) {
+        if self.entries.get(&key).is_some_and(|e| Arc::ptr_eq(&e.slot, slot)) {
+            let e = self.entries.remove(&key).expect("entry present");
+            self.bytes -= e.bytes;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.bytes = 0;
+    }
+}
+
 struct Inner {
     config: ServeConfig,
     queue: Mutex<WorkQueue>,
     work_cv: Condvar,
-    cache: Mutex<HashMap<u64, CacheSlot>>,
+    cache: Mutex<CompileCache>,
     db: SharedDb,
     metrics: Mutex<Registry>,
     active_jobs: AtomicUsize,
@@ -181,7 +278,7 @@ impl Engine {
             config,
             queue: Mutex::new(WorkQueue { items: VecDeque::new(), stop: false }),
             work_cv: Condvar::new(),
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::new(CompileCache::default()),
             db,
             metrics: Mutex::new(Registry::new()),
             active_jobs: AtomicUsize::new(0),
@@ -293,7 +390,7 @@ impl Engine {
     fn compiled(&self, source: &str, label: &str) -> Result<(Arc<CompiledSpec>, bool), JobError> {
         let inner = &*self.inner;
         let key = fnv1a(source.as_bytes());
-        let slot = Arc::clone(lock(&inner.cache).entry(key).or_default());
+        let slot = lock(&inner.cache).slot(key);
         let mut entry = lock(&slot);
         if let Some(hit) = &*entry {
             lock(&inner.metrics).inc(names::SERVE_CACHE_HITS);
@@ -304,15 +401,18 @@ impl Engine {
             Ok(compiled) => {
                 let compiled = Arc::new(compiled);
                 *entry = Some(Arc::clone(&compiled));
+                drop(entry);
+                let bytes = entry_bytes(source, &compiled);
+                let evicted = lock(&inner.cache).charge(key, &slot, bytes);
+                if evicted > 0 {
+                    lock(&inner.metrics).add(names::SERVE_CACHE_EVICTIONS, evicted);
+                }
                 Ok((compiled, false))
             }
             Err(e) => {
                 // Errors stay uncached: drop the empty slot unless a
                 // `clear_cache` already replaced it.
-                let mut cache = lock(&inner.cache);
-                if cache.get(&key).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
-                    cache.remove(&key);
-                }
+                lock(&inner.cache).forget(key, &slot);
                 Err(e)
             }
         }

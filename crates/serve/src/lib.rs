@@ -31,6 +31,6 @@ pub mod pipeline;
 pub mod proto;
 pub mod server;
 
-pub use engine::{Engine, Job, JobOutcome, ServeConfig};
+pub use engine::{entry_bytes, Engine, Job, JobOutcome, ServeConfig, COMPILE_CACHE_BYTES};
 pub use proto::{JobError, JobRequest, Request, Source};
 pub use server::{install_term_hook, process_line, serve_stdin, term_requested, Server};

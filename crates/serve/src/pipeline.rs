@@ -110,6 +110,12 @@ impl CompiledSpec {
         &self.sys
     }
 
+    /// The compiled round program.
+    #[must_use]
+    pub fn program(&self) -> &RoundProgram {
+        &self.program
+    }
+
     /// A simulation reattached to the shared round program: per-unit
     /// cost is this struct, not a recompilation.
     fn simulation(&self) -> Simulation<'_> {

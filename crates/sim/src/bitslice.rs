@@ -25,6 +25,13 @@
 //! lane's RNG stream, supervisor interactions and metrics are the ones a
 //! one-lane run of the same seed produces, whatever the group width.
 //!
+//! A campaign unit adds one group scenario layer over the lanes' base
+//! injectors (`scenario/lanes.rs`): the timeline is evaluated once per
+//! group at each (replica, instant), and the lane loop only makes each
+//! lane's scenario draws, between its inner host and broadcast draws,
+//! and folds them into lane masks. The public entry points run under the
+//! empty layer, which draws nothing.
+//!
 //! # What a run records
 //!
 //! The kernel keeps counts: per communicator the number of updates
@@ -72,6 +79,7 @@ use crate::fault::FaultInjector;
 use crate::kernel::{task_audiences, warm_after_rejoin, SimOutput, Simulation, TaskStats};
 use crate::monitor::{emit_alarm, LrcMonitor, NoSupervisor, Supervisor};
 use crate::observe::{GroupObs, ReplicaMasks};
+use crate::scenario::{CrashState, ScenarioLanes};
 use crate::trace::Trace;
 use logrel_core::roundprog::UpdateOp;
 use logrel_core::{CommunicatorId, FailureModel, HostId, TaskId, Tick, Value};
@@ -331,6 +339,12 @@ impl<I, E, S, M> LaneContext<I, E, S, M> {
     pub fn into_parts(self) -> (I, E, S, M) {
         (self.injector, self.environment, self.supervisor, self.sink)
     }
+
+    /// The lane's random stream.
+    #[cfg(test)]
+    pub(crate) fn rng_mut(&mut self) -> &mut StdRng {
+        &mut self.rng
+    }
 }
 
 impl<I, E> LaneContext<I, E> {
@@ -339,6 +353,69 @@ impl<I, E> LaneContext<I, E> {
     pub fn plain(seed: u64, injector: I, environment: E) -> Self {
         LaneContext::new(seed, injector, environment, NoSupervisor, NoopSink)
     }
+}
+
+/// One replica of a task read, as the lanes' own hooks see it.
+struct Replica<'a> {
+    host: HostId,
+    task: TaskId,
+    now: Tick,
+    round: u64,
+    /// The task's partition audience, when a lane's own injector may
+    /// partition.
+    audience: Option<&'a [HostId]>,
+    /// Whether each lane's own injector decides the warm-up (the group
+    /// layer scripts nothing for the host).
+    warm_per_lane: bool,
+}
+
+/// Makes every lane's own calls for `r`, each lane in its stream order —
+/// the inner host draw, the group layer's host draws, the inner broadcast
+/// draw, the layer's burst draws — and folds the outcomes into masks: the
+/// inner host and broadcast outcomes (a replica cut off from any audience
+/// host counts as a broadcast drop), the lanes' own warm-up verdicts and
+/// their supervisors' exclusions. Specialized on `SCRIPTED`, so the loop
+/// of a run without a scenario carries no layer call.
+#[inline(always)]
+fn sample_lanes<const SCRIPTED: bool, I, E, S, M>(
+    lanes: &mut [LaneContext<I, E, S, M>],
+    layer: &mut ScenarioLanes,
+    r: &Replica<'_>,
+) -> ReplicaMasks
+where
+    I: FaultInjector,
+    S: Supervisor,
+{
+    let mut m = ReplicaMasks {
+        host: r.host.index(),
+        host_ok: 0,
+        bc_ok: 0,
+        warm: 0,
+        excluded: 0,
+    };
+    for (li, lane) in lanes.iter_mut().enumerate() {
+        let bit = 1u64 << li;
+        let host_ok = lane.injector.host_ok(r.host, r.now, &mut lane.rng);
+        if SCRIPTED {
+            layer.draw_host(&mut lane.rng, bit);
+        }
+        let bc_ok = lane.injector.broadcast_ok(r.host, r.now, &mut lane.rng)
+            && r.audience.is_none_or(|a| {
+                a.iter()
+                    .all(|&rcv| lane.injector.delivers(r.host, rcv, r.now))
+            });
+        if SCRIPTED {
+            layer.draw_bursts(&mut lane.rng, bit);
+        }
+        let warm = r.warm_per_lane
+            && warm_after_rejoin(lane.injector.rejoined_at(r.host, r.now), r.now, r.round);
+        let excluded = lane.supervisor.exclude_replica(r.task, r.host, r.now);
+        m.host_ok |= u64::from(host_ok) << li;
+        m.bc_ok |= u64::from(bc_ok) << li;
+        m.warm |= u64::from(warm) << li;
+        m.excluded |= u64::from(excluded) << li;
+    }
+    m
 }
 
 impl<'a> Simulation<'a> {
@@ -371,7 +448,8 @@ impl<'a> Simulation<'a> {
         S: Supervisor,
         M: MetricsSink,
     {
-        self.run_lanes(behaviors, lanes, None, rounds, &mut ())
+        let mut layer = ScenarioLanes::none(self.host_count(), lanes.len());
+        self.run_lanes(behaviors, lanes, None, &mut layer, rounds, &mut ())
     }
 
     /// [`Simulation::run_bitsliced`] watched by one group [`LrcMonitor`]
@@ -403,16 +481,31 @@ impl<'a> Simulation<'a> {
             lanes.len(),
             "the monitor must watch every lane"
         );
-        self.run_lanes(behaviors, lanes, Some(monitor), rounds, &mut ())
+        let mut layer = ScenarioLanes::none(self.host_count(), lanes.len());
+        self.run_lanes(behaviors, lanes, Some(monitor), &mut layer, rounds, &mut ())
     }
 
-    /// [`Simulation::run_bitsliced`], watched by `monitor` when given
-    /// and writing every update to `log` as well.
+    /// The number of hosts the round program places replicas on.
+    pub(crate) fn host_count(&self) -> usize {
+        self.program
+            .phases
+            .iter()
+            .flat_map(|p| p.hosts.iter().flatten())
+            .map(|h| h.index())
+            .max()
+            .map_or(0, |m| m + 1)
+    }
+
+    /// [`Simulation::run_bitsliced`] under the group scenario layer
+    /// `layer` (over the lanes' own injectors, which it wraps), watched
+    /// by `monitor` when given and writing every update to `log` as
+    /// well.
     pub(crate) fn run_lanes<I, E, S, M, L>(
         &self,
         behaviors: &mut BehaviorMap,
         lanes: &mut [LaneContext<I, E, S, M>],
         monitor: Option<&mut LrcMonitor>,
+        layer: &mut ScenarioLanes,
         rounds: u64,
         log: &mut L,
     ) -> BitslicedOutput
@@ -428,21 +521,14 @@ impl<'a> Simulation<'a> {
             (1..=64).contains(&n),
             "bit-sliced run needs 1..=64 lanes, got {n}"
         );
-        let hosts = self
-            .program
-            .phases
-            .iter()
-            .flat_map(|p| p.hosts.iter().flatten())
-            .map(|h| h.index())
-            .max()
-            .map_or(0, |m| m + 1);
+        assert_eq!(layer.width(), n, "the scenario layer must cover every lane");
         let mut obs = GroupObs::new(
             lanes.iter_mut().map(|l| &mut l.sink),
-            hosts,
+            self.host_count(),
             self.program.max_replicas,
         );
         let run = panic::catch_unwind(AssertUnwindSafe(|| {
-            self.run_rounds(behaviors, lanes, &mut obs, monitor, rounds, log)
+            self.run_rounds(behaviors, lanes, &mut obs, monitor, layer, rounds, log)
         }));
         run.unwrap_or_else(|payload| {
             // A panic unwinding through the kernel still leaves each
@@ -456,12 +542,14 @@ impl<'a> Simulation<'a> {
     }
 
     /// The rounds of [`Simulation::run_lanes`], observed through `obs`.
+    #[allow(clippy::too_many_arguments)]
     fn run_rounds<I, E, S, M, L>(
         &self,
         behaviors: &mut BehaviorMap,
         lanes: &mut [LaneContext<I, E, S, M>],
         obs: &mut GroupObs,
         mut monitor: Option<&mut LrcMonitor>,
+        layer: &mut ScenarioLanes,
         rounds: u64,
         log: &mut L,
     ) -> BitslicedOutput
@@ -488,8 +576,11 @@ impl<'a> Simulation<'a> {
         // Correlated-failure gates: the partition delivery check and the
         // adaptive vote echo are pure (no RNG draws), so lanes with a
         // plain injector see exactly their one-lane call sequence whether
-        // or not another lane partitions or adapts.
-        let partitioned = lanes.iter().any(|l| l.injector.partitions());
+        // or not another lane partitions or adapts. The group layer's
+        // share of each is evaluated once for all lanes.
+        let scripted = layer.scripted();
+        let lane_partitioned = lanes.iter().any(|l| l.injector.partitions());
+        let partitioned = lane_partitioned || layer.partitions();
         let adaptive = lanes.iter().any(|l| l.injector.adaptive());
         let audiences = if partitioned {
             task_audiences(spec, self.imp.phases())
@@ -738,50 +829,72 @@ impl<'a> Simulation<'a> {
                     }
                     let mut delivered_mask = 0u64;
                     for (i, &h) in hosts_of.iter().enumerate() {
-                        let mut okm = 0u64;
-                        let mut masks = ReplicaMasks {
-                            host: h.index(),
-                            host_ok: 0,
-                            bc_ok: 0,
-                            warm: 0,
-                            excluded: 0,
+                        // Lane-independent: which scenario entities draw
+                        // now, and the warm-up state of a scripted host.
+                        let crash = if scripted {
+                            layer.begin_host(h, now.as_u64());
+                            layer.begin_bursts(now.as_u64());
+                            layer.crash_state(h, now.as_u64())
+                        } else {
+                            CrashState::Unscripted
                         };
-                        for (li, lane) in lanes.iter_mut().enumerate() {
-                            let bit = 1u64 << li;
-                            // Sample both draws for every replica so the
-                            // process is order-independent. The partition
-                            // check is pure and folds into the broadcast
-                            // outcome: a replica cut off from any audience
-                            // host counts as a broadcast drop.
-                            let host_ok = lane.injector.host_ok(h, now, &mut lane.rng);
-                            let bc_ok = lane.injector.broadcast_ok(h, now, &mut lane.rng)
-                                && (!partitioned
-                                    || audiences[t]
-                                        .iter()
-                                        .all(|&rcv| lane.injector.delivers(h, rcv, now)));
-                            let warm = !tt.stateful
-                                || warm_after_rejoin(lane.injector.rejoined_at(h, now), now, round);
-                            let excluded =
-                                lane.supervisor.exclude_replica(TaskId::new(ti), h, now);
-                            masks.host_ok |= u64::from(host_ok) << li;
-                            masks.bc_ok |= u64::from(bc_ok) << li;
-                            masks.warm |= u64::from(warm) << li;
-                            masks.excluded |= u64::from(excluded) << li;
-                            let ok = exec & bit != 0 && host_ok && bc_ok && warm && !excluded;
-                            if ok {
-                                okm |= bit;
-                                if corrupting {
-                                    let dst =
-                                        &mut rep_vals[(i * n + li) * max_out..][..n_out];
-                                    let cidx = lane_cell[li];
-                                    dst.copy_from_slice(
-                                        &cell_outs[cidx * n_out..(cidx + 1) * n_out],
-                                    );
-                                    lane.injector.corrupt(h, now, dst, &mut lane.rng);
-                                }
-                                // Fast path: `corrupts()` guarantees the
-                                // corrupt hook neither mutates nor draws,
-                                // so the call is skipped entirely.
+                        let shared_warm = match crash {
+                            CrashState::Unscripted if tt.stateful => None,
+                            CrashState::Rejoined(at)
+                                if tt.stateful
+                                    && !warm_after_rejoin(Some(Tick::new(at)), now, round) =>
+                            {
+                                Some(0)
+                            }
+                            _ => Some(all_mask),
+                        };
+                        let replica = Replica {
+                            host: h,
+                            task: TaskId::new(ti),
+                            now,
+                            round,
+                            audience: lane_partitioned.then(|| &audiences[t][..]),
+                            warm_per_lane: shared_warm.is_none(),
+                        };
+                        let own = if scripted {
+                            sample_lanes::<true, _, _, _, _>(lanes, layer, &replica)
+                        } else {
+                            sample_lanes::<false, _, _, _, _>(lanes, layer, &replica)
+                        };
+                        let mut masks = ReplicaMasks {
+                            warm: shared_warm.unwrap_or(own.warm),
+                            ..own
+                        };
+                        if scripted {
+                            let up = layer.up_mask(h, now.as_u64());
+                            masks.host_ok &= up;
+                            masks.bc_ok &= up & layer.burst_ok();
+                            if layer.partitions()
+                                && !audiences[t]
+                                    .iter()
+                                    .all(|&rcv| layer.delivers(h, rcv, now.as_u64()))
+                            {
+                                masks.bc_ok = 0;
+                            }
+                        }
+                        let okm =
+                            exec & masks.host_ok & masks.bc_ok & masks.warm & !masks.excluded;
+                        // Only the slow path materializes the delivering
+                        // lanes' replica rows and lets their injectors
+                        // corrupt them, after the lane's other draws for
+                        // this replica. On the fast path `corrupts()`
+                        // guarantees the hook neither mutates nor draws,
+                        // so the call is skipped entirely.
+                        if corrupting {
+                            let mut m = okm;
+                            while m != 0 {
+                                let li = m.trailing_zeros() as usize;
+                                m &= m - 1;
+                                let lane = &mut lanes[li];
+                                let dst = &mut rep_vals[(i * n + li) * max_out..][..n_out];
+                                let cidx = lane_cell[li];
+                                dst.copy_from_slice(&cell_outs[cidx * n_out..(cidx + 1) * n_out]);
+                                lane.injector.corrupt(h, now, dst, &mut lane.rng);
                             }
                         }
                         if any_obs {
@@ -862,7 +975,12 @@ impl<'a> Simulation<'a> {
 
                     // Adaptive vote echo: lane `li`'s delivering hosts are
                     // the replicas whose ok-mask has bit `li` set, so the
-                    // fast path needs no materialized replica rows.
+                    // fast path needs no materialized replica rows. The
+                    // group layer reads the pivot off the masks directly.
+                    if layer.adaptive() {
+                        let replicas = hosts_of.iter().copied().zip(ok_masks.iter().copied());
+                        layer.observe_votes(now.as_u64(), replicas, hosts_of.len());
+                    }
                     if adaptive {
                         for (li, lane) in lanes.iter_mut().enumerate() {
                             if !lane.injector.adaptive() {

@@ -15,7 +15,7 @@ use crate::bitslice::{BitslicedOutput, LaneContext};
 use crate::kernel::Simulation;
 use crate::monitor::{AlarmKind, LrcMonitor, MonitorConfig, MonitorLane, NoSupervisor};
 use crate::montecarlo::{derive_seed, run_indexed_units, BatchConfig, ReplicationContext};
-use crate::scenario::{Scenario, ScenarioEnvironment, ScenarioError, ScenarioInjector};
+use crate::scenario::{Scenario, ScenarioEnvironment, ScenarioError, ScenarioLanes, Timeline};
 use logrel_core::{CommunicatorId, Specification, Tick};
 use logrel_obs::{MetricsSink, NoopSink, Registry};
 use logrel_reliability::hoeffding_epsilon;
@@ -350,9 +350,11 @@ fn rep_stats(
 /// the report.
 ///
 /// `setup(rep)` builds each replication's *base* context — behaviors,
-/// environment, inner fault injector — which the campaign wraps in the
-/// scenario layers ([`ScenarioInjector`], [`ScenarioEnvironment`]) and
-/// watches with an [`LrcMonitor`]. `analytic` carries the
+/// environment, inner fault injector — which the campaign runs under the
+/// scenario layers (the lane-group form of
+/// [`ScenarioInjector`](crate::ScenarioInjector), and a
+/// [`ScenarioEnvironment`] per replication) and watches with an
+/// [`LrcMonitor`]. `analytic` carries the
 /// per-communicator SRGs to compare λ̂ against (`None` entries skip the
 /// comparison); pass `&[]` to skip it entirely.
 pub fn run_campaign<'a, S>(
@@ -422,11 +424,13 @@ where
 ///
 /// This is the sharding entry point for job services: bounds that
 /// [`plan_campaign`] checks once up front are re-validated here per unit
-/// (scenario wrapping propagates its error instead of panicking), so a
-/// malformed unit diagnoses rather than takes down the worker. The unit
-/// runs as one lane group of [`Simulation::run_monitored`], whatever
-/// its width, under one group [`LrcMonitor`] (the lanes themselves are
-/// passive [`NoSupervisor`]s), and reduces each lane to its
+/// (compiling the scenario propagates its error instead of panicking),
+/// so a malformed unit diagnoses rather than takes down the worker. The
+/// unit runs as one lane group, whatever its width, under one group
+/// scenario layer — the scenario's timeline is compiled once per unit
+/// and evaluated once per group, and each lane's base injector only
+/// makes that lane's draws — and one group [`LrcMonitor`] (the lanes
+/// themselves are passive [`NoSupervisor`]s), and reduces each lane to its
 /// [`RepStats`] from the counts the kernel kept and the monitor's
 /// verdicts — no trace is recorded, so memory does not grow with the
 /// rounds. Every replication is bit-identical to its place in a
@@ -452,6 +456,9 @@ where
     if width == 0 || width > 64 {
         return Err(CampaignError::LaneWidth(width));
     }
+    // The scenario is compiled once for the unit and runs as one group
+    // layer over the lanes' base injectors.
+    let mut layer = ScenarioLanes::new(Timeline::compile(scenario, host_count, comm_count)?, width);
     // One shared behavior map per group (the first replication's):
     // behaviors are pure by the lane-group kernel's contract. A lane's
     // draw sequence never depends on the group width, so narrower tail
@@ -460,14 +467,13 @@ where
     let mut lanes = Vec::with_capacity(width);
     for rep in first_rep..first_rep + width as u64 {
         let base = setup(rep);
-        let injector = ScenarioInjector::new(base.injector, scenario, host_count, comm_count)?;
         let environment = ScenarioEnvironment::new(base.environment, scenario, comm_count);
         if behaviors.is_none() {
             behaviors = Some(base.behaviors);
         }
         lanes.push(LaneContext::new(
             derive_seed(config.batch.base_seed, rep),
-            injector,
+            base.injector,
             environment,
             NoSupervisor,
             make_sink(rep),
@@ -479,11 +485,13 @@ where
         return Err(CampaignError::LaneWidth(0));
     };
     let mut monitor = LrcMonitor::with_lanes(spec, config.monitor, width);
-    let out = sim.run_monitored(
+    let out = sim.run_lanes(
         &mut behaviors,
         &mut lanes,
-        &mut monitor,
+        Some(&mut monitor),
+        &mut layer,
         config.batch.rounds,
+        &mut (),
     );
     Ok(lanes
         .into_iter()

@@ -43,6 +43,7 @@ use crate::bitslice::LaneContext;
 use crate::environment::Environment;
 use crate::fault::FaultInjector;
 use crate::monitor::Supervisor;
+use crate::scenario::ScenarioLanes;
 use crate::trace::Trace;
 use logrel_core::{
     Architecture, Calendar, CommunicatorId, FailureModel, HostId, RoundProgram, SensorId,
@@ -378,7 +379,15 @@ impl<'a> Simulation<'a> {
             trace.reserve(comm, (k * rounds) as usize);
         }
         let mut trace = [trace];
-        let out = self.run_lanes(behaviors, &mut lanes, None, config.rounds, &mut trace[..]);
+        let mut layer = ScenarioLanes::none(self.host_count(), 1);
+        let out = self.run_lanes(
+            behaviors,
+            &mut lanes,
+            None,
+            &mut layer,
+            config.rounds,
+            &mut trace[..],
+        );
         let [trace] = trace;
         out.output(0, trace)
     }

@@ -56,8 +56,13 @@ use crate::environment::Environment;
 use crate::fault::FaultInjector;
 use logrel_core::{CommunicatorId, HostId, SensorId, TaskId, Tick, Value};
 use rand::rngs::StdRng;
-use rand::Rng;
 use std::fmt;
+
+mod lanes;
+#[cfg(test)]
+mod oracle;
+
+pub(crate) use lanes::{CrashState, ScenarioLanes, Timeline};
 
 /// A set of hosts identified by index, packed as a bitmask. Scenario
 /// events that name host *groups* (common-cause outages, partitions)
@@ -695,14 +700,25 @@ impl Scenario {
                 }
                 _ => {}
             }
+            // The `[0, 1]` check `parse` applies to every probability
+            // field (NaN fails it too).
+            let probs: &[f64] = match e {
+                ScenarioEvent::Flaky { up, .. } => &[*up],
+                ScenarioEvent::Burst {
+                    p_enter,
+                    p_exit,
+                    loss,
+                    ..
+                } => &[*p_enter, *p_exit, *loss],
+                ScenarioEvent::CommonCause { p, .. } => &[*p],
+                _ => &[],
+            };
+            if !probs.iter().all(|p| (0.0..=1.0).contains(p)) {
+                return Err(err(0, format!("probability out of [0, 1] in `{e}`")));
+            }
             match *e {
-                ScenarioEvent::CommonCause { hosts, p, .. } => {
-                    if hosts.is_empty() {
-                        return Err(err(0, format!("empty host group in `{e}`")));
-                    }
-                    if !(0.0..=1.0).contains(&p) {
-                        return Err(err(0, format!("probability out of [0, 1] in `{e}`")));
-                    }
+                ScenarioEvent::CommonCause { hosts, .. } if hosts.is_empty() => {
+                    return Err(err(0, format!("empty host group in `{e}`")));
                 }
                 ScenarioEvent::Partition { hosts, .. } if hosts.is_empty() => {
                     return Err(err(0, format!("empty host group in `{e}`")));
@@ -856,17 +872,9 @@ impl fmt::Display for Scenario {
     }
 }
 
-/// Per-burst Gilbert–Elliott chain state.
-#[derive(Debug, Clone, Copy)]
-struct GeState {
-    bad: bool,
-    /// Last instant the chain advanced at (`u64::MAX` = never).
-    last: u64,
-    /// Loss decision for the current instant.
-    lose_now: bool,
-}
-
-/// Runs a [`Scenario`] over an inner injector.
+/// Runs a [`Scenario`] over an inner injector: the one-lane form of the
+/// lane-group scenario layer a campaign unit runs once for all its
+/// lanes, so both forms share one definition of every event kind.
 ///
 /// Crash/rejoin windows silence the host on every channel and surface
 /// through [`FaultInjector::rejoined_at`] for the kernel's warm-up rule.
@@ -876,29 +884,12 @@ struct GeState {
 #[derive(Debug, Clone)]
 pub struct ScenarioInjector<I> {
     inner: I,
-    /// Per host: crash/rejoin transitions as (instant, is_rejoin), sorted.
-    transitions: Vec<Vec<(u64, bool)>>,
-    /// Per host: flaky windows (from, until, up).
-    flaky: Vec<Vec<(u64, u64, f64)>>,
-    /// Cached flaky decision per host: (instant + 1, up) — 0 = no cache.
-    flaky_cache: Vec<(u64, bool)>,
-    bursts: Vec<(u64, u64, f64, f64, f64)>,
-    ge: Vec<GeState>,
-    /// Common-cause groups: (from, until, p, members), in event order.
-    commons: Vec<(u64, u64, f64, HostSet)>,
-    /// Cached group decision: (instant + 1, down) — 0 = no cache. The
-    /// first member queried at an instant draws for the whole group.
-    common_cache: Vec<(u64, bool)>,
-    /// Per host: wear-out windows (from, until, shape, scale).
-    wearouts: Vec<Vec<(u64, u64, f64, f64)>>,
-    /// Cached wear decision per host: (instant + 1, up) — 0 = no cache.
-    wear_cache: Vec<(u64, bool)>,
-    /// Partition windows: (from, until, one side). Draw-free.
-    splits: Vec<(u64, u64, HostSet)>,
-    /// Adversary windows: (from, until, hold). Draw-free.
-    adversaries: Vec<(u64, u64, u64)>,
-    /// Per host: adversary-imposed downtime — down while `now < until`.
-    adv_until: Vec<u64>,
+    layer: ScenarioLanes,
+    /// The host, instant and scenario verdict of the last `host_ok`. By
+    /// then every entity that can down the host has drawn at that
+    /// instant, so until a vote moves the adversary a `broadcast_ok` of
+    /// the same host and instant only adds the bursts.
+    last_host: Option<(HostId, u64, bool)>,
 }
 
 impl<I: FaultInjector> ScenarioInjector<I> {
@@ -910,81 +901,11 @@ impl<I: FaultInjector> ScenarioInjector<I> {
         host_count: usize,
         comm_count: usize,
     ) -> Result<Self, ScenarioError> {
-        scenario.check_bounds(host_count, comm_count)?;
-        let mut transitions = vec![Vec::new(); host_count];
-        let mut flaky = vec![Vec::new(); host_count];
-        let mut bursts = Vec::new();
-        let mut commons = Vec::new();
-        let mut wearouts = vec![Vec::new(); host_count];
-        let mut splits = Vec::new();
-        let mut adversaries = Vec::new();
-        for e in scenario.events() {
-            match *e {
-                ScenarioEvent::Crash { host, at } => {
-                    transitions[host.index()].push((at.as_u64(), false));
-                }
-                ScenarioEvent::Rejoin { host, at } => {
-                    transitions[host.index()].push((at.as_u64(), true));
-                }
-                ScenarioEvent::Flaky {
-                    host,
-                    from,
-                    until,
-                    up,
-                } => flaky[host.index()].push((from.as_u64(), until.as_u64(), up)),
-                ScenarioEvent::Burst {
-                    from,
-                    until,
-                    p_enter,
-                    p_exit,
-                    loss,
-                } => bursts.push((from.as_u64(), until.as_u64(), p_enter, p_exit, loss)),
-                ScenarioEvent::StuckSensor { .. } => {} // environment-side
-                ScenarioEvent::CommonCause {
-                    hosts,
-                    from,
-                    until,
-                    p,
-                } => commons.push((from.as_u64(), until.as_u64(), p, hosts)),
-                ScenarioEvent::Partition { hosts, from, until } => {
-                    splits.push((from.as_u64(), until.as_u64(), hosts));
-                }
-                ScenarioEvent::Wearout {
-                    host,
-                    from,
-                    until,
-                    shape,
-                    scale,
-                } => wearouts[host.index()].push((from.as_u64(), until.as_u64(), shape, scale)),
-                ScenarioEvent::Adversary { from, until, hold } => {
-                    adversaries.push((from.as_u64(), until.as_u64(), hold));
-                }
-            }
-        }
-        for t in &mut transitions {
-            t.sort_unstable();
-        }
+        let timeline = Timeline::compile(scenario, host_count, comm_count)?;
         Ok(ScenarioInjector {
             inner,
-            transitions,
-            flaky,
-            flaky_cache: vec![(0, true); host_count],
-            ge: vec![
-                GeState {
-                    bad: false,
-                    last: u64::MAX,
-                    lose_now: false,
-                };
-                bursts.len()
-            ],
-            bursts,
-            common_cache: vec![(0, false); commons.len()],
-            commons,
-            wearouts,
-            wear_cache: vec![(0, true); host_count],
-            splits,
-            adversaries,
-            adv_until: vec![0; host_count],
+            layer: ScenarioLanes::new(timeline, 1),
+            last_host: None,
         })
     }
 
@@ -992,179 +913,17 @@ impl<I: FaultInjector> ScenarioInjector<I> {
     pub fn inner(&self) -> &I {
         &self.inner
     }
-
-    /// Latest crash/rejoin transition of `host` at or before `now`:
-    /// `Some(true)` = rejoined, `Some(false)` = crashed, `None` = no
-    /// transition yet.
-    fn last_transition(&self, host: HostId, now: u64) -> Option<(u64, bool)> {
-        let ts = &self.transitions[host.index()];
-        match ts.partition_point(|&(at, _)| at <= now) {
-            0 => None,
-            i => Some(ts[i - 1]),
-        }
-    }
-
-    fn crash_down(&self, host: HostId, now: u64) -> bool {
-        matches!(self.last_transition(host, now), Some((_, false)))
-    }
-
-    /// The flaky decision for `(host, now)`, drawn once per instant and
-    /// cached so execution and broadcast of the same instant agree. One
-    /// draw per window containing `now`.
-    fn flaky_up(&mut self, host: HostId, now: u64, rng: &mut StdRng) -> bool {
-        let h = host.index();
-        if self.flaky_cache[h].0 == now + 1 {
-            return self.flaky_cache[h].1;
-        }
-        let mut up = true;
-        for &(from, until, p) in &self.flaky[h] {
-            if (from..until).contains(&now) && !rng.gen_bool(p) {
-                up = false;
-            }
-        }
-        self.flaky_cache[h] = (now + 1, up);
-        up
-    }
-
-    /// Pure variant of [`Self::flaky_up`] for corruption suppression:
-    /// uses the cached decision if present, else reports "up" (a host
-    /// whose broadcast was never sampled this instant delivers nothing
-    /// anyway).
-    fn flaky_up_cached(&self, host: HostId, now: u64) -> bool {
-        let h = host.index();
-        if self.flaky_cache[h].0 == now + 1 {
-            self.flaky_cache[h].1
-        } else {
-            true
-        }
-    }
-
-    /// The common-cause decision for `(host, now)`: every group that
-    /// contains `host` and whose window contains `now` draws once per
-    /// instant — made by the first member queried, cached for the rest —
-    /// so all members fail *together*. Zero draws outside windows.
-    fn common_down(&mut self, host: HostId, now: u64, rng: &mut StdRng) -> bool {
-        let mut down = false;
-        for (i, &(from, until, p, members)) in self.commons.iter().enumerate() {
-            if !members.contains(host) || !(from..until).contains(&now) {
-                continue;
-            }
-            let cache = &mut self.common_cache[i];
-            if cache.0 != now + 1 {
-                *cache = (now + 1, rng.gen_bool(p));
-            }
-            if cache.1 {
-                down = true;
-            }
-        }
-        down
-    }
-
-    /// Pure variant of [`Self::common_down`] for corruption suppression:
-    /// uses cached decisions only (a group never sampled this instant
-    /// delivered nothing anyway).
-    fn common_down_cached(&self, host: HostId, now: u64) -> bool {
-        self.commons.iter().enumerate().any(|(i, &(from, until, _, members))| {
-            members.contains(host)
-                && (from..until).contains(&now)
-                && self.common_cache[i] == (now + 1, true)
-        })
-    }
-
-    /// The Weibull wear-out decision for `(host, now)`, one unconditional
-    /// draw per active window per new instant with survival probability
-    /// `exp(−(τ/scale)^shape)` at window age `τ`. Cached per instant like
-    /// the flaky decision; zero draws outside windows.
-    fn wear_up(&mut self, host: HostId, now: u64, rng: &mut StdRng) -> bool {
-        let h = host.index();
-        if self.wear_cache[h].0 == now + 1 {
-            return self.wear_cache[h].1;
-        }
-        let mut up = true;
-        for &(from, until, shape, scale) in &self.wearouts[h] {
-            if (from..until).contains(&now) {
-                let x = (now - from) as f64 / scale;
-                // The canonical shapes — exponential (1) and Rayleigh
-                // (2) — skip the libm powf; this is the per-instant hot
-                // path of every wearing host.
-                let hazard = if shape == 2.0 {
-                    x * x
-                } else if shape == 1.0 {
-                    x
-                } else {
-                    x.powf(shape)
-                };
-                if !rng.gen_bool((-hazard).exp()) {
-                    up = false;
-                }
-            }
-        }
-        self.wear_cache[h] = (now + 1, up);
-        up
-    }
-
-    /// Pure variant of [`Self::wear_up`] for corruption suppression.
-    fn wear_up_cached(&self, host: HostId, now: u64) -> bool {
-        let h = host.index();
-        if self.wear_cache[h].0 == now + 1 {
-            self.wear_cache[h].1
-        } else {
-            true
-        }
-    }
-
-    /// Whether the adversary currently holds `host` down. Pure.
-    fn adv_down(&self, host: HostId, now: u64) -> bool {
-        now < self.adv_until[host.index()]
-    }
-
-    /// Advances every burst chain whose window contains `now` (once per
-    /// instant) and reports whether the broadcast at `now` survives all
-    /// of them. Exactly two draws per active window per new instant
-    /// (transition + loss) and zero outside windows, independent of the
-    /// chain state.
-    fn burst_ok(&mut self, now: u64, rng: &mut StdRng) -> bool {
-        let mut ok = true;
-        for (i, &(from, until, p_enter, p_exit, loss)) in self.bursts.iter().enumerate() {
-            if !(from..until).contains(&now) {
-                continue;
-            }
-            let st = &mut self.ge[i];
-            if st.last != now {
-                st.last = now;
-                let flip = rng.gen::<f64>();
-                if st.bad {
-                    if flip < p_exit {
-                        st.bad = false;
-                    }
-                } else if flip < p_enter {
-                    st.bad = true;
-                }
-                // Draw the loss unconditionally so the stream does not
-                // depend on the chain state.
-                st.lose_now = rng.gen::<f64>() < loss;
-            }
-            if st.bad && st.lose_now {
-                ok = false;
-            }
-        }
-        ok
-    }
 }
 
 impl<I: FaultInjector> FaultInjector for ScenarioInjector<I> {
     fn host_ok(&mut self, host: HostId, now: Tick, rng: &mut StdRng) -> bool {
         let inner_ok = self.inner.host_ok(host, now, rng);
         let t = now.as_u64();
-        let flaky_up = self.flaky_up(host, t, rng);
-        let common_down = self.common_down(host, t, rng);
-        let wear_up = self.wear_up(host, t, rng);
-        inner_ok
-            && flaky_up
-            && !common_down
-            && wear_up
-            && !self.crash_down(host, t)
-            && !self.adv_down(host, t)
+        self.layer.begin_host(host, t);
+        self.layer.draw_host(rng, 1);
+        let up = self.layer.up_mask(host, t) != 0;
+        self.last_host = Some((host, t, up));
+        inner_ok && up
     }
 
     fn sensor_ok(&mut self, sensor: SensorId, now: Tick, rng: &mut StdRng) -> bool {
@@ -1174,17 +933,17 @@ impl<I: FaultInjector> FaultInjector for ScenarioInjector<I> {
     fn broadcast_ok(&mut self, host: HostId, now: Tick, rng: &mut StdRng) -> bool {
         let inner_ok = self.inner.broadcast_ok(host, now, rng);
         let t = now.as_u64();
-        let burst_ok = self.burst_ok(t, rng);
-        let flaky_up = self.flaky_up(host, t, rng);
-        let common_down = self.common_down(host, t, rng);
-        let wear_up = self.wear_up(host, t, rng);
-        inner_ok
-            && burst_ok
-            && flaky_up
-            && !common_down
-            && wear_up
-            && !self.crash_down(host, t)
-            && !self.adv_down(host, t)
+        self.layer.begin_bursts(t);
+        self.layer.draw_bursts(rng, 1);
+        let up = match self.last_host {
+            Some((h, at, up)) if h == host && at == t => up,
+            _ => {
+                self.layer.begin_host(host, t);
+                self.layer.draw_host(rng, 1);
+                self.layer.up_mask(host, t) != 0
+            }
+        };
+        inner_ok && up && self.layer.burst_ok() != 0
     }
 
     fn corrupt(
@@ -1194,24 +953,19 @@ impl<I: FaultInjector> FaultInjector for ScenarioInjector<I> {
         outputs: &mut [Value],
         rng: &mut StdRng,
     ) {
-        let t = now.as_u64();
         // A host silenced by any scripted process is fail-silent: no
-        // corruption. The cached variants are pure, so no draws shift.
-        if !self.crash_down(host, t)
-            && self.flaky_up_cached(host, t)
-            && !self.common_down_cached(host, t)
-            && self.wear_up_cached(host, t)
-            && !self.adv_down(host, t)
-        {
+        // corruption. The up mask only reads decisions already drawn at
+        // this instant, so no draws shift.
+        if self.layer.up_mask(host, now.as_u64()) != 0 {
             self.inner.corrupt(host, now, outputs, rng);
         }
     }
 
     fn rejoined_at(&self, host: HostId, now: Tick) -> Option<Tick> {
-        match self.last_transition(host, now.as_u64()) {
-            Some((at, true)) => Some(Tick::new(at)),
-            Some((_, false)) => None,
-            None => self.inner.rejoined_at(host, now),
+        match self.layer.crash_state(host, now.as_u64()) {
+            CrashState::Rejoined(at) => Some(Tick::new(at)),
+            CrashState::Down => None,
+            CrashState::Unscripted => self.inner.rejoined_at(host, now),
         }
     }
 
@@ -1222,36 +976,23 @@ impl<I: FaultInjector> FaultInjector for ScenarioInjector<I> {
     }
 
     fn delivers(&self, sender: HostId, receiver: HostId, now: Tick) -> bool {
-        let t = now.as_u64();
-        self.splits.iter().all(|&(from, until, side)| {
-            !(from..until).contains(&t) || side.contains(sender) == side.contains(receiver)
-        }) && self.inner.delivers(sender, receiver, now)
+        self.layer.delivers(sender, receiver, now.as_u64())
+            && self.inner.delivers(sender, receiver, now)
     }
 
     fn partitions(&self) -> bool {
-        !self.splits.is_empty() || self.inner.partitions()
+        self.layer.partitions() || self.inner.partitions()
     }
 
     fn observe_vote(&mut self, task: TaskId, now: Tick, delivered: &[HostId], total: usize) {
         self.inner.observe_vote(task, now, delivered, total);
-        let t = now.as_u64();
-        // The pivot: the vote holds exactly the minimal strict majority,
-        // so losing any one delivering replica flips it. Target the
-        // lowest-indexed delivering host (deterministic, draw-free).
-        if delivered.is_empty() || delivered.len() != total / 2 + 1 {
-            return;
-        }
-        let target = delivered.iter().copied().min().expect("non-empty");
-        for &(from, until, hold) in &self.adversaries {
-            if (from..until).contains(&t) {
-                let u = &mut self.adv_until[target.index()];
-                *u = (*u).max(t + 1 + hold);
-            }
-        }
+        let replicas = delivered.iter().map(|&h| (h, 1));
+        self.layer.observe_votes(now.as_u64(), replicas, total);
+        self.last_host = None;
     }
 
     fn adaptive(&self) -> bool {
-        !self.adversaries.is_empty() || self.inner.adaptive()
+        self.layer.adaptive() || self.inner.adaptive()
     }
 }
 
@@ -1333,7 +1074,7 @@ mod tests {
     use super::*;
     use crate::environment::ConstantEnvironment;
     use crate::fault::NoFaults;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
@@ -1408,6 +1149,49 @@ adversary from=0 until=20000 hold=50
                 e.to_string().contains(needle),
                 "`{text}` → `{e}` (wanted `{needle}`)"
             );
+        }
+    }
+
+    /// `from_events` applies `parse`'s probability check to every
+    /// probability field, so no accepted scenario aborts a run in
+    /// `gen_bool` or fails to reparse from its canonical form.
+    #[test]
+    fn from_events_rejects_out_of_range_probabilities() {
+        let h = HostId::new(0);
+        let (from, until) = (Tick::new(0), Tick::new(10));
+        let flaky = |up| ScenarioEvent::Flaky {
+            host: h,
+            from,
+            until,
+            up,
+        };
+        let burst = |p_enter, p_exit, loss| ScenarioEvent::Burst {
+            from,
+            until,
+            p_enter,
+            p_exit,
+            loss,
+        };
+        let common = |p| ScenarioEvent::CommonCause {
+            hosts: HostSet::from_hosts([h]).unwrap(),
+            from,
+            until,
+            p,
+        };
+        for bad in [1.5, -0.25, f64::NAN, f64::INFINITY] {
+            for (field, e) in [
+                ("up", flaky(bad)),
+                ("enter", burst(bad, 0.5, 0.5)),
+                ("exit", burst(0.5, bad, 0.5)),
+                ("loss", burst(0.5, 0.5, bad)),
+                ("p", common(bad)),
+            ] {
+                let msg = Scenario::from_events(vec![e]).unwrap_err().to_string();
+                assert!(msg.contains("probability out of [0, 1]"), "{field}={bad}: {msg}");
+            }
+        }
+        for ok in [0.0, 1.0, 0.3] {
+            assert!(Scenario::from_events(vec![flaky(ok), burst(ok, ok, ok), common(ok)]).is_ok());
         }
     }
 
@@ -1813,6 +1597,67 @@ adversary from=0 until=20000 hold=50
             let parsed = Scenario::parse(&canon).unwrap();
             prop_assert_eq!(&s, &parsed);
             prop_assert_eq!(canon, parsed.to_string());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Every scenario `from_events` accepts — built here from
+        /// arbitrary fields, NaN, infinities and out-of-range numbers
+        /// included — reparses from its `Display` form to an equal
+        /// scenario.
+        #[test]
+        fn accepted_scenarios_reparse_to_themselves(
+            raw in proptest::collection::vec(proptest::any::<u64>(), 1..16),
+        ) {
+            // A number from `x`: mostly a probability, sometimes an
+            // edge or an invalid value, sometimes any bit pattern.
+            let num = |x: u64| match x % 40 {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => -1.0,
+                3 => 1.5,
+                4 => -0.0,
+                5 => f64::from_bits(x.rotate_left(17)),
+                6 => f64::MIN_POSITIVE,
+                _ => (x / 40 % 1001) as f64 / 1000.0,
+            };
+            let mut events = Vec::new();
+            for w in raw.chunks(2) {
+                let (a, b) = (w[0], w.get(1).copied().unwrap_or(3));
+                let host = HostId::new((a >> 8) as u32 % 4);
+                let from = Tick::new(b % 100);
+                let until = Tick::new(b % 100 + (a >> 20) % 50);
+                let hosts = HostSet::from_hosts([host]).unwrap();
+                events.push(match a % 9 {
+                    0 => ScenarioEvent::Crash { host, at: from },
+                    1 => ScenarioEvent::Rejoin { host, at: until },
+                    2 => ScenarioEvent::Flaky { host, from, until, up: num(b) },
+                    3 => ScenarioEvent::StuckSensor { comm: CommunicatorId::new(1), from, until },
+                    4 => ScenarioEvent::Burst {
+                        from,
+                        until,
+                        p_enter: num(b),
+                        p_exit: num(b >> 13),
+                        loss: num(b >> 29),
+                    },
+                    5 => ScenarioEvent::CommonCause { hosts, from, until, p: num(b) },
+                    6 => ScenarioEvent::Partition { hosts, from, until },
+                    7 => ScenarioEvent::Wearout {
+                        host,
+                        from,
+                        until,
+                        shape: num(b) * 4.0,
+                        scale: num(b >> 11) * 1e4,
+                    },
+                    _ => ScenarioEvent::Adversary { from, until, hold: b % 3 },
+                });
+            }
+            if let Ok(s) = Scenario::from_events(events) {
+                let reparsed = Scenario::parse(&s.to_string());
+                proptest::prop_assert_eq!(reparsed.as_ref(), Ok(&s), "{}", s);
+            }
         }
     }
 

@@ -214,6 +214,12 @@ printf 'garbage' > "$INCR_DIR/spec.htl.logrel-cache"
 "$HTLC" analyze "$INCR_DIR/spec.htl" > "$INCR_DIR/fallback.out" 2> /dev/null
 diff "$INCR_DIR/fallback.out" "$INCR_DIR/cold.out"
 
+echo "==> loadbench smoke suite (pinned seed-1 digests of every workload)"
+# The benchmark is a workspace of its own, so the workspace `cargo test`
+# above does not run its suite; its digests are the end-to-end check that
+# no random stream moved.
+cargo test -q --offline --manifest-path loadbench/Cargo.toml > /dev/null
+
 echo "==> campaign service tests (byte-equality, cache, backpressure)"
 cargo test -q --test serve > /dev/null
 

@@ -139,6 +139,16 @@ fn full_scenario(sys: &ThreeTankSystem) -> Scenario {
 /// swaps the probabilistic inner faults for value corruption under
 /// majority voting, the kernel's slow voting path.
 fn threetank_export(lanes: LaneMode, recorder: usize, corrupting: bool) -> String {
+    threetank_scenario_export(full_scenario, lanes, recorder, corrupting)
+}
+
+/// [`threetank_export`] under the scenario `scenario` builds.
+fn threetank_scenario_export(
+    scenario: fn(&ThreeTankSystem) -> Scenario,
+    lanes: LaneMode,
+    recorder: usize,
+    corrupting: bool,
+) -> String {
     let sys = ThreeTankSystem::with_options(Deployment::ReplicatedControllers, 0.999, Some(0.95))
         .unwrap();
     let imp = TimeDependentImplementation::from(sys.imp.clone());
@@ -146,7 +156,7 @@ fn threetank_export(lanes: LaneMode, recorder: usize, corrupting: bool) -> Strin
     if corrupting {
         sim.set_voting(VotingStrategy::Majority);
     }
-    let scenario = full_scenario(&sys);
+    let scenario = scenario(&sys);
     let config = CampaignConfig {
         batch: BatchConfig {
             replications: 70,
@@ -204,6 +214,113 @@ fn threetank_campaign_exports_are_pinned() {
             let digests =
                 modes.map(|lanes| fnv1a(threetank_export(lanes, recorder, corrupting).as_bytes()));
             (corrupting, recorder, digests)
+        })
+        .collect();
+    assert_eq!(digests, pinned, "digests {digests:#018x?}");
+}
+
+// ---- Overlapping windows ---------------------------------------------
+//
+// The shipped scenarios mostly use disjoint windows; overlaps are where
+// per-instant caching and draw order can go wrong. The digests below
+// were computed before the scenario layer became a lane-group object
+// (a timeline compiled once per unit, lane-mask decisions), so they pin
+// that change to the per-lane injectors it replaced.
+
+/// Every window kind overlapping another: two flaky windows on one host,
+/// two common-cause groups sharing a member, two bursts, a wear-out
+/// window over a flaky window on the same host, a partition over a
+/// crash, and two adversary windows.
+fn overlap_scenario(sys: &ThreeTankSystem) -> Scenario {
+    let ids = &sys.ids;
+    Scenario::from_events(vec![
+        ScenarioEvent::Flaky {
+            host: ids.h2,
+            from: Tick::new(0),
+            until: Tick::new(60_000),
+            up: 0.9,
+        },
+        ScenarioEvent::Flaky {
+            host: ids.h2,
+            from: Tick::new(20_000),
+            until: Tick::new(80_000),
+            up: 0.85,
+        },
+        ScenarioEvent::CommonCause {
+            hosts: HostSet::from_hosts([ids.h1, ids.h3]).unwrap(),
+            from: Tick::new(10_000),
+            until: Tick::new(70_000),
+            p: 0.05,
+        },
+        ScenarioEvent::CommonCause {
+            hosts: HostSet::from_hosts([ids.h3, ids.h2]).unwrap(),
+            from: Tick::new(40_000),
+            until: Tick::new(90_000),
+            p: 0.08,
+        },
+        ScenarioEvent::Burst {
+            from: Tick::new(5_000),
+            until: Tick::new(60_000),
+            p_enter: 0.05,
+            p_exit: 0.3,
+            loss: 0.7,
+        },
+        ScenarioEvent::Burst {
+            from: Tick::new(30_000),
+            until: Tick::new(95_000),
+            p_enter: 0.1,
+            p_exit: 0.2,
+            loss: 0.5,
+        },
+        ScenarioEvent::Wearout {
+            host: ids.h2,
+            from: Tick::new(50_000),
+            until: Tick::new(100_000),
+            shape: 1.5,
+            scale: 30_000.0,
+        },
+        ScenarioEvent::Partition {
+            hosts: HostSet::from_hosts([ids.h1]).unwrap(),
+            from: Tick::new(25_000),
+            until: Tick::new(45_000),
+        },
+        ScenarioEvent::Crash {
+            host: ids.h1,
+            at: Tick::new(35_250),
+        },
+        ScenarioEvent::Rejoin {
+            host: ids.h1,
+            at: Tick::new(55_100),
+        },
+        ScenarioEvent::Adversary {
+            from: Tick::new(0),
+            until: Tick::new(60_000),
+            hold: 20,
+        },
+        ScenarioEvent::Adversary {
+            from: Tick::new(40_000),
+            until: Tick::new(100_000),
+            hold: 35,
+        },
+    ])
+    .unwrap()
+}
+
+#[test]
+fn overlapping_windows_exports_are_pinned() {
+    let modes = [LaneMode::Auto, LaneMode::Width(3), LaneMode::Off];
+    let pinned: [(bool, [u64; 3]); 2] = [
+        (false, [0xa987_e60b_d6e7_1701; 3]),
+        (true, [0x605f_282c_414d_4645; 3]),
+    ];
+    let digests: Vec<(bool, [u64; 3])> = pinned
+        .iter()
+        .map(|&(corrupting, _)| {
+            let digests = modes.map(|lanes| {
+                let line = threetank_scenario_export(overlap_scenario, lanes, RECORDER, corrupting);
+                fnv1a(line.as_bytes())
+            });
+            (corrupting, digests)
         })
         .collect();
     assert_eq!(digests, pinned, "digests {digests:#018x?}");

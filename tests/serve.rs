@@ -9,9 +9,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use logrel::obs::export::to_json_line;
 use logrel::obs::{names, MetricsSink, Registry};
-use logrel::serve::pipeline::Symbols;
+use logrel::serve::pipeline::{CompiledSpec, Symbols};
 use logrel::serve::proto::{self, parse_json, Json};
-use logrel::serve::{Engine, Job, JobOutcome, ServeConfig};
+use logrel::serve::{entry_bytes, Engine, Job, JobOutcome, ServeConfig, COMPILE_CACHE_BYTES};
 use logrel::sim::montecarlo::{BatchConfig, ReplicationContext};
 use logrel::sim::{
     run_campaign_observed, BehaviorMap, CampaignConfig, ConstantEnvironment, LaneMode,
@@ -559,4 +559,59 @@ fn engines_sharing_a_cache_file_never_tear_it() {
         engine.shutdown();
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `job()` on a spec made distinct by a trailing comment: a cold
+/// compile of the same system.
+fn cold_job(i: usize) -> Job {
+    let mut job = job();
+    job.spec_source.push_str(&format!("// cold variant {i}\n"));
+    job.replications = 2;
+    job.rounds = 50;
+    job
+}
+
+/// The compilation cache is bounded by bytes: a stream of distinct cold
+/// specs twice the budget evicts the least recently used ones (counted
+/// in `op:stats`), a hot spec used between them keeps hitting, and an
+/// evicted spec compiles again to a byte-identical metrics line.
+#[test]
+fn compile_cache_evicts_least_recently_used_specs_beyond_its_budget() {
+    let engine = engine(2, 4);
+    let hot = job();
+    assert!(!submit_ok(&engine, &hot).cache_hit);
+    let charge = |job: &Job| {
+        let sys = logrel::lang::compile(&job.spec_source).unwrap();
+        let compiled = CompiledSpec::new(sys, &mut logrel::obs::NoopSink).unwrap();
+        entry_bytes(&job.spec_source, &compiled)
+    };
+    // Every cold spec is charged at least as much as the first.
+    let per_spec = charge(&cold_job(0));
+    let cold = 2 * COMPILE_CACHE_BYTES / per_spec + 1;
+    let first = submit_ok(&engine, &cold_job(0));
+    assert!(!first.cache_hit);
+    for i in 1..cold {
+        assert!(!submit_ok(&engine, &cold_job(i)).cache_hit, "cold spec {i}");
+        if i % 10 == 0 {
+            assert!(
+                submit_ok(&engine, &hot).cache_hit,
+                "hot spec after {i} cold ones"
+            );
+        }
+    }
+    let room = COMPILE_CACHE_BYTES / per_spec;
+    let evicted = engine.counter(names::SERVE_CACHE_EVICTIONS);
+    assert!(
+        evicted as usize >= cold - room,
+        "{evicted} evictions for {cold} cold specs and room for {room}"
+    );
+    assert!(engine
+        .stats_line()
+        .contains(&format!("\"{}\":{evicted}", names::SERVE_CACHE_EVICTIONS)));
+    // The first cold spec was the least recently used: it compiles again.
+    let again = submit_ok(&engine, &cold_job(0));
+    assert!(!again.cache_hit);
+    assert_eq!(again.metrics_line, first.metrics_line);
+    assert!(submit_ok(&engine, &hot).cache_hit);
+    engine.shutdown();
 }
