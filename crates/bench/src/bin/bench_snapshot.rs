@@ -33,10 +33,15 @@
 //!   registry/no-op ratio, what observation costs a campaign unit,
 //!   ceiling-gated under `--compare`;
 //! * the same unit under an empty scenario against the unit on its bare
-//!   base injectors — `campaign_scenario_overhead` is the median paired
-//!   ratio, what the scenario layer itself costs (both sides make the
-//!   same draws and reach the same outcomes), ceiling-gated under
-//!   `--compare`;
+//!   base injectors, both with `NoopSink` lanes —
+//!   `campaign_scenario_overhead` is the median paired ratio, what the
+//!   scenario layer itself costs (both sides make the same draws and
+//!   reach the same outcomes), ceiling-gated under `--compare`;
+//! * one 256-replication steer-by-wire job through the service pipeline
+//!   (`Plan`: the units on one thread per core, then `Plan::finish` and
+//!   `to_json_line`) — `campaign_tail_share` is the median share of the
+//!   job's wall time spent in that serial tail (reduce, merge, export),
+//!   ceiling-gated under `--compare`;
 //! * `compute_srgs` on the 3TS (ns per full report);
 //! * full static reliability certification on the 3TS
 //!   (`certify_specs_per_sec` — interval SRGs, symbolic sensitivities and
@@ -70,9 +75,10 @@ use logrel_core::json::{self, Json};
 use logrel_core::prelude::*;
 use logrel_obs::{MetricsSink, NoopSink, Registry};
 use logrel_reliability::{compute_srgs, exhaustive_synthesize, synthesize, SynthesisOptions};
-use logrel_serve::pipeline::{campaign_config, replication_context, Symbols};
+use logrel_obs::export::to_json_line;
+use logrel_serve::pipeline::{campaign_config, replication_context, CompiledSpec, Plan, Symbols};
 use logrel_sim::{
-    derive_seed, run_campaign_unit, BehaviorMap, CampaignUnit, ConstantEnvironment, HostSet,
+    derive_seed, run_campaign_unit, run_indexed_units, BehaviorMap, CampaignUnit, ConstantEnvironment, HostSet,
     LaneContext, LaneMode, LrcMonitor, MonitorConfig, NoSupervisor, ProbabilisticFaults,
     Scenario as FaultScenario, ScenarioEnvironment, ScenarioEvent, ScenarioInjector, SimConfig,
     SimOutput, Simulation,
@@ -80,6 +86,7 @@ use logrel_sim::{
 use logrel_threetank::{Scenario, ThreeTankSystem};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 const SIM_ROUNDS: u64 = 10_000;
@@ -168,23 +175,30 @@ const RATIO_FLOORS: &[(&str, &str, &str, f64)] = &[
 /// machine-wide frequency drift cancels.
 ///
 /// A 64-lane steer-by-wire campaign unit watched by its group LRC
-/// monitor may cost at most 1.15x the same unit without one: nine runs
-/// on a 2-core VM measured 1.046–1.067 (64 per-lane monitors, the design
-/// the group monitor replaced, measured 1.62–1.65).
+/// monitor may cost at most 1.15x the same unit without one: six runs
+/// on a 2-core VM measured 1.091–1.107 with one registry per unit, which
+/// builds at most `MAX_DUMPS` alarm dumps (a registry per lane, each
+/// building its own dumps, measured 1.16–1.21 on the same VM; 64
+/// per-lane monitors, the design the group monitor replaced, 1.62–1.65).
 ///
 /// The same monitored unit with the production registries (counters,
 /// vote histogram, 256-event flight recorders) may cost at most 1.25x
-/// the unit with `NoopSink` lanes: eight runs on a 2-core VM measured
-/// 1.131–1.174 with the group tallies and the group event ring (per-lane
-/// events, the design they replaced, measured 1.36–1.57). Both ceilings
-/// were measured on units with a `ScenarioInjector` per lane; the group
-/// scenario layer halves the unit, so both ratios now read higher.
+/// the unit with `NoopSink` lanes: six runs on a 2-core VM measured
+/// 1.051–1.101 with the unit's observation folded into one registry (a
+/// flush and a ring rebuild per lane measured 1.20–1.31 on the same VM;
+/// per-lane events, the design before the group tallies, 1.36–1.57).
 ///
 /// The production unit under an empty scenario may cost at most 1.2x
-/// the same unit on its bare base injectors: thirteen runs on a 2-core
-/// VM measured 1.019–1.110 with the group scenario layer (a
-/// `ScenarioInjector` per lane, the design it replaced, measured
-/// 1.68–1.73).
+/// the same unit on its bare base injectors, both with `NoopSink` lanes:
+/// eight runs on a 2-core VM measured 1.076–1.145 with the group
+/// scenario layer (a `ScenarioInjector` per lane, the design it
+/// replaced, measured 1.68–1.73 with registries on both sides).
+///
+/// The serial tail of a 256-replication steer-by-wire job — reduce,
+/// merge, export, after the units — may take at most a tenth of the
+/// job's wall time: six runs on a 2-core VM measured 0.048–0.055 with
+/// one registry per unit and the in-place exporter (a registry per
+/// replication and a `format!`-based exporter measured 0.148–0.221).
 const RATIO_CEILS: &[(&str, &str, f64)] = &[
     ("correlated-scenario overhead", "scenario_overhead", 1.2),
     (
@@ -194,6 +208,7 @@ const RATIO_CEILS: &[(&str, &str, f64)] = &[
     ),
     ("campaign observation overhead", "campaign_obs_overhead", 1.25),
     ("campaign scenario-layer overhead", "campaign_scenario_overhead", 1.2),
+    ("campaign serial-tail share", "campaign_tail_share", 0.10),
 ];
 
 /// One 64-lane steer-by-wire campaign unit as campaigns run it
@@ -255,6 +270,28 @@ impl SteerUnit<'_> {
         }
         start.elapsed().as_secs_f64()
     }
+}
+
+/// The median share of a steer-by-wire job's wall time, run through
+/// `plan` as the service runs it, spent after its units: reducing the
+/// per-replication results, merging the registries and rendering the
+/// metrics line (and dropping what the job built).
+fn tail_share(plan: &Plan) -> f64 {
+    const RUNS: usize = 15;
+    let mut shares = [0.0f64; RUNS];
+    for share in &mut shares {
+        let start = Instant::now();
+        let per_unit = run_indexed_units(0, plan.units(), |&unit, _| plan.run_unit::<Registry>(unit));
+        let units = start.elapsed();
+        let mut registry = Registry::with_recorder(STEER_RECORDER);
+        plan.finish(per_unit, &mut registry).expect("the job runs");
+        std::hint::black_box(to_json_line(&registry));
+        drop(registry);
+        let total = start.elapsed();
+        *share = (total - units).as_secs_f64() / total.as_secs_f64();
+    }
+    shares.sort_by(f64::total_cmp);
+    shares[RUNS / 2]
 }
 
 /// The median of 31 paired ratios `numerator() / denominator()` of two
@@ -804,12 +841,26 @@ fn main() -> ExitCode {
     // Campaign scenario overhead: the production unit under an empty
     // scenario against the same unit on its bare base injectors. Both
     // make the same draws and reach the same outcomes, so the ratio is
-    // what the scenario layer itself costs.
+    // what the scenario layer itself costs. Neither side observes: the
+    // bare side runs through `run_monitored`, whose sinks each observe
+    // one lane, while a campaign unit's one sink observes them all
+    // (observation has its own ratio above).
     let empty = FaultScenario::new();
     let scenario_layer_overhead = paired_median_ratio(
-        || unit.time(Some(&empty), true, registry),
-        || unit.time(None, true, registry),
+        || unit.time(Some(&empty), true, || NoopSink),
+        || unit.time(None, true, || NoopSink),
     );
+
+    // Campaign tail share: a 256-replication job of the same unit shape
+    // (four 64-lane units) through the service pipeline.
+    let steer_plan = Plan::new(
+        Arc::new(CompiledSpec::new(steer_sys.clone(), &mut NoopSink).expect("steer compiles")),
+        steer_scenario.clone(),
+        campaign_config(256, STEER_ROUNDS, 1, LaneMode::Auto),
+        STEER_RECORDER,
+    )
+    .expect("the steer job plans");
+    let campaign_tail_share = tail_share(&steer_plan);
 
     let srg_secs = best_secs(|| {
         std::hint::black_box(compute_srgs(&sys.spec, &sys.arch, &sys.imp).expect("memory-free"));
@@ -862,6 +913,7 @@ fn main() -> ExitCode {
          \"campaign_monitor_overhead\": {:.3},\n    \
          \"campaign_obs_overhead\": {:.3},\n    \
          \"campaign_scenario_overhead\": {:.3},\n    \
+         \"campaign_tail_share\": {:.3},\n    \
          \"reference_rounds_per_sec\": {:.0},\n    \
          \"reference_events_per_sec\": {:.0},\n    \
          \"kernel_speedup_over_reference\": {:.2},\n    \
@@ -893,6 +945,7 @@ fn main() -> ExitCode {
         monitor_overhead,
         obs_overhead,
         scenario_layer_overhead,
+        campaign_tail_share,
         SIM_ROUNDS as f64 / reference_secs,
         events as f64 / reference_secs,
         kernel_speedup,

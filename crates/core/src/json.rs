@@ -7,6 +7,8 @@
 //! offset, and nesting is capped at [`MAX_DEPTH`], so no line can
 //! overflow the reading thread's stack.
 
+use std::fmt::Write as _;
+
 /// The deepest container nesting [`parse`] accepts (a top-level array or
 /// object is depth 1). The deepest document the toolchain reads is a
 /// metrics line at depth 5. A fixed limit, not an option.
@@ -271,7 +273,9 @@ pub fn escape_into(out: &mut String, s: &str) {
             b'\n' => out.push_str("\\n"),
             b'\r' => out.push_str("\\r"),
             b'\t' => out.push_str("\\t"),
-            b => out.push_str(&format!("\\u{b:04x}")),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
         rest = &rest[i + 1..];
     }
@@ -289,7 +293,16 @@ pub fn escape(s: &str) -> String {
 /// `s` as a quoted JSON string.
 #[must_use]
 pub fn string(s: &str) -> String {
-    format!("\"{}\"", escape(s))
+    let mut out = String::with_capacity(s.len() + 2);
+    string_into(&mut out, s);
+    out
+}
+
+/// Appends [`string`] of `s` to `out`.
+pub fn string_into(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
 }
 
 /// A float as every exporter writes it: Rust's shortest round-trip `{}`
@@ -297,11 +310,21 @@ pub fn string(s: &str) -> String {
 /// `NaN` — the Prometheus spellings.
 #[must_use]
 pub fn float_text(v: f64) -> String {
+    let mut out = String::new();
+    float_text_into(&mut out, v);
+    out
+}
+
+/// Appends [`float_text`] of `v` to `out`.
+pub fn float_text_into(out: &mut String, v: f64) {
     match v {
-        _ if v.is_nan() => "NaN".into(),
-        f64::INFINITY => "+Inf".into(),
-        f64::NEG_INFINITY => "-Inf".into(),
-        _ => format!("{v}"),
+        _ if v.is_nan() => out.push_str("NaN"),
+        f64::INFINITY => out.push_str("+Inf"),
+        f64::NEG_INFINITY => out.push_str("-Inf"),
+        // Writing into a `String` cannot fail.
+        _ => {
+            let _ = write!(out, "{v}");
+        }
     }
 }
 
@@ -309,11 +332,37 @@ pub fn float_text(v: f64) -> String {
 /// no `Inf` or `NaN`).
 #[must_use]
 pub fn number(v: f64) -> String {
-    let text = float_text(v);
+    let mut out = String::new();
+    number_into(&mut out, v);
+    out
+}
+
+/// Appends [`number`] of `v` to `out`.
+pub fn number_into(out: &mut String, v: f64) {
     if v.is_finite() {
-        text
+        float_text_into(out, v);
     } else {
-        format!("\"{text}\"")
+        out.push('"');
+        float_text_into(out, v);
+        out.push('"');
+    }
+}
+
+/// Appends `v` in decimal, as `{}` writes it, without the formatting
+/// machinery (the exporters write thousands of integers per line).
+pub fn uint_into(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &d in &digits[start..] {
+        out.push(char::from(d));
     }
 }
 
@@ -441,6 +490,28 @@ mod tests {
         #[test]
         fn escaped_strings_parse_back_exactly(s in text()) {
             prop_assert_eq!(parse(&string(&s)), Ok(Json::Str(s)));
+        }
+
+        /// The in-place writers spell every float and string as the
+        /// `format!`-based writers they replaced did.
+        #[test]
+        fn in_place_writers_match_format(bits in any::<u64>(), s in text()) {
+            let v = f64::from_bits(bits);
+            let text = match v {
+                _ if v.is_nan() => "NaN".to_owned(),
+                f64::INFINITY => "+Inf".to_owned(),
+                f64::NEG_INFINITY => "-Inf".to_owned(),
+                _ => format!("{v}"),
+            };
+            prop_assert_eq!(&float_text(v), &text);
+            let quoted = format!("\"{text}\"");
+            prop_assert_eq!(number(v), if v.is_finite() { text } else { quoted });
+            prop_assert_eq!(string(&s), format!("\"{}\"", escape(&s)));
+            for n in [bits, bits >> 40, bits % 10, u64::MAX] {
+                let mut out = String::from("x");
+                uint_into(&mut out, n);
+                prop_assert_eq!(out, format!("x{n}"));
+            }
         }
 
         #[test]

@@ -60,8 +60,9 @@ pub trait MetricsSink {
     ///
     /// The simulator's lane-group kernel does not call this for the
     /// events it makes itself (votes, replica drops, host transitions):
-    /// it keeps one event ring per lane group and writes each lane's
-    /// share straight into the lane's [`MetricsSink::flight_recorder`].
+    /// it keeps one event ring per lane group and writes what a lane's
+    /// recorder would hold straight into the [`MetricsSink::flight_recorder`]
+    /// of the sink observing that lane.
     fn event(&mut self, event: &ObsEvent) {
         let _ = event;
     }

@@ -2,7 +2,10 @@
 //! events, snapshotted ("dumped") when something goes wrong.
 //!
 //! The recorder is deliberately small and allocation-free in steady
-//! state: pushing an event into a full ring evicts the oldest one. When
+//! state: pushing an event into a full ring evicts the oldest one. The
+//! ring grows to its capacity on demand, so a recorder that never sees
+//! an event costs no ring allocation (a campaign unit fills one of its
+//! replications' recorders and leaves the others as they came). When
 //! an LRC alarm is raised the recorder automatically snapshots the ring
 //! into a [`Dump`], so the events *leading up to* the violation are
 //! preserved even if the run continues for millions of rounds
@@ -249,7 +252,7 @@ impl FlightRecorder {
         let capacity = capacity.max(1);
         FlightRecorder {
             capacity,
-            ring: VecDeque::with_capacity(capacity),
+            ring: VecDeque::new(),
             dumps: Vec::new(),
             dropped: 0,
         }

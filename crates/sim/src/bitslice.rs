@@ -49,8 +49,10 @@
 //! the kernel folds each replica's draw outcomes into lane masks, counts
 //! over those masks, and keeps one event ring for the whole group, from
 //! which each lane's flight recorder is rebuilt where it can be looked
-//! at (the group observation module, `observe.rs`). Each sink ends up
-//! exactly as a one-lane run's.
+//! at (the group observation module, `observe.rs`). On the public entry
+//! points each sink observes its own lane and ends up exactly as a
+//! one-lane run's. A campaign unit's lanes are one set observed by one
+//! sink, which ends up as the lanes' own sinks merged in lane order.
 //!
 //! # Shared behaviors — purity contract
 //!
@@ -77,8 +79,8 @@ use crate::behavior::BehaviorMap;
 use crate::environment::Environment;
 use crate::fault::FaultInjector;
 use crate::kernel::{task_audiences, warm_after_rejoin, SimOutput, Simulation, TaskStats};
-use crate::monitor::{emit_alarm, LrcMonitor, NoSupervisor, Supervisor};
-use crate::observe::{GroupObs, ReplicaMasks};
+use crate::monitor::{LrcMonitor, NoSupervisor, Supervisor};
+use crate::observe::{GroupObs, LaneSets, ReplicaMasks};
 use crate::scenario::{CrashState, ScenarioLanes};
 use crate::trace::Trace;
 use logrel_core::roundprog::UpdateOp;
@@ -208,6 +210,18 @@ impl MaskTally {
 
     pub(crate) fn get(&self, key: usize, lane: usize) -> u64 {
         self.all[key].wrapping_add(self.extra[key * self.lanes + lane])
+    }
+
+    /// The counts of the lanes of `mask`, summed.
+    pub(crate) fn sum(&self, key: usize, mask: u64) -> u64 {
+        let extra = &self.extra[key * self.lanes..][..self.lanes];
+        let mut sum = self.all[key].wrapping_mul(u64::from(mask.count_ones()));
+        let mut m = mask;
+        while m != 0 {
+            sum = sum.wrapping_add(extra[m.trailing_zeros() as usize]);
+            m &= m - 1;
+        }
+        sum
     }
 }
 
@@ -449,7 +463,15 @@ impl<'a> Simulation<'a> {
         M: MetricsSink,
     {
         let mut layer = ScenarioLanes::none(self.host_count(), lanes.len());
-        self.run_lanes(behaviors, lanes, None, &mut layer, rounds, &mut ())
+        self.run_lanes(
+            behaviors,
+            lanes,
+            LaneSets::Singletons,
+            None,
+            &mut layer,
+            rounds,
+            &mut (),
+        )
     }
 
     /// [`Simulation::run_bitsliced`] watched by one group [`LrcMonitor`]
@@ -482,7 +504,15 @@ impl<'a> Simulation<'a> {
             "the monitor must watch every lane"
         );
         let mut layer = ScenarioLanes::none(self.host_count(), lanes.len());
-        self.run_lanes(behaviors, lanes, Some(monitor), &mut layer, rounds, &mut ())
+        self.run_lanes(
+            behaviors,
+            lanes,
+            LaneSets::Singletons,
+            Some(monitor),
+            &mut layer,
+            rounds,
+            &mut (),
+        )
     }
 
     /// The number of hosts the round program places replicas on.
@@ -496,14 +526,16 @@ impl<'a> Simulation<'a> {
             .map_or(0, |m| m + 1)
     }
 
-    /// [`Simulation::run_bitsliced`] under the group scenario layer
-    /// `layer` (over the lanes' own injectors, which it wraps), watched
-    /// by `monitor` when given and writing every update to `log` as
-    /// well.
+    /// [`Simulation::run_bitsliced`] with each sink observing the lanes
+    /// of `sets`, under the group scenario layer `layer` (over the lanes'
+    /// own injectors, which it wraps), watched by `monitor` when given
+    /// and writing every update to `log` as well.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_lanes<I, E, S, M, L>(
         &self,
         behaviors: &mut BehaviorMap,
         lanes: &mut [LaneContext<I, E, S, M>],
+        sets: LaneSets,
         monitor: Option<&mut LrcMonitor>,
         layer: &mut ScenarioLanes,
         rounds: u64,
@@ -526,14 +558,15 @@ impl<'a> Simulation<'a> {
             lanes.iter_mut().map(|l| &mut l.sink),
             self.host_count(),
             self.program.max_replicas,
+            sets,
         );
         let run = panic::catch_unwind(AssertUnwindSafe(|| {
             self.run_rounds(behaviors, lanes, &mut obs, monitor, layer, rounds, log)
         }));
         run.unwrap_or_else(|payload| {
             // A panic unwinding through the kernel still leaves each
-            // observed lane's sink as per-event observation would have:
-            // hosts-up gauge and flight recorder current.
+            // observing sink as per-event observation would have: alarm
+            // counters, hosts-up gauge and flight recorder current.
             if obs.enabled() {
                 obs.unwind(lanes.iter_mut().map(|l| &mut l.sink));
             }
@@ -728,7 +761,7 @@ impl<'a> Simulation<'a> {
                     if let Some(monitor) = monitor.as_deref_mut() {
                         let c = CommunicatorId::new(ci as u32);
                         monitor.observe_lanes(c, now, reliable, |li, alarm| {
-                            emit_alarm(alarm, &mut obs.lane(li, &mut lanes[li].sink));
+                            obs.alarm(li, alarm, &mut lanes[li].sink);
                         });
                     }
                     unreliable.add(ci, !reliable & all_mask, all_mask);
@@ -1025,25 +1058,22 @@ impl<'a> Simulation<'a> {
         if any_obs {
             let updates: u64 = out.updates.iter().sum();
             let invocations: u64 = out.invocations.iter().sum();
-            for (li, lane) in lanes.iter_mut().enumerate() {
-                if !lane.sink.enabled() {
-                    continue;
-                }
+            obs.flush(lanes.iter_mut().map(|l| &mut l.sink), |set| {
+                let n = u64::from(set.count_ones());
                 let unreliable = (0..out.updates.len())
-                    .map(|c| out.unreliable.get(c, li))
+                    .map(|c| out.unreliable.sum(c, set))
                     .sum();
                 let delivered = (0..out.invocations.len())
-                    .map(|t| out.delivered.get(t, li))
+                    .map(|t| out.delivered.sum(t, set))
                     .sum();
-                let kernel = [
-                    (names::ROUNDS, rounds),
-                    (names::UPDATES, updates),
+                [
+                    (names::ROUNDS, rounds * n),
+                    (names::UPDATES, updates * n),
                     (names::UPDATES_UNRELIABLE, unreliable),
-                    (names::TASK_INVOCATIONS, invocations),
+                    (names::TASK_INVOCATIONS, invocations * n),
                     (names::TASK_DELIVERED, delivered),
-                ];
-                obs.flush(li, &mut lane.sink, kernel);
-            }
+                ]
+            });
         }
         out
     }
@@ -1125,6 +1155,19 @@ mod tests {
             for (lane, counts) in naive.iter().enumerate() {
                 for (key, &count) in counts.iter().enumerate() {
                     proptest::prop_assert_eq!(tally.get(key, lane), count, "lane {} key {}", lane, key);
+                }
+            }
+            for set in [all, all & 0xAAAA_AAAA_AAAA_AAAA, 1] {
+                let mut expected = [0u64; 3];
+                for (lane, counts) in naive.iter().enumerate() {
+                    if set >> lane & 1 == 1 {
+                        for (sum, count) in expected.iter_mut().zip(counts) {
+                            *sum += count;
+                        }
+                    }
+                }
+                for (key, &sum) in expected.iter().enumerate() {
+                    proptest::prop_assert_eq!(tally.sum(key, set), sum, "key {} set {:#x}", key, set);
                 }
             }
         }

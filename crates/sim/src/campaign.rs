@@ -15,6 +15,7 @@ use crate::bitslice::{BitslicedOutput, LaneContext};
 use crate::kernel::Simulation;
 use crate::monitor::{AlarmKind, LrcMonitor, MonitorConfig, MonitorLane, NoSupervisor};
 use crate::montecarlo::{derive_seed, run_indexed_units, BatchConfig, ReplicationContext};
+use crate::observe::LaneSets;
 use crate::scenario::{Scenario, ScenarioEnvironment, ScenarioError, ScenarioLanes, Timeline};
 use logrel_core::{CommunicatorId, Specification, Tick};
 use logrel_obs::{MetricsSink, NoopSink, Registry};
@@ -420,7 +421,21 @@ where
 }
 
 /// Runs one planned [`CampaignUnit`] and returns its per-replication
-/// results in replication order.
+/// results in replication order, each with the sink `make_sink` made for
+/// it.
+///
+/// The unit's observation lands in one of those sinks: the first
+/// replication whose sink carries a flight recorder (else the first
+/// observed one) receives every lane's counters, vote histogram,
+/// hosts-up gauge, evictions and alarm dumps, and its own live ring; the
+/// other sinks come back as `make_sink` made them. Merging the returned
+/// sinks into a [`Registry`] in replication order therefore gives the
+/// registry that merging one sink per replication, each observing its
+/// own lane, gives, byte for byte — for sinks that `make_sink` hands out
+/// empty, as [`RepSink::fresh`] does. The unit never builds what that
+/// merge would discard: the other replications' live rings, and alarm
+/// dumps past the first [`FlightRecorder::MAX_DUMPS`](logrel_obs::FlightRecorder::MAX_DUMPS)
+/// in replication order.
 ///
 /// This is the sharding entry point for job services: bounds that
 /// [`plan_campaign`] checks once up front are re-validated here per unit
@@ -488,6 +503,7 @@ where
     let out = sim.run_lanes(
         &mut behaviors,
         &mut lanes,
+        LaneSets::Whole,
         Some(&mut monitor),
         &mut layer,
         config.batch.rounds,
@@ -536,7 +552,10 @@ where
 }
 
 /// Aggregates per-replication results (in replication order) into the
-/// campaign report, returning the filled sinks alongside it.
+/// campaign report, returning the sinks alongside it, in the same order.
+/// Merged into a [`Registry`] in that order, the sinks of
+/// [`run_campaign_unit`]s give the registry of one sink per replication
+/// (see there).
 ///
 /// The reduction is order-sensitive only in the sinks (merged by the
 /// caller in the order given); the statistics are sums and minima, so

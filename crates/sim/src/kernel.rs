@@ -43,6 +43,7 @@ use crate::bitslice::LaneContext;
 use crate::environment::Environment;
 use crate::fault::FaultInjector;
 use crate::monitor::Supervisor;
+use crate::observe::LaneSets;
 use crate::scenario::ScenarioLanes;
 use crate::trace::Trace;
 use logrel_core::{
@@ -383,6 +384,7 @@ impl<'a> Simulation<'a> {
         let out = self.run_lanes(
             behaviors,
             &mut lanes,
+            LaneSets::Singletons,
             None,
             &mut layer,
             config.rounds,

@@ -487,32 +487,33 @@ impl Supervisor for LrcMonitor {
     }
 }
 
-/// Records a freshly fired alarm transition on an enabled sink — a
-/// counter plus a flight-recorder event (an `AlarmRaised` event is what
-/// triggers the recorder's automatic dump).
-pub(crate) fn emit_alarm<M: MetricsSink + ?Sized>(alarm: &Alarm, sink: &mut M) {
-    if !sink.enabled() {
-        return;
+impl Alarm {
+    /// The transition as a flight-recorder event (an `AlarmRaised` event
+    /// is what triggers the recorder's automatic dump).
+    pub(crate) fn event(&self) -> ObsEvent {
+        let (at, comm, mean) = (self.at.as_u64(), self.comm.index(), self.mean);
+        match self.kind {
+            AlarmKind::Raised => ObsEvent::AlarmRaised {
+                at,
+                comm,
+                mean,
+                epsilon: self.epsilon,
+                lrc: self.lrc,
+            },
+            AlarmKind::Cleared => ObsEvent::AlarmCleared { at, comm, mean },
+        }
     }
-    match alarm.kind {
-        AlarmKind::Raised => {
-            sink.inc(names::ALARM_RAISED);
-            sink.event(&ObsEvent::AlarmRaised {
-                at: alarm.at.as_u64(),
-                comm: alarm.comm.index(),
-                mean: alarm.mean,
-                epsilon: alarm.epsilon,
-                lrc: alarm.lrc,
-            });
-        }
-        AlarmKind::Cleared => {
-            sink.inc(names::ALARM_CLEARED);
-            sink.event(&ObsEvent::AlarmCleared {
-                at: alarm.at.as_u64(),
-                comm: alarm.comm.index(),
-                mean: alarm.mean,
-            });
-        }
+}
+
+/// Records a freshly fired alarm transition on an enabled sink — a
+/// counter plus a flight-recorder event.
+fn emit_alarm(alarm: &Alarm, sink: &mut dyn MetricsSink) {
+    if sink.enabled() {
+        sink.inc(match alarm.kind {
+            AlarmKind::Raised => names::ALARM_RAISED,
+            AlarmKind::Cleared => names::ALARM_CLEARED,
+        });
+        sink.event(&alarm.event());
     }
 }
 

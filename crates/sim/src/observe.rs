@@ -4,8 +4,14 @@
 //! The kernel ([`crate::bitslice`]) already holds each replica's draw
 //! outcomes as lane masks — host up, broadcast delivered, warm, excluded
 //! — so [`GroupObs`] counts with [`MaskTally`]s over those masks instead
-//! of bumping per-lane counters, and writes each observed lane's totals
-//! to its sink once, at the end of the run.
+//! of bumping per-lane counters, and writes the totals to the sinks once,
+//! at the end of the run.
+//!
+//! A sink observes a *set* of lanes ([`LaneSets`]). On the public entry
+//! points every lane's sink observes that lane alone. A campaign unit is
+//! one set: one sink receives the totals summed over its lanes, and ends
+//! up as the lanes' singleton sinks merged in lane order would — so the
+//! group builds only what survives that merge.
 //!
 //! Events take the same route. Each task read pushes one record into a
 //! single group ring ([`GroupRing`]): the instant, the task, the
@@ -14,11 +20,12 @@
 //! the vote outcome masks on the corrupting path). Events made outside
 //! the kernel for one lane — monitor alarms, a supervisor's degrader
 //! events — reach the ring verbatim, tagged with their lane, through
-//! [`LaneSink`]. A
-//! lane's flight recorder is rebuilt from the ring only where someone can
-//! look at it: at each of its alarms (the automatic dump, while it has
-//! room for one), at the end of the run, and when a panic unwinds through
-//! the kernel.
+//! [`LaneSink`] and [`GroupObs::alarm`]. A lane's flight recorder is
+//! rebuilt from the ring only where someone can look at it: at each of
+//! its alarms (the automatic dump, while the lanes of its set up to it
+//! hold fewer than [`FlightRecorder::MAX_DUMPS`] dumps), and at the end
+//! of the run or when a panic unwinds through the kernel — for the one
+//! recording lane whose ring a set's sink keeps.
 //!
 //! Every task read gives every lane at least one event, its vote, so the
 //! last `c` task records (and the verbatim events after the oldest of
@@ -26,8 +33,9 @@
 //! many records as the largest recorder holds events.
 
 use crate::bitslice::MaskTally;
+use crate::monitor::{Alarm, AlarmKind};
 use logrel_obs::{
-    names, DropReason, DumpTrigger, FlightRecorder, MetricsSink, ObsEvent, VoteOutcome,
+    names, DropReason, Dump, DumpTrigger, FlightRecorder, MetricsSink, ObsEvent, VoteOutcome,
 };
 use std::collections::VecDeque;
 
@@ -44,7 +52,9 @@ const HOST_UP: usize = 6;
 const HOST_DOWN: usize = 7;
 const VOTE_MAJORITY: usize = 8;
 const VOTE_TIE: usize = 9;
-const PER_VOTE: usize = 10;
+const ALARM_RAISED: usize = 10;
+const ALARM_CLEARED: usize = 11;
+const PER_VOTE: usize = 12;
 
 /// The counters a group tallies, by key.
 const TALLIED: [(&str, usize); 10] = [
@@ -319,11 +329,26 @@ impl GroupRing {
     }
 }
 
+/// Which lanes each sink of a group run observes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LaneSets {
+    /// Every lane's sink observes that lane alone: the public entry
+    /// points, whose callers read each lane's sink.
+    Singletons,
+    /// One sink observes every lane — the first recording lane's, else
+    /// the first observed lane's — and ends up as the registry the
+    /// lanes' singleton sinks merge into, in lane order. Every other sink
+    /// is left as it came. A campaign unit's sets (see
+    /// [`GroupObs::flush`]).
+    Whole,
+}
+
 /// The observation state of one lane-group run: counters and the vote
-/// histogram as [`MaskTally`]s, each host's up mask, and the group event
-/// ring. See the module docs.
+/// histogram as [`MaskTally`]s, each host's up mask, the group event
+/// ring and the alarm dumps built so far. See the module docs.
 #[derive(Debug)]
 pub(crate) struct GroupObs {
+    sets: LaneSets,
     all: u64,
     /// Lanes whose sink is enabled.
     observed: u64,
@@ -336,6 +361,10 @@ pub(crate) struct GroupObs {
     reads: u64,
     /// Per lane: events that reached the ring verbatim.
     verbatim: Vec<u64>,
+    /// Per lane: the dumps its recorder holds, and those built in this
+    /// run, which reach the recorder with the rest of the lane's state.
+    held: Vec<usize>,
+    dumps: Vec<Vec<Dump>>,
     /// Per host: the lanes that last saw it up.
     host_up: Vec<u64>,
     /// The open task read: instant, task, executing lanes, and the
@@ -353,19 +382,32 @@ pub(crate) struct GroupObs {
     ring: GroupRing,
 }
 
+/// The lanes of `mask`, in order.
+fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
 impl GroupObs {
     /// The observation state of a group over `sinks` (one per lane), on
-    /// `hosts` hosts with tasks of at most `max_replicas` replicas. A
-    /// recorder's events from before the run enter the ring first, so its
-    /// rebuilt ring continues them.
+    /// `hosts` hosts with tasks of at most `max_replicas` replicas, each
+    /// sink observing `sets`. A recorder's events from before the run
+    /// enter the ring first, so its rebuilt ring continues them.
     pub(crate) fn new<'m, M: MetricsSink + 'm>(
         sinks: impl ExactSizeIterator<Item = &'m mut M>,
         hosts: usize,
         max_replicas: usize,
+        sets: LaneSets,
     ) -> Self {
         let n = sinks.len();
         let all = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
         let mut obs = GroupObs {
+            sets,
             all,
             observed: 0,
             recording: 0,
@@ -373,6 +415,8 @@ impl GroupObs {
             counts: MaskTally::new(0, n),
             reads: 0,
             verbatim: vec![0; n],
+            held: vec![0; n],
+            dumps: (0..n).map(|_| Vec::new()).collect(),
             host_up: Vec::new(),
             at: 0,
             task: 0,
@@ -390,6 +434,7 @@ impl GroupObs {
             if let Some(rec) = sink.flight_recorder() {
                 obs.recording |= 1 << lane;
                 obs.capacity[lane] = rec.capacity();
+                obs.held[lane] = rec.dumps().len();
                 for event in rec.events() {
                     obs.ring.push_verbatim(lane, event.clone());
                     obs.verbatim[lane] += 1;
@@ -408,6 +453,20 @@ impl GroupObs {
     /// Whether any lane is observed.
     pub(crate) fn enabled(&self) -> bool {
         self.observed != 0
+    }
+
+    /// The lanes lane `lane`'s sink observes (none when another lane's
+    /// sink observes them, or the lane is not observed).
+    fn set(&self, lane: usize) -> u64 {
+        let first = match self.recording {
+            0 => self.observed,
+            recording => recording,
+        };
+        match self.sets {
+            LaneSets::Singletons => self.observed & 1 << lane,
+            LaneSets::Whole if first.trailing_zeros() as usize == lane => self.observed,
+            LaneSets::Whole => 0,
+        }
     }
 
     /// Opens the read of task `task` at `at`, which executes on `exec`.
@@ -516,10 +575,35 @@ impl GroupObs {
         }
     }
 
+    /// Takes the group monitor's `alarm` on lane `lane`, whose sink is
+    /// `sink`: its counter is tallied for the lane's set, and its event
+    /// goes the way of [`GroupObs::event`].
+    pub(crate) fn alarm<M: MetricsSink + ?Sized>(
+        &mut self,
+        lane: usize,
+        alarm: &Alarm,
+        sink: &mut M,
+    ) {
+        let bit = 1u64 << lane;
+        if self.observed & bit == 0 {
+            return;
+        }
+        let key = match alarm.kind {
+            AlarmKind::Raised => ALARM_RAISED,
+            AlarmKind::Cleared => ALARM_CLEARED,
+        };
+        self.counts.add(key, bit, self.all);
+        self.event(lane, &alarm.event(), sink);
+    }
+
     /// Takes `event`, made outside the kernel for lane `lane` whose sink
-    /// is `sink`: into the ring when the lane records (dumping the lane's
-    /// rebuilt ring on an alarm, while its recorder has room for a dump),
-    /// else straight to the sink.
+    /// is `sink`: into the ring when the lane records, else to the sink
+    /// when the sink observes the lane alone (a recorder-less lane of a
+    /// whole-group set keeps no events, as a recorder-less registry
+    /// keeps none). An alarm builds the lane's dump from the ring, unless
+    /// the lanes of its set up to it already hold
+    /// [`FlightRecorder::MAX_DUMPS`] dumps: the set's registry keeps only
+    /// the first that many, in lane order.
     pub(crate) fn event<M: MetricsSink + ?Sized>(
         &mut self,
         lane: usize,
@@ -527,79 +611,128 @@ impl GroupObs {
         sink: &mut M,
     ) {
         if self.recording & (1 << lane) == 0 {
-            sink.event(event);
+            if self.sets == LaneSets::Singletons {
+                sink.event(event);
+            }
             return;
         }
         self.ring.push_verbatim(lane, event.clone());
         self.verbatim[lane] += 1;
         if let ObsEvent::AlarmRaised { at, comm, .. } = *event {
-            if let Some(rec) = sink.flight_recorder() {
-                if rec.dumps().len() < FlightRecorder::MAX_DUMPS {
-                    let (_, kept) = self.events(lane);
-                    let events = self.ring.tail(lane, kept);
-                    rec.install_dump(at, DumpTrigger::AlarmRaised { comm }, events.into());
-                }
+            // The lanes of its set up to this one.
+            let upto = match self.sets {
+                LaneSets::Singletons => 1 << lane,
+                LaneSets::Whole => self.observed & (u64::MAX >> (63 - lane)),
+            };
+            let held: usize = lanes_of(upto).map(|l| self.held[l]).sum();
+            if held < FlightRecorder::MAX_DUMPS {
+                let (_, kept) = self.events(lane);
+                self.dumps[lane].push(Dump {
+                    at,
+                    trigger: DumpTrigger::AlarmRaised { comm },
+                    events: self.ring.tail(lane, kept).into(),
+                });
+                self.held[lane] += 1;
             }
         }
     }
 
-    /// Writes observed lane `lane`'s totals to `sink` once the run is
-    /// over: `kernel` (the counts the group keeps for every lane), the
-    /// tallied counters and the vote histogram — nonzero values only, so
-    /// the registry has an entry exactly where per-event counting would
-    /// have made one — and then everything [`GroupObs::restore`] writes.
-    pub(crate) fn flush<M: MetricsSink + ?Sized>(
-        &self,
-        lane: usize,
-        sink: &mut M,
-        kernel: [(&'static str, u64); 5],
+    /// Writes each set's totals to the sink observing it once the run is
+    /// over: `kernel(set)` (the counts the group keeps for every lane,
+    /// summed over the set), the tallied counters and the vote histogram
+    /// — nonzero totals only, so the registry has an entry exactly where
+    /// per-event counting would have made one — and then everything
+    /// [`GroupObs::restore`] writes.
+    ///
+    /// A set's totals are the sums of its lanes': counters and histogram
+    /// buckets add, the histogram's sum is a sum of integers (exact in
+    /// `f64`), and gauges take the last lane's value — so a whole-group
+    /// sink ends up as its lanes' singleton sinks merged in lane order.
+    pub(crate) fn flush<'m, M: MetricsSink + 'm>(
+        &mut self,
+        sinks: impl Iterator<Item = &'m mut M>,
+        kernel: impl Fn(u64) -> [(&'static str, u64); 5],
     ) {
-        let get = |key| self.counts.get(key, lane);
-        let per_vote: Vec<u64> = (0..self.exactly.len()).map(|k| get(PER_VOTE + k)).collect();
-        let ok = per_vote
-            .iter()
-            .enumerate()
-            .map(|(k, &n)| k as u64 * n)
-            .sum();
-        let silent = per_vote[0];
-        let unanimous = self.reads - silent - get(VOTE_MAJORITY) - get(VOTE_TIE);
-        let drops = (DROP_SILENT..=DROP_EXCLUDED).map(get).sum();
-        let counters = kernel
-            .into_iter()
-            .chain([
-                (names::REPLICA_OK, ok),
-                (names::REPLICA_DROP, drops),
-                (names::VOTE_UNANIMOUS, unanimous),
-                (names::VOTE_SILENT, silent),
-            ])
-            .chain(TALLIED.iter().map(|&(name, key)| (name, get(key))));
-        for (name, v) in counters {
+        for (lane, sink) in sinks.enumerate() {
+            let set = self.set(lane);
+            if set == 0 {
+                continue;
+            }
+            let sum = |key| self.counts.sum(key, set);
+            let per_vote: Vec<u64> = (0..self.exactly.len()).map(|k| sum(PER_VOTE + k)).collect();
+            let ok = per_vote
+                .iter()
+                .enumerate()
+                .map(|(k, &n)| k as u64 * n)
+                .sum();
+            let silent = per_vote[0];
+            let votes = self.reads * u64::from(set.count_ones());
+            let unanimous = votes - silent - sum(VOTE_MAJORITY) - sum(VOTE_TIE);
+            let drops = (DROP_SILENT..=DROP_EXCLUDED).map(sum).sum();
+            let counters = kernel(set)
+                .into_iter()
+                .chain([
+                    (names::REPLICA_OK, ok),
+                    (names::REPLICA_DROP, drops),
+                    (names::VOTE_UNANIMOUS, unanimous),
+                    (names::VOTE_SILENT, silent),
+                ])
+                .chain(TALLIED.iter().map(|&(name, key)| (name, sum(key))));
+            for (name, v) in counters {
+                if v != 0 {
+                    sink.add(name, v);
+                }
+            }
+            for (k, &count) in per_vote.iter().enumerate() {
+                if count != 0 {
+                    sink.observe_n(names::REPLICAS_PER_VOTE, k as f64, count);
+                }
+            }
+            self.restore(lane, set, sink);
+        }
+    }
+
+    /// Writes the state per-event observation keeps current, so a panic
+    /// unwinding through the kernel leaves it behind too, for the lanes
+    /// `set` to lane `lane`'s sink `sink`: the alarm counters, the last
+    /// lane's hosts-up gauge and, when the set records, the recorder
+    /// state that survives a merge of the set's singleton sinks — the
+    /// first recording lane's (this sink's) rebuilt ring, every recording
+    /// lane's evictions, and their alarm dumps in lane order (the
+    /// recorder keeps the first [`FlightRecorder::MAX_DUMPS`]).
+    fn restore<M: MetricsSink + ?Sized>(&mut self, lane: usize, set: u64, sink: &mut M) {
+        for (name, key) in [
+            (names::ALARM_RAISED, ALARM_RAISED),
+            (names::ALARM_CLEARED, ALARM_CLEARED),
+        ] {
+            let v = self.counts.sum(key, set);
             if v != 0 {
                 sink.add(name, v);
             }
         }
-        for (k, &count) in per_vote.iter().enumerate() {
-            if count != 0 {
-                sink.observe_n(names::REPLICAS_PER_VOTE, k as f64, count);
-            }
-        }
-        self.restore(lane, sink);
-    }
-
-    /// Writes observed lane `lane`'s hosts-up gauge and installs its
-    /// recorder's rebuilt ring and eviction count: the state per-event
-    /// observation keeps current, so a panic unwinding through the
-    /// kernel leaves it behind too.
-    pub(crate) fn restore<M: MetricsSink + ?Sized>(&self, lane: usize, sink: &mut M) {
-        let bit = 1u64 << lane;
-        let up = self.host_up.iter().filter(|&&m| m & bit != 0).count();
+        let last = 1u64 << (63 - set.leading_zeros());
+        let up = self.host_up.iter().filter(|&&m| m & last != 0).count();
         sink.set_gauge(names::HOSTS_UP, up as f64);
-        if self.recording & bit == 0 {
+        let recording = self.recording & set;
+        if recording == 0 {
             return;
         }
-        if let Some(rec) = sink.flight_recorder() {
-            let (events, kept) = self.events(lane);
-            rec.install_ring(self.ring.tail(lane, kept), events - kept as u64);
+        debug_assert_eq!(recording.trailing_zeros() as usize, lane);
+        let Some(rec) = sink.flight_recorder() else {
+            return;
+        };
+        let evicted = lanes_of(recording)
+            .map(|l| {
+                let (events, kept) = self.events(l);
+                events - kept as u64
+            })
+            .sum();
+        let (_, kept) = self.events(lane);
+        rec.install_ring(self.ring.tail(lane, kept), evicted);
+        for l in lanes_of(recording) {
+            for dump in std::mem::take(&mut self.dumps[l]) {
+                rec.install_dump(dump.at, dump.trigger, dump.events);
+            }
         }
     }
 
@@ -619,11 +752,8 @@ impl GroupObs {
     /// before its vote — into the ring as verbatim events, where the
     /// tallies already count them.
     fn close_unwound_read(&mut self) {
-        for lane in 0..self.capacity.len() {
+        for lane in lanes_of(self.recording) {
             let bit = 1u64 << lane;
-            if self.recording & bit == 0 {
-                continue;
-            }
             let mut events = VecDeque::new();
             for rep in self.open.iter().rev() {
                 rep.lane_events_rev(self.at, self.task, self.exec, bit, |e| events.push_front(e));
@@ -635,16 +765,17 @@ impl GroupObs {
         self.open.clear();
     }
 
-    /// [`GroupObs::restore`] for every observed lane of `sinks`, after a
-    /// panic interrupted the run.
+    /// [`GroupObs::restore`] for every set of `sinks`, after a panic
+    /// interrupted the run.
     pub(crate) fn unwind<'m, M: MetricsSink + 'm>(
         &mut self,
         sinks: impl Iterator<Item = &'m mut M>,
     ) {
         self.close_unwound_read();
         for (lane, sink) in sinks.enumerate() {
-            if self.observed & (1 << lane) != 0 {
-                self.restore(lane, sink);
+            let set = self.set(lane);
+            if set != 0 {
+                self.restore(lane, set, sink);
             }
         }
     }
@@ -852,6 +983,124 @@ mod tests {
         }
     }
 
+    /// A panic after the replicas `.1` of one more read on `.0` were
+    /// drawn.
+    type Unwound = Option<(u64, Vec<ReplicaMasks>)>;
+
+    fn random_unwound(rng: &mut StdRng, width: usize, noise: f64) -> Unwound {
+        let all = if width == 64 {
+            u64::MAX
+        } else {
+            (1 << width) - 1
+        };
+        let exec = mask(rng, all, noise);
+        let replicas = (0..rng.gen_range(0..=3))
+            .map(|_| ReplicaMasks {
+                host: rng.gen_range(0..3),
+                host_ok: mask(rng, all, 0.3),
+                bc_ok: mask(rng, all, 0.3),
+                warm: all,
+                excluded: 0,
+            })
+            .collect();
+        Some((exec, replicas))
+    }
+
+    /// Drives a group run of `steps` over `sinks`, each observing `sets`,
+    /// as the kernel does: flushed at the end, or unwound by a panic.
+    fn drive(steps: &[Step], sinks: &mut [Registry], sets: LaneSets, unwound: &Unwound) {
+        let mut obs = GroupObs::new(sinks.iter_mut(), 3, 4, sets);
+        for step in steps {
+            match step {
+                Step::Read {
+                    at,
+                    task,
+                    exec,
+                    replicas,
+                    outcomes,
+                } => {
+                    obs.begin_read(*at, *task, *exec);
+                    for r in replicas {
+                        obs.replica(*r);
+                    }
+                    obs.vote(*outcomes);
+                }
+                Step::Event(lane, event) => obs.event(*lane, event, &mut sinks[*lane]),
+            }
+        }
+        match unwound {
+            Some((exec, replicas)) => {
+                obs.begin_read(1 << 40, 0, *exec);
+                for r in replicas {
+                    obs.replica(*r);
+                }
+                obs.unwind(sinks.iter_mut());
+            }
+            None => obs.flush(sinks.iter_mut(), |_| [(names::ROUNDS, 0); 5]),
+        }
+    }
+
+    /// Per lane: no recorder, or one of capacity 1, 2, 7 or 256 up to a
+    /// random largest, possibly holding events from before the run.
+    fn random_sinks(rng: &mut StdRng, width: usize) -> Vec<Registry> {
+        let capacities = [1, 2, 7, 256];
+        let largest = rng.gen_range(0..capacities.len());
+        (0..width)
+            .map(|_| {
+                let capacity = match rng.gen_range(0..5) {
+                    0 => 0,
+                    1 | 2 => capacities[largest],
+                    _ => capacities[rng.gen_range(0..=largest)],
+                };
+                let mut sink = if capacity == 0 {
+                    Registry::new()
+                } else {
+                    Registry::with_recorder(capacity)
+                };
+                for at in 0..rng.gen_range(0..3) {
+                    sink.event(&ObsEvent::HostUp { at, host: 9 });
+                }
+                sink
+            })
+            .collect()
+    }
+
+    /// `sinks` merged in order into `into`.
+    fn merged(mut into: Registry, sinks: Vec<Registry>) -> Registry {
+        for sink in sinks {
+            into.merge(sink);
+        }
+        into
+    }
+
+    /// A whole-group run of `steps` against the same run's singleton
+    /// sinks merged in lane order: equal registries — counters, gauges,
+    /// histograms, the first recording lane's live ring, the evictions
+    /// and the dumps — merged into an empty registry and into one with a
+    /// recorder of its own, and every sink but the observing one left as
+    /// it came.
+    fn check_whole_matches_singletons(steps: &[Step], sinks: &[Registry], unwound: &Unwound) {
+        let mut singletons = sinks.to_vec();
+        drive(steps, &mut singletons, LaneSets::Singletons, unwound);
+        let mut whole = sinks.to_vec();
+        drive(steps, &mut whole, LaneSets::Whole, unwound);
+        let target = whole
+            .iter()
+            .position(|s| s.recorder().is_some())
+            .unwrap_or(0);
+        for (lane, (after, before)) in whole.iter().zip(sinks).enumerate() {
+            if lane != target {
+                assert_eq!(after, before, "lane {} sink left as it came", lane);
+            }
+        }
+        for into in [Registry::new(), Registry::with_recorder(5)] {
+            assert_eq!(
+                merged(into.clone(), whole.clone()),
+                merged(into, singletons.clone())
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -874,41 +1123,20 @@ mod tests {
             // reads as the largest recorder holds events.
             let noise = [0.0, 0.01, 0.3][rng.gen_range(0..3)];
             let steps = random_steps(&mut rng, width, len, noise, corrupting);
-            // Per lane: no recorder, or one of capacity 1, 2, 7 or 256 up
-            // to this run's largest, possibly holding events from before
-            // the run.
-            let capacities = [1, 2, 7, 256];
-            let largest = rng.gen_range(0..capacities.len());
-            let mut sinks = Vec::new();
-            let mut oracles = Vec::new();
-            for _ in 0..width {
-                let capacity = match rng.gen_range(0..5) {
-                    0 => 0,
-                    1 | 2 => capacities[largest],
-                    _ => capacities[rng.gen_range(0..=largest)],
-                };
-                let mut sink = if capacity == 0 { Registry::new() } else { Registry::with_recorder(capacity) };
-                let mut recorder = (capacity != 0).then(|| FlightRecorder::new(capacity));
-                for at in 0..rng.gen_range(0..3) {
-                    let event = ObsEvent::HostUp { at, host: 9 };
-                    sink.event(&event);
-                    if let Some(rec) = &mut recorder {
-                        rec.push(event);
-                    }
-                }
-                sinks.push(sink);
-                oracles.push(LaneOracle { recorder, host_up: [true; 3], counters: Registry::new() });
-            }
+            let mut sinks = random_sinks(&mut rng, width);
+            let unwound = if unwound { random_unwound(&mut rng, width, noise) } else { None };
+            let mut oracles: Vec<_> = sinks
+                .iter()
+                .map(|sink| {
+                    let recorder = sink.recorder().cloned();
+                    LaneOracle { recorder, host_up: [true; 3], counters: Registry::new() }
+                })
+                .collect();
+            drive(&steps, &mut sinks, LaneSets::Singletons, &unwound);
 
-            let mut obs = GroupObs::new(sinks.iter_mut(), 3, 4);
             for step in &steps {
                 match step {
                     Step::Read { at, task, exec, replicas, outcomes } => {
-                        obs.begin_read(*at, *task, *exec);
-                        for r in replicas {
-                            obs.replica(*r);
-                        }
-                        obs.vote(*outcomes);
                         for (lane, oracle) in oracles.iter_mut().enumerate() {
                             let bit = 1 << lane;
                             let delivered = replicas
@@ -938,41 +1166,21 @@ mod tests {
                             });
                         }
                     }
-                    Step::Event(lane, event) => {
-                        obs.event(*lane, event, &mut sinks[*lane]);
-                        oracles[*lane].push(event.clone());
-                    }
+                    Step::Event(lane, event) => oracles[*lane].push(event.clone()),
                 }
             }
-            if unwound {
-                // A panic after some replicas of one more read were drawn.
-                let all = obs.all;
-                let exec = mask(&mut rng, all, noise);
-                obs.begin_read(1 << 40, 0, exec);
-                for _ in 0..rng.gen_range(0..=3) {
-                    let r = ReplicaMasks {
-                        host: rng.gen_range(0..3),
-                        host_ok: mask(&mut rng, all, 0.3),
-                        bc_ok: mask(&mut rng, all, 0.3),
-                        warm: all,
-                        excluded: 0,
-                    };
-                    obs.replica(r);
+            if let Some((exec, replicas)) = &unwound {
+                for r in replicas {
                     for (lane, oracle) in oracles.iter_mut().enumerate() {
-                        oracle.replica(1 << 40, 0, exec, &r, 1 << lane);
+                        oracle.replica(1 << 40, 0, *exec, r, 1 << lane);
                     }
-                }
-                obs.unwind(sinks.iter_mut());
-            } else {
-                for (lane, sink) in sinks.iter_mut().enumerate() {
-                    obs.flush(lane, sink, [(names::ROUNDS, 0); 5]);
                 }
             }
 
             for (lane, (sink, oracle)) in sinks.iter().zip(&oracles).enumerate() {
                 let ups = oracle.host_up.iter().filter(|&&up| up).count();
                 prop_assert_eq!(sink.gauge(names::HOSTS_UP), Some(ups as f64), "lane {}", lane);
-                if !unwound {
+                if unwound.is_none() {
                     let counters: Vec<_> = sink.counters().collect();
                     let expected: Vec<_> = oracle.counters.counters().collect();
                     prop_assert_eq!(counters, expected, "lane {} counters", lane);
@@ -995,5 +1203,89 @@ mod tests {
                 prop_assert_eq!(rec.dropped(), expected.dropped(), "lane {} evictions", lane);
             }
         }
+
+        /// One sink observing the whole group equals the group's
+        /// singleton sinks merged in lane order, at every width, over
+        /// recorder capacities that differ lane by lane, after a
+        /// completed or an unwound run.
+        #[test]
+        fn whole_group_sink_matches_merged_singletons(
+            seed in any::<u64>(),
+            width in 1usize..=64,
+            len in 0usize..=700,
+            corrupting in any::<bool>(),
+            unwound in any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let noise = [0.0, 0.01, 0.3][rng.gen_range(0..3)];
+            let steps = random_steps(&mut rng, width, len, noise, corrupting);
+            let sinks = random_sinks(&mut rng, width);
+            let unwound = if unwound { random_unwound(&mut rng, width, noise) } else { None };
+            check_whole_matches_singletons(&steps, &sinks, &unwound);
+        }
+    }
+
+    /// The dump cap's edge: lane 1 dumps early, lane 0 reaches exactly
+    /// [`FlightRecorder::MAX_DUMPS`] dumps in the middle of the run, and
+    /// later alarms on lanes 1 and 2 are never built — the whole-group
+    /// sink still equals the merged singletons, which keep lane 0's dumps
+    /// only.
+    #[test]
+    fn whole_group_dumps_stop_at_the_cap() {
+        let alarm = |at| ObsEvent::AlarmRaised {
+            at,
+            comm: 0,
+            mean: 0.5,
+            epsilon: 0.25,
+            lrc: 0.9,
+        };
+        let read = |at| Step::Read {
+            at,
+            task: 0,
+            exec: 0b111,
+            replicas: vec![ReplicaMasks {
+                host: 0,
+                host_ok: 0b111,
+                bc_ok: 0b111,
+                warm: 0b111,
+                excluded: 0,
+            }],
+            outcomes: None,
+        };
+        let mut steps = vec![read(0), Step::Event(1, alarm(0))];
+        for at in 1..=FlightRecorder::MAX_DUMPS as u64 {
+            steps.push(read(at * 10));
+            steps.push(Step::Event(0, alarm(at * 10)));
+        }
+        steps.push(Step::Event(2, alarm(100)));
+        steps.push(Step::Event(1, alarm(100)));
+        let sinks = vec![Registry::with_recorder(4); 3];
+        check_whole_matches_singletons(&steps, &sinks, &None);
+
+        let mut whole = sinks.clone();
+        let mut obs = GroupObs::new(whole.iter_mut(), 3, 4, LaneSets::Whole);
+        for step in &steps {
+            match step {
+                Step::Read {
+                    at,
+                    task,
+                    exec,
+                    replicas,
+                    outcomes,
+                } => {
+                    obs.begin_read(*at, *task, *exec);
+                    obs.replica(replicas[0]);
+                    obs.vote(*outcomes);
+                }
+                Step::Event(lane, event) => obs.event(*lane, event, &mut whole[*lane]),
+            }
+        }
+        let built: Vec<usize> = obs.dumps.iter().map(Vec::len).collect();
+        assert_eq!(built, [FlightRecorder::MAX_DUMPS, 1, 0]);
+        obs.flush(whole.iter_mut(), |_| [(names::ROUNDS, 0); 5]);
+        let dumps = whole[0].recorder().unwrap().dumps();
+        assert!(dumps
+            .iter()
+            .all(|d| d.events.last().is_some_and(|e| e.at() >= 10)));
     }
 }

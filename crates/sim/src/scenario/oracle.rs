@@ -411,6 +411,7 @@ mod tests {
     use super::*;
     use crate::behavior::BehaviorMap;
     use crate::bitslice::{BitslicedOutput, LaneContext};
+    use crate::observe::LaneSets;
     use crate::environment::ConstantEnvironment;
     use crate::fault::{CorruptingFaults, NoFaults, ProbabilisticFaults};
     use crate::kernel::Simulation;
@@ -725,6 +726,7 @@ mod tests {
             let out = sim.run_lanes(
                 &mut b,
                 &mut lanes,
+                LaneSets::Singletons,
                 Some(&mut monitor),
                 &mut layer,
                 ROUNDS,

@@ -103,6 +103,10 @@ cargo test -q --test fuzz_determinism > /dev/null
 
 echo "==> observability tests (pinned metrics + thread-count invariance)"
 cargo test -q --test observability > /dev/null
+# The exporter against its format!-based oracle, and the campaign-unit
+# fold against one sink per replication.
+cargo test -q -p logrel-obs > /dev/null
+cargo test -q --test campaign_fold > /dev/null
 
 echo "==> bit-sliced kernel differential tests (lane-vs-scalar bit-identity)"
 cargo test -q --test bitslice_equivalence > /dev/null
@@ -131,6 +135,33 @@ diff <(grep -v '^logrel_bitslice_lanes' "$METRICS_DIR/scalar.prom" | grep -v '_s
 grep -q '^logrel_alarm_raised_total [1-9][0-9]' "$METRICS_DIR/steer_sliced.prom"
 diff <(grep -v '^logrel_bitslice_lanes' "$METRICS_DIR/steer_scalar.prom" | grep -v '_seconds') \
      <(grep -v '^logrel_bitslice_lanes' "$METRICS_DIR/steer_sliced.prom" | grep -v '_seconds')
+
+echo "==> htlc serve --stdin: alarm-heavy steer job, 1 worker ≡ 2 workers ≡ inject"
+# The same campaign as a served job (units of 64 + 6 lanes, each unit's
+# observation folded into one registry): the metrics line must not
+# depend on the worker count, and must equal the `htlc inject --metrics`
+# JSON above up to the wall-clock `*_seconds` spans.
+STEER_JOB='{"schema":"logrel-job-v1","id":"steer","spec_path":"assets/steer_by_wire.htl","scenario_path":"tests/assets/scenarios/steer_every_event.scn","rounds":400,"replications":70,"seed":7,"lanes":64}'
+for workers in 1 2; do
+    echo "$STEER_JOB" | "$HTLC" serve --stdin --workers "$workers" \
+        > "$METRICS_DIR/steer_served_$workers.ndjson"
+done
+python3 - "$METRICS_DIR/steer_served_1.ndjson" "$METRICS_DIR/steer_served_2.ndjson" \
+    "$METRICS_DIR/steer_sliced.prom.json" <<'PY'
+import json, sys
+one, two = (open(p).read().splitlines() for p in sys.argv[1:3])
+assert one[0] == two[0], "1 worker and 2 workers served different metrics lines"
+status = json.loads(one[1])
+assert (status["id"], status["status"]) == ("steer", "done"), status
+served = json.loads(one[0])
+assert served["counters"]["logrel_alarm_raised_total"] >= 10, served["counters"]
+assert served["dumps"], "the alarm dumps survive the merge"
+def strip(d):
+    return {k: strip(v) if isinstance(v, dict) else v
+            for k, v in d.items() if not k.endswith("_seconds")}
+inj = json.load(open(sys.argv[3]))
+assert strip(inj) == strip(served), "served steer job diverged from htlc inject"
+PY
 
 echo "==> htlc inject smoke (partition + wear-out scenarios)"
 "$HTLC" inject examples/htl/infusion_pump.htl examples/scenarios/partition.scn 400 7 2 \

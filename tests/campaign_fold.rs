@@ -1,0 +1,186 @@
+//! A campaign unit folds its lanes' observation into one sink: the first
+//! replication's that records (see `run_campaign_unit`). These tests
+//! check that fold against its definition — the unit's sinks merged in
+//! replication order equal, as whole `Registry` values, the sinks of the
+//! same replications each run as a one-lane unit (one sink per lane)
+//! merged in the same order: counters, gauges, histograms, evictions,
+//! the first recording lane's live ring and the dumps.
+
+use logrel::core::TimeDependentImplementation;
+use logrel::obs::{names, FlightRecorder, Registry};
+use logrel::serve::pipeline::{campaign_config, replication_context, Symbols};
+use logrel::sim::{
+    run_campaign_unit, CampaignUnit, LaneMode, RepSink, RepStats, Scenario, Simulation,
+};
+use proptest::prelude::*;
+
+const SPEC: &str = include_str!("../assets/steer_by_wire.htl");
+const EVERY_EVENT: &str = include_str!("assets/scenarios/steer_every_event.scn");
+/// The empty scenario: the spec's own transient faults only, which
+/// raise no alarm in these runs.
+const QUIET: &str = "scn v2\n";
+const ROUNDS: u64 = 200;
+
+struct Steer {
+    sys: logrel::lang::ElaboratedSystem,
+    td: TimeDependentImplementation,
+}
+
+impl Steer {
+    fn new() -> Self {
+        let sys = logrel::lang::compile(SPEC).expect("shipped spec compiles");
+        let td = TimeDependentImplementation::from(sys.imp.clone());
+        Steer { sys, td }
+    }
+
+    /// Runs `unit` under `scenario`, replication `rep` observed by a fresh
+    /// registry with a recorder of `capacity(rep)` events.
+    fn unit(
+        &self,
+        scenario: &str,
+        seed: u64,
+        unit: CampaignUnit,
+        capacity: &dyn Fn(u64) -> usize,
+    ) -> Vec<(RepStats, Registry)> {
+        let scenario = Scenario::parse_with(scenario, &Symbols(&self.sys)).expect("parses");
+        let sim = Simulation::new(&self.sys.spec, &self.sys.arch, &self.td);
+        let config = campaign_config(
+            unit.first_rep + unit.width as u64,
+            ROUNDS,
+            seed,
+            LaneMode::Auto,
+        );
+        run_campaign_unit(
+            &sim,
+            &self.sys.spec,
+            &scenario,
+            self.sys.arch.host_count(),
+            &config,
+            |_rep| replication_context(&self.sys.arch),
+            |rep| Registry::fresh(capacity(rep)),
+            unit,
+        )
+        .expect("the unit runs")
+    }
+}
+
+fn merged(mut into: Registry, sinks: impl IntoIterator<Item = Registry>) -> Registry {
+    for sink in sinks {
+        into.merge(sink);
+    }
+    into
+}
+
+/// Whether the lanes before some lane hold exactly
+/// [`FlightRecorder::MAX_DUMPS`] dumps at an instant after which a later
+/// lane still dumps: the fold's cap is reached in the middle of the run.
+fn cap_reached_mid_run(per_lane: &[Registry]) -> bool {
+    let ats = |sink: &Registry| -> Vec<u64> {
+        sink.recorder()
+            .map_or_else(Vec::new, |r| r.dumps().iter().map(|d| d.at).collect())
+    };
+    (1..per_lane.len()).any(|k| {
+        let mut before: Vec<u64> = per_lane[..k].iter().flat_map(ats).collect();
+        before.sort_unstable();
+        before
+            .get(FlightRecorder::MAX_DUMPS - 1)
+            .is_some_and(|&reached| per_lane[k..].iter().flat_map(ats).any(|at| at > reached))
+    })
+}
+
+/// Runs `unit` folded and lane by lane, checks the fold against the
+/// merged one-lane sinks, and returns the one-lane sinks.
+fn check_fold(
+    steer: &Steer,
+    scenario: &str,
+    seed: u64,
+    unit: CampaignUnit,
+    capacity: &dyn Fn(u64) -> usize,
+) -> Vec<Registry> {
+    let folded = steer.unit(scenario, seed, unit, capacity);
+    let mut per_lane = Vec::new();
+    for rep in unit.first_rep..unit.first_rep + unit.width as u64 {
+        let one = CampaignUnit {
+            first_rep: rep,
+            width: 1,
+        };
+        let [(stats, sink)]: [_; 1] = steer
+            .unit(scenario, seed, one, capacity)
+            .try_into()
+            .unwrap();
+        assert_eq!(stats, folded[per_lane.len()].0, "rep {rep} stats");
+        per_lane.push(sink);
+    }
+    let target = (unit.first_rep..)
+        .zip(&folded)
+        .position(|(rep, _)| capacity(rep) > 0)
+        .unwrap_or(0);
+    for (i, (rep, (_, sink))) in (unit.first_rep..).zip(&folded).enumerate() {
+        if i != target {
+            assert_eq!(
+                sink,
+                &Registry::fresh(capacity(rep)),
+                "rep {rep} left as made"
+            );
+        }
+    }
+    for into in [Registry::new(), Registry::with_recorder(256)] {
+        let fold = merged(into.clone(), folded.iter().map(|(_, s)| s.clone()));
+        let lanes = merged(into, per_lane.iter().cloned());
+        assert_eq!(fold, lanes, "{unit:?} under {scenario:?}");
+    }
+    per_lane
+}
+
+/// Every capacity pattern, replication `rep` taking entry `rep % 7`:
+/// none, uniform 4 or 256, and capacities that differ within the unit
+/// (some lanes without a recorder).
+const PATTERNS: [[usize; 7]; 4] = [[0; 7], [4; 7], [256; 7], [0, 4, 256, 4, 0, 256, 256]];
+
+#[test]
+fn folded_units_match_merged_lanes_at_every_width_and_capacity() {
+    let steer = Steer::new();
+    for width in [1, 3, 64] {
+        for (p, pattern) in PATTERNS.iter().enumerate() {
+            let capacity = |rep: u64| pattern[(rep % 7) as usize];
+            let unit = CampaignUnit {
+                first_rep: 5,
+                width,
+            };
+            let per_lane = check_fold(&steer, EVERY_EVENT, 1, unit, &capacity);
+            let raised: u64 = per_lane
+                .iter()
+                .map(|s| s.counter(names::ALARM_RAISED))
+                .sum();
+            assert!(raised > 0, "the every-event scenario alarms");
+            if width == 64 && p == 2 {
+                assert!(
+                    cap_reached_mid_run(&per_lane),
+                    "the dump cap is reached mid-run"
+                );
+            }
+            let quiet = check_fold(&steer, QUIET, 1, unit, &capacity);
+            assert!(quiet.iter().all(|s| s.counter(names::ALARM_RAISED) == 0));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The fold on random seeds, unit offsets and widths, under either
+    /// scenario, with per-replication capacities drawn from 0, 4 and 256.
+    #[test]
+    fn folded_units_match_merged_lanes(
+        seed in any::<u64>(),
+        first_rep in 0u64..1000,
+        width in 1usize..=64,
+        caps in proptest::collection::vec(0usize..3, 1..8),
+        quiet in any::<bool>(),
+    ) {
+        let steer = Steer::new();
+        let capacity = |rep: u64| [0, 4, 256][caps[rep as usize % caps.len()]];
+        let scenario = if quiet { QUIET } else { EVERY_EVENT };
+        check_fold(&steer, scenario, seed, CampaignUnit { first_rep, width }, &capacity);
+    }
+}
