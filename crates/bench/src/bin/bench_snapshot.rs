@@ -79,7 +79,7 @@ use logrel_obs::export::to_json_line;
 use logrel_serve::pipeline::{campaign_config, replication_context, CompiledSpec, Plan, Symbols};
 use logrel_sim::{
     derive_seed, run_campaign_unit, run_indexed_units, BehaviorMap, CampaignUnit, ConstantEnvironment, HostSet,
-    LaneContext, LaneMode, LrcMonitor, MonitorConfig, NoSupervisor, ProbabilisticFaults,
+    LaneContext, LaneMode, LrcMonitor, MonitorConfig, ProbabilisticFaults,
     Scenario as FaultScenario, ScenarioEnvironment, ScenarioEvent, ScenarioInjector, SimConfig,
     SimOutput, Simulation,
 };
@@ -257,7 +257,7 @@ impl SteerUnit<'_> {
                 .map(|rep| {
                     let base = replication_context(self.arch);
                     let seed = derive_seed(1, rep);
-                    LaneContext::new(seed, base.injector, base.environment, NoSupervisor, sink())
+                    LaneContext::new(seed, base.injector, base.environment, sink())
                 })
                 .collect();
             let mut monitor = LrcMonitor::with_lanes(spec, MonitorConfig::default(), Self::LANES);
@@ -350,7 +350,7 @@ fn run_sim(sim: &Simulation, arch: &Architecture, mode: &Mode) -> SimOutput {
             &mut behaviors,
             &mut env,
             &mut inj,
-            &mut NoSupervisor,
+            None,
             &mut NoopSink,
             &config,
         ),
@@ -358,7 +358,7 @@ fn run_sim(sim: &Simulation, arch: &Architecture, mode: &Mode) -> SimOutput {
             &mut behaviors,
             &mut env,
             &mut inj,
-            &mut NoSupervisor,
+            None,
             &mut Registry::new(),
             &config,
         ),

@@ -62,7 +62,7 @@ pub mod names {
     pub const REPLICA_DROP_BROADCAST: &str = "logrel_replica_drop_broadcast_total";
     /// Replica drops: stateful replica still warming up after a rejoin.
     pub const REPLICA_DROP_WARMUP: &str = "logrel_replica_drop_warmup_total";
-    /// Replica drops: excluded by a supervisor (degrader).
+    /// Replica drops: excluded by an engaged degradation rule.
     pub const REPLICA_DROP_EXCLUDED: &str = "logrel_replica_drop_excluded_total";
     /// Replica drops: the logical task did not execute (failed inputs).
     pub const REPLICA_DROP_SILENT: &str = "logrel_replica_drop_silent_total";

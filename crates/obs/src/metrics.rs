@@ -6,7 +6,7 @@
 //! the condition is a constant `false` after monomorphization, so the
 //! instrumented path compiles to the uninstrumented one. The trait is
 //! nevertheless dyn-safe, so components that cannot be generic (e.g. a
-//! supervisor behind `&mut dyn`) can still take `&mut dyn MetricsSink`.
+//! hook behind `&mut dyn`) can still take `&mut dyn MetricsSink`.
 
 use std::collections::BTreeMap;
 use std::time::Instant;

@@ -58,7 +58,7 @@ pub enum DropReason {
     Broadcast,
     /// A stateful replica was still warming up after its host rejoined.
     Warmup,
-    /// A supervisor (degrader) excluded the replica.
+    /// An engaged degradation rule dropped the replica.
     Excluded,
 }
 

@@ -10,20 +10,21 @@
 //! where a fault fired), a round's work collapses to a handful of classes
 //! instead of 64 scalar evaluations.
 //!
-//! A single run ([`Simulation::run`], `run_supervised`, `run_observed`)
-//! is an ordinary one-lane group through this same loop; only the
-//! map-driven [`Simulation::run_reference`] interprets the semantics a
-//! second time, as the differential oracle.
+//! A single run ([`Simulation::run`], `run_observed`) is an ordinary
+//! one-lane group through this same loop; only the map-driven
+//! [`Simulation::run_reference`] interprets the semantics a second time,
+//! as the differential oracle.
 //!
 //! # Lane semantics
 //!
 //! Lane `i` replays replication `i` *exactly*: it owns a private RNG
-//! seeded with lane `i`'s seed, plus its own fault injector, environment,
-//! supervisor and metrics sink ([`LaneContext`]). At every site that
-//! consumes a draw or calls a hook, the kernel loops over the lanes and
-//! performs the call on the lane's own context, in lane order — so each
-//! lane's RNG stream, supervisor interactions and metrics are the ones a
-//! one-lane run of the same seed produces, whatever the group width.
+//! seeded with lane `i`'s seed, plus its own fault injector, environment
+//! and metrics sink ([`LaneContext`]). At every site that consumes a draw
+//! or calls a hook, the kernel loops over the lanes and performs the call
+//! on the lane's own context, in lane order — so each lane's RNG stream
+//! and metrics are the ones a one-lane run of the same seed produces,
+//! whatever the group width. The kernel's only watch is one group
+//! [`LrcMonitor`], outside the lanes (see below).
 //!
 //! A campaign unit adds one group scenario layer over the lanes' base
 //! injectors (`scenario/lanes.rs`): the timeline is evaluated once per
@@ -37,13 +38,14 @@
 //! The kernel keeps counts: per communicator the number of updates
 //! (lane-invariant) and of reliable updates per lane, per task the
 //! invocations and deliveries, and the final values ([`BitslicedOutput`]).
-//! Only the one-lane runs that return a [`SimOutput`] also write the
-//! update sequence into a [`Trace`]; a campaign unit stores nothing per
-//! update. (Any caller can still watch the sequence lane by lane through
-//! a supervisor: [`Supervisor::observe`] fires for every update in
-//! order.) [`Simulation::run_monitored`] adds one group [`LrcMonitor`]
-//! that sees each update once, as the mask of lanes holding a reliable
-//! value; campaign units use it instead of a monitor per lane.
+//! Only the runs that return [`SimOutput`]s ([`Simulation::run_traced`]
+//! and the one-lane runs built on it) also write each lane's update
+//! sequence into a [`Trace`]; a campaign unit stores nothing per update.
+//! [`Simulation::run_monitored`] adds one group [`LrcMonitor`] that sees
+//! each update once, as the mask of lanes holding a reliable value. Its
+//! degradation rules act on the group too: a `DropReplica` rule engaged
+//! on some lanes is one exclusion mask per replica, which the replica's
+//! draws are folded with.
 //!
 //! The lanes' metrics sinks are observed the same way, once per group:
 //! the kernel folds each replica's draw outcomes into lane masks, counts
@@ -79,7 +81,7 @@ use crate::behavior::BehaviorMap;
 use crate::environment::Environment;
 use crate::fault::FaultInjector;
 use crate::kernel::{task_audiences, warm_after_rejoin, SimOutput, Simulation, TaskStats};
-use crate::monitor::{LrcMonitor, NoSupervisor, Supervisor};
+use crate::monitor::LrcMonitor;
 use crate::observe::{GroupObs, LaneSets, ReplicaMasks};
 use crate::scenario::{CrashState, ScenarioLanes};
 use crate::trace::Trace;
@@ -90,6 +92,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::mem;
 use std::panic::{self, AssertUnwindSafe};
+
+/// The most rounds whose trace [`Simulation::run_traced`] reserves up
+/// front.
+const MAX_RESERVED_ROUNDS: u64 = 1 << 16;
 
 /// A partition of the lane set by communicator value.
 ///
@@ -302,56 +308,38 @@ impl BitslicedOutput {
             .map(|cls| cls.value_at(lane))
             .collect()
     }
-
-    /// Lane `lane`'s [`SimOutput`] around `trace`, that lane's update
-    /// sequence (recorded by the one-lane runs themselves, or by a lane
-    /// supervisor that writes down every update it observes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= self.lanes()`.
-    pub fn output(&self, lane: usize, trace: Trace) -> SimOutput {
-        assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
-        SimOutput {
-            trace,
-            task_stats: self.task_stats(lane),
-            final_values: self.final_values(lane),
-        }
-    }
 }
 
 /// One lane's private execution context: seeded RNG, fault injector,
-/// environment, supervisor and metrics sink.
+/// environment and metrics sink.
 ///
 /// Every draw and hook call of the lane's replication happens on this
 /// context, in the order a one-lane run of seed `seed` makes them.
 #[derive(Debug, Clone)]
-pub struct LaneContext<I, E, S = NoSupervisor, M = NoopSink> {
+pub struct LaneContext<I, E, M = NoopSink> {
     rng: StdRng,
     injector: I,
     environment: E,
-    supervisor: S,
     sink: M,
 }
 
-impl<I, E, S, M> LaneContext<I, E, S, M> {
-    /// A fully supervised and observed lane. `seed` matches the
+impl<I, E, M> LaneContext<I, E, M> {
+    /// An observed lane. `seed` matches the
     /// [`SimConfig::seed`](crate::SimConfig) of the replication this lane
     /// replays.
-    pub fn new(seed: u64, injector: I, environment: E, supervisor: S, sink: M) -> Self {
+    pub fn new(seed: u64, injector: I, environment: E, sink: M) -> Self {
         LaneContext {
             rng: StdRng::seed_from_u64(seed),
             injector,
             environment,
-            supervisor,
             sink,
         }
     }
 
-    /// Dismantles the lane, returning the injector, environment,
-    /// supervisor and sink (e.g. to harvest per-lane metrics).
-    pub fn into_parts(self) -> (I, E, S, M) {
-        (self.injector, self.environment, self.supervisor, self.sink)
+    /// Dismantles the lane, returning the injector, environment and sink
+    /// (e.g. to harvest per-lane metrics).
+    pub fn into_parts(self) -> (I, E, M) {
+        (self.injector, self.environment, self.sink)
     }
 
     /// The lane's random stream.
@@ -362,17 +350,15 @@ impl<I, E, S, M> LaneContext<I, E, S, M> {
 }
 
 impl<I, E> LaneContext<I, E> {
-    /// An unsupervised, unobserved lane — the packed analogue of
-    /// [`Simulation::run`].
+    /// An unobserved lane — the packed analogue of [`Simulation::run`].
     pub fn plain(seed: u64, injector: I, environment: E) -> Self {
-        LaneContext::new(seed, injector, environment, NoSupervisor, NoopSink)
+        LaneContext::new(seed, injector, environment, NoopSink)
     }
 }
 
 /// One replica of a task read, as the lanes' own hooks see it.
 struct Replica<'a> {
     host: HostId,
-    task: TaskId,
     now: Tick,
     round: u64,
     /// The task's partition audience, when a lane's own injector may
@@ -381,31 +367,32 @@ struct Replica<'a> {
     /// Whether each lane's own injector decides the warm-up (the group
     /// layer scripts nothing for the host).
     warm_per_lane: bool,
+    /// The lanes on which an engaged degradation rule drops the replica.
+    excluded: u64,
 }
 
 /// Makes every lane's own calls for `r`, each lane in its stream order —
 /// the inner host draw, the group layer's host draws, the inner broadcast
 /// draw, the layer's burst draws — and folds the outcomes into masks: the
 /// inner host and broadcast outcomes (a replica cut off from any audience
-/// host counts as a broadcast drop), the lanes' own warm-up verdicts and
-/// their supervisors' exclusions. Specialized on `SCRIPTED`, so the loop
-/// of a run without a scenario carries no layer call.
+/// host counts as a broadcast drop) and the lanes' own warm-up verdicts,
+/// beside the replica's exclusion mask. Specialized on `SCRIPTED`, so the
+/// loop of a run without a scenario carries no layer call.
 #[inline(always)]
-fn sample_lanes<const SCRIPTED: bool, I, E, S, M>(
-    lanes: &mut [LaneContext<I, E, S, M>],
+fn sample_lanes<const SCRIPTED: bool, I, E, M>(
+    lanes: &mut [LaneContext<I, E, M>],
     layer: &mut ScenarioLanes,
     r: &Replica<'_>,
 ) -> ReplicaMasks
 where
     I: FaultInjector,
-    S: Supervisor,
 {
     let mut m = ReplicaMasks {
         host: r.host.index(),
         host_ok: 0,
         bc_ok: 0,
         warm: 0,
-        excluded: 0,
+        excluded: r.excluded,
     };
     for (li, lane) in lanes.iter_mut().enumerate() {
         let bit = 1u64 << li;
@@ -423,11 +410,9 @@ where
         }
         let warm = r.warm_per_lane
             && warm_after_rejoin(lane.injector.rejoined_at(r.host, r.now), r.now, r.round);
-        let excluded = lane.supervisor.exclude_replica(r.task, r.host, r.now);
         m.host_ok |= u64::from(host_ok) << li;
         m.bc_ok |= u64::from(bc_ok) << li;
         m.warm |= u64::from(warm) << li;
-        m.excluded |= u64::from(excluded) << li;
     }
     m
 }
@@ -435,9 +420,8 @@ where
 impl<'a> Simulation<'a> {
     /// Runs 1..=64 replications bit-sliced in one pass over the round
     /// program. Lane `i` replays the replication of `lanes[i]`'s seed,
-    /// injector, environment and supervisor exactly; see the module docs
-    /// for the shared-behaviors purity contract and the fast/slow path
-    /// split.
+    /// injector and environment exactly; see the module docs for the
+    /// shared-behaviors purity contract and the fast/slow path split.
     ///
     /// Observation is a group object too: counters and the vote
     /// histogram are tallied over lane masks and written to each observed
@@ -450,68 +434,117 @@ impl<'a> Simulation<'a> {
     /// # Panics
     ///
     /// Panics if `lanes` is empty or holds more than 64 contexts.
-    pub fn run_bitsliced<I, E, S, M>(
+    pub fn run_bitsliced<I, E, M>(
         &self,
         behaviors: &mut BehaviorMap,
-        lanes: &mut [LaneContext<I, E, S, M>],
+        lanes: &mut [LaneContext<I, E, M>],
         rounds: u64,
     ) -> BitslicedOutput
     where
         I: FaultInjector,
         E: Environment,
-        S: Supervisor,
         M: MetricsSink,
     {
-        let mut layer = ScenarioLanes::none(self.host_count(), lanes.len());
-        self.run_lanes(
-            behaviors,
-            lanes,
-            LaneSets::Singletons,
-            None,
-            &mut layer,
-            rounds,
-            &mut (),
-        )
+        self.run_plain(behaviors, lanes, None, rounds, &mut ())
     }
 
     /// [`Simulation::run_bitsliced`] watched by one group [`LrcMonitor`]
     /// (built with [`LrcMonitor::with_lanes`] for `lanes.len()` lanes).
     /// The monitor sees every communicator update once, as the mask of
-    /// lanes holding a reliable value, and each alarm it fires is
-    /// recorded for that lane right there, where a per-lane supervisor's
-    /// alarm would have been.
+    /// lanes holding a reliable value; each alarm it fires and each rule
+    /// it engages is recorded for that lane right there, and a dropped
+    /// replica leaves the vote on the lanes that dropped it from the next
+    /// task read on.
     ///
     /// # Panics
     ///
     /// Panics if the monitor's width differs from the number of lanes,
     /// or as [`Simulation::run_bitsliced`] does.
-    pub fn run_monitored<I, E, S, M>(
+    pub fn run_monitored<I, E, M>(
         &self,
         behaviors: &mut BehaviorMap,
-        lanes: &mut [LaneContext<I, E, S, M>],
+        lanes: &mut [LaneContext<I, E, M>],
         monitor: &mut LrcMonitor,
         rounds: u64,
     ) -> BitslicedOutput
     where
         I: FaultInjector,
         E: Environment,
-        S: Supervisor,
         M: MetricsSink,
     {
-        assert_eq!(
-            monitor.width(),
-            lanes.len(),
-            "the monitor must watch every lane"
-        );
+        self.run_plain(behaviors, lanes, Some(monitor), rounds, &mut ())
+    }
+
+    /// [`Simulation::run_bitsliced`], watched by `monitor` when given,
+    /// that also records every lane's update sequence: lane `i`'s
+    /// [`SimOutput`], trace included, is the one a one-lane run of the
+    /// same seed returns.
+    ///
+    /// # Panics
+    ///
+    /// As [`Simulation::run_monitored`].
+    pub fn run_traced<I, E, M>(
+        &self,
+        behaviors: &mut BehaviorMap,
+        lanes: &mut [LaneContext<I, E, M>],
+        monitor: Option<&mut LrcMonitor>,
+        rounds: u64,
+    ) -> Vec<SimOutput>
+    where
+        I: FaultInjector,
+        E: Environment,
+        M: MetricsSink,
+    {
+        // The trace rows are sized up front (capped, so a huge horizon
+        // still grows on demand instead of reserving it all).
+        let reserved = rounds.min(MAX_RESERVED_ROUNDS);
+        let per_round = self.updates_per_round();
+        let mut traces: Vec<Trace> = (0..lanes.len())
+            .map(|_| {
+                let mut trace = Trace::new(self.spec);
+                for (comm, &k) in per_round.iter().enumerate() {
+                    trace.reserve(comm, (k * reserved) as usize);
+                }
+                trace
+            })
+            .collect();
+        let out = self.run_plain(behaviors, lanes, monitor, rounds, &mut traces[..]);
+        traces
+            .into_iter()
+            .enumerate()
+            .map(|(li, trace)| SimOutput {
+                trace,
+                task_stats: out.task_stats(li),
+                final_values: out.final_values(li),
+            })
+            .collect()
+    }
+
+    /// The public entry points' group run: each sink observes its own
+    /// lane, under the empty scenario layer.
+    fn run_plain<I, E, M, L>(
+        &self,
+        behaviors: &mut BehaviorMap,
+        lanes: &mut [LaneContext<I, E, M>],
+        monitor: Option<&mut LrcMonitor>,
+        rounds: u64,
+        log: &mut L,
+    ) -> BitslicedOutput
+    where
+        I: FaultInjector,
+        E: Environment,
+        M: MetricsSink,
+        L: UpdateLog + ?Sized,
+    {
         let mut layer = ScenarioLanes::none(self.host_count(), lanes.len());
         self.run_lanes(
             behaviors,
             lanes,
             LaneSets::Singletons,
-            Some(monitor),
+            monitor,
             &mut layer,
             rounds,
-            &mut (),
+            log,
         )
     }
 
@@ -531,10 +564,10 @@ impl<'a> Simulation<'a> {
     /// own injectors, which it wraps), watched by `monitor` when given
     /// and writing every update to `log` as well.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_lanes<I, E, S, M, L>(
+    pub(crate) fn run_lanes<I, E, M, L>(
         &self,
         behaviors: &mut BehaviorMap,
-        lanes: &mut [LaneContext<I, E, S, M>],
+        lanes: &mut [LaneContext<I, E, M>],
         sets: LaneSets,
         monitor: Option<&mut LrcMonitor>,
         layer: &mut ScenarioLanes,
@@ -544,7 +577,6 @@ impl<'a> Simulation<'a> {
     where
         I: FaultInjector,
         E: Environment,
-        S: Supervisor,
         M: MetricsSink,
         L: UpdateLog + ?Sized,
     {
@@ -554,6 +586,9 @@ impl<'a> Simulation<'a> {
             "bit-sliced run needs 1..=64 lanes, got {n}"
         );
         assert_eq!(layer.width(), n, "the scenario layer must cover every lane");
+        if let Some(monitor) = &monitor {
+            assert_eq!(monitor.width(), n, "the monitor must watch every lane");
+        }
         let mut obs = GroupObs::new(
             lanes.iter_mut().map(|l| &mut l.sink),
             self.host_count(),
@@ -576,10 +611,10 @@ impl<'a> Simulation<'a> {
 
     /// The rounds of [`Simulation::run_lanes`], observed through `obs`.
     #[allow(clippy::too_many_arguments)]
-    fn run_rounds<I, E, S, M, L>(
+    fn run_rounds<I, E, M, L>(
         &self,
         behaviors: &mut BehaviorMap,
-        lanes: &mut [LaneContext<I, E, S, M>],
+        lanes: &mut [LaneContext<I, E, M>],
         obs: &mut GroupObs,
         mut monitor: Option<&mut LrcMonitor>,
         layer: &mut ScenarioLanes,
@@ -589,7 +624,6 @@ impl<'a> Simulation<'a> {
     where
         I: FaultInjector,
         E: Environment,
-        S: Supervisor,
         M: MetricsSink,
         L: UpdateLog + ?Sized,
     {
@@ -602,10 +636,9 @@ impl<'a> Simulation<'a> {
         // Any corrupting lane forces the slow (materialized-replicas)
         // path for the whole run; see the module docs.
         let corrupting = lanes.iter().any(|l| l.injector.corrupts());
-        // Passive environments/supervisors contract their hooks to
-        // no-ops, so the per-lane hook loops below can be skipped.
+        // Passive environments contract their `advance`/`actuate` hooks
+        // to no-ops, so the per-lane hook loops below can be skipped.
         let passive_env = lanes.iter().all(|l| l.environment.is_passive());
-        let passive_sup = lanes.iter().all(|l| l.supervisor.is_passive());
         // Correlated-failure gates: the partition delivery check and the
         // adaptive vote echo are pure (no RNG draws), so lanes with a
         // plain injector see exactly their one-lane call sequence whether
@@ -681,10 +714,12 @@ impl<'a> Simulation<'a> {
 
                 // ---- 1. communicator updates due at this instant ----
                 for op in &sp.updates {
-                    match *op {
-                        UpdateOp::Sensor { comm } => {
-                            let c = CommunicatorId::new(comm);
-                            let sensors = &phase.sensors[comm as usize];
+                    let ci = op.comm();
+                    let c = CommunicatorId::new(ci as u32);
+                    // Whether the update goes out to the actuators.
+                    let actuated = match *op {
+                        UpdateOp::Sensor { .. } => {
+                            let sensors = &phase.sensors[ci];
                             for (li, lane) in lanes.iter_mut().enumerate() {
                                 let mut any_ok = false;
                                 for &s in sensors {
@@ -701,67 +736,42 @@ impl<'a> Simulation<'a> {
                                     Value::Unreliable
                                 };
                             }
-                            comm_classes[comm as usize].set_from_lane_values(&lane_vals);
-                            if !passive_sup {
-                                for (li, lane) in lanes.iter_mut().enumerate() {
-                                    lane.supervisor.observe_with(
-                                        c,
-                                        now,
-                                        lane_vals[li],
-                                        &mut obs.lane(li, &mut lane.sink),
-                                    );
-                                }
-                            }
+                            comm_classes[ci].set_from_lane_values(&lane_vals);
+                            false
                         }
                         UpdateOp::Landed {
-                            comm,
                             task,
                             out_slot,
                             rounds_back,
+                            ..
                         } => {
-                            let c = CommunicatorId::new(comm);
                             let rb = u64::from(rounds_back);
                             if r >= rb {
                                 let p = ((r - rb) % 2) as usize;
                                 let dm = result_delivered[p][task as usize];
                                 let src = &result_classes[p][out_slot as usize];
-                                let dst = &mut comm_classes[comm as usize];
+                                let dst = &mut comm_classes[ci];
                                 dst.clear();
                                 for &(v, m) in &src.classes {
                                     dst.push(v, m & dm);
                                 }
                             }
                             // else: nothing produced yet, init persists.
-                            if !(passive_env && passive_sup) {
-                                let cls = &comm_classes[comm as usize];
-                                for (li, lane) in lanes.iter_mut().enumerate() {
-                                    let v = cls.value_at(li);
-                                    let sink = &mut obs.lane(li, &mut lane.sink);
-                                    lane.supervisor.observe_with(c, now, v, sink);
-                                    lane.environment.actuate(c, v, now);
-                                }
-                            }
+                            true
                         }
-                        UpdateOp::Persist { comm } => {
-                            let c = CommunicatorId::new(comm);
-                            if !(passive_env && passive_sup) {
-                                let cls = &comm_classes[comm as usize];
-                                for (li, lane) in lanes.iter_mut().enumerate() {
-                                    let v = cls.value_at(li);
-                                    let sink = &mut obs.lane(li, &mut lane.sink);
-                                    lane.supervisor.observe_with(c, now, v, sink);
-                                    lane.environment.actuate(c, v, now);
-                                }
-                            }
+                        UpdateOp::Persist { .. } => true,
+                    };
+                    if actuated && !passive_env {
+                        let cls = &comm_classes[ci];
+                        for (li, lane) in lanes.iter_mut().enumerate() {
+                            lane.environment.actuate(c, cls.value_at(li), now);
                         }
                     }
                     // The ⊥ lanes are those outside every value class.
-                    let ci = op.comm();
                     let reliable = comm_classes[ci].union();
                     if let Some(monitor) = monitor.as_deref_mut() {
-                        let c = CommunicatorId::new(ci as u32);
-                        monitor.observe_lanes(c, now, reliable, |li, alarm| {
-                            obs.alarm(li, alarm, &mut lanes[li].sink);
+                        monitor.observe_lanes(c, now, reliable, |li, fired| {
+                            obs.fired(li, fired, &mut lanes[li].sink);
                         });
                     }
                     unreliable.add(ci, !reliable & all_mask, all_mask);
@@ -857,6 +867,8 @@ impl<'a> Simulation<'a> {
                     }
 
                     let hosts_of = &phase.hosts[t];
+                    // Per host, the lanes that dropped this task's replica.
+                    let dropped = monitor.as_deref().map_or(&[][..], |m| m.dropped(t));
                     if any_obs {
                         obs.begin_read(now.as_u64(), t, exec);
                     }
@@ -883,16 +895,16 @@ impl<'a> Simulation<'a> {
                         };
                         let replica = Replica {
                             host: h,
-                            task: TaskId::new(ti),
                             now,
                             round,
                             audience: lane_partitioned.then(|| &audiences[t][..]),
                             warm_per_lane: shared_warm.is_none(),
+                            excluded: dropped.get(h.index()).copied().unwrap_or(0),
                         };
                         let own = if scripted {
-                            sample_lanes::<true, _, _, _, _>(lanes, layer, &replica)
+                            sample_lanes::<true, _, _, _>(lanes, layer, &replica)
                         } else {
-                            sample_lanes::<false, _, _, _, _>(lanes, layer, &replica)
+                            sample_lanes::<false, _, _, _>(lanes, layer, &replica)
                         };
                         let mut masks = ReplicaMasks {
                             warm: shared_warm.unwrap_or(own.warm),

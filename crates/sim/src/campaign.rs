@@ -13,7 +13,7 @@
 
 use crate::bitslice::{BitslicedOutput, LaneContext};
 use crate::kernel::Simulation;
-use crate::monitor::{AlarmKind, LrcMonitor, MonitorConfig, MonitorLane, NoSupervisor};
+use crate::monitor::{AlarmKind, LrcMonitor, MonitorConfig, MonitorLane};
 use crate::montecarlo::{derive_seed, run_indexed_units, BatchConfig, ReplicationContext};
 use crate::observe::LaneSets;
 use crate::scenario::{Scenario, ScenarioEnvironment, ScenarioError, ScenarioLanes, Timeline};
@@ -444,8 +444,8 @@ where
 /// unit runs as one lane group, whatever its width, under one group
 /// scenario layer — the scenario's timeline is compiled once per unit
 /// and evaluated once per group, and each lane's base injector only
-/// makes that lane's draws — and one group [`LrcMonitor`] (the lanes
-/// themselves are passive [`NoSupervisor`]s), and reduces each lane to its
+/// makes that lane's draws — and one group [`LrcMonitor`] without
+/// degradation rules, and reduces each lane to its
 /// [`RepStats`] from the counts the kernel kept and the monitor's
 /// verdicts — no trace is recorded, so memory does not grow with the
 /// rounds. Every replication is bit-identical to its place in a
@@ -490,7 +490,6 @@ where
             derive_seed(config.batch.base_seed, rep),
             base.injector,
             environment,
-            NoSupervisor,
             make_sink(rep),
         ));
     }
@@ -513,7 +512,7 @@ where
         .into_iter()
         .enumerate()
         .map(|(li, lane)| {
-            let (_injector, _environment, _supervisor, sink) = lane.into_parts();
+            let (_injector, _environment, sink) = lane.into_parts();
             (rep_stats(spec, &out, li, monitor.lane(li)), sink)
         })
         .collect())

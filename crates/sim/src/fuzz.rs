@@ -5,7 +5,7 @@
 //! communicator's plain windowed mean dips below its declared LRC µ_c
 //! (a ground-truth violation) while the online [`LrcMonitor`] never
 //! raised an alarm at or before the dip — the Hoeffding band kept the
-//! violation statistically unconfident, so the supervisor slept through
+//! violation statistically unconfident, so the monitor slept through
 //! it. Correlated events (common-cause groups, partitions, wear-out,
 //! adaptive adversaries) are exactly the mutations that manufacture such
 //! near-threshold degradation, which is why the fuzzer ships with the

@@ -23,6 +23,10 @@
 //! group of the lane-group loop in [`crate::bitslice`], the one
 //! production round loop; [`Simulation::run_reference`] interprets the
 //! same semantics from the calendar's maps, as its differential oracle.
+//! [`Simulation::run_observed`] adds the one-lane group's metrics sink
+//! and, optionally, its watch: a width-1 [`LrcMonitor`], with whatever
+//! degradation rules it carries, exactly as a campaign unit's group
+//! monitor is a width-64 one.
 //!
 //! # Host rejoin and warm-up
 //!
@@ -42,9 +46,7 @@ use crate::behavior::BehaviorMap;
 use crate::bitslice::LaneContext;
 use crate::environment::Environment;
 use crate::fault::FaultInjector;
-use crate::monitor::Supervisor;
-use crate::observe::LaneSets;
-use crate::scenario::ScenarioLanes;
+use crate::monitor::LrcMonitor;
 use crate::trace::Trace;
 use logrel_core::{
     Architecture, Calendar, CommunicatorId, FailureModel, HostId, RoundProgram, SensorId,
@@ -55,10 +57,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
 use std::sync::Arc;
-
-/// The most rounds whose trace [`Simulation::run_observed`] reserves up
-/// front.
-const MAX_RESERVED_ROUNDS: u64 = 1 << 16;
 
 /// Configuration of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -310,88 +308,41 @@ impl<'a> Simulation<'a> {
         injector: &mut dyn FaultInjector,
         config: &SimConfig,
     ) -> SimOutput {
-        self.run_supervised(
-            behaviors,
-            env,
-            injector,
-            &mut crate::monitor::NoSupervisor,
-            config,
-        )
+        self.run_observed(behaviors, env, injector, None, &mut NoopSink, config)
     }
 
-    /// Runs the simulation with a runtime [`Supervisor`]: the supervisor
-    /// observes every communicator update as it is recorded and may drop
-    /// replicas from the vote ([`Supervisor::exclude_replica`]).
+    /// Runs the simulation watched by a one-lane [`LrcMonitor`] when
+    /// given, with a [`MetricsSink`] recording per-round vote outcomes,
+    /// replica drops, host up/down transitions, broadcast failures, alarm
+    /// transitions and degradation engagements.
     ///
-    /// With [`NoSupervisor`] this is exactly [`Simulation::run`] — the
-    /// hooks never change the RNG stream (fault draws are sampled
-    /// unconditionally), so supervised and plain runs of the same seed
-    /// only diverge where a supervisor actively excludes a replica.
-    ///
-    /// [`Supervisor`]: crate::monitor::Supervisor
-    /// [`Supervisor::exclude_replica`]: crate::monitor::Supervisor::exclude_replica
-    /// [`NoSupervisor`]: crate::monitor::NoSupervisor
-    pub fn run_supervised(
-        &self,
-        behaviors: &mut BehaviorMap,
-        env: &mut dyn Environment,
-        injector: &mut dyn FaultInjector,
-        supervisor: &mut dyn Supervisor,
-        config: &SimConfig,
-    ) -> SimOutput {
-        self.run_observed(behaviors, env, injector, supervisor, &mut NoopSink, config)
-    }
-
-    /// Runs the simulation with a [`Supervisor`] *and* a [`MetricsSink`]
-    /// recording per-round vote outcomes, replica drops, host up/down
-    /// transitions, broadcast failures and alarm transitions.
-    ///
-    /// The kernel is generic over the sink: with [`NoopSink`] every
-    /// observation site monomorphizes to nothing and this is exactly
-    /// [`Simulation::run_supervised`] (which delegates here). The sink
-    /// never influences the simulation — fault draws, trace records and
-    /// supervisor hooks happen in the same order with the same values
+    /// The monitor's degradation rules are the only way a run can differ
+    /// from [`Simulation::run`]: fault draws are sampled unconditionally,
+    /// so a monitored run of a seed only diverges where an engaged rule
+    /// drops a replica. The kernel is generic over the sink: with
+    /// [`NoopSink`] every observation site monomorphizes to nothing. The
+    /// sink never influences the simulation — fault draws, trace records
+    /// and monitor updates happen in the same order with the same values
     /// whether or not metrics are recorded, so instrumented and plain
     /// runs of one seed produce bit-identical [`SimOutput`]s.
     ///
-    /// [`Supervisor`]: crate::monitor::Supervisor
+    /// # Panics
+    ///
+    /// Panics if the monitor watches more than one lane.
+    ///
     /// [`NoopSink`]: logrel_obs::NoopSink
     pub fn run_observed<M: MetricsSink>(
         &self,
         behaviors: &mut BehaviorMap,
         env: &mut dyn Environment,
         injector: &mut dyn FaultInjector,
-        supervisor: &mut dyn Supervisor,
+        monitor: Option<&mut LrcMonitor>,
         sink: &mut M,
         config: &SimConfig,
     ) -> SimOutput {
-        let mut lanes = [LaneContext::new(
-            config.seed,
-            Fwd(injector),
-            Fwd(env),
-            Fwd(supervisor),
-            Fwd(sink),
-        )];
-        // The trace rows are sized up front (capped, so a huge horizon
-        // still grows on demand instead of reserving it all).
-        let rounds = config.rounds.min(MAX_RESERVED_ROUNDS);
-        let mut trace = Trace::new(self.spec);
-        for (comm, k) in self.updates_per_round().into_iter().enumerate() {
-            trace.reserve(comm, (k * rounds) as usize);
-        }
-        let mut trace = [trace];
-        let mut layer = ScenarioLanes::none(self.host_count(), 1);
-        let out = self.run_lanes(
-            behaviors,
-            &mut lanes,
-            LaneSets::Singletons,
-            None,
-            &mut layer,
-            config.rounds,
-            &mut trace[..],
-        );
-        let [trace] = trace;
-        out.output(0, trace)
+        let lane = LaneContext::new(config.seed, Fwd(injector), Fwd(env), Fwd(sink));
+        let mut outputs = self.run_traced(behaviors, &mut [lane], monitor, config.rounds);
+        outputs.pop().expect("one lane")
     }
 
     /// The number of updates every round makes to each communicator.
@@ -637,27 +588,6 @@ impl<T: Environment + ?Sized> Environment for Fwd<'_, T> {
     }
     fn actuate(&mut self, comm: CommunicatorId, value: Value, now: Tick) {
         self.0.actuate(comm, value, now);
-    }
-    fn is_passive(&self) -> bool {
-        self.0.is_passive()
-    }
-}
-
-impl<T: Supervisor + ?Sized> Supervisor for Fwd<'_, T> {
-    fn observe(&mut self, comm: CommunicatorId, now: Tick, value: Value) {
-        self.0.observe(comm, now, value);
-    }
-    fn observe_with(
-        &mut self,
-        comm: CommunicatorId,
-        now: Tick,
-        value: Value,
-        sink: &mut dyn MetricsSink,
-    ) {
-        self.0.observe_with(comm, now, value, sink);
-    }
-    fn exclude_replica(&mut self, task: TaskId, host: HostId, now: Tick) -> bool {
-        self.0.exclude_replica(task, host, now)
     }
     fn is_passive(&self) -> bool {
         self.0.is_passive()

@@ -26,8 +26,8 @@
 //! * [`fuzz`] — coverage-guided mutation fuzzing of scenario timelines,
 //!   hunting monitor misses (µ-violations the LRC monitor slept
 //!   through) and shrinking them to minimal `.scn` reproducers;
-//! * [`monitor`] — online LRC monitoring with Hoeffding bands and
-//!   graceful-degradation supervisors;
+//! * [`monitor`] — online LRC monitoring with Hoeffding bands, and
+//!   graceful-degradation rules that ride on the monitor;
 //! * [`montecarlo`] — deterministic parallel Monte-Carlo batches: derived
 //!   per-replication seeds, scoped worker threads, replication-order
 //!   merging (bit-identical results at any thread count);
@@ -81,8 +81,7 @@ pub use fault::{
 pub use fuzz::{run_fuzz, FuzzArtifact, FuzzConfig, FuzzOutcome};
 pub use kernel::{SimBuildError, SimConfig, SimOutput, Simulation};
 pub use monitor::{
-    Alarm, AlarmKind, DegradationRule, Degrader, LrcMonitor, MonitorConfig, MonitorLane,
-    NoSupervisor, Response, Supervisor,
+    Alarm, AlarmKind, DegradationRule, LrcMonitor, MonitorConfig, MonitorLane, Response,
 };
 pub use montecarlo::{
     derive_seed, run_batch, run_indexed_units, run_replications, BatchConfig, ReplicationContext,

@@ -2,94 +2,32 @@
 //!
 //! The static analysis of §3 certifies `λ_c ≥ µ_c` *a priori*; this
 //! module provides the runtime counterpart argued for by probabilistic
-//! assume/guarantee contracts: a [`Supervisor`] observes every
-//! communicator update as the kernel records it, the [`LrcMonitor`]
-//! maintains a per-communicator sliding window of the 0/1 reliability
-//! abstraction and raises a structured [`Alarm`] when the windowed mean
-//! is *statistically confidently* below the declared LRC (Hoeffding band
+//! assume/guarantee contracts: the [`LrcMonitor`] sees every
+//! communicator update as the kernel records it, maintains a
+//! per-communicator sliding window of the 0/1 reliability abstraction
+//! and raises a structured [`Alarm`] when the windowed mean is
+//! *statistically confidently* below the declared LRC (Hoeffding band
 //! entirely under µ_c), clearing it once the mean itself recovers to
 //! µ_c — a natural hysteresis, since clearing needs the plain mean while
 //! raising needs mean + ε to fall short.
 //!
 //! One monitor watches a whole lane group: the lanes share the update
 //! instants, so each window is one ring of reliable-lane masks, and once
-//! it is full only the lanes whose bit changed are evaluated again. The
-//! one-lane form is a [`Supervisor`].
+//! it is full only the lanes whose bit changed are evaluated again. A
+//! one-lane run is a group of width 1.
 //!
-//! A [`Degrader`] turns alarms into scripted responses: drop a flaky
-//! replica from the vote (the kernel consults
-//! [`Supervisor::exclude_replica`] per invocation), or emit an HTL mode
-//! switch event for a degraded-rate mode (consumed by an E-machine
-//! [`Platform::event`] feed).
+//! Degradation rules ride on the monitor ([`LrcMonitor::with_rules`])
+//! and turn its alarms into scripted responses: drop a flaky replica
+//! from the vote (the kernel reads one mask per replica of the lanes
+//! that dropped it), or emit an HTL mode switch event for a
+//! degraded-rate mode (consumed by an E-machine [`Platform::event`]
+//! feed).
 //!
 //! [`Platform::event`]: logrel_emachine::Platform
 
-use logrel_core::{CommunicatorId, HostId, Specification, TaskId, Tick, Value};
-use logrel_obs::{names, MetricsSink, NoopSink, ObsEvent};
+use logrel_core::{CommunicatorId, HostId, Specification, TaskId, Tick};
+use logrel_obs::ObsEvent;
 use logrel_reliability::hoeffding_epsilon;
-
-/// Runtime hook invoked by the simulation kernel.
-///
-/// `observe` fires for *every* communicator update, in trace-record
-/// order; `exclude_replica` is consulted once per replica invocation and
-/// removes the replica from execution and voting when `true` (the host
-/// is treated as fail-silent for that invocation, without consuming its
-/// fault draws any differently — draws are sampled unconditionally).
-pub trait Supervisor {
-    /// A communicator update was recorded at `now` with `value`.
-    fn observe(&mut self, comm: CommunicatorId, now: Tick, value: Value);
-
-    /// Metrics-aware form of [`Supervisor::observe`]: the kernel calls
-    /// this one, passing its [`MetricsSink`], so supervisors that emit
-    /// observability signals (alarm transitions, degradation
-    /// engagements) can record them. The default ignores the sink and
-    /// delegates to `observe` — supervisors without metrics need not
-    /// care. Implementations must keep the *supervision* behavior
-    /// identical to `observe` (the sink must never influence the run).
-    fn observe_with(
-        &mut self,
-        comm: CommunicatorId,
-        now: Tick,
-        value: Value,
-        sink: &mut dyn MetricsSink,
-    ) {
-        let _ = sink;
-        self.observe(comm, now, value);
-    }
-
-    /// Should `host`'s replica of `task` be dropped from the vote at
-    /// `now`?
-    fn exclude_replica(&mut self, task: TaskId, host: HostId, now: Tick) -> bool {
-        let _ = (task, host, now);
-        false
-    }
-
-    /// Whether [`Supervisor::observe`] / [`Supervisor::observe_with`] are
-    /// no-ops for this supervisor.
-    ///
-    /// Returning `true` is a *contract*: neither call ever changes state
-    /// or touches the sink, so a caller may skip both entirely
-    /// (`exclude_replica` is still consulted). The bit-sliced kernel uses
-    /// this to elide per-lane hook loops. The default is conservatively
-    /// `false` (always call).
-    fn is_passive(&self) -> bool {
-        false
-    }
-}
-
-/// The do-nothing supervisor used by plain [`Simulation::run`].
-///
-/// [`Simulation::run`]: crate::Simulation::run
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoSupervisor;
-
-impl Supervisor for NoSupervisor {
-    fn observe(&mut self, _comm: CommunicatorId, _now: Tick, _value: Value) {}
-
-    fn is_passive(&self) -> bool {
-        true
-    }
-}
 
 /// Configuration of the online monitor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -192,14 +130,16 @@ fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
 
 /// The online LRC monitor of a lane group of 1..=64 replications: one
 /// sliding window per communicator carrying a long-run constraint,
-/// shared by every lane.
+/// shared by every lane, plus the group's degradation rules.
 ///
-/// [`LrcMonitor::new`] builds the one-lane monitor, which is also a
-/// [`Supervisor`]; [`LrcMonitor::with_lanes`] builds the group form
-/// that [`Simulation::run_monitored`] feeds one reliable-lane mask per
-/// communicator update. A lane's alarms and verdicts are exactly those
-/// of a one-lane monitor fed that lane's updates.
+/// [`LrcMonitor::new`] builds the one-lane monitor that
+/// [`Simulation::run_observed`] takes; [`LrcMonitor::with_lanes`] builds
+/// the group form that [`Simulation::run_monitored`] feeds one
+/// reliable-lane mask per communicator update. A lane's alarms, verdicts
+/// and engagements are exactly those of a one-lane monitor fed that
+/// lane's updates.
 ///
+/// [`Simulation::run_observed`]: crate::Simulation::run_observed
 /// [`Simulation::run_monitored`]: crate::Simulation::run_monitored
 #[derive(Debug, Clone)]
 pub struct LrcMonitor {
@@ -212,6 +152,29 @@ pub struct LrcMonitor {
     windows: Vec<Option<CommWindow>>,
     /// Per lane: alarm transitions, in firing order.
     alarms: Vec<Vec<Alarm>>,
+    /// Degradation rules, in rule order.
+    rules: Vec<DegradationRule>,
+    /// Per rule, per lane (`rule * width + lane`): the engagement
+    /// instant.
+    engaged: Vec<Option<Tick>>,
+    /// Per lane: mode-switch events, in firing order.
+    mode_events: Vec<Vec<(Tick, u32)>>,
+    /// Per task, per host: the lanes on which an engaged rule drops the
+    /// replica. A row ends at the last host a rule may drop.
+    dropped: Vec<Vec<u64>>,
+}
+
+/// What one update fired on one lane, in firing order: an alarm
+/// transition, then each rule a raised alarm engaged, in rule order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Fired<'a> {
+    Alarm(&'a Alarm),
+    Engaged {
+        rule: usize,
+        at: Tick,
+        /// The mode-switch event the rule emits, if it is one.
+        mode_switch: Option<u32>,
+    },
 }
 
 impl LrcMonitor {
@@ -258,7 +221,31 @@ impl LrcMonitor {
                 })
                 .collect(),
             alarms: vec![Vec::new(); lanes],
+            rules: Vec::new(),
+            engaged: Vec::new(),
+            mode_events: vec![Vec::new(); lanes],
+            dropped: vec![Vec::new(); spec.task_count()],
         }
+    }
+
+    /// The monitor with degradation `rules`. On each lane, a rule
+    /// *engages* at its communicator's first raised alarm and stays
+    /// engaged (latched) — degraded configurations are not automatically
+    /// re-upgraded, matching the operational practice of requiring
+    /// explicit re-admission of a flaky replica.
+    pub fn with_rules(mut self, rules: Vec<DegradationRule>) -> Self {
+        for rule in &rules {
+            if let Response::DropReplica { task, host } = rule.response {
+                if let Some(row) = self.dropped.get_mut(task.index()) {
+                    if row.len() <= host.index() {
+                        row.resize(host.index() + 1, 0);
+                    }
+                }
+            }
+        }
+        self.engaged = vec![None; rules.len() * self.width()];
+        self.rules = rules;
+        self
     }
 
     /// The monitor's configuration.
@@ -271,7 +258,7 @@ impl LrcMonitor {
         self.alarms.len()
     }
 
-    /// Lane `lane`'s alarms and verdicts.
+    /// Lane `lane`'s alarms, verdicts and engagements.
     ///
     /// # Panics
     ///
@@ -309,10 +296,28 @@ impl LrcMonitor {
         self.lane(0).dip_alarmed(comm)
     }
 
+    /// Lane 0's [`MonitorLane::engaged_at`].
+    pub fn engaged_at(&self, rule: usize) -> Option<Tick> {
+        self.lane(0).engaged_at(rule)
+    }
+
+    /// Lane 0's [`MonitorLane::mode_events`].
+    pub fn mode_events(&self) -> &[(Tick, u32)] {
+        self.lane(0).mode_events()
+    }
+
+    /// Per host, the lanes on which an engaged rule drops `task`'s
+    /// replica; hosts past the end of the row are dropped nowhere.
+    #[inline]
+    pub(crate) fn dropped(&self, task: usize) -> &[u64] {
+        &self.dropped[task]
+    }
+
     /// One update of `comm` at `now` on every lane: `reliable` is the
     /// mask of lanes whose new value is reliable. Calls `fired(lane,
-    /// alarm)` for each alarm transition the update causes, in lane
-    /// order; a lane fires at most one per update.
+    /// what)` for each alarm transition the update causes, in lane
+    /// order — a lane fires at most one per update — and, after a raised
+    /// alarm, for each rule of `comm` it engages on that lane.
     ///
     /// Once the window is full, ε is the constant band of a full window,
     /// and only the lanes whose new bit differs from the evicted one are
@@ -327,8 +332,9 @@ impl LrcMonitor {
         comm: CommunicatorId,
         now: Tick,
         reliable: u64,
-        mut fired: impl FnMut(usize, &Alarm),
+        mut fired: impl FnMut(usize, Fired<'_>),
     ) {
+        let width = self.alarms.len();
         let Some(w) = &mut self.windows[comm.index()] else {
             return;
         };
@@ -395,7 +401,38 @@ impl LrcMonitor {
                 lrc: w.lrc,
             };
             self.alarms[li].push(alarm);
-            fired(li, &alarm);
+            fired(li, Fired::Alarm(&alarm));
+            if kind == AlarmKind::Cleared {
+                continue;
+            }
+            for (i, rule) in self.rules.iter().enumerate() {
+                let engaged = &mut self.engaged[i * width + li];
+                if rule.comm != comm || engaged.is_some() {
+                    continue;
+                }
+                *engaged = Some(now);
+                let mode_switch = match rule.response {
+                    Response::DropReplica { task, host } => {
+                        let row = self.dropped.get_mut(task.index());
+                        if let Some(lanes) = row.and_then(|row| row.get_mut(host.index())) {
+                            *lanes |= bit;
+                        }
+                        None
+                    }
+                    Response::ModeSwitch { event } => {
+                        self.mode_events[li].push((now, event));
+                        Some(event)
+                    }
+                };
+                fired(
+                    li,
+                    Fired::Engaged {
+                        rule: i,
+                        at: now,
+                        mode_switch,
+                    },
+                );
+            }
         }
     }
 
@@ -406,8 +443,8 @@ impl LrcMonitor {
     }
 }
 
-/// One lane of an [`LrcMonitor`]: the alarms and verdicts a one-lane
-/// monitor fed that lane's updates would hold.
+/// One lane of an [`LrcMonitor`]: the alarms, verdicts and engagements a
+/// one-lane monitor fed that lane's updates would hold.
 #[derive(Debug, Clone, Copy)]
 pub struct MonitorLane<'a> {
     monitor: &'a LrcMonitor,
@@ -464,26 +501,16 @@ impl<'a> MonitorLane<'a> {
                 _ => false,
             })
     }
-}
 
-/// As a [`Supervisor`], the monitor watches one lane: build it with
-/// [`LrcMonitor::new`].
-impl Supervisor for LrcMonitor {
-    fn observe(&mut self, comm: CommunicatorId, now: Tick, value: Value) {
-        self.observe_with(comm, now, value, &mut NoopSink);
+    /// The engagement instant of rule `rule`, if it fired.
+    pub fn engaged_at(&self, rule: usize) -> Option<Tick> {
+        self.monitor.engaged[rule * self.monitor.width() + self.lane]
     }
 
-    fn observe_with(
-        &mut self,
-        comm: CommunicatorId,
-        now: Tick,
-        value: Value,
-        sink: &mut dyn MetricsSink,
-    ) {
-        debug_assert_eq!(self.width(), 1, "a supervisor watches one lane");
-        self.observe_lanes(comm, now, u64::from(value.is_reliable()), |_, alarm| {
-            emit_alarm(alarm, sink);
-        });
+    /// Mode-switch events emitted so far, as `(instant, event)` pairs —
+    /// feed these to a modal E-machine's `Platform::event`.
+    pub fn mode_events(&self) -> &'a [(Tick, u32)] {
+        &self.monitor.mode_events[self.lane]
     }
 }
 
@@ -502,18 +529,6 @@ impl Alarm {
             },
             AlarmKind::Cleared => ObsEvent::AlarmCleared { at, comm, mean },
         }
-    }
-}
-
-/// Records a freshly fired alarm transition on an enabled sink — a
-/// counter plus a flight-recorder event.
-fn emit_alarm(alarm: &Alarm, sink: &mut dyn MetricsSink) {
-    if sink.enabled() {
-        sink.inc(match alarm.kind {
-            AlarmKind::Raised => names::ALARM_RAISED,
-            AlarmKind::Cleared => names::ALARM_CLEARED,
-        });
-        sink.event(&alarm.event());
     }
 }
 
@@ -544,106 +559,10 @@ pub struct DegradationRule {
     pub response: Response,
 }
 
-/// Graceful-degradation supervisor: an [`LrcMonitor`] plus scripted
-/// rules. A rule *engages* at its communicator's first raised alarm and
-/// stays engaged (latched) — degraded configurations are not
-/// automatically re-upgraded, matching the operational practice of
-/// requiring explicit re-admission of a flaky replica.
-#[derive(Debug, Clone)]
-pub struct Degrader {
-    monitor: LrcMonitor,
-    rules: Vec<DegradationRule>,
-    engaged: Vec<Option<Tick>>,
-    mode_events: Vec<(Tick, u32)>,
-}
-
-impl Degrader {
-    /// Wraps `monitor` with degradation `rules`.
-    pub fn new(monitor: LrcMonitor, rules: Vec<DegradationRule>) -> Self {
-        let n = rules.len();
-        Degrader {
-            monitor,
-            rules,
-            engaged: vec![None; n],
-            mode_events: Vec::new(),
-        }
-    }
-
-    /// The wrapped monitor (alarms, active flags, first violations).
-    pub fn monitor(&self) -> &LrcMonitor {
-        &self.monitor
-    }
-
-    /// The engagement instant of rule `i`, if it fired.
-    pub fn engaged_at(&self, i: usize) -> Option<Tick> {
-        self.engaged[i]
-    }
-
-    /// Mode-switch events emitted so far, as `(instant, event)` pairs —
-    /// feed these to a modal E-machine's `Platform::event`.
-    pub fn mode_events(&self) -> &[(Tick, u32)] {
-        &self.mode_events
-    }
-}
-
-impl Supervisor for Degrader {
-    fn observe(&mut self, comm: CommunicatorId, now: Tick, value: Value) {
-        self.observe_with(comm, now, value, &mut NoopSink);
-    }
-
-    fn observe_with(
-        &mut self,
-        comm: CommunicatorId,
-        now: Tick,
-        value: Value,
-        sink: &mut dyn MetricsSink,
-    ) {
-        self.monitor.observe_with(comm, now, value, sink);
-        if !self.monitor.active(comm) {
-            return;
-        }
-        for (i, rule) in self.rules.iter().enumerate() {
-            if self.engaged[i].is_some() || rule.comm != comm {
-                continue;
-            }
-            self.engaged[i] = Some(now);
-            let mode_switch = match rule.response {
-                Response::ModeSwitch { event } => Some(event),
-                Response::DropReplica { .. } => None,
-            };
-            if let Some(event) = mode_switch {
-                self.mode_events.push((now, event));
-            }
-            if sink.enabled() {
-                sink.inc(names::DEGRADER_ENGAGED);
-                sink.event(&ObsEvent::DegraderEngaged {
-                    at: now.as_u64(),
-                    rule: i,
-                });
-                if let Some(event) = mode_switch {
-                    sink.inc(names::MODE_SWITCH);
-                    sink.event(&ObsEvent::ModeSwitch {
-                        at: now.as_u64(),
-                        event: event.to_string(),
-                    });
-                }
-            }
-        }
-    }
-
-    fn exclude_replica(&mut self, task: TaskId, host: HostId, _now: Tick) -> bool {
-        self.rules.iter().zip(&self.engaged).any(|(rule, engaged)| {
-            engaged.is_some()
-                && matches!(rule.response,
-                    Response::DropReplica { task: t, host: h } if t == task && h == host)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logrel_core::{CommunicatorDecl, Reliability, TaskDecl, ValueType};
+    use logrel_core::{CommunicatorDecl, Reliability, TaskDecl, Value, ValueType};
     use logrel_reliability::SlidingMean;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -745,6 +664,71 @@ mod tests {
         }
     }
 
+    /// The per-lane graceful-degradation supervisor the rules on the
+    /// group monitor must reproduce lane by lane: an [`OracleMonitor`]
+    /// plus scripted rules, asked after every update whether its
+    /// communicator's alarm is active, and asked per replica whether to
+    /// drop it — the one-lane `Supervisor` hook the kernel once called.
+    #[derive(Debug, Clone)]
+    struct OracleDegrader {
+        monitor: OracleMonitor,
+        rules: Vec<DegradationRule>,
+        engaged: Vec<Option<Tick>>,
+        mode_events: Vec<(Tick, u32)>,
+    }
+
+    impl OracleDegrader {
+        fn new(monitor: OracleMonitor, rules: Vec<DegradationRule>) -> Self {
+            let n = rules.len();
+            OracleDegrader {
+                monitor,
+                rules,
+                engaged: vec![None; n],
+                mode_events: Vec::new(),
+            }
+        }
+
+        /// Observes one update; returns the rules it engaged, in order.
+        fn observe(&mut self, comm: CommunicatorId, now: Tick, reliable: bool) -> Vec<usize> {
+            self.monitor.observe(comm, now, reliable);
+            if !self.monitor.window(comm).is_some_and(|w| w.active) {
+                return Vec::new();
+            }
+            let mut fired = Vec::new();
+            for (i, rule) in self.rules.iter().enumerate() {
+                if self.engaged[i].is_some() || rule.comm != comm {
+                    continue;
+                }
+                self.engaged[i] = Some(now);
+                if let Response::ModeSwitch { event } = rule.response {
+                    self.mode_events.push((now, event));
+                }
+                fired.push(i);
+            }
+            fired
+        }
+
+        fn exclude_replica(&self, task: TaskId, host: HostId) -> bool {
+            self.rules.iter().zip(&self.engaged).any(|(rule, engaged)| {
+                engaged.is_some()
+                    && matches!(rule.response,
+                        Response::DropReplica { task: t, host: h } if t == task && h == host)
+            })
+        }
+    }
+
+    /// Feeds one update of `comm` to a one-lane monitor.
+    fn observe(m: &mut LrcMonitor, comm: CommunicatorId, now: Tick, value: Value) {
+        m.observe_lanes(comm, now, u64::from(value.is_reliable()), |_, _| {});
+    }
+
+    /// Lane `lane` of the group's `dropped` row for `task` at `host`.
+    fn drops(m: &LrcMonitor, task: TaskId, host: HostId, lane: usize) -> bool {
+        m.dropped(task.index())
+            .get(host.index())
+            .is_some_and(|lanes| lanes >> lane & 1 != 0)
+    }
+
     /// An alarm with its floats as bits, so equality is bit-identity.
     fn alarm_bits(a: &Alarm) -> (CommunicatorId, Tick, AlarmKind, u64, u64, u64) {
         (
@@ -842,7 +826,11 @@ mod tests {
             });
             let now = Tick::new(i * 10);
             let mut fired = Vec::new();
-            group.observe_lanes(comm, now, mask, |li, a| fired.push((li, alarm_bits(a))));
+            group.observe_lanes(comm, now, mask, |li, what| {
+                if let Fired::Alarm(a) = what {
+                    fired.push((li, alarm_bits(a)));
+                }
+            });
             let mut expected = Vec::new();
             for (li, oracle) in oracles.iter_mut().enumerate() {
                 let seen = oracle.alarms.len();
@@ -879,40 +867,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn one_lane_supervisor_matches_oracle() {
-        let (spec, comms) = spec_with_lrcs(&[0.9]);
-        let u = comms[1];
-        let config = MonitorConfig {
-            window: 20,
-            confidence: 0.99,
-        };
-        let mut monitor = LrcMonitor::new(&spec, config);
-        let mut oracle = OracleMonitor::new(&spec, config);
-        let mut sink = logrel_obs::Registry::new();
-        for i in 0..400u64 {
-            let now = Tick::new(i);
-            let reliable = (i / 50) % 2 == 0 || i % 3 == 0;
-            let value = if reliable {
-                Value::Float(1.0)
-            } else {
-                Value::Unreliable
-            };
-            monitor.observe_with(u, now, value, &mut sink);
-            oracle.observe(u, now, reliable);
-        }
-        let got: Vec<_> = monitor.alarms().iter().map(alarm_bits).collect();
-        let want: Vec<_> = oracle.alarms.iter().map(alarm_bits).collect();
-        assert!(!want.is_empty());
-        assert_eq!(got, want);
-        let raised = want.iter().filter(|a| a.2 == AlarmKind::Raised).count() as u64;
-        assert_eq!(sink.counter(names::ALARM_RAISED), raised);
-        assert_eq!(
-            sink.counter(names::ALARM_CLEARED),
-            want.len() as u64 - raised
-        );
-    }
-
     fn spec_with_lrc(lrc: f64) -> (Specification, CommunicatorId) {
         let (spec, comms) = spec_with_lrcs(&[lrc]);
         (spec, comms[1])
@@ -930,13 +884,13 @@ mod tests {
         );
         // Healthy stream: no alarm.
         for i in 0..100u64 {
-            m.observe(u, Tick::new(i * 10), Value::Float(1.0));
+            observe(&mut m, u, Tick::new(i * 10), Value::Float(1.0));
         }
         assert!(!m.active(u));
         assert!(m.alarms().is_empty());
         // Outage: the window drains to 0, confidently below 0.9.
         for i in 100..150u64 {
-            m.observe(u, Tick::new(i * 10), Value::Unreliable);
+            observe(&mut m, u, Tick::new(i * 10), Value::Unreliable);
         }
         assert!(m.active(u));
         assert_eq!(m.alarms().len(), 1);
@@ -945,7 +899,7 @@ mod tests {
         let first = m.first_violation(u).unwrap();
         // Recovery: mean climbs back to µ.
         for i in 150..260u64 {
-            m.observe(u, Tick::new(i * 10), Value::Float(1.0));
+            observe(&mut m, u, Tick::new(i * 10), Value::Float(1.0));
         }
         assert!(!m.active(u));
         assert_eq!(m.alarms().len(), 2);
@@ -968,7 +922,7 @@ mod tests {
         let mut m = LrcMonitor::new(&spec, cfg);
         for i in 0..200u64 {
             let v = if i % 4 == 0 { Value::Unreliable } else { Value::Float(1.0) };
-            m.observe(u, Tick::new(i * 10), v);
+            observe(&mut m, u, Tick::new(i * 10), v);
         }
         assert!(m.first_dip(u).is_some());
         assert!(m.alarms().is_empty(), "band never confident");
@@ -979,7 +933,7 @@ mod tests {
         let mut m = LrcMonitor::new(&spec, cfg);
         for i in 0..200u64 {
             let v = if i == 100 { Value::Unreliable } else { Value::Float(1.0) };
-            m.observe(u, Tick::new(i * 10), v);
+            observe(&mut m, u, Tick::new(i * 10), v);
         }
         assert_eq!(m.first_dip(u), None);
         assert!(!m.dip_alarmed(u));
@@ -989,10 +943,10 @@ mod tests {
         // counts as catching the violation.
         let mut m = LrcMonitor::new(&spec, cfg);
         for i in 0..60u64 {
-            m.observe(u, Tick::new(i * 10), Value::Float(1.0));
+            observe(&mut m, u, Tick::new(i * 10), Value::Float(1.0));
         }
         for i in 60..120u64 {
-            m.observe(u, Tick::new(i * 10), Value::Unreliable);
+            observe(&mut m, u, Tick::new(i * 10), Value::Unreliable);
         }
         let dip = m.first_dip(u).expect("outage dips");
         let raised = m.alarms().iter().find(|a| a.kind == AlarmKind::Raised).unwrap();
@@ -1006,7 +960,7 @@ mod tests {
         let s = spec.find_communicator("s").unwrap();
         let mut m = LrcMonitor::new(&spec, MonitorConfig::default());
         for i in 0..1000u64 {
-            m.observe(s, Tick::new(i), Value::Unreliable);
+            observe(&mut m, s, Tick::new(i), Value::Unreliable);
         }
         assert!(!m.active(s));
         assert!(m.alarms().is_empty());
@@ -1026,13 +980,13 @@ mod tests {
             },
         );
         for i in 0..5u64 {
-            m.observe(u, Tick::new(i * 10), Value::Unreliable);
+            observe(&mut m, u, Tick::new(i * 10), Value::Unreliable);
         }
         // ε(5, 0.99) ≈ 0.73 > 0.5: not confident yet.
         assert!(!m.active(u));
         // Plenty more zeros: ε(n) shrinks below 0.5 and the alarm fires.
         for i in 5..200u64 {
-            m.observe(u, Tick::new(i * 10), Value::Unreliable);
+            observe(&mut m, u, Tick::new(i * 10), Value::Unreliable);
         }
         assert!(m.active(u));
     }
@@ -1042,42 +996,150 @@ mod tests {
         let (spec, u) = spec_with_lrc(0.9);
         let t = spec.find_task("t0").unwrap();
         let h = HostId::new(1);
-        let mut d = Degrader::new(
-            LrcMonitor::new(
-                &spec,
-                MonitorConfig {
-                    window: 50,
-                    confidence: 0.99,
-                },
-            ),
-            vec![
-                DegradationRule {
-                    comm: u,
-                    response: Response::DropReplica { task: t, host: h },
-                },
-                DegradationRule {
-                    comm: u,
-                    response: Response::ModeSwitch { event: 3 },
-                },
-            ],
-        );
-        assert!(!d.exclude_replica(t, h, Tick::ZERO));
+        let mut d = LrcMonitor::new(
+            &spec,
+            MonitorConfig {
+                window: 50,
+                confidence: 0.99,
+            },
+        )
+        .with_rules(vec![
+            DegradationRule {
+                comm: u,
+                response: Response::DropReplica { task: t, host: h },
+            },
+            DegradationRule {
+                comm: u,
+                response: Response::ModeSwitch { event: 3 },
+            },
+        ]);
+        assert!(!drops(&d, t, h, 0));
         for i in 0..60u64 {
-            d.observe(u, Tick::new(i * 10), Value::Unreliable);
+            observe(&mut d, u, Tick::new(i * 10), Value::Unreliable);
         }
-        assert!(d.monitor().active(u));
-        assert!(d.exclude_replica(t, h, Tick::new(600)));
-        assert!(!d.exclude_replica(t, HostId::new(0), Tick::new(600)));
+        assert!(d.active(u));
+        assert!(drops(&d, t, h, 0));
+        assert!(!drops(&d, t, HostId::new(0), 0));
         assert_eq!(d.mode_events().len(), 1);
         assert_eq!(d.mode_events()[0].1, 3);
         let engaged = d.engaged_at(0).unwrap();
         // Recovery clears the alarm but the rule stays engaged (latched).
         for i in 60..200u64 {
-            d.observe(u, Tick::new(i * 10), Value::Float(1.0));
+            observe(&mut d, u, Tick::new(i * 10), Value::Float(1.0));
         }
-        assert!(!d.monitor().active(u));
-        assert!(d.exclude_replica(t, h, Tick::new(2000)));
+        assert!(!d.active(u));
+        assert!(drops(&d, t, h, 0));
         assert_eq!(d.engaged_at(0), Some(engaged));
         assert_eq!(d.mode_events().len(), 1, "mode switch fires once");
+    }
+
+    /// Feeds one random reliable-mask stream to a `width`-lane monitor
+    /// carrying random rules and to one [`OracleDegrader`] per lane, and
+    /// checks lane by lane, after every update: what fired and in which
+    /// order (the alarm, then each engaged rule in rule order), the
+    /// engagement instants, the mode events and the exclusion masks.
+    fn check_rules_against_oracle(width: usize, seed: u64, updates: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let config = MonitorConfig {
+            window: [1, 3, 20][rng.gen_range(0..3usize)],
+            confidence: 0.9,
+        };
+        let lrcs: Vec<f64> = (0..3)
+            .map(|_| pick_lrc(&mut rng, config.window, config.confidence))
+            .collect();
+        let (spec, comms) = spec_with_lrcs(&lrcs);
+        // Several rules per communicator, the unconstrained `s` included
+        // (whose rules never engage), over tasks and hosts that repeat.
+        let rules: Vec<DegradationRule> = (0..rng.gen_range(0..8))
+            .map(|_| DegradationRule {
+                comm: comms[rng.gen_range(0..comms.len())],
+                response: if rng.gen_bool(0.5) {
+                    Response::DropReplica {
+                        task: TaskId::new(rng.gen_range(0..3)),
+                        host: HostId::new(rng.gen_range(0..4)),
+                    }
+                } else {
+                    Response::ModeSwitch {
+                        event: rng.gen_range(0..3),
+                    }
+                },
+            })
+            .collect();
+        let mut group = LrcMonitor::with_lanes(&spec, config, width).with_rules(rules.clone());
+        let oracle = OracleDegrader::new(OracleMonitor::new(&spec, config), rules.clone());
+        let mut oracles = vec![oracle; width];
+        const RATES: [f64; 5] = [0.0, 0.05, 0.3, 0.7, 1.0];
+        let mut p_fail = 0.0;
+        for i in 0..updates {
+            if i % 32 == 0 {
+                p_fail = RATES[rng.gen_range(0..RATES.len())];
+            }
+            let comm = comms[rng.gen_range(0..comms.len())];
+            let mask = (0..width).fold(0u64, |m, li| {
+                m | u64::from(rng.gen::<f64>() >= p_fail) << li
+            });
+            let now = Tick::new(i * 10);
+            let mut fired = Vec::new();
+            group.observe_lanes(comm, now, mask, |li, what| {
+                fired.push(match what {
+                    Fired::Alarm(a) => (li, Err(alarm_bits(a))),
+                    Fired::Engaged {
+                        rule,
+                        at,
+                        mode_switch,
+                    } => (li, Ok((rule, at, mode_switch))),
+                });
+            });
+            let mut expected = Vec::new();
+            for (li, oracle) in oracles.iter_mut().enumerate() {
+                let seen = oracle.monitor.alarms.len();
+                let engaged = oracle.observe(comm, now, mask >> li & 1 == 1);
+                expected.extend(
+                    oracle.monitor.alarms[seen..]
+                        .iter()
+                        .map(|a| (li, Err(alarm_bits(a)))),
+                );
+                expected.extend(engaged.into_iter().map(|rule| {
+                    let mode_switch = match rules[rule].response {
+                        Response::ModeSwitch { event } => Some(event),
+                        Response::DropReplica { .. } => None,
+                    };
+                    (li, Ok((rule, now, mode_switch)))
+                }));
+            }
+            assert_eq!(fired, expected, "update {i} of {comm:?}, rules {rules:?}");
+            for (li, oracle) in oracles.iter().enumerate() {
+                for t in 0..4 {
+                    for h in 0..5 {
+                        let (t, h) = (TaskId::new(t), HostId::new(h));
+                        let want = oracle.exclude_replica(t, h);
+                        // Task 3 does not exist: the kernel never asks.
+                        if t.index() < spec.task_count() {
+                            assert_eq!(drops(&group, t, h, li), want, "lane {li} {t:?} {h:?}");
+                        }
+                    }
+                }
+            }
+        }
+        for (li, oracle) in oracles.iter().enumerate() {
+            let lane = group.lane(li);
+            for (rule, &at) in oracle.engaged.iter().enumerate() {
+                assert_eq!(lane.engaged_at(rule), at, "lane {li} rule {rule}");
+            }
+            assert_eq!(lane.mode_events(), oracle.mode_events, "lane {li}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn rules_on_the_group_monitor_match_per_lane_degraders(
+            width in prop_oneof![Just(1usize), Just(7usize), Just(64usize)],
+            seed in any::<u64>(),
+            updates in 1u64..600,
+        ) {
+            check_rules_against_oracle(width, seed, updates);
+        }
     }
 }

@@ -17,10 +17,10 @@
 //! single group ring ([`GroupRing`]): the instant, the task, the
 //! executing lanes, the lanes on which a replica made an event of its
 //! own and, only when there are any, each replica's host and masks (plus
-//! the vote outcome masks on the corrupting path). Events made outside
-//! the kernel for one lane — monitor alarms, a supervisor's degrader
-//! events — reach the ring verbatim, tagged with their lane, through
-//! [`LaneSink`] and [`GroupObs::alarm`]. A lane's flight recorder is
+//! the vote outcome masks on the corrupting path). What the group
+//! monitor fires for one lane — alarm transitions, engaged degradation
+//! rules and their mode switches — reaches the ring verbatim, tagged with
+//! its lane, through [`GroupObs::fired`]. A lane's flight recorder is
 //! rebuilt from the ring only where someone can look at it: at each of
 //! its alarms (the automatic dump, while the lanes of its set up to it
 //! hold fewer than [`FlightRecorder::MAX_DUMPS`] dumps), and at the end
@@ -33,7 +33,7 @@
 //! many records as the largest recorder holds events.
 
 use crate::bitslice::MaskTally;
-use crate::monitor::{Alarm, AlarmKind};
+use crate::monitor::{AlarmKind, Fired};
 use logrel_obs::{
     names, DropReason, Dump, DumpTrigger, FlightRecorder, MetricsSink, ObsEvent, VoteOutcome,
 };
@@ -54,7 +54,9 @@ const VOTE_MAJORITY: usize = 8;
 const VOTE_TIE: usize = 9;
 const ALARM_RAISED: usize = 10;
 const ALARM_CLEARED: usize = 11;
-const PER_VOTE: usize = 12;
+const DEGRADER_ENGAGED: usize = 12;
+const MODE_SWITCH: usize = 13;
+const PER_VOTE: usize = 14;
 
 /// The counters a group tallies, by key.
 const TALLIED: [(&str, usize); 10] = [
@@ -81,7 +83,7 @@ pub(crate) struct ReplicaMasks {
     pub bc_ok: u64,
     /// Lanes on which the (stateful) replica is warm.
     pub warm: u64,
-    /// Lanes whose supervisor excludes the replica.
+    /// Lanes on which an engaged degradation rule drops the replica.
     pub excluded: u64,
 }
 
@@ -562,54 +564,55 @@ impl GroupObs {
         self.open.clear();
     }
 
-    /// Lane `lane`'s view of its sink `sink` (see [`LaneSink`]).
-    pub(crate) fn lane<'a, M: ?Sized>(
-        &'a mut self,
-        lane: usize,
-        sink: &'a mut M,
-    ) -> LaneSink<'a, M> {
-        LaneSink {
-            obs: self,
-            lane,
-            sink,
-        }
-    }
-
-    /// Takes the group monitor's `alarm` on lane `lane`, whose sink is
-    /// `sink`: its counter is tallied for the lane's set, and its event
-    /// goes the way of [`GroupObs::event`].
-    pub(crate) fn alarm<M: MetricsSink + ?Sized>(
+    /// Takes what the group monitor fired on lane `lane`, whose sink is
+    /// `sink`: its counters are tallied for the lane's set, and its
+    /// events go the way of [`GroupObs::event`] — an alarm transition's,
+    /// or an engaged rule's followed by its mode switch, if any.
+    pub(crate) fn fired<M: MetricsSink + ?Sized>(
         &mut self,
         lane: usize,
-        alarm: &Alarm,
+        fired: Fired<'_>,
         sink: &mut M,
     ) {
         let bit = 1u64 << lane;
         if self.observed & bit == 0 {
             return;
         }
-        let key = match alarm.kind {
-            AlarmKind::Raised => ALARM_RAISED,
-            AlarmKind::Cleared => ALARM_CLEARED,
-        };
-        self.counts.add(key, bit, self.all);
-        self.event(lane, &alarm.event(), sink);
+        match fired {
+            Fired::Alarm(alarm) => {
+                let key = match alarm.kind {
+                    AlarmKind::Raised => ALARM_RAISED,
+                    AlarmKind::Cleared => ALARM_CLEARED,
+                };
+                self.counts.add(key, bit, self.all);
+                self.event(lane, &alarm.event(), sink);
+            }
+            Fired::Engaged {
+                rule,
+                at,
+                mode_switch,
+            } => {
+                let at = at.as_u64();
+                self.counts.add(DEGRADER_ENGAGED, bit, self.all);
+                self.event(lane, &ObsEvent::DegraderEngaged { at, rule }, sink);
+                if let Some(event) = mode_switch {
+                    self.counts.add(MODE_SWITCH, bit, self.all);
+                    let event = event.to_string();
+                    self.event(lane, &ObsEvent::ModeSwitch { at, event }, sink);
+                }
+            }
+        }
     }
 
-    /// Takes `event`, made outside the kernel for lane `lane` whose sink
-    /// is `sink`: into the ring when the lane records, else to the sink
+    /// Takes `event`, fired by the monitor for lane `lane` whose sink is
+    /// `sink`: into the ring when the lane records, else to the sink
     /// when the sink observes the lane alone (a recorder-less lane of a
     /// whole-group set keeps no events, as a recorder-less registry
     /// keeps none). An alarm builds the lane's dump from the ring, unless
     /// the lanes of its set up to it already hold
     /// [`FlightRecorder::MAX_DUMPS`] dumps: the set's registry keeps only
     /// the first that many, in lane order.
-    pub(crate) fn event<M: MetricsSink + ?Sized>(
-        &mut self,
-        lane: usize,
-        event: &ObsEvent,
-        sink: &mut M,
-    ) {
+    fn event<M: MetricsSink + ?Sized>(&mut self, lane: usize, event: &ObsEvent, sink: &mut M) {
         if self.recording & (1 << lane) == 0 {
             if self.sets == LaneSets::Singletons {
                 sink.event(event);
@@ -694,7 +697,7 @@ impl GroupObs {
 
     /// Writes the state per-event observation keeps current, so a panic
     /// unwinding through the kernel leaves it behind too, for the lanes
-    /// `set` to lane `lane`'s sink `sink`: the alarm counters, the last
+    /// `set` to lane `lane`'s sink `sink`: the monitor's counters, the last
     /// lane's hosts-up gauge and, when the set records, the recorder
     /// state that survives a merge of the set's singleton sinks — the
     /// first recording lane's (this sink's) rebuilt ring, every recording
@@ -704,6 +707,8 @@ impl GroupObs {
         for (name, key) in [
             (names::ALARM_RAISED, ALARM_RAISED),
             (names::ALARM_CLEARED, ALARM_CLEARED),
+            (names::DEGRADER_ENGAGED, DEGRADER_ENGAGED),
+            (names::MODE_SWITCH, MODE_SWITCH),
         ] {
             let v = self.counts.sum(key, set);
             if v != 0 {
@@ -778,39 +783,6 @@ impl GroupObs {
                 self.restore(lane, set, sink);
             }
         }
-    }
-}
-
-/// Lane `lane`'s view of its sink during a group run: metrics go to the
-/// sink, events to the group's [`GroupObs::event`]. The kernel hands it
-/// to monitors and supervisors in place of the lane's sink.
-pub(crate) struct LaneSink<'a, M: ?Sized> {
-    obs: &'a mut GroupObs,
-    lane: usize,
-    sink: &'a mut M,
-}
-
-impl<M: MetricsSink + ?Sized> MetricsSink for LaneSink<'_, M> {
-    fn enabled(&self) -> bool {
-        self.sink.enabled()
-    }
-    fn add(&mut self, name: &'static str, v: u64) {
-        self.sink.add(name, v);
-    }
-    fn inc(&mut self, name: &'static str) {
-        self.sink.inc(name);
-    }
-    fn set_gauge(&mut self, name: &'static str, v: f64) {
-        self.sink.set_gauge(name, v);
-    }
-    fn observe(&mut self, name: &'static str, v: f64) {
-        self.sink.observe(name, v);
-    }
-    fn observe_n(&mut self, name: &'static str, v: f64, n: u64) {
-        self.sink.observe_n(name, v, n);
-    }
-    fn event(&mut self, event: &ObsEvent) {
-        self.obs.event(self.lane, event, self.sink);
     }
 }
 

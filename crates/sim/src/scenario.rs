@@ -516,10 +516,17 @@ impl<'a> LineParser<'a> {
             .ok_or_else(|| err(self.line, format!("unknown communicator `{v}`")))
     }
 
+    /// Every field is one of `keys`, and none is given twice ([`get`]
+    /// reads the first, so a repeat would be dropped unseen).
+    ///
+    /// [`get`]: LineParser::get
     fn known_keys(&self, keys: &[&str]) -> Result<(), ScenarioError> {
-        for &(k, _) in &self.fields {
+        for (i, &(k, _)) in self.fields.iter().enumerate() {
             if !keys.contains(&k) {
                 return Err(err(self.line, format!("unknown field `{k}`")));
+            }
+            if self.fields[..i].iter().any(|&(seen, _)| seen == k) {
+                return Err(err(self.line, format!("field `{k}` given twice")));
             }
         }
         Ok(())
@@ -1121,6 +1128,15 @@ adversary from=0 until=20000 hold=50
         assert_eq!(e.line, 2);
     }
 
+    /// A repeated field is an error on its own line, not a silently
+    /// dropped second value.
+    #[test]
+    fn repeated_field_is_rejected_with_its_line() {
+        let e = Scenario::parse("crash host=0 at=5\nrejoin host=0 at=6 host=1\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert_eq!(e.message, "field `host` given twice");
+    }
+
     #[test]
     fn parse_rejects_malformed_lines() {
         for (text, needle) in [
@@ -1143,6 +1159,8 @@ adversary from=0 until=20000 hold=50
             ("wearout host=0 from=0 until=9 shape=1 scale=nan", "positive"),
             ("adversary from=0 until=5 hold=0", "at least 1"),
             ("adversary from=0 until=5 hold=1 p=0.5", "unknown field"),
+            ("crash host=0 at=5 at=10", "field `at` given twice"),
+            ("flaky host=0 from=0 until=9 up=0.5 from=3", "given twice"),
         ] {
             let e = Scenario::parse(text).unwrap_err();
             assert!(

@@ -415,7 +415,7 @@ mod tests {
     use crate::environment::ConstantEnvironment;
     use crate::fault::{CorruptingFaults, NoFaults, ProbabilisticFaults};
     use crate::kernel::Simulation;
-    use crate::monitor::{LrcMonitor, MonitorConfig, NoSupervisor};
+    use crate::monitor::{LrcMonitor, MonitorConfig};
     use crate::scenario::{ScenarioEnvironment, ScenarioInjector, ScenarioLanes, Timeline};
     use crate::voting::VotingStrategy;
     use logrel_core::{
@@ -643,7 +643,7 @@ mod tests {
     fn outcome<I, E>(
         spec: &Specification,
         out: &BitslicedOutput,
-        lanes: Vec<LaneContext<I, E, NoSupervisor, Registry>>,
+        lanes: Vec<LaneContext<I, E, Registry>>,
     ) -> Outcome {
         let comms: Vec<CommunicatorId> = spec.communicator_ids().collect();
         let per_lane = (0..out.lanes())
@@ -661,7 +661,7 @@ mod tests {
             .into_iter()
             .map(|mut lane| {
                 let word = lane.rng_mut().next_u64();
-                let (_, _, _, sink) = lane.into_parts();
+                let (_, _, sink) = lane.into_parts();
                 (to_json_line(&sink), word)
             })
             .unzip();
@@ -673,19 +673,13 @@ mod tests {
         }
     }
 
-    type Lane<I> = LaneContext<I, ScenarioEnvironment<ConstantEnvironment>, NoSupervisor, Registry>;
+    type Lane<I> = LaneContext<I, ScenarioEnvironment<ConstantEnvironment>, Registry>;
 
     /// Lane `li` of a run from `seed`, over `injector`.
     fn lane<I>(scn: &Scenario, seed: u64, li: usize, injector: I) -> Lane<I> {
         let env = ScenarioEnvironment::new(ConstantEnvironment::new(Value::Float(0.5)), scn, 4);
         let seed = crate::montecarlo::derive_seed(seed, li as u64);
-        LaneContext::new(
-            seed,
-            injector,
-            env,
-            NoSupervisor,
-            Registry::with_recorder(48),
-        )
+        LaneContext::new(seed, injector, env, Registry::with_recorder(48))
     }
 
     /// One monitored group run of `width` lanes from `seed`: with a

@@ -10,6 +10,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> non-test lines per crate (information only, not a gate)"
+scripts/loc.sh
+
 echo "==> cargo test"
 cargo test -q
 

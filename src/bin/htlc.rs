@@ -1124,7 +1124,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
                     &mut behaviors,
                     &mut environment,
                     &mut injector,
-                    &mut monitor,
+                    Some(&mut monitor),
                     &mut registry,
                     &config,
                 )

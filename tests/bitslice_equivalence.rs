@@ -6,55 +6,36 @@
 //! common-cause groups, partitions, Weibull wear-out, adaptive
 //! adversaries), under value corruption (the slow voting path), on the
 //! 3TS and steer-by-wire systems, and on randomly generated pipeline
-//! systems. Supervisors and metrics sinks, which the reference takes
+//! systems. The LRC monitor and metrics sinks, which the reference takes
 //! none of, are checked lane against a one-lane run of the same seed.
 
 use logrel_core::prelude::*;
 use logrel_core::TimeDependentImplementation;
-use logrel_obs::{export, NoopSink, Registry};
+use logrel_obs::{export, Registry};
 use logrel_sim::bitslice::LaneContext;
 use logrel_sim::{
     BehaviorMap, ConstantEnvironment, CorruptingFaults, Environment, FaultInjector, HostSet,
-    LrcMonitor, MonitorConfig, NoSupervisor, ProbabilisticFaults, Scenario, ScenarioEnvironment,
-    ScenarioEvent, ScenarioInjector, SimConfig, SimOutput, Simulation, Supervisor, Trace, UnplugAt,
-    VotingStrategy,
+    LrcMonitor, MonitorConfig, ProbabilisticFaults, Scenario, ScenarioEnvironment, ScenarioEvent,
+    ScenarioInjector, SimConfig, SimOutput, Simulation, UnplugAt, VotingStrategy,
 };
 use logrel_steerbywire::{SteerScenario, SteerSystem};
 use logrel_threetank::behaviors::build_behaviors;
 use logrel_threetank::{PlantParams, Scenario as Deployment, ThreeTankSystem};
 use proptest::prelude::*;
 
-/// A supervisor that only writes down the update sequence: a lane's
-/// trace, recorded the way `Simulation::run` records its own.
-struct Recorder(Trace);
-
-impl Supervisor for Recorder {
-    fn observe(&mut self, comm: CommunicatorId, now: Tick, value: Value) {
-        self.0.record(comm, now, value);
-    }
-}
-
 /// Runs one lane group of `(seed, injector, environment)` lanes and
 /// returns every lane's output, trace included.
 fn run_group<I: FaultInjector, E: Environment>(
     sim: &Simulation<'_>,
-    spec: &Specification,
     behaviors: &mut BehaviorMap,
     lanes: impl IntoIterator<Item = (u64, I, E)>,
     rounds: u64,
 ) -> Vec<SimOutput> {
     let mut lanes: Vec<_> = lanes
         .into_iter()
-        .map(|(seed, inj, env)| {
-            LaneContext::new(seed, inj, env, Recorder(Trace::new(spec)), NoopSink)
-        })
+        .map(|(seed, inj, env)| LaneContext::plain(seed, inj, env))
         .collect();
-    let out = sim.run_bitsliced(behaviors, &mut lanes, rounds);
-    lanes
-        .into_iter()
-        .enumerate()
-        .map(|(i, lane)| out.output(i, lane.into_parts().2 .0))
-        .collect()
+    sim.run_traced(behaviors, &mut lanes, None, rounds)
 }
 
 /// A scenario exercising every event kind at once (3TS ids): crash and
@@ -157,7 +138,6 @@ fn threetank_lanes_match_scalar_under_full_scenario() {
     let mut behaviors = build_behaviors(&sys, &params);
     let packed = run_group(
         &sim,
-        &sys.spec,
         &mut behaviors,
         seeds.iter().map(|&seed| (seed, fresh_inj(), fresh_env())),
         rounds,
@@ -165,11 +145,11 @@ fn threetank_lanes_match_scalar_under_full_scenario() {
     assert_eq!(packed, scalar, "a lane diverged from its reference run");
 }
 
-/// Supervisors and metrics sinks, which the reference interpreter does
-/// not take: lane `i` of a 64-wide group — its output, its monitor's
-/// alarms and its exported registry — equals a one-lane run of the same
-/// seed, under every scenario event kind. The group is run twice: with
-/// a monitor per lane, and with one group monitor (`run_monitored`).
+/// The LRC monitor and metrics sinks, which the reference interpreter
+/// does not take: lane `i` of a 64-wide group watched by one group
+/// monitor (`run_monitored`) — its output, its alarms and its exported
+/// registry — equals a one-lane run of the same seed, under every
+/// scenario event kind.
 #[test]
 fn supervised_observed_lanes_match_one_lane_runs() {
     let sys = ThreeTankSystem::with_options(Deployment::Baseline, 0.999, Some(0.95)).unwrap();
@@ -195,33 +175,12 @@ fn supervised_observed_lanes_match_one_lane_runs() {
         || ScenarioEnvironment::new(ConstantEnvironment::new(Value::Float(0.25)), &scn, comms);
     let seeds: Vec<u64> = (0..64).map(|i| 0x5EED + 3 * i).collect();
 
-    let mut lanes: Vec<_> = seeds
-        .iter()
-        .map(|&seed| {
-            LaneContext::new(
-                seed,
-                fresh_inj(),
-                fresh_env(),
-                LrcMonitor::new(&sys.spec, monitor),
-                Registry::with_recorder(64),
-            )
-        })
-        .collect();
-    let packed = sim.run_bitsliced(&mut BehaviorMap::default(), &mut lanes, rounds);
     let mut group = LrcMonitor::with_lanes(&sys.spec, monitor, seeds.len());
     let mut group_lanes: Vec<_> = seeds
         .iter()
-        .map(|&seed| {
-            LaneContext::new(
-                seed,
-                fresh_inj(),
-                fresh_env(),
-                NoSupervisor,
-                Registry::with_recorder(64),
-            )
-        })
+        .map(|&seed| LaneContext::new(seed, fresh_inj(), fresh_env(), Registry::with_recorder(64)))
         .collect();
-    sim.run_monitored(
+    let packed = sim.run_monitored(
         &mut BehaviorMap::default(),
         &mut group_lanes,
         &mut group,
@@ -229,19 +188,18 @@ fn supervised_observed_lanes_match_one_lane_runs() {
     );
     let group_registries: Vec<Registry> = group_lanes
         .into_iter()
-        .map(|lane| lane.into_parts().3)
+        .map(|lane| lane.into_parts().2)
         .collect();
 
     let mut alarms = 0;
-    for (i, (lane, &seed)) in lanes.into_iter().zip(&seeds).enumerate() {
-        let (_, _, lane_monitor, lane_registry) = lane.into_parts();
+    for (i, &seed) in seeds.iter().enumerate() {
         let mut one_monitor = LrcMonitor::new(&sys.spec, monitor);
         let mut one_registry = Registry::with_recorder(64);
         let one = sim.run_observed(
             &mut BehaviorMap::default(),
             &mut fresh_env(),
             &mut fresh_inj(),
-            &mut one_monitor,
+            Some(&mut one_monitor),
             &mut one_registry,
             &SimConfig { rounds, seed },
         );
@@ -260,16 +218,6 @@ fn supervised_observed_lanes_match_one_lane_runs() {
                 "lane {i} comm {c:?}"
             );
         }
-        assert_eq!(
-            lane_monitor.alarms(),
-            one_monitor.alarms(),
-            "lane {i} alarms"
-        );
-        assert_eq!(
-            export::to_json(&lane_registry),
-            export::to_json(&one_registry),
-            "lane {i} metrics"
-        );
         assert_eq!(
             group.lane(i).alarms(),
             one_monitor.alarms(),
@@ -319,7 +267,6 @@ fn steerbywire_lanes_match_scalar_with_unplug() {
 
     let packed = run_group(
         &sim,
-        &sys.spec,
         &mut BehaviorMap::default(),
         seeds.iter().map(|&seed| {
             (
@@ -361,7 +308,6 @@ fn corrupting_majority_voting_matches_scalar() {
 
     let packed = run_group(
         &sim,
-        &sys.spec,
         &mut build_behaviors(&sys, &params),
         seeds.iter().map(|&seed| {
             (
@@ -392,7 +338,6 @@ fn full_64_lane_pack_matches_scalar() {
 
     let packed = run_group(
         &sim,
-        &sys.spec,
         &mut build_behaviors(&sys, &params),
         seeds.iter().map(|&seed| {
             (
@@ -513,7 +458,6 @@ proptest! {
 
         let packed = run_group(
             &sim,
-            &spec,
             &mut BehaviorMap::default(),
             (0..width).map(|i| {
                 (

@@ -24,9 +24,9 @@ use logrel::obs::{names, MetricsSink, NoopSink, ObsEvent, Registry};
 use logrel::serve::pipeline::{campaign_config, CompiledSpec, Plan, Symbols};
 use logrel::sim::{
     run_campaign_observed, BatchConfig, BehaviorMap, CampaignConfig, ConstantEnvironment,
-    CorruptingFaults, DegradationRule, Degrader, FaultInjector, HostSet, LaneMode, LrcMonitor,
-    MonitorConfig, ProbabilisticFaults, ReplicationContext, Response, Scenario,
-    ScenarioEnvironment, ScenarioEvent, ScenarioInjector, SimConfig, Simulation, VotingStrategy,
+    CorruptingFaults, DegradationRule, FaultInjector, HostSet, LaneMode, LrcMonitor, MonitorConfig,
+    ProbabilisticFaults, ReplicationContext, Response, Scenario, ScenarioEnvironment,
+    ScenarioEvent, ScenarioInjector, SimConfig, Simulation, VotingStrategy,
 };
 use logrel::threetank::behaviors::build_behaviors;
 use logrel::threetank::{PlantParams, Scenario as Deployment, ThreeTankSystem};
@@ -333,9 +333,9 @@ fn events_digest(events: impl Iterator<Item = ObsEvent>) -> (usize, u64) {
 }
 
 /// `htlc trace`'s one-lane path: steer-by-wire under the every-event
-/// scenario with a per-replication monitor as the supervisor and a
-/// 256-event recorder, then a manual dump at the horizon. Pins the
-/// export, the evicted-event count and the live ring.
+/// scenario with a one-lane monitor and a 256-event recorder, then a
+/// manual dump at the horizon. Pins the export, the evicted-event count
+/// and the live ring.
 #[test]
 fn trace_path_recorder_is_pinned() {
     let sys = logrel::lang::compile(SPEC).expect("shipped spec compiles");
@@ -355,7 +355,7 @@ fn trace_path_recorder_is_pinned() {
         &mut behaviors,
         &mut environment,
         &mut injector,
-        &mut monitor,
+        Some(&mut monitor),
         &mut registry,
         &SimConfig {
             rounds: ROUNDS,
@@ -414,23 +414,20 @@ fn degrader_events_are_pinned() {
             host: sys.ids.h1,
         },
     };
-    let mut degrader = Degrader::new(
-        LrcMonitor::new(&sys.spec, MonitorConfig::default()),
-        vec![
-            drop_h1(sys.ids.u1, sys.ids.t1),
-            drop_h1(sys.ids.u2, sys.ids.t2),
-            DegradationRule {
-                comm: sys.ids.u1,
-                response: Response::ModeSwitch { event: 7 },
-            },
-        ],
-    );
+    let mut degrader = LrcMonitor::new(&sys.spec, MonitorConfig::default()).with_rules(vec![
+        drop_h1(sys.ids.u1, sys.ids.t1),
+        drop_h1(sys.ids.u2, sys.ids.t2),
+        DegradationRule {
+            comm: sys.ids.u1,
+            response: Response::ModeSwitch { event: 7 },
+        },
+    ]);
     let mut registry = Registry::with_recorder(16);
     sim.run_observed(
         &mut build_behaviors(&sys, &params),
         &mut ConstantEnvironment::new(Value::Float(0.25)),
         &mut BadHost(sys.ids.h1),
-        &mut degrader,
+        Some(&mut degrader),
         &mut registry,
         &SimConfig {
             rounds: 100,
@@ -489,7 +486,7 @@ fn panic_dump_is_pinned() {
             &mut behaviors,
             &mut environment,
             &mut injector,
-            &mut monitor,
+            Some(&mut monitor),
             &mut registry,
             &SimConfig {
                 rounds: 200,

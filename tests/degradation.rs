@@ -1,6 +1,7 @@
 //! Graceful degradation end to end: a value-corrupting (non-fail-silent)
 //! replica poisons a majority vote, the online monitor raises the LRC
-//! alarm, and the scripted [`Degrader`] response restores service —
+//! alarm, and the degradation rules riding on that monitor
+//! ([`LrcMonitor::with_rules`]) restore service —
 //! either by dropping the bad replica from the vote (3TS and
 //! steer-by-wire) or by switching a modal E-machine program into a
 //! degraded-rate mode.
@@ -8,10 +9,11 @@
 use logrel_core::{HostId, SensorId, Tick, TimeDependentImplementation, Value};
 use logrel_emachine::{generate_modal, DriverOp, EMachine, ModalMode, ModeSwitch, Platform};
 use logrel_lang::{elaborate_modes, parse};
+use logrel_obs::NoopSink;
 use logrel_sim::{
-    AlarmKind, BehaviorMap, ConstantEnvironment, DegradationRule, Degrader, FaultInjector,
-    LrcMonitor, MonitorConfig, NoFaults, Response, Scenario, ScenarioInjector, SimConfig,
-    SimOutput, Simulation, Supervisor, VotingStrategy,
+    AlarmKind, BehaviorMap, ConstantEnvironment, DegradationRule, FaultInjector, LrcMonitor,
+    MonitorConfig, NoFaults, Response, Scenario, ScenarioInjector, SimConfig, SimOutput,
+    Simulation, VotingStrategy,
 };
 use logrel_steerbywire::behaviors::build_behaviors as build_steer_behaviors;
 use logrel_steerbywire::{SteerScenario, SteerSystem, VehicleParams};
@@ -78,11 +80,18 @@ fn three_tank_drops_the_corrupting_replica() {
         seed: 21,
     };
 
-    let run = |supervisor: &mut dyn Supervisor| -> SimOutput {
+    let run = |monitor: &mut LrcMonitor| -> SimOutput {
         let mut behaviors: BehaviorMap = build_tank_behaviors(&sys, &params);
         let mut env = ConstantEnvironment::new(Value::Float(0.25));
         let mut inj = BadHost { host: sys.ids.h1 };
-        sim.run_supervised(&mut behaviors, &mut env, &mut inj, supervisor, &config)
+        sim.run_observed(
+            &mut behaviors,
+            &mut env,
+            &mut inj,
+            Some(monitor),
+            &mut NoopSink,
+            &config,
+        )
     };
 
     // Counterfactual: without a response the vote never recovers.
@@ -94,25 +103,22 @@ fn three_tank_drops_the_corrupting_replica() {
 
     // With the degrader: both controllers drop their h1 replica at the
     // first confident alarm and service resumes on h2 alone.
-    let mut degrader = Degrader::new(
-        LrcMonitor::new(&sys.spec, MonitorConfig::default()),
-        vec![
-            DegradationRule {
-                comm: sys.ids.u1,
-                response: Response::DropReplica {
-                    task: sys.ids.t1,
-                    host: sys.ids.h1,
-                },
+    let mut degrader = LrcMonitor::new(&sys.spec, MonitorConfig::default()).with_rules(vec![
+        DegradationRule {
+            comm: sys.ids.u1,
+            response: Response::DropReplica {
+                task: sys.ids.t1,
+                host: sys.ids.h1,
             },
-            DegradationRule {
-                comm: sys.ids.u2,
-                response: Response::DropReplica {
-                    task: sys.ids.t2,
-                    host: sys.ids.h1,
-                },
+        },
+        DegradationRule {
+            comm: sys.ids.u2,
+            response: Response::DropReplica {
+                task: sys.ids.t2,
+                host: sys.ids.h1,
             },
-        ],
-    );
+        },
+    ]);
     let recovered = run(&mut degrader);
     let engaged = degrader.engaged_at(0).expect("u1 rule engaged").as_u64();
     assert!(engaged < 2_000, "engagement is prompt: {engaged}");
@@ -126,14 +132,13 @@ fn three_tank_drops_the_corrupting_replica() {
         }
     }
     let u1_alarms: Vec<AlarmKind> = degrader
-        .monitor()
         .alarms()
         .iter()
         .filter(|a| a.comm == sys.ids.u1)
         .map(|a| a.kind)
         .collect();
     assert_eq!(u1_alarms, vec![AlarmKind::Raised, AlarmKind::Cleared]);
-    assert!(!degrader.monitor().active(sys.ids.u1));
+    assert!(!degrader.active(sys.ids.u1));
 }
 
 /// Steer-by-wire: a garbage-emitting ecu_a poisons `filtered` and `cmd`
@@ -151,11 +156,18 @@ fn steer_by_wire_drops_the_corrupting_ecu() {
         seed: 33,
     };
 
-    let run = |supervisor: &mut dyn Supervisor| -> SimOutput {
+    let run = |monitor: &mut LrcMonitor| -> SimOutput {
         let mut behaviors: BehaviorMap = build_steer_behaviors(&sys, &params);
         let mut env = ConstantEnvironment::new(Value::Float(0.1));
         let mut inj = BadHost { host: sys.ids.ecu_a };
-        sim.run_supervised(&mut behaviors, &mut env, &mut inj, supervisor, &config)
+        sim.run_observed(
+            &mut behaviors,
+            &mut env,
+            &mut inj,
+            Some(monitor),
+            &mut NoopSink,
+            &config,
+        )
     };
 
     let mut monitor = LrcMonitor::new(&sys.spec, MonitorConfig::default());
@@ -180,8 +192,7 @@ fn steer_by_wire_drops_the_corrupting_ecu() {
             },
         },
     ];
-    let mut degrader =
-        Degrader::new(LrcMonitor::new(&sys.spec, MonitorConfig::default()), rules);
+    let mut degrader = LrcMonitor::new(&sys.spec, MonitorConfig::default()).with_rules(rules);
     let recovered = run(&mut degrader);
     let engaged = degrader.engaged_at(0).expect("rules engaged").as_u64();
     assert_eq!(degrader.engaged_at(1), degrader.engaged_at(0));
@@ -189,7 +200,6 @@ fn steer_by_wire_drops_the_corrupting_ecu() {
     let (total, reliable) = reliability_after(&recovered, sys.ids.cmd, 1_000);
     assert!(total > 0 && reliable == total, "cmd recovered: {reliable}/{total}");
     let kinds: Vec<AlarmKind> = degrader
-        .monitor()
         .alarms()
         .iter()
         .filter(|a| a.comm == sys.ids.cmd)
@@ -273,18 +283,17 @@ fn lrc_alarm_switches_the_modal_program_to_the_degraded_mode() {
         ScenarioInjector::new(NoFaults, &scn, modal.arch.host_count(), spec.communicator_count())
             .unwrap();
     // `overload` is switch 0 in declaration order.
-    let mut degrader = Degrader::new(
-        LrcMonitor::new(spec, MonitorConfig::default()),
-        vec![DegradationRule {
+    let mut degrader =
+        LrcMonitor::new(spec, MonitorConfig::default()).with_rules(vec![DegradationRule {
             comm: u,
             response: Response::ModeSwitch { event: 0 },
-        }],
-    );
-    sim.run_supervised(
+        }]);
+    sim.run_observed(
         &mut BehaviorMap::new(),
         &mut ConstantEnvironment::new(Value::Float(1.0)),
         &mut inj,
-        &mut degrader,
+        Some(&mut degrader),
+        &mut NoopSink,
         &SimConfig {
             rounds: 60,
             seed: 3,

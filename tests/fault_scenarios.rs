@@ -7,6 +7,7 @@
 //! every new event kind).
 
 use logrel_core::{Tick, TimeDependentImplementation, Value};
+use logrel_obs::NoopSink;
 use logrel_reliability::compute_srgs;
 use logrel_sim::{
     run_campaign, run_replications, AlarmKind, BatchConfig, BehaviorMap, CampaignConfig,
@@ -150,11 +151,12 @@ fn monitor_raises_and_clears_across_the_outage() {
     let mut inj =
         ScenarioInjector::new(NoFaults, &scn, sys.arch.host_count(), comms).unwrap();
     let mut monitor = LrcMonitor::new(&sys.spec, MonitorConfig::default());
-    sim.run_supervised(
+    sim.run_observed(
         &mut behaviors,
         &mut env,
         &mut inj,
-        &mut monitor,
+        Some(&mut monitor),
+        &mut NoopSink,
         &SimConfig {
             rounds: 200,
             seed: 5,

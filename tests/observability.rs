@@ -10,7 +10,7 @@ use logrel_obs::{
 };
 use logrel_sim::{
     run_campaign_observed, BatchConfig, BehaviorMap, CampaignConfig, ConstantEnvironment,
-    LaneMode, LrcMonitor, MonitorConfig, NoFaults, NoSupervisor, ProbabilisticFaults,
+    LaneMode, LrcMonitor, MonitorConfig, NoFaults, ProbabilisticFaults,
     ReplicationContext, Scenario, ScenarioEnvironment, ScenarioEvent, ScenarioInjector, SimConfig,
     SimOutput, Simulation,
 };
@@ -31,7 +31,7 @@ fn pinned_metrics_on_a_three_round_baseline_run() {
         &mut BehaviorMap::new(),
         &mut ConstantEnvironment::new(Value::Float(0.2)),
         &mut NoFaults,
-        &mut NoSupervisor,
+        None,
         &mut reg,
         &SimConfig { rounds: 3, seed: 1 },
     );
@@ -88,7 +88,7 @@ fn observed_runs_are_bit_identical_to_plain_runs() {
             &mut BehaviorMap::new(),
             &mut ConstantEnvironment::new(Value::Float(0.2)),
             &mut ProbabilisticFaults::from_architecture(&sys.arch),
-            &mut NoSupervisor,
+            None,
             &mut NoopSink,
             config,
         )
@@ -99,7 +99,7 @@ fn observed_runs_are_bit_identical_to_plain_runs() {
             &mut BehaviorMap::new(),
             &mut ConstantEnvironment::new(Value::Float(0.2)),
             &mut ProbabilisticFaults::from_architecture(&sys.arch),
-            &mut NoSupervisor,
+            None,
             &mut reg,
             config,
         )
@@ -216,7 +216,7 @@ fn flight_recorder_dumps_on_a_scripted_lrc_violation() {
         &mut BehaviorMap::new(),
         &mut env,
         &mut inj,
-        &mut monitor,
+        Some(&mut monitor),
         &mut reg,
         &SimConfig {
             rounds: 120,
