@@ -227,9 +227,9 @@ struct SteerUnit<'a> {
 impl SteerUnit<'_> {
     const LANES: usize = 64;
 
-    /// Wall-clock seconds of one run of the unit under `scenario`, with
-    /// a sink per lane from `sink`, watched by its group LRC monitor when
-    /// `monitored`. Without a scenario the lanes run their bare base
+    /// Wall-clock seconds of one run of the unit under `scenario`,
+    /// reporting to one sink from `sink`, watched by its group LRC
+    /// monitor when `monitored`. Without a scenario the lanes run their bare base
     /// injectors and environments, outside the campaign's scenario layer.
     fn time<M: MetricsSink>(
         &self,
@@ -257,7 +257,7 @@ impl SteerUnit<'_> {
                 .map(|rep| {
                     let base = replication_context(self.arch);
                     let seed = derive_seed(1, rep);
-                    LaneContext::new(seed, base.injector, base.environment, sink())
+                    LaneContext::plain(seed, base.injector, base.environment)
                 })
                 .collect();
             let mut monitor = LrcMonitor::with_lanes(spec, MonitorConfig::default(), Self::LANES);
@@ -265,6 +265,7 @@ impl SteerUnit<'_> {
                 &mut BehaviorMap::new(),
                 &mut lanes,
                 &mut monitor,
+                &mut sink(),
                 STEER_ROUNDS,
             ));
         }

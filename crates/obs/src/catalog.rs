@@ -200,7 +200,7 @@ pub const CATALOG: &[MetricDef] = &[
     counter!(names::REPLICA_DROP_WARMUP, "Replica drops: rejoin warm-up"),
     counter!(
         names::REPLICA_DROP_EXCLUDED,
-        "Replica drops: supervisor exclusion"
+        "Replica drops: dropped by an engaged degradation rule"
     ),
     counter!(
         names::REPLICA_DROP_SILENT,
@@ -222,7 +222,10 @@ pub const CATALOG: &[MetricDef] = &[
     counter!(names::ALARM_RAISED, "LRC monitor alarms raised"),
     counter!(names::ALARM_CLEARED, "LRC monitor alarms cleared"),
     counter!(names::DEGRADER_ENGAGED, "Degradation rules engaged"),
-    counter!(names::MODE_SWITCH, "Degrader mode-switch events emitted"),
+    counter!(
+        names::MODE_SWITCH,
+        "Mode-switch events emitted by engaged degradation rules"
+    ),
     MetricDef {
         name: names::REPLICAS_PER_VOTE,
         kind: MetricKind::Histogram,

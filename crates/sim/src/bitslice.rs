@@ -18,13 +18,14 @@
 //! # Lane semantics
 //!
 //! Lane `i` replays replication `i` *exactly*: it owns a private RNG
-//! seeded with lane `i`'s seed, plus its own fault injector, environment
-//! and metrics sink ([`LaneContext`]). At every site that consumes a draw
-//! or calls a hook, the kernel loops over the lanes and performs the call
+//! seeded with lane `i`'s seed, plus its own fault injector and
+//! environment ([`LaneContext`]). At every site that consumes a draw or
+//! calls a hook, the kernel loops over the lanes and performs the call
 //! on the lane's own context, in lane order — so each lane's RNG stream
-//! and metrics are the ones a one-lane run of the same seed produces,
-//! whatever the group width. The kernel's only watch is one group
-//! [`LrcMonitor`], outside the lanes (see below).
+//! is the one a one-lane run of the same seed produces, whatever the
+//! group width. The kernel's only watch is one group [`LrcMonitor`], and
+//! its only metrics sink is one group sink, both outside the lanes (see
+//! below).
 //!
 //! A campaign unit adds one group scenario layer over the lanes' base
 //! injectors (`scenario/lanes.rs`): the timeline is evaluated once per
@@ -47,14 +48,15 @@
 //! on some lanes is one exclusion mask per replica, which the replica's
 //! draws are folded with.
 //!
-//! The lanes' metrics sinks are observed the same way, once per group:
-//! the kernel folds each replica's draw outcomes into lane masks, counts
-//! over those masks, and keeps one event ring for the whole group, from
-//! which each lane's flight recorder is rebuilt where it can be looked
-//! at (the group observation module, `observe.rs`). On the public entry
-//! points each sink observes its own lane and ends up exactly as a
-//! one-lane run's. A campaign unit's lanes are one set observed by one
-//! sink, which ends up as the lanes' own sinks merged in lane order.
+//! The group reports to one metrics sink, observed the same way, once
+//! per group: the kernel folds each replica's draw outcomes into lane
+//! masks, counts over those masks, and keeps one event ring for the
+//! whole group, from which a lane's flight recorder is rebuilt where it
+//! can be looked at (the group observation module, `observe.rs`). The
+//! sink ends up as the lanes' one-lane sinks merged in lane order, lane
+//! 0's continuing what the sink held before the run — so a one-lane run
+//! observes exactly as it always has, and a campaign unit folds its
+//! lanes into one registry.
 //!
 //! # Shared behaviors — purity contract
 //!
@@ -82,7 +84,7 @@ use crate::environment::Environment;
 use crate::fault::FaultInjector;
 use crate::kernel::{task_audiences, warm_after_rejoin, SimOutput, Simulation, TaskStats};
 use crate::monitor::LrcMonitor;
-use crate::observe::{GroupObs, LaneSets, ReplicaMasks};
+use crate::observe::{GroupObs, ReplicaMasks};
 use crate::scenario::{CrashState, ScenarioLanes};
 use crate::trace::Trace;
 use logrel_core::roundprog::UpdateOp;
@@ -310,49 +312,39 @@ impl BitslicedOutput {
     }
 }
 
-/// One lane's private execution context: seeded RNG, fault injector,
-/// environment and metrics sink.
+/// One lane's private execution context: seeded RNG, fault injector and
+/// environment.
 ///
 /// Every draw and hook call of the lane's replication happens on this
 /// context, in the order a one-lane run of seed `seed` makes them.
 #[derive(Debug, Clone)]
-pub struct LaneContext<I, E, M = NoopSink> {
+pub struct LaneContext<I, E> {
     rng: StdRng,
     injector: I,
     environment: E,
-    sink: M,
 }
 
-impl<I, E, M> LaneContext<I, E, M> {
-    /// An observed lane. `seed` matches the
-    /// [`SimConfig::seed`](crate::SimConfig) of the replication this lane
-    /// replays.
-    pub fn new(seed: u64, injector: I, environment: E, sink: M) -> Self {
+impl<I, E> LaneContext<I, E> {
+    /// The lane of the replication of seed `seed` (the
+    /// [`SimConfig::seed`](crate::SimConfig) of a one-lane run) over
+    /// `injector` and `environment`.
+    pub fn plain(seed: u64, injector: I, environment: E) -> Self {
         LaneContext {
             rng: StdRng::seed_from_u64(seed),
             injector,
             environment,
-            sink,
         }
     }
 
-    /// Dismantles the lane, returning the injector, environment and sink
-    /// (e.g. to harvest per-lane metrics).
-    pub fn into_parts(self) -> (I, E, M) {
-        (self.injector, self.environment, self.sink)
+    /// Dismantles the lane, returning the injector and environment.
+    pub fn into_parts(self) -> (I, E) {
+        (self.injector, self.environment)
     }
 
     /// The lane's random stream.
     #[cfg(test)]
     pub(crate) fn rng_mut(&mut self) -> &mut StdRng {
         &mut self.rng
-    }
-}
-
-impl<I, E> LaneContext<I, E> {
-    /// An unobserved lane — the packed analogue of [`Simulation::run`].
-    pub fn plain(seed: u64, injector: I, environment: E) -> Self {
-        LaneContext::new(seed, injector, environment, NoopSink)
     }
 }
 
@@ -379,8 +371,8 @@ struct Replica<'a> {
 /// beside the replica's exclusion mask. Specialized on `SCRIPTED`, so the
 /// loop of a run without a scenario carries no layer call.
 #[inline(always)]
-fn sample_lanes<const SCRIPTED: bool, I, E, M>(
-    lanes: &mut [LaneContext<I, E, M>],
+fn sample_lanes<const SCRIPTED: bool, I, E>(
+    lanes: &mut [LaneContext<I, E>],
     layer: &mut ScenarioLanes,
     r: &Replica<'_>,
 ) -> ReplicaMasks
@@ -423,38 +415,36 @@ impl<'a> Simulation<'a> {
     /// injector and environment exactly; see the module docs for the
     /// shared-behaviors purity contract and the fast/slow path split.
     ///
-    /// Observation is a group object too: counters and the vote
-    /// histogram are tallied over lane masks and written to each observed
-    /// lane's sink once, after the last round, and flight-recorder events
-    /// go into one group ring from which each lane's recorder is rebuilt
-    /// (at its alarm dumps, at the end, and on a panic). Every sink ends
-    /// up as if it had been fed each event one at a time; see
-    /// `DESIGN.md` §9–§10.
+    /// The run is unobserved; [`Simulation::run_monitored`] reports to a
+    /// metrics sink.
     ///
     /// # Panics
     ///
     /// Panics if `lanes` is empty or holds more than 64 contexts.
-    pub fn run_bitsliced<I, E, M>(
+    pub fn run_bitsliced<I, E>(
         &self,
         behaviors: &mut BehaviorMap,
-        lanes: &mut [LaneContext<I, E, M>],
+        lanes: &mut [LaneContext<I, E>],
         rounds: u64,
     ) -> BitslicedOutput
     where
         I: FaultInjector,
         E: Environment,
-        M: MetricsSink,
     {
-        self.run_plain(behaviors, lanes, None, rounds, &mut ())
+        self.run_plain(behaviors, lanes, None, &mut NoopSink, rounds, &mut ())
     }
 
     /// [`Simulation::run_bitsliced`] watched by one group [`LrcMonitor`]
-    /// (built with [`LrcMonitor::with_lanes`] for `lanes.len()` lanes).
-    /// The monitor sees every communicator update once, as the mask of
-    /// lanes holding a reliable value; each alarm it fires and each rule
-    /// it engages is recorded for that lane right there, and a dropped
-    /// replica leaves the vote on the lanes that dropped it from the next
-    /// task read on.
+    /// (built with [`LrcMonitor::with_lanes`] for `lanes.len()` lanes),
+    /// reporting to `sink`. The monitor sees every communicator update
+    /// once, as the mask of lanes holding a reliable value; each alarm it
+    /// fires and each rule it engages is recorded for that lane right
+    /// there, and a dropped replica leaves the vote on the lanes that
+    /// dropped it from the next task read on.
+    ///
+    /// `sink` ends up as the lanes' one-lane sinks merged in lane order,
+    /// lane 0's continuing what `sink` held before the run (`DESIGN.md`
+    /// §9–§10).
     ///
     /// # Panics
     ///
@@ -463,20 +453,22 @@ impl<'a> Simulation<'a> {
     pub fn run_monitored<I, E, M>(
         &self,
         behaviors: &mut BehaviorMap,
-        lanes: &mut [LaneContext<I, E, M>],
+        lanes: &mut [LaneContext<I, E>],
         monitor: &mut LrcMonitor,
+        sink: &mut M,
         rounds: u64,
     ) -> BitslicedOutput
     where
         I: FaultInjector,
         E: Environment,
-        M: MetricsSink,
+        M: MetricsSink + ?Sized,
     {
-        self.run_plain(behaviors, lanes, Some(monitor), rounds, &mut ())
+        self.run_plain(behaviors, lanes, Some(monitor), sink, rounds, &mut ())
     }
 
-    /// [`Simulation::run_bitsliced`], watched by `monitor` when given,
-    /// that also records every lane's update sequence: lane `i`'s
+    /// [`Simulation::run_bitsliced`], watched by `monitor` when given and
+    /// reporting to `sink` as [`Simulation::run_monitored`] does, that
+    /// also records every lane's update sequence: lane `i`'s
     /// [`SimOutput`], trace included, is the one a one-lane run of the
     /// same seed returns.
     ///
@@ -486,14 +478,15 @@ impl<'a> Simulation<'a> {
     pub fn run_traced<I, E, M>(
         &self,
         behaviors: &mut BehaviorMap,
-        lanes: &mut [LaneContext<I, E, M>],
+        lanes: &mut [LaneContext<I, E>],
         monitor: Option<&mut LrcMonitor>,
+        sink: &mut M,
         rounds: u64,
     ) -> Vec<SimOutput>
     where
         I: FaultInjector,
         E: Environment,
-        M: MetricsSink,
+        M: MetricsSink + ?Sized,
     {
         // The trace rows are sized up front (capped, so a huge horizon
         // still grows on demand instead of reserving it all).
@@ -508,7 +501,7 @@ impl<'a> Simulation<'a> {
                 trace
             })
             .collect();
-        let out = self.run_plain(behaviors, lanes, monitor, rounds, &mut traces[..]);
+        let out = self.run_plain(behaviors, lanes, monitor, sink, rounds, &mut traces[..]);
         traces
             .into_iter()
             .enumerate()
@@ -520,32 +513,25 @@ impl<'a> Simulation<'a> {
             .collect()
     }
 
-    /// The public entry points' group run: each sink observes its own
-    /// lane, under the empty scenario layer.
+    /// The public entry points' group run, under the empty scenario
+    /// layer.
     fn run_plain<I, E, M, L>(
         &self,
         behaviors: &mut BehaviorMap,
-        lanes: &mut [LaneContext<I, E, M>],
+        lanes: &mut [LaneContext<I, E>],
         monitor: Option<&mut LrcMonitor>,
+        sink: &mut M,
         rounds: u64,
         log: &mut L,
     ) -> BitslicedOutput
     where
         I: FaultInjector,
         E: Environment,
-        M: MetricsSink,
+        M: MetricsSink + ?Sized,
         L: UpdateLog + ?Sized,
     {
         let mut layer = ScenarioLanes::none(self.host_count(), lanes.len());
-        self.run_lanes(
-            behaviors,
-            lanes,
-            LaneSets::Singletons,
-            monitor,
-            &mut layer,
-            rounds,
-            log,
-        )
+        self.run_lanes(behaviors, lanes, monitor, sink, &mut layer, rounds, log)
     }
 
     /// The number of hosts the round program places replicas on.
@@ -559,17 +545,17 @@ impl<'a> Simulation<'a> {
             .map_or(0, |m| m + 1)
     }
 
-    /// [`Simulation::run_bitsliced`] with each sink observing the lanes
-    /// of `sets`, under the group scenario layer `layer` (over the lanes'
-    /// own injectors, which it wraps), watched by `monitor` when given
-    /// and writing every update to `log` as well.
+    /// [`Simulation::run_bitsliced`] under the group scenario layer
+    /// `layer` (over the lanes' own injectors, which it wraps), watched by
+    /// `monitor` when given, reporting to `sink` and writing every update
+    /// to `log` as well.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_lanes<I, E, M, L>(
         &self,
         behaviors: &mut BehaviorMap,
-        lanes: &mut [LaneContext<I, E, M>],
-        sets: LaneSets,
+        lanes: &mut [LaneContext<I, E>],
         monitor: Option<&mut LrcMonitor>,
+        sink: &mut M,
         layer: &mut ScenarioLanes,
         rounds: u64,
         log: &mut L,
@@ -577,7 +563,7 @@ impl<'a> Simulation<'a> {
     where
         I: FaultInjector,
         E: Environment,
-        M: MetricsSink,
+        M: MetricsSink + ?Sized,
         L: UpdateLog + ?Sized,
     {
         let n = lanes.len();
@@ -589,33 +575,32 @@ impl<'a> Simulation<'a> {
         if let Some(monitor) = &monitor {
             assert_eq!(monitor.width(), n, "the monitor must watch every lane");
         }
-        let mut obs = GroupObs::new(
-            lanes.iter_mut().map(|l| &mut l.sink),
-            self.host_count(),
-            self.program.max_replicas,
-            sets,
-        );
+        let mut obs = GroupObs::new(sink, n, self.host_count(), self.program.max_replicas);
         let run = panic::catch_unwind(AssertUnwindSafe(|| {
-            self.run_rounds(behaviors, lanes, &mut obs, monitor, layer, rounds, log)
+            self.run_rounds(
+                behaviors, lanes, &mut obs, sink, monitor, layer, rounds, log,
+            )
         }));
         run.unwrap_or_else(|payload| {
-            // A panic unwinding through the kernel still leaves each
-            // observing sink as per-event observation would have: alarm
-            // counters, hosts-up gauge and flight recorder current.
+            // A panic unwinding through the kernel still leaves the sink
+            // as per-event observation would have: alarm counters,
+            // hosts-up gauge and flight recorder current.
             if obs.enabled() {
-                obs.unwind(lanes.iter_mut().map(|l| &mut l.sink));
+                obs.unwind(sink);
             }
             panic::resume_unwind(payload)
         })
     }
 
-    /// The rounds of [`Simulation::run_lanes`], observed through `obs`.
+    /// The rounds of [`Simulation::run_lanes`], observed through `obs`
+    /// into `sink`.
     #[allow(clippy::too_many_arguments)]
     fn run_rounds<I, E, M, L>(
         &self,
         behaviors: &mut BehaviorMap,
-        lanes: &mut [LaneContext<I, E, M>],
+        lanes: &mut [LaneContext<I, E>],
         obs: &mut GroupObs,
+        sink: &mut M,
         mut monitor: Option<&mut LrcMonitor>,
         layer: &mut ScenarioLanes,
         rounds: u64,
@@ -624,7 +609,7 @@ impl<'a> Simulation<'a> {
     where
         I: FaultInjector,
         E: Environment,
-        M: MetricsSink,
+        M: MetricsSink + ?Sized,
         L: UpdateLog + ?Sized,
     {
         let spec = self.spec;
@@ -696,9 +681,9 @@ impl<'a> Simulation<'a> {
         let mut voted_buf = vec![Value::Unreliable; max_out];
         let mut delivered_hosts: Vec<HostId> = Vec::with_capacity(prog.max_replicas);
 
-        // Constant `false` for `NoopSink` lanes, so the obs blocks below
+        // Constant `false` for `NoopSink`, so the obs blocks below
         // monomorphize away.
-        let any_obs = lanes.iter().any(|l| l.sink.enabled());
+        let any_obs = sink.enabled();
 
         for r in 0..rounds {
             let phase = &prog.phases[(r % phase_count) as usize];
@@ -771,7 +756,7 @@ impl<'a> Simulation<'a> {
                     let reliable = comm_classes[ci].union();
                     if let Some(monitor) = monitor.as_deref_mut() {
                         monitor.observe_lanes(c, now, reliable, |li, fired| {
-                            obs.fired(li, fired, &mut lanes[li].sink);
+                            obs.fired(li, fired, sink);
                         });
                     }
                     unreliable.add(ci, !reliable & all_mask, all_mask);
@@ -902,9 +887,9 @@ impl<'a> Simulation<'a> {
                             excluded: dropped.get(h.index()).copied().unwrap_or(0),
                         };
                         let own = if scripted {
-                            sample_lanes::<true, _, _, _>(lanes, layer, &replica)
+                            sample_lanes::<true, _, _>(lanes, layer, &replica)
                         } else {
-                            sample_lanes::<false, _, _, _>(lanes, layer, &replica)
+                            sample_lanes::<false, _, _>(lanes, layer, &replica)
                         };
                         let mut masks = ReplicaMasks {
                             warm: shared_warm.unwrap_or(own.warm),
@@ -1070,22 +1055,23 @@ impl<'a> Simulation<'a> {
         if any_obs {
             let updates: u64 = out.updates.iter().sum();
             let invocations: u64 = out.invocations.iter().sum();
-            obs.flush(lanes.iter_mut().map(|l| &mut l.sink), |set| {
-                let n = u64::from(set.count_ones());
-                let unreliable = (0..out.updates.len())
-                    .map(|c| out.unreliable.sum(c, set))
-                    .sum();
-                let delivered = (0..out.invocations.len())
-                    .map(|t| out.delivered.sum(t, set))
-                    .sum();
+            let unreliable = (0..out.updates.len())
+                .map(|c| out.unreliable.sum(c, all_mask))
+                .sum();
+            let delivered = (0..out.invocations.len())
+                .map(|t| out.delivered.sum(t, all_mask))
+                .sum();
+            let n = n as u64;
+            obs.flush(
+                sink,
                 [
                     (names::ROUNDS, rounds * n),
                     (names::UPDATES, updates * n),
                     (names::UPDATES_UNRELIABLE, unreliable),
                     (names::TASK_INVOCATIONS, invocations * n),
                     (names::TASK_DELIVERED, delivered),
-                ]
-            });
+                ],
+            );
         }
         out
     }

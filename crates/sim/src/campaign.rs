@@ -15,7 +15,6 @@ use crate::bitslice::{BitslicedOutput, LaneContext};
 use crate::kernel::Simulation;
 use crate::monitor::{AlarmKind, LrcMonitor, MonitorConfig, MonitorLane};
 use crate::montecarlo::{derive_seed, run_indexed_units, BatchConfig, ReplicationContext};
-use crate::observe::LaneSets;
 use crate::scenario::{Scenario, ScenarioEnvironment, ScenarioError, ScenarioLanes, Timeline};
 use logrel_core::{CommunicatorId, Specification, Tick};
 use logrel_obs::{MetricsSink, NoopSink, Registry};
@@ -421,20 +420,20 @@ where
 }
 
 /// Runs one planned [`CampaignUnit`] and returns its per-replication
-/// results in replication order, each with the sink `make_sink` made for
+/// results in replication order, each with a sink `make_sink` made for
 /// it.
 ///
-/// The unit's observation lands in one of those sinks: the first
-/// replication whose sink carries a flight recorder (else the first
-/// observed one) receives every lane's counters, vote histogram,
-/// hosts-up gauge, evictions and alarm dumps, and its own live ring; the
-/// other sinks come back as `make_sink` made them. Merging the returned
-/// sinks into a [`Registry`] in replication order therefore gives the
+/// The unit reports to one sink, `make_sink(first_rep)`: it receives
+/// every lane's counters, vote histogram, hosts-up gauge, evictions and
+/// alarm dumps, and the first replication's live ring, and comes back
+/// with the first replication. The other replications' sinks come back
+/// as `make_sink` made them. For a `make_sink` that hands out the same
+/// empty sink for every replication, as [`RepSink::fresh`] does, merging
+/// the returned sinks into a [`Registry`] in replication order gives the
 /// registry that merging one sink per replication, each observing its
-/// own lane, gives, byte for byte — for sinks that `make_sink` hands out
-/// empty, as [`RepSink::fresh`] does. The unit never builds what that
-/// merge would discard: the other replications' live rings, and alarm
-/// dumps past the first [`FlightRecorder::MAX_DUMPS`](logrel_obs::FlightRecorder::MAX_DUMPS)
+/// own lane, gives, byte for byte. The unit never builds what that merge
+/// would discard: the other replications' live rings, and alarm dumps
+/// past the first [`FlightRecorder::MAX_DUMPS`](logrel_obs::FlightRecorder::MAX_DUMPS)
 /// in replication order.
 ///
 /// This is the sharding entry point for job services: bounds that
@@ -486,11 +485,10 @@ where
         if behaviors.is_none() {
             behaviors = Some(base.behaviors);
         }
-        lanes.push(LaneContext::new(
+        lanes.push(LaneContext::plain(
             derive_seed(config.batch.base_seed, rep),
             base.injector,
             environment,
-            make_sink(rep),
         ));
     }
     let Some(mut behaviors) = behaviors else {
@@ -499,22 +497,20 @@ where
         return Err(CampaignError::LaneWidth(0));
     };
     let mut monitor = LrcMonitor::with_lanes(spec, config.monitor, width);
+    let mut sink = make_sink(first_rep);
     let out = sim.run_lanes(
         &mut behaviors,
         &mut lanes,
-        LaneSets::Whole,
         Some(&mut monitor),
+        &mut sink,
         &mut layer,
         config.batch.rounds,
         &mut (),
     );
-    Ok(lanes
-        .into_iter()
-        .enumerate()
-        .map(|(li, lane)| {
-            let (_injector, _environment, sink) = lane.into_parts();
-            (rep_stats(spec, &out, li, monitor.lane(li)), sink)
-        })
+    let sinks = std::iter::once(sink).chain((first_rep + 1..).map(&make_sink));
+    Ok((0..width)
+        .zip(sinks)
+        .map(|(li, sink)| (rep_stats(spec, &out, li, monitor.lane(li)), sink))
         .collect())
 }
 

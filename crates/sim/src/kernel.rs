@@ -52,7 +52,7 @@ use logrel_core::{
     Architecture, Calendar, CommunicatorId, FailureModel, HostId, RoundProgram, SensorId,
     Specification, TaskId, Tick, TimeDependentImplementation, Value,
 };
-use logrel_obs::{names, FlightRecorder, MetricsSink, NoopSink, ObsEvent, Span};
+use logrel_obs::{names, MetricsSink, NoopSink, Span};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -331,7 +331,7 @@ impl<'a> Simulation<'a> {
     /// Panics if the monitor watches more than one lane.
     ///
     /// [`NoopSink`]: logrel_obs::NoopSink
-    pub fn run_observed<M: MetricsSink>(
+    pub fn run_observed<M: MetricsSink + ?Sized>(
         &self,
         behaviors: &mut BehaviorMap,
         env: &mut dyn Environment,
@@ -340,8 +340,8 @@ impl<'a> Simulation<'a> {
         sink: &mut M,
         config: &SimConfig,
     ) -> SimOutput {
-        let lane = LaneContext::new(config.seed, Fwd(injector), Fwd(env), Fwd(sink));
-        let mut outputs = self.run_traced(behaviors, &mut [lane], monitor, config.rounds);
+        let lane = LaneContext::plain(config.seed, Fwd(injector), Fwd(env));
+        let mut outputs = self.run_traced(behaviors, &mut [lane], monitor, sink, config.rounds);
         outputs.pop().expect("one lane")
     }
 
@@ -542,8 +542,8 @@ impl<'a> Simulation<'a> {
 }
 
 /// Forwards a borrowed hook object, so the one-lane entry points can
-/// hand their `&mut dyn` arguments to the lane-group kernel, whose lane
-/// contexts own their hooks by value.
+/// hand their `&mut dyn` injector and environment to the lane-group
+/// kernel, whose lane contexts own them by value.
 struct Fwd<'r, T: ?Sized>(&'r mut T);
 
 impl<T: FaultInjector + ?Sized> FaultInjector for Fwd<'_, T> {
@@ -591,33 +591,6 @@ impl<T: Environment + ?Sized> Environment for Fwd<'_, T> {
     }
     fn is_passive(&self) -> bool {
         self.0.is_passive()
-    }
-}
-
-impl<T: MetricsSink + ?Sized> MetricsSink for Fwd<'_, T> {
-    fn enabled(&self) -> bool {
-        self.0.enabled()
-    }
-    fn add(&mut self, name: &'static str, v: u64) {
-        self.0.add(name, v);
-    }
-    fn inc(&mut self, name: &'static str) {
-        self.0.inc(name);
-    }
-    fn set_gauge(&mut self, name: &'static str, v: f64) {
-        self.0.set_gauge(name, v);
-    }
-    fn observe(&mut self, name: &'static str, v: f64) {
-        self.0.observe(name, v);
-    }
-    fn observe_n(&mut self, name: &'static str, v: f64, n: u64) {
-        self.0.observe_n(name, v, n);
-    }
-    fn event(&mut self, event: &ObsEvent) {
-        self.0.event(event);
-    }
-    fn flight_recorder(&mut self) -> Option<&mut FlightRecorder> {
-        self.0.flight_recorder()
     }
 }
 

@@ -12,7 +12,10 @@
 //!   reference interpreter it is checked against;
 //! * [`bitslice`] — the one production round loop, over groups of 1..=64
 //!   replications packed into `u64` lane masks (a single run is a
-//!   one-lane group);
+//!   one-lane group). A lane is a seed, an injector and an environment;
+//!   the group is watched by one [`LrcMonitor`] and reports to one
+//!   metrics sink, which ends up as the lanes' one-lane sinks merged in
+//!   lane order;
 //! * [`behavior`] — task function registries ([`TaskBehavior`]);
 //! * [`environment`] — the world outside the program: sensor value
 //!   sources and actuator sinks (a closed-loop plant implements this);
@@ -82,6 +85,7 @@ pub use fuzz::{run_fuzz, FuzzArtifact, FuzzConfig, FuzzOutcome};
 pub use kernel::{SimBuildError, SimConfig, SimOutput, Simulation};
 pub use monitor::{
     Alarm, AlarmKind, DegradationRule, LrcMonitor, MonitorConfig, MonitorLane, Response,
+    RuleError,
 };
 pub use montecarlo::{
     derive_seed, run_batch, run_indexed_units, run_replications, BatchConfig, ReplicationContext,

@@ -28,6 +28,7 @@
 use logrel_core::{CommunicatorId, HostId, Specification, TaskId, Tick};
 use logrel_obs::ObsEvent;
 use logrel_reliability::hoeffding_epsilon;
+use std::fmt;
 
 /// Configuration of the online monitor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -233,19 +234,29 @@ impl LrcMonitor {
     /// engaged (latched) — degraded configurations are not automatically
     /// re-upgraded, matching the operational practice of requiring
     /// explicit re-admission of a flaky replica.
-    pub fn with_rules(mut self, rules: Vec<DegradationRule>) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// A rule that can never act: one on a communicator without an LRC,
+    /// which never alarms, or a [`Response::DropReplica`] of a task that
+    /// is not in the spec.
+    pub fn with_rules(mut self, rules: Vec<DegradationRule>) -> Result<Self, RuleError> {
         for rule in &rules {
+            if !matches!(self.windows.get(rule.comm.index()), Some(Some(_))) {
+                return Err(RuleError::NoLrc(rule.comm));
+            }
             if let Response::DropReplica { task, host } = rule.response {
-                if let Some(row) = self.dropped.get_mut(task.index()) {
-                    if row.len() <= host.index() {
-                        row.resize(host.index() + 1, 0);
-                    }
+                let Some(row) = self.dropped.get_mut(task.index()) else {
+                    return Err(RuleError::UnknownTask(task));
+                };
+                if row.len() <= host.index() {
+                    row.resize(host.index() + 1, 0);
                 }
             }
         }
         self.engaged = vec![None; rules.len() * self.width()];
         self.rules = rules;
-        self
+        Ok(self)
     }
 
     /// The monitor's configuration.
@@ -536,6 +547,11 @@ impl Alarm {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Response {
     /// Drop `host`'s replica of `task` from execution and voting.
+    ///
+    /// A host that no mapping phase places a replica of `task` on has no
+    /// replica to drop, so the rule engages but changes nothing. The
+    /// monitor does not see the implementation, so
+    /// [`LrcMonitor::with_rules`] cannot reject such a rule.
     DropReplica {
         /// The replicated task.
         task: TaskId,
@@ -558,6 +574,29 @@ pub struct DegradationRule {
     /// The scripted response.
     pub response: Response,
 }
+
+/// Why [`LrcMonitor::with_rules`] rejected a rule: it could never act.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RuleError {
+    /// The rule watches a communicator that declares no LRC (or is not
+    /// in the spec), so it never alarms.
+    NoLrc(CommunicatorId),
+    /// The rule drops a replica of a task that is not in the spec.
+    UnknownTask(TaskId),
+}
+
+impl fmt::Display for RuleError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RuleError::NoLrc(c) => write!(f, "rule on communicator {} without an LRC", c.index()),
+            RuleError::UnknownTask(t) => {
+                write!(f, "rule drops a replica of unknown task {}", t.index())
+            }
+        }
+    }
+}
+
+impl std::error::Error for RuleError {}
 
 #[cfg(test)]
 mod tests {
@@ -1012,7 +1051,8 @@ mod tests {
                 comm: u,
                 response: Response::ModeSwitch { event: 3 },
             },
-        ]);
+        ])
+        .unwrap();
         assert!(!drops(&d, t, h, 0));
         for i in 0..60u64 {
             observe(&mut d, u, Tick::new(i * 10), Value::Unreliable);
@@ -1033,6 +1073,41 @@ mod tests {
         assert_eq!(d.mode_events().len(), 1, "mode switch fires once");
     }
 
+    /// Rules that could never act are rejected: one on a communicator
+    /// without an LRC (or outside the spec), and a replica drop of a task
+    /// outside the spec.
+    #[test]
+    fn rules_that_never_act_are_rejected() {
+        let (spec, comms) = spec_with_lrcs(&[0.9]);
+        let (s, u) = (comms[0], comms[1]);
+        let t = spec.find_task("t0").unwrap();
+        let monitor = || LrcMonitor::new(&spec, MonitorConfig::default());
+        let drop = |task| Response::DropReplica {
+            task,
+            host: HostId::new(0),
+        };
+        let rule = |comm, response| vec![DegradationRule { comm, response }];
+        let switch = Response::ModeSwitch { event: 0 };
+        assert_eq!(
+            monitor().with_rules(rule(s, switch)).err(),
+            Some(RuleError::NoLrc(s))
+        );
+        let outside = CommunicatorId::new(9);
+        assert_eq!(
+            monitor().with_rules(rule(outside, drop(t))).err(),
+            Some(RuleError::NoLrc(outside))
+        );
+        let ghost = TaskId::new(7);
+        let mut rules = rule(u, drop(t));
+        rules.extend(rule(u, drop(ghost)));
+        assert_eq!(
+            monitor().with_rules(rules).err(),
+            Some(RuleError::UnknownTask(ghost))
+        );
+        assert!(monitor().with_rules(rule(u, drop(t))).is_ok());
+        assert!(monitor().with_rules(rule(u, switch)).is_ok());
+    }
+
     /// Feeds one random reliable-mask stream to a `width`-lane monitor
     /// carrying random rules and to one [`OracleDegrader`] per lane, and
     /// checks lane by lane, after every update: what fired and in which
@@ -1048,11 +1123,11 @@ mod tests {
             .map(|_| pick_lrc(&mut rng, config.window, config.confidence))
             .collect();
         let (spec, comms) = spec_with_lrcs(&lrcs);
-        // Several rules per communicator, the unconstrained `s` included
-        // (whose rules never engage), over tasks and hosts that repeat.
+        // Several rules per LRC communicator (`with_rules` rejects one on
+        // the unconstrained `s`), over tasks and hosts that repeat.
         let rules: Vec<DegradationRule> = (0..rng.gen_range(0..8))
             .map(|_| DegradationRule {
-                comm: comms[rng.gen_range(0..comms.len())],
+                comm: comms[rng.gen_range(1..comms.len())],
                 response: if rng.gen_bool(0.5) {
                     Response::DropReplica {
                         task: TaskId::new(rng.gen_range(0..3)),
@@ -1065,7 +1140,9 @@ mod tests {
                 },
             })
             .collect();
-        let mut group = LrcMonitor::with_lanes(&spec, config, width).with_rules(rules.clone());
+        let mut group = LrcMonitor::with_lanes(&spec, config, width)
+            .with_rules(rules.clone())
+            .unwrap();
         let oracle = OracleDegrader::new(OracleMonitor::new(&spec, config), rules.clone());
         let mut oracles = vec![oracle; width];
         const RATES: [f64; 5] = [0.0, 0.05, 0.3, 0.7, 1.0];

@@ -1,17 +1,18 @@
 //! Lane-group observation: the counters, the vote histogram and the
-//! flight-recorder events of a group run, kept once per group.
+//! flight-recorder events of a group run, kept once per group and
+//! reported to the group's one sink.
 //!
 //! The kernel ([`crate::bitslice`]) already holds each replica's draw
 //! outcomes as lane masks — host up, broadcast delivered, warm, excluded
 //! — so [`GroupObs`] counts with [`MaskTally`]s over those masks instead
-//! of bumping per-lane counters, and writes the totals to the sinks once,
+//! of bumping per-lane counters, and writes the totals to the sink once,
 //! at the end of the run.
 //!
-//! A sink observes a *set* of lanes ([`LaneSets`]). On the public entry
-//! points every lane's sink observes that lane alone. A campaign unit is
-//! one set: one sink receives the totals summed over its lanes, and ends
-//! up as the lanes' singleton sinks merged in lane order would — so the
-//! group builds only what survives that merge.
+//! One sink observes every lane of the group. It ends up as the lanes'
+//! one-lane sinks merged in lane order would: lane 0's sink is the one
+//! handed in, continued from whatever it held before the run, and every
+//! other lane's is an empty sink of the same shape. So the group builds
+//! only what survives that merge, and a width-1 run is a one-lane run.
 //!
 //! Events take the same route. Each task read pushes one record into a
 //! single group ring ([`GroupRing`]): the instant, the task, the
@@ -22,15 +23,15 @@
 //! rules and their mode switches — reaches the ring verbatim, tagged with
 //! its lane, through [`GroupObs::fired`]. A lane's flight recorder is
 //! rebuilt from the ring only where someone can look at it: at each of
-//! its alarms (the automatic dump, while the lanes of its set up to it
-//! hold fewer than [`FlightRecorder::MAX_DUMPS`] dumps), and at the end
-//! of the run or when a panic unwinds through the kernel — for the one
-//! recording lane whose ring a set's sink keeps.
+//! its alarms (the automatic dump, while the lanes up to it hold fewer
+//! than [`FlightRecorder::MAX_DUMPS`] dumps), and, for lane 0, whose
+//! ring the merged registry keeps, at the end of the run or when a panic
+//! unwinds through the kernel.
 //!
 //! Every task read gives every lane at least one event, its vote, so the
 //! last `c` task records (and the verbatim events after the oldest of
-//! them) hold each lane's last `c` events: the ring keeps at least as
-//! many records as the largest recorder holds events.
+//! them) hold each lane's last `c` events: the ring keeps as many
+//! records as the recorder holds events.
 
 use crate::bitslice::MaskTally;
 use crate::monitor::{AlarmKind, Fired};
@@ -331,40 +332,24 @@ impl GroupRing {
     }
 }
 
-/// Which lanes each sink of a group run observes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LaneSets {
-    /// Every lane's sink observes that lane alone: the public entry
-    /// points, whose callers read each lane's sink.
-    Singletons,
-    /// One sink observes every lane — the first recording lane's, else
-    /// the first observed lane's — and ends up as the registry the
-    /// lanes' singleton sinks merge into, in lane order. Every other sink
-    /// is left as it came. A campaign unit's sets (see
-    /// [`GroupObs::flush`]).
-    Whole,
-}
-
 /// The observation state of one lane-group run: counters and the vote
 /// histogram as [`MaskTally`]s, each host's up mask, the group event
 /// ring and the alarm dumps built so far. See the module docs.
 #[derive(Debug)]
 pub(crate) struct GroupObs {
-    sets: LaneSets,
     all: u64,
-    /// Lanes whose sink is enabled.
-    observed: u64,
-    /// Lanes whose sink carries a flight recorder, and each lane's
-    /// recorder capacity.
-    recording: u64,
-    capacity: Vec<usize>,
+    /// Whether the sink is enabled, and whether it carries a flight
+    /// recorder, of `capacity` events.
+    enabled: bool,
+    recording: bool,
+    capacity: usize,
     counts: MaskTally,
     /// Task reads tallied so far.
     reads: u64,
     /// Per lane: events that reached the ring verbatim.
     verbatim: Vec<u64>,
-    /// Per lane: the dumps its recorder holds, and those built in this
-    /// run, which reach the recorder with the rest of the lane's state.
+    /// Per lane: the dumps its one-lane recorder holds, and those built
+    /// in this run, which reach the sink's recorder in lane order.
     held: Vec<usize>,
     dumps: Vec<Vec<Dump>>,
     /// Per host: the lanes that last saw it up.
@@ -384,41 +369,29 @@ pub(crate) struct GroupObs {
     ring: GroupRing,
 }
 
-/// The lanes of `mask`, in order.
-fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (mask != 0).then(|| {
-            let lane = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            lane
-        })
-    })
-}
-
 impl GroupObs {
-    /// The observation state of a group over `sinks` (one per lane), on
-    /// `hosts` hosts with tasks of at most `max_replicas` replicas, each
-    /// sink observing `sets`. A recorder's events from before the run
-    /// enter the ring first, so its rebuilt ring continues them.
-    pub(crate) fn new<'m, M: MetricsSink + 'm>(
-        sinks: impl ExactSizeIterator<Item = &'m mut M>,
+    /// The observation state of a group of `lanes` lanes reporting to
+    /// `sink`, on `hosts` hosts with tasks of at most `max_replicas`
+    /// replicas. Lane 0 continues the sink's recorder: its events from
+    /// before the run enter the ring first, and its dumps count toward
+    /// the cap.
+    pub(crate) fn new<M: MetricsSink + ?Sized>(
+        sink: &mut M,
+        lanes: usize,
         hosts: usize,
         max_replicas: usize,
-        sets: LaneSets,
     ) -> Self {
-        let n = sinks.len();
-        let all = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+        let all = u64::MAX >> (64 - lanes);
         let mut obs = GroupObs {
-            sets,
             all,
-            observed: 0,
-            recording: 0,
-            capacity: vec![0; n],
-            counts: MaskTally::new(0, n),
+            enabled: sink.enabled(),
+            recording: false,
+            capacity: 0,
+            counts: MaskTally::new(0, lanes),
             reads: 0,
-            verbatim: vec![0; n],
-            held: vec![0; n],
-            dumps: (0..n).map(|_| Vec::new()).collect(),
+            verbatim: vec![0; lanes],
+            held: vec![0; lanes],
+            dumps: (0..lanes).map(|_| Vec::new()).collect(),
             host_up: Vec::new(),
             at: 0,
             task: 0,
@@ -428,47 +401,27 @@ impl GroupObs {
             exactly: vec![0; max_replicas + 1],
             ring: GroupRing::default(),
         };
-        for (lane, sink) in sinks.enumerate() {
-            if !sink.enabled() {
-                continue;
-            }
-            obs.observed |= 1 << lane;
-            if let Some(rec) = sink.flight_recorder() {
-                obs.recording |= 1 << lane;
-                obs.capacity[lane] = rec.capacity();
-                obs.held[lane] = rec.dumps().len();
-                for event in rec.events() {
-                    obs.ring.push_verbatim(lane, event.clone());
-                    obs.verbatim[lane] += 1;
-                }
-            }
+        if !obs.enabled {
+            return obs;
         }
-        if obs.observed != 0 {
-            obs.counts = MaskTally::new(PER_VOTE + max_replicas + 1, n);
-            obs.host_up = vec![all; hosts];
-            obs.ring
-                .set_keep(obs.capacity.iter().copied().max().unwrap_or(0));
+        obs.counts = MaskTally::new(PER_VOTE + max_replicas + 1, lanes);
+        obs.host_up = vec![all; hosts];
+        if let Some(rec) = sink.flight_recorder() {
+            obs.recording = true;
+            obs.capacity = rec.capacity();
+            obs.held[0] = rec.dumps().len();
+            for event in rec.events() {
+                obs.ring.push_verbatim(0, event.clone());
+                obs.verbatim[0] += 1;
+            }
+            obs.ring.set_keep(obs.capacity);
         }
         obs
     }
 
-    /// Whether any lane is observed.
+    /// Whether the sink is enabled.
     pub(crate) fn enabled(&self) -> bool {
-        self.observed != 0
-    }
-
-    /// The lanes lane `lane`'s sink observes (none when another lane's
-    /// sink observes them, or the lane is not observed).
-    fn set(&self, lane: usize) -> u64 {
-        let first = match self.recording {
-            0 => self.observed,
-            recording => recording,
-        };
-        match self.sets {
-            LaneSets::Singletons => self.observed & 1 << lane,
-            LaneSets::Whole if first.trailing_zeros() as usize == lane => self.observed,
-            LaneSets::Whole => 0,
-        }
+        self.enabled
     }
 
     /// Opens the read of task `task` at `at`, which executes on `exec`.
@@ -548,7 +501,7 @@ impl GroupObs {
             self.counts.add(VOTE_TIE, tie, all);
         }
         self.reads += 1;
-        if self.recording != 0 {
+        if self.recording {
             let [majority, tie] = outcomes.unwrap_or_default();
             let read = Read {
                 at: self.at,
@@ -564,20 +517,20 @@ impl GroupObs {
         self.open.clear();
     }
 
-    /// Takes what the group monitor fired on lane `lane`, whose sink is
-    /// `sink`: its counters are tallied for the lane's set, and its
-    /// events go the way of [`GroupObs::event`] — an alarm transition's,
-    /// or an engaged rule's followed by its mode switch, if any.
+    /// Takes what the group monitor fired on lane `lane`: its counters
+    /// are tallied, and its events go the way of [`GroupObs::event`] — an
+    /// alarm transition's, or an engaged rule's followed by its mode
+    /// switch, if any.
     pub(crate) fn fired<M: MetricsSink + ?Sized>(
         &mut self,
         lane: usize,
         fired: Fired<'_>,
         sink: &mut M,
     ) {
-        let bit = 1u64 << lane;
-        if self.observed & bit == 0 {
+        if !self.enabled {
             return;
         }
+        let bit = 1u64 << lane;
         match fired {
             Fired::Alarm(alarm) => {
                 let key = match alarm.kind {
@@ -604,31 +557,20 @@ impl GroupObs {
         }
     }
 
-    /// Takes `event`, fired by the monitor for lane `lane` whose sink is
-    /// `sink`: into the ring when the lane records, else to the sink
-    /// when the sink observes the lane alone (a recorder-less lane of a
-    /// whole-group set keeps no events, as a recorder-less registry
-    /// keeps none). An alarm builds the lane's dump from the ring, unless
-    /// the lanes of its set up to it already hold
-    /// [`FlightRecorder::MAX_DUMPS`] dumps: the set's registry keeps only
-    /// the first that many, in lane order.
+    /// Takes `event`, fired by the monitor for lane `lane`: into the ring
+    /// when the sink records, else straight to the sink. An alarm builds
+    /// the lane's dump from the ring, unless the lanes up to it already
+    /// hold [`FlightRecorder::MAX_DUMPS`] dumps: the merged registry
+    /// keeps only the first that many, in lane order.
     fn event<M: MetricsSink + ?Sized>(&mut self, lane: usize, event: &ObsEvent, sink: &mut M) {
-        if self.recording & (1 << lane) == 0 {
-            if self.sets == LaneSets::Singletons {
-                sink.event(event);
-            }
+        if !self.recording {
+            sink.event(event);
             return;
         }
         self.ring.push_verbatim(lane, event.clone());
         self.verbatim[lane] += 1;
         if let ObsEvent::AlarmRaised { at, comm, .. } = *event {
-            // The lanes of its set up to this one.
-            let upto = match self.sets {
-                LaneSets::Singletons => 1 << lane,
-                LaneSets::Whole => self.observed & (u64::MAX >> (63 - lane)),
-            };
-            let held: usize = lanes_of(upto).map(|l| self.held[l]).sum();
-            if held < FlightRecorder::MAX_DUMPS {
+            if self.held[..=lane].iter().sum::<usize>() < FlightRecorder::MAX_DUMPS {
                 let (_, kept) = self.events(lane);
                 self.dumps[lane].push(Dump {
                     at,
@@ -640,109 +582,96 @@ impl GroupObs {
         }
     }
 
-    /// Writes each set's totals to the sink observing it once the run is
-    /// over: `kernel(set)` (the counts the group keeps for every lane,
-    /// summed over the set), the tallied counters and the vote histogram
-    /// — nonzero totals only, so the registry has an entry exactly where
-    /// per-event counting would have made one — and then everything
-    /// [`GroupObs::restore`] writes.
+    /// Writes the group's totals to `sink` once the run is over:
+    /// `kernel` (the counts the kernel keeps, summed over the lanes), the
+    /// tallied counters and the vote histogram — nonzero totals only, so
+    /// the registry has an entry exactly where per-event counting would
+    /// have made one — and then everything [`GroupObs::restore`] writes.
     ///
-    /// A set's totals are the sums of its lanes': counters and histogram
-    /// buckets add, the histogram's sum is a sum of integers (exact in
-    /// `f64`), and gauges take the last lane's value — so a whole-group
-    /// sink ends up as its lanes' singleton sinks merged in lane order.
-    pub(crate) fn flush<'m, M: MetricsSink + 'm>(
+    /// The totals are the sums of the lanes': counters and histogram
+    /// buckets add, and the histogram's sum is a sum of integers (exact
+    /// in `f64`).
+    pub(crate) fn flush<M: MetricsSink + ?Sized>(
         &mut self,
-        sinks: impl Iterator<Item = &'m mut M>,
-        kernel: impl Fn(u64) -> [(&'static str, u64); 5],
+        sink: &mut M,
+        kernel: [(&'static str, u64); 5],
     ) {
-        for (lane, sink) in sinks.enumerate() {
-            let set = self.set(lane);
-            if set == 0 {
-                continue;
+        let sum = |key| self.counts.sum(key, self.all);
+        let per_vote: Vec<u64> = (0..self.exactly.len()).map(|k| sum(PER_VOTE + k)).collect();
+        let ok = per_vote
+            .iter()
+            .enumerate()
+            .map(|(k, &n)| k as u64 * n)
+            .sum();
+        let silent = per_vote[0];
+        let votes = self.reads * u64::from(self.all.count_ones());
+        let unanimous = votes - silent - sum(VOTE_MAJORITY) - sum(VOTE_TIE);
+        let drops = (DROP_SILENT..=DROP_EXCLUDED).map(sum).sum();
+        let counters = kernel
+            .into_iter()
+            .chain([
+                (names::REPLICA_OK, ok),
+                (names::REPLICA_DROP, drops),
+                (names::VOTE_UNANIMOUS, unanimous),
+                (names::VOTE_SILENT, silent),
+            ])
+            .chain(TALLIED.iter().map(|&(name, key)| (name, sum(key))));
+        for (name, v) in counters {
+            if v != 0 {
+                sink.add(name, v);
             }
-            let sum = |key| self.counts.sum(key, set);
-            let per_vote: Vec<u64> = (0..self.exactly.len()).map(|k| sum(PER_VOTE + k)).collect();
-            let ok = per_vote
-                .iter()
-                .enumerate()
-                .map(|(k, &n)| k as u64 * n)
-                .sum();
-            let silent = per_vote[0];
-            let votes = self.reads * u64::from(set.count_ones());
-            let unanimous = votes - silent - sum(VOTE_MAJORITY) - sum(VOTE_TIE);
-            let drops = (DROP_SILENT..=DROP_EXCLUDED).map(sum).sum();
-            let counters = kernel(set)
-                .into_iter()
-                .chain([
-                    (names::REPLICA_OK, ok),
-                    (names::REPLICA_DROP, drops),
-                    (names::VOTE_UNANIMOUS, unanimous),
-                    (names::VOTE_SILENT, silent),
-                ])
-                .chain(TALLIED.iter().map(|&(name, key)| (name, sum(key))));
-            for (name, v) in counters {
-                if v != 0 {
-                    sink.add(name, v);
-                }
-            }
-            for (k, &count) in per_vote.iter().enumerate() {
-                if count != 0 {
-                    sink.observe_n(names::REPLICAS_PER_VOTE, k as f64, count);
-                }
-            }
-            self.restore(lane, set, sink);
         }
+        for (k, &count) in per_vote.iter().enumerate() {
+            if count != 0 {
+                sink.observe_n(names::REPLICAS_PER_VOTE, k as f64, count);
+            }
+        }
+        self.restore(sink);
     }
 
     /// Writes the state per-event observation keeps current, so a panic
-    /// unwinding through the kernel leaves it behind too, for the lanes
-    /// `set` to lane `lane`'s sink `sink`: the monitor's counters, the last
-    /// lane's hosts-up gauge and, when the set records, the recorder
-    /// state that survives a merge of the set's singleton sinks — the
-    /// first recording lane's (this sink's) rebuilt ring, every recording
-    /// lane's evictions, and their alarm dumps in lane order (the
+    /// unwinding through the kernel leaves it behind too: the monitor's
+    /// counters, the last lane's hosts-up gauge (a merge keeps the last
+    /// gauge) and, when the sink records, the recorder state that
+    /// survives the merge of the one-lane sinks — lane 0's rebuilt ring,
+    /// every lane's evictions, and the alarm dumps in lane order (the
     /// recorder keeps the first [`FlightRecorder::MAX_DUMPS`]).
-    fn restore<M: MetricsSink + ?Sized>(&mut self, lane: usize, set: u64, sink: &mut M) {
+    fn restore<M: MetricsSink + ?Sized>(&mut self, sink: &mut M) {
         for (name, key) in [
             (names::ALARM_RAISED, ALARM_RAISED),
             (names::ALARM_CLEARED, ALARM_CLEARED),
             (names::DEGRADER_ENGAGED, DEGRADER_ENGAGED),
             (names::MODE_SWITCH, MODE_SWITCH),
         ] {
-            let v = self.counts.sum(key, set);
+            let v = self.counts.sum(key, self.all);
             if v != 0 {
                 sink.add(name, v);
             }
         }
-        let last = 1u64 << (63 - set.leading_zeros());
+        let last = 1u64 << (63 - self.all.leading_zeros());
         let up = self.host_up.iter().filter(|&&m| m & last != 0).count();
         sink.set_gauge(names::HOSTS_UP, up as f64);
-        let recording = self.recording & set;
-        if recording == 0 {
+        if !self.recording {
             return;
         }
-        debug_assert_eq!(recording.trailing_zeros() as usize, lane);
         let Some(rec) = sink.flight_recorder() else {
             return;
         };
-        let evicted = lanes_of(recording)
-            .map(|l| {
-                let (events, kept) = self.events(l);
+        let evicted = (0..self.verbatim.len())
+            .map(|lane| {
+                let (events, kept) = self.events(lane);
                 events - kept as u64
             })
             .sum();
-        let (_, kept) = self.events(lane);
-        rec.install_ring(self.ring.tail(lane, kept), evicted);
-        for l in lanes_of(recording) {
-            for dump in std::mem::take(&mut self.dumps[l]) {
-                rec.install_dump(dump.at, dump.trigger, dump.events);
-            }
+        let (_, kept) = self.events(0);
+        rec.install_ring(self.ring.tail(0, kept), evicted);
+        for dump in self.dumps.iter_mut().flat_map(std::mem::take) {
+            rec.install_dump(dump.at, dump.trigger, dump.events);
         }
     }
 
-    /// Recording lane `lane`'s events so far, and how many of the last of
-    /// them its recorder holds.
+    /// Lane `lane`'s events so far, and how many of the last of them its
+    /// recorder holds.
     fn events(&self, lane: usize) -> (u64, usize) {
         let get = |key| self.counts.get(key, lane);
         let events = self.reads
@@ -750,39 +679,34 @@ impl GroupObs {
             + get(HOST_UP)
             + get(HOST_DOWN)
             + self.verbatim[lane];
-        (events, events.min(self.capacity[lane] as u64) as usize)
+        (events, events.min(self.capacity as u64) as usize)
     }
 
     /// Moves the open read's replica events — a panic cut the read short
     /// before its vote — into the ring as verbatim events, where the
     /// tallies already count them.
     fn close_unwound_read(&mut self) {
-        for lane in lanes_of(self.recording) {
-            let bit = 1u64 << lane;
-            let mut events = VecDeque::new();
-            for rep in self.open.iter().rev() {
-                rep.lane_events_rev(self.at, self.task, self.exec, bit, |e| events.push_front(e));
-            }
-            for event in events {
-                self.ring.push_verbatim(lane, event);
+        if self.recording {
+            for lane in 0..self.verbatim.len() {
+                let bit = 1u64 << lane;
+                let mut events = VecDeque::new();
+                for rep in self.open.iter().rev() {
+                    rep.lane_events_rev(self.at, self.task, self.exec, bit, |e| {
+                        events.push_front(e)
+                    });
+                }
+                for event in events {
+                    self.ring.push_verbatim(lane, event);
+                }
             }
         }
         self.open.clear();
     }
 
-    /// [`GroupObs::restore`] for every set of `sinks`, after a panic
-    /// interrupted the run.
-    pub(crate) fn unwind<'m, M: MetricsSink + 'm>(
-        &mut self,
-        sinks: impl Iterator<Item = &'m mut M>,
-    ) {
+    /// [`GroupObs::restore`] to `sink`, after a panic interrupted the run.
+    pub(crate) fn unwind<M: MetricsSink + ?Sized>(&mut self, sink: &mut M) {
         self.close_unwound_read();
-        for (lane, sink) in sinks.enumerate() {
-            let set = self.set(lane);
-            if set != 0 {
-                self.restore(lane, set, sink);
-            }
-        }
+        self.restore(sink);
     }
 }
 
@@ -894,19 +818,26 @@ mod tests {
             .collect()
     }
 
-    /// The events and counters one lane's own sink receives when the
-    /// kernel observes it event by event.
+    /// One lane's own sink, fed event by event: the events go to `sink`
+    /// as they happen (its recorder dumps at each alarm), and the counters
+    /// wait in `counters` for the end of a completed run.
     struct LaneOracle {
-        recorder: Option<FlightRecorder>,
-        host_up: [bool; 3],
+        sink: Registry,
         counters: Registry,
+        host_up: [bool; 3],
     }
 
     impl LaneOracle {
-        fn push(&mut self, event: ObsEvent) {
-            if let Some(rec) = &mut self.recorder {
-                rec.push(event);
+        fn new(sink: Registry) -> Self {
+            LaneOracle {
+                sink,
+                counters: Registry::new(),
+                host_up: [true; 3],
             }
+        }
+
+        fn push(&mut self, event: ObsEvent) {
+            self.sink.event(&event);
         }
 
         fn replica(&mut self, at: u64, task: usize, exec: u64, r: &ReplicaMasks, bit: u64) -> bool {
@@ -953,6 +884,18 @@ mod tests {
             }
             false
         }
+
+        /// The lane's sink at the end of the run: the counters of a
+        /// completed run (an unwound one writes none of the kernel's) and
+        /// the hosts-up gauge.
+        fn finish(mut self, completed: bool) -> Registry {
+            if completed {
+                self.sink.merge(self.counters);
+            }
+            let ups = self.host_up.iter().filter(|&&up| up).count();
+            self.sink.set_gauge(names::HOSTS_UP, ups as f64);
+            self.sink
+        }
     }
 
     /// A panic after the replicas `.1` of one more read on `.0` were
@@ -978,10 +921,10 @@ mod tests {
         Some((exec, replicas))
     }
 
-    /// Drives a group run of `steps` over `sinks`, each observing `sets`,
-    /// as the kernel does: flushed at the end, or unwound by a panic.
-    fn drive(steps: &[Step], sinks: &mut [Registry], sets: LaneSets, unwound: &Unwound) {
-        let mut obs = GroupObs::new(sinks.iter_mut(), 3, 4, sets);
+    /// Drives the steps of a group run of `width` lanes reporting to
+    /// `sink`, as the kernel does.
+    fn drive(steps: &[Step], width: usize, sink: &mut Registry) -> GroupObs {
+        let mut obs = GroupObs::new(sink, width, 3, 4);
         for step in steps {
             match step {
                 Step::Read {
@@ -997,94 +940,152 @@ mod tests {
                     }
                     obs.vote(*outcomes);
                 }
-                Step::Event(lane, event) => obs.event(*lane, event, &mut sinks[*lane]),
+                Step::Event(lane, event) => obs.event(*lane, event, sink),
             }
         }
+        obs
+    }
+
+    /// Ends a driven run: flushed, or unwound by a panic.
+    fn finish(mut obs: GroupObs, sink: &mut Registry, unwound: &Unwound) {
         match unwound {
             Some((exec, replicas)) => {
                 obs.begin_read(1 << 40, 0, *exec);
                 for r in replicas {
                     obs.replica(*r);
                 }
-                obs.unwind(sinks.iter_mut());
+                obs.unwind(sink);
             }
-            None => obs.flush(sinks.iter_mut(), |_| [(names::ROUNDS, 0); 5]),
+            None => obs.flush(sink, [(names::ROUNDS, 0); 5]),
         }
     }
 
-    /// Per lane: no recorder, or one of capacity 1, 2, 7 or 256 up to a
-    /// random largest, possibly holding events from before the run.
-    fn random_sinks(rng: &mut StdRng, width: usize) -> Vec<Registry> {
-        let capacities = [1, 2, 7, 256];
-        let largest = rng.gen_range(0..capacities.len());
-        (0..width)
-            .map(|_| {
-                let capacity = match rng.gen_range(0..5) {
-                    0 => 0,
-                    1 | 2 => capacities[largest],
-                    _ => capacities[rng.gen_range(0..=largest)],
-                };
-                let mut sink = if capacity == 0 {
-                    Registry::new()
+    /// No recorder, or one of capacity 1, 2, 7 or 256, possibly holding
+    /// events and alarm dumps from before the run.
+    fn random_sink(rng: &mut StdRng) -> Registry {
+        let mut sink = match rng.gen_range(0..5) {
+            0 => Registry::new(),
+            k => Registry::with_recorder([1, 2, 7, 256][k - 1]),
+        };
+        for at in 0..rng.gen_range(0..3) {
+            sink.event(&ObsEvent::HostUp { at, host: 9 });
+        }
+        if rng.gen_bool(0.2) {
+            for at in 0..rng.gen_range(1..=FlightRecorder::MAX_DUMPS) as u64 {
+                sink.event(&alarm(at));
+            }
+        }
+        sink
+    }
+
+    fn alarm(at: u64) -> ObsEvent {
+        ObsEvent::AlarmRaised {
+            at,
+            comm: 0,
+            mean: 0.5,
+            epsilon: 0.25,
+            lrc: 0.9,
+        }
+    }
+
+    /// Runs `steps` over `width` lanes reporting to a copy of `sink`, and
+    /// checks the one contract against the per-event oracle: the group
+    /// sink equals, as a whole `Registry`, the lanes' own sinks merged in
+    /// lane order — lane 0's continuing `sink`, every other lane's an
+    /// empty sink of its shape, each fed its lane's events one at a time.
+    fn check_against_lane_oracles(
+        steps: &[Step],
+        width: usize,
+        sink: &Registry,
+        unwound: &Unwound,
+    ) {
+        let mut group = sink.clone();
+        let obs = drive(steps, width, &mut group);
+        finish(obs, &mut group, unwound);
+
+        let empty = match sink.recorder() {
+            Some(rec) => Registry::with_recorder(rec.capacity()),
+            None => Registry::new(),
+        };
+        let mut oracles: Vec<LaneOracle> = (0..width)
+            .map(|lane| {
+                LaneOracle::new(if lane == 0 {
+                    sink.clone()
                 } else {
-                    Registry::with_recorder(capacity)
-                };
-                for at in 0..rng.gen_range(0..3) {
-                    sink.event(&ObsEvent::HostUp { at, host: 9 });
-                }
-                sink
+                    empty.clone()
+                })
             })
-            .collect()
-    }
-
-    /// `sinks` merged in order into `into`.
-    fn merged(mut into: Registry, sinks: Vec<Registry>) -> Registry {
-        for sink in sinks {
-            into.merge(sink);
-        }
-        into
-    }
-
-    /// A whole-group run of `steps` against the same run's singleton
-    /// sinks merged in lane order: equal registries — counters, gauges,
-    /// histograms, the first recording lane's live ring, the evictions
-    /// and the dumps — merged into an empty registry and into one with a
-    /// recorder of its own, and every sink but the observing one left as
-    /// it came.
-    fn check_whole_matches_singletons(steps: &[Step], sinks: &[Registry], unwound: &Unwound) {
-        let mut singletons = sinks.to_vec();
-        drive(steps, &mut singletons, LaneSets::Singletons, unwound);
-        let mut whole = sinks.to_vec();
-        drive(steps, &mut whole, LaneSets::Whole, unwound);
-        let target = whole
-            .iter()
-            .position(|s| s.recorder().is_some())
-            .unwrap_or(0);
-        for (lane, (after, before)) in whole.iter().zip(sinks).enumerate() {
-            if lane != target {
-                assert_eq!(after, before, "lane {} sink left as it came", lane);
+            .collect();
+        for step in steps {
+            match step {
+                Step::Read {
+                    at,
+                    task,
+                    exec,
+                    replicas,
+                    outcomes,
+                } => {
+                    for (lane, oracle) in oracles.iter_mut().enumerate() {
+                        let bit = 1 << lane;
+                        let delivered = replicas
+                            .iter()
+                            .filter(|r| oracle.replica(*at, *task, *exec, r, bit))
+                            .count();
+                        let outcome = match outcomes {
+                            _ if delivered == 0 => VoteOutcome::Silent,
+                            Some([m, _]) if m & bit != 0 => VoteOutcome::Majority,
+                            Some([_, t]) if t & bit != 0 => VoteOutcome::Tie,
+                            _ => VoteOutcome::Unanimous,
+                        };
+                        let name = match outcome {
+                            VoteOutcome::Unanimous => names::VOTE_UNANIMOUS,
+                            VoteOutcome::Majority => names::VOTE_MAJORITY,
+                            VoteOutcome::Tie => names::VOTE_TIE,
+                            VoteOutcome::Silent => names::VOTE_SILENT,
+                        };
+                        oracle.counters.inc(name);
+                        oracle
+                            .counters
+                            .observe(names::REPLICAS_PER_VOTE, delivered as f64);
+                        oracle.push(ObsEvent::Vote {
+                            at: *at,
+                            task: *task,
+                            outcome,
+                            delivered,
+                            replicas: replicas.len(),
+                        });
+                    }
+                }
+                Step::Event(lane, event) => oracles[*lane].push(event.clone()),
             }
         }
-        for into in [Registry::new(), Registry::with_recorder(5)] {
-            assert_eq!(
-                merged(into.clone(), whole.clone()),
-                merged(into, singletons.clone())
-            );
+        if let Some((exec, replicas)) = unwound {
+            for r in replicas {
+                for (lane, oracle) in oracles.iter_mut().enumerate() {
+                    oracle.replica(1 << 40, 0, *exec, r, 1 << lane);
+                }
+            }
         }
+        let mut lanes = oracles.into_iter().map(|o| o.finish(unwound.is_none()));
+        let mut merged = lanes.next().expect("one lane at least");
+        for lane in lanes {
+            merged.merge(lane);
+        }
+        assert_eq!(group, merged, "width {width}");
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The group ring, rebuilt per lane, against plain per-lane
-        /// flight recorders fed every event one at a time: equal dumps,
-        /// live rings, eviction counts, counters and hosts-up gauges on
-        /// every lane — after a completed run, or after a panic cut the
-        /// last read short.
+        /// The group sink — counters, the vote histogram, the hosts-up
+        /// gauge, lane 0's live ring, the evictions and the dumps — against
+        /// the lanes' own sinks fed every event one at a time and merged
+        /// in lane order, at widths 1, 7, 64 and any other, after a
+        /// completed run or after a panic cut the last read short.
         #[test]
         fn group_ring_matches_per_lane_recorders(
             seed in any::<u64>(),
-            width in 1usize..=64,
+            width in prop_oneof![Just(1usize), Just(7usize), Just(64usize), 1usize..=64],
             len in 0usize..=700,
             corrupting in any::<bool>(),
             unwound in any::<bool>(),
@@ -1092,125 +1093,21 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             // Quiet runs give lanes long stretches of reads whose only
             // event is the vote, where the ring must keep exactly as many
-            // reads as the largest recorder holds events.
+            // reads as the recorder holds events.
             let noise = [0.0, 0.01, 0.3][rng.gen_range(0..3)];
             let steps = random_steps(&mut rng, width, len, noise, corrupting);
-            let mut sinks = random_sinks(&mut rng, width);
+            let sink = random_sink(&mut rng);
             let unwound = if unwound { random_unwound(&mut rng, width, noise) } else { None };
-            let mut oracles: Vec<_> = sinks
-                .iter()
-                .map(|sink| {
-                    let recorder = sink.recorder().cloned();
-                    LaneOracle { recorder, host_up: [true; 3], counters: Registry::new() }
-                })
-                .collect();
-            drive(&steps, &mut sinks, LaneSets::Singletons, &unwound);
-
-            for step in &steps {
-                match step {
-                    Step::Read { at, task, exec, replicas, outcomes } => {
-                        for (lane, oracle) in oracles.iter_mut().enumerate() {
-                            let bit = 1 << lane;
-                            let delivered = replicas
-                                .iter()
-                                .filter(|r| oracle.replica(*at, *task, *exec, r, bit))
-                                .count();
-                            let outcome = match outcomes {
-                                _ if delivered == 0 => VoteOutcome::Silent,
-                                Some([m, _]) if m & bit != 0 => VoteOutcome::Majority,
-                                Some([_, t]) if t & bit != 0 => VoteOutcome::Tie,
-                                _ => VoteOutcome::Unanimous,
-                            };
-                            let name = match outcome {
-                                VoteOutcome::Unanimous => names::VOTE_UNANIMOUS,
-                                VoteOutcome::Majority => names::VOTE_MAJORITY,
-                                VoteOutcome::Tie => names::VOTE_TIE,
-                                VoteOutcome::Silent => names::VOTE_SILENT,
-                            };
-                            oracle.counters.inc(name);
-                            oracle.counters.observe(names::REPLICAS_PER_VOTE, delivered as f64);
-                            oracle.push(ObsEvent::Vote {
-                                at: *at,
-                                task: *task,
-                                outcome,
-                                delivered,
-                                replicas: replicas.len(),
-                            });
-                        }
-                    }
-                    Step::Event(lane, event) => oracles[*lane].push(event.clone()),
-                }
-            }
-            if let Some((exec, replicas)) = &unwound {
-                for r in replicas {
-                    for (lane, oracle) in oracles.iter_mut().enumerate() {
-                        oracle.replica(1 << 40, 0, *exec, r, 1 << lane);
-                    }
-                }
-            }
-
-            for (lane, (sink, oracle)) in sinks.iter().zip(&oracles).enumerate() {
-                let ups = oracle.host_up.iter().filter(|&&up| up).count();
-                prop_assert_eq!(sink.gauge(names::HOSTS_UP), Some(ups as f64), "lane {}", lane);
-                if unwound.is_none() {
-                    let counters: Vec<_> = sink.counters().collect();
-                    let expected: Vec<_> = oracle.counters.counters().collect();
-                    prop_assert_eq!(counters, expected, "lane {} counters", lane);
-                    prop_assert_eq!(
-                        sink.histogram(names::REPLICAS_PER_VOTE),
-                        oracle.counters.histogram(names::REPLICAS_PER_VOTE),
-                        "lane {} histogram", lane
-                    );
-                }
-                let (Some(rec), Some(expected)) = (sink.recorder(), &oracle.recorder) else {
-                    prop_assert!(sink.recorder().is_none() && oracle.recorder.is_none());
-                    continue;
-                };
-                prop_assert_eq!(rec.dumps(), expected.dumps(), "lane {} dumps", lane);
-                prop_assert_eq!(
-                    rec.events().collect::<Vec<_>>(),
-                    expected.events().collect::<Vec<_>>(),
-                    "lane {} live ring", lane
-                );
-                prop_assert_eq!(rec.dropped(), expected.dropped(), "lane {} evictions", lane);
-            }
-        }
-
-        /// One sink observing the whole group equals the group's
-        /// singleton sinks merged in lane order, at every width, over
-        /// recorder capacities that differ lane by lane, after a
-        /// completed or an unwound run.
-        #[test]
-        fn whole_group_sink_matches_merged_singletons(
-            seed in any::<u64>(),
-            width in 1usize..=64,
-            len in 0usize..=700,
-            corrupting in any::<bool>(),
-            unwound in any::<bool>(),
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let noise = [0.0, 0.01, 0.3][rng.gen_range(0..3)];
-            let steps = random_steps(&mut rng, width, len, noise, corrupting);
-            let sinks = random_sinks(&mut rng, width);
-            let unwound = if unwound { random_unwound(&mut rng, width, noise) } else { None };
-            check_whole_matches_singletons(&steps, &sinks, &unwound);
+            check_against_lane_oracles(&steps, width, &sink, &unwound);
         }
     }
 
     /// The dump cap's edge: lane 1 dumps early, lane 0 reaches exactly
     /// [`FlightRecorder::MAX_DUMPS`] dumps in the middle of the run, and
-    /// later alarms on lanes 1 and 2 are never built — the whole-group
-    /// sink still equals the merged singletons, which keep lane 0's dumps
-    /// only.
+    /// later alarms on lanes 1 and 2 are never built — the group sink
+    /// still equals the merged lane sinks, which keep lane 0's dumps only.
     #[test]
-    fn whole_group_dumps_stop_at_the_cap() {
-        let alarm = |at| ObsEvent::AlarmRaised {
-            at,
-            comm: 0,
-            mean: 0.5,
-            epsilon: 0.25,
-            lrc: 0.9,
-        };
+    fn group_dumps_stop_at_the_cap() {
         let read = |at| Step::Read {
             at,
             task: 0,
@@ -1231,31 +1128,15 @@ mod tests {
         }
         steps.push(Step::Event(2, alarm(100)));
         steps.push(Step::Event(1, alarm(100)));
-        let sinks = vec![Registry::with_recorder(4); 3];
-        check_whole_matches_singletons(&steps, &sinks, &None);
+        let sink = Registry::with_recorder(4);
+        check_against_lane_oracles(&steps, 3, &sink, &None);
 
-        let mut whole = sinks.clone();
-        let mut obs = GroupObs::new(whole.iter_mut(), 3, 4, LaneSets::Whole);
-        for step in &steps {
-            match step {
-                Step::Read {
-                    at,
-                    task,
-                    exec,
-                    replicas,
-                    outcomes,
-                } => {
-                    obs.begin_read(*at, *task, *exec);
-                    obs.replica(replicas[0]);
-                    obs.vote(*outcomes);
-                }
-                Step::Event(lane, event) => obs.event(*lane, event, &mut whole[*lane]),
-            }
-        }
+        let mut group = sink.clone();
+        let obs = drive(&steps, 3, &mut group);
         let built: Vec<usize> = obs.dumps.iter().map(Vec::len).collect();
         assert_eq!(built, [FlightRecorder::MAX_DUMPS, 1, 0]);
-        obs.flush(whole.iter_mut(), |_| [(names::ROUNDS, 0); 5]);
-        let dumps = whole[0].recorder().unwrap().dumps();
+        finish(obs, &mut group, &None);
+        let dumps = group.recorder().unwrap().dumps();
         assert!(dumps
             .iter()
             .all(|d| d.events.last().is_some_and(|e| e.at() >= 10)));

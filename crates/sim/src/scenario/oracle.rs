@@ -411,7 +411,6 @@ mod tests {
     use super::*;
     use crate::behavior::BehaviorMap;
     use crate::bitslice::{BitslicedOutput, LaneContext};
-    use crate::observe::LaneSets;
     use crate::environment::ConstantEnvironment;
     use crate::fault::{CorruptingFaults, NoFaults, ProbabilisticFaults};
     use crate::kernel::Simulation;
@@ -621,13 +620,13 @@ mod tests {
         }
     }
 
-    /// Everything a group run leaves behind: the counts, every lane's
+    /// Everything a group run leaves behind: the counts, the group's
     /// metrics export, and the next word of every lane's stream.
     #[derive(Debug, PartialEq)]
     struct Outcome {
         updates: Vec<u64>,
         per_lane: Vec<LaneCounts>,
-        exports: Vec<String>,
+        export: String,
         next_words: Vec<u64>,
     }
 
@@ -643,7 +642,8 @@ mod tests {
     fn outcome<I, E>(
         spec: &Specification,
         out: &BitslicedOutput,
-        lanes: Vec<LaneContext<I, E, Registry>>,
+        lanes: Vec<LaneContext<I, E>>,
+        sink: &Registry,
     ) -> Outcome {
         let comms: Vec<CommunicatorId> = spec.communicator_ids().collect();
         let per_lane = (0..out.lanes())
@@ -657,29 +657,24 @@ mod tests {
                 finals: out.final_values(li),
             })
             .collect();
-        let (exports, next_words) = lanes
-            .into_iter()
-            .map(|mut lane| {
-                let word = lane.rng_mut().next_u64();
-                let (_, _, sink) = lane.into_parts();
-                (to_json_line(&sink), word)
-            })
-            .unzip();
         Outcome {
             updates: comms.iter().map(|&c| out.updates(c)).collect(),
             per_lane,
-            exports,
-            next_words,
+            export: to_json_line(sink),
+            next_words: lanes
+                .into_iter()
+                .map(|mut lane| lane.rng_mut().next_u64())
+                .collect(),
         }
     }
 
-    type Lane<I> = LaneContext<I, ScenarioEnvironment<ConstantEnvironment>, Registry>;
+    type Lane<I> = LaneContext<I, ScenarioEnvironment<ConstantEnvironment>>;
 
     /// Lane `li` of a run from `seed`, over `injector`.
     fn lane<I>(scn: &Scenario, seed: u64, li: usize, injector: I) -> Lane<I> {
         let env = ScenarioEnvironment::new(ConstantEnvironment::new(Value::Float(0.5)), scn, 4);
         let seed = crate::montecarlo::derive_seed(seed, li as u64);
-        LaneContext::new(seed, injector, env, Registry::with_recorder(48))
+        LaneContext::plain(seed, injector, env)
     }
 
     /// One monitored group run of `width` lanes from `seed`: with a
@@ -701,6 +696,7 @@ mod tests {
             width,
         );
         let mut b = behaviors(&sys.spec);
+        let mut sink = Registry::with_recorder(48);
         if oracle {
             let mut lanes: Vec<_> = (0..width)
                 .map(|li| {
@@ -709,8 +705,8 @@ mod tests {
                     lane(scn, seed, li, injector)
                 })
                 .collect();
-            let out = sim.run_monitored(&mut b, &mut lanes, &mut monitor, ROUNDS);
-            outcome(&sys.spec, &out, lanes)
+            let out = sim.run_monitored(&mut b, &mut lanes, &mut monitor, &mut sink, ROUNDS);
+            outcome(&sys.spec, &out, lanes, &sink)
         } else {
             let mut layer =
                 ScenarioLanes::new(Timeline::compile(scn, HOSTS, comms).unwrap(), width);
@@ -720,13 +716,13 @@ mod tests {
             let out = sim.run_lanes(
                 &mut b,
                 &mut lanes,
-                LaneSets::Singletons,
                 Some(&mut monitor),
+                &mut sink,
                 &mut layer,
                 ROUNDS,
                 &mut (),
             );
-            outcome(&sys.spec, &out, lanes)
+            outcome(&sys.spec, &out, lanes, &sink)
         }
     }
 
@@ -735,7 +731,7 @@ mod tests {
 
         /// The group layer makes every lane's draws in the per-lane
         /// injector's order and reaches the same outcomes: equal counts,
-        /// equal metrics exports and equal stream positions, at widths
+        /// equal metrics export and equal stream positions, at widths
         /// 1, 3 and 64, over every inner fault model.
         #[test]
         fn group_layer_matches_per_lane_injectors_draw_for_draw(

@@ -6,12 +6,12 @@
 //! common-cause groups, partitions, Weibull wear-out, adaptive
 //! adversaries), under value corruption (the slow voting path), on the
 //! 3TS and steer-by-wire systems, and on randomly generated pipeline
-//! systems. The LRC monitor and metrics sinks, which the reference takes
-//! none of, are checked lane against a one-lane run of the same seed.
+//! systems. The LRC monitor and the metrics sink, which the reference
+//! takes none of, are checked against one-lane runs of the same seeds.
 
 use logrel_core::prelude::*;
 use logrel_core::TimeDependentImplementation;
-use logrel_obs::{export, Registry};
+use logrel_obs::{NoopSink, Registry};
 use logrel_sim::bitslice::LaneContext;
 use logrel_sim::{
     BehaviorMap, ConstantEnvironment, CorruptingFaults, Environment, FaultInjector, HostSet,
@@ -35,7 +35,7 @@ fn run_group<I: FaultInjector, E: Environment>(
         .into_iter()
         .map(|(seed, inj, env)| LaneContext::plain(seed, inj, env))
         .collect();
-    sim.run_traced(behaviors, &mut lanes, None, rounds)
+    sim.run_traced(behaviors, &mut lanes, None, &mut NoopSink, rounds)
 }
 
 /// A scenario exercising every event kind at once (3TS ids): crash and
@@ -145,11 +145,12 @@ fn threetank_lanes_match_scalar_under_full_scenario() {
     assert_eq!(packed, scalar, "a lane diverged from its reference run");
 }
 
-/// The LRC monitor and metrics sinks, which the reference interpreter
-/// does not take: lane `i` of a 64-wide group watched by one group
-/// monitor (`run_monitored`) — its output, its alarms and its exported
-/// registry — equals a one-lane run of the same seed, under every
-/// scenario event kind.
+/// The LRC monitor and the metrics sink, which the reference interpreter
+/// does not take: lane `i` of a group watched by one group monitor and
+/// reporting to one registry (`run_monitored`) — its output and its
+/// alarms — equals a one-lane run of the same seed, and the group
+/// registry equals the one-lane runs' registries merged in lane order,
+/// at widths 1, 7 and 64, under every scenario event kind.
 #[test]
 fn supervised_observed_lanes_match_one_lane_runs() {
     let sys = ThreeTankSystem::with_options(Deployment::Baseline, 0.999, Some(0.95)).unwrap();
@@ -175,62 +176,69 @@ fn supervised_observed_lanes_match_one_lane_runs() {
         || ScenarioEnvironment::new(ConstantEnvironment::new(Value::Float(0.25)), &scn, comms);
     let seeds: Vec<u64> = (0..64).map(|i| 0x5EED + 3 * i).collect();
 
-    let mut group = LrcMonitor::with_lanes(&sys.spec, monitor, seeds.len());
-    let mut group_lanes: Vec<_> = seeds
-        .iter()
-        .map(|&seed| LaneContext::new(seed, fresh_inj(), fresh_env(), Registry::with_recorder(64)))
-        .collect();
-    let packed = sim.run_monitored(
-        &mut BehaviorMap::default(),
-        &mut group_lanes,
-        &mut group,
-        rounds,
-    );
-    let group_registries: Vec<Registry> = group_lanes
-        .into_iter()
-        .map(|lane| lane.into_parts().2)
-        .collect();
-
     let mut alarms = 0;
-    for (i, &seed) in seeds.iter().enumerate() {
-        let mut one_monitor = LrcMonitor::new(&sys.spec, monitor);
-        let mut one_registry = Registry::with_recorder(64);
-        let one = sim.run_observed(
+    let ones: Vec<_> = seeds
+        .iter()
+        .map(|&seed| {
+            let mut one_monitor = LrcMonitor::new(&sys.spec, monitor);
+            let mut one_registry = Registry::with_recorder(64);
+            let one = sim.run_observed(
+                &mut BehaviorMap::default(),
+                &mut fresh_env(),
+                &mut fresh_inj(),
+                Some(&mut one_monitor),
+                &mut one_registry,
+                &SimConfig { rounds, seed },
+            );
+            alarms += one_monitor.alarms().len();
+            (one, one_monitor, one_registry)
+        })
+        .collect();
+    assert!(alarms > 0, "the scenario must exercise the monitor");
+
+    for width in [1, 7, 64] {
+        let mut group = LrcMonitor::with_lanes(&sys.spec, monitor, width);
+        let mut group_registry = Registry::with_recorder(64);
+        let mut group_lanes: Vec<_> = seeds[..width]
+            .iter()
+            .map(|&seed| LaneContext::plain(seed, fresh_inj(), fresh_env()))
+            .collect();
+        let packed = sim.run_monitored(
             &mut BehaviorMap::default(),
-            &mut fresh_env(),
-            &mut fresh_inj(),
-            Some(&mut one_monitor),
-            &mut one_registry,
-            &SimConfig { rounds, seed },
+            &mut group_lanes,
+            &mut group,
+            &mut group_registry,
+            rounds,
         );
-        assert_eq!(packed.task_stats(i), one.task_stats, "lane {i} task stats");
-        assert_eq!(
-            packed.final_values(i),
-            one.final_values,
-            "lane {i} final values"
-        );
-        for c in sys.spec.communicator_ids() {
-            assert_eq!(packed.updates(c), one.trace.update_count(c) as u64);
-            let reliable = one.trace.abstraction(c).into_iter().filter(|&b| b).count();
+        for (i, (one, one_monitor, _)) in ones[..width].iter().enumerate() {
+            assert_eq!(packed.task_stats(i), one.task_stats, "lane {i} task stats");
             assert_eq!(
-                packed.reliable(c, i),
-                reliable as u64,
-                "lane {i} comm {c:?}"
+                packed.final_values(i),
+                one.final_values,
+                "lane {i} final values"
+            );
+            for c in sys.spec.communicator_ids() {
+                assert_eq!(packed.updates(c), one.trace.update_count(c) as u64);
+                let reliable = one.trace.abstraction(c).into_iter().filter(|&b| b).count();
+                assert_eq!(
+                    packed.reliable(c, i),
+                    reliable as u64,
+                    "lane {i} comm {c:?}"
+                );
+            }
+            assert_eq!(
+                group.lane(i).alarms(),
+                one_monitor.alarms(),
+                "lane {i} group alarms"
             );
         }
-        assert_eq!(
-            group.lane(i).alarms(),
-            one_monitor.alarms(),
-            "lane {i} group alarms"
-        );
-        assert_eq!(
-            export::to_json(&group_registries[i]),
-            export::to_json(&one_registry),
-            "lane {i} group metrics"
-        );
-        alarms += one_monitor.alarms().len();
+        let mut registries = ones[..width].iter().map(|(_, _, r)| r.clone());
+        let mut merged = registries.next().expect("one lane at least");
+        for registry in registries {
+            merged.merge(registry);
+        }
+        assert_eq!(group_registry, merged, "width {width} group registry");
     }
-    assert!(alarms > 0, "the scenario must exercise the monitor");
 }
 
 /// Steer-by-wire with an ECU unplug (the fifth fault kind): lanes match

@@ -414,14 +414,16 @@ fn degrader_events_are_pinned() {
             host: sys.ids.h1,
         },
     };
-    let mut degrader = LrcMonitor::new(&sys.spec, MonitorConfig::default()).with_rules(vec![
-        drop_h1(sys.ids.u1, sys.ids.t1),
-        drop_h1(sys.ids.u2, sys.ids.t2),
-        DegradationRule {
-            comm: sys.ids.u1,
-            response: Response::ModeSwitch { event: 7 },
-        },
-    ]);
+    let mut degrader = LrcMonitor::new(&sys.spec, MonitorConfig::default())
+        .with_rules(vec![
+            drop_h1(sys.ids.u1, sys.ids.t1),
+            drop_h1(sys.ids.u2, sys.ids.t2),
+            DegradationRule {
+                comm: sys.ids.u1,
+                response: Response::ModeSwitch { event: 7 },
+            },
+        ])
+        .expect("every rule can act");
     let mut registry = Registry::with_recorder(16);
     sim.run_observed(
         &mut build_behaviors(&sys, &params),

@@ -1,16 +1,17 @@
 //! A campaign unit folds its lanes' observation into one sink: the first
-//! replication's that records (see `run_campaign_unit`). These tests
-//! check that fold against its definition — the unit's sinks merged in
-//! replication order equal, as whole `Registry` values, the sinks of the
-//! same replications each run as a one-lane unit (one sink per lane)
-//! merged in the same order: counters, gauges, histograms, evictions,
-//! the first recording lane's live ring and the dumps.
+//! replication's (see `run_campaign_unit`). These tests check that fold
+//! against its definition — the unit's sinks merged in replication order
+//! equal, as whole `Registry` values, the sinks of the same replications
+//! each run as a one-lane unit (one sink per lane) merged in the same
+//! order: counters, gauges, histograms, evictions, the first lane's live
+//! ring and the dumps.
 
 use logrel::core::TimeDependentImplementation;
 use logrel::obs::{names, FlightRecorder, Registry};
 use logrel::serve::pipeline::{campaign_config, replication_context, Symbols};
 use logrel::sim::{
-    run_campaign_unit, CampaignUnit, LaneMode, RepSink, RepStats, Scenario, Simulation,
+    run_campaign_unit, CampaignError, CampaignUnit, LaneMode, RepSink, RepStats, Scenario,
+    Simulation,
 };
 use proptest::prelude::*;
 
@@ -33,15 +34,26 @@ impl Steer {
         Steer { sys, td }
     }
 
-    /// Runs `unit` under `scenario`, replication `rep` observed by a fresh
-    /// registry with a recorder of `capacity(rep)` events.
+    /// Runs `unit` under `scenario`, every replication's sink a fresh
+    /// registry with a recorder of `capacity` events.
     fn unit(
         &self,
         scenario: &str,
         seed: u64,
         unit: CampaignUnit,
-        capacity: &dyn Fn(u64) -> usize,
+        capacity: usize,
     ) -> Vec<(RepStats, Registry)> {
+        self.try_unit(scenario, seed, unit, capacity)
+            .expect("the unit runs")
+    }
+
+    fn try_unit(
+        &self,
+        scenario: &str,
+        seed: u64,
+        unit: CampaignUnit,
+        capacity: usize,
+    ) -> Result<Vec<(RepStats, Registry)>, CampaignError> {
         let scenario = Scenario::parse_with(scenario, &Symbols(&self.sys)).expect("parses");
         let sim = Simulation::new(&self.sys.spec, &self.sys.arch, &self.td);
         let config = campaign_config(
@@ -57,10 +69,9 @@ impl Steer {
             self.sys.arch.host_count(),
             &config,
             |_rep| replication_context(&self.sys.arch),
-            |rep| Registry::fresh(capacity(rep)),
+            |_rep| Registry::fresh(capacity),
             unit,
         )
-        .expect("the unit runs")
     }
 }
 
@@ -95,7 +106,7 @@ fn check_fold(
     scenario: &str,
     seed: u64,
     unit: CampaignUnit,
-    capacity: &dyn Fn(u64) -> usize,
+    capacity: usize,
 ) -> Vec<Registry> {
     let folded = steer.unit(scenario, seed, unit, capacity);
     let mut per_lane = Vec::new();
@@ -111,18 +122,8 @@ fn check_fold(
         assert_eq!(stats, folded[per_lane.len()].0, "rep {rep} stats");
         per_lane.push(sink);
     }
-    let target = (unit.first_rep..)
-        .zip(&folded)
-        .position(|(rep, _)| capacity(rep) > 0)
-        .unwrap_or(0);
-    for (i, (rep, (_, sink))) in (unit.first_rep..).zip(&folded).enumerate() {
-        if i != target {
-            assert_eq!(
-                sink,
-                &Registry::fresh(capacity(rep)),
-                "rep {rep} left as made"
-            );
-        }
+    for (rep, (_, sink)) in (unit.first_rep..).zip(&folded).skip(1) {
+        assert_eq!(sink, &Registry::fresh(capacity), "rep {rep} left as made");
     }
     for into in [Registry::new(), Registry::with_recorder(256)] {
         let fold = merged(into.clone(), folded.iter().map(|(_, s)| s.clone()));
@@ -132,36 +133,50 @@ fn check_fold(
     per_lane
 }
 
-/// Every capacity pattern, replication `rep` taking entry `rep % 7`:
-/// none, uniform 4 or 256, and capacities that differ within the unit
-/// (some lanes without a recorder).
-const PATTERNS: [[usize; 7]; 4] = [[0; 7], [4; 7], [256; 7], [0, 4, 256, 4, 0, 256, 256]];
+/// Every recorder capacity: none, 4 and 256 events.
+const CAPACITIES: [usize; 3] = [0, 4, 256];
 
 #[test]
 fn folded_units_match_merged_lanes_at_every_width_and_capacity() {
     let steer = Steer::new();
     for width in [1, 3, 64] {
-        for (p, pattern) in PATTERNS.iter().enumerate() {
-            let capacity = |rep: u64| pattern[(rep % 7) as usize];
+        for capacity in CAPACITIES {
             let unit = CampaignUnit {
                 first_rep: 5,
                 width,
             };
-            let per_lane = check_fold(&steer, EVERY_EVENT, 1, unit, &capacity);
+            let per_lane = check_fold(&steer, EVERY_EVENT, 1, unit, capacity);
             let raised: u64 = per_lane
                 .iter()
                 .map(|s| s.counter(names::ALARM_RAISED))
                 .sum();
             assert!(raised > 0, "the every-event scenario alarms");
-            if width == 64 && p == 2 {
+            if width == 64 && capacity == 256 {
                 assert!(
                     cap_reached_mid_run(&per_lane),
                     "the dump cap is reached mid-run"
                 );
             }
-            let quiet = check_fold(&steer, QUIET, 1, unit, &capacity);
+            let quiet = check_fold(&steer, QUIET, 1, unit, capacity);
             assert!(quiet.iter().all(|s| s.counter(names::ALARM_RAISED) == 0));
         }
+    }
+}
+
+/// A unit of width 0 or wider than 64 is diagnosed, not a panic: a
+/// service worker handed a malformed unit rejects it and keeps serving.
+#[test]
+fn bad_unit_widths_are_diagnosed() {
+    let steer = Steer::new();
+    for width in [0, 65] {
+        let unit = CampaignUnit {
+            first_rep: 3,
+            width,
+        };
+        assert_eq!(
+            steer.try_unit(EVERY_EVENT, 1, unit, 4).err(),
+            Some(CampaignError::LaneWidth(width))
+        );
     }
 }
 
@@ -169,18 +184,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The fold on random seeds, unit offsets and widths, under either
-    /// scenario, with per-replication capacities drawn from 0, 4 and 256.
+    /// scenario, with one recorder capacity per unit drawn from 0, 4 and
+    /// 256.
     #[test]
     fn folded_units_match_merged_lanes(
         seed in any::<u64>(),
         first_rep in 0u64..1000,
         width in 1usize..=64,
-        caps in proptest::collection::vec(0usize..3, 1..8),
+        cap in 0usize..3,
         quiet in any::<bool>(),
     ) {
         let steer = Steer::new();
-        let capacity = |rep: u64| [0, 4, 256][caps[rep as usize % caps.len()]];
         let scenario = if quiet { QUIET } else { EVERY_EVENT };
-        check_fold(&steer, scenario, seed, CampaignUnit { first_rep, width }, &capacity);
+        check_fold(&steer, scenario, seed, CampaignUnit { first_rep, width }, CAPACITIES[cap]);
     }
 }

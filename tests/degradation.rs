@@ -103,22 +103,24 @@ fn three_tank_drops_the_corrupting_replica() {
 
     // With the degrader: both controllers drop their h1 replica at the
     // first confident alarm and service resumes on h2 alone.
-    let mut degrader = LrcMonitor::new(&sys.spec, MonitorConfig::default()).with_rules(vec![
-        DegradationRule {
-            comm: sys.ids.u1,
-            response: Response::DropReplica {
-                task: sys.ids.t1,
-                host: sys.ids.h1,
+    let mut degrader = LrcMonitor::new(&sys.spec, MonitorConfig::default())
+        .with_rules(vec![
+            DegradationRule {
+                comm: sys.ids.u1,
+                response: Response::DropReplica {
+                    task: sys.ids.t1,
+                    host: sys.ids.h1,
+                },
             },
-        },
-        DegradationRule {
-            comm: sys.ids.u2,
-            response: Response::DropReplica {
-                task: sys.ids.t2,
-                host: sys.ids.h1,
+            DegradationRule {
+                comm: sys.ids.u2,
+                response: Response::DropReplica {
+                    task: sys.ids.t2,
+                    host: sys.ids.h1,
+                },
             },
-        },
-    ]);
+        ])
+        .expect("every rule can act");
     let recovered = run(&mut degrader);
     let engaged = degrader.engaged_at(0).expect("u1 rule engaged").as_u64();
     assert!(engaged < 2_000, "engagement is prompt: {engaged}");
@@ -192,7 +194,9 @@ fn steer_by_wire_drops_the_corrupting_ecu() {
             },
         },
     ];
-    let mut degrader = LrcMonitor::new(&sys.spec, MonitorConfig::default()).with_rules(rules);
+    let mut degrader = LrcMonitor::new(&sys.spec, MonitorConfig::default())
+        .with_rules(rules)
+        .expect("every rule can act");
     let recovered = run(&mut degrader);
     let engaged = degrader.engaged_at(0).expect("rules engaged").as_u64();
     assert_eq!(degrader.engaged_at(1), degrader.engaged_at(0));
@@ -283,11 +287,12 @@ fn lrc_alarm_switches_the_modal_program_to_the_degraded_mode() {
         ScenarioInjector::new(NoFaults, &scn, modal.arch.host_count(), spec.communicator_count())
             .unwrap();
     // `overload` is switch 0 in declaration order.
-    let mut degrader =
-        LrcMonitor::new(spec, MonitorConfig::default()).with_rules(vec![DegradationRule {
+    let mut degrader = LrcMonitor::new(spec, MonitorConfig::default())
+        .with_rules(vec![DegradationRule {
             comm: u,
             response: Response::ModeSwitch { event: 0 },
-        }]);
+        }])
+        .expect("every rule can act");
     sim.run_observed(
         &mut BehaviorMap::new(),
         &mut ConstantEnvironment::new(Value::Float(1.0)),
