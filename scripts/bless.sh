@@ -14,9 +14,5 @@ UPDATE_EXPECT=1 cargo test -q --test lint_golden > /dev/null
 echo "==> re-checking blessed output"
 cargo test -q --test lint_golden > /dev/null
 
-echo "==> refreshing the bench trajectory point (BENCH_pr7.json)"
-cargo run --release -q -p logrel-bench --bin bench_snapshot -- \
-    --out BENCH_pr7.json --compare BENCH_baseline.json > /dev/null
-
-git --no-pager diff --stat -- tests/assets BENCH_pr7.json || true
+git --no-pager diff --stat -- tests/assets || true
 echo "bless: OK (review the diff above before committing)"

@@ -301,8 +301,9 @@ PY
 
 echo "==> bench_snapshot regression gate (vs BENCH_baseline.json)"
 # Absolute throughput swings up to 2x between phases on the shared VM,
-# so the absolute gate runs wide (coarse smoke alarm); the paired-ratio
-# floors/ceilings inside bench_snapshot are drift-immune and stay tight.
+# so the absolute gate runs wide (coarse smoke alarm). The ratio bounds
+# inside bench_snapshot stay tight: each ratio is a median of per-rep
+# paired ratios, which cancels drift within a rep but not noise.
 cargo run --release -q -p logrel-bench --bin bench_snapshot -- \
     --out "$METRICS_DIR/BENCH_current.json" --compare BENCH_baseline.json \
     --tolerance 0.40 > /dev/null
