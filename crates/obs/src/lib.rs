@@ -8,8 +8,9 @@
 //! * [`NoopSink`] — every method is an empty inline body and
 //!   [`MetricsSink::enabled`] is `false`, so instrumented code paths
 //!   compile down to the uninstrumented ones (the kernel is generic over
-//!   the sink, not dynamic). The `bench_snapshot` binary measures the
-//!   residual overhead; the budget is "no measurable regression".
+//!   the sink, not dynamic). The `bench_snapshot` binary reports the
+//!   paired median `observed_noop_over_kernel` (kernel time over no-op
+//!   sink time, 0.91–0.95 on a 2-core VM) and gates it on no bound.
 //! * [`Registry`] — a concrete store of counters, gauges and histograms
 //!   keyed by `&'static str` metric names (catalogued in [`catalog`]),
 //!   optionally carrying a bounded [`FlightRecorder`] ring buffer of

@@ -2,31 +2,42 @@
 //! of a [`QueryDb`].
 //!
 //! Reads **fail closed**: any structural defect — bad magic, engine
-//! version mismatch, truncation, checksum failure, unparseable stored
-//! source, or stored hashes that disagree with ones recomputed from the
-//! embedded source — yields [`LoadOutcome::Invalid`] and the caller falls
-//! back to cold analysis. A cache can make analysis slower, never wrong.
+//! version mismatch, truncation, checksum or payload-hash failure,
+//! unparseable stored source, or stored hashes that disagree with ones
+//! recomputed from the embedded source — yields [`LoadOutcome::Invalid`]
+//! and the caller falls back to cold analysis. A cache can make analysis
+//! slower, never wrong.
 //!
 //! ```text
-//! logrel-cache v1
+//! logrel-cache v2
 //! engine <N>
 //! digest <16 hex>
 //! elab_ok <0|1>
 //! source <byte length>
 //! <spec source, verbatim>
 //! unit <16 hex> <name>        (one per subspec unit, in order)
-//! query <name> <dep 16 hex> <kind> <payload line count>
+//! query <name> <dep 16 hex> <kind> <payload 16 hex> <payload line count>
 //! <payload lines>
 //! checksum <16 hex>           (FNV-1a 64 of everything above)
 //! ```
+//!
+//! Each `query` record carries the FNV-1a 64 of its own payload lines
+//! (each with its newline). The payload formats are positional — an SRG
+//! value's place is its communicator's, a label or help line belongs to
+//! the diagnostic above it — so a record whose lines were reordered,
+//! moved between records or re-attached to another diagnostic would
+//! still parse, and render differently from a cold run. The per-record
+//! hash rejects such a record even when the file checksum was rewritten
+//! over it. Like the file checksum it detects damage, not forgery: the
+//! cache is not authenticated.
 
 use crate::db::{QueryDb, QueryEntry, ENGINE_VERSION};
 use crate::payload;
-use logrel_lang::subspec::{fnv1a, split_units, units_digest};
+use logrel_lang::subspec::{fnv1a, split_units, units_digest, FnvWriter};
 use std::collections::BTreeMap;
 
 /// Magic first line of every cache file.
-const MAGIC: &str = "logrel-cache v1";
+const MAGIC: &str = "logrel-cache v2";
 
 /// Result of attempting to load a cache file.
 #[derive(Debug)]
@@ -59,9 +70,10 @@ pub fn to_text(db: &QueryDb) -> String {
     for (name, entry) in &db.queries {
         let lines = payload::to_lines(&entry.payload);
         body.push_str(&format!(
-            "query {name} {:016x} {} {}\n",
+            "query {name} {:016x} {} {:016x} {}\n",
             entry.dep,
             entry.payload.kind(),
+            payload_sum(&lines),
             lines.len()
         ));
         for line in lines {
@@ -72,6 +84,16 @@ pub fn to_text(db: &QueryDb) -> String {
     let sum = fnv1a(body.as_bytes());
     body.push_str(&format!("checksum {sum:016x}\n"));
     body
+}
+
+/// FNV-1a 64 of a query record's payload lines, each with its newline.
+fn payload_sum<S: AsRef<str>>(lines: &[S]) -> u64 {
+    let mut w = FnvWriter::new();
+    for line in lines {
+        w.write_bytes(line.as_ref().as_bytes());
+        w.write_bytes(b"\n");
+    }
+    w.finish()
 }
 
 /// Takes the first line off `rest`, advancing it past the newline.
@@ -157,14 +179,20 @@ pub fn parse_text(text: &str) -> Result<QueryDb, String> {
             stored_units.push((name.to_owned(), hash));
         } else if let Some(q) = line.strip_prefix("query ") {
             let fields: Vec<&str> = q.split(' ').collect();
-            let [name, dep, kind, count] = fields[..] else {
+            let [name, dep, kind, sum, count] = fields[..] else {
                 return Err("malformed query line".into());
             };
             let dep = parse_hex(dep).ok_or("malformed query digest")?;
+            let sum = parse_hex(sum).ok_or("malformed payload hash")?;
             let count: usize = count.parse().map_err(|_| "malformed query line count")?;
-            let mut lines = Vec::with_capacity(count);
+            // The count is untrusted: it bounds the loop, never an
+            // allocation, so a count past the lines left is a truncation.
+            let mut lines = Vec::new();
             for _ in 0..count {
                 lines.push(take_line(&mut rest).ok_or("truncated query payload")?);
+            }
+            if payload_sum(&lines) != sum {
+                return Err(format!("`{name}` payload does not match its hash"));
             }
             let payload = payload::from_lines(kind, &lines)
                 .ok_or_else(|| format!("malformed `{name}` payload"))?;

@@ -31,6 +31,7 @@ pub struct QueryEntry {
 }
 
 /// The persistent analysis database for one spec file.
+#[derive(Clone)]
 pub struct QueryDb {
     /// Whole-program digest ([`logrel_lang::units_digest`] over `units`).
     pub digest: u64,
@@ -44,23 +45,11 @@ pub struct QueryDb {
     pub units: Vec<SubspecUnit>,
     /// Query entries by name.
     pub queries: BTreeMap<String, QueryEntry>,
-    /// Lazily elaborated `source` — memoised so refinement reuse across
-    /// several queries pays the parent front-end cost at most once.
-    /// Never persisted or compared; reset on clone.
-    parent: OnceLock<Option<Box<ElaboratedSystem>>>,
-}
-
-impl Clone for QueryDb {
-    fn clone(&self) -> Self {
-        QueryDb {
-            digest: self.digest,
-            elab_ok: self.elab_ok,
-            source: self.source.clone(),
-            units: self.units.clone(),
-            queries: self.queries.clone(),
-            parent: OnceLock::new(),
-        }
-    }
+    /// The elaborated `source`: set by the analysis that built the db,
+    /// or elaborated on first use for a db read from a cache file.
+    /// Refinement reuse reads it as the parent system, and a service
+    /// compiles from it. Never persisted or compared.
+    sys: OnceLock<Option<Box<ElaboratedSystem>>>,
 }
 
 impl PartialEq for QueryDb {
@@ -170,15 +159,29 @@ impl QueryDb {
             source,
             units,
             queries: BTreeMap::new(),
-            parent: OnceLock::new(),
+            sys: OnceLock::new(),
         }
     }
 
-    /// The elaborated parent system, memoised across calls. `None` when
+    /// An empty database for a program that elaborated to `sys`.
+    #[must_use]
+    pub fn elaborated(
+        source: String,
+        digest: u64,
+        units: Vec<SubspecUnit>,
+        sys: ElaboratedSystem,
+    ) -> Self {
+        QueryDb {
+            sys: OnceLock::from(Some(Box::new(sys))),
+            ..QueryDb::new(source, digest, units, true)
+        }
+    }
+
+    /// The elaborated system of the stored source, memoised. `None` when
     /// the stored source fails to parse or elaborate.
     #[must_use]
-    pub fn parent_sys(&self) -> Option<&ElaboratedSystem> {
-        self.parent
+    pub fn system(&self) -> Option<&ElaboratedSystem> {
+        self.sys
             .get_or_init(|| {
                 let program = logrel_lang::parse(&self.source).ok()?;
                 logrel_lang::elaborate(&program).ok().map(Box::new)
@@ -281,6 +284,32 @@ program p {
     fn digests_differ_between_queries_over_identical_deps() {
         let units = split_units(&parse(SRC).unwrap());
         assert_ne!(dep_digest("lint", &units), dep_digest("check_report", &units));
+    }
+
+    /// The analysis elaborates its source once and hands that system on
+    /// in the db: the memo is filled before anyone asks for it.
+    #[test]
+    fn analyses_leave_their_elaborated_system_in_the_db() {
+        use crate::engine::{analyze_source, cached_report, Report};
+        use logrel_obs::NoopSink;
+        let analysed = analyze_source(SRC, "p.htl", None, &mut NoopSink)
+            .db
+            .unwrap();
+        let (_, reported, _) = cached_report(SRC, "check_report", None, &mut NoopSink, || Report {
+            errors: 0,
+            stdout: String::new(),
+            stderr: String::new(),
+        });
+        for db in [analysed, reported.unwrap()] {
+            let sys = db.sys.get().expect("memo filled by the analysis");
+            assert_eq!(sys.as_ref().map(|s| s.name.as_str()), Some("p"));
+        }
+        let broken = SRC.replace("ctrl -> h1;", "ctrl -> h9;");
+        let db = analyze_source(&broken, "p.htl", None, &mut NoopSink)
+            .db
+            .unwrap();
+        assert!(!db.elab_ok);
+        assert!(db.system().is_none());
     }
 
     #[test]

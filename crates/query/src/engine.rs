@@ -70,17 +70,6 @@ pub fn default_cache_path(spec_path: &str) -> String {
     format!("{spec_path}.logrel-cache")
 }
 
-/// Elaborates on first use; queries that hit never pay for elaboration.
-fn ensure_sys<'s>(
-    program: &Program,
-    slot: &'s mut Option<ElaboratedSystem>,
-) -> Result<&'s ElaboratedSystem, LangError> {
-    if slot.is_none() {
-        *slot = Some(elaborate(program)?);
-    }
-    Ok(slot.as_ref().expect("just filled"))
-}
-
 /// Computes one query from scratch.
 fn compute(query: &str, program: &Program, sys: &ElaboratedSystem) -> Payload {
     match query {
@@ -165,7 +154,7 @@ fn try_refine_reuse(prior: &QueryDb, sys: &ElaboratedSystem) -> Option<Payload> 
         Payload::Sched { ok: true, .. } => {}
         _ => return None,
     }
-    let parent = prior.parent_sys()?;
+    let parent = prior.system()?;
     let kappa = Kappa::by_name(&sys.spec, &parent.spec);
     check_refinement(
         SystemRef::new(&sys.spec, &sys.arch, &sys.imp),
@@ -208,7 +197,7 @@ fn try_certify_reuse(
     if !lrc_free(units).eq(lrc_free(&prior.units)) {
         return None;
     }
-    let parent = prior.parent_sys()?;
+    let parent = prior.system()?;
     for c in sys.spec.communicator_ids() {
         let comm = sys.spec.communicator(c);
         let Some(mu) = comm.lrc() else { continue };
@@ -227,6 +216,21 @@ fn try_certify_reuse(
         refuted: 0,
         indeterminate: 0,
     })
+}
+
+/// Refinement reuse for a dirty query: only `sched` and `certify` have
+/// a reuse rule.
+fn try_reuse(
+    query: &str,
+    prior: &QueryDb,
+    units: &[SubspecUnit],
+    sys: &ElaboratedSystem,
+) -> Option<Payload> {
+    match query {
+        "sched" => try_refine_reuse(prior, sys),
+        "certify" => try_certify_reuse(prior, units, sys),
+        _ => None,
+    }
 }
 
 /// A front-end failure rendered the same way cold and warm.
@@ -270,22 +274,19 @@ pub fn analyze_source(
     };
     let units = split_units(&program);
     let digest = units_digest(&units);
-    // Only a prior that recorded successful elaboration is trusted; its
-    // entries were all computed against an elaborated system.
-    let prior = prior.filter(|p| p.elab_ok);
-
     // Soundness of reuse: confirm *this* program elaborates before
-    // consulting the cache, unless the digest proves it is byte-identical
-    // to a source already recorded as elaborating (the units jointly
-    // cover every canonical field, so equal digests imply an identical
-    // canonical form).
-    let mut sys: Option<ElaboratedSystem> = None;
-    if prior.is_none_or(|p| p.digest != digest) {
-        if let Err(e) = ensure_sys(&program, &mut sys) {
+    // consulting the cache. The system is elaborated here, once, and
+    // leaves in the returned db.
+    let sys = match elaborate(&program) {
+        Ok(sys) => sys,
+        Err(e) => {
             let db = QueryDb::new(source.to_owned(), digest, units, false);
             return frontend_failure(file, &e, stats, Some(db));
         }
-    }
+    };
+    // Only a prior that recorded successful elaboration is trusted; its
+    // entries were all computed against an elaborated system.
+    let prior = prior.filter(|p| p.elab_ok);
 
     // A green hit borrows the prior's payload — it is already in the
     // prior's query map under the same dependency digest, so it is never
@@ -301,36 +302,12 @@ pub fn analyze_source(
         let answer = if let Some(green) = prior.and_then(|p| p.green(query, dep)) {
             stats.hits += 1;
             Answer::Hit(green)
+        } else if let Some(p) = prior.and_then(|pr| try_reuse(query, pr, &units, &sys)) {
+            stats.refine_reuses += 1;
+            Answer::Fresh(p)
         } else {
-            let current = match ensure_sys(&program, &mut sys) {
-                Ok(s) => s,
-                // Unreachable when the digest matched a recorded
-                // `elab_ok` prior, but degrade identically to cold.
-                Err(e) => {
-                    let db = QueryDb::new(source.to_owned(), digest, units, false);
-                    return frontend_failure(file, &e, stats, Some(db));
-                }
-            };
-            if query == "sched" {
-                if let Some(p) = prior.and_then(|pr| try_refine_reuse(pr, current)) {
-                    stats.refine_reuses += 1;
-                    Answer::Fresh(p)
-                } else {
-                    stats.recomputes += 1;
-                    Answer::Fresh(compute(query, &program, current))
-                }
-            } else if query == "certify" {
-                if let Some(p) = prior.and_then(|pr| try_certify_reuse(pr, &units, current)) {
-                    stats.refine_reuses += 1;
-                    Answer::Fresh(p)
-                } else {
-                    stats.recomputes += 1;
-                    Answer::Fresh(compute(query, &program, current))
-                }
-            } else {
-                stats.recomputes += 1;
-                Answer::Fresh(compute(query, &program, current))
-            }
+            stats.recomputes += 1;
+            Answer::Fresh(compute(query, &program, &sys))
         };
         answers.push((query, dep, answer));
     }
@@ -352,19 +329,13 @@ pub fn analyze_source(
     let (stdout, stderr, errors) = render(file, &program, &payloads);
     drop(payloads);
 
-    // An unchanged digest lets the prior carry over wholesale (hits are
-    // already present under the same dependency digests); otherwise the
-    // db is rebuilt around the current source and units.
-    let mut db = match prior {
-        Some(p) if p.digest == digest => p.clone(),
-        _ => {
-            let mut db = QueryDb::new(source.to_owned(), digest, units, true);
-            if let Some(p) = prior {
-                db.queries = p.queries.clone();
-            }
-            db
-        }
-    };
+    // The db is rebuilt around the current source, units and system;
+    // the prior's entries carry over (hits are already among them under
+    // the same dependency digests).
+    let mut db = QueryDb::elaborated(source.to_owned(), digest, units, sys);
+    if let Some(p) = prior {
+        db.queries = p.queries.clone();
+    }
     for (query, dep, answer) in answers {
         if let Answer::Fresh(payload) = answer {
             db.queries.insert(query.to_owned(), QueryEntry { dep, payload });
@@ -517,10 +488,12 @@ pub fn cached_report(
     }
     sink.add(names::QUERY_RECOMPUTES, 1);
     let report = compute();
-    let elab_ok = elaborate(&program).is_ok();
-    let mut db = QueryDb::new(source.to_owned(), digest, units, elab_ok);
+    let mut db = match elaborate(&program) {
+        Ok(sys) => QueryDb::elaborated(source.to_owned(), digest, units, sys),
+        Err(_) => QueryDb::new(source.to_owned(), digest, units, false),
+    };
     if let Some(p) = prior {
-        if p.digest == digest && p.elab_ok == elab_ok {
+        if p.digest == digest && p.elab_ok == db.elab_ok {
             db.queries = p.queries.clone();
         }
     }

@@ -4,18 +4,19 @@
 //! # Compilation cache
 //!
 //! Jobs are keyed by the FNV-1a hash of the spec source. A miss runs the
-//! full front half once — incremental analysis ([`analyze_source`],
+//! front half once — incremental analysis ([`analyze_source`],
 //! warm-started from the service's [`SharedDb`] so a *resubmitted edited
-//! spec* reuses the refinement relation), elaboration, and
-//! [`CompiledSpec::new`] (analytic SRGs plus the round program, which
-//! under the `validate` feature self-certifies) — and caches the result
-//! behind an `Arc`. A hit shares everything; the only per-job work left
-//! is the Monte-Carlo campaign itself. Compiles are single-flight per
-//! hash: the cache map lock is held only to find or insert a spec's slot,
-//! and the compile runs under that slot's own lock. Concurrent
-//! submissions of the same new spec therefore compile it exactly once,
-//! while jobs on other specs — cache hits included — never wait for it.
-//! A failed compile leaves no entry, so errors are never cached.
+//! spec* reuses the refinement relation) parses and elaborates the spec,
+//! and [`CompiledSpec::new`] builds on the system that analysis
+//! elaborated (analytic SRGs plus the self-certified round program) —
+//! and caches the result behind an `Arc`. A hit shares everything; the
+//! only per-job work left is the Monte-Carlo campaign itself. Compiles
+//! are single-flight per hash: the cache map lock is held only to find
+//! or insert a spec's slot, and the compile runs under that slot's own
+//! lock. Concurrent submissions of the same new spec therefore compile
+//! it exactly once, while jobs on other specs — cache hits included —
+//! never wait for it. A failed compile leaves no entry, so errors are
+//! never cached.
 //!
 //! The cache is bounded: each compiled entry is charged an estimate of
 //! the memory it keeps alive ([`entry_bytes`]), and once the entries
@@ -51,7 +52,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use logrel_core::fnv1a;
 use logrel_obs::export::to_json_line;
 use logrel_obs::{names, MetricsSink, NoopSink, Registry};
-use logrel_query::{analyze_source, LoadOutcome, SharedDb};
+use logrel_query::{analyze_source, LoadOutcome, QueryDb, SharedDb};
 use logrel_sim::{LaneMode, RepSink, Scenario};
 
 use crate::pipeline::{campaign_config, CompiledSpec, Plan, Symbols, UnitResult};
@@ -434,6 +435,11 @@ impl Engine {
                 outcome.stderr.trim_end()
             )));
         }
+        // An analysis without errors elaborated the source, and its db
+        // carries that system: the campaign compiles from it.
+        let Some(sys) = outcome.db.as_ref().and_then(QueryDb::system).cloned() else {
+            return Err(compile_failed(format!("`{label}` did not elaborate")));
+        };
         if let Some(db) = outcome.db {
             if let Some(path) = &inner.config.cache_path {
                 // Atomic (write-temp-then-rename) persistence: concurrent
@@ -442,7 +448,6 @@ impl Engine {
             }
             inner.db.install(db);
         }
-        let sys = logrel_lang::compile(source).map_err(|e| compile_failed(e.to_string()))?;
         CompiledSpec::new(sys, &mut NoopSink).map_err(|e| compile_failed(e.to_string()))
     }
 

@@ -6,7 +6,7 @@
 //! `*_seconds` spans) because both take the same steps in the same code:
 //!
 //! 1. [`CompiledSpec::new`] computes the analytic SRG vector and compiles
-//!    (and, under `validate`, self-certifies) the round program once;
+//!    and self-certifies the round program once;
 //! 2. [`Plan::new`] validates the scenario and campaign parameters
 //!    through [`plan_campaign`] and shards the replications into units;
 //! 3. [`Plan::run_unit`] runs one unit on the shared program — callers
@@ -14,9 +14,9 @@
 //! 4. [`Plan::finish`] merges unit results in unit (= replication)
 //!    order, aggregates the report, and fills the job registry.
 //!
-//! What stays with the callers is their front half (the CLI's
-//! diagnostics, the service's analysis and compile cache) and how they
-//! report errors.
+//! What stays with the callers is their front half, which elaborates
+//! the system: the CLI's compile and diagnostics, the service's analysis
+//! and compile cache. So does how they report errors.
 
 use std::fmt;
 use std::sync::Arc;
@@ -81,8 +81,9 @@ pub struct CompiledSpec {
 }
 
 impl CompiledSpec {
-    /// Computes the analytic SRGs of `sys`, then compiles its round
-    /// program once, recording the compile/certify span gauges on `sink`.
+    /// Computes the analytic SRGs of `sys`, then compiles and
+    /// self-certifies its round program once, recording the
+    /// compile/certify span gauges on `sink`.
     pub fn new(sys: ElaboratedSystem, sink: &mut dyn MetricsSink) -> Result<Self, CompileError> {
         let srgs = logrel_reliability::compute_srgs(&sys.spec, &sys.arch, &sys.imp)
             .map_err(CompileError::Srg)?;

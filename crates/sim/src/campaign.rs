@@ -92,11 +92,11 @@ pub struct CommunicatorReport {
     pub alarms_cleared: u64,
     /// Replications whose full-window mean dipped below µ_c by at least
     /// half the Hoeffding band — the ground-truth µ-violations
-    /// ([`LrcMonitor::first_dip`]).
+    /// ([`MonitorLane::first_dip`]).
     pub violations: u64,
     /// Among `violations`, the replications where the monitor caught the
     /// dip: an alarm was raised no later than one window of updates
-    /// after it ([`LrcMonitor::dip_alarmed`]). `violations > 0` with
+    /// after it ([`MonitorLane::dip_alarmed`]). `violations > 0` with
     /// `alarms_before_violation == 0` means the monitor slept through
     /// every ground-truth violation — the fuzzer's headline objective.
     pub alarms_before_violation: u64,

@@ -161,11 +161,6 @@ pub trait HostSilencer {
     /// Pure silencing query used for broadcast and corruption suppression
     /// within the same instant; must not consume randomness.
     fn is_down(&self, host: HostId, now: Tick) -> bool;
-    /// Rejoin instant of `host` at `now`, if the policy scripts one.
-    fn silencer_rejoined_at(&self, host: HostId, now: Tick) -> Option<Tick> {
-        let _ = (host, now);
-        None
-    }
 }
 
 impl<S: HostSilencer> FaultInjector for S {
@@ -198,9 +193,6 @@ impl<S: HostSilencer> FaultInjector for S {
         }
     }
     fn rejoined_at(&self, host: HostId, now: Tick) -> Option<Tick> {
-        if let Some(rj) = self.silencer_rejoined_at(host, now) {
-            return Some(rj);
-        }
         self.inner_ref().rejoined_at(host, now)
     }
     fn corrupts(&self) -> bool {

@@ -102,24 +102,17 @@ struct TaskResult {
     delivered: bool,
 }
 
-/// Why [`Simulation::try_new`] rejected a system.
-///
-/// Without the `validate` feature the enum is uninhabited — compilation
-/// cannot fail — and `try_new` always returns `Ok`.
+/// Why [`Simulation::try_new_observed`] rejected a system.
 #[derive(Debug, Clone)]
 pub enum SimBuildError {
     /// The compiled round program failed self-certification against the
-    /// specification's denotational dataflow (`validate` feature): a
-    /// kernel-compiler bug, reported with the certifier's V-series
-    /// diagnostics.
-    #[cfg(feature = "validate")]
+    /// specification's denotational dataflow: a kernel-compiler bug,
+    /// reported with the certifier's V-series diagnostics.
     Certification(Vec<logrel_lint::Diagnostic>),
 }
 
 impl SimBuildError {
-    /// The certifier diagnostics carried by the error, if any (empty
-    /// without the `validate` feature).
-    #[cfg(feature = "validate")]
+    /// The certifier diagnostics carried by the error.
     pub fn diagnostics(&self) -> &[logrel_lint::Diagnostic] {
         match self {
             SimBuildError::Certification(diags) => diags,
@@ -128,7 +121,6 @@ impl SimBuildError {
 }
 
 impl fmt::Display for SimBuildError {
-    #[cfg(feature = "validate")]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimBuildError::Certification(diags) => {
@@ -141,11 +133,6 @@ impl fmt::Display for SimBuildError {
                 )
             }
         }
-    }
-
-    #[cfg(not(feature = "validate"))]
-    fn fmt(&self, _f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {}
     }
 }
 
@@ -168,38 +155,27 @@ pub struct Simulation<'a> {
 }
 
 impl<'a> Simulation<'a> {
-    /// Prepares a simulation (precomputes the event calendar).
-    ///
-    /// With the `validate` feature enabled, the compiled round program is
-    /// self-certified against the specification's denotational dataflow
-    /// (see `logrel-validate`); a failed certificate is a compiler bug and
-    /// panics with the rendered V-series diagnostics. Library callers that
-    /// prefer a diagnosed error over the panic use
-    /// [`Simulation::try_new`].
+    /// Prepares a simulation: compiles the round program and
+    /// self-certifies it against the specification's denotational
+    /// dataflow (see `logrel-validate`). A failed certificate is a
+    /// compiler bug and panics with the rendered V-series diagnostics;
+    /// callers that prefer a diagnosed error use
+    /// [`Simulation::try_new_observed`].
     pub fn new(
         spec: &'a Specification,
         arch: &'a Architecture,
         imp: &'a TimeDependentImplementation,
     ) -> Self {
-        Simulation::try_new(spec, arch, imp).unwrap_or_else(|e| panic!("{e}"))
+        Simulation::try_new_observed(spec, arch, imp, &mut NoopSink)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible form of [`Simulation::new`]: a failed self-certification
-    /// under the `validate` feature comes back as
-    /// `SimBuildError::Certification` carrying the certifier's
-    /// diagnostics instead of panicking. Without the feature the error
-    /// type is uninhabited and this always succeeds.
-    pub fn try_new(
-        spec: &'a Specification,
-        arch: &'a Architecture,
-        imp: &'a TimeDependentImplementation,
-    ) -> Result<Self, SimBuildError> {
-        Simulation::try_new_observed(spec, arch, imp, &mut NoopSink)
-    }
-
-    /// Like [`Simulation::try_new`], but records the wall-clock
-    /// compile/certify span gauges (`logrel_compile_seconds`,
-    /// `logrel_certify_seconds`) on `sink`.
+    /// comes back as [`SimBuildError::Certification`] carrying the
+    /// certifier's diagnostics instead of panicking. Records the
+    /// wall-clock compile/certify span gauges (`logrel_compile_seconds`,
+    /// `logrel_certify_seconds`) on `sink`; pass [`NoopSink`] to record
+    /// nothing.
     ///
     /// Span gauges are wall-clock values: record them only in top-level
     /// drivers, never inside a Monte-Carlo replication (see the
@@ -223,17 +199,12 @@ impl<'a> Simulation<'a> {
         if let Some(span) = compile_span {
             span.finish(sink, names::COMPILE_SECONDS);
         }
-        #[cfg(feature = "validate")]
-        {
-            let certify_span = sink.enabled().then(Span::start);
-            let certified = logrel_validate::certify_kernel(spec, imp, &program);
-            if let Some(span) = certify_span {
-                span.finish(sink, names::CERTIFY_SECONDS);
-            }
-            if let Err(diags) = certified {
-                return Err(SimBuildError::Certification(diags));
-            }
+        let certify_span = sink.enabled().then(Span::start);
+        let certified = logrel_validate::certify_kernel(spec, imp, &program);
+        if let Some(span) = certify_span {
+            span.finish(sink, names::CERTIFY_SECONDS);
         }
+        certified.map_err(SimBuildError::Certification)?;
         Ok(Simulation {
             spec,
             imp,

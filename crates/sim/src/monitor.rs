@@ -282,41 +282,6 @@ impl LrcMonitor {
         }
     }
 
-    /// Lane 0's [`MonitorLane::alarms`].
-    pub fn alarms(&self) -> &[Alarm] {
-        self.lane(0).alarms()
-    }
-
-    /// Lane 0's [`MonitorLane::active`].
-    pub fn active(&self, comm: CommunicatorId) -> bool {
-        self.lane(0).active(comm)
-    }
-
-    /// Lane 0's [`MonitorLane::first_violation`].
-    pub fn first_violation(&self, comm: CommunicatorId) -> Option<Tick> {
-        self.lane(0).first_violation(comm)
-    }
-
-    /// Lane 0's [`MonitorLane::first_dip`].
-    pub fn first_dip(&self, comm: CommunicatorId) -> Option<Tick> {
-        self.lane(0).first_dip(comm)
-    }
-
-    /// Lane 0's [`MonitorLane::dip_alarmed`].
-    pub fn dip_alarmed(&self, comm: CommunicatorId) -> bool {
-        self.lane(0).dip_alarmed(comm)
-    }
-
-    /// Lane 0's [`MonitorLane::engaged_at`].
-    pub fn engaged_at(&self, rule: usize) -> Option<Tick> {
-        self.lane(0).engaged_at(rule)
-    }
-
-    /// Lane 0's [`MonitorLane::mode_events`].
-    pub fn mode_events(&self) -> &[(Tick, u32)] {
-        self.lane(0).mode_events()
-    }
-
     /// Per host, the lanes on which an engaged rule drops `task`'s
     /// replica; hosts past the end of the row are dropped nowhere.
     #[inline]
@@ -925,26 +890,26 @@ mod tests {
         for i in 0..100u64 {
             observe(&mut m, u, Tick::new(i * 10), Value::Float(1.0));
         }
-        assert!(!m.active(u));
-        assert!(m.alarms().is_empty());
+        assert!(!m.lane(0).active(u));
+        assert!(m.lane(0).alarms().is_empty());
         // Outage: the window drains to 0, confidently below 0.9.
         for i in 100..150u64 {
             observe(&mut m, u, Tick::new(i * 10), Value::Unreliable);
         }
-        assert!(m.active(u));
-        assert_eq!(m.alarms().len(), 1);
-        assert_eq!(m.alarms()[0].kind, AlarmKind::Raised);
-        assert!(m.alarms()[0].mean + m.alarms()[0].epsilon < 0.9);
-        let first = m.first_violation(u).unwrap();
+        assert!(m.lane(0).active(u));
+        assert_eq!(m.lane(0).alarms().len(), 1);
+        assert_eq!(m.lane(0).alarms()[0].kind, AlarmKind::Raised);
+        assert!(m.lane(0).alarms()[0].mean + m.lane(0).alarms()[0].epsilon < 0.9);
+        let first = m.lane(0).first_violation(u).unwrap();
         // Recovery: mean climbs back to µ.
         for i in 150..260u64 {
             observe(&mut m, u, Tick::new(i * 10), Value::Float(1.0));
         }
-        assert!(!m.active(u));
-        assert_eq!(m.alarms().len(), 2);
-        assert_eq!(m.alarms()[1].kind, AlarmKind::Cleared);
+        assert!(!m.lane(0).active(u));
+        assert_eq!(m.lane(0).alarms().len(), 2);
+        assert_eq!(m.lane(0).alarms()[1].kind, AlarmKind::Cleared);
         // first_violation is sticky across the clear.
-        assert_eq!(m.first_violation(u), Some(first));
+        assert_eq!(m.lane(0).first_violation(u), Some(first));
     }
 
     #[test]
@@ -963,9 +928,9 @@ mod tests {
             let v = if i % 4 == 0 { Value::Unreliable } else { Value::Float(1.0) };
             observe(&mut m, u, Tick::new(i * 10), v);
         }
-        assert!(m.first_dip(u).is_some());
-        assert!(m.alarms().is_empty(), "band never confident");
-        assert!(!m.dip_alarmed(u), "dip with no alarm = miss");
+        assert!(m.lane(0).first_dip(u).is_some());
+        assert!(m.lane(0).alarms().is_empty(), "band never confident");
+        assert!(!m.lane(0).dip_alarmed(u), "dip with no alarm = miss");
 
         // A lone failure is noise, not a violation: the mean stays well
         // inside the half band.
@@ -974,8 +939,8 @@ mod tests {
             let v = if i == 100 { Value::Unreliable } else { Value::Float(1.0) };
             observe(&mut m, u, Tick::new(i * 10), v);
         }
-        assert_eq!(m.first_dip(u), None);
-        assert!(!m.dip_alarmed(u));
+        assert_eq!(m.lane(0).first_dip(u), None);
+        assert!(!m.lane(0).dip_alarmed(u));
 
         // A hard outage decays through the dip threshold a few updates
         // before the alarm threshold; the promptly trailing alarm still
@@ -987,10 +952,18 @@ mod tests {
         for i in 60..120u64 {
             observe(&mut m, u, Tick::new(i * 10), Value::Unreliable);
         }
-        let dip = m.first_dip(u).expect("outage dips");
-        let raised = m.alarms().iter().find(|a| a.kind == AlarmKind::Raised).unwrap();
+        let dip = m.lane(0).first_dip(u).expect("outage dips");
+        let raised = m
+            .lane(0)
+            .alarms()
+            .iter()
+            .find(|a| a.kind == AlarmKind::Raised)
+            .unwrap();
         assert!(dip < raised.at, "half band crossed first");
-        assert!(m.dip_alarmed(u), "alarm within one window catches it");
+        assert!(
+            m.lane(0).dip_alarmed(u),
+            "alarm within one window catches it"
+        );
     }
 
     #[test]
@@ -1001,9 +974,9 @@ mod tests {
         for i in 0..1000u64 {
             observe(&mut m, s, Tick::new(i), Value::Unreliable);
         }
-        assert!(!m.active(s));
-        assert!(m.alarms().is_empty());
-        assert_eq!(m.first_violation(s), None);
+        assert!(!m.lane(0).active(s));
+        assert!(m.lane(0).alarms().is_empty());
+        assert_eq!(m.lane(0).first_violation(s), None);
     }
 
     #[test]
@@ -1022,12 +995,12 @@ mod tests {
             observe(&mut m, u, Tick::new(i * 10), Value::Unreliable);
         }
         // ε(5, 0.99) ≈ 0.73 > 0.5: not confident yet.
-        assert!(!m.active(u));
+        assert!(!m.lane(0).active(u));
         // Plenty more zeros: ε(n) shrinks below 0.5 and the alarm fires.
         for i in 5..200u64 {
             observe(&mut m, u, Tick::new(i * 10), Value::Unreliable);
         }
-        assert!(m.active(u));
+        assert!(m.lane(0).active(u));
     }
 
     #[test]
@@ -1057,20 +1030,20 @@ mod tests {
         for i in 0..60u64 {
             observe(&mut d, u, Tick::new(i * 10), Value::Unreliable);
         }
-        assert!(d.active(u));
+        assert!(d.lane(0).active(u));
         assert!(drops(&d, t, h, 0));
         assert!(!drops(&d, t, HostId::new(0), 0));
-        assert_eq!(d.mode_events().len(), 1);
-        assert_eq!(d.mode_events()[0].1, 3);
-        let engaged = d.engaged_at(0).unwrap();
+        assert_eq!(d.lane(0).mode_events().len(), 1);
+        assert_eq!(d.lane(0).mode_events()[0].1, 3);
+        let engaged = d.lane(0).engaged_at(0).unwrap();
         // Recovery clears the alarm but the rule stays engaged (latched).
         for i in 60..200u64 {
             observe(&mut d, u, Tick::new(i * 10), Value::Float(1.0));
         }
-        assert!(!d.active(u));
+        assert!(!d.lane(0).active(u));
         assert!(drops(&d, t, h, 0));
-        assert_eq!(d.engaged_at(0), Some(engaged));
-        assert_eq!(d.mode_events().len(), 1, "mode switch fires once");
+        assert_eq!(d.lane(0).engaged_at(0), Some(engaged));
+        assert_eq!(d.lane(0).mode_events().len(), 1, "mode switch fires once");
     }
 
     /// Rules that could never act are rejected: one on a communicator

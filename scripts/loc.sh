@@ -5,11 +5,11 @@
 #
 # A file counts up to (not including) its first inline test module: a
 # `#[cfg(test)]` line followed by `mod name {`. An out-of-line test module
-# declaration (`#[cfg(test)]` then `mod name;`) does not end the count.
-# Left out: `tests/` directories, `crates/vendored/`, and the test-only
-# scenario oracle `crates/sim/src/scenario/oracle.rs`. The root package
-# (`src/`, `examples/`) is reported as `logrel`, and `loadbench/` is not
-# part of the workspace.
+# declaration (`#[cfg(test)]` then `mod name;`) does not end the count;
+# the module's own file (and any file under its directory) is left out
+# instead. Also left out: `tests/` directories and `crates/vendored/`.
+# The root package (`src/`, `examples/`) is reported as `logrel`, and
+# `loadbench/` is not part of the workspace.
 #
 # With a revision REV (anything `git archive` accepts), the script also
 # counts the tree of REV, read with `git archive REV | tar -x` into a
@@ -36,15 +36,42 @@ count() {
     echo "$total"
 }
 
+# The files of out-of-line test modules (`#[cfg(test)]` then `mod
+# name;`), found where rustc looks for them: beside `lib.rs`, `main.rs`
+# and `mod.rs`, under `foo/` for `foo.rs`.
+test_modules() {
+    local file name dir
+    find crates src examples -name '*.rs' -not -path 'crates/vendored/*' |
+        while IFS= read -r file; do
+            awk '
+                pending && /^[[:space:]]*(pub(\([a-z]+\))? )?mod [A-Za-z_][A-Za-z0-9_]* *;/ {
+                    sub(/^.*mod /, ""); sub(/ *;.*$/, ""); print
+                }
+                { pending = 0 }
+                /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { pending = 1 }
+            ' "$file" | while IFS= read -r name; do
+                case $(basename "$file") in
+                    lib.rs | main.rs | mod.rs) dir=$(dirname "$file") ;;
+                    *) dir=${file%.rs} ;;
+                esac
+                if [ -f "$dir/$name.rs" ]; then echo "$dir/$name.rs"; fi
+                if [ -d "$dir/$name" ]; then find "$dir/$name" -name '*.rs'; fi
+            done
+        done
+}
+
+# The non-test source files under the given directories; `excluded`
+# holds the test-module files of the tree.
 sources() {
-    find "$@" -name '*.rs' -not -path '*/tests/*' \
-        -not -path 'crates/sim/src/scenario/oracle.rs' | sort
+    find "$@" -name '*.rs' -not -path '*/tests/*' | sort |
+        { grep -vxF -f <(printf '%s\n' "$excluded") || true; }
 }
 
 # `crate lines` for every crate of the tree in the current directory,
 # then `total lines`.
 report() {
-    local workspace=0 dir crate n
+    local workspace=0 dir crate n excluded
+    excluded=$(test_modules)
     for dir in crates/*/; do
         crate=$(basename "$dir")
         [ "$crate" = vendored ] && continue

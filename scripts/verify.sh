@@ -16,8 +16,8 @@ scripts/loc.sh
 echo "==> cargo test"
 cargo test -q
 
-echo "==> cargo test -p logrel-sim --features validate (kernel self-certification)"
-cargo test -q -p logrel-sim --features validate > /dev/null
+echo "==> cargo test -p logrel-sim (kernel unit tests; every Simulation self-certifies)"
+cargo test -q -p logrel-sim > /dev/null
 
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -58,6 +58,8 @@ trap 'rm -rf "$METRICS_DIR"' EXIT
     > /dev/null
 grep -q '^logrel_rounds_total ' "$METRICS_DIR/m.prom"
 grep -q '^logrel_vote_' "$METRICS_DIR/m.prom"
+# The campaign's round program was self-certified, and timed.
+grep -q '^logrel_certify_seconds ' "$METRICS_DIR/m.prom"
 python3 - "$METRICS_DIR/m.prom.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))

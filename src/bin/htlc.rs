@@ -1,82 +1,6 @@
 //! `htlc` — the logrel command-line compiler and analysis driver.
 //!
-//! ```text
-//! htlc check <file>                  parse, elaborate, statically verify the
-//!                                    generated E-code and run the joint
-//!                                    schedulability/reliability analysis
-//! htlc verify <file>                 translation validation: certify the
-//!                                    compiled round program and the composed
-//!                                    per-host E-code against the
-//!                                    specification's denotational dataflow
-//! htlc lint [--deny] [--format json] <file>...
-//!                                    specification lints + E-code verification;
-//!                                    --format json emits the stable
-//!                                    `logrel-diagnostics-v1` document
-//! htlc certify [--deny] [--box D] [--format json] [--metrics PATH] <file>
-//!                                    sound reliability certification: outward-
-//!                                    rounded interval SRGs decide every LRC as
-//!                                    CERTIFIED / REFUTED / INDETERMINATE,
-//!                                    symbolic Birnbaum sensitivities rank the
-//!                                    bottleneck components and per-component
-//!                                    degradation margins are reported; --box D
-//!                                    additionally certifies over the
-//!                                    reliability box [r-D, r] per component;
-//!                                    --format json emits the stable
-//!                                    `logrel-certificate-v1` document
-//! htlc fmt <file>                    pretty-print the program
-//! htlc graph <file>                  emit the specification graph as DOT
-//! htlc ecode <file> <host>           disassemble one host's E-code
-//! htlc importance <file> <comm>      rank components by Birnbaum importance
-//! htlc simulate <file> [rounds [seed]]  fault-injected simulation summary
-//! htlc inject [--metrics PATH] [--lanes N|off|auto] [--seed N] <file> <scenario> [rounds [seed [reps]]]
-//!                                    scenario campaign with online LRC
-//!                                    monitoring (crash/rejoin, flaky
-//!                                    hosts, burst loss, stuck sensors,
-//!                                    common-cause groups, partitions,
-//!                                    wear-out, adaptive adversaries);
-//!                                    --metrics exports the aggregated
-//!                                    registry (Prometheus text at PATH,
-//!                                    JSON at PATH.json, `-` for stdout);
-//!                                    --lanes selects the bit-sliced
-//!                                    Monte-Carlo path (up to 64
-//!                                    replications per u64 word); --seed
-//!                                    overrides the positional seed, and
-//!                                    the effective seed is echoed in
-//!                                    stdout and as the
-//!                                    `logrel_campaign_seed` gauge
-//! htlc trace [--seed N] <file> <scenario> [rounds [seed]]
-//!                                    single-replication run with the
-//!                                    flight recorder attached: counter
-//!                                    summary plus every recorded dump
-//!                                    (alarm-triggered and final) with
-//!                                    names resolved
-//! htlc fuzz <file> [--iters N] [--seed S] [--corpus DIR]
-//!                                    coverage-guided scenario fuzzing:
-//!                                    mutates `.scn` timelines, keeps
-//!                                    candidates with novel coverage
-//!                                    signatures, hunts monitor misses
-//!                                    (µ-violations the LRC monitor never
-//!                                    alarmed on) and shrinks them to
-//!                                    minimal reproducers; --corpus
-//!                                    writes the corpus and reproducer
-//!                                    `.scn` files; fully deterministic
-//!                                    in --seed
-//! htlc refine <refining> <refined>   check the refinement relation (κ by
-//!                                    task name)
-//! htlc analyze <spec> [--against <db>] [--stats]
-//!                                    incremental joint analysis through the
-//!                                    content-hashed query engine: reuses
-//!                                    green entries of the `.logrel-cache`
-//!                                    database, attempts refinement reuse
-//!                                    (Proposition 2) for a dirty
-//!                                    schedulability query, and recomputes
-//!                                    only the dirtied cone — with output
-//!                                    byte-identical to a cold run
-//! ```
-//!
-//! `lint`, `check` and `verify` additionally accept `--incremental`,
-//! which caches the whole command report in the spec's `.logrel-cache`
-//! and replays it verbatim while the spec is unchanged.
+//! Run `htlc help` for the usage text: every command with its flags.
 //!
 //! Exit codes: `0` clean (warnings may have been printed), `1` usage or
 //! I/O error, `2` diagnostics of error severity emitted (`--deny`
@@ -917,8 +841,13 @@ fn run(args: &[String]) -> Result<(), Failure> {
             let analytic = logrel::reliability::compute_srgs(&sys.spec, &sys.arch, &sys.imp)
                 .map_err(|e| Failure::Usage(e.to_string()))?;
             let td = logrel::core::TimeDependentImplementation::from(sys.imp.clone());
-            let sim = logrel::sim::Simulation::try_new(&sys.spec, &sys.arch, &td)
-                .map_err(|e| analysis_failure(path, "A003", format!("{e}")))?;
+            let sim = logrel::sim::Simulation::try_new_observed(
+                &sys.spec,
+                &sys.arch,
+                &td,
+                &mut logrel::obs::NoopSink,
+            )
+            .map_err(|e| analysis_failure(path, "A003", format!("{e}")))?;
             let mut inj = logrel::sim::ProbabilisticFaults::from_architecture(&sys.arch);
             let out = sim.run(
                 &mut logrel::sim::BehaviorMap::new(),
@@ -1171,8 +1100,13 @@ fn run(args: &[String]) -> Result<(), Failure> {
             let path = rest.first().ok_or(usage)?;
             let sys = compile_path(path)?;
             let td = logrel::core::TimeDependentImplementation::from(sys.imp.clone());
-            let sim = logrel::sim::Simulation::try_new(&sys.spec, &sys.arch, &td)
-                .map_err(|e| analysis_failure(path, "A003", format!("{e}")))?;
+            let sim = logrel::sim::Simulation::try_new_observed(
+                &sys.spec,
+                &sys.arch,
+                &td,
+                &mut logrel::obs::NoopSink,
+            )
+            .map_err(|e| analysis_failure(path, "A003", format!("{e}")))?;
             // One short, fixed campaign evaluates every candidate — the
             // same base seed throughout, so a reproducer replays through
             // `htlc inject` with exactly the parameters echoed below.

@@ -190,7 +190,7 @@ fn supervised_observed_lanes_match_one_lane_runs() {
                 &mut one_registry,
                 &SimConfig { rounds, seed },
             );
-            alarms += one_monitor.alarms().len();
+            alarms += one_monitor.lane(0).alarms().len();
             (one, one_monitor, one_registry)
         })
         .collect();
@@ -228,7 +228,7 @@ fn supervised_observed_lanes_match_one_lane_runs() {
             }
             assert_eq!(
                 group.lane(i).alarms(),
-                one_monitor.alarms(),
+                one_monitor.lane(0).alarms(),
                 "lane {i} group alarms"
             );
         }

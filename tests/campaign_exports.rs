@@ -436,7 +436,7 @@ fn degrader_events_are_pinned() {
             seed: 21,
         },
     );
-    assert!(degrader.engaged_at(0).is_some() && degrader.engaged_at(2).is_some());
+    assert!(degrader.lane(0).engaged_at(0).is_some() && degrader.lane(0).engaged_at(2).is_some());
     let rec = registry.recorder().expect("recorder attached");
     let dropped = rec.dropped();
     let live = events_digest(rec.events().cloned());

@@ -99,7 +99,7 @@ fn three_tank_drops_the_corrupting_replica() {
     let poisoned = run(&mut monitor);
     let (total, reliable) = reliability_after(&poisoned, sys.ids.u1, 1_000);
     assert_eq!(reliable, 0, "2-replica majority with one liar is ⊥: {total}");
-    assert!(monitor.active(sys.ids.u1), "the alarm never clears");
+    assert!(monitor.lane(0).active(sys.ids.u1), "the alarm never clears");
 
     // With the degrader: both controllers drop their h1 replica at the
     // first confident alarm and service resumes on h2 alone.
@@ -122,9 +122,13 @@ fn three_tank_drops_the_corrupting_replica() {
         ])
         .expect("every rule can act");
     let recovered = run(&mut degrader);
-    let engaged = degrader.engaged_at(0).expect("u1 rule engaged").as_u64();
+    let engaged = degrader
+        .lane(0)
+        .engaged_at(0)
+        .expect("u1 rule engaged")
+        .as_u64();
     assert!(engaged < 2_000, "engagement is prompt: {engaged}");
-    assert!(degrader.engaged_at(1).is_some());
+    assert!(degrader.lane(0).engaged_at(1).is_some());
     let (total, reliable) = reliability_after(&recovered, sys.ids.u1, 2_000);
     assert_eq!(reliable, total, "u1 is fully reliable after the drop");
     // ...and carries h2's genuine value, not the garbage.
@@ -134,13 +138,14 @@ fn three_tank_drops_the_corrupting_replica() {
         }
     }
     let u1_alarms: Vec<AlarmKind> = degrader
+        .lane(0)
         .alarms()
         .iter()
         .filter(|a| a.comm == sys.ids.u1)
         .map(|a| a.kind)
         .collect();
     assert_eq!(u1_alarms, vec![AlarmKind::Raised, AlarmKind::Cleared]);
-    assert!(!degrader.active(sys.ids.u1));
+    assert!(!degrader.lane(0).active(sys.ids.u1));
 }
 
 /// Steer-by-wire: a garbage-emitting ecu_a poisons `filtered` and `cmd`
@@ -176,7 +181,7 @@ fn steer_by_wire_drops_the_corrupting_ecu() {
     let poisoned = run(&mut monitor);
     let (_, reliable) = reliability_after(&poisoned, sys.ids.cmd, 100);
     assert_eq!(reliable, 0, "cmd is ⊥ while ecu_a lies");
-    assert!(monitor.active(sys.ids.cmd));
+    assert!(monitor.lane(0).active(sys.ids.cmd));
 
     let rules = vec![
         DegradationRule {
@@ -198,12 +203,20 @@ fn steer_by_wire_drops_the_corrupting_ecu() {
         .with_rules(rules)
         .expect("every rule can act");
     let recovered = run(&mut degrader);
-    let engaged = degrader.engaged_at(0).expect("rules engaged").as_u64();
-    assert_eq!(degrader.engaged_at(1), degrader.engaged_at(0));
+    let engaged = degrader
+        .lane(0)
+        .engaged_at(0)
+        .expect("rules engaged")
+        .as_u64();
+    assert_eq!(
+        degrader.lane(0).engaged_at(1),
+        degrader.lane(0).engaged_at(0)
+    );
     assert!(engaged < 500, "a 0.99 LRC alarm fires within a few updates");
     let (total, reliable) = reliability_after(&recovered, sys.ids.cmd, 1_000);
     assert!(total > 0 && reliable == total, "cmd recovered: {reliable}/{total}");
     let kinds: Vec<AlarmKind> = degrader
+        .lane(0)
         .alarms()
         .iter()
         .filter(|a| a.comm == sys.ids.cmd)
@@ -304,7 +317,7 @@ fn lrc_alarm_switches_the_modal_program_to_the_degraded_mode() {
             seed: 3,
         },
     );
-    let events = degrader.mode_events().to_vec();
+    let events = degrader.lane(0).mode_events().to_vec();
     assert_eq!(events.len(), 1, "one mode switch event: {events:?}");
     assert_eq!(events[0].1, 0);
     let alarm_at = events[0].0.as_u64();

@@ -164,7 +164,12 @@ fn monitor_raises_and_clears_across_the_outage() {
     );
 
     let u1 = sys.ids.u1;
-    let alarms: Vec<_> = monitor.alarms().iter().filter(|a| a.comm == u1).collect();
+    let alarms: Vec<_> = monitor
+        .lane(0)
+        .alarms()
+        .iter()
+        .filter(|a| a.comm == u1)
+        .collect();
     assert_eq!(alarms.len(), 2, "exactly one raise + clear: {alarms:?}");
     assert_eq!(alarms[0].kind, AlarmKind::Raised);
     // The raise needs ~24 unreliable updates in the 200-window to become
@@ -181,10 +186,10 @@ fn monitor_raises_and_clears_across_the_outage() {
         (REJOIN_AT..REJOIN_AT + 25_000).contains(&cleared),
         "cleared at {cleared}"
     );
-    assert!(!monitor.active(u1));
-    assert_eq!(monitor.first_violation(u1), Some(alarms[0].at));
+    assert!(!monitor.lane(0).active(u1));
+    assert_eq!(monitor.lane(0).first_violation(u1), Some(alarms[0].at));
     // u2 (on the healthy h2) never alarms.
-    assert!(monitor.alarms().iter().all(|a| a.comm == u1));
+    assert!(monitor.lane(0).alarms().iter().all(|a| a.comm == u1));
 }
 
 /// The campaign acceptance check: empirical λ̂ stays within the Hoeffding

@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use logrel::obs::export::to_json_line;
-use logrel::obs::{names, MetricsSink, Registry};
+use logrel::obs::{names, MetricsSink, NoopSink, Registry};
 use logrel::serve::pipeline::{CompiledSpec, Symbols};
 use logrel::serve::proto::{self, parse_json, Json};
 use logrel::serve::{entry_bytes, Engine, Job, JobOutcome, ServeConfig, COMPILE_CACHE_BYTES};
@@ -64,7 +64,7 @@ fn library_reference_line() -> String {
         .map(|c| Some(analytic_report.communicator(c).get()))
         .collect();
     let td = logrel::core::TimeDependentImplementation::from(sys.imp.clone());
-    let sim = Simulation::try_new(&sys.spec, &sys.arch, &td).unwrap();
+    let sim = Simulation::try_new_observed(&sys.spec, &sys.arch, &td, &mut NoopSink).unwrap();
     let config = CampaignConfig {
         batch: BatchConfig {
             replications: REPS,
@@ -582,7 +582,7 @@ fn compile_cache_evicts_least_recently_used_specs_beyond_its_budget() {
     assert!(!submit_ok(&engine, &hot).cache_hit);
     let charge = |job: &Job| {
         let sys = logrel::lang::compile(&job.spec_source).unwrap();
-        let compiled = CompiledSpec::new(sys, &mut logrel::obs::NoopSink).unwrap();
+        let compiled = CompiledSpec::new(sys, &mut NoopSink).unwrap();
         entry_bytes(&job.spec_source, &compiled)
     };
     // Every cold spec is charged at least as much as the first.

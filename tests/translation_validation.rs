@@ -59,6 +59,28 @@ fn clean_kernel_certifies() {
     }
 }
 
+/// Every `Simulation` certifies the program it compiled, wherever it is
+/// built: outside `logrel-sim`, with a live registry, the certify span
+/// is recorded next to the compile span.
+#[test]
+fn every_simulation_self_certifies_and_times_it() {
+    for scenario in [Scenario::Baseline, Scenario::ReplicatedControllers] {
+        let (sys, td, _) = compiled(scenario);
+        let mut registry = logrel_obs::Registry::new();
+        logrel_sim::Simulation::try_new_observed(&sys.spec, &sys.arch, &td, &mut registry)
+            .expect("clean program certifies");
+        for name in [
+            logrel_obs::names::COMPILE_SECONDS,
+            logrel_obs::names::CERTIFY_SECONDS,
+        ] {
+            assert!(
+                registry.gauge(name).is_some_and(|s| s >= 0.0),
+                "{name} missing"
+            );
+        }
+    }
+}
+
 #[test]
 fn v001_missing_latch_edge() {
     let (sys, td, mut prog) = compiled(Scenario::Baseline);
