@@ -7,15 +7,16 @@
 //! front half once — incremental analysis ([`analyze_source`],
 //! warm-started from the service's [`SharedDb`] so a *resubmitted edited
 //! spec* reuses the refinement relation) parses and elaborates the spec,
-//! and [`CompiledSpec::new`] builds on the system that analysis
-//! elaborated (analytic SRGs plus the self-certified round program) —
-//! and caches the result behind an `Arc`. A hit shares everything; the
-//! only per-job work left is the Monte-Carlo campaign itself. Compiles
-//! are single-flight per hash: the cache map lock is held only to find
-//! or insert a spec's slot, and the compile runs under that slot's own
-//! lock. Concurrent submissions of the same new spec therefore compile
-//! it exactly once, while jobs on other specs — cache hits included —
-//! never wait for it. A failed compile leaves no entry, so errors are
+//! and [`CompiledSpec::new`] builds the self-certified round program on
+//! the system that analysis elaborated — and caches the result behind an
+//! `Arc`. A job's result is its registry, so the engine computes no
+//! analytic SRGs (the analysis has already reported them). A hit shares
+//! everything; the only per-job work left is the Monte-Carlo campaign
+//! itself. Compiles are single-flight per hash: the cache map lock is
+//! held only to find or insert a spec's slot, and the compile runs under
+//! that slot's own lock. Concurrent submissions of the same new spec
+//! therefore compile it exactly once, while jobs on other specs — cache
+//! hits included — never wait for it. A failed compile leaves no entry, so errors are
 //! never cached.
 //!
 //! The cache is bounded: each compiled entry is charged an estimate of
@@ -27,15 +28,16 @@
 //!
 //! # Determinism
 //!
-//! A job is a [`pipeline`](crate::pipeline) campaign: [`Plan::new`]
-//! shards the replications into units, the units are scattered over the
-//! worker pool, and their results land in per-job slots indexed by unit
-//! for [`Plan::finish`] to merge in unit (= replication) order. Seeds
+//! A job is a [`pipeline`](crate::pipeline) campaign, driven by the
+//! library's [`Campaign`](logrel_sim::Campaign): [`Plan::new`] shards the
+//! replications into units, the units are scattered over the worker
+//! pool, and their results land in per-job slots indexed by unit for
+//! [`Plan::finish`] to merge in unit (= replication) order. Seeds
 //! derive from `(base_seed, replication)`, never from a worker id, so the
 //! exported registry is **byte-identical at any worker count**. `htlc
-//! inject` runs the same pipeline on scoped threads, so a job's export
-//! equals the standalone one up to the wall-clock `*_seconds` span
-//! gauges, which a service job never records.
+//! inject` runs the same [`Plan`] on one thread per core, so a job's
+//! export equals the standalone one up to the wall-clock `*_seconds`
+//! span gauges, which a service job never records.
 //!
 //! # Backpressure and shutdown
 //!
@@ -53,9 +55,9 @@ use logrel_core::fnv1a;
 use logrel_obs::export::to_json_line;
 use logrel_obs::{names, MetricsSink, NoopSink, Registry};
 use logrel_query::{analyze_source, LoadOutcome, QueryDb, SharedDb};
-use logrel_sim::{LaneMode, RepSink, Scenario};
+use logrel_sim::{LaneMode, RepSink, Scenario, UnitResult};
 
-use crate::pipeline::{campaign_config, CompiledSpec, Plan, Symbols, UnitResult};
+use crate::pipeline::{campaign_config, CompiledSpec, Plan, Symbols};
 use crate::proto::{self, JobError};
 
 /// Service tuning knobs.

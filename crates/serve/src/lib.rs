@@ -9,8 +9,10 @@
 //! * [`proto`] — the line-delimited `logrel-job-v1` request /
 //!   `logrel-metrics-v1` result / `logrel-job-status-v1` status
 //!   protocol, with stable `S001`–`S005` rejection codes;
-//! * [`pipeline`] — the one campaign pipeline (compile → plan → unit →
-//!   merge) that the engine and `htlc inject` both run;
+//! * [`pipeline`] — the compiled spec, replication context and replay
+//!   gauges around the library's one campaign driver
+//!   ([`logrel_sim::Campaign`]: plan → unit → merge), which the engine
+//!   and `htlc inject` both run;
 //! * [`engine`] — a compilation cache keyed by spec content hash
 //!   (warm-started from the incremental analysis database, so edited
 //!   resubmissions reuse the refinement relation), a bounded admission

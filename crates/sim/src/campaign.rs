@@ -1,9 +1,20 @@
 //! Scenario campaigns over the deterministic Monte-Carlo harness.
 //!
-//! A campaign runs a [`Scenario`] for a batch of seeded replications,
-//! planned by [`plan_campaign`] into [`CampaignUnit`]s, with one online
-//! [`LrcMonitor`] watching every replication of a unit, and aggregates
-//! per communicator: the
+//! A campaign runs a [`Scenario`] for a batch of seeded replications
+//! through one driver, [`Campaign`]:
+//!
+//! 1. [`Campaign::new`] validates the scenario and the batch and plans
+//!    the replications into [`CampaignUnit`]s of up to 64 lanes;
+//! 2. [`Campaign::run_unit`] runs one unit as one lane group, watched by
+//!    one online [`LrcMonitor`], and reduces each lane to its
+//!    [`RepStats`];
+//! 3. [`Campaign::finish`] aggregates the units' results in unit
+//!    (= replication) order and merges their sinks into the caller's
+//!    registry in the same order.
+//!
+//! [`Campaign::run`] does steps 2 and 3 over the batch's threads; a job
+//! service runs the units on its own pool and calls
+//! [`Campaign::finish`]. The report holds, per communicator, the
 //! empirical long-run reliability λ̂ against a caller-supplied analytic
 //! SRG (with the Hoeffding radius over the pooled sample count), the
 //! time to the first LRC violation, and alarm counts. Scripted host
@@ -182,12 +193,9 @@ impl From<ScenarioError> for CampaignError {
 /// One sharded slice of a campaign: `width` consecutive replications
 /// starting at `first_rep`, executed as a single work item.
 ///
-/// Units are the currency of cross-job sharding: a job service plans a
-/// campaign once with [`plan_units`], feeds the units to any worker pool
-/// in any order, and [`aggregate_campaign`] over the unit results *in
-/// replication order* reproduces [`run_campaign`] bit-exactly — each
-/// replication's RNG stream depends only on `(base_seed, rep)`, never on
-/// which worker ran it or what else ran beside it.
+/// Units may run on any worker in any order: each replication's RNG
+/// stream depends only on `(base_seed, rep)`, never on which worker ran
+/// it or what else ran beside it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignUnit {
     /// Index of the unit's first replication.
@@ -224,23 +232,125 @@ pub fn check_rounds(spec: &Specification, rounds: u64) -> Result<Tick, CampaignE
     }
 }
 
-/// Validates a campaign and plans its units: the scenario must fit the
-/// system's `host_count` hosts and the spec's communicators, the horizon
-/// must pass [`check_rounds`], and the replication count must lie in
-/// `1..=`[`MAX_REPLICATIONS`]. Every campaign driver plans through here,
-/// so every one of them rejects the same inputs the same way.
-pub fn plan_campaign(
-    spec: &Specification,
-    scenario: &Scenario,
+/// One unit's per-replication results, in replication order.
+pub type UnitResult<M, E = CampaignError> = Result<Vec<(RepStats, M)>, E>;
+
+/// A validated campaign planned into units: the one campaign driver.
+///
+/// [`Campaign::run`] runs the units on the batch's threads; a service
+/// runs [`Campaign::run_unit`] on its own pool instead and hands the
+/// results to [`Campaign::finish`] in unit order, with the same report
+/// and registry, byte for byte.
+#[derive(Debug)]
+pub struct Campaign {
+    scenario: Scenario,
+    config: CampaignConfig,
     host_count: usize,
-    config: &CampaignConfig,
-) -> Result<Vec<CampaignUnit>, CampaignError> {
-    scenario.check_bounds(host_count, spec.communicator_count())?;
-    check_rounds(spec, config.batch.rounds)?;
-    match config.batch.replications {
-        0 => Err(CampaignError::NoReplications),
-        n if n > MAX_REPLICATIONS => Err(CampaignError::TooManyReplications(n)),
-        n => Ok(plan_units(n, config.lanes.width())),
+    recorder_capacity: usize,
+    units: Vec<CampaignUnit>,
+}
+
+impl Campaign {
+    /// Validates a campaign and plans its units: the scenario must fit
+    /// `host_count` hosts and the spec's communicators, the horizon must
+    /// pass [`check_rounds`], and the replication count must lie in
+    /// `1..=`[`MAX_REPLICATIONS`]. Unit sinks carry flight recorders of
+    /// `recorder_capacity` events.
+    pub fn new(
+        spec: &Specification,
+        scenario: Scenario,
+        config: CampaignConfig,
+        host_count: usize,
+        recorder_capacity: usize,
+    ) -> Result<Campaign, CampaignError> {
+        scenario.check_bounds(host_count, spec.communicator_count())?;
+        check_rounds(spec, config.batch.rounds)?;
+        let units = match config.batch.replications {
+            0 => return Err(CampaignError::NoReplications),
+            n if n > MAX_REPLICATIONS => return Err(CampaignError::TooManyReplications(n)),
+            n => plan_units(n, config.lanes.width()),
+        };
+        Ok(Campaign {
+            scenario,
+            config,
+            host_count,
+            recorder_capacity,
+            units,
+        })
+    }
+
+    /// The campaign's configuration.
+    #[must_use]
+    pub fn config(&self) -> &CampaignConfig {
+        &self.config
+    }
+
+    /// The planned units, in replication order.
+    #[must_use]
+    pub fn units(&self) -> &[CampaignUnit] {
+        &self.units
+    }
+
+    /// Runs one unit over `sim` ([`run_campaign_unit`]), each replication
+    /// from its base context `setup(rep)`, reporting to a fresh `M`.
+    pub fn run_unit<'a, M: RepSink>(
+        &self,
+        sim: &Simulation<'_>,
+        setup: impl Fn(u64) -> ReplicationContext<'a>,
+        unit: CampaignUnit,
+    ) -> UnitResult<M> {
+        run_campaign_unit(
+            sim,
+            sim.spec,
+            &self.scenario,
+            self.host_count,
+            &self.config,
+            setup,
+            |_rep| M::fresh(self.recorder_capacity),
+            unit,
+        )
+    }
+
+    /// Aggregates the unit results, given in unit order, into the report
+    /// against the `analytic` SRGs ([`aggregate_campaign`]) and merges
+    /// their sinks into `registry` in the same order, or returns the
+    /// first unit's error. `registry` keeps what it already held.
+    pub fn finish<M: RepSink, E>(
+        &self,
+        spec: &Specification,
+        analytic: &[Option<f64>],
+        per_unit: Vec<UnitResult<M, E>>,
+        registry: &mut Registry,
+    ) -> Result<ScenarioReport, E> {
+        let per_rep = per_unit.into_iter().collect::<Result<Vec<_>, E>>()?;
+        let (report, sinks) = aggregate_campaign(
+            spec,
+            &self.scenario,
+            self.host_count,
+            &self.config,
+            analytic,
+            per_rep.into_iter().flatten().collect(),
+        );
+        for sink in sinks {
+            sink.merge_into(registry);
+        }
+        Ok(report)
+    }
+
+    /// Runs every unit on the batch's threads ([`run_indexed_units`]) and
+    /// finishes into `registry`; with `M = `[`NoopSink`] nothing is
+    /// observed.
+    pub fn run<'a, M: RepSink>(
+        &self,
+        sim: &Simulation<'_>,
+        setup: impl Fn(u64) -> ReplicationContext<'a> + Sync,
+        analytic: &[Option<f64>],
+        registry: &mut Registry,
+    ) -> Result<ScenarioReport, CampaignError> {
+        let per_unit = run_indexed_units(self.config.batch.threads, &self.units, |&unit, _| {
+            self.run_unit::<M>(sim, &setup, unit)
+        });
+        self.finish(sim.spec, analytic, per_unit, registry)
     }
 }
 
@@ -346,79 +456,6 @@ fn rep_stats(
     stats
 }
 
-/// Runs `scenario` for a batch of replications over `sim` and aggregates
-/// the report.
-///
-/// `setup(rep)` builds each replication's *base* context — behaviors,
-/// environment, inner fault injector — which the campaign runs under the
-/// scenario layers (the lane-group form of
-/// [`ScenarioInjector`](crate::ScenarioInjector), and a
-/// [`ScenarioEnvironment`] per replication) and watches with an
-/// [`LrcMonitor`]. `analytic` carries the
-/// per-communicator SRGs to compare λ̂ against (`None` entries skip the
-/// comparison); pass `&[]` to skip it entirely.
-pub fn run_campaign<'a, S>(
-    sim: &Simulation<'_>,
-    spec: &Specification,
-    scenario: &Scenario,
-    host_count: usize,
-    config: &CampaignConfig,
-    setup: S,
-    analytic: &[Option<f64>],
-) -> Result<ScenarioReport, CampaignError>
-where
-    S: Fn(u64) -> ReplicationContext<'a> + Sync,
-{
-    campaign_core::<_, NoopSink>(
-        sim,
-        spec,
-        scenario,
-        host_count,
-        config,
-        setup,
-        analytic,
-        0,
-        &mut Registry::new(),
-    )
-}
-
-/// [`run_campaign`] with metrics: every replication carries a fresh
-/// [`Registry`] (with a flight recorder of `recorder_capacity` events
-/// when nonzero), and the per-replication registries are merged **in
-/// replication order** into the caller's `registry` — so the aggregate
-/// is bit-identical at any thread count. Alarm-triggered flight-recorder
-/// dumps survive the merge (capped; see `FlightRecorder::MAX_DUMPS`).
-///
-/// The caller's registry is merged *into*, not replaced: top-level span
-/// gauges already recorded on it (compile/certify/run) are preserved.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_observed<'a, S>(
-    sim: &Simulation<'_>,
-    spec: &Specification,
-    scenario: &Scenario,
-    host_count: usize,
-    config: &CampaignConfig,
-    setup: S,
-    analytic: &[Option<f64>],
-    registry: &mut Registry,
-    recorder_capacity: usize,
-) -> Result<ScenarioReport, CampaignError>
-where
-    S: Fn(u64) -> ReplicationContext<'a> + Sync,
-{
-    campaign_core::<_, Registry>(
-        sim,
-        spec,
-        scenario,
-        host_count,
-        config,
-        setup,
-        analytic,
-        recorder_capacity,
-        registry,
-    )
-}
-
 /// Runs one planned [`CampaignUnit`] and returns its per-replication
 /// results in replication order, each with a sink `make_sink` made for
 /// it.
@@ -436,19 +473,16 @@ where
 /// past the first [`FlightRecorder::MAX_DUMPS`](logrel_obs::FlightRecorder::MAX_DUMPS)
 /// in replication order.
 ///
-/// This is the sharding entry point for job services: bounds that
-/// [`plan_campaign`] checks once up front are re-validated here per unit
-/// (compiling the scenario propagates its error instead of panicking),
-/// so a malformed unit diagnoses rather than takes down the worker. The
-/// unit runs as one lane group, whatever its width, under one group
-/// scenario layer — the scenario's timeline is compiled once per unit
-/// and evaluated once per group, and each lane's base injector only
-/// makes that lane's draws — and one group [`LrcMonitor`] without
-/// degradation rules, and reduces each lane to its
-/// [`RepStats`] from the counts the kernel kept and the monitor's
-/// verdicts — no trace is recorded, so memory does not grow with the
-/// rounds. Every replication is bit-identical to its place in a
-/// monolithic [`run_campaign`] — seeds depend only on `(base_seed, rep)`.
+/// Bounds that [`Campaign::new`] checks once up front are re-validated
+/// here (compiling the scenario propagates its error), so a malformed
+/// unit diagnoses rather than takes down a service worker. The unit runs
+/// as one lane group under one group scenario layer (the timeline is
+/// compiled once per unit; each lane's base injector makes only that
+/// lane's draws) and one group [`LrcMonitor`] without degradation rules,
+/// and reduces each lane to its [`RepStats`] from the counts the kernel
+/// kept and the monitor's verdicts: no trace is recorded, so memory does
+/// not grow with the rounds. Seeds depend only on `(base_seed, rep)`, so
+/// a replication is the same in any unit of any width.
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_unit<'a, S, M, FM>(
     sim: &Simulation<'_>,
@@ -459,7 +493,7 @@ pub fn run_campaign_unit<'a, S, M, FM>(
     setup: S,
     make_sink: FM,
     unit: CampaignUnit,
-) -> Result<Vec<(RepStats, M)>, CampaignError>
+) -> UnitResult<M>
 where
     S: Fn(u64) -> ReplicationContext<'a>,
     M: MetricsSink,
@@ -514,38 +548,6 @@ where
         .collect())
 }
 
-/// The shared body of [`run_campaign`] and [`run_campaign_observed`]:
-/// plans the units, runs them over the batch's threads, aggregates the
-/// report, and merges the sinks into `registry` in replication order.
-#[allow(clippy::too_many_arguments)]
-fn campaign_core<'a, S, M: RepSink>(
-    sim: &Simulation<'_>,
-    spec: &Specification,
-    scenario: &Scenario,
-    host_count: usize,
-    config: &CampaignConfig,
-    setup: S,
-    analytic: &[Option<f64>],
-    recorder_capacity: usize,
-    registry: &mut Registry,
-) -> Result<ScenarioReport, CampaignError>
-where
-    S: Fn(u64) -> ReplicationContext<'a> + Sync,
-{
-    let units = plan_campaign(spec, scenario, host_count, config)?;
-    let per_unit = run_indexed_units(config.batch.threads, &units, |&unit, _| {
-        let make_sink = |_rep| M::fresh(recorder_capacity);
-        run_campaign_unit(sim, spec, scenario, host_count, config, &setup, make_sink, unit)
-    });
-    let per_rep = per_unit.into_iter().collect::<Result<Vec<_>, _>>()?;
-    let per_rep = per_rep.into_iter().flatten().collect();
-    let (report, sinks) = aggregate_campaign(spec, scenario, host_count, config, analytic, per_rep);
-    for sink in sinks {
-        sink.merge_into(registry);
-    }
-    Ok(report)
-}
-
 /// Aggregates per-replication results (in replication order) into the
 /// campaign report, returning the sinks alongside it, in the same order.
 /// Merged into a [`Registry`] in that order, the sinks of
@@ -554,7 +556,7 @@ where
 ///
 /// The reduction is order-sensitive only in the sinks (merged by the
 /// caller in the order given); the statistics are sums and minima, so
-/// any permutation-restoring shard scheduler reproduces [`run_campaign`]
+/// any permutation-restoring shard scheduler reproduces [`Campaign::run`]
 /// exactly by sorting unit results back into replication order first.
 pub fn aggregate_campaign<M>(
     spec: &Specification,
@@ -630,4 +632,96 @@ pub fn aggregate_campaign<M>(
     };
     let sinks = per_rep.into_iter().map(|(_, sink)| sink).collect();
     (report, sinks)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::montecarlo::BatchConfig;
+    use crate::scenario::ScenarioEvent;
+    use logrel_core::{CommunicatorDecl, HostId, TaskDecl, ValueType};
+
+    #[test]
+    fn new_diagnoses_each_bad_input() {
+        let mut sb = Specification::builder();
+        let s = sb
+            .communicator(
+                CommunicatorDecl::new("s", ValueType::Float, 10)
+                    .unwrap()
+                    .from_sensor(),
+            )
+            .unwrap();
+        let u = sb
+            .communicator(CommunicatorDecl::new("u", ValueType::Float, 10).unwrap())
+            .unwrap();
+        sb.task(TaskDecl::new("copy").reads(s, 0).writes(u, 1))
+            .unwrap();
+        let spec = sb.build().unwrap();
+        let config = |replications, rounds| CampaignConfig {
+            batch: BatchConfig {
+                replications,
+                rounds,
+                base_seed: 1,
+                threads: 1,
+            },
+            ..CampaignConfig::default()
+        };
+        let crash_of = |host| {
+            Scenario::from_events(vec![ScenarioEvent::Crash {
+                host: HostId::new(host),
+                at: Tick::new(10),
+            }])
+            .unwrap()
+        };
+        let hosts = 2;
+        let cases = [
+            (
+                Scenario::new(),
+                config(0, 10),
+                Some(CampaignError::NoReplications),
+            ),
+            (
+                Scenario::new(),
+                config(MAX_REPLICATIONS + 1, 10),
+                Some(CampaignError::TooManyReplications(MAX_REPLICATIONS + 1)),
+            ),
+            (
+                Scenario::new(),
+                config(1, MAX_ROUNDS + 1),
+                Some(CampaignError::TooManyRounds {
+                    rounds: MAX_ROUNDS + 1,
+                    max: MAX_ROUNDS,
+                }),
+            ),
+            (
+                crash_of(hosts as u32),
+                config(1, 10),
+                Some(CampaignError::Scenario(ScenarioError {
+                    line: 0,
+                    message: "host 2 out of range (have 2)".into(),
+                })),
+            ),
+            // The largest admissible inputs plan.
+            (
+                crash_of(hosts as u32 - 1),
+                config(MAX_REPLICATIONS, MAX_ROUNDS),
+                None,
+            ),
+        ];
+        for (scenario, config, expected) in cases {
+            let planned = Campaign::new(&spec, scenario, config, hosts, 0);
+            match expected {
+                Some(e) => assert_eq!(planned.err(), Some(e), "{config:?}"),
+                None => {
+                    let campaign = planned.expect("admissible campaign plans");
+                    let units = campaign.units();
+                    assert_eq!(units.len() as u64, MAX_REPLICATIONS / 64);
+                    assert_eq!(
+                        units.iter().map(|u| u.width as u64).sum::<u64>(),
+                        MAX_REPLICATIONS
+                    );
+                }
+            }
+        }
+    }
 }

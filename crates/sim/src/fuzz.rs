@@ -20,8 +20,8 @@
 //! 2. each iteration picks a corpus parent and applies one mutation —
 //!    insert a random event, delete an event, widen an event's window,
 //!    retarget an event's host(s), or splice two corpus parents;
-//! 3. the candidate runs a short deterministic campaign
-//!    ([`run_campaign_observed`]) and is reduced to a **coverage
+//! 3. the candidate runs a short deterministic observed campaign
+//!    ([`Campaign::run`]) and is reduced to a **coverage
 //!    signature**: the log2-quantized vote-outcome class mix, one
 //!    alarm/violation ordering class per communicator, and the scripted
 //!    per-host availability decile;
@@ -43,14 +43,12 @@
 //!
 //! [`LrcMonitor`]: crate::monitor::LrcMonitor
 
-use crate::campaign::{
-    run_campaign, run_campaign_observed, CampaignConfig, CampaignError, ScenarioReport,
-};
+use crate::campaign::{Campaign, CampaignConfig, CampaignError, ScenarioReport};
 use crate::kernel::Simulation;
 use crate::montecarlo::ReplicationContext;
 use crate::scenario::{HostSet, Scenario, ScenarioEvent};
 use logrel_core::{HostId, Specification, Tick};
-use logrel_obs::{names, MetricsSink, Registry};
+use logrel_obs::{names, MetricsSink, NoopSink, Registry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -462,7 +460,7 @@ fn render_reproducer(scenario: &Scenario, config: &FuzzConfig) -> String {
 /// Runs a coverage-guided fuzzing campaign from `seed_scenario`.
 ///
 /// `setup` builds each replication's base context exactly as for
-/// [`run_campaign`]; every candidate campaign wraps it in the candidate's
+/// [`Campaign::run`]; every candidate campaign wraps it in the candidate's
 /// scenario layers. Fuzz counters (`logrel_fuzz_*`) and the signature
 /// cardinality gauge are recorded on `sink` once at the end of the run.
 ///
@@ -485,34 +483,19 @@ where
     let comm_count = spec.communicator_count();
     let mut rng = StdRng::seed_from_u64(config.seed);
 
+    let plan =
+        |scenario: &Scenario| Campaign::new(spec, scenario.clone(), config.campaign, host_count, 0);
     let evaluate = |scenario: &Scenario| -> Result<(Vec<u8>, ScenarioReport), CampaignError> {
         let mut registry = Registry::new();
-        let report = run_campaign_observed(
-            sim,
-            spec,
-            scenario,
-            host_count,
-            &config.campaign,
-            &setup,
-            &[],
-            &mut registry,
-            0,
-        )?;
+        let report = plan(scenario)?.run::<Registry>(sim, &setup, &[], &mut registry)?;
         let sig = signature(&registry, &report);
         Ok((sig, report))
     };
     // Shrink re-checks only need the report, not the signature.
     let check = |scenario: &Scenario| -> bool {
-        run_campaign(
-            sim,
-            spec,
-            scenario,
-            host_count,
-            &config.campaign,
-            &setup,
-            &[],
-        )
-        .is_ok_and(|report| is_miss(&report))
+        plan(scenario)
+            .and_then(|c| c.run::<NoopSink>(sim, &setup, &[], &mut Registry::new()))
+            .is_ok_and(|report| is_miss(&report))
     };
 
     let mut outcome = FuzzOutcome {

@@ -34,8 +34,9 @@
 //! * [`montecarlo`] — deterministic parallel Monte-Carlo batches: derived
 //!   per-replication seeds, scoped worker threads, replication-order
 //!   merging (bit-identical results at any thread count);
-//! * [`campaign`] — scenario sweeps over the Monte-Carlo harness with
-//!   per-communicator reliability/availability/alarm reports;
+//! * [`campaign`] — scenario sweeps over the Monte-Carlo harness through
+//!   one driver, [`Campaign`], with per-communicator
+//!   reliability/availability/alarm reports;
 //! * [`trace`] — recorded traces, their reliability abstraction ρ and
 //!   limit averages;
 //! * [`emrun`] — cross-validation of the E-machine code generator against
@@ -72,9 +73,9 @@ pub mod voting;
 pub use behavior::{BehaviorMap, TaskBehavior};
 pub use bitslice::{BitslicedOutput, LaneContext};
 pub use campaign::{
-    aggregate_campaign, check_rounds, plan_campaign, plan_units, run_campaign,
-    run_campaign_observed, run_campaign_unit, CampaignConfig, CampaignError, CampaignUnit,
-    CommunicatorReport, LaneMode, RepSink, RepStats, ScenarioReport, MAX_REPLICATIONS, MAX_ROUNDS,
+    aggregate_campaign, check_rounds, plan_units, run_campaign_unit, Campaign, CampaignConfig,
+    CampaignError, CampaignUnit, CommunicatorReport, LaneMode, RepSink, RepStats, ScenarioReport,
+    UnitResult, MAX_REPLICATIONS, MAX_ROUNDS,
 };
 pub use environment::{ConstantEnvironment, Environment};
 pub use fault::{

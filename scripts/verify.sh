@@ -72,6 +72,16 @@ echo "==> htlc trace smoke (flight recorder)"
 "$HTLC" trace examples/htl/infusion_pump.htl examples/scenarios/pump_outage.scn 200 7 \
     | grep -q '^flight recorder:'
 
+echo "==> htlc trace memory (10^6 rounds peak under 64 MB: no trace is kept)"
+python3 - "$HTLC" <<'PY'
+import resource, subprocess, sys
+subprocess.run([sys.argv[1], "trace", "examples/htl/infusion_pump.htl",
+                "examples/scenarios/pump_outage.scn", "1000000", "7"],
+               stdout=subprocess.DEVNULL, check=True)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+assert peak_mb < 64, f"htlc trace peaked at {peak_mb:.1f} MB"
+PY
+
 echo "==> htlc certify examples/htl + assets (every shipped spec CERTIFIED)"
 for f in examples/htl/*.htl assets/*.htl; do
     "$HTLC" certify "$f" | grep -q '^verdict: CERTIFIED$'

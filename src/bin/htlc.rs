@@ -18,7 +18,7 @@ use logrel::obs::MetricsSink as _;
 use logrel::query::Report;
 use logrel::refine::{check_refinement, validate, Kappa, SystemRef};
 use logrel::reliability::architecture_importance;
-use logrel::serve::pipeline::{self, CompileError, CompiledSpec, Plan, Symbols};
+use logrel::serve::pipeline::{self, CompiledSpec, Plan, Symbols};
 use std::process::ExitCode;
 
 /// A failed run: usage/I-O trouble (exit 1) or emitted diagnostics
@@ -838,6 +838,8 @@ fn run(args: &[String]) -> Result<(), Failure> {
                 .transpose()?
                 .unwrap_or(0xC0FFEE);
             let sys = compile_path(path)?;
+            logrel::sim::check_rounds(&sys.spec, rounds)
+                .map_err(|e| analysis_failure(path, "A004", e.to_string()))?;
             let analytic = logrel::reliability::compute_srgs(&sys.spec, &sys.arch, &sys.imp)
                 .map_err(|e| Failure::Usage(e.to_string()))?;
             let td = logrel::core::TimeDependentImplementation::from(sys.imp.clone());
@@ -917,24 +919,27 @@ fn run(args: &[String]) -> Result<(), Failure> {
             let scenario =
                 logrel::sim::Scenario::parse_with(&read(scenario_path)?, &Symbols(&sys))
                     .map_err(|e| Failure::Usage(format!("{scenario_path}: {e}")))?;
+            // The analytic column the report compares λ̂ against.
+            let srgs = logrel::reliability::compute_srgs(&sys.spec, &sys.arch, &sys.imp)
+                .map_err(|e| Failure::Usage(e.to_string()))?;
+            let analytic: Vec<_> =
+                sys.spec.communicator_ids().map(|c| Some(srgs.communicator(c).get())).collect();
             // The registry collects compile/certify spans even when
             // `--metrics` is absent; it is only exported when requested.
             let mut registry = logrel::obs::Registry::with_recorder(FLIGHT_RING);
-            let compiled = CompiledSpec::new(sys, &mut registry).map_err(|e| match e {
-                CompileError::Srg(e) => Failure::Usage(e.to_string()),
-                CompileError::Program(e) => analysis_failure(path, "A003", format!("{e}")),
-            })?;
+            let compiled = CompiledSpec::new(sys, &mut registry)
+                .map_err(|e| analysis_failure(path, "A003", format!("{e}")))?;
             let compiled = std::sync::Arc::new(compiled);
             let config = pipeline::campaign_config(reps, rounds, seed, lanes);
             let plan = Plan::new(std::sync::Arc::clone(&compiled), scenario, config, FLIGHT_RING)
                 .map_err(|e| analysis_failure(path, "A004", e.to_string()))?;
             let report = if metrics.is_some() {
                 let run_span = logrel::obs::Span::start();
-                let report = plan.run_scoped::<logrel::obs::Registry>(&mut registry);
+                let report = plan.run::<logrel::obs::Registry>(&analytic, &mut registry);
                 run_span.finish(&mut registry, logrel::obs::names::RUN_SECONDS);
                 report
             } else {
-                plan.run_scoped::<logrel::obs::NoopSink>(&mut registry)
+                plan.run::<logrel::obs::NoopSink>(&analytic, &mut registry)
             }
             .map_err(|e| analysis_failure(path, "A004", e.to_string()))?;
             let sys = compiled.sys();
@@ -1031,35 +1036,30 @@ fn run(args: &[String]) -> Result<(), Failure> {
             // under the scenario layers.
             let base = pipeline::replication_context(&sys.arch);
             let comms = sys.spec.communicator_count();
-            let mut injector = logrel::sim::ScenarioInjector::new(
+            let injector = logrel::sim::ScenarioInjector::new(
                 base.injector,
                 &scenario,
                 sys.arch.host_count(),
                 comms,
             )
             .map_err(|e| Failure::Usage(format!("{scenario_path}: {e}")))?;
-            let mut environment =
+            let environment =
                 logrel::sim::ScenarioEnvironment::new(base.environment, &scenario, comms);
+            // One lane, watched and observed but not traced: only the
+            // registry is printed, so memory does not grow with the rounds.
+            let mut lanes = [logrel::sim::LaneContext::plain(seed, injector, environment)];
             let mut monitor =
                 logrel::sim::LrcMonitor::new(&sys.spec, logrel::sim::MonitorConfig::default());
             let mut behaviors = base.behaviors;
-            let config = logrel::sim::SimConfig { rounds, seed };
             let run_span = logrel::obs::Span::start();
             // If the kernel panics, dump the flight recorder before the
             // unwind escapes — the last recorded events are exactly the
             // context the panic message lacks.
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                sim.run_observed(
-                    &mut behaviors,
-                    &mut environment,
-                    &mut injector,
-                    Some(&mut monitor),
-                    &mut registry,
-                    &config,
-                )
+                sim.run_monitored(&mut behaviors, &mut lanes, &mut monitor, &mut registry, rounds)
             }));
             match run {
-                Ok(_out) => {
+                Ok(_) => {
                     run_span.finish(&mut registry, logrel::obs::names::RUN_SECONDS);
                     if let Some(rec) = registry.recorder_mut() {
                         rec.dump_now(horizon.as_u64());

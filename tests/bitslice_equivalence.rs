@@ -499,7 +499,7 @@ proptest! {
 #[test]
 fn campaign_tail_packing_matches_scalar() {
     use logrel_sim::{
-        run_campaign, BatchConfig, CampaignConfig, LaneMode, MonitorConfig, ReplicationContext,
+        BatchConfig, Campaign, CampaignConfig, LaneMode, MonitorConfig, ReplicationContext,
     };
 
     let sys = ThreeTankSystem::new(Deployment::ReplicatedControllers);
@@ -528,20 +528,20 @@ fn campaign_tail_packing_matches_scalar() {
             monitor: MonitorConfig::default(),
             lanes,
         };
-        run_campaign(
-            &sim,
-            &sys.spec,
-            &scn,
-            sys.arch.host_count(),
-            &config,
-            |_rep| ReplicationContext {
-                behaviors: BehaviorMap::default(),
-                environment: Box::new(ConstantEnvironment::new(Value::Float(0.25))),
-                injector: Box::new(ProbabilisticFaults::from_architecture(&sys.arch)),
-            },
-            &[],
-        )
-        .unwrap()
+        Campaign::new(&sys.spec, scn.clone(), config, sys.arch.host_count(), 0)
+            .and_then(|campaign| {
+                campaign.run::<NoopSink>(
+                    &sim,
+                    |_rep| ReplicationContext {
+                        behaviors: BehaviorMap::default(),
+                        environment: Box::new(ConstantEnvironment::new(Value::Float(0.25))),
+                        injector: Box::new(ProbabilisticFaults::from_architecture(&sys.arch)),
+                    },
+                    &[],
+                    &mut Registry::new(),
+                )
+            })
+            .unwrap()
     };
 
     let scalar = run(1, LaneMode::Off);

@@ -23,7 +23,7 @@ use logrel::obs::export::to_json_line;
 use logrel::obs::{names, MetricsSink, NoopSink, ObsEvent, Registry};
 use logrel::serve::pipeline::{campaign_config, CompiledSpec, Plan, Symbols};
 use logrel::sim::{
-    run_campaign_observed, BatchConfig, BehaviorMap, CampaignConfig, ConstantEnvironment,
+    BatchConfig, BehaviorMap, Campaign, CampaignConfig, ConstantEnvironment,
     CorruptingFaults, DegradationRule, FaultInjector, HostSet, LaneMode, LrcMonitor, MonitorConfig,
     ProbabilisticFaults, ReplicationContext, Response, Scenario, ScenarioEnvironment,
     ScenarioEvent, ScenarioInjector, SimConfig, Simulation, VotingStrategy,
@@ -47,7 +47,7 @@ fn export(lanes: LaneMode) -> String {
     let config = campaign_config(REPLICATIONS, ROUNDS, SEED, lanes);
     let plan = Plan::new(compiled, scenario, config, RECORDER).expect("campaign plans");
     let mut registry = Registry::with_recorder(RECORDER);
-    plan.run_scoped::<Registry>(&mut registry)
+    plan.run::<Registry>(&[], &mut registry)
         .expect("campaign runs");
     assert!(
         registry.counter(names::ALARM_RAISED) > 0 && registry.counter(names::ALARM_CLEARED) > 0,
@@ -172,26 +172,24 @@ fn threetank_scenario_export(
     };
     let params = PlantParams::default();
     let mut registry = Registry::with_recorder(recorder);
-    run_campaign_observed(
-        &sim,
-        &sys.spec,
-        &scenario,
-        sys.arch.host_count(),
-        &config,
-        |_rep| ReplicationContext {
-            behaviors: build_behaviors(&sys, &params),
-            environment: Box::new(ConstantEnvironment::new(Value::Float(0.25))),
-            injector: if corrupting {
-                Box::new(CorruptingFaults::new(0.05, 9_999.0))
-            } else {
-                Box::new(ProbabilisticFaults::from_architecture(&sys.arch))
-            },
-        },
-        &[],
-        &mut registry,
-        recorder,
-    )
-    .expect("campaign runs");
+    Campaign::new(&sys.spec, scenario, config, sys.arch.host_count(), recorder)
+        .and_then(|campaign| {
+            campaign.run::<Registry>(
+                &sim,
+                |_rep| ReplicationContext {
+                    behaviors: build_behaviors(&sys, &params),
+                    environment: Box::new(ConstantEnvironment::new(Value::Float(0.25))),
+                    injector: if corrupting {
+                        Box::new(CorruptingFaults::new(0.05, 9_999.0))
+                    } else {
+                        Box::new(ProbabilisticFaults::from_architecture(&sys.arch))
+                    },
+                },
+                &[],
+                &mut registry,
+            )
+        })
+        .expect("campaign runs");
     assert!(
         registry.counter(names::ALARM_RAISED) > 0,
         "the scenario must exercise the monitor"

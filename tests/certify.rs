@@ -9,14 +9,14 @@
 //! (LRC weakening reuses, tightening recomputes, warm ≡ cold always).
 
 use logrel_core::{TimeDependentImplementation, Value};
-use logrel_obs::NoopSink;
+use logrel_obs::{NoopSink, Registry};
 use logrel_query::analyze_source;
 use logrel_reliability::{
     architecture_importance, certify, compute_srgs, compute_symbolic_srgs, pinned_birnbaum,
     standard_assignment, CertStatus,
 };
 use logrel_sim::{
-    run_campaign, BatchConfig, CampaignConfig, ConstantEnvironment, LaneMode, MonitorConfig,
+    BatchConfig, Campaign, CampaignConfig, ConstantEnvironment, LaneMode, MonitorConfig,
     ProbabilisticFaults, ReplicationContext, Scenario, Simulation,
 };
 use logrel_threetank::behaviors::build_behaviors;
@@ -258,20 +258,20 @@ fn campaign_epsilon_band_overlaps_certified_interval() {
         monitor: MonitorConfig::default(),
         lanes: LaneMode::default(),
     };
-    let report = run_campaign(
-        &sim,
-        &sys.spec,
-        &Scenario::new(),
-        sys.arch.host_count(),
-        &config,
-        |_rep| ReplicationContext {
-            behaviors: build_behaviors(&sys, &params),
-            environment: Box::new(ConstantEnvironment::new(Value::Float(0.25))),
-            injector: Box::new(ProbabilisticFaults::from_architecture(&sys.arch)),
-        },
-        &analytic,
-    )
-    .unwrap();
+    let report = Campaign::new(&sys.spec, Scenario::new(), config, sys.arch.host_count(), 0)
+        .and_then(|campaign| {
+            campaign.run::<NoopSink>(
+                &sim,
+                |_rep| ReplicationContext {
+                    behaviors: build_behaviors(&sys, &params),
+                    environment: Box::new(ConstantEnvironment::new(Value::Float(0.25))),
+                    injector: Box::new(ProbabilisticFaults::from_architecture(&sys.arch)),
+                },
+                &analytic,
+                &mut Registry::new(),
+            )
+        })
+        .unwrap();
 
     for (cr, row) in report.comms.iter().zip(&cert.comms) {
         assert!(

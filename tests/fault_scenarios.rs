@@ -7,10 +7,10 @@
 //! every new event kind).
 
 use logrel_core::{Tick, TimeDependentImplementation, Value};
-use logrel_obs::NoopSink;
+use logrel_obs::{NoopSink, Registry};
 use logrel_reliability::compute_srgs;
 use logrel_sim::{
-    run_campaign, run_replications, AlarmKind, BatchConfig, BehaviorMap, CampaignConfig,
+    run_replications, AlarmKind, BatchConfig, BehaviorMap, Campaign, CampaignConfig,
     ConstantEnvironment, FaultInjector, HostSet, LaneMode, LrcMonitor, MonitorConfig, NoFaults,
     ProbabilisticFaults, ReplicationContext, Scenario, ScenarioEnvironment, ScenarioEvent,
     ScenarioInjector, SimConfig, SimOutput, Simulation,
@@ -236,20 +236,20 @@ fn campaign_lambda_within_epsilon_and_replays_bit_identically() {
             monitor: MonitorConfig::default(),
             lanes: LaneMode::default(),
         };
-        run_campaign(
-            &sim,
-            &sys.spec,
-            scn,
-            sys.arch.host_count(),
-            &config,
-            |_rep| ReplicationContext {
-                behaviors: build_behaviors(&sys, &params),
-                environment: Box::new(ConstantEnvironment::new(Value::Float(0.25))),
-                injector: Box::new(ProbabilisticFaults::from_architecture(&sys.arch)),
-            },
-            &analytic,
-        )
-        .unwrap()
+        Campaign::new(&sys.spec, scn.clone(), config, sys.arch.host_count(), 0)
+            .and_then(|campaign| {
+                campaign.run::<NoopSink>(
+                    &sim,
+                    |_rep| ReplicationContext {
+                        behaviors: build_behaviors(&sys, &params),
+                        environment: Box::new(ConstantEnvironment::new(Value::Float(0.25))),
+                        injector: Box::new(ProbabilisticFaults::from_architecture(&sys.arch)),
+                    },
+                    &analytic,
+                    &mut Registry::new(),
+                )
+            })
+            .unwrap()
     };
 
     let report = run(&scn, 1);
@@ -545,20 +545,20 @@ fn common_cause_breaks_the_epsilon_band_with_matching_marginals() {
             monitor: MonitorConfig::default(),
             lanes: LaneMode::default(),
         };
-        run_campaign(
-            &sim,
-            &sys.spec,
-            scn,
-            sys.arch.host_count(),
-            &config,
-            |_rep| ReplicationContext {
-                behaviors: build_behaviors(&sys, &params),
-                environment: Box::new(ConstantEnvironment::new(Value::Float(0.25))),
-                injector: Box::new(ProbabilisticFaults::from_architecture(&sys.arch)),
-            },
-            &analytic,
-        )
-        .unwrap()
+        Campaign::new(&sys.spec, scn.clone(), config, sys.arch.host_count(), 0)
+            .and_then(|campaign| {
+                campaign.run::<NoopSink>(
+                    &sim,
+                    |_rep| ReplicationContext {
+                        behaviors: build_behaviors(&sys, &params),
+                        environment: Box::new(ConstantEnvironment::new(Value::Float(0.25))),
+                        injector: Box::new(ProbabilisticFaults::from_architecture(&sys.arch)),
+                    },
+                    &analytic,
+                    &mut Registry::new(),
+                )
+            })
+            .unwrap()
     };
 
     let corr = &run(&correlated).comms[sys.ids.u1.index()].clone();
@@ -653,20 +653,20 @@ fn new_event_kinds_replay_bit_identically_across_threads_and_lanes() {
                 monitor: MonitorConfig::default(),
                 lanes,
             };
-            run_campaign(
-                &sim,
-                &sys.spec,
-                scn,
-                sys.arch.host_count(),
-                &config,
-                |_rep| ReplicationContext {
-                    behaviors: BehaviorMap::default(),
-                    environment: Box::new(ConstantEnvironment::new(Value::Float(0.25))),
-                    injector: Box::new(ProbabilisticFaults::from_architecture(&sys.arch)),
-                },
-                &[],
-            )
-            .unwrap()
+            Campaign::new(&sys.spec, scn.clone(), config, sys.arch.host_count(), 0)
+                .and_then(|campaign| {
+                    campaign.run::<NoopSink>(
+                        &sim,
+                        |_rep| ReplicationContext {
+                            behaviors: BehaviorMap::default(),
+                            environment: Box::new(ConstantEnvironment::new(Value::Float(0.25))),
+                            injector: Box::new(ProbabilisticFaults::from_architecture(&sys.arch)),
+                        },
+                        &[],
+                        &mut Registry::new(),
+                    )
+                })
+                .unwrap()
         };
         let scalar = run(1, LaneMode::Off);
         assert_eq!(scalar, run(8, LaneMode::Off), "{name}: threads under Off");

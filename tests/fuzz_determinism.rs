@@ -5,9 +5,9 @@
 //! export deterministically).
 
 use logrel_core::TimeDependentImplementation;
-use logrel_obs::{export, names, Registry};
+use logrel_obs::{export, names, NoopSink, Registry};
 use logrel_sim::{
-    run_campaign, run_fuzz, BatchConfig, BehaviorMap, CampaignConfig, ConstantEnvironment,
+    run_fuzz, BatchConfig, Campaign, BehaviorMap, CampaignConfig, ConstantEnvironment,
     FuzzConfig, FuzzOutcome, LaneMode, MonitorConfig, ProbabilisticFaults, ReplicationContext,
     Scenario,
 };
@@ -115,20 +115,20 @@ fn reproducers_replay_as_monitor_misses() {
     let sim = logrel_sim::Simulation::new(&sys.spec, &sys.arch, &imp);
     for artifact in &outcome.reproducers {
         let scn = Scenario::parse(&artifact.contents).unwrap();
-        let report = run_campaign(
-            &sim,
-            &sys.spec,
-            &scn,
-            sys.arch.host_count(),
-            &config.campaign,
-            |_rep| ReplicationContext {
-                behaviors: BehaviorMap::new(),
-                environment: Box::new(ConstantEnvironment::new(Value::Float(0.25))),
-                injector: Box::new(ProbabilisticFaults::from_architecture(&sys.arch)),
-            },
-            &[],
-        )
-        .unwrap();
+        let report = Campaign::new(&sys.spec, scn, config.campaign, sys.arch.host_count(), 0)
+            .and_then(|campaign| {
+                campaign.run::<NoopSink>(
+                    &sim,
+                    |_rep| ReplicationContext {
+                        behaviors: BehaviorMap::new(),
+                        environment: Box::new(ConstantEnvironment::new(Value::Float(0.25))),
+                        injector: Box::new(ProbabilisticFaults::from_architecture(&sys.arch)),
+                    },
+                    &[],
+                    &mut Registry::new(),
+                )
+            })
+            .unwrap();
         let missed = report
             .comms
             .iter()

@@ -9,7 +9,7 @@ use logrel_obs::{
     export, names, DropReason, DumpTrigger, NoopSink, ObsEvent, Registry,
 };
 use logrel_sim::{
-    run_campaign_observed, BatchConfig, BehaviorMap, CampaignConfig, ConstantEnvironment,
+    BatchConfig, BehaviorMap, Campaign, CampaignConfig, ConstantEnvironment,
     LaneMode, LrcMonitor, MonitorConfig, NoFaults, ProbabilisticFaults,
     ReplicationContext, Scenario, ScenarioEnvironment, ScenarioEvent, ScenarioInjector, SimConfig,
     SimOutput, Simulation,
@@ -145,22 +145,20 @@ fn campaign_metric_aggregation_is_thread_count_invariant() {
             lanes,
         };
         let mut reg = Registry::with_recorder(64);
-        let report = run_campaign_observed(
-            &sim,
-            &sys.spec,
-            &scenario,
-            sys.arch.host_count(),
-            &config,
-            |_rep| ReplicationContext {
-                behaviors: BehaviorMap::new(),
-                environment: Box::new(ConstantEnvironment::new(Value::Float(0.25))),
-                injector: Box::new(ProbabilisticFaults::from_architecture(&sys.arch)),
-            },
-            &[],
-            &mut reg,
-            64,
-        )
-        .unwrap();
+        let report = Campaign::new(&sys.spec, scenario.clone(), config, sys.arch.host_count(), 64)
+            .and_then(|campaign| {
+                campaign.run::<Registry>(
+                    &sim,
+                    |_rep| ReplicationContext {
+                        behaviors: BehaviorMap::new(),
+                        environment: Box::new(ConstantEnvironment::new(Value::Float(0.25))),
+                        injector: Box::new(ProbabilisticFaults::from_architecture(&sys.arch)),
+                    },
+                    &[],
+                    &mut reg,
+                )
+            })
+            .unwrap();
         (report, export::to_prometheus(&reg), export::to_json(&reg))
     };
 

@@ -14,8 +14,8 @@ use logrel::serve::proto::{self, parse_json, Json};
 use logrel::serve::{entry_bytes, Engine, Job, JobOutcome, ServeConfig, COMPILE_CACHE_BYTES};
 use logrel::sim::montecarlo::{BatchConfig, ReplicationContext};
 use logrel::sim::{
-    run_campaign_observed, BehaviorMap, CampaignConfig, ConstantEnvironment, LaneMode,
-    MonitorConfig, ProbabilisticFaults, Scenario, Simulation,
+    BehaviorMap, Campaign, CampaignConfig, ConstantEnvironment, LaneMode, MonitorConfig,
+    ProbabilisticFaults, Scenario, Simulation,
 };
 
 const SPEC_PATH: &str = "examples/htl/infusion_pump.htl";
@@ -46,8 +46,8 @@ fn engine(workers: usize, queue_capacity: usize) -> Engine {
 }
 
 /// The same campaign run through the library campaign driver
-/// (`run_campaign_observed`), independently of the service pipeline,
-/// minus the wall-clock span gauges a service job never records.
+/// (`Campaign::run`) without the service's `Plan`, engine or compile
+/// cache, minus the wall-clock span gauges a service job never records.
 fn library_reference_line() -> String {
     let source = std::fs::read_to_string(SPEC_PATH).unwrap();
     let sys = logrel::lang::compile(&source).unwrap();
@@ -83,18 +83,9 @@ fn library_reference_line() -> String {
         environment: Box::new(ConstantEnvironment::new(logrel::core::Value::Float(1.0))),
         injector: Box::new(ProbabilisticFaults::from_architecture(&sys.arch)),
     };
-    run_campaign_observed(
-        &sim,
-        &sys.spec,
-        &scenario,
-        sys.arch.host_count(),
-        &config,
-        setup,
-        &analytic,
-        &mut registry,
-        256,
-    )
-    .unwrap();
+    Campaign::new(&sys.spec, scenario, config, sys.arch.host_count(), 256)
+        .and_then(|campaign| campaign.run::<Registry>(&sim, setup, &analytic, &mut registry))
+        .unwrap();
     to_json_line(&registry)
 }
 
@@ -420,16 +411,19 @@ fn huge_replication_count_is_diagnosed_by_inject_and_serve() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.starts_with("A004:error:"), "{stderr}");
     assert!(stderr.contains("at most 1048576"), "{stderr}");
-    // A horizon past `MAX_ROUNDS` is diagnosed the same way.
-    let out = htlc(
-        &["inject", SPEC_PATH, SCENARIO_PATH, "18446744073709551615", "1", "2"],
-        "",
-    );
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.starts_with("A004:error:"), "{stderr}");
+    // A horizon past `MAX_ROUNDS` is diagnosed the same way, by `inject`
+    // and by `simulate`.
     let cap = format!("at most {} are allowed", logrel::sim::MAX_ROUNDS);
-    assert!(stderr.contains(&cap), "{stderr}");
+    for args in [
+        &["inject", SPEC_PATH, SCENARIO_PATH, "18446744073709551615", "1", "2"][..],
+        &["simulate", SPEC_PATH, "18446744073709551615", "1"],
+    ] {
+        let out = htlc(args, "");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("A004:error:"), "{stderr}");
+        assert!(stderr.contains(&cap), "{stderr}");
+    }
 
     // The repro: a good job, the huge one, a good job — the service
     // answers all three and drains to a clean exit.
