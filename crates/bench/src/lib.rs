@@ -102,24 +102,6 @@ pub fn layered_system(layers: usize, width: usize, hosts: usize, seed: u64) -> G
     GeneratedSystem { spec, arch, imp }
 }
 
-/// A ladder network with `rungs` rungs and uniform edge reliability `p` —
-/// a classic benchmark for factoring algorithms (series-parallel
-/// reductions keep it tractable at any size).
-pub fn ladder_graph(rungs: usize, p: f64) -> logrel_reliability::ReliabilityGraph {
-    let n = 2 * (rungs + 1);
-    let mut g = logrel_reliability::ReliabilityGraph::new(n);
-    for i in 0..=rungs {
-        // rung
-        g.add_edge(2 * i, 2 * i + 1, p).expect("valid edge");
-        if i < rungs {
-            // rails
-            g.add_edge(2 * i, 2 * i + 2, p).expect("valid edge");
-            g.add_edge(2 * i + 1, 2 * i + 3, p).expect("valid edge");
-        }
-    }
-    g
-}
-
 /// Renders a large but uniform HTL-style program with `tasks` tasks for
 /// parser throughput measurements.
 pub fn big_htl_source(tasks: usize) -> String {
@@ -174,15 +156,6 @@ mod tests {
         assert_eq!(a.imp, b.imp);
         let c = layered_system(3, 4, 2, 8);
         assert!(c.spec != a.spec || c.imp != a.imp);
-    }
-
-    #[test]
-    fn ladder_graph_shapes() {
-        let g = ladder_graph(5, 0.9);
-        assert_eq!(g.node_count(), 12);
-        assert_eq!(g.edge_count(), 16);
-        let r = g.two_terminal(0, 11).unwrap();
-        assert!(r > 0.5 && r < 1.0);
     }
 
     #[test]

@@ -145,14 +145,6 @@ impl Architecture {
             .map(|i| HostId::new(i as u32))
     }
 
-    /// Looks up a sensor by name.
-    pub fn find_sensor(&self, name: &str) -> Option<SensorId> {
-        self.sensors
-            .iter()
-            .position(|s| s.name() == name)
-            .map(|i| SensorId::new(i as u32))
-    }
-
     /// The worst-case execution time of `task` on `host`, if declared.
     pub fn wcet(&self, task: TaskId, host: HostId) -> Option<u64> {
         self.wcet.get(&(task, host)).copied()
@@ -173,15 +165,6 @@ impl Architecture {
         self.broadcast_reliability
     }
 
-    /// The most reliable host, if any host is declared.
-    pub fn most_reliable_host(&self) -> Option<HostId> {
-        self.host_ids().max_by(|&a, &b| {
-            self.hosts[a.index()]
-                .reliability()
-                .get()
-                .total_cmp(&self.hosts[b.index()].reliability().get())
-        })
-    }
 }
 
 /// Incremental builder for [`Architecture`].
@@ -403,13 +386,4 @@ mod tests {
         assert_eq!(arch.broadcast_reliability(), Reliability::ONE);
     }
 
-    #[test]
-    fn most_reliable_host() {
-        let mut b = Architecture::builder();
-        b.host(HostDecl::new("h1", r(0.95))).unwrap();
-        let h2 = b.host(HostDecl::new("h2", r(0.99))).unwrap();
-        b.host(HostDecl::new("h3", r(0.85))).unwrap();
-        assert_eq!(b.build().most_reliable_host(), Some(h2));
-        assert_eq!(Architecture::builder().build().most_reliable_host(), None);
-    }
 }

@@ -142,6 +142,25 @@ pub enum CoreError {
     EmptyTimeDependentImplementation,
 }
 
+impl CoreError {
+    /// The task the error names, if any: the later of the two writers of a
+    /// [`CoreError::MultipleWriters`].
+    pub fn task(&self) -> Option<&str> {
+        match self {
+            CoreError::TaskWithoutAccess { task, .. }
+            | CoreError::ReadNotBeforeWrite { task, .. }
+            | CoreError::DuplicateInstanceWrite { task, .. }
+            | CoreError::InstanceOutOfRange { task, .. }
+            | CoreError::DefaultMismatch { task, .. }
+            | CoreError::WriteToEnvironment { task, .. }
+            | CoreError::EmptyHostSet { task }
+            | CoreError::MissingExecutionMetric { task, .. }
+            | CoreError::MultipleWriters { second: task, .. } => Some(task),
+            _ => None,
+        }
+    }
+}
+
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -227,6 +246,22 @@ impl Error for CoreError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn task_names_the_blamed_task() {
+        let writers = CoreError::MultipleWriters {
+            communicator: "c".into(),
+            first: "a".into(),
+            second: "b".into(),
+        };
+        assert_eq!(writers.task(), Some("b"));
+        let defaults = CoreError::DefaultMismatch {
+            task: "d".into(),
+            detail: "length".into(),
+        };
+        assert_eq!(defaults.task(), Some("d"));
+        assert_eq!(CoreError::ZeroPeriod.task(), None);
+    }
 
     #[test]
     fn display_is_nonempty_for_every_variant() {

@@ -165,16 +165,6 @@ impl SpecGraph {
         }
     }
 
-    /// The number of vertices.
-    pub fn vertex_count(&self) -> usize {
-        self.vertices.len()
-    }
-
-    /// The vertices in insertion order.
-    pub fn vertices(&self) -> &[SpecVertex] {
-        &self.vertices
-    }
-
     /// The successors of a vertex.
     pub fn successors(&self, v: SpecVertex) -> impl Iterator<Item = SpecVertex> + '_ {
         self.index
@@ -311,11 +301,6 @@ impl CommDependencyGraph {
             }
         }
         CommDependencyGraph { deps, writer }
-    }
-
-    /// The communicators `c`'s SRG depends on.
-    pub fn dependencies(&self, c: CommunicatorId) -> &BTreeSet<CommunicatorId> {
-        &self.deps[c.index()]
     }
 
     /// The task writing `c`, if any.
@@ -509,7 +494,7 @@ mod tests {
         .unwrap();
         let spec = b.build().unwrap();
         let g = SpecGraph::new(&spec);
-        assert_eq!(g.vertex_count(), 24);
+        assert_eq!(g.vertices.len(), 24);
         assert!(g.communicator_cycles().is_memory_free());
     }
 }

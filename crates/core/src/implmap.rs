@@ -63,31 +63,6 @@ impl Implementation {
         ImplementationBuilder::default()
     }
 
-    /// Convenience constructor: maps every task to the single host `host`
-    /// and binds every input communicator to `sensor`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the validation errors of
-    /// [`ImplementationBuilder::build`].
-    pub fn uniform(
-        spec: &Specification,
-        arch: &Architecture,
-        host: HostId,
-        sensor: SensorId,
-    ) -> Result<Self, CoreError> {
-        let mut b = Implementation::builder();
-        for t in spec.task_ids() {
-            b = b.assign(t, [host]);
-        }
-        for c in spec.communicator_ids() {
-            if spec.is_sensor_input(c) {
-                b = b.bind_sensor(c, sensor);
-            }
-        }
-        b.build(spec, arch)
-    }
-
     /// The host set executing replications of `task`.
     ///
     /// # Panics
@@ -418,16 +393,6 @@ mod tests {
             .build(&spec, &arch)
             .unwrap_err();
         assert!(matches!(err, CoreError::UnknownId { kind: "sensor", .. }));
-    }
-
-    #[test]
-    fn uniform_mapping() {
-        let (spec, arch, t, _) = small_system();
-        let imp =
-            Implementation::uniform(&spec, &arch, HostId::new(1), SensorId::new(0)).unwrap();
-        assert_eq!(imp.hosts_of(t).iter().copied().collect::<Vec<_>>(), vec![
-            HostId::new(1)
-        ]);
     }
 
     #[test]

@@ -316,7 +316,7 @@ pub fn float_text(v: f64) -> String {
 }
 
 /// Appends [`float_text`] of `v` to `out`.
-pub fn float_text_into(out: &mut String, v: f64) {
+fn float_text_into(out: &mut String, v: f64) {
     match v {
         _ if v.is_nan() => out.push_str("NaN"),
         f64::INFINITY => out.push_str("+Inf"),

@@ -409,20 +409,6 @@ impl Specification {
         (0..self.round.as_u64() / period).map(move |k| Tick::new(k * period))
     }
 
-    /// The tasks whose write time falls at instant `at` within a round for
-    /// communicator updates — i.e. all `(task, access)` pairs writing
-    /// instance `at / π_c` of some communicator at `at`.
-    pub fn writes_at(&self, at: Tick) -> Vec<(TaskId, CommAccess)> {
-        let mut out = Vec::new();
-        for t in self.task_ids() {
-            for &a in self.tasks[t.index()].outputs() {
-                if self.access_instant(a) == at {
-                    out.push((t, a));
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Incremental builder for [`Specification`].
@@ -694,15 +680,6 @@ mod tests {
         let c2 = spec.find_communicator("c2").unwrap();
         let instants: Vec<u64> = spec.update_instants(c2).map(|t| t.as_u64()).collect();
         assert_eq!(instants, vec![0, 3, 6, 9]);
-    }
-
-    #[test]
-    fn writes_at_finds_the_write_instant() {
-        let (spec, t) = fig1();
-        let c3 = spec.find_communicator("c3").unwrap();
-        let at8 = spec.writes_at(Tick::new(8));
-        assert!(at8.contains(&(t, CommAccess::new(c3, 2))));
-        assert!(spec.writes_at(Tick::new(7)).is_empty());
     }
 
     #[test]

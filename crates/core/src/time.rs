@@ -64,10 +64,6 @@ impl Tick {
         Tick(self.0.saturating_sub(rhs))
     }
 
-    /// Checked addition of a tick count.
-    pub fn checked_add(self, rhs: u64) -> Option<Tick> {
-        self.0.checked_add(rhs).map(Tick)
-    }
 }
 
 impl fmt::Display for Tick {
@@ -174,7 +170,7 @@ impl fmt::Display for Period {
 }
 
 /// Greatest common divisor (Euclid). `gcd(0, x) = x`.
-pub fn gcd(mut a: u64, mut b: u64) -> u64 {
+fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         let r = a % b;
         a = b;

@@ -91,22 +91,6 @@ impl Value {
         }
     }
 
-    /// Extracts an integer payload.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// Extracts a boolean payload.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(x) => Some(*x),
-            _ => None,
-        }
-    }
-
     /// The reliability abstraction of §2: maps a value to `1` if reliable,
     /// `0` if ⊥.
     pub fn abstraction(&self) -> u8 {
@@ -177,10 +161,8 @@ mod tests {
     #[test]
     fn accessors() {
         assert_eq!(Value::Float(2.5).as_float(), Some(2.5));
-        assert_eq!(Value::Int(7).as_int(), Some(7));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(Value::Unreliable.as_float(), None);
-        assert_eq!(Value::Float(1.0).as_int(), None);
+        assert_eq!(Value::Int(7).as_float(), None);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use crate::ast::*;
 use crate::error::LangError;
 use crate::token::Span;
 use logrel_core::{
-    Architecture, CommunicatorDecl, FailureModel, Implementation, Reliability, Specification,
-    TaskDecl, Value, ValueType,
+    Architecture, CommunicatorDecl, CoreError, FailureModel, Implementation, Reliability,
+    Specification, TaskDecl, Value, ValueType,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -251,6 +251,21 @@ pub fn elaborate_file(file: &crate::ast::SourceFile) -> Result<ElaboratedFile, L
         systems,
         refinements,
     })
+}
+
+/// Where a [`LangError::Core`] of [`elaborate`] sits in the source: the
+/// invocation of the task the error names ([`CoreError::task`]) in its
+/// module's start mode, the invocation that task was flattened from.
+/// `None` when the error names no task.
+pub fn core_error_span(program: &Program, err: &CoreError) -> Option<Span> {
+    let task = err.task()?;
+    program
+        .modules
+        .iter()
+        .filter_map(|m| m.modes.iter().find(|m| m.start).or_else(|| m.modes.first()))
+        .flat_map(|mode| &mode.invocations)
+        .find(|inv| inv.task == task)
+        .map(|inv| inv.span)
 }
 
 /// Elaborates a parsed program into the core model.
@@ -665,8 +680,27 @@ program demo {
     #[test]
     fn bad_lrc_value_is_a_core_error() {
         let src = OK.replace("lrc 0.99", "lrc 1.5");
-        let err = compile(&src).unwrap_err();
-        assert!(matches!(err, LangError::Core(_)));
+        let program = parse(&src).unwrap();
+        let Err(LangError::Core(err)) = elaborate(&program) else {
+            panic!("expected a core error");
+        };
+        // The error names no task, so it has no invocation to sit at.
+        assert_eq!(core_error_span(&program, &err), None);
+    }
+
+    #[test]
+    fn core_error_sits_at_the_start_mode_invocation() {
+        // Only the start mode's `reader` loses its default; the degraded
+        // mode's `reader2` keeps its own.
+        let src = OK.replacen("writes l[1] defaults 0.0", "writes l[1]", 1);
+        let program = parse(&src).unwrap();
+        let Err(LangError::Core(err)) = elaborate(&program) else {
+            panic!("expected a core error");
+        };
+        assert!(matches!(err, CoreError::DefaultMismatch { .. }));
+        let reader = &program.modules[0].modes[0].invocations[0];
+        assert_eq!(reader.task, "reader");
+        assert_eq!(core_error_span(&program, &err), Some(reader.span));
     }
 
     #[test]

@@ -67,8 +67,8 @@ pub mod token;
 mod proptests;
 
 pub use elaborate::{
-    elaborate, elaborate_file, elaborate_modes, ElaboratedFile, ElaboratedMode, ElaboratedModes,
-    ElaboratedSystem, ResolvedRefinement,
+    core_error_span, elaborate, elaborate_file, elaborate_modes, ElaboratedFile, ElaboratedMode,
+    ElaboratedModes, ElaboratedSystem, ResolvedRefinement,
 };
 pub use emit::{emit_source, program_from_system};
 pub use error::LangError;

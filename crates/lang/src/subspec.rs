@@ -274,7 +274,7 @@ fn layout_text(program: &Program, w: &mut FnvWriter) {
 /// (declaration order), then any extra tasks mentioned only in the
 /// architecture or map blocks.
 #[must_use]
-pub fn task_names(program: &Program) -> Vec<String> {
+fn task_names(program: &Program) -> Vec<String> {
     let mut tasks: Vec<String> = Vec::new();
     let mut push = |t: &str| {
         if !tasks.iter().any(|x| x == t) {
@@ -357,25 +357,6 @@ pub fn split_units(program: &Program) -> Vec<SubspecUnit> {
     units
 }
 
-/// Hosts named in a task's `map` assignments, in declaration order —
-/// derived from the raw AST so the query layer can key per-host work
-/// without elaborating.
-#[must_use]
-pub fn assigned_hosts(program: &Program, task: &str) -> Vec<String> {
-    let mut hosts: Vec<String> = Vec::new();
-    for item in &program.map {
-        if let MapItem::Assign { task: t, hosts: hs, .. } = item {
-            if t == task {
-                for h in hs {
-                    if !hosts.iter().any(|x| x == h) {
-                        hosts.push(h.clone());
-                    }
-                }
-            }
-        }
-    }
-    hosts
-}
 
 /// Combines per-unit hashes into one digest: FNV-1a 64 over each unit's
 /// name, a NUL separator and the raw little-endian hash bytes, in unit
@@ -523,14 +504,6 @@ program demo {
         let p2 = parse(&SRC.replace("obs -> h1, h2;", "obs -> h2, h1;")).unwrap();
         let (u1, u2) = (split_units(&p1), split_units(&p2));
         assert_ne!(unit(&u1, "map:obs"), unit(&u2, "map:obs"));
-    }
-
-    #[test]
-    fn assigned_hosts_follow_declaration_order() {
-        let p = parse(SRC).unwrap();
-        assert_eq!(assigned_hosts(&p, "obs"), vec!["h1", "h2"]);
-        assert_eq!(assigned_hosts(&p, "ctrl"), vec!["h1"]);
-        assert!(assigned_hosts(&p, "nope").is_empty());
     }
 
     #[test]

@@ -120,8 +120,10 @@ impl Diagnostic {
     }
 
     /// Wraps a front-end error as a diagnostic. Lexical, syntax and
-    /// resolution errors keep their spans; core-model errors (which carry
-    /// none) report at `0:0`.
+    /// resolution errors keep their spans; core-model errors, which carry
+    /// none, report at `0:0` here, and
+    /// [`elaborate_program`](crate::elaborate_program) places them in the
+    /// source.
     pub fn from_lang_error(err: &LangError) -> Self {
         let (code, span) = match err {
             LangError::Lex { span, .. } => ("L090", *span),

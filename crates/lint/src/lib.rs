@@ -15,7 +15,10 @@
 //!
 //! [`lint_source`] is the one-call entry point used by `htlc lint`: it
 //! parses, elaborates, lints, generates E-code for every host (modal code
-//! when the program has several modes) and verifies it.
+//! when the program has several modes) and verifies it. Its front half,
+//! [`front_end`], is the parse-and-elaborate step of every other command
+//! too, so a defective program gets the same diagnosis whichever command
+//! reads it.
 
 pub mod certify_diag;
 pub mod diagnostic;
@@ -35,40 +38,64 @@ pub use spec_lints::{lint_time_dependent, spanned_restriction_checks, spec_lints
 
 use logrel_emachine::{generate, generate_modal, ModalMode, ModeSwitch};
 use logrel_lang::ast::Program;
-use logrel_lang::{elaborate, elaborate_modes, parse, ElaboratedSystem, LangError};
+use logrel_lang::{
+    core_error_span, elaborate, elaborate_modes, parse, ElaboratedSystem, LangError,
+};
 use std::collections::BTreeMap;
 
-/// Lints a source text end to end: parse, elaborate, specification lints,
-/// E-code generation and verification for every host. Front-end failures
-/// are reported as diagnostics (`L090`–`L093`), with the spanned
-/// restriction checks (`L011`–`L015`) standing in for span-less core
-/// errors.
-pub fn lint_source(source: &str) -> Vec<Diagnostic> {
-    let program = match parse(source) {
-        Ok(p) => p,
-        Err(e) => return vec![Diagnostic::from_lang_error(&e)],
-    };
-    lint_program(&program)
+/// Parses and elaborates a source text, the front end of every command.
+/// A failure comes back as the diagnostics to print: `L090`/`L091` for a
+/// lexical or syntax error, else those of [`elaborate_program`].
+pub fn front_end(source: &str) -> Result<(Program, ElaboratedSystem), Vec<Diagnostic>> {
+    let program = parse(source).map_err(|e| vec![Diagnostic::from_lang_error(&e)])?;
+    let sys = elaborate_program(&program)?;
+    Ok((program, sys))
 }
 
-/// Lints an already-parsed program. See [`lint_source`].
-pub fn lint_program(program: &Program) -> Vec<Diagnostic> {
-    let mut diags = match elaborate(program) {
-        Ok(sys) => {
-            let mut diags = spec_lints(program, &sys);
-            diags.extend(verify_generated(program, &sys));
-            diags
-        }
-        Err(e @ LangError::Core(_)) => {
+/// Elaborates a parsed program, reporting a failure as diagnostics:
+/// `L092` for a resolution error, the spanned restriction checks
+/// (`L011`–`L015`) for a race-freedom violation, and otherwise `L093` at
+/// the invocation of the task the core error names ([`core_error_span`]).
+pub fn elaborate_program(program: &Program) -> Result<ElaboratedSystem, Vec<Diagnostic>> {
+    let err = match elaborate(program) {
+        Ok(sys) => return Ok(sys),
+        Err(e) => e,
+    };
+    let mut diags = match &err {
+        LangError::Core(core) => {
             let spanned = spanned_restriction_checks(program);
             if spanned.is_empty() {
-                vec![Diagnostic::from_lang_error(&e)]
+                let mut d = Diagnostic::from_lang_error(&err);
+                d.span = core_error_span(program, core).unwrap_or_default();
+                vec![d]
             } else {
                 spanned
             }
         }
-        Err(e) => vec![Diagnostic::from_lang_error(&e)],
+        _ => vec![Diagnostic::from_lang_error(&err)],
     };
+    sort_diagnostics(&mut diags);
+    Err(diags)
+}
+
+/// Lints a source text end to end: [`front_end`], specification lints,
+/// E-code generation and verification for every host. A front-end
+/// failure is reported as the diagnostics [`front_end`] returns.
+pub fn lint_source(source: &str) -> Vec<Diagnostic> {
+    match parse(source) {
+        Ok(program) => lint_program(&program),
+        Err(e) => vec![Diagnostic::from_lang_error(&e)],
+    }
+}
+
+/// Lints an already-parsed program. See [`lint_source`].
+pub fn lint_program(program: &Program) -> Vec<Diagnostic> {
+    let sys = match elaborate_program(program) {
+        Ok(sys) => sys,
+        Err(diags) => return diags,
+    };
+    let mut diags = spec_lints(program, &sys);
+    diags.extend(verify_generated(program, &sys));
     sort_diagnostics(&mut diags);
     diags
 }

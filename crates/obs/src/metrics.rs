@@ -105,7 +105,7 @@ impl Histogram {
     /// Creates a histogram with the given upper bounds (strictly
     /// increasing; `+Inf` implicit).
     #[must_use]
-    pub fn with_bounds(bounds: &[f64]) -> Self {
+    fn with_bounds(bounds: &[f64]) -> Self {
         Histogram {
             bounds: bounds.to_vec(),
             counts: vec![0; bounds.len() + 1],

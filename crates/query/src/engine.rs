@@ -29,8 +29,8 @@ use crate::payload::{store_diags, Payload, StoredDiag};
 use logrel_core::TimeDependentImplementation;
 use logrel_lang::ast::Program;
 use logrel_lang::subspec::{split_units, units_digest, SubspecUnit};
-use logrel_lang::{elaborate, parse, ElaboratedSystem, LangError};
-use logrel_lint::{sort_diagnostics, Diagnostic};
+use logrel_lang::{elaborate, parse, ElaboratedSystem};
+use logrel_lint::{elaborate_program, sort_diagnostics, Diagnostic};
 use logrel_obs::{names, MetricsSink};
 use logrel_refine::{check_refinement, Kappa, SystemRef};
 use std::fmt::Write as _;
@@ -236,13 +236,16 @@ fn try_reuse(
 /// A front-end failure rendered the same way cold and warm.
 fn frontend_failure(
     file: &str,
-    err: &LangError,
+    diags: &[Diagnostic],
     stats: CacheStats,
     db: Option<QueryDb>,
 ) -> AnalysisOutcome {
-    let mut stderr = Diagnostic::from_lang_error(err).render(file);
-    stderr.push('\n');
-    AnalysisOutcome { stdout: String::new(), stderr, errors: 1, stats, db }
+    let mut stderr = String::new();
+    for d in diags {
+        stderr.push_str(&d.render(file));
+        stderr.push('\n');
+    }
+    AnalysisOutcome { stdout: String::new(), stderr, errors: diags.len(), stats, db }
 }
 
 /// Renders stored diagnostics into `stderr`, counting errors.
@@ -270,18 +273,18 @@ pub fn analyze_source(
     let mut stats = CacheStats::default();
     let program = match parse(source) {
         Ok(p) => p,
-        Err(e) => return frontend_failure(file, &e, stats, None),
+        Err(e) => return frontend_failure(file, &[Diagnostic::from_lang_error(&e)], stats, None),
     };
     let units = split_units(&program);
     let digest = units_digest(&units);
     // Soundness of reuse: confirm *this* program elaborates before
     // consulting the cache. The system is elaborated here, once, and
     // leaves in the returned db.
-    let sys = match elaborate(&program) {
+    let sys = match elaborate_program(&program) {
         Ok(sys) => sys,
-        Err(e) => {
+        Err(diags) => {
             let db = QueryDb::new(source.to_owned(), digest, units, false);
-            return frontend_failure(file, &e, stats, Some(db));
+            return frontend_failure(file, &diags, stats, Some(db));
         }
     };
     // Only a prior that recorded successful elaboration is trusted; its

@@ -43,7 +43,7 @@ pub struct StoredDiag {
 impl StoredDiag {
     /// Captures a freshly computed diagnostic.
     #[must_use]
-    pub fn from_diagnostic(d: &Diagnostic) -> Self {
+    fn from_diagnostic(d: &Diagnostic) -> Self {
         StoredDiag {
             code: d.code.to_owned(),
             error: d.severity == Severity::Error,
@@ -186,7 +186,7 @@ pub fn escape(s: &str) -> String {
 
 /// Reverses [`escape`]; `None` on a malformed sequence.
 #[must_use]
-pub fn unescape(s: &str) -> Option<String> {
+fn unescape(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {

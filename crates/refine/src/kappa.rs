@@ -25,26 +25,12 @@ use std::collections::BTreeMap;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Kappa {
     map: BTreeMap<TaskId, TaskId>,
 }
 
 impl Kappa {
-    /// An empty mapping to be populated with [`Kappa::map_task`].
-    pub fn new() -> Self {
-        Kappa {
-            map: BTreeMap::new(),
-        }
-    }
-
-    /// Maps refining task `from` to refined task `to` (overwrites any
-    /// previous image of `from`).
-    pub fn map_task(mut self, from: TaskId, to: TaskId) -> Self {
-        self.map.insert(from, to);
-        self
-    }
-
     /// The identity mapping on `spec`'s tasks.
     pub fn identity(spec: &Specification) -> Self {
         Kappa {
@@ -141,12 +127,6 @@ impl Kappa {
     }
 }
 
-impl Default for Kappa {
-    fn default() -> Self {
-        Kappa::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,7 +189,9 @@ mod tests {
         let a1 = s1.find_task("a").unwrap();
         let b1 = s1.find_task("b").unwrap();
         let a2 = s2.find_task("a").unwrap();
-        let k = Kappa::new().map_task(a1, a2).map_task(b1, a2);
+        let k = Kappa {
+            map: BTreeMap::from([(a1, a2), (b1, a2)]),
+        };
         let err = k.validate(&s1, &s2).unwrap_err();
         let RefineError::NotARefinement { violations } = err else {
             panic!()
@@ -225,9 +207,9 @@ mod tests {
         let s2 = two_task_spec(["a", "b"]);
         let a1 = s1.find_task("a").unwrap();
         let b1 = s1.find_task("b").unwrap();
-        let k = Kappa::new()
-            .map_task(a1, TaskId::new(9))
-            .map_task(b1, TaskId::new(1));
+        let k = Kappa {
+            map: BTreeMap::from([(a1, TaskId::new(9)), (b1, TaskId::new(1))]),
+        };
         assert!(matches!(
             k.validate(&s1, &s2).unwrap_err(),
             RefineError::UnknownTask { .. }

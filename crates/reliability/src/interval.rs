@@ -302,7 +302,7 @@ pub fn compute_degraded_srgs(
 /// # Errors
 ///
 /// Same conditions as [`crate::srg::compute_srgs`].
-pub fn interval_srgs_with(
+fn interval_srgs_with(
     spec: &Specification,
     arch: &Architecture,
     imp: &Implementation,

@@ -11,10 +11,6 @@
 //!   including periodic time-dependent implementations;
 //! * [`rbd`] — reliability block diagrams, the modelling background the
 //!   paper builds on (replications in parallel, blocks in series);
-//! * [`fault_tree`] — fault trees with AND/OR/voting gates and minimal cut
-//!   sets (paper reference \[12\]);
-//! * [`netrel`] — two-terminal network reliability by pivotal factoring
-//!   (paper references [4, 14]);
 //! * [`longrun`] — limit averages of reliability-abstract traces and
 //!   SLLN-style empirical checks with Hoeffding confidence bounds;
 //! * [`synthesis`] — replication synthesis: searching for a minimal
@@ -30,12 +26,10 @@
 pub mod analysis;
 pub mod certify;
 pub mod error;
-pub mod fault_tree;
 pub mod importance;
 pub mod interval;
 pub mod longrun;
 pub mod mission;
-pub mod netrel;
 pub mod rbd;
 pub mod srg;
 pub mod symbolic;
@@ -50,13 +44,11 @@ pub use interval::{
 pub use symbolic::{
     compute_symbolic_srgs, pinned_birnbaum, standard_assignment, Poly, Sym, SymbolicSrgReport,
 };
-pub use fault_tree::Gate;
 pub use importance::{architecture_importance, block_importance, ComponentImportance};
 pub use longrun::{
     empirical_check, hoeffding_epsilon, limit_average, running_average, LongRunVerdict,
     SlidingMean,
 };
-pub use netrel::ReliabilityGraph;
 pub use rbd::Block;
 pub use srg::{
     communicator_block, compute_srgs, task_reliability, SrgComputation, SrgReport, Srgs,

@@ -110,11 +110,6 @@ impl SlidingMean {
         self.filled == 0
     }
 
-    /// `true` once the window holds `capacity` samples.
-    pub fn is_full(&self) -> bool {
-        self.filled == self.ring.len()
-    }
-
     /// The mean of the samples currently in the window (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.filled == 0 {
@@ -253,7 +248,7 @@ mod tests {
         assert_eq!((w.len(), w.mean()), (1, 1.0));
         w.push(false);
         w.push(true);
-        assert!(w.is_full());
+        assert_eq!(w.len(), 3);
         assert!((w.mean() - 2.0 / 3.0).abs() < 1e-12);
         // Evicts the oldest (true): window is now [false, true, true].
         w.push(true);

@@ -26,7 +26,7 @@
 /// # Panics
 ///
 /// Panics if `k == 0` or `q` is outside `[0, 1]`.
-pub fn delivery_probability(k: usize, q: f64, n: u64) -> f64 {
+fn delivery_probability(k: usize, q: f64, n: u64) -> f64 {
     assert!(k > 0, "at least one replica");
     assert!((0.0..=1.0).contains(&q), "hazard must be a probability");
     let alive = (1.0 - q).powi((n + 1) as i32);
@@ -38,8 +38,7 @@ pub fn delivery_probability(k: usize, q: f64, n: u64) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`delivery_probability`], or if
-/// `horizon == 0`.
+/// Panics if `k == 0`, if `q` is outside `[0, 1]`, or if `horizon == 0`.
 pub fn expected_delivered_fraction(k: usize, q: f64, horizon: u64) -> f64 {
     assert!(horizon > 0, "mission must have at least one round");
     (0..horizon)
@@ -53,13 +52,6 @@ pub fn expected_delivered_fraction(k: usize, q: f64, horizon: u64) -> f64 {
 /// fall short.
 pub fn replication_for_mission(q: f64, horizon: u64, target: f64, max_k: usize) -> Option<usize> {
     (1..=max_k).find(|&k| expected_delivered_fraction(k, q, horizon) >= target)
-}
-
-/// Expected number of rounds until all `k` replicas have crashed
-/// (the system's mean silent-point), `Σ_n P(alive at round n)`, truncated
-/// at `horizon`.
-pub fn expected_lifetime(k: usize, q: f64, horizon: u64) -> f64 {
-    (0..horizon).map(|n| delivery_probability(k, q, n)).sum()
 }
 
 #[cfg(test)]
@@ -112,15 +104,6 @@ mod tests {
         assert!(expected_delivered_fraction(k, 0.001, 1000) >= 0.9);
         assert!(expected_delivered_fraction(k - 1, 0.001, 1000) < 0.9);
         assert_eq!(replication_for_mission(0.5, 1000, 0.99, 4), None);
-    }
-
-    #[test]
-    fn lifetime_grows_with_replication() {
-        let l1 = expected_lifetime(1, 0.01, 100_000);
-        let l2 = expected_lifetime(2, 0.01, 100_000);
-        // Single replica: geometric mean lifetime ≈ (1-q)/q ≈ 99.
-        assert!((l1 - 99.0).abs() < 1.0, "l1 = {l1}");
-        assert!(l2 > l1 * 1.4, "l2 = {l2}");
     }
 
     #[test]

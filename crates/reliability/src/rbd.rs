@@ -146,57 +146,6 @@ impl Block {
         Reliability::new(p).map_err(Into::into)
     }
 
-    /// Converts the diagram into its dual fault tree: a unit of
-    /// reliability `r` becomes a basic failure event of probability
-    /// `1 − r`; series (AND-working) becomes OR-failing; parallel becomes
-    /// AND-failing; `k`-of-`n` working becomes `(n−k+1)`-of-`n` failing.
-    /// Anonymous units are named `unit<i>` by position.
-    ///
-    /// The duality `tree.probability() == 1 − block.probability()` holds
-    /// exactly; minimal cut sets of the tree are the diagram's failure
-    /// modes.
-    pub fn to_fault_tree(&self) -> crate::fault_tree::Gate {
-        let mut counter = 0usize;
-        self.to_fault_tree_inner(&mut counter)
-    }
-
-    fn to_fault_tree_inner(&self, counter: &mut usize) -> crate::fault_tree::Gate {
-        use crate::fault_tree::Gate;
-        match self {
-            Block::Unit { name, reliability } => {
-                let label = name.clone().unwrap_or_else(|| {
-                    let l = format!("unit{counter}");
-                    *counter += 1;
-                    l
-                });
-                Gate::basic(label, reliability.failure())
-            }
-            Block::Series(children) => Gate::or(
-                children
-                    .iter()
-                    .map(|c| c.to_fault_tree_inner(counter))
-                    .collect(),
-            ),
-            Block::Parallel(children) => Gate::and(
-                children
-                    .iter()
-                    .map(|c| c.to_fault_tree_inner(counter))
-                    .collect(),
-            ),
-            Block::KOfN { k, children } => {
-                let n = children.len();
-                Gate::vote(
-                    n - k + 1,
-                    children
-                        .iter()
-                        .map(|c| c.to_fault_tree_inner(counter))
-                        .collect(),
-                )
-                .expect("n-k+1 <= n by construction")
-            }
-        }
-    }
-
     /// The number of atomic units in the diagram.
     pub fn unit_count(&self) -> usize {
         match self {
@@ -321,40 +270,6 @@ mod tests {
         assert!(s.contains("series") && s.contains("parallel") && s.contains('a'));
         let v = Block::k_of_n(1, vec![Block::unit(r(0.5))]).unwrap();
         assert!(v.to_string().contains("1-of-1"));
-    }
-
-    #[test]
-    fn fault_tree_dual_is_exact() {
-        let block = Block::series(vec![
-            Block::named_unit("sensor", r(0.95)),
-            Block::parallel(vec![
-                Block::named_unit("h1", r(0.9)),
-                Block::named_unit("h2", r(0.8)),
-            ])
-            .unwrap(),
-            Block::k_of_n(2, vec![Block::unit(r(0.7)); 3]).unwrap(),
-        ]);
-        let tree = block.to_fault_tree();
-        assert!((tree.probability() - (1.0 - block.probability())).abs() < 1e-12);
-        // The system's single points of failure appear as singleton cuts.
-        let cuts = tree.minimal_cut_sets();
-        assert!(cuts.iter().any(|c| c.len() == 1 && c.contains("sensor")));
-        // The replicated hosts only fail jointly.
-        assert!(cuts
-            .iter()
-            .any(|c| c.contains("h1") && c.contains("h2") && c.len() == 2));
-    }
-
-    #[test]
-    fn fault_tree_dual_round_trip() {
-        // block -> tree -> block preserves the probability.
-        let block = Block::parallel(vec![
-            Block::series(vec![Block::unit(r(0.9)), Block::unit(r(0.8))]),
-            Block::named_unit("x", r(0.6)),
-        ])
-        .unwrap();
-        let back = block.to_fault_tree().to_block().unwrap();
-        assert!((back.probability() - block.probability()).abs() < 1e-12);
     }
 
     #[test]

@@ -435,10 +435,6 @@ impl<'a> SrgComputation<'a> {
         Ok(crate::analysis::verdict_from_phases(self.spec, vec![report]))
     }
 
-    /// Number of distinct `(task, host set)` blocks memoized so far.
-    pub fn cached_blocks(&self) -> usize {
-        self.task_cache.len()
-    }
 }
 
 /// Builds the reliability block diagram whose evaluation equals the SRG of
@@ -793,9 +789,9 @@ mod tests {
                 }
             }
         }
-        assert!(distinct > cached.cached_blocks(), "the cache must be hit");
+        assert!(distinct > cached.task_cache.len(), "the cache must be hit");
         // 2 tasks × 3 non-empty subsets of 2 hosts.
-        assert_eq!(cached.cached_blocks(), 6);
+        assert_eq!(cached.task_cache.len(), 6);
     }
 
     #[test]

@@ -50,15 +50,6 @@ impl Sym {
         }
     }
 
-    /// The declared reliability of the underlying component alone (`hrel`
-    /// for a replica, `srel` for a sensor) — the quantity a degradation
-    /// margin is measured against.
-    pub fn component_reliability(self, arch: &Architecture) -> f64 {
-        match self {
-            Sym::Replica(_, h) => arch.host(h).reliability().get(),
-            Sym::Sensor(s) => arch.sensor(s).reliability().get(),
-        }
-    }
 }
 
 /// A monomial: symbol → exponent (empty map is the constant monomial).
@@ -72,12 +63,12 @@ pub struct Poly {
 
 impl Poly {
     /// The zero polynomial.
-    pub fn zero() -> Poly {
+    fn zero() -> Poly {
         Poly::default()
     }
 
     /// A constant polynomial.
-    pub fn constant(c: f64) -> Poly {
+    fn constant(c: f64) -> Poly {
         let mut terms = BTreeMap::new();
         if c != 0.0 {
             terms.insert(Monomial::new(), c);
@@ -86,7 +77,7 @@ impl Poly {
     }
 
     /// The polynomial `x` for a single symbol.
-    pub fn var(sym: Sym) -> Poly {
+    fn var(sym: Sym) -> Poly {
         let mut m = Monomial::new();
         m.insert(sym, 1);
         Poly { terms: BTreeMap::from([(m, 1.0)]) }
@@ -114,7 +105,7 @@ impl Poly {
     }
 
     /// Polynomial sum.
-    pub fn add(&self, other: &Poly) -> Poly {
+    fn add(&self, other: &Poly) -> Poly {
         let mut terms = self.terms.clone();
         for (m, &c) in &other.terms {
             Poly::insert_term(&mut terms, m.clone(), c);
@@ -123,7 +114,7 @@ impl Poly {
     }
 
     /// Scalar multiple.
-    pub fn scale(&self, k: f64) -> Poly {
+    fn scale(&self, k: f64) -> Poly {
         if k == 0.0 {
             return Poly::zero();
         }
@@ -133,7 +124,7 @@ impl Poly {
     }
 
     /// Polynomial product.
-    pub fn mul(&self, other: &Poly) -> Poly {
+    fn mul(&self, other: &Poly) -> Poly {
         let mut terms = BTreeMap::new();
         for (ma, &ca) in &self.terms {
             for (mb, &cb) in &other.terms {
@@ -148,19 +139,19 @@ impl Poly {
     }
 
     /// `1 − p`.
-    pub fn one_minus(&self) -> Poly {
+    fn one_minus(&self) -> Poly {
         Poly::constant(1.0).add(&self.scale(-1.0))
     }
 
     /// Series combination `Π p_i` (empty product is `1`).
-    pub fn series<B: Borrow<Poly>>(items: impl IntoIterator<Item = B>) -> Poly {
+    fn series<B: Borrow<Poly>>(items: impl IntoIterator<Item = B>) -> Poly {
         items
             .into_iter()
             .fold(Poly::constant(1.0), |acc, p| acc.mul(p.borrow()))
     }
 
     /// Parallel combination `1 − Π (1 − p_i)`.
-    pub fn parallel<B: Borrow<Poly>>(items: impl IntoIterator<Item = B>) -> Poly {
+    fn parallel<B: Borrow<Poly>>(items: impl IntoIterator<Item = B>) -> Poly {
         items
             .into_iter()
             .fold(Poly::constant(1.0), |acc, p| {
@@ -183,7 +174,7 @@ impl Poly {
     }
 
     /// Substitutes a constant for one symbol, eliminating it.
-    pub fn substitute(&self, sym: Sym, value: f64) -> Poly {
+    fn substitute(&self, sym: Sym, value: f64) -> Poly {
         let mut terms = BTreeMap::new();
         for (m, &c) in &self.terms {
             let mut m = m.clone();
@@ -198,33 +189,9 @@ impl Poly {
         Poly { terms }
     }
 
-    /// The exact partial derivative `∂p/∂sym`.
-    pub fn partial(&self, sym: Sym) -> Poly {
-        let mut terms = BTreeMap::new();
-        for (m, &c) in &self.terms {
-            let mut m = m.clone();
-            if let Some(e) = m.remove(&sym) {
-                if e > 1 {
-                    m.insert(sym, e - 1);
-                }
-                Poly::insert_term(&mut terms, m, c * f64::from(e));
-            }
-        }
-        Poly { terms }
-    }
-
     /// All symbols occurring with a non-zero coefficient.
     pub fn symbols(&self) -> BTreeSet<Sym> {
         self.terms.keys().flat_map(|m| m.keys().copied()).collect()
-    }
-
-    /// The largest exponent of `sym` across all terms.
-    pub fn degree_in(&self, sym: Sym) -> u32 {
-        self.terms
-            .keys()
-            .filter_map(|m| m.get(&sym).copied())
-            .max()
-            .unwrap_or(0)
     }
 
     /// Whether every symbol occurs with exponent ≤ 1 — the condition under
@@ -232,11 +199,6 @@ impl Poly {
     /// difference equals the partial derivative.
     pub fn is_multilinear(&self) -> bool {
         self.terms.keys().all(|m| m.values().all(|&e| e <= 1))
-    }
-
-    /// Number of terms (for diagnostics on expression blowup).
-    pub fn term_count(&self) -> usize {
-        self.terms.len()
     }
 }
 
@@ -313,6 +275,24 @@ mod tests {
         Sym::Sensor(SensorId::new(i))
     }
 
+    impl Poly {
+        /// The exact partial derivative `∂p/∂sym`: the oracle the pinned
+        /// Birnbaum measure is compared against.
+        fn partial(&self, sym: Sym) -> Poly {
+            let mut terms = BTreeMap::new();
+            for (m, &c) in &self.terms {
+                let mut m = m.clone();
+                if let Some(e) = m.remove(&sym) {
+                    if e > 1 {
+                        m.insert(sym, e - 1);
+                    }
+                    Poly::insert_term(&mut terms, m, c * f64::from(e));
+                }
+            }
+            Poly { terms }
+        }
+    }
+
     #[test]
     fn constant_and_var_round_trip() {
         let assign = |_: Sym| 0.5;
@@ -336,7 +316,7 @@ mod tests {
         let x = Poly::var(s(0));
         let zero = x.add(&x.scale(-1.0));
         assert_eq!(zero, Poly::zero());
-        assert_eq!(zero.term_count(), 0);
+        assert!(zero.terms.is_empty());
     }
 
     #[test]
@@ -368,9 +348,6 @@ mod tests {
         let y = Poly::var(s(1));
         assert!(x.mul(&y).is_multilinear());
         assert!(!x.mul(&x).is_multilinear());
-        assert_eq!(x.mul(&x).degree_in(s(0)), 2);
-        assert_eq!(x.mul(&y).degree_in(s(0)), 1);
-        assert_eq!(Poly::constant(1.0).degree_in(s(0)), 0);
     }
 
     #[test]

@@ -96,76 +96,6 @@ pub fn schedule_bus(jobs: &[BusJob]) -> BusOutcome {
     }
 }
 
-/// Exact non-preemptive bus feasibility by branch-and-bound over
-/// transmission orders.
-///
-/// Work-conserving non-preemptive EDF ([`schedule_bus`]) is only a
-/// *sufficient* test: it can be beaten by schedules that leave the bus
-/// idle while a tight job is about to become ready. This search tries all
-/// orders (with pruning) and inserted idle time, so it is exact — and
-/// exponential, intended for the per-round job counts of real systems
-/// (tens of broadcasts).
-///
-/// Returns the slots of a feasible order, or `None` if none exists.
-pub fn schedule_bus_exact(jobs: &[BusJob]) -> Option<Vec<BusSlot>> {
-    let n = jobs.len();
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut used = vec![false; n];
-    let mut slots: Vec<BusSlot> = Vec::with_capacity(n);
-
-    fn dfs(
-        jobs: &[BusJob],
-        used: &mut [bool],
-        order: &mut Vec<usize>,
-        slots: &mut Vec<BusSlot>,
-        now: Tick,
-    ) -> bool {
-        if order.len() == jobs.len() {
-            return true;
-        }
-        // Prune: if some unscheduled job already cannot meet its deadline
-        // even if sent immediately, fail fast.
-        for (i, j) in jobs.iter().enumerate() {
-            if !used[i] && now.max(j.ready) + j.duration > j.deadline {
-                return false;
-            }
-        }
-        // Candidates sorted by deadline (EDF ordering first explores the
-        // most promising branches).
-        let mut candidates: Vec<usize> = (0..jobs.len()).filter(|&i| !used[i]).collect();
-        candidates.sort_by_key(|&i| (jobs[i].deadline, jobs[i].ready));
-        for &i in &candidates {
-            let start = now.max(jobs[i].ready);
-            let end = start + jobs[i].duration;
-            if end > jobs[i].deadline {
-                continue;
-            }
-            used[i] = true;
-            order.push(i);
-            slots.push(BusSlot {
-                task: jobs[i].task,
-                host: jobs[i].host,
-                start,
-                end,
-            });
-            if dfs(jobs, used, order, slots, end) {
-                return true;
-            }
-            slots.pop();
-            order.pop();
-            used[i] = false;
-        }
-        false
-    }
-
-    let start = jobs.iter().map(|j| j.ready).min().unwrap_or(Tick::ZERO);
-    if dfs(jobs, &mut used, &mut order, &mut slots, start) {
-        Some(slots)
-    } else {
-        None
-    }
-}
-
 /// Converts bus misses into [`MissedDeadline`] diagnostics.
 pub fn miss_diagnostics(
     jobs: &[BusJob],
@@ -249,61 +179,6 @@ mod tests {
         let out = schedule_bus(&[]);
         assert!(out.feasible());
         assert!(out.slots.is_empty());
-    }
-
-    #[test]
-    fn exact_search_beats_greedy_by_inserting_idle_time() {
-        // A (ready 0, dur 4, deadline 10) and B (ready 1, dur 2, deadline
-        // 3): work-conserving EDF must start A at 0 and B misses; the
-        // exact search idles until 1, sends B, then A.
-        let jobs = [job(0, 0, 4, 10), job(1, 1, 2, 3)];
-        let greedy = schedule_bus(&jobs);
-        assert!(!greedy.feasible(), "greedy must fail here");
-        let exact = schedule_bus_exact(&jobs).expect("an order exists");
-        assert_eq!(exact[0].task, TaskId::new(1));
-        assert_eq!(exact[0].start, Tick::new(1));
-        assert_eq!(exact[1].start, Tick::new(3));
-        assert_eq!(exact[1].end, Tick::new(7));
-    }
-
-    #[test]
-    fn exact_search_reports_infeasible_sets() {
-        let jobs = [job(0, 0, 5, 5), job(1, 0, 5, 6)];
-        assert!(schedule_bus_exact(&jobs).is_none());
-        assert!(schedule_bus_exact(&[]).is_some());
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-        #[test]
-        fn greedy_feasible_implies_exact_feasible(
-            raw in proptest::collection::vec((0u64..15, 0u64..4, 1u64..20), 1..7)
-        ) {
-            let jobs: Vec<BusJob> = raw
-                .iter()
-                .enumerate()
-                .map(|(i, &(r, dur, d))| job(i as u32, r, dur, r + d))
-                .collect();
-            let greedy = schedule_bus(&jobs);
-            let exact = schedule_bus_exact(&jobs);
-            if greedy.feasible() {
-                prop_assert!(exact.is_some(), "exact must cover greedy");
-            }
-            if let Some(slots) = exact {
-                // The exact schedule is itself valid: ordered, within
-                // ready/deadline windows.
-                let mut sorted = slots.clone();
-                sorted.sort_by_key(|s| s.start);
-                for w in sorted.windows(2) {
-                    prop_assert!(w[0].end <= w[1].start);
-                }
-                for s in &slots {
-                    let j = jobs.iter().find(|j| j.task == s.task).expect("job");
-                    prop_assert!(s.start >= j.ready);
-                    prop_assert!(s.end <= j.deadline);
-                }
-            }
-        }
     }
 
     proptest! {

@@ -73,11 +73,6 @@ impl Schedule {
         self.host_slots.get(&host).map_or(&[], Vec::as_slice)
     }
 
-    /// The hosts that execute at least one slot.
-    pub fn busy_hosts(&self) -> impl Iterator<Item = HostId> + '_ {
-        self.host_slots.keys().copied()
-    }
-
     /// All bus slots, chronological.
     pub fn bus_slots(&self) -> &[BusSlot] {
         &self.bus_slots
@@ -183,7 +178,6 @@ mod tests {
         assert_eq!(s.bus_slots().len(), 1);
         assert_eq!(s.completion(t, h), Some(Tick::new(3)));
         assert_eq!(s.completion(t, HostId::new(9)), None);
-        assert_eq!(s.busy_hosts().collect::<Vec<_>>(), vec![h]);
     }
 
     #[test]

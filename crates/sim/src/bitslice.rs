@@ -336,11 +336,6 @@ impl<I, E> LaneContext<I, E> {
         }
     }
 
-    /// Dismantles the lane, returning the injector and environment.
-    pub fn into_parts(self) -> (I, E) {
-        (self.injector, self.environment)
-    }
-
     /// The lane's random stream.
     #[cfg(test)]
     pub(crate) fn rng_mut(&mut self) -> &mut StdRng {

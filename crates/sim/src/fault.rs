@@ -435,15 +435,6 @@ impl<I> PermanentFaults<I> {
         }
     }
 
-    /// `true` if `host` has crashed so far.
-    pub fn is_dead(&self, host: HostId) -> bool {
-        self.dead[host.index()]
-    }
-
-    /// Number of hosts still alive.
-    pub fn alive_count(&self) -> usize {
-        self.dead.iter().filter(|&&d| !d).count()
-    }
 }
 
 impl<I: FaultInjector> HostSilencer for PermanentFaults<I> {
@@ -530,7 +521,7 @@ mod tests {
     fn permanent_faults_kill_hosts_forever() {
         let mut f = PermanentFaults::new(vec![0.5, 0.0]);
         let mut r = rng();
-        assert_eq!(f.alive_count(), 2);
+        assert_eq!(f.dead, [false, false]);
         // Invoke host 0 until it dies (hazard 0.5: quickly).
         let mut died_at = None;
         for k in 0..100 {
@@ -540,8 +531,7 @@ mod tests {
             }
         }
         let died_at = died_at.expect("host 0 must crash with hazard 0.5");
-        assert!(f.is_dead(HostId::new(0)));
-        assert_eq!(f.alive_count(), 1);
+        assert_eq!(f.dead, [true, false]);
         // Dead forever — and its broadcast is silenced with it.
         for k in died_at..died_at + 10 {
             assert!(!f.host_ok(HostId::new(0), Tick::new(k), &mut r));
@@ -562,8 +552,7 @@ mod tests {
         ab.host(HostDecl::new("h", Reliability::new(0.75).unwrap()))
             .unwrap();
         let f = PermanentFaults::from_architecture(&ab.build());
-        assert!(!f.is_dead(HostId::new(0)));
-        assert_eq!(f.alive_count(), 1);
+        assert_eq!(f.dead, [false]);
     }
 
     #[test]

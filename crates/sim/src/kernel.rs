@@ -149,7 +149,7 @@ pub struct Simulation<'a> {
     /// can hand the same schedule to many concurrent simulations.
     calendar: Arc<Calendar>,
     /// The compiled form of the calendar, used by [`Simulation::run`] and
-    /// exposed via [`Simulation::round_program`]. Shared for the same
+    /// exposed via [`Simulation::shared_program`]. Shared for the same
     /// reason as `calendar`.
     pub(crate) program: Arc<RoundProgram>,
 }
@@ -242,12 +242,6 @@ impl<'a> Simulation<'a> {
     /// callers that cache compilations (see [`Simulation::with_program`]).
     pub fn shared_program(&self) -> (Arc<Calendar>, Arc<RoundProgram>) {
         (Arc::clone(&self.calendar), Arc::clone(&self.program))
-    }
-
-    /// The compiled round program interpreted by [`Simulation::run`]
-    /// (read-only introspection, e.g. for the translation validator).
-    pub fn round_program(&self) -> &RoundProgram {
-        &self.program
     }
 
     /// The per-round event schedule the program was compiled from.

@@ -112,7 +112,7 @@ impl HostSet {
 
     /// The largest member index, if any.
     #[must_use]
-    pub fn max_index(self) -> Option<usize> {
+    fn max_index(self) -> Option<usize> {
         (self.0 != 0).then(|| 63 - self.0.leading_zeros() as usize)
     }
 }
@@ -1036,10 +1036,6 @@ impl<E: Environment> ScenarioEnvironment<E> {
         &self.inner
     }
 
-    /// The inner environment, mutably.
-    pub fn inner_mut(&mut self) -> &mut E {
-        &mut self.inner
-    }
 
     fn stuck(&self, comm: CommunicatorId, now: u64) -> bool {
         self.windows[comm.index()]

@@ -60,46 +60,6 @@ impl Trace {
         self.rows[comm.index()].len()
     }
 
-    /// Windowed reliability: the fraction of reliable updates in each
-    /// consecutive window of `window` updates (a trailing partial window
-    /// is dropped).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn windowed_average(&self, comm: CommunicatorId, window: usize) -> Vec<f64> {
-        assert!(window > 0, "window must be positive");
-        self.rows[comm.index()]
-            .chunks_exact(window)
-            .map(|chunk| {
-                chunk.iter().filter(|(_, v)| v.is_reliable()).count() as f64 / window as f64
-            })
-            .collect()
-    }
-
-    /// The length of the longest run of consecutive unreliable updates of
-    /// `comm` — the worst outage a consumer observed.
-    pub fn longest_outage(&self, comm: CommunicatorId) -> usize {
-        let mut longest = 0usize;
-        let mut current = 0usize;
-        for (_, v) in &self.rows[comm.index()] {
-            if v.is_reliable() {
-                current = 0;
-            } else {
-                current += 1;
-                longest = longest.max(current);
-            }
-        }
-        longest
-    }
-
-    /// The instant of the first unreliable update of `comm`, if any.
-    pub fn first_failure(&self, comm: CommunicatorId) -> Option<Tick> {
-        self.rows[comm.index()]
-            .iter()
-            .find(|(_, v)| !v.is_reliable())
-            .map(|&(t, _)| t)
-    }
 }
 
 #[cfg(test)]
@@ -135,41 +95,6 @@ mod tests {
         assert_eq!(trace.abstraction(u), vec![true, false, true]);
         assert!((trace.limit_average(u) - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(trace.values(u)[1], (Tick::new(20), Value::Unreliable));
-    }
-
-    #[test]
-    fn windowed_average_and_outages() {
-        let spec = spec();
-        let u = spec.find_communicator("u").unwrap();
-        let mut trace = Trace::new(&spec);
-        let pattern = [true, true, false, false, false, true, false, true];
-        for (k, &ok) in pattern.iter().enumerate() {
-            let v = if ok { Value::Float(1.0) } else { Value::Unreliable };
-            trace.record(u, Tick::new(10 * k as u64), v);
-        }
-        assert_eq!(trace.windowed_average(u, 4), vec![0.5, 0.5]);
-        assert_eq!(trace.windowed_average(u, 3), vec![2.0 / 3.0, 1.0 / 3.0]);
-        assert_eq!(trace.longest_outage(u), 3);
-        assert_eq!(trace.first_failure(u), Some(Tick::new(20)));
-    }
-
-    #[test]
-    fn outage_free_trace() {
-        let spec = spec();
-        let u = spec.find_communicator("u").unwrap();
-        let mut trace = Trace::new(&spec);
-        trace.record(u, Tick::new(0), Value::Float(1.0));
-        assert_eq!(trace.longest_outage(u), 0);
-        assert_eq!(trace.first_failure(u), None);
-        assert!(trace.windowed_average(u, 2).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be positive")]
-    fn zero_window_panics() {
-        let spec = spec();
-        let u = spec.find_communicator("u").unwrap();
-        Trace::new(&spec).windowed_average(u, 0);
     }
 
     #[test]

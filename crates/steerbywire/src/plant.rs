@@ -2,8 +2,8 @@
 //!
 //! States: lateral velocity `v_y` (m/s), yaw rate `r` (rad/s) and the
 //! road-wheel angle `δ` (rad), where the steering actuator follows its
-//! command with a first-order lag. Longitudinal speed `v_x` is a slowly
-//! varying parameter set by the scenario. Standard linear tyre model:
+//! command with a first-order lag. Longitudinal speed `v_x` is a constant
+//! parameter fixed when the plant is built. Standard linear tyre model:
 //!
 //! ```text
 //! v̇_y = (−(C_f + C_r)/(m·v_x))·v_y + ((C_r·l_r − C_f·l_f)/(m·v_x) − v_x)·r + (C_f/m)·δ
@@ -109,11 +109,6 @@ impl SingleTrackPlant {
     /// The longitudinal speed (m/s).
     pub fn speed(&self) -> f64 {
         self.speed
-    }
-
-    /// Sets the longitudinal speed (clamped to ≥ 1 m/s).
-    pub fn set_speed(&mut self, speed: f64) {
-        self.speed = speed.max(1.0);
     }
 
     /// Sets the road-wheel angle command (saturated).
@@ -228,13 +223,6 @@ mod tests {
         run(&mut car, 2.0);
         assert!(car.state().lateral_position > 0.5);
         assert!(car.state().heading > 0.0);
-    }
-
-    #[test]
-    fn speed_is_clamped_positive() {
-        let mut car = SingleTrackPlant::new(VehicleParams::default(), 10.0);
-        car.set_speed(-5.0);
-        assert_eq!(car.speed(), 1.0);
     }
 
     #[test]

@@ -311,6 +311,13 @@ inj = json.load(open(sys.argv[2]))
 assert strip(inj) == strip(m1), "serve output diverged from htlc inject"
 PY
 
+echo "==> experiment binaries (each exits non-zero when its paper-shape asserts fail)"
+cargo build --release -q -p logrel-bench --bins
+for src in crates/bench/src/bin/exp_*.rs crates/bench/src/bin/fig1_timeline.rs \
+           crates/bench/src/bin/table_3ts.rs; do
+    "target/release/$(basename "$src" .rs)" > /dev/null
+done
+
 echo "==> bench_snapshot regression gate (vs BENCH_baseline.json)"
 # Absolute throughput swings up to 2x between phases on the shared VM,
 # so the absolute gate runs wide (coarse smoke alarm). The ratio bounds

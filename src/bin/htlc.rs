@@ -12,7 +12,7 @@
 //! stderr through the one shared renderer
 //! in the stable greppable form `code:severity:file:line:col: message`.
 
-use logrel::lang::{compile, elaborate_file, parse, parse_file, print_program};
+use logrel::lang::{elaborate_file, parse, parse_file, print_program};
 use logrel::lint::{self, refine_error_diagnostics, Diagnostic, Severity};
 use logrel::obs::MetricsSink as _;
 use logrel::query::Report;
@@ -61,16 +61,36 @@ fn read(path: &str) -> Result<String, Failure> {
     std::fs::read_to_string(path).map_err(|e| Failure::Io(format!("cannot read `{path}`: {e}")))
 }
 
-/// Prints a front-end error in the stable diagnostic format and returns
-/// the exit-2 failure.
+/// Prints front-end diagnostics (see [`lint::front_end`]) in the stable
+/// diagnostic format and returns the exit-2 failure.
+fn front_end_failure(file: &str, diags: &[Diagnostic]) -> Failure {
+    for d in diags {
+        eprintln!("{}", d.render(file));
+    }
+    Failure::Diagnostics(diags.len())
+}
+
+/// [`front_end_failure`] for a front-end error met outside
+/// [`lint::front_end`]: a parse error, or an error of a multi-program
+/// file, where no single program locates a core-model error.
 fn lang_failure(file: &str, err: &logrel::lang::LangError) -> Failure {
-    eprintln!("{}", Diagnostic::from_lang_error(err).render(file));
-    Failure::Diagnostics(1)
+    front_end_failure(file, &[Diagnostic::from_lang_error(err)])
 }
 
 /// Compiles `path`, reporting failures as diagnostics.
 fn compile_path(path: &str) -> Result<logrel::lang::ElaboratedSystem, Failure> {
-    compile(&read(path)?).map_err(|e| lang_failure(path, &e))
+    lint::front_end(&read(path)?)
+        .map(|(_, sys)| sys)
+        .map_err(|diags| front_end_failure(path, &diags))
+}
+
+/// The report of a run that stopped at front-end diagnostics.
+fn front_end_report(path: &str, diags: &[Diagnostic]) -> Report {
+    let mut stderr = String::new();
+    for d in diags {
+        stderr.push_str(&format!("{}\n", d.render(path)));
+    }
+    Report { errors: diags.len(), stdout: String::new(), stderr }
 }
 
 /// Prints a failed analysis verdict through the shared diagnostic
@@ -162,22 +182,12 @@ fn run_cached(path: &str, source: &str, query: &str, compute: impl FnOnce() -> R
 /// The `check` pipeline as a replayable report: byte-for-byte the
 /// stdout/stderr of the original arm.
 fn check_report(path: &str, source: &str) -> Report {
+    let (program, sys) = match lint::front_end(source) {
+        Ok(front) => front,
+        Err(diags) => return front_end_report(path, &diags),
+    };
     let mut out = String::new();
     let mut err = String::new();
-    let program = match parse(source) {
-        Ok(p) => p,
-        Err(e) => {
-            err.push_str(&format!("{}\n", Diagnostic::from_lang_error(&e).render(path)));
-            return Report { errors: 1, stdout: out, stderr: err };
-        }
-    };
-    let sys = match logrel::lang::elaborate(&program) {
-        Ok(s) => s,
-        Err(e) => {
-            err.push_str(&format!("{}\n", Diagnostic::from_lang_error(&e).render(path)));
-            return Report { errors: 1, stdout: out, stderr: err };
-        }
-    };
     out.push_str(&format!(
         "program `{}`: {} communicators, {} tasks, round {}\n",
         sys.name,
@@ -224,15 +234,12 @@ fn check_report(path: &str, source: &str) -> Report {
 
 /// The `verify` pipeline as a replayable report.
 fn verify_report(path: &str, source: &str) -> Report {
+    let sys = match lint::front_end(source) {
+        Ok((_, sys)) => sys,
+        Err(diags) => return front_end_report(path, &diags),
+    };
     let mut out = String::new();
     let mut err = String::new();
-    let sys = match compile(source) {
-        Ok(s) => s,
-        Err(e) => {
-            err.push_str(&format!("{}\n", Diagnostic::from_lang_error(&e).render(path)));
-            return Report { errors: 1, stdout: out, stderr: err };
-        }
-    };
     let td = logrel::core::TimeDependentImplementation::from(sys.imp.clone());
     match logrel::validate::certify_system(&sys.spec, &sys.arch, &td) {
         Ok(cert) => {
@@ -313,13 +320,9 @@ fn certify_report(
             Report { errors, stdout: String::new(), stderr: err }
         }
     };
-    let program = match parse(source) {
-        Ok(p) => p,
-        Err(e) => return (fail(vec![Diagnostic::from_lang_error(&e)]), None),
-    };
-    let sys = match logrel::lang::elaborate(&program) {
-        Ok(s) => s,
-        Err(e) => return (fail(vec![Diagnostic::from_lang_error(&e)]), None),
+    let (program, sys) = match lint::front_end(source) {
+        Ok(front) => front,
+        Err(diags) => return (fail(diags), None),
     };
     match logrel::reliability::certify(&sys.spec, &sys.arch, &sys.imp, box_delta) {
         Ok(cert) => {
@@ -1228,10 +1231,8 @@ fn run(args: &[String]) -> Result<(), Failure> {
             let refined_path = args.get(2).ok_or(usage)?;
             // Keep the refining AST: refinement violations are rendered as
             // spanned R-series diagnostics against the refining source.
-            let refining_ast =
-                parse(&read(refining_path)?).map_err(|e| lang_failure(refining_path, &e))?;
-            let refining = logrel::lang::elaborate(&refining_ast)
-                .map_err(|e| lang_failure(refining_path, &e))?;
+            let (refining_ast, refining) = lint::front_end(&read(refining_path)?)
+                .map_err(|diags| front_end_failure(refining_path, &diags))?;
             let refined = compile_path(refined_path)?;
             let kappa = Kappa::by_name(&refining.spec, &refined.spec);
             match check_refinement(

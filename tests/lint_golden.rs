@@ -93,3 +93,39 @@ fn shipped_assets_lint_without_errors() {
         assert!(errors.is_empty(), "{name}: {errors:?}");
     }
 }
+
+#[test]
+fn check_and_certify_share_the_lint_front_end() {
+    // Every command parses and elaborates through the lint crate's front
+    // end, so a program that fails there gets the golden lint diagnosis
+    // from `check` and `certify` too, followed by the closing summary.
+    let mut pinned = 0;
+    for path in corpus() {
+        let name = path.file_name().unwrap().to_str().unwrap();
+        let commands: &[&str] = if name.starts_with("restriction_") {
+            &["check"]
+        } else if name == "lint_default_mismatch.htl" {
+            &["check", "certify"]
+        } else {
+            continue;
+        };
+        let expected = fs::read_to_string(path.with_extension("expected")).unwrap();
+        let errors = expected.lines().filter(|l| l.contains(":error:")).count();
+        for command in commands {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_htlc"))
+                .current_dir(corpus_dir())
+                .args([command, name])
+                .output()
+                .expect("htlc runs");
+            assert_eq!(out.status.code(), Some(2), "htlc {command} {name}");
+            assert!(out.stdout.is_empty(), "htlc {command} {name} wrote stdout");
+            assert_eq!(
+                String::from_utf8(out.stderr).unwrap(),
+                format!("{expected}htlc: {errors} error(s) emitted\n"),
+                "htlc {command} {name}"
+            );
+            pinned += 1;
+        }
+    }
+    assert_eq!(pinned, 6, "four restriction specs and the default mismatch");
+}
