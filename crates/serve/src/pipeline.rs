@@ -127,12 +127,16 @@ pub fn campaign_config(
 
 /// The base context of every campaign replication: no task behaviors,
 /// a constant sensor reading of 1.0, and the architecture's transient
-/// faults.
-pub fn replication_context(arch: &Architecture) -> ReplicationContext<'_> {
+/// faults — by value, so the campaign units that serve, `htlc inject`
+/// and the benchmarks run make their per-lane draws through static
+/// calls.
+pub fn replication_context(
+    arch: &Architecture,
+) -> ReplicationContext<ProbabilisticFaults, ConstantEnvironment> {
     ReplicationContext {
         behaviors: BehaviorMap::new(),
-        environment: Box::new(ConstantEnvironment::new(Value::Float(1.0))),
-        injector: Box::new(ProbabilisticFaults::from_architecture(arch)),
+        environment: ConstantEnvironment::new(Value::Float(1.0)),
+        injector: ProbabilisticFaults::from_architecture(arch),
     }
 }
 
@@ -190,7 +194,7 @@ impl Plan {
         let arch = &self.compiled.sys.arch;
         let sim = self.compiled.simulation();
         self.replay_gauges(registry);
-        self.campaign.run::<M>(&sim, |_rep| replication_context(arch), analytic, registry)
+        self.campaign.run::<M, _, _>(&sim, |_rep| replication_context(arch), analytic, registry)
     }
 
     /// The lane-width and seed gauges that make an export replayable.

@@ -146,10 +146,20 @@ impl LaneClasses {
     }
 
     /// Rebuilds the partition from one scalar value per lane.
+    ///
+    /// Pushes once per run of equal neighbouring values, as the mask of
+    /// the run's lanes: [`LaneClasses::push`] coalesces equal values, so
+    /// the partition and its first-occurrence class order are those of
+    /// one push per lane. (A NaN equals nothing, so it is a run of one,
+    /// as it is a class of one.)
     fn set_from_lane_values(&mut self, vals: &[Value]) {
         self.classes.clear();
-        for (li, &v) in vals.iter().enumerate() {
-            self.push(v, 1u64 << li);
+        let mut start = 0;
+        while start < vals.len() {
+            let v = vals[start];
+            let len = vals[start + 1..].iter().take_while(|&&w| w == v).count() + 1;
+            self.push(v, (u64::MAX >> (64 - len)) << start);
+            start += len;
         }
     }
 
@@ -1120,6 +1130,36 @@ mod tests {
         assert_eq!((t.get(1, 0), t.get(1, 1), t.get(1, 2)), (0, 0, 0));
     }
 
+    /// A lane value from a small palette, so that lanes repeat: ⊥, NaN,
+    /// ±0.0, two other floats, two ints (one of them `1`, beside the
+    /// float `1.0`) and both bools.
+    fn palette(pick: u8) -> Value {
+        match pick % 10 {
+            0 => Value::Unreliable,
+            1 => Value::Float(f64::NAN),
+            2 => Value::Float(0.0),
+            3 => Value::Float(-0.0),
+            4 => Value::Float(1.0),
+            5 => Value::Float(2.5),
+            6 => Value::Int(1),
+            7 => Value::Int(-3),
+            8 => Value::Bool(true),
+            _ => Value::Bool(false),
+        }
+    }
+
+    /// A class as comparable bits (a NaN value equals nothing, itself
+    /// included).
+    fn class_bits(cls: &LaneClasses) -> Vec<(String, u64)> {
+        cls.classes
+            .iter()
+            .map(|&(v, m)| match v {
+                Value::Float(f) => (format!("f{:#x}", f.to_bits()), m),
+                v => (format!("{v:?}"), m),
+            })
+            .collect()
+    }
+
     proptest::proptest! {
         /// Counting a mask by its smaller side — set lanes up, or one
         /// `all` step and missing lanes down — agrees with a plain
@@ -1163,6 +1203,31 @@ mod tests {
                     proptest::prop_assert_eq!(tally.sum(key, set), sum, "key {} set {:#x}", key, set);
                 }
             }
+        }
+
+        /// Pushing runs of equal lane values gives the partition of one
+        /// push per lane: the same values, masks and class order, at
+        /// every width, with ⊥, NaN, ±0.0, repeats and mixed kinds.
+        #[test]
+        fn run_length_lane_values_match_one_push_per_lane(
+            width in 1usize..=64,
+            run_bias in 0u8..3,
+            picks in proptest::collection::vec(0u8..=255, 64..=64),
+        ) {
+            // Long runs are the production case (one value on most
+            // lanes); `run_bias` repeats the previous pick that often.
+            let mut vals = Vec::with_capacity(width);
+            for (li, &pick) in picks.iter().take(width).enumerate() {
+                let repeat = li > 0 && pick % 3 < run_bias;
+                vals.push(if repeat { vals[li - 1] } else { palette(pick) });
+            }
+            let mut runs = LaneClasses::default();
+            runs.set_from_lane_values(&vals);
+            let mut lanes = LaneClasses::default();
+            for (li, &v) in vals.iter().enumerate() {
+                lanes.push(v, 1u64 << li);
+            }
+            proptest::prop_assert_eq!(class_bits(&runs), class_bits(&lanes), "{:?}", vals);
         }
     }
 }

@@ -23,6 +23,8 @@
 //! any thread count, reproduces it exactly.
 
 use crate::bitslice::{BitslicedOutput, LaneContext};
+use crate::environment::Environment;
+use crate::fault::FaultInjector;
 use crate::kernel::Simulation;
 use crate::monitor::{AlarmKind, LrcMonitor, MonitorConfig, MonitorLane};
 use crate::montecarlo::{derive_seed, run_indexed_units, BatchConfig, ReplicationContext};
@@ -293,12 +295,17 @@ impl Campaign {
 
     /// Runs one unit over `sim` ([`run_campaign_unit`]), each replication
     /// from its base context `setup(rep)`, reporting to a fresh `M`.
-    pub fn run_unit<'a, M: RepSink>(
+    pub fn run_unit<M, I, E>(
         &self,
         sim: &Simulation<'_>,
-        setup: impl Fn(u64) -> ReplicationContext<'a>,
+        setup: impl Fn(u64) -> ReplicationContext<I, E>,
         unit: CampaignUnit,
-    ) -> UnitResult<M> {
+    ) -> UnitResult<M>
+    where
+        M: RepSink,
+        I: FaultInjector,
+        E: Environment,
+    {
         run_campaign_unit(
             sim,
             sim.spec,
@@ -340,15 +347,20 @@ impl Campaign {
     /// Runs every unit on the batch's threads ([`run_indexed_units`]) and
     /// finishes into `registry`; with `M = `[`NoopSink`] nothing is
     /// observed.
-    pub fn run<'a, M: RepSink>(
+    pub fn run<M, I, E>(
         &self,
         sim: &Simulation<'_>,
-        setup: impl Fn(u64) -> ReplicationContext<'a> + Sync,
+        setup: impl Fn(u64) -> ReplicationContext<I, E> + Sync,
         analytic: &[Option<f64>],
         registry: &mut Registry,
-    ) -> Result<ScenarioReport, CampaignError> {
+    ) -> Result<ScenarioReport, CampaignError>
+    where
+        M: RepSink,
+        I: FaultInjector,
+        E: Environment,
+    {
         let per_unit = run_indexed_units(self.config.batch.threads, &self.units, |&unit, _| {
-            self.run_unit::<M>(sim, &setup, unit)
+            self.run_unit::<M, I, E>(sim, &setup, unit)
         });
         self.finish(sim.spec, analytic, per_unit, registry)
     }
@@ -483,8 +495,14 @@ fn rep_stats(
 /// kept and the monitor's verdicts: no trace is recorded, so memory does
 /// not grow with the rounds. Seeds depend only on `(base_seed, rep)`, so
 /// a replication is the same in any unit of any width.
+///
+/// The lanes hold their base injector `I` and environment `E` by value:
+/// each context type is one instantiation of this one body. With concrete
+/// types, as the job service's context has, every per-lane draw and sense
+/// is a static call; boxed `dyn` contexts make the same calls in the same
+/// order through the `Box` forwarding impls.
 #[allow(clippy::too_many_arguments)]
-pub fn run_campaign_unit<'a, S, M, FM>(
+pub fn run_campaign_unit<S, I, E, M, FM>(
     sim: &Simulation<'_>,
     spec: &Specification,
     scenario: &Scenario,
@@ -495,7 +513,9 @@ pub fn run_campaign_unit<'a, S, M, FM>(
     unit: CampaignUnit,
 ) -> UnitResult<M>
 where
-    S: Fn(u64) -> ReplicationContext<'a>,
+    S: Fn(u64) -> ReplicationContext<I, E>,
+    I: FaultInjector,
+    E: Environment,
     M: MetricsSink,
     FM: Fn(u64) -> M,
 {

@@ -36,9 +36,10 @@ pub trait Environment {
     }
 }
 
-/// Forwarding so wrappers (e.g. the scenario layer) can hold type-erased
-/// inner environments.
-impl Environment for Box<dyn Environment + '_> {
+/// Forwarding, so that a boxed environment — type-erased or not — is an
+/// environment: wrappers (e.g. the scenario layer) and lane contexts can
+/// hold caller-supplied boxes.
+impl<T: Environment + ?Sized> Environment for Box<T> {
     fn advance(&mut self, now: Tick) {
         (**self).advance(now);
     }

@@ -98,9 +98,9 @@ pub trait FaultInjector {
     }
 }
 
-/// Forwarding so wrappers can hold type-erased inner injectors (the
-/// campaign runner composes scenarios over caller-supplied boxes).
-impl FaultInjector for Box<dyn FaultInjector + '_> {
+/// Forwarding, so that a boxed injector — type-erased or not — is an
+/// injector: wrappers and lane contexts can hold caller-supplied boxes.
+impl<T: FaultInjector + ?Sized> FaultInjector for Box<T> {
     fn host_ok(&mut self, host: HostId, now: Tick, rng: &mut StdRng) -> bool {
         (**self).host_ok(host, now, rng)
     }
@@ -143,10 +143,10 @@ impl FaultInjector for Box<dyn FaultInjector + '_> {
 /// [`PermanentFaults`]): a policy that decides per `(host, now)` whether
 /// the host is silenced, over an inner injector handling everything else.
 ///
-/// The blanket [`FaultInjector`] impl encodes the "dead host stays dead"
-/// rule exactly once: a silenced host fails its invocation, loses its
-/// broadcast and never corrupts delivered outputs — even when the host
-/// was marked down earlier within the same instant.
+/// The silencers' one [`FaultInjector`] body encodes the "dead host
+/// stays dead" rule exactly once: a silenced host fails its invocation,
+/// loses its broadcast and never corrupts delivered outputs — even when
+/// the host was marked down earlier within the same instant.
 pub trait HostSilencer {
     /// The inner injector everything else delegates to.
     type Inner: FaultInjector;
@@ -163,57 +163,67 @@ pub trait HostSilencer {
     fn is_down(&self, host: HostId, now: Tick) -> bool;
 }
 
-impl<S: HostSilencer> FaultInjector for S {
-    fn host_ok(&mut self, host: HostId, now: Tick, rng: &mut StdRng) -> bool {
-        if self.invocation_down(host, now, rng) {
-            return false;
+/// The one [`FaultInjector`] body of every [`HostSilencer`]: the "dead
+/// host stays dead" rule, written once. (A blanket impl over
+/// `S: HostSilencer` would overlap the `Box<T>` forwarding impl, since a
+/// downstream crate may implement `HostSilencer` for a `Box`.)
+macro_rules! silencing_injector {
+    ($($silencer:ident),*) => {$(
+        impl<I: FaultInjector> FaultInjector for $silencer<I> {
+            fn host_ok(&mut self, host: HostId, now: Tick, rng: &mut StdRng) -> bool {
+                if self.invocation_down(host, now, rng) {
+                    return false;
+                }
+                self.inner().host_ok(host, now, rng)
+            }
+            fn sensor_ok(&mut self, sensor: SensorId, now: Tick, rng: &mut StdRng) -> bool {
+                self.inner().sensor_ok(sensor, now, rng)
+            }
+            fn broadcast_ok(&mut self, host: HostId, now: Tick, rng: &mut StdRng) -> bool {
+                if self.is_down(host, now) {
+                    return false;
+                }
+                self.inner().broadcast_ok(host, now, rng)
+            }
+            fn corrupt(
+                &mut self,
+                host: HostId,
+                now: Tick,
+                outputs: &mut [logrel_core::Value],
+                rng: &mut StdRng,
+            ) {
+                // A silenced host delivers nothing, so it cannot corrupt — this
+                // covers hosts marked fail-silent earlier in the same instant.
+                if !self.is_down(host, now) {
+                    self.inner().corrupt(host, now, outputs, rng);
+                }
+            }
+            fn rejoined_at(&self, host: HostId, now: Tick) -> Option<Tick> {
+                self.inner_ref().rejoined_at(host, now)
+            }
+            fn corrupts(&self) -> bool {
+                // Silencing only suppresses corruption; it never introduces it.
+                self.inner_ref().corrupts()
+            }
+            // Partition membership and vote feedback are orthogonal to host
+            // silencing; forward them so wrapped scenario injectors keep working.
+            fn delivers(&self, sender: HostId, receiver: HostId, now: Tick) -> bool {
+                self.inner_ref().delivers(sender, receiver, now)
+            }
+            fn partitions(&self) -> bool {
+                self.inner_ref().partitions()
+            }
+            fn observe_vote(&mut self, task: TaskId, now: Tick, delivered: &[HostId], total: usize) {
+                self.inner().observe_vote(task, now, delivered, total);
+            }
+            fn adaptive(&self) -> bool {
+                self.inner_ref().adaptive()
+            }
         }
-        self.inner().host_ok(host, now, rng)
-    }
-    fn sensor_ok(&mut self, sensor: SensorId, now: Tick, rng: &mut StdRng) -> bool {
-        self.inner().sensor_ok(sensor, now, rng)
-    }
-    fn broadcast_ok(&mut self, host: HostId, now: Tick, rng: &mut StdRng) -> bool {
-        if self.is_down(host, now) {
-            return false;
-        }
-        self.inner().broadcast_ok(host, now, rng)
-    }
-    fn corrupt(
-        &mut self,
-        host: HostId,
-        now: Tick,
-        outputs: &mut [logrel_core::Value],
-        rng: &mut StdRng,
-    ) {
-        // A silenced host delivers nothing, so it cannot corrupt — this
-        // covers hosts marked fail-silent earlier in the same instant.
-        if !self.is_down(host, now) {
-            self.inner().corrupt(host, now, outputs, rng);
-        }
-    }
-    fn rejoined_at(&self, host: HostId, now: Tick) -> Option<Tick> {
-        self.inner_ref().rejoined_at(host, now)
-    }
-    fn corrupts(&self) -> bool {
-        // Silencing only suppresses corruption; it never introduces it.
-        self.inner_ref().corrupts()
-    }
-    // Partition membership and vote feedback are orthogonal to host
-    // silencing; forward them so wrapped scenario injectors keep working.
-    fn delivers(&self, sender: HostId, receiver: HostId, now: Tick) -> bool {
-        self.inner_ref().delivers(sender, receiver, now)
-    }
-    fn partitions(&self) -> bool {
-        self.inner_ref().partitions()
-    }
-    fn observe_vote(&mut self, task: TaskId, now: Tick, delivered: &[HostId], total: usize) {
-        self.inner().observe_vote(task, now, delivered, total);
-    }
-    fn adaptive(&self) -> bool {
-        self.inner_ref().adaptive()
-    }
+    )*};
 }
+
+silencing_injector!(UnplugAt, PermanentFaults);
 
 /// The fault-free injector: everything always works.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

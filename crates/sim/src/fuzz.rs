@@ -44,6 +44,8 @@
 //! [`LrcMonitor`]: crate::monitor::LrcMonitor
 
 use crate::campaign::{Campaign, CampaignConfig, CampaignError, ScenarioReport};
+use crate::environment::Environment;
+use crate::fault::FaultInjector;
 use crate::kernel::Simulation;
 use crate::montecarlo::ReplicationContext;
 use crate::scenario::{HostSet, Scenario, ScenarioEvent};
@@ -466,7 +468,7 @@ fn render_reproducer(scenario: &Scenario, config: &FuzzConfig) -> String {
 ///
 /// Fails only if the *seed* scenario itself does not fit the system
 /// (bounds error); invalid mutants are counted and skipped.
-pub fn run_fuzz<'a, S>(
+pub fn run_fuzz<S, I, E>(
     sim: &Simulation<'_>,
     spec: &Specification,
     seed_scenario: &Scenario,
@@ -476,7 +478,9 @@ pub fn run_fuzz<'a, S>(
     sink: &mut dyn MetricsSink,
 ) -> Result<FuzzOutcome, CampaignError>
 where
-    S: Fn(u64) -> ReplicationContext<'a> + Sync,
+    S: Fn(u64) -> ReplicationContext<I, E> + Sync,
+    I: FaultInjector,
+    E: Environment,
 {
     let horizon =
         (config.campaign.batch.rounds * spec.round_period().as_u64()).max(1);
@@ -487,14 +491,14 @@ where
         |scenario: &Scenario| Campaign::new(spec, scenario.clone(), config.campaign, host_count, 0);
     let evaluate = |scenario: &Scenario| -> Result<(Vec<u8>, ScenarioReport), CampaignError> {
         let mut registry = Registry::new();
-        let report = plan(scenario)?.run::<Registry>(sim, &setup, &[], &mut registry)?;
+        let report = plan(scenario)?.run::<Registry, _, _>(sim, &setup, &[], &mut registry)?;
         let sig = signature(&registry, &report);
         Ok((sig, report))
     };
     // Shrink re-checks only need the report, not the signature.
     let check = |scenario: &Scenario| -> bool {
         plan(scenario)
-            .and_then(|c| c.run::<NoopSink>(sim, &setup, &[], &mut Registry::new()))
+            .and_then(|c| c.run::<NoopSink, _, _>(sim, &setup, &[], &mut Registry::new()))
             .is_ok_and(|report| is_miss(&report))
     };
 

@@ -107,6 +107,9 @@ struct CommWindow {
     next: usize,
     /// Masks in `ring`: the window length seen by every lane.
     filled: usize,
+    /// While the window fills: the lanes that have seen an unreliable
+    /// update. The others hold only reliable updates, so their mean is 1.
+    faulted: u64,
     /// Updates observed so far (the clock `dip_update` and
     /// `alarm_update` are measured on).
     updates: u64,
@@ -145,8 +148,10 @@ fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
 #[derive(Debug, Clone)]
 pub struct LrcMonitor {
     config: MonitorConfig,
-    /// The Hoeffding band of a full window.
-    full_epsilon: f64,
+    /// `epsilon[i]`: the Hoeffding band of a window of `i + 1` updates,
+    /// for the lengths evaluated so far (grown as the windows fill, up to
+    /// a full window).
+    epsilon: Vec<f64>,
     /// The group's lanes.
     all_mask: u64,
     /// Indexed by communicator; `None` for communicators without an LRC.
@@ -204,7 +209,7 @@ impl LrcMonitor {
         );
         LrcMonitor {
             config,
-            full_epsilon: hoeffding_epsilon(config.window, config.confidence),
+            epsilon: Vec::new(),
             all_mask: u64::MAX >> (64 - lanes),
             windows: spec
                 .communicator_ids()
@@ -214,6 +219,7 @@ impl LrcMonitor {
                         ring: vec![0; config.window],
                         next: 0,
                         filled: 0,
+                        faulted: 0,
                         updates: 0,
                         active: 0,
                         dipped: 0,
@@ -295,14 +301,23 @@ impl LrcMonitor {
     /// order — a lane fires at most one per update — and, after a raised
     /// alarm, for each rule of `comm` it engages on that lane.
     ///
-    /// Once the window is full, ε is the constant band of a full window,
-    /// and only the lanes whose new bit differs from the evicted one are
-    /// evaluated. Every other lane keeps its count and so its mean, and
-    /// its predicates are at a fixed point: a raise leaves mean < µ, so
-    /// no clear can follow at the same mean; a clear leaves mean ≥ µ, so
-    /// no raise can follow; a dip latches. The rule needs the window to
-    /// have been full *before* the push, so that the lane's last
-    /// evaluation saw the same length and band.
+    /// ε comes from a table of the band per window length, computed once
+    /// per length and monitor. Two rules skip lanes whose verdicts cannot
+    /// move:
+    ///
+    /// - While the window fills, only the lanes that have seen an
+    ///   unreliable update are evaluated. Nothing is evicted yet, so any
+    ///   other lane's window holds only reliable updates and its mean is
+    ///   1: no dip or raise fires (both need mean < µ ≤ 1), and no clear
+    ///   either, since a raise never fired on it.
+    /// - Once the window is full, ε is the constant band of a full
+    ///   window, and only the lanes whose new bit differs from the
+    ///   evicted one are evaluated. Every other lane keeps its count and
+    ///   so its mean, and its predicates are at a fixed point: a raise
+    ///   leaves mean < µ, so no clear can follow at the same mean; a clear
+    ///   leaves mean ≥ µ, so no raise can follow; a dip latches. The rule
+    ///   needs the window to have been full *before* the push, so that
+    ///   the lane's last evaluation saw the same length and band.
     pub(crate) fn observe_lanes(
         &mut self,
         comm: CommunicatorId,
@@ -336,13 +351,22 @@ impl LrcMonitor {
                 w.lanes[li].ones -= 1;
             }
         }
-        let evaluate = if was_full { changed } else { self.all_mask };
-        let full = w.filled == w.ring.len();
-        let epsilon = if full {
-            self.full_epsilon
+        let evaluate = if was_full {
+            changed
         } else {
-            hoeffding_epsilon(w.filled, self.config.confidence)
+            w.faulted |= !reliable & self.all_mask;
+            w.faulted
         };
+        if evaluate == 0 {
+            return;
+        }
+        let full = w.filled == w.ring.len();
+        while self.epsilon.len() < w.filled {
+            let length = self.epsilon.len() + 1;
+            self.epsilon
+                .push(hoeffding_epsilon(length, self.config.confidence));
+        }
+        let epsilon = self.epsilon[w.filled - 1];
         for li in lanes_of(evaluate) {
             let bit = 1u64 << li;
             let lane = &mut w.lanes[li];
@@ -806,8 +830,16 @@ mod tests {
 
     /// Feeds one random reliable-mask stream to a `width`-lane monitor
     /// and to one oracle per lane, and checks every fired alarm and
-    /// every verdict lane by lane.
-    fn check_against_oracle(width: usize, config: MonitorConfig, seed: u64, updates: u64) {
+    /// every verdict lane by lane. The lanes of `late` stay reliable on
+    /// each communicator until its window is full, so they first fail
+    /// after the fill.
+    fn check_against_oracle(
+        width: usize,
+        config: MonitorConfig,
+        seed: u64,
+        updates: u64,
+        late: u64,
+    ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let lrcs: Vec<f64> = (0..3)
             .map(|_| pick_lrc(&mut rng, config.window, config.confidence))
@@ -820,14 +852,20 @@ mod tests {
         // lanes), and the switches move means across the thresholds.
         const RATES: [f64; 6] = [0.0, 0.01, 0.1, 0.3, 0.7, 1.0];
         let mut p_fail = 0.0;
+        let mut seen_per_comm = vec![0usize; comms.len()];
         for i in 0..updates {
             if i % 64 == 0 {
                 p_fail = RATES[rng.gen_range(0..RATES.len())];
             }
-            let comm = comms[rng.gen_range(0..comms.len())];
-            let mask = (0..width).fold(0u64, |m, li| {
+            let k = rng.gen_range(0..comms.len());
+            let comm = comms[k];
+            let mut mask = (0..width).fold(0u64, |m, li| {
                 m | u64::from(rng.gen::<f64>() >= p_fail) << li
             });
+            if seen_per_comm[k] < config.window {
+                mask |= late;
+            }
+            seen_per_comm[k] += 1;
             let now = Tick::new(i * 10);
             let mut fired = Vec::new();
             group.observe_lanes(comm, now, mask, |li, what| {
@@ -867,7 +905,23 @@ mod tests {
             seed in any::<u64>(),
             updates in 1u64..1200,
         ) {
-            check_against_oracle(width, MonitorConfig { window, confidence }, seed, updates);
+            check_against_oracle(width, MonitorConfig { window, confidence }, seed, updates, 0);
+        }
+
+        /// Lanes that stay all-reliable through the fill and first fail
+        /// once the window is full: the fill phase skips them, and their
+        /// first evaluation must still match the oracle's.
+        #[test]
+        fn group_monitor_matches_oracle_on_late_failing_lanes(
+            width in prop_oneof![Just(1usize), Just(7usize), Just(64usize)],
+            window in prop_oneof![Just(1usize), Just(2usize), Just(3usize), Just(200usize)],
+            confidence in prop_oneof![Just(0.9), Just(0.99)],
+            seed in any::<u64>(),
+            late in any::<u64>(),
+            updates in 1u64..2400,
+        ) {
+            let late = late & (u64::MAX >> (64 - width));
+            check_against_oracle(width, MonitorConfig { window, confidence }, seed, updates, late);
         }
     }
 

@@ -122,13 +122,20 @@ where
 }
 
 /// Everything one replication mutates while it runs.
-pub struct ReplicationContext<'a> {
+///
+/// Generic over the injector `I` and environment `E`, so a campaign
+/// unit's lanes hold them by value and their calls are static: the job
+/// service's context is `ReplicationContext<ProbabilisticFaults,
+/// ConstantEnvironment>`. Boxed contexts (`Box<dyn FaultInjector>`,
+/// `Box<dyn Environment>`, or boxes of concrete types) are one more
+/// instantiation, through the `Box` forwarding impls.
+pub struct ReplicationContext<I, E> {
     /// The task behavior registry.
     pub behaviors: BehaviorMap,
     /// The environment (sensor source / actuator sink).
-    pub environment: Box<dyn Environment + 'a>,
+    pub environment: E,
     /// The fault injector.
-    pub injector: Box<dyn FaultInjector + 'a>,
+    pub injector: I,
 }
 
 /// Runs a batch of replications of one compiled simulation.
@@ -138,23 +145,25 @@ pub struct ReplicationContext<'a> {
 /// the replication's [`SimOutput`] to the per-replication result. Results
 /// are merged in replication order — see the module docs for the
 /// determinism guarantee.
-pub fn run_replications<'a, T, S, E>(
+pub fn run_replications<T, S, I, E, X>(
     sim: &Simulation<'_>,
     config: &BatchConfig,
     setup: S,
-    extract: E,
+    extract: X,
 ) -> Vec<T>
 where
     T: Send,
-    S: Fn(u64) -> ReplicationContext<'a> + Sync,
-    E: Fn(u64, SimOutput) -> T + Sync,
+    S: Fn(u64) -> ReplicationContext<I, E> + Sync,
+    I: FaultInjector,
+    E: Environment,
+    X: Fn(u64, SimOutput) -> T + Sync,
 {
     run_batch(config, |rep, seed| {
         let mut ctx = setup(rep);
         let out = sim.run(
             &mut ctx.behaviors,
-            &mut *ctx.environment,
-            &mut *ctx.injector,
+            &mut ctx.environment,
+            &mut ctx.injector,
             &SimConfig {
                 rounds: config.rounds,
                 seed,

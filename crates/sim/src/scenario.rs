@@ -1053,6 +1053,10 @@ impl<E: Environment> Environment for ScenarioEnvironment<E> {
         // Sample the inner environment unconditionally so plant models
         // with sensing side effects stay in step across scenarios.
         let fresh = self.inner.sense(comm, now);
+        if self.windows[comm.index()].is_empty() {
+            // Never stuck, so its frozen value is never read.
+            return fresh;
+        }
         if self.stuck(comm, now.as_u64()) {
             *self.frozen[comm.index()].get_or_insert(fresh)
         } else {

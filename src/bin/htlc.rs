@@ -710,7 +710,22 @@ fn run(args: &[String]) -> Result<(), Failure> {
             // check each declared refinement and inherit validity (Prop 2).
             let path = args.get(1).ok_or(usage)?;
             let file = parse_file(&read(path)?).map_err(|e| lang_failure(path, &e))?;
-            let elaborated = elaborate_file(&file).map_err(|e| lang_failure(path, &e))?;
+            let elaborated = elaborate_file(&file).map_err(|e| {
+                // A program that fails on its own is diagnosed as `check`
+                // diagnoses it, spanned; what remains is an error of the
+                // file as a whole (names, refinement declarations).
+                let diags: Vec<Diagnostic> = file
+                    .programs
+                    .iter()
+                    .filter_map(|p| lint::elaborate_program(p).err())
+                    .flatten()
+                    .collect();
+                if diags.is_empty() {
+                    lang_failure(path, &e)
+                } else {
+                    front_end_failure(path, &diags)
+                }
+            })?;
             println!(
                 "{} program(s), {} refinement declaration(s)",
                 elaborated.systems.len(),

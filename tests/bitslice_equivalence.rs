@@ -530,7 +530,7 @@ fn campaign_tail_packing_matches_scalar() {
         };
         Campaign::new(&sys.spec, scn.clone(), config, sys.arch.host_count(), 0)
             .and_then(|campaign| {
-                campaign.run::<NoopSink>(
+                campaign.run::<NoopSink, _, _>(
                     &sim,
                     |_rep| ReplicationContext {
                         behaviors: BehaviorMap::default(),

@@ -174,13 +174,13 @@ fn threetank_scenario_export(
     let mut registry = Registry::with_recorder(recorder);
     Campaign::new(&sys.spec, scenario, config, sys.arch.host_count(), recorder)
         .and_then(|campaign| {
-            campaign.run::<Registry>(
+            campaign.run::<Registry, _, _>(
                 &sim,
                 |_rep| ReplicationContext {
                     behaviors: build_behaviors(&sys, &params),
                     environment: Box::new(ConstantEnvironment::new(Value::Float(0.25))),
                     injector: if corrupting {
-                        Box::new(CorruptingFaults::new(0.05, 9_999.0))
+                        Box::new(CorruptingFaults::new(0.05, 9_999.0)) as Box<dyn FaultInjector>
                     } else {
                         Box::new(ProbabilisticFaults::from_architecture(&sys.arch))
                     },

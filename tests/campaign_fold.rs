@@ -6,12 +6,14 @@
 //! order: counters, gauges, histograms, evictions, the first lane's live
 //! ring and the dumps.
 
-use logrel::core::TimeDependentImplementation;
+use logrel::core::{TimeDependentImplementation, Value};
+use logrel::obs::export::to_json_line;
 use logrel::obs::{names, FlightRecorder, Registry};
 use logrel::serve::pipeline::{campaign_config, replication_context, Symbols};
 use logrel::sim::{
-    run_campaign_unit, CampaignError, CampaignUnit, LaneMode, RepSink, RepStats, Scenario,
-    Simulation,
+    run_campaign_unit, BehaviorMap, Campaign, CampaignError, CampaignUnit, ConstantEnvironment,
+    Environment, FaultInjector, LaneMode, ProbabilisticFaults, RepSink, RepStats,
+    ReplicationContext, Scenario, Simulation,
 };
 use proptest::prelude::*;
 
@@ -178,6 +180,61 @@ fn bad_unit_widths_are_diagnosed() {
             Some(CampaignError::LaneWidth(width))
         );
     }
+}
+
+/// The typed lane contexts the service runs (`replication_context`, by
+/// value) and boxed `dyn` contexts are two instantiations of one unit
+/// body, and give the same job: equal per-replication stats, report and
+/// metrics line on 70 replications, a 64-lane unit and a 6-lane tail.
+#[test]
+fn typed_and_boxed_contexts_give_the_same_job() {
+    let steer = Steer::new();
+    let scenario = Scenario::parse_with(EVERY_EVENT, &Symbols(&steer.sys)).expect("parses");
+    let sim = Simulation::new(&steer.sys.spec, &steer.sys.arch, &steer.td);
+    let config = campaign_config(70, ROUNDS, 7, LaneMode::Auto);
+    let hosts = steer.sys.arch.host_count();
+    let campaign = Campaign::new(&steer.sys.spec, scenario, config, hosts, 256).expect("plans");
+    let widths: Vec<usize> = campaign.units().iter().map(|u| u.width).collect();
+    assert_eq!(widths, [64, 6]);
+    let boxed = |_rep| -> ReplicationContext<Box<dyn FaultInjector>, Box<dyn Environment>> {
+        ReplicationContext {
+            behaviors: BehaviorMap::new(),
+            environment: Box::new(ConstantEnvironment::new(Value::Float(1.0))),
+            injector: Box::new(ProbabilisticFaults::from_architecture(&steer.sys.arch)),
+        }
+    };
+    let typed = |_rep| replication_context(&steer.sys.arch);
+    let mut jobs = Vec::new();
+    for run_boxed in [false, true] {
+        let per_unit: Vec<_> = campaign
+            .units()
+            .iter()
+            .map(|&unit| {
+                if run_boxed {
+                    campaign.run_unit::<Registry, _, _>(&sim, boxed, unit)
+                } else {
+                    campaign.run_unit::<Registry, _, _>(&sim, typed, unit)
+                }
+            })
+            .collect();
+        let stats: Vec<Vec<RepStats>> = per_unit
+            .iter()
+            .map(|u| {
+                u.as_ref()
+                    .expect("the unit runs")
+                    .iter()
+                    .map(|(s, _)| s.clone())
+                    .collect()
+            })
+            .collect();
+        let mut registry = Registry::with_recorder(256);
+        let report = campaign
+            .finish(&steer.sys.spec, &[], per_unit, &mut registry)
+            .expect("the job finishes");
+        jobs.push((stats, report, to_json_line(&registry)));
+    }
+    assert!(jobs[0].2.contains(names::ALARM_RAISED), "the job alarms");
+    assert_eq!(jobs[0], jobs[1]);
 }
 
 proptest! {

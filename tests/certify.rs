@@ -260,7 +260,7 @@ fn campaign_epsilon_band_overlaps_certified_interval() {
     };
     let report = Campaign::new(&sys.spec, Scenario::new(), config, sys.arch.host_count(), 0)
         .and_then(|campaign| {
-            campaign.run::<NoopSink>(
+            campaign.run::<NoopSink, _, _>(
                 &sim,
                 |_rep| ReplicationContext {
                     behaviors: build_behaviors(&sys, &params),

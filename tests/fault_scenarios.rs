@@ -238,7 +238,7 @@ fn campaign_lambda_within_epsilon_and_replays_bit_identically() {
         };
         Campaign::new(&sys.spec, scn.clone(), config, sys.arch.host_count(), 0)
             .and_then(|campaign| {
-                campaign.run::<NoopSink>(
+                campaign.run::<NoopSink, _, _>(
                     &sim,
                     |_rep| ReplicationContext {
                         behaviors: build_behaviors(&sys, &params),
@@ -547,7 +547,7 @@ fn common_cause_breaks_the_epsilon_band_with_matching_marginals() {
         };
         Campaign::new(&sys.spec, scn.clone(), config, sys.arch.host_count(), 0)
             .and_then(|campaign| {
-                campaign.run::<NoopSink>(
+                campaign.run::<NoopSink, _, _>(
                     &sim,
                     |_rep| ReplicationContext {
                         behaviors: build_behaviors(&sys, &params),
@@ -655,7 +655,7 @@ fn new_event_kinds_replay_bit_identically_across_threads_and_lanes() {
             };
             Campaign::new(&sys.spec, scn.clone(), config, sys.arch.host_count(), 0)
                 .and_then(|campaign| {
-                    campaign.run::<NoopSink>(
+                    campaign.run::<NoopSink, _, _>(
                         &sim,
                         |_rep| ReplicationContext {
                             behaviors: BehaviorMap::default(),

@@ -117,7 +117,7 @@ fn reproducers_replay_as_monitor_misses() {
         let scn = Scenario::parse(&artifact.contents).unwrap();
         let report = Campaign::new(&sys.spec, scn, config.campaign, sys.arch.host_count(), 0)
             .and_then(|campaign| {
-                campaign.run::<NoopSink>(
+                campaign.run::<NoopSink, _, _>(
                     &sim,
                     |_rep| ReplicationContext {
                         behaviors: BehaviorMap::new(),

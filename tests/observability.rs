@@ -147,7 +147,7 @@ fn campaign_metric_aggregation_is_thread_count_invariant() {
         let mut reg = Registry::with_recorder(64);
         let report = Campaign::new(&sys.spec, scenario.clone(), config, sys.arch.host_count(), 64)
             .and_then(|campaign| {
-                campaign.run::<Registry>(
+                campaign.run::<Registry, _, _>(
                     &sim,
                     |_rep| ReplicationContext {
                         behaviors: BehaviorMap::new(),

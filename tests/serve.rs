@@ -84,7 +84,7 @@ fn library_reference_line() -> String {
         injector: Box::new(ProbabilisticFaults::from_architecture(&sys.arch)),
     };
     Campaign::new(&sys.spec, scenario, config, sys.arch.host_count(), 256)
-        .and_then(|campaign| campaign.run::<Registry>(&sim, setup, &analytic, &mut registry))
+        .and_then(|campaign| campaign.run::<Registry, _, _>(&sim, setup, &analytic, &mut registry))
         .unwrap();
     to_json_line(&registry)
 }

@@ -127,3 +127,24 @@ fn empty_pair_block_falls_back_to_name_matching() {
     )
     .unwrap();
 }
+
+/// A core-model error in one program of a multi-program file gets the
+/// spanned diagnosis `htlc check` gives that program alone, pinned:
+/// `pid_control` reading `s[4]` reads and writes at instant 40 (`L012`
+/// at the invocation, not `L093` at `0:0`).
+#[test]
+fn check_file_spans_a_failing_program_as_check_does() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/assets/check_file");
+    let name = "multi_read_after_write.htl";
+    let source = std::fs::read_to_string(dir.join(name)).unwrap();
+    assert_eq!(source, SRC.trim_start().replace("reads s[1]", "reads s[4]"));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_htlc"))
+        .current_dir(&dir)
+        .args(["check-file", name])
+        .output()
+        .expect("htlc runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let expected = std::fs::read_to_string(dir.join("multi_read_after_write.expected")).unwrap();
+    assert_eq!(String::from_utf8(out.stderr).unwrap(), expected);
+}
