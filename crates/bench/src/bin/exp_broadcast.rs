@@ -4,22 +4,22 @@
 //! into every replication (`hrel · brel`) and sweep it, comparing the
 //! analytic SRG of `u1` against fault-injected simulation.
 //!
-//! Each sweep point runs as a deterministic parallel Monte-Carlo batch
-//! (`logrel_sim::montecarlo`) of four independently seeded replications
-//! whose means are pooled — same total sample count as the original
-//! single run, identical at any worker count.
+//! Each sweep point runs as a fault-free-scenario campaign
+//! (`logrel_sim::Campaign`) of four independently seeded replications
+//! whose update counts are pooled, identical at any worker count.
 //!
 //! Run with: `cargo run -p logrel-bench --bin exp_broadcast`
 
 use logrel_core::{
     Architecture, HostDecl, Reliability, SensorDecl, TimeDependentImplementation, Value,
 };
+use logrel_obs::{NoopSink, Registry};
 use logrel_reliability::compute_srgs;
 use logrel_sim::{
-    montecarlo, BatchConfig, BehaviorMap, ConstantEnvironment, ProbabilisticFaults,
-    ReplicationContext, Simulation,
+    BatchConfig, BehaviorMap, Campaign, CampaignConfig, ConstantEnvironment, ProbabilisticFaults,
+    ReplicationContext, Scenario, Simulation,
 };
-use logrel_threetank::{Scenario, ThreeTankSystem};
+use logrel_threetank::{Scenario as Deployment, ThreeTankSystem};
 
 /// Rebuilds the 3TS architecture with an explicit broadcast reliability.
 fn arch_with_broadcast(sys: &ThreeTankSystem, brel: f64) -> Architecture {
@@ -52,7 +52,7 @@ fn arch_with_broadcast(sys: &ThreeTankSystem, brel: f64) -> Architecture {
 
 fn main() {
     // Scenario 1 at reduced host reliability so effects are visible.
-    let sys = ThreeTankSystem::with_options(Scenario::ReplicatedControllers, 0.95, None)
+    let sys = ThreeTankSystem::with_options(Deployment::ReplicatedControllers, 0.95, None)
         .expect("valid constants");
     println!(
         "3TS scenario 1 (controllers replicated), host/sensor reliability 0.95,\n\
@@ -70,31 +70,30 @@ fn main() {
             .get();
         let td = TimeDependentImplementation::from(sys.imp.clone());
         let sim = Simulation::new(&sys.spec, &arch, &td);
-        let config = BatchConfig {
-            replications: 4,
-            rounds: 7_500,
-            base_seed: 9,
-            threads: 0,
+        let config = CampaignConfig {
+            batch: BatchConfig {
+                replications: 4,
+                rounds: 7_500,
+                base_seed: 9,
+                threads: 0,
+            },
+            ..CampaignConfig::default()
         };
-        let means = montecarlo::run_replications(
-            &sim,
-            &config,
-            |_rep| ReplicationContext {
-                behaviors: BehaviorMap::new(),
-                environment: Box::new(ConstantEnvironment::new(Value::Float(0.3))),
-                injector: Box::new(ProbabilisticFaults::from_architecture(&arch)),
-            },
-            |_rep, out| {
-                let bits: Vec<bool> = out
-                    .trace
-                    .abstraction(sys.ids.u1)
-                    .into_iter()
-                    .skip(5)
-                    .collect();
-                bits.iter().filter(|&&b| b).count() as f64 / bits.len() as f64
-            },
-        );
-        let mean = montecarlo::mean(&means);
+        let report = Campaign::new(&sys.spec, Scenario::new(), config, arch.host_count(), 0)
+            .and_then(|campaign| {
+                campaign.run::<NoopSink, _, _>(
+                    &sim,
+                    |_rep| ReplicationContext {
+                        behaviors: BehaviorMap::new(),
+                        environment: ConstantEnvironment::new(Value::Float(0.3)),
+                        injector: ProbabilisticFaults::from_architecture(&arch),
+                    },
+                    &[],
+                    &mut Registry::new(),
+                )
+            })
+            .expect("admissible campaign");
+        let mean = report.comms[sys.ids.u1.index()].empirical;
         println!(
             "{:>10} {:>14.6} {:>14.6} {:>10.6}",
             brel,

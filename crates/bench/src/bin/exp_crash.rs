@@ -5,17 +5,20 @@
 //! closed-form mission analysis of `logrel-reliability::mission` against
 //! the crash-fault simulator for replication degrees 1–3.
 //!
-//! The trials run as a deterministic parallel Monte-Carlo batch
-//! (`logrel_sim::montecarlo`): per-trial seeds are derived from the base
+//! The trials run as one fault-free-scenario campaign
+//! (`logrel_sim::Campaign`): per-trial seeds are derived from the base
 //! seed, so the reported numbers are independent of the worker count.
+//! The simulated fraction counts every update of `u`, the initial one at
+//! t = 0 included.
 //!
 //! Run with: `cargo run -p logrel-bench --bin exp_crash`
 
 use logrel_core::prelude::*;
+use logrel_obs::{NoopSink, Registry};
 use logrel_reliability::mission::{expected_delivered_fraction, replication_for_mission};
 use logrel_sim::{
-    montecarlo, BatchConfig, BehaviorMap, ConstantEnvironment, PermanentFaults,
-    ReplicationContext, Simulation,
+    BatchConfig, BehaviorMap, Campaign, CampaignConfig, ConstantEnvironment, PermanentFaults,
+    ReplicationContext, Scenario, Simulation,
 };
 
 const HAZARD: f64 = 0.002; // per-round crash probability per host
@@ -78,27 +81,30 @@ fn main() {
         let u = spec.find_communicator("u").expect("declared");
         let analytic = expected_delivered_fraction(k, HAZARD, HORIZON);
         let sim = Simulation::new(&spec, &arch, &imp);
-        let config = BatchConfig {
-            replications: TRIALS,
-            rounds: HORIZON,
-            base_seed: 1000,
-            threads: 0,
+        let config = CampaignConfig {
+            batch: BatchConfig {
+                replications: TRIALS,
+                rounds: HORIZON,
+                base_seed: 1000,
+                threads: 0,
+            },
+            ..CampaignConfig::default()
         };
-        let fractions = montecarlo::run_replications(
-            &sim,
-            &config,
-            |_trial| ReplicationContext {
-                behaviors: BehaviorMap::new(),
-                environment: Box::new(ConstantEnvironment::new(Value::Float(1.0))),
-                injector: Box::new(PermanentFaults::new(vec![HAZARD; k])),
-            },
-            |_trial, out| {
-                // Skip the init update at t=0 of round 0.
-                let bits: Vec<bool> = out.trace.abstraction(u).into_iter().skip(1).collect();
-                bits.iter().filter(|&&b| b).count() as f64 / bits.len() as f64
-            },
-        );
-        let simulated = montecarlo::mean(&fractions);
+        let report = Campaign::new(&spec, Scenario::new(), config, arch.host_count(), 0)
+            .and_then(|campaign| {
+                campaign.run::<NoopSink, _, _>(
+                    &sim,
+                    |_trial| ReplicationContext {
+                        behaviors: BehaviorMap::new(),
+                        environment: ConstantEnvironment::new(Value::Float(1.0)),
+                        injector: PermanentFaults::new(vec![HAZARD; k]),
+                    },
+                    &[],
+                    &mut Registry::new(),
+                )
+            })
+            .expect("admissible campaign");
+        let simulated = report.comms[u.index()].empirical;
         println!(
             "{:>9} {:>18.5} {:>18.5} {:>10.5}",
             k,

@@ -7,17 +7,18 @@
 //! replica can poison the communicator); majority voting over 3 replicas
 //! recovers all but the multi-corruption rounds.
 //!
-//! Each sweep cell runs as a deterministic parallel Monte-Carlo batch
-//! (`logrel_sim::montecarlo`) of four independently seeded replications
-//! whose fractions are averaged — same total sample count as before,
-//! identical at any worker count.
+//! Each sweep cell runs four replications, seeded with
+//! `derive_seed(31, rep)`, as one traced lane group
+//! (`Simulation::run_traced`), and averages their fractions; each lane is
+//! bit-identical to a one-lane run of its seed.
 //!
 //! Run with: `cargo run -p logrel-bench --bin exp_failsilence`
 
 use logrel_core::prelude::*;
+use logrel_obs::NoopSink;
 use logrel_sim::{
-    montecarlo, BatchConfig, BehaviorMap, ConstantEnvironment, CorruptingFaults,
-    ReplicationContext, Simulation, VotingStrategy,
+    derive_seed, BehaviorMap, ConstantEnvironment, CorruptingFaults, LaneContext, Simulation,
+    VotingStrategy,
 };
 
 const ROUNDS: u64 = 5_000;
@@ -76,34 +77,30 @@ fn correct_fraction(
     let u = spec.find_communicator("u").expect("declared");
     let mut sim = Simulation::new(spec, arch, imp);
     sim.set_voting(strategy);
-    let config = BatchConfig {
-        replications: REPLICATIONS,
-        rounds: ROUNDS,
-        base_seed: 31,
-        threads: 0,
-    };
-    let fractions = montecarlo::run_replications(
-        &sim,
-        &config,
-        |_rep| {
-            let mut behaviors = BehaviorMap::new();
-            behaviors.register(t, |_: &[Value]| vec![Value::Float(TRUTH)]);
-            ReplicationContext {
-                behaviors,
-                environment: Box::new(ConstantEnvironment::new(Value::Float(0.0))),
-                injector: Box::new(CorruptingFaults::new(corruption, GARBAGE)),
-            }
-        },
-        |_rep, out| {
+    let mut behaviors = BehaviorMap::new();
+    behaviors.register(t, |_: &[Value]| vec![Value::Float(TRUTH)]);
+    let mut lanes: Vec<_> = (0..REPLICATIONS)
+        .map(|rep| {
+            LaneContext::plain(
+                derive_seed(31, rep),
+                CorruptingFaults::new(corruption, GARBAGE),
+                ConstantEnvironment::new(Value::Float(0.0)),
+            )
+        })
+        .collect();
+    let outs = sim.run_traced(&mut behaviors, &mut lanes, None, &mut NoopSink, ROUNDS);
+    let fractions: Vec<f64> = outs
+        .iter()
+        .map(|out| {
             let values: Vec<_> = out.trace.values(u).iter().skip(1).collect();
             values
                 .iter()
                 .filter(|(_, v)| *v == Value::Float(TRUTH))
                 .count() as f64
                 / values.len() as f64
-        },
-    );
-    montecarlo::mean(&fractions)
+        })
+        .collect();
+    fractions.iter().sum::<f64>() / fractions.len() as f64
 }
 
 fn main() {

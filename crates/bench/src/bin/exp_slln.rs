@@ -3,21 +3,34 @@
 //! abstraction converges (SLLN) to the analytic SRG, and LRC verdicts
 //! agree between analysis and simulation.
 //!
-//! The replications run as a deterministic parallel Monte-Carlo batch
-//! (`logrel_sim::montecarlo`): four independently seeded 50 000-round
-//! runs execute concurrently and merge in replication order, so the
-//! numbers below are independent of the worker count. Replication 0
-//! doubles as the convergence-series exhibit.
+//! The replications run as one traced lane group
+//! (`Simulation::run_traced`): four 50 000-round runs seeded with
+//! `derive_seed(7, rep)`, each lane bit-identical to a one-lane run of
+//! its seed. Replication 0 doubles as the convergence-series exhibit.
 //!
 //! Run with: `cargo run -p logrel-bench --bin exp_slln`
 
-use logrel_core::{TimeDependentImplementation, Value};
+use logrel_core::{CommunicatorId, TimeDependentImplementation, Value};
+use logrel_obs::NoopSink;
 use logrel_reliability::{compute_srgs, hoeffding_epsilon, running_average};
 use logrel_sim::{
-    montecarlo, BatchConfig, BehaviorMap, ConstantEnvironment, ProbabilisticFaults,
-    ReplicationContext, Simulation,
+    derive_seed, BehaviorMap, ConstantEnvironment, LaneContext, ProbabilisticFaults, SimOutput,
+    Simulation,
 };
 use logrel_threetank::{Scenario, ThreeTankSystem};
+
+/// The mean over replications of `c`'s reliable fraction, each skipping
+/// its first five updates.
+fn mean_fraction(outs: &[SimOutput], c: CommunicatorId) -> f64 {
+    let fractions: Vec<f64> = outs
+        .iter()
+        .map(|out| {
+            let bits: Vec<bool> = out.trace.abstraction(c).into_iter().skip(5).collect();
+            bits.iter().filter(|&&b| b).count() as f64 / bits.len() as f64
+        })
+        .collect();
+    fractions.iter().sum::<f64>() / fractions.len() as f64
+}
 
 fn main() {
     let reliability = 0.9; // lowered so faults are frequent
@@ -32,21 +45,21 @@ fn main() {
         "3TS baseline at host/sensor reliability {reliability}, \
          {replications} × {rounds} rounds, base seed 7\n"
     );
-    let config = BatchConfig {
-        replications,
+    let mut lanes: Vec<_> = (0..replications)
+        .map(|rep| {
+            LaneContext::plain(
+                derive_seed(7, rep),
+                ProbabilisticFaults::from_architecture(&sys.arch),
+                ConstantEnvironment::new(Value::Float(0.3)),
+            )
+        })
+        .collect();
+    let outs = sim.run_traced(
+        &mut BehaviorMap::new(),
+        &mut lanes,
+        None,
+        &mut NoopSink,
         rounds,
-        base_seed: 7,
-        threads: 0,
-    };
-    let outs = montecarlo::run_replications(
-        &sim,
-        &config,
-        |_rep| ReplicationContext {
-            behaviors: BehaviorMap::new(),
-            environment: Box::new(ConstantEnvironment::new(Value::Float(0.3))),
-            injector: Box::new(ProbabilisticFaults::from_architecture(&sys.arch)),
-        },
-        |_rep, out| out,
     );
 
     println!(
@@ -54,14 +67,7 @@ fn main() {
         "comm", "empirical", "analytic λ", "|diff|"
     );
     for c in sys.spec.communicator_ids() {
-        let per_rep: Vec<f64> = outs
-            .iter()
-            .map(|out| {
-                let bits: Vec<bool> = out.trace.abstraction(c).into_iter().skip(5).collect();
-                bits.iter().filter(|&&b| b).count() as f64 / bits.len() as f64
-            })
-            .collect();
-        let mean = montecarlo::mean(&per_rep);
+        let mean = mean_fraction(&outs, c);
         let lambda = analytic.communicator(c).get();
         println!(
             "{:<6} {:>12.5} {:>12.5} {:>10.5}",
@@ -95,20 +101,8 @@ fn main() {
         "SLLN: final average {final_avg} within ε of λ {lambda_u}"
     );
     // The cross-replication mean sharpens the estimate further.
-    let pooled: Vec<f64> = outs
-        .iter()
-        .map(|out| {
-            let bits: Vec<bool> = out
-                .trace
-                .abstraction(sys.ids.u1)
-                .into_iter()
-                .skip(5)
-                .collect();
-            bits.iter().filter(|&&b| b).count() as f64 / bits.len() as f64
-        })
-        .collect();
     assert!(
-        (montecarlo::mean(&pooled) - lambda_u).abs() < eps + 0.01,
+        (mean_fraction(&outs, sys.ids.u1) - lambda_u).abs() < eps + 0.01,
         "pooled mean must also track λ(u1)"
     );
     println!("\n✓ the empirical limit average converges to the analytic SRG");

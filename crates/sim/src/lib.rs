@@ -31,11 +31,13 @@
 //!   through) and shrinking them to minimal `.scn` reproducers;
 //! * [`monitor`] — online LRC monitoring with Hoeffding bands, and
 //!   graceful-degradation rules that ride on the monitor;
-//! * [`montecarlo`] — deterministic parallel Monte-Carlo batches: derived
-//!   per-replication seeds, scoped worker threads, replication-order
-//!   merging (bit-identical results at any thread count);
-//! * [`campaign`] — scenario sweeps over the Monte-Carlo harness through
-//!   one driver, [`Campaign`], with per-communicator
+//! * [`montecarlo`] — deterministic parallel Monte-Carlo: derived
+//!   per-replication seeds, and work units distributed over scoped worker
+//!   threads and merged in unit order (bit-identical results at any
+//!   thread count);
+//! * [`campaign`] — the one multi-replication driver, [`Campaign`]: a
+//!   batch of replications under a scenario, run as lane groups that
+//!   count in the kernel, with per-communicator
 //!   reliability/availability/alarm reports;
 //! * [`trace`] — recorded traces, their reliability abstraction ρ and
 //!   limit averages;
@@ -88,9 +90,7 @@ pub use monitor::{
     Alarm, AlarmKind, DegradationRule, LrcMonitor, MonitorConfig, MonitorLane, Response,
     RuleError,
 };
-pub use montecarlo::{
-    derive_seed, run_batch, run_indexed_units, run_replications, BatchConfig, ReplicationContext,
-};
+pub use montecarlo::{derive_seed, run_indexed_units, BatchConfig, ReplicationContext};
 pub use scenario::{
     HostSet, Scenario, ScenarioEnvironment, ScenarioError, ScenarioEvent, ScenarioInjector,
     ScenarioSymbols,

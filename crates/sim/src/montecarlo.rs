@@ -1,25 +1,22 @@
-//! Deterministic parallel Monte-Carlo batches.
+//! Deterministic parallel Monte-Carlo: seeds and work distribution.
 //!
-//! A batch runs `N` independent replications of a seeded simulation. Each
-//! replication's seed is derived from the batch's `base_seed` and the
-//! replication index with [`derive_seed`] (a SplitMix64 stream jump), so
-//! the sequence of per-replication seeds is a pure function of the batch
-//! configuration. Replications fan out over [`std::thread::scope`] workers
-//! that write into disjoint chunks of the result vector; results are
-//! therefore always **merged in replication order**, and a batch produces
+//! A batch of `N` independent replications of a seeded simulation is
+//! described by a [`BatchConfig`]. Each replication's seed is derived
+//! from the batch's `base_seed` and the replication index with
+//! [`derive_seed`] (a SplitMix64 stream jump), so the sequence of
+//! per-replication seeds is a pure function of the batch configuration.
+//! [`run_indexed_units`] fans a work list out over [`std::thread::scope`]
+//! workers that write into disjoint chunks of the result vector; results
+//! are therefore always **merged in unit order**, and a batch produces
 //! bit-identical output at any thread count — including `threads: 1` and
-//! a hand-written sequential loop over the same derived seeds.
+//! a hand-written sequential loop over the same units.
 //!
-//! Nothing here is specific to the simulator: [`run_batch`] distributes
-//! any `job(rep_index, seed)` closure. [`run_replications`] is the
-//! convenience layer that drives one compiled [`Simulation`] (which is
-//! `Sync`: the round program is immutable after construction) with fresh
-//! per-replication behaviors, environment and fault injector.
+//! The one driver of multi-replication runs is [`Campaign`](crate::Campaign),
+//! which plans a batch into lane groups of up to 64 replications, runs
+//! them with [`run_indexed_units`] and counts in the kernel; each
+//! replication starts from its [`ReplicationContext`].
 
 use crate::behavior::BehaviorMap;
-use crate::environment::Environment;
-use crate::fault::FaultInjector;
-use crate::kernel::{SimConfig, SimOutput, Simulation};
 
 /// Configuration of a Monte-Carlo batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,29 +54,14 @@ pub fn derive_seed(base_seed: u64, rep_index: u64) -> u64 {
     rand::splitmix64(&mut state)
 }
 
-/// Runs `job(rep_index, seed)` for every replication of the batch and
-/// returns the results in replication order: [`run_indexed_units`] over
-/// the replication indices.
-pub fn run_batch<T, F>(config: &BatchConfig, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64, u64) -> T + Sync,
-{
-    let reps: Vec<u64> = (0..config.replications).collect();
-    run_indexed_units(config.threads, &reps, |&rep, _| {
-        job(rep, derive_seed(config.base_seed, rep))
-    })
-}
-
 /// Distributes `job(&unit, index)` over the units of a work list and
 /// returns the results in unit order.
 ///
 /// Units are distributed over scoped worker threads in contiguous chunks;
 /// each worker writes into its own disjoint slice, so the merged vector
 /// is independent of `threads` (with `0` using the machine's available
-/// parallelism) and of scheduling order. A unit may be one replication
-/// ([`run_batch`]) or a bit-sliced lane group of up to 64 (the campaign
-/// layer).
+/// parallelism) and of scheduling order. A campaign's unit is a lane
+/// group of up to 64 replications.
 pub fn run_indexed_units<T, U, F>(threads: usize, units: &[U], job: F) -> Vec<T>
 where
     T: Send,
@@ -138,56 +120,12 @@ pub struct ReplicationContext<I, E> {
     pub injector: I,
 }
 
-/// Runs a batch of replications of one compiled simulation.
-///
-/// `setup(rep_index)` builds each replication's mutable context (called
-/// inside the worker, so contexts never cross threads); `extract` reduces
-/// the replication's [`SimOutput`] to the per-replication result. Results
-/// are merged in replication order — see the module docs for the
-/// determinism guarantee.
-pub fn run_replications<T, S, I, E, X>(
-    sim: &Simulation<'_>,
-    config: &BatchConfig,
-    setup: S,
-    extract: X,
-) -> Vec<T>
-where
-    T: Send,
-    S: Fn(u64) -> ReplicationContext<I, E> + Sync,
-    I: FaultInjector,
-    E: Environment,
-    X: Fn(u64, SimOutput) -> T + Sync,
-{
-    run_batch(config, |rep, seed| {
-        let mut ctx = setup(rep);
-        let out = sim.run(
-            &mut ctx.behaviors,
-            &mut ctx.environment,
-            &mut ctx.injector,
-            &SimConfig {
-                rounds: config.rounds,
-                seed,
-            },
-        );
-        extract(rep, out)
-    })
-}
-
-/// The arithmetic mean of a slice (0 for an empty slice).
-#[must_use]
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::environment::ConstantEnvironment;
     use crate::fault::ProbabilisticFaults;
+    use crate::kernel::{SimConfig, SimOutput, Simulation};
     use logrel_core::{
         Architecture, CommunicatorDecl, HostDecl, Implementation, Reliability, SensorDecl,
         SensorId, Specification, TaskDecl, TimeDependentImplementation, Value, ValueType,
@@ -234,67 +172,56 @@ mod tests {
         }
     }
 
-    fn batch_outputs(sys: &Sys, threads: usize) -> Vec<SimOutput> {
-        let sim = Simulation::new(&sys.spec, &sys.arch, &sys.imp);
-        let config = BatchConfig {
-            replications: 13,
-            rounds: 100,
-            base_seed: 2024,
-            threads,
-        };
-        run_replications(
-            &sim,
-            &config,
-            |_rep| ReplicationContext {
-                behaviors: BehaviorMap::new(),
-                environment: Box::new(ConstantEnvironment::new(Value::Float(1.0))),
-                injector: Box::new(ProbabilisticFaults::from_architecture(&sys.arch)),
+    /// Replication `rep` of the batch of base seed 2024: 100 rounds of
+    /// the pipeline from a fresh context.
+    fn replication(sim: &Simulation<'_>, sys: &Sys, rep: u64) -> SimOutput {
+        sim.run(
+            &mut BehaviorMap::new(),
+            &mut ConstantEnvironment::new(Value::Float(1.0)),
+            &mut ProbabilisticFaults::from_architecture(&sys.arch),
+            &SimConfig {
+                rounds: 100,
+                seed: derive_seed(2024, rep),
             },
-            |_rep, out| out,
         )
     }
 
-    /// The whole merged batch must be bit-identical at any thread count
-    /// and equal to a plain sequential loop over the same derived seeds.
+    /// A batch of 13 replications distributed as units must merge
+    /// bit-identically at any thread count, and equal a plain sequential
+    /// loop over the same derived seeds.
     #[test]
-    fn batch_is_bit_identical_across_thread_counts() {
+    fn indexed_units_are_bit_identical_across_thread_counts() {
         let sys = pipeline();
-        let one = batch_outputs(&sys, 1);
-        for threads in [2usize, 8] {
-            assert_eq!(one, batch_outputs(&sys, threads), "threads = {threads}");
-        }
-
         let sim = Simulation::new(&sys.spec, &sys.arch, &sys.imp);
-        let sequential: Vec<SimOutput> = (0..13u64)
-            .map(|rep| {
-                sim.run(
-                    &mut BehaviorMap::new(),
-                    &mut ConstantEnvironment::new(Value::Float(1.0)),
-                    &mut ProbabilisticFaults::from_architecture(&sys.arch),
-                    &SimConfig {
-                        rounds: 100,
-                        seed: derive_seed(2024, rep),
-                    },
-                )
-            })
+        let reps: Vec<u64> = (0..13).collect();
+        let batch =
+            |threads| run_indexed_units(threads, &reps, |&rep, _| replication(&sim, &sys, rep));
+        let one = batch(1);
+        for threads in [2usize, 8] {
+            assert_eq!(one, batch(threads), "threads = {threads}");
+        }
+        let sequential: Vec<SimOutput> = reps
+            .iter()
+            .map(|&rep| replication(&sim, &sys, rep))
             .collect();
         assert_eq!(one, sequential);
     }
 
-    /// More replications than threads, fewer replications than threads,
-    /// and the empty batch all merge correctly.
+    /// More units than threads, fewer units than threads, and the empty
+    /// work list all merge in unit order, each unit seeing its own index.
     #[test]
-    fn awkward_batch_shapes() {
-        let cfg = |replications, threads| BatchConfig {
-            replications,
-            rounds: 0,
-            base_seed: 1,
-            threads,
+    fn awkward_unit_shapes() {
+        let ids = |n: u64, threads| {
+            let units: Vec<u64> = (0..n).collect();
+            run_indexed_units(threads, &units, |&unit, index| {
+                assert_eq!(unit, index as u64);
+                derive_seed(1, unit)
+            })
         };
-        let ids = |c: &BatchConfig| run_batch(c, |rep, _seed| rep);
-        assert_eq!(ids(&cfg(7, 16)), (0..7).collect::<Vec<_>>());
-        assert_eq!(ids(&cfg(16, 7)), (0..16).collect::<Vec<_>>());
-        assert_eq!(ids(&cfg(0, 4)), Vec::<u64>::new());
+        let seeds = |n: u64| (0..n).map(|i| derive_seed(1, i)).collect::<Vec<_>>();
+        assert_eq!(ids(7, 16), seeds(7));
+        assert_eq!(ids(16, 7), seeds(16));
+        assert_eq!(ids(0, 4), Vec::<u64>::new());
     }
 
     /// Seed derivation is a pure function and distinct per replication.

@@ -82,6 +82,15 @@ peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 assert peak_mb < 64, f"htlc trace peaked at {peak_mb:.1f} MB"
 PY
 
+echo "==> htlc simulate memory (10^6 rounds peak under 32 MB: it counts, keeps no trace)"
+python3 - "$HTLC" <<'PY'
+import resource, subprocess, sys
+subprocess.run([sys.argv[1], "simulate", "examples/htl/infusion_pump.htl", "1000000", "7"],
+               stdout=subprocess.DEVNULL, check=True)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+assert peak_mb < 32, f"htlc simulate peaked at {peak_mb:.1f} MB"
+PY
+
 echo "==> htlc certify examples/htl + assets (every shipped spec CERTIFIED)"
 for f in examples/htl/*.htl assets/*.htl; do
     "$HTLC" certify "$f" | grep -q '^verdict: CERTIFIED$'
@@ -311,12 +320,13 @@ inj = json.load(open(sys.argv[2]))
 assert strip(inj) == strip(m1), "serve output diverged from htlc inject"
 PY
 
-echo "==> experiment binaries (each exits non-zero when its paper-shape asserts fail)"
-cargo build --release -q -p logrel-bench --bins
-for src in crates/bench/src/bin/exp_*.rs crates/bench/src/bin/fig1_timeline.rs \
-           crates/bench/src/bin/table_3ts.rs; do
-    "target/release/$(basename "$src" .rs)" > /dev/null
-done
+echo "==> experiment binaries reproduce results/ (each also runs its paper-shape asserts)"
+# exp_refinement's columns are wall-clock timings, so its file is the
+# one that is regenerated but not diffed.
+RESULTS_DIR=$(mktemp -d)
+trap 'rm -rf "$METRICS_DIR" "$FUZZ_DIR" "$INCR_DIR" "$SERVE_DIR" "$RESULTS_DIR"' EXIT
+scripts/results.sh "$RESULTS_DIR"
+diff -r --exclude=exp_refinement.txt results "$RESULTS_DIR"
 
 echo "==> bench_snapshot regression gate (vs BENCH_baseline.json)"
 # Absolute throughput swings up to 2x between phases on the shared VM,

@@ -868,26 +868,44 @@ fn run(args: &[String]) -> Result<(), Failure> {
                 &mut logrel::obs::NoopSink,
             )
             .map_err(|e| analysis_failure(path, "A003", format!("{e}")))?;
-            let mut inj = logrel::sim::ProbabilisticFaults::from_architecture(&sys.arch);
-            let out = sim.run(
+            let faults = || logrel::sim::ProbabilisticFaults::from_architecture(&sys.arch);
+            let env = || logrel::sim::ConstantEnvironment::new(logrel::core::Value::Float(1.0));
+            // The kernel counts every update; the report skips each
+            // communicator's first two. Every communicator updates at
+            // least once a round, and a seed's first rounds are a prefix
+            // of its longer runs, so those two are the first two updates
+            // of a traced run of the seed's first two rounds.
+            let out = sim.run_bitsliced(
                 &mut logrel::sim::BehaviorMap::new(),
-                &mut logrel::sim::ConstantEnvironment::new(logrel::core::Value::Float(1.0)),
-                &mut inj,
-                &logrel::sim::SimConfig { rounds, seed },
+                &mut [logrel::sim::LaneContext::plain(seed, faults(), env())],
+                rounds,
+            );
+            let head = sim.run(
+                &mut logrel::sim::BehaviorMap::new(),
+                &mut env(),
+                &mut faults(),
+                &logrel::sim::SimConfig {
+                    rounds: rounds.min(2),
+                    seed,
+                },
             );
             println!("{rounds} rounds, seed {seed}\n");
             println!("{:<12} {:>12} {:>12}", "communicator", "empirical", "analytic");
             for c in sys.spec.communicator_ids() {
-                let bits: Vec<bool> = out.trace.abstraction(c).into_iter().skip(2).collect();
-                let mean = if bits.is_empty() {
-                    0.0
+                let skipped = &head.trace.values(c)[..head.trace.update_count(c).min(2)];
+                let updates = out.updates(c) - skipped.len() as u64;
+                let reliable = out.reliable(c, 0)
+                    - skipped.iter().filter(|(_, v)| v.is_reliable()).count() as u64;
+                // No update left to average: print `-`, not a reliability.
+                let empirical = if updates == 0 {
+                    "-".to_owned()
                 } else {
-                    bits.iter().filter(|&&b| b).count() as f64 / bits.len() as f64
+                    format!("{:.6}", reliable as f64 / updates as f64)
                 };
                 println!(
-                    "{:<12} {:>12.6} {:>12.6}",
+                    "{:<12} {:>12} {:>12.6}",
                     sys.spec.communicator(c).name(),
-                    mean,
+                    empirical,
                     analytic.communicator(c).get()
                 );
             }

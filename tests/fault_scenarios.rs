@@ -7,13 +7,14 @@
 //! every new event kind).
 
 use logrel_core::{Tick, TimeDependentImplementation, Value};
+use logrel_obs::export::to_json_line;
 use logrel_obs::{NoopSink, Registry};
 use logrel_reliability::compute_srgs;
 use logrel_sim::{
-    run_replications, AlarmKind, BatchConfig, BehaviorMap, Campaign, CampaignConfig,
-    ConstantEnvironment, FaultInjector, HostSet, LaneMode, LrcMonitor, MonitorConfig, NoFaults,
-    ProbabilisticFaults, ReplicationContext, Scenario, ScenarioEnvironment, ScenarioEvent,
-    ScenarioInjector, SimConfig, SimOutput, Simulation,
+    AlarmKind, BatchConfig, BehaviorMap, Campaign, CampaignConfig, ConstantEnvironment,
+    FaultInjector, HostSet, LaneMode, LrcMonitor, MonitorConfig, NoFaults, ProbabilisticFaults,
+    ReplicationContext, Scenario, ScenarioEnvironment, ScenarioEvent, ScenarioInjector, SimConfig,
+    SimOutput, Simulation,
 };
 use logrel_threetank::behaviors::build_behaviors;
 use logrel_threetank::{PlantParams, Scenario as Deployment, ThreeTankEnvironment, ThreeTankSystem};
@@ -374,46 +375,44 @@ fn compiled_and_reference_kernels_agree_under_scenarios() {
     assert_eq!(compiled, reference);
 }
 
-/// Monte-Carlo batches stay byte-identical across thread counts with the
-/// scenario layer in the loop.
+/// Campaigns stay byte-identical across thread counts with the scenario
+/// layer in the loop: eight width-1 units on one thread and on eight give
+/// the same report and the same registry, alarm dumps included.
 #[test]
 fn scenario_batches_are_bit_identical_across_thread_counts() {
     let sys = ThreeTankSystem::new(Deployment::Baseline);
     let params = PlantParams::default();
     let imp = TimeDependentImplementation::from(sys.imp.clone());
     let sim = Simulation::new(&sys.spec, &sys.arch, &imp);
-    let comms = sys.spec.communicator_count();
     let scn = crash_rejoin(&sys);
 
-    let batch = |threads: usize| -> Vec<SimOutput> {
-        let config = BatchConfig {
-            replications: 8,
-            rounds: 150,
-            base_seed: 77,
-            threads,
-        };
-        run_replications(
-            &sim,
-            &config,
-            |_rep| ReplicationContext {
-                behaviors: build_behaviors(&sys, &params),
-                environment: Box::new(ScenarioEnvironment::new(
-                    ConstantEnvironment::new(Value::Float(0.25)),
-                    &scn,
-                    comms,
-                )),
-                injector: Box::new(
-                    ScenarioInjector::new(
-                        ProbabilisticFaults::from_architecture(&sys.arch),
-                        &scn,
-                        sys.arch.host_count(),
-                        comms,
-                    )
-                    .unwrap(),
-                ),
+    let batch = |threads: usize| {
+        let config = CampaignConfig {
+            batch: BatchConfig {
+                replications: 8,
+                rounds: 150,
+                base_seed: 77,
+                threads,
             },
-            |_rep, out| out,
-        )
+            monitor: MonitorConfig::default(),
+            lanes: LaneMode::Off,
+        };
+        let mut registry = Registry::new();
+        let report = Campaign::new(&sys.spec, scn.clone(), config, sys.arch.host_count(), 16)
+            .and_then(|campaign| {
+                campaign.run::<Registry, _, _>(
+                    &sim,
+                    |_rep| ReplicationContext {
+                        behaviors: build_behaviors(&sys, &params),
+                        environment: ConstantEnvironment::new(Value::Float(0.25)),
+                        injector: ProbabilisticFaults::from_architecture(&sys.arch),
+                    },
+                    &[],
+                    &mut registry,
+                )
+            })
+            .unwrap();
+        (report, to_json_line(&registry))
     };
 
     let one = batch(1);
