@@ -188,10 +188,7 @@ mod tests {
             counter += 1;
             vec![Value::Float(counter as f64), Value::Int(counter)]
         });
-        assert_eq!(
-            map.invoke(&spec, t, &[])[1],
-            Value::Int(1)
-        );
+        assert_eq!(map.invoke(&spec, t, &[])[1], Value::Int(1));
         assert_eq!(map.invoke(&spec, t, &[])[1], Value::Int(2));
     }
 

@@ -781,9 +781,7 @@ impl<'a> Simulation<'a> {
                     let raw = &latched[tt.in_range()];
                     // The lane mask on which the task logically executes.
                     let exec: u64 = match tt.model {
-                        FailureModel::Series => {
-                            raw.iter().fold(all_mask, |m, cls| m & cls.union())
-                        }
+                        FailureModel::Series => raw.iter().fold(all_mask, |m, cls| m & cls.union()),
                         FailureModel::Parallel => raw.iter().fold(0, |m, cls| m | cls.union()),
                         FailureModel::Independent => all_mask,
                     };
@@ -912,8 +910,7 @@ impl<'a> Simulation<'a> {
                                 masks.bc_ok = 0;
                             }
                         }
-                        let okm =
-                            exec & masks.host_ok & masks.bc_ok & masks.warm & !masks.excluded;
+                        let okm = exec & masks.host_ok & masks.bc_ok & masks.warm & !masks.excluded;
                         // Only the slow path materializes the delivering
                         // lanes' replica rows and lets their injectors
                         // corrupt them, after the lane's other draws for
@@ -968,8 +965,7 @@ impl<'a> Simulation<'a> {
                                 // vote_into would fill ⊥; absence is ⊥.
                                 continue;
                             }
-                            for (i, ok) in lane_rep_ok[..hosts_of.len()].iter_mut().enumerate()
-                            {
+                            for (i, ok) in lane_rep_ok[..hosts_of.len()].iter_mut().enumerate() {
                                 *ok = ok_masks[i] & bit != 0;
                                 if *ok {
                                     lane_rep_vals[i * n_out..(i + 1) * n_out].copy_from_slice(

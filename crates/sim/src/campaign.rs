@@ -166,10 +166,9 @@ impl fmt::Display for CampaignError {
                 f,
                 "campaign requests {n} replications; at most {MAX_REPLICATIONS} are allowed"
             ),
-            CampaignError::TooManyRounds { rounds, max } => write!(
-                f,
-                "{rounds} rounds requested; at most {max} are allowed"
-            ),
+            CampaignError::TooManyRounds { rounds, max } => {
+                write!(f, "{rounds} rounds requested; at most {max} are allowed")
+            }
             CampaignError::LaneWidth(w) => {
                 write!(f, "campaign unit width {w} outside 1..=64")
             }
@@ -635,10 +634,8 @@ pub fn aggregate_campaign<M>(
                     .iter()
                     .filter(|(s, _)| s.first_dip[i].is_some())
                     .count() as u64,
-                alarms_before_violation: per_rep
-                    .iter()
-                    .filter(|(s, _)| s.alarmed_dip[i])
-                    .count() as u64,
+                alarms_before_violation: per_rep.iter().filter(|(s, _)| s.alarmed_dip[i]).count()
+                    as u64,
             }
         })
         .collect();

@@ -100,19 +100,21 @@ impl<'a> CoPlatform<'a> {
             let n_out = decl.outputs().len();
             let outputs = if executes {
                 self.inputs_buf.clear();
-                self.inputs_buf.extend(raw.iter().enumerate().map(|(i, &v)| {
-                    if v.is_reliable() {
-                        v
-                    } else {
-                        decl.default_values()[i]
-                    }
-                }));
+                self.inputs_buf
+                    .extend(raw.iter().enumerate().map(|(i, &v)| {
+                        if v.is_reliable() {
+                            v
+                        } else {
+                            decl.default_values()[i]
+                        }
+                    }));
                 self.behaviors.invoke(self.spec, t, &self.inputs_buf)
             } else {
                 Vec::new()
             };
             self.replica_vals.clear();
-            self.replica_vals.resize(hosts.len() * n_out, Value::Unreliable);
+            self.replica_vals
+                .resize(hosts.len() * n_out, Value::Unreliable);
             self.replica_ok.clear();
             let stateful = decl
                 .inputs()
@@ -154,7 +156,8 @@ impl<'a> CoPlatform<'a> {
                     .zip(&self.replica_ok)
                     .filter_map(|(&h, &ok)| ok.then_some(h))
                     .collect();
-                self.injector.observe_vote(t, now, &delivered_hosts, hosts.len());
+                self.injector
+                    .observe_vote(t, now, &delivered_hosts, hosts.len());
             }
             self.result_delivered[parity][t.index()] = delivered;
         }
@@ -197,12 +200,12 @@ impl Platform for CoPlatform<'_> {
                 if let Some(&(t, out_idx, rounds_back)) = self.landing.get(&(comm, slot)) {
                     if round_index >= rounds_back {
                         let parity = ((round_index - rounds_back) % 2) as usize;
-                        self.comm_values[comm.index()] =
-                            if self.result_delivered[parity][t.index()] {
-                                self.result_vals[parity][self.out_base[t.index()] + out_idx]
-                            } else {
-                                Value::Unreliable
-                            };
+                        self.comm_values[comm.index()] = if self.result_delivered[parity][t.index()]
+                        {
+                            self.result_vals[parity][self.out_base[t.index()] + out_idx]
+                        } else {
+                            Value::Unreliable
+                        };
                     }
                 }
                 self.trace.record(comm, now, self.comm_values[comm.index()]);
@@ -355,7 +358,9 @@ mod tests {
         let u = sb
             .communicator(CommunicatorDecl::new("u", ValueType::Float, 10).unwrap())
             .unwrap();
-        let t = sb.task(TaskDecl::new("double").reads(s, 0).writes(u, 1)).unwrap();
+        let t = sb
+            .task(TaskDecl::new("double").reads(s, 0).writes(u, 1))
+            .unwrap();
         let spec = sb.build().unwrap();
         let mut ab = Architecture::builder();
         let h1 = ab

@@ -62,11 +62,7 @@ pub fn validate_ecode(
                         .filter(|(h, t, op)| {
                             *h == host
                                 && *t == at
-                                && *op
-                                    == DriverOp::UpdateCommunicator {
-                                        comm: c,
-                                        instance,
-                                    }
+                                && *op == DriverOp::UpdateCommunicator { comm: c, instance }
                         })
                         .count();
                     if n != 1 {
@@ -183,7 +179,9 @@ mod tests {
         let reader = sb
             .task(TaskDecl::new("reader").reads(s, 0).writes(l, 1))
             .unwrap();
-        let ctrl = sb.task(TaskDecl::new("ctrl").reads(l, 1).writes(u, 1)).unwrap();
+        let ctrl = sb
+            .task(TaskDecl::new("ctrl").reads(l, 1).writes(u, 1))
+            .unwrap();
         let spec = sb.build().unwrap();
         let r = Reliability::new(0.99).unwrap();
         let mut ab = Architecture::builder();

@@ -444,7 +444,6 @@ impl<I> PermanentFaults<I> {
             dead: vec![false; n],
         }
     }
-
 }
 
 impl<I: FaultInjector> HostSilencer for PermanentFaults<I> {
@@ -623,9 +622,16 @@ mod tests {
             vec![0.0, 0.0],
         );
         let mut outputs = [Value::Float(1.0)];
-        assert!(f.host_ok(HostId::new(0), Tick::ZERO, &mut r), "zero hazard keeps the host up");
+        assert!(
+            f.host_ok(HostId::new(0), Tick::ZERO, &mut r),
+            "zero hazard keeps the host up"
+        );
         f.corrupt(HostId::new(0), Tick::ZERO, &mut outputs, &mut r);
-        assert_eq!(outputs, [Value::Float(-7.0)], "live host corrupts through the stack");
+        assert_eq!(
+            outputs,
+            [Value::Float(-7.0)],
+            "live host corrupts through the stack"
+        );
 
         // Unplug over a crash process: the unplugged host is down even
         // though its hazard is zero.

@@ -367,8 +367,7 @@ fn mutate(
                 let at = rng.gen_range(0..events.len());
                 if let Some((from, until)) = window(&events[at]) {
                     let len = until.as_u64() - from.as_u64();
-                    events[at] =
-                        with_window(events[at], from, Tick::new(from.as_u64() + 2 * len));
+                    events[at] = with_window(events[at], from, Tick::new(from.as_u64() + 2 * len));
                 }
             }
         }
@@ -482,8 +481,7 @@ where
     I: FaultInjector,
     E: Environment,
 {
-    let horizon =
-        (config.campaign.batch.rounds * spec.round_period().as_u64()).max(1);
+    let horizon = (config.campaign.batch.rounds * spec.round_period().as_u64()).max(1);
     let comm_count = spec.communicator_count();
     let mut rng = StdRng::seed_from_u64(config.seed);
 

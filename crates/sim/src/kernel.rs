@@ -411,7 +411,8 @@ impl<'a> Simulation<'a> {
                 // ---- 2. latch input accesses due at this instant ----
                 if let Some(latches) = self.calendar.latch_at().get(&slot) {
                     for &(t, idx) in latches {
-                        latched[t.index()][idx] = comm_values[spec.task(t).inputs()[idx].comm.index()];
+                        latched[t.index()][idx] =
+                            comm_values[spec.task(t).inputs()[idx].comm.index()];
                     }
                 }
 
@@ -446,8 +447,7 @@ impl<'a> Simulation<'a> {
                         } else {
                             vec![Value::Unreliable; decl.outputs().len()]
                         };
-                        let stateful =
-                            decl.inputs().iter().any(|a| !spec.is_sensor_input(a.comm));
+                        let stateful = decl.inputs().iter().any(|a| !spec.is_sensor_input(a.comm));
                         let mut replica_outputs: Vec<Option<Vec<Value>>> =
                             Vec::with_capacity(phase.hosts_of(t).len());
                         for &h in phase.hosts_of(t) {
@@ -637,7 +637,9 @@ mod tests {
         let u = sb
             .communicator(CommunicatorDecl::new("u", ValueType::Float, 10).unwrap())
             .unwrap();
-        let t = sb.task(TaskDecl::new("double").reads(s, 0).writes(u, 1)).unwrap();
+        let t = sb
+            .task(TaskDecl::new("double").reads(s, 0).writes(u, 1))
+            .unwrap();
         let spec = sb.build().unwrap();
         let mut ab = Architecture::builder();
         let h = ab.host(HostDecl::new("h1", r(host_rel))).unwrap();
@@ -676,10 +678,7 @@ mod tests {
             &mut behaviors,
             &mut env,
             &mut NoFaults,
-            &SimConfig {
-                rounds: 5,
-                seed: 1,
-            },
+            &SimConfig { rounds: 5, seed: 1 },
         );
         let u = sys.spec.find_communicator("u").unwrap();
         let values = out.trace.values(u);
@@ -837,10 +836,7 @@ mod tests {
             &mut behaviors,
             &mut env,
             &mut DeadSensors,
-            &SimConfig {
-                rounds: 3,
-                seed: 1,
-            },
+            &SimConfig { rounds: 3, seed: 1 },
         );
         // Wait: parallel with ALL inputs unreliable fails to execute.
         // There is exactly one input, so the task never executes.
@@ -919,10 +915,7 @@ mod tests {
             &mut behaviors2,
             &mut env2,
             &mut HalfDead,
-            &SimConfig {
-                rounds: 2,
-                seed: 1,
-            },
+            &SimConfig { rounds: 2, seed: 1 },
         );
         let o_vals = out2.trace.values(o);
         // Second update of o: 1.0 (live a) + 100.0 (default for dead b).
@@ -942,7 +935,9 @@ mod tests {
         let u = sb
             .communicator(CommunicatorDecl::new("u", ValueType::Float, 10).unwrap())
             .unwrap();
-        let t = sb.task(TaskDecl::new("double").reads(s, 0).writes(u, 1)).unwrap();
+        let t = sb
+            .task(TaskDecl::new("double").reads(s, 0).writes(u, 1))
+            .unwrap();
         let spec = sb.build().unwrap();
         let mut ab = Architecture::builder();
         let h1 = ab.host(HostDecl::new("h1", r(0.999))).unwrap();
@@ -994,7 +989,9 @@ mod tests {
         let u = sb
             .communicator(CommunicatorDecl::new("u", ValueType::Float, 5).unwrap())
             .unwrap();
-        let t = sb.task(TaskDecl::new("double").reads(s, 0).writes(u, 1)).unwrap();
+        let t = sb
+            .task(TaskDecl::new("double").reads(s, 0).writes(u, 1))
+            .unwrap();
         let spec = sb.build().unwrap();
         let mut ab = Architecture::builder();
         let h = ab.host(HostDecl::new("h1", r(0.999))).unwrap();
@@ -1018,10 +1015,7 @@ mod tests {
             &mut behaviors,
             &mut env,
             &mut NoFaults,
-            &SimConfig {
-                rounds: 3,
-                seed: 1,
-            },
+            &SimConfig { rounds: 3, seed: 1 },
         );
         let vals: Vec<Value> = out.trace.values(u).iter().map(|&(_, v)| v).collect();
         // Updates at 0, 5, 10, 15, 20, 25:
@@ -1071,7 +1065,12 @@ mod tests {
             .communicator(CommunicatorDecl::new("o", ValueType::Float, 12).unwrap())
             .unwrap();
         let t = sb
-            .task(TaskDecl::new("latcher").reads(a, 1).reads(b, 1).writes(o, 1))
+            .task(
+                TaskDecl::new("latcher")
+                    .reads(a, 1)
+                    .reads(b, 1)
+                    .writes(o, 1),
+            )
             .unwrap();
         let spec = sb.build().unwrap();
         let mut ab = Architecture::builder();
@@ -1097,10 +1096,7 @@ mod tests {
             &mut behaviors,
             &mut RampEnv,
             &mut NoFaults,
-            &SimConfig {
-                rounds: 1,
-                seed: 1,
-            },
+            &SimConfig { rounds: 1, seed: 1 },
         );
         // o written at instance 1 = t 12 — beyond round 0's trace (lands at
         // round 1's t=12... round is 12, so instance 1 lands at slot 0 of
@@ -1109,10 +1105,7 @@ mod tests {
             &mut BehaviorMap::new(),
             &mut RampEnv,
             &mut NoFaults,
-            &SimConfig {
-                rounds: 1,
-                seed: 1,
-            },
+            &SimConfig { rounds: 1, seed: 1 },
         );
         let _ = (out, out2);
         let mut behaviors = BehaviorMap::new();
@@ -1121,10 +1114,7 @@ mod tests {
             &mut behaviors,
             &mut RampEnv,
             &mut NoFaults,
-            &SimConfig {
-                rounds: 2,
-                seed: 1,
-            },
+            &SimConfig { rounds: 2, seed: 1 },
         );
         let o_vals = out3.trace.values(o);
         // o updates at t=0 (init) and t=12 (round 1 slot 0, carrying round
@@ -1169,7 +1159,9 @@ mod tests {
         let u = sb
             .communicator(CommunicatorDecl::new("u", ValueType::Float, 10).unwrap())
             .unwrap();
-        let t = sb.task(TaskDecl::new("f").reads(s, 0).writes(u, 1)).unwrap();
+        let t = sb
+            .task(TaskDecl::new("f").reads(s, 0).writes(u, 1))
+            .unwrap();
         let spec = sb.build().unwrap();
         let mut ab = Architecture::builder();
         let hs: Vec<HostId> = (0..3)
@@ -1194,10 +1186,7 @@ mod tests {
                 &mut behaviors,
                 &mut ConstantEnvironment::new(Value::Float(0.0)),
                 &mut CorruptH0,
-                &SimConfig {
-                    rounds: 5,
-                    seed: 1,
-                },
+                &SimConfig { rounds: 5, seed: 1 },
             );
             out.trace.values(u).to_vec()
         };
@@ -1227,7 +1216,9 @@ mod tests {
         let u = sb
             .communicator(CommunicatorDecl::new("u", ValueType::Float, 10).unwrap())
             .unwrap();
-        let t = sb.task(TaskDecl::new("double").reads(s, 0).writes(u, 1)).unwrap();
+        let t = sb
+            .task(TaskDecl::new("double").reads(s, 0).writes(u, 1))
+            .unwrap();
         let spec = sb.build().unwrap();
         let mut ab = Architecture::builder();
         let h1 = ab.host(HostDecl::new("h1", r(0.999))).unwrap();
@@ -1321,7 +1312,9 @@ mod tests {
         let u = sb
             .communicator(CommunicatorDecl::new("u", ValueType::Float, 5).unwrap())
             .unwrap();
-        let t = sb.task(TaskDecl::new("double").reads(s, 0).writes(u, 1)).unwrap();
+        let t = sb
+            .task(TaskDecl::new("double").reads(s, 0).writes(u, 1))
+            .unwrap();
         let spec = sb.build().unwrap();
         let mut ab = Architecture::builder();
         let hs: Vec<HostId> = (0..3)
@@ -1347,7 +1340,10 @@ mod tests {
             });
             b
         };
-        let config = SimConfig { rounds: 400, seed: 42 };
+        let config = SimConfig {
+            rounds: 400,
+            seed: 42,
+        };
         let fast = sim.run(
             &mut behaviors(),
             &mut ConstantEnvironment::new(Value::Float(1.0)),
@@ -1363,7 +1359,9 @@ mod tests {
         assert_eq!(fast, slow);
         // Corruption actually bit somewhere (the run was not trivial).
         let vals = fast.trace.values(u);
-        assert!(vals.iter().any(|&(_, v)| v == Value::Unreliable || v == Value::Float(-7.0)));
+        assert!(vals
+            .iter()
+            .any(|&(_, v)| v == Value::Unreliable || v == Value::Float(-7.0)));
         assert!(fast.task_stats[0].delivered > 0);
     }
 }

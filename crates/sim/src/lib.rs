@@ -81,14 +81,13 @@ pub use campaign::{
 };
 pub use environment::{ConstantEnvironment, Environment};
 pub use fault::{
-    CorruptingFaults, FaultInjector, HostSilencer, NoFaults, PermanentFaults,
-    ProbabilisticFaults, UnplugAt,
+    CorruptingFaults, FaultInjector, HostSilencer, NoFaults, PermanentFaults, ProbabilisticFaults,
+    UnplugAt,
 };
 pub use fuzz::{run_fuzz, FuzzArtifact, FuzzConfig, FuzzOutcome};
 pub use kernel::{SimBuildError, SimConfig, SimOutput, Simulation};
 pub use monitor::{
-    Alarm, AlarmKind, DegradationRule, LrcMonitor, MonitorConfig, MonitorLane, Response,
-    RuleError,
+    Alarm, AlarmKind, DegradationRule, LrcMonitor, MonitorConfig, MonitorLane, Response, RuleError,
 };
 pub use montecarlo::{derive_seed, run_indexed_units, BatchConfig, ReplicationContext};
 pub use scenario::{

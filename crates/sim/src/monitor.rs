@@ -979,7 +979,11 @@ mod tests {
         };
         let mut m = LrcMonitor::new(&spec, cfg);
         for i in 0..200u64 {
-            let v = if i % 4 == 0 { Value::Unreliable } else { Value::Float(1.0) };
+            let v = if i % 4 == 0 {
+                Value::Unreliable
+            } else {
+                Value::Float(1.0)
+            };
             observe(&mut m, u, Tick::new(i * 10), v);
         }
         assert!(m.lane(0).first_dip(u).is_some());
@@ -990,7 +994,11 @@ mod tests {
         // inside the half band.
         let mut m = LrcMonitor::new(&spec, cfg);
         for i in 0..200u64 {
-            let v = if i == 100 { Value::Unreliable } else { Value::Float(1.0) };
+            let v = if i == 100 {
+                Value::Unreliable
+            } else {
+                Value::Float(1.0)
+            };
             observe(&mut m, u, Tick::new(i * 10), v);
         }
         assert_eq!(m.lane(0).first_dip(u), None);

@@ -149,7 +149,9 @@ mod tests {
         let u = sb
             .communicator(CommunicatorDecl::new("u", ValueType::Float, 10).unwrap())
             .unwrap();
-        let t = sb.task(TaskDecl::new("double").reads(s, 0).writes(u, 1)).unwrap();
+        let t = sb
+            .task(TaskDecl::new("double").reads(s, 0).writes(u, 1))
+            .unwrap();
         let spec = sb.build().unwrap();
         let mut ab = Architecture::builder();
         let h = ab

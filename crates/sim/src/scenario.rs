@@ -107,7 +107,9 @@ impl HostSet {
 
     /// The members in ascending index order.
     pub fn iter(self) -> impl Iterator<Item = HostId> {
-        (0..64u32).filter(move |i| self.0 & (1 << i) != 0).map(HostId::new)
+        (0..64u32)
+            .filter(move |i| self.0 & (1 << i) != 0)
+            .map(HostId::new)
     }
 
     /// The largest member index, if any.
@@ -558,10 +560,7 @@ impl Scenario {
 
     /// Parses the text format, resolving non-numeric host/communicator
     /// fields through `symbols`.
-    pub fn parse_with(
-        text: &str,
-        symbols: &dyn ScenarioSymbols,
-    ) -> Result<Self, ScenarioError> {
+    pub fn parse_with(text: &str, symbols: &dyn ScenarioSymbols) -> Result<Self, ScenarioError> {
         let mut events = Vec::new();
         let mut significant_lines = 0usize;
         for (i, raw) in text.lines().enumerate() {
@@ -574,7 +573,9 @@ impl Scenario {
                 continue;
             }
             significant_lines += 1;
-            let (verb, rest) = trimmed.split_once(char::is_whitespace).unwrap_or((trimmed, ""));
+            let (verb, rest) = trimmed
+                .split_once(char::is_whitespace)
+                .unwrap_or((trimmed, ""));
             // Version directive: `scn v2` as the first significant line.
             // Headerless input is v1 (the original, pre-versioned format).
             if verb == "scn" {
@@ -731,10 +732,7 @@ impl Scenario {
                     return Err(err(0, format!("empty host group in `{e}`")));
                 }
                 ScenarioEvent::Wearout { shape, scale, .. }
-                    if !(shape.is_finite()
-                        && shape > 0.0
-                        && scale.is_finite()
-                        && scale > 0.0) =>
+                    if !(shape.is_finite() && shape > 0.0 && scale.is_finite() && scale > 0.0) =>
                 {
                     return Err(err(
                         0,
@@ -742,7 +740,10 @@ impl Scenario {
                     ));
                 }
                 ScenarioEvent::Adversary { hold: 0, .. } => {
-                    return Err(err(0, format!("adversary hold must be at least 1 in `{e}`")));
+                    return Err(err(
+                        0,
+                        format!("adversary hold must be at least 1 in `{e}`"),
+                    ));
                 }
                 _ => {}
             }
@@ -781,11 +782,7 @@ impl Scenario {
     }
 
     /// Checks every host/communicator index against the model sizes.
-    pub fn check_bounds(
-        &self,
-        host_count: usize,
-        comm_count: usize,
-    ) -> Result<(), ScenarioError> {
+    pub fn check_bounds(&self, host_count: usize, comm_count: usize) -> Result<(), ScenarioError> {
         for e in &self.events {
             match *e {
                 ScenarioEvent::Crash { host, .. }
@@ -953,13 +950,7 @@ impl<I: FaultInjector> FaultInjector for ScenarioInjector<I> {
         inner_ok && up && self.layer.burst_ok() != 0
     }
 
-    fn corrupt(
-        &mut self,
-        host: HostId,
-        now: Tick,
-        outputs: &mut [Value],
-        rng: &mut StdRng,
-    ) {
+    fn corrupt(&mut self, host: HostId, now: Tick, outputs: &mut [Value], rng: &mut StdRng) {
         // A host silenced by any scripted process is fail-silent: no
         // corruption. The up mask only reads decisions already drawn at
         // this instant, so no draws shift.
@@ -1035,7 +1026,6 @@ impl<E: Environment> ScenarioEnvironment<E> {
     pub fn inner(&self) -> &E {
         &self.inner
     }
-
 
     fn stuck(&self, comm: CommunicatorId, now: u64) -> bool {
         self.windows[comm.index()]
@@ -1121,7 +1111,10 @@ adversary from=0 until=20000 hold=50
         // Comments and blank lines may precede the directive.
         assert!(Scenario::parse("# hi\n\nscn v2\ncrash host=0 at=5\n").is_ok());
         let e = Scenario::parse("scn v3\ncrash host=0 at=5\n").unwrap_err();
-        assert!(e.to_string().contains("unsupported scenario version `v3`"), "{e}");
+        assert!(
+            e.to_string().contains("unsupported scenario version `v3`"),
+            "{e}"
+        );
         assert_eq!(e.line, 1);
         let e = Scenario::parse("crash host=0 at=5\nscn v2\n").unwrap_err();
         assert!(e.to_string().contains("must be the first line"), "{e}");
@@ -1156,7 +1149,10 @@ adversary from=0 until=20000 hold=50
             ("partition hosts=0 from=5 until=5", "empty window"),
             ("partition hosts=0,70 from=0 until=5", "group limit of 64"),
             ("wearout host=0 from=0 until=9 shape=0 scale=5", "positive"),
-            ("wearout host=0 from=0 until=9 shape=1 scale=nan", "positive"),
+            (
+                "wearout host=0 from=0 until=9 shape=1 scale=nan",
+                "positive",
+            ),
             ("adversary from=0 until=5 hold=0", "at least 1"),
             ("adversary from=0 until=5 hold=1 p=0.5", "unknown field"),
             ("crash host=0 at=5 at=10", "field `at` given twice"),
@@ -1205,7 +1201,10 @@ adversary from=0 until=20000 hold=50
                 ("p", common(bad)),
             ] {
                 let msg = Scenario::from_events(vec![e]).unwrap_err().to_string();
-                assert!(msg.contains("probability out of [0, 1]"), "{field}={bad}: {msg}");
+                assert!(
+                    msg.contains("probability out of [0, 1]"),
+                    "{field}={bad}: {msg}"
+                );
             }
         }
         for ok in [0.0, 1.0, 0.3] {
@@ -1472,9 +1471,7 @@ adversary from=0 until=20000 hold=50
         assert_eq!(s.host_availability(HostId::new(0), Tick::new(100)), 1.0);
         // Unterminated outage runs to the horizon.
         let s2 = Scenario::parse("crash host=0 at=80").unwrap();
-        assert!(
-            (s2.host_availability(HostId::new(0), Tick::new(100)) - 0.8).abs() < 1e-12
-        );
+        assert!((s2.host_availability(HostId::new(0), Tick::new(100)) - 0.8).abs() < 1e-12);
     }
 
     /// Regression: cumulative downtime exceeding the horizon used to
@@ -1682,10 +1679,12 @@ adversary from=0 until=20000 hold=50
     #[test]
     fn scenario_environment_passthrough() {
         let s = Scenario::new();
-        let mut env =
-            ScenarioEnvironment::new(ConstantEnvironment::new(Value::Float(3.0)), &s, 2);
+        let mut env = ScenarioEnvironment::new(ConstantEnvironment::new(Value::Float(3.0)), &s, 2);
         env.advance(Tick::new(1));
-        assert_eq!(env.sense(CommunicatorId::new(1), Tick::new(1)), Value::Float(3.0));
+        assert_eq!(
+            env.sense(CommunicatorId::new(1), Tick::new(1)),
+            Value::Float(3.0)
+        );
         env.actuate(CommunicatorId::new(0), Value::Float(9.0), Tick::new(1));
     }
 }

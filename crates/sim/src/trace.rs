@@ -59,7 +59,6 @@ impl Trace {
     pub fn update_count(&self, comm: CommunicatorId) -> usize {
         self.rows[comm.index()].len()
     }
-
 }
 
 #[cfg(test)]

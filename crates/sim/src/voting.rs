@@ -32,11 +32,7 @@ pub enum VotingStrategy {
 ///
 /// Panics in debug builds if a delivered output list has a length other
 /// than `arity`.
-pub fn vote(
-    replicas: &[Option<Vec<Value>>],
-    arity: usize,
-    strategy: VotingStrategy,
-) -> Vec<Value> {
+pub fn vote(replicas: &[Option<Vec<Value>>], arity: usize, strategy: VotingStrategy) -> Vec<Value> {
     let delivered: Vec<&Vec<Value>> = replicas.iter().flatten().collect();
     for d in &delivered {
         debug_assert_eq!(d.len(), arity, "output arity mismatch");
@@ -140,7 +136,12 @@ pub fn classify_outcome(replica_vals: &[Value], replica_ok: &[bool], arity: usiz
         return VoteOutcome::Silent;
     }
     let row = |i: usize| &replica_vals[i * arity..(i + 1) * arity];
-    let ok_rows = || replica_ok.iter().enumerate().filter_map(|(i, &ok)| ok.then_some(i));
+    let ok_rows = || {
+        replica_ok
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &ok)| ok.then_some(i))
+    };
     let first = ok_rows().next().expect("delivered > 0");
     if ok_rows().skip(1).all(|i| row(i) == row(first)) {
         return VoteOutcome::Unanimous;
@@ -149,7 +150,10 @@ pub fn classify_outcome(replica_vals: &[Value], replica_ok: &[bool], arity: usiz
     let all_positions_decided = (0..arity).all(|k| {
         ok_rows().any(|c| {
             let v = replica_vals[c * arity + k];
-            ok_rows().filter(|&d| replica_vals[d * arity + k] == v).count() >= need
+            ok_rows()
+                .filter(|&d| replica_vals[d * arity + k] == v)
+                .count()
+                >= need
         })
     });
     if all_positions_decided {
@@ -174,7 +178,11 @@ mod tests {
     #[test]
     fn any_reliable_takes_the_first_delivery() {
         let out = vote(
-            &[None, Some(vec![Value::Float(42.0)]), Some(vec![Value::Float(7.0)])],
+            &[
+                None,
+                Some(vec![Value::Float(42.0)]),
+                Some(vec![Value::Float(7.0)]),
+            ],
             1,
             VotingStrategy::AnyReliable,
         );
@@ -198,10 +206,7 @@ mod tests {
     #[test]
     fn majority_with_two_way_split_is_bottom() {
         let out = vote(
-            &[
-                Some(vec![Value::Float(1.0)]),
-                Some(vec![Value::Float(2.0)]),
-            ],
+            &[Some(vec![Value::Float(1.0)]), Some(vec![Value::Float(2.0)])],
             1,
             VotingStrategy::Majority,
         );
