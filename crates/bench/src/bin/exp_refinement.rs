@@ -5,6 +5,11 @@
 //! joint schedulability/reliability analysis can be reduced significantly"
 //! by a sequence of refinement steps.
 //!
+//! Standard output lists the system sizes, a function of the source tree
+//! (`scripts/results.sh` captures it); the wall-clock columns — full and
+//! incremental analysis time and their ratio — go to standard error,
+//! since they are a reading of the machine.
+//!
 //! Run with: `cargo run -p logrel-bench --bin exp_refinement --release`
 
 use logrel_bench::layered_system;
@@ -12,7 +17,8 @@ use logrel_refine::{check_refinement, validate, Kappa, SystemRef};
 use std::time::Instant;
 
 fn main() {
-    println!(
+    println!("{:>7} {:>7}", "tasks", "hosts");
+    eprintln!(
         "{:>7} {:>7} {:>14} {:>14} {:>9}",
         "tasks", "hosts", "full (µs)", "incremental (µs)", "speedup"
     );
@@ -41,7 +47,8 @@ fn main() {
         }
         let incr = t1.elapsed().as_secs_f64() / reps as f64 * 1e6;
 
-        println!(
+        println!("{:>7} {:>7}", layers * width, hosts);
+        eprintln!(
             "{:>7} {:>7} {:>14.1} {:>14.1} {:>8.1}x",
             layers * width,
             hosts,

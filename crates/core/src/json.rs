@@ -361,9 +361,8 @@ pub fn uint_into(out: &mut String, mut v: u64) {
             break;
         }
     }
-    for &d in &digits[start..] {
-        out.push(char::from(d));
-    }
+    // ASCII digits are UTF-8.
+    out.push_str(std::str::from_utf8(&digits[start..]).unwrap_or_default());
 }
 
 /// [`number`], or `null` for `None`.

@@ -94,20 +94,42 @@ fn int_field(out: &mut String, name: &str, v: usize) {
     uint_into(out, v as u64);
 }
 
-/// Appends the field `name` with the string value `label`, one of the
-/// fixed labels of [`crate::recorder`], which need no escaping.
-fn label_field(out: &mut String, name: &str, label: &str) {
-    field(out, name);
-    out.push('"');
+/// Appends `key` — a whole `, "name": ` — and the integer value `v`.
+fn uint_after(out: &mut String, key: &str, v: usize) {
+    out.push_str(key);
+    uint_into(out, v as u64);
+}
+
+/// Appends `key` — a whole `, "name": "` — the fixed label `label`,
+/// one of those of [`crate::recorder`], which need no escaping, and the
+/// closing quote.
+fn label_after(out: &mut String, key: &str, label: &str) {
+    out.push_str(key);
     out.push_str(label);
     out.push('"');
 }
 
+/// The opening of an event object up to its `at` value: `{"kind":
+/// "<kind>", "at": `, one literal per kind (the kinds are fixed labels
+/// that need no escaping).
+macro_rules! event_head {
+    ($kind:literal) => {
+        concat!("{\"kind\": \"", $kind, "\", \"at\": ")
+    };
+}
+
 /// Appends the event as a JSON object.
 fn event_into(out: &mut String, event: &ObsEvent) {
-    out.push_str("{\"kind\": ");
-    string_into(out, event.kind());
-    field(out, "at");
+    out.push_str(match event {
+        ObsEvent::Vote { .. } => event_head!("vote"),
+        ObsEvent::ReplicaDrop { .. } => event_head!("replica-drop"),
+        ObsEvent::HostDown { .. } => event_head!("host-down"),
+        ObsEvent::HostUp { .. } => event_head!("host-up"),
+        ObsEvent::AlarmRaised { .. } => event_head!("alarm-raised"),
+        ObsEvent::AlarmCleared { .. } => event_head!("alarm-cleared"),
+        ObsEvent::DegraderEngaged { .. } => event_head!("degrader-engaged"),
+        ObsEvent::ModeSwitch { .. } => event_head!("mode-switch"),
+    });
     uint_into(out, event.at());
     match event {
         ObsEvent::Vote {
@@ -117,20 +139,20 @@ fn event_into(out: &mut String, event: &ObsEvent) {
             replicas,
             ..
         } => {
-            int_field(out, "task", *task);
-            label_field(out, "outcome", outcome.label());
-            int_field(out, "delivered", *delivered);
-            int_field(out, "replicas", *replicas);
+            uint_after(out, ", \"task\": ", *task);
+            label_after(out, ", \"outcome\": \"", outcome.label());
+            uint_after(out, ", \"delivered\": ", *delivered);
+            uint_after(out, ", \"replicas\": ", *replicas);
         }
         ObsEvent::ReplicaDrop {
             task, host, reason, ..
         } => {
-            int_field(out, "task", *task);
-            int_field(out, "host", *host);
-            label_field(out, "reason", reason.label());
+            uint_after(out, ", \"task\": ", *task);
+            uint_after(out, ", \"host\": ", *host);
+            label_after(out, ", \"reason\": \"", reason.label());
         }
         ObsEvent::HostDown { host, .. } | ObsEvent::HostUp { host, .. } => {
-            int_field(out, "host", *host);
+            uint_after(out, ", \"host\": ", *host);
         }
         ObsEvent::AlarmRaised {
             comm,
@@ -139,18 +161,18 @@ fn event_into(out: &mut String, event: &ObsEvent) {
             lrc,
             ..
         } => {
-            int_field(out, "comm", *comm);
+            uint_after(out, ", \"comm\": ", *comm);
             for (name, v) in [("mean", mean), ("epsilon", epsilon), ("lrc", lrc)] {
                 field(out, name);
                 number_into(out, *v);
             }
         }
         ObsEvent::AlarmCleared { comm, mean, .. } => {
-            int_field(out, "comm", *comm);
+            uint_after(out, ", \"comm\": ", *comm);
             field(out, "mean");
             number_into(out, *mean);
         }
-        ObsEvent::DegraderEngaged { rule, .. } => int_field(out, "rule", *rule),
+        ObsEvent::DegraderEngaged { rule, .. } => uint_after(out, ", \"rule\": ", *rule),
         ObsEvent::ModeSwitch { event, .. } => {
             field(out, "event");
             string_into(out, event);
@@ -270,7 +292,13 @@ impl Layout {
 /// Renders the registry in layout `l`, every value written straight into
 /// the one output string.
 fn render_json(reg: &Registry, l: &Layout) -> String {
-    let mut out = String::from("{");
+    // Room for the dumps' events, the bulk of a recording registry's
+    // document, so the string grows once or not at all.
+    let events: usize = reg
+        .recorder()
+        .map_or(0, |rec| rec.dumps().iter().map(|d| d.events.len()).sum());
+    let mut out = String::with_capacity(4096 + 96 * events);
+    out.push('{');
     l.key(&mut out, l.outer, "schema");
     out.push_str("\"logrel-metrics-v1\",");
     l.section(&mut out, "counters", reg.counters(), uint_into);

@@ -23,15 +23,22 @@
 //! calls a hook, the kernel loops over the lanes and performs the call
 //! on the lane's own context, in lane order — so each lane's RNG stream
 //! is the one a one-lane run of the same seed produces, whatever the
-//! group width. The kernel's only watch is one group [`LrcMonitor`], and
+//! group width. For the run the lanes' generator states are held word by
+//! word (`draws.rs`), so when every lane's injector promises fixed
+//! Bernoulli draws ([`FaultInjector::bernoulli_rates`]) a draw site is
+//! one lockstep loop over the lanes' generators, and when every lane's
+//! environment promises a constant reading
+//! ([`Environment::constant_reading`]) a sensor update is one value
+//! class; otherwise the hooks are called lane by lane over the same
+//! storage. The kernel's only watch is one group [`LrcMonitor`], and
 //! its only metrics sink is one group sink, both outside the lanes (see
 //! below).
 //!
 //! A campaign unit adds one group scenario layer over the lanes' base
 //! injectors (`scenario/lanes.rs`): the timeline is evaluated once per
-//! group at each (replica, instant), and the lane loop only makes each
-//! lane's scenario draws, between its inner host and broadcast draws,
-//! and folds them into lane masks. The public entry points run under the
+//! group at each (replica, instant), and the lanes only make their
+//! scenario draws, between their inner host and broadcast draws, and
+//! fold them into lane masks. The public entry points run under the
 //! empty layer, which draws nothing.
 //!
 //! # What a run records
@@ -80,6 +87,7 @@
 //! [`vote_into`]: crate::voting::vote_into
 
 use crate::behavior::BehaviorMap;
+use crate::draws::LaneRngs;
 use crate::environment::Environment;
 use crate::fault::FaultInjector;
 use crate::kernel::{task_audiences, warm_after_rejoin, SimOutput, Simulation, TaskStats};
@@ -91,7 +99,7 @@ use logrel_core::roundprog::UpdateOp;
 use logrel_core::{CommunicatorId, FailureModel, HostId, TaskId, Tick, Value};
 use logrel_obs::{names, MetricsSink, NoopSink, VoteOutcome};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{unit_threshold, SeedableRng};
 use std::mem;
 use std::panic::{self, AssertUnwindSafe};
 
@@ -368,16 +376,105 @@ struct Replica<'a> {
     excluded: u64,
 }
 
-/// Makes every lane's own calls for `r`, each lane in its stream order —
-/// the inner host draw, the group layer's host draws, the inner broadcast
-/// draw, the layer's burst draws — and folds the outcomes into masks: the
-/// inner host and broadcast outcomes (a replica cut off from any audience
-/// host counts as a broadcast drop) and the lanes' own warm-up verdicts,
-/// beside the replica's exclusion mask. Specialized on `SCRIPTED`, so the
-/// loop of a run without a scenario carries no layer call.
+/// The draws of a run whose lanes all make the same Bernoulli promise
+/// ([`FaultInjector::bernoulli_rates`]): per host and per sensor the
+/// integer cut ([`unit_threshold`]) of its success probability, and the
+/// broadcast's, `None` when the broadcast never fails and draws nothing.
+struct SharedCuts {
+    host: Vec<u64>,
+    sensor: Vec<u64>,
+    broadcast: Option<u64>,
+}
+
+impl SharedCuts {
+    /// The lanes' shared promise, if every lane makes the same one.
+    fn of<I: FaultInjector, E>(lanes: &[LaneContext<I, E>]) -> Option<Self> {
+        let (first, rest) = lanes.split_first()?;
+        let rates = first.injector.bernoulli_rates()?;
+        if !rest
+            .iter()
+            .all(|lane| lane.injector.bernoulli_rates() == Some(rates))
+        {
+            return None;
+        }
+        let cuts = |ps: &[f64]| ps.iter().map(|&p| unit_threshold(p)).collect();
+        Some(SharedCuts {
+            host: cuts(rates.host),
+            sensor: cuts(rates.sensor),
+            broadcast: if rates.broadcast >= 1.0 {
+                None
+            } else {
+                Some(unit_threshold(rates.broadcast))
+            },
+        })
+    }
+}
+
+/// The reading of `comm` every lane promises
+/// ([`Environment::constant_reading`]), if all promise the same one, bit
+/// for bit: lanes of equal readings then form one value class, as
+/// sensing lane by lane would make them.
+fn shared_reading<I, E: Environment>(
+    lanes: &[LaneContext<I, E>],
+    comm: CommunicatorId,
+) -> Option<Value> {
+    let (first, rest) = lanes.split_first()?;
+    let v = first.environment.constant_reading(comm)?;
+    let same = |w: Value| match (v, w) {
+        // ±0.0 are equal but not the same value; NaN equals nothing.
+        (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits() && a == b,
+        _ => v == w,
+    };
+    rest.iter()
+        .all(|lane| lane.environment.constant_reading(comm).is_some_and(same))
+        .then_some(v)
+        .filter(|&v| same(v))
+}
+
+/// Every lane's draws for `r` under the lanes' shared Bernoulli promise,
+/// site by site over all lanes, each lane in its stream order — the
+/// inner host draw, the group layer's host draws, the inner broadcast
+/// draw, the layer's burst draws — as masks. The promise keeps
+/// `rejoined_at` at its default, so the lanes' own warm-up verdict is
+/// "warm". Specialized on `SCRIPTED`, so the loop of a run without a
+/// scenario carries no layer call.
+#[inline(always)]
+fn sample_shared<const SCRIPTED: bool>(
+    rngs: &mut LaneRngs,
+    layer: &mut ScenarioLanes,
+    cuts: &SharedCuts,
+    all: u64,
+    r: &Replica<'_>,
+) -> ReplicaMasks {
+    let host_ok = rngs.below(cuts.host[r.host.index()]);
+    if SCRIPTED {
+        layer.draw_host_lanes(rngs);
+    }
+    let bc_ok = cuts.broadcast.map_or(all, |cut| rngs.below(cut));
+    if SCRIPTED {
+        layer.draw_bursts_lanes(rngs);
+    }
+    ReplicaMasks {
+        host: r.host.index(),
+        host_ok,
+        bc_ok,
+        warm: if r.warm_per_lane { all } else { 0 },
+        excluded: r.excluded,
+    }
+}
+
+/// Makes every lane's own calls for `r`, lane by lane on the lane's
+/// generator, each lane in its stream order — the inner host draw, the
+/// group layer's host draws, the inner broadcast draw, the layer's burst
+/// draws — and folds the outcomes into masks: the inner host and
+/// broadcast outcomes (a replica cut off from any audience host counts as
+/// a broadcast drop) and the lanes' own warm-up verdicts, beside the
+/// replica's exclusion mask. Specialized on `SCRIPTED`, so the loop of a
+/// run without a scenario carries no layer call.
 #[inline(always)]
 fn sample_lanes<const SCRIPTED: bool, I, E>(
     lanes: &mut [LaneContext<I, E>],
+    rngs: &mut LaneRngs,
     layer: &mut ScenarioLanes,
     r: &Replica<'_>,
 ) -> ReplicaMasks
@@ -393,20 +490,22 @@ where
     };
     for (li, lane) in lanes.iter_mut().enumerate() {
         let bit = 1u64 << li;
-        let host_ok = lane.injector.host_ok(r.host, r.now, &mut lane.rng);
-        if SCRIPTED {
-            layer.draw_host(&mut lane.rng, bit);
-        }
-        let bc_ok = lane.injector.broadcast_ok(r.host, r.now, &mut lane.rng)
-            && r.audience.is_none_or(|a| {
-                a.iter()
-                    .all(|&rcv| lane.injector.delivers(r.host, rcv, r.now))
-            });
-        if SCRIPTED {
-            layer.draw_bursts(&mut lane.rng, bit);
-        }
+        let injector = &mut lane.injector;
+        let (host_ok, bc_ok) = rngs.with_lane(li, |rng| {
+            let host_ok = injector.host_ok(r.host, r.now, rng);
+            if SCRIPTED {
+                layer.draw_host(rng, bit);
+            }
+            let bc_ok = injector.broadcast_ok(r.host, r.now, rng)
+                && r.audience
+                    .is_none_or(|a| a.iter().all(|&rcv| injector.delivers(r.host, rcv, r.now)));
+            if SCRIPTED {
+                layer.draw_bursts(rng, bit);
+            }
+            (host_ok, bc_ok)
+        });
         let warm = r.warm_per_lane
-            && warm_after_rejoin(lane.injector.rejoined_at(r.host, r.now), r.now, r.round);
+            && warm_after_rejoin(injector.rejoined_at(r.host, r.now), r.now, r.round);
         m.host_ok |= u64::from(host_ok) << li;
         m.bc_ok |= u64::from(bc_ok) << li;
         m.warm |= u64::from(warm) << li;
@@ -637,12 +736,25 @@ impl<'a> Simulation<'a> {
         let scripted = layer.scripted();
         let lane_partitioned = lanes.iter().any(|l| l.injector.partitions());
         let partitioned = lane_partitioned || layer.partitions();
-        let adaptive = lanes.iter().any(|l| l.injector.adaptive());
+        // The lanes whose own injector wants vote feedback.
+        let adaptive = lanes.iter().enumerate().fold(0u64, |m, (li, l)| {
+            m | u64::from(l.injector.adaptive()) << li
+        });
         let audiences = if partitioned {
             task_audiences(spec, self.imp.phases())
         } else {
             Vec::new()
         };
+        // The lanes' promises, checked once per run: shared Bernoulli
+        // draws make each draw site one loop over the lanes' generators,
+        // and shared constant readings make a sensor update one value
+        // class. The lanes' generators live in `rngs` for the run.
+        let cuts = SharedCuts::of(lanes);
+        let readings: Vec<Option<Value>> = spec
+            .communicator_ids()
+            .map(|c| shared_reading(lanes, c))
+            .collect();
+        let mut rngs = LaneRngs::load(lanes.iter().map(|lane| &lane.rng));
 
         let comm_count = spec.communicator_count();
         let mut comm_classes: Vec<LaneClasses> = spec
@@ -709,24 +821,37 @@ impl<'a> Simulation<'a> {
                     // Whether the update goes out to the actuators.
                     let actuated = match *op {
                         UpdateOp::Sensor { .. } => {
+                            // Every sensor is sampled (no short-circuit),
+                            // so the failure process is independent of
+                            // evaluation order.
                             let sensors = &phase.sensors[ci];
-                            for (li, lane) in lanes.iter_mut().enumerate() {
-                                let mut any_ok = false;
-                                for &s in sensors {
-                                    // Sample every sensor (no short-circuit)
-                                    // so the failure process is independent
-                                    // of evaluation order.
-                                    if lane.injector.sensor_ok(s, now, &mut lane.rng) {
-                                        any_ok = true;
-                                    }
+                            let ok = match &cuts {
+                                Some(cuts) => sensors
+                                    .iter()
+                                    .fold(0, |ok, s| ok | rngs.below(cuts.sensor[s.index()])),
+                                None => lanes.iter_mut().enumerate().fold(0, |ok, (li, lane)| {
+                                    let any_ok = rngs.with_lane(li, |rng| {
+                                        sensors.iter().fold(false, |any, &s| {
+                                            lane.injector.sensor_ok(s, now, rng) | any
+                                        })
+                                    });
+                                    ok | u64::from(any_ok) << li
+                                }),
+                            };
+                            let cls = &mut comm_classes[ci];
+                            if let Some(v) = readings[ci] {
+                                cls.clear();
+                                cls.push(v, ok);
+                            } else {
+                                for (li, lane) in lanes.iter_mut().enumerate() {
+                                    lane_vals[li] = if ok >> li & 1 != 0 {
+                                        lane.environment.sense(c, now)
+                                    } else {
+                                        Value::Unreliable
+                                    };
                                 }
-                                lane_vals[li] = if any_ok {
-                                    lane.environment.sense(c, now)
-                                } else {
-                                    Value::Unreliable
-                                };
+                                cls.set_from_lane_values(&lane_vals);
                             }
-                            comm_classes[ci].set_from_lane_values(&lane_vals);
                             false
                         }
                         UpdateOp::Landed {
@@ -889,10 +1014,19 @@ impl<'a> Simulation<'a> {
                             warm_per_lane: shared_warm.is_none(),
                             excluded: dropped.get(h.index()).copied().unwrap_or(0),
                         };
-                        let own = if scripted {
-                            sample_lanes::<true, _, _>(lanes, layer, &replica)
-                        } else {
-                            sample_lanes::<false, _, _>(lanes, layer, &replica)
+                        let own = match (&cuts, scripted) {
+                            (Some(cuts), true) => {
+                                sample_shared::<true>(&mut rngs, layer, cuts, all_mask, &replica)
+                            }
+                            (Some(cuts), false) => {
+                                sample_shared::<false>(&mut rngs, layer, cuts, all_mask, &replica)
+                            }
+                            (None, true) => {
+                                sample_lanes::<true, _, _>(lanes, &mut rngs, layer, &replica)
+                            }
+                            (None, false) => {
+                                sample_lanes::<false, _, _>(lanes, &mut rngs, layer, &replica)
+                            }
                         };
                         let mut masks = ReplicaMasks {
                             warm: shared_warm.unwrap_or(own.warm),
@@ -926,7 +1060,7 @@ impl<'a> Simulation<'a> {
                                 let dst = &mut rep_vals[(i * n + li) * max_out..][..n_out];
                                 let cidx = lane_cell[li];
                                 dst.copy_from_slice(&cell_outs[cidx * n_out..(cidx + 1) * n_out]);
-                                lane.injector.corrupt(h, now, dst, &mut lane.rng);
+                                rngs.with_lane(li, |rng| lane.injector.corrupt(h, now, dst, rng));
                             }
                         }
                         if any_obs {
@@ -1012,12 +1146,12 @@ impl<'a> Simulation<'a> {
                         let replicas = hosts_of.iter().copied().zip(ok_masks.iter().copied());
                         layer.observe_votes(now.as_u64(), replicas, hosts_of.len());
                     }
-                    if adaptive {
+                    if adaptive != 0 {
                         for (li, lane) in lanes.iter_mut().enumerate() {
-                            if !lane.injector.adaptive() {
+                            let bit = 1u64 << li;
+                            if adaptive & bit == 0 {
                                 continue;
                             }
-                            let bit = 1u64 << li;
                             delivered_hosts.clear();
                             for (i, &h) in hosts_of.iter().enumerate() {
                                 if ok_masks[i] & bit != 0 {
@@ -1040,6 +1174,7 @@ impl<'a> Simulation<'a> {
             }
         }
 
+        rngs.store(lanes.iter_mut().map(|lane| &mut lane.rng));
         let out = BitslicedOutput {
             lanes: n,
             invocations,

@@ -390,15 +390,21 @@ pub fn plan_units(replications: u64, width: usize) -> Vec<CampaignUnit> {
 /// consumed by [`aggregate_campaign`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepStats {
-    updates: Vec<u64>,
-    reliable: Vec<u64>,
-    first_violation: Vec<Option<u64>>,
-    raised: Vec<u64>,
-    cleared: Vec<u64>,
-    first_dip: Vec<Option<u64>>,
-    /// Per communicator: a dip occurred *and* the monitor alarmed within
-    /// one window of it.
-    alarmed_dip: Vec<bool>,
+    /// Per communicator.
+    comms: Vec<CommStats>,
+}
+
+/// One replication's statistics on one communicator.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct CommStats {
+    updates: u64,
+    reliable: u64,
+    first_violation: Option<u64>,
+    raised: u64,
+    cleared: u64,
+    first_dip: Option<u64>,
+    /// A dip occurred *and* the monitor alarmed within one window of it.
+    alarmed_dip: bool,
 }
 
 /// A per-replication metrics sink a campaign creates and folds into the
@@ -441,27 +447,25 @@ fn rep_stats(
     lane: usize,
     monitor: MonitorLane<'_>,
 ) -> RepStats {
-    let comm_count = spec.communicator_count();
     let mut stats = RepStats {
-        updates: vec![0; comm_count],
-        reliable: vec![0; comm_count],
-        first_violation: vec![None; comm_count],
-        raised: vec![0; comm_count],
-        cleared: vec![0; comm_count],
-        first_dip: vec![None; comm_count],
-        alarmed_dip: vec![false; comm_count],
+        comms: spec
+            .communicator_ids()
+            .map(|c| CommStats {
+                updates: out.updates(c),
+                reliable: out.reliable(c, lane),
+                first_violation: monitor.first_violation(c).map(Tick::as_u64),
+                raised: 0,
+                cleared: 0,
+                first_dip: monitor.first_dip(c).map(Tick::as_u64),
+                alarmed_dip: monitor.dip_alarmed(c),
+            })
+            .collect(),
     };
-    for c in spec.communicator_ids() {
-        stats.updates[c.index()] = out.updates(c);
-        stats.reliable[c.index()] = out.reliable(c, lane);
-        stats.first_violation[c.index()] = monitor.first_violation(c).map(Tick::as_u64);
-        stats.first_dip[c.index()] = monitor.first_dip(c).map(Tick::as_u64);
-        stats.alarmed_dip[c.index()] = monitor.dip_alarmed(c);
-    }
     for alarm in monitor.alarms() {
+        let comm = &mut stats.comms[alarm.comm.index()];
         match alarm.kind {
-            AlarmKind::Raised => stats.raised[alarm.comm.index()] += 1,
-            AlarmKind::Cleared => stats.cleared[alarm.comm.index()] += 1,
+            AlarmKind::Raised => comm.raised += 1,
+            AlarmKind::Cleared => comm.cleared += 1,
         }
     }
     stats
@@ -593,12 +597,39 @@ pub fn aggregate_campaign<M>(
             .rounds
             .saturating_mul(spec.round_period().as_u64()),
     );
+    // One pass over the replications: per communicator the sums, the
+    // earliest violation, and the counts of replications that violated,
+    // dipped, or dipped and alarmed.
+    #[derive(Default)]
+    struct Totals {
+        stats: CommStats,
+        violated: u64,
+        dipped: u64,
+        alarmed_dips: u64,
+    }
+    let mut totals: Vec<Totals> = spec.communicator_ids().map(|_| Totals::default()).collect();
+    for (rep, _) in &per_rep {
+        for (t, c) in totals.iter_mut().zip(&rep.comms) {
+            t.stats.updates += c.updates;
+            t.stats.reliable += c.reliable;
+            t.stats.raised += c.raised;
+            t.stats.cleared += c.cleared;
+            if let Some(at) = c.first_violation {
+                t.violated += 1;
+                t.stats.first_violation = Some(t.stats.first_violation.map_or(at, |v| v.min(at)));
+            }
+            t.dipped += u64::from(c.first_dip.is_some());
+            t.alarmed_dips += u64::from(c.alarmed_dip);
+        }
+    }
     let comms = spec
         .communicator_ids()
-        .map(|c| {
+        .zip(totals)
+        .map(|(c, t)| {
             let i = c.index();
-            let updates: u64 = per_rep.iter().map(|(s, _)| s.updates[i]).sum();
-            let reliable: u64 = per_rep.iter().map(|(s, _)| s.reliable[i]).sum();
+            let CommStats {
+                updates, reliable, ..
+            } = t.stats;
             let empirical = if updates == 0 {
                 0.0
             } else {
@@ -619,23 +650,12 @@ pub fn aggregate_campaign<M>(
                 epsilon,
                 within_epsilon: analytic.map(|a| (empirical - a).abs() <= epsilon),
                 lrc: spec.communicator(c).lrc().map(|l| l.get()),
-                first_violation: per_rep
-                    .iter()
-                    .filter_map(|(s, _)| s.first_violation[i])
-                    .min()
-                    .map(Tick::new),
-                violated_reps: per_rep
-                    .iter()
-                    .filter(|(s, _)| s.first_violation[i].is_some())
-                    .count() as u64,
-                alarms_raised: per_rep.iter().map(|(s, _)| s.raised[i]).sum(),
-                alarms_cleared: per_rep.iter().map(|(s, _)| s.cleared[i]).sum(),
-                violations: per_rep
-                    .iter()
-                    .filter(|(s, _)| s.first_dip[i].is_some())
-                    .count() as u64,
-                alarms_before_violation: per_rep.iter().filter(|(s, _)| s.alarmed_dip[i]).count()
-                    as u64,
+                first_violation: t.stats.first_violation.map(Tick::new),
+                violated_reps: t.violated,
+                alarms_raised: t.stats.raised,
+                alarms_cleared: t.stats.cleared,
+                violations: t.dipped,
+                alarms_before_violation: t.alarmed_dips,
             }
         })
         .collect();

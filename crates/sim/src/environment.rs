@@ -34,6 +34,20 @@ pub trait Environment {
     fn is_passive(&self) -> bool {
         false
     }
+
+    /// The reading of sensor-fed communicator `comm`, if it is constant.
+    ///
+    /// Returning `Some(v)` is a *contract*: every call of
+    /// [`Environment::sense`] for `comm` returns `v`, at any instant, and
+    /// has no effect that anything observes, so a caller may skip the
+    /// call and use `v`. A lane-group run whose lanes all promise the
+    /// same reading writes it as one value class over the lanes whose
+    /// sensors delivered instead of sensing lane by lane. The default is
+    /// `None` (no promise: always sense).
+    fn constant_reading(&self, comm: CommunicatorId) -> Option<Value> {
+        let _ = comm;
+        None
+    }
 }
 
 /// Forwarding, so that a boxed environment — type-erased or not — is an
@@ -51,6 +65,9 @@ impl<T: Environment + ?Sized> Environment for Box<T> {
     }
     fn is_passive(&self) -> bool {
         (**self).is_passive()
+    }
+    fn constant_reading(&self, comm: CommunicatorId) -> Option<Value> {
+        (**self).constant_reading(comm)
     }
 }
 
@@ -83,19 +100,27 @@ impl ConstantEnvironment {
         self.constants.insert(comm, value);
         self
     }
+
+    fn reading(&self, comm: CommunicatorId) -> Value {
+        self.constants.get(&comm).copied().unwrap_or(self.fallback)
+    }
 }
 
 impl Environment for ConstantEnvironment {
     fn advance(&mut self, _now: Tick) {}
 
     fn sense(&mut self, comm: CommunicatorId, _now: Tick) -> Value {
-        self.constants.get(&comm).copied().unwrap_or(self.fallback)
+        self.reading(comm)
     }
 
     fn actuate(&mut self, _comm: CommunicatorId, _value: Value, _now: Tick) {}
 
     fn is_passive(&self) -> bool {
         true
+    }
+
+    fn constant_reading(&self, comm: CommunicatorId) -> Option<Value> {
+        Some(self.reading(comm))
     }
 }
 

@@ -96,6 +96,34 @@ pub trait FaultInjector {
     fn adaptive(&self) -> bool {
         false
     }
+    /// The fixed probabilities behind this injector's draws, if it makes
+    /// the Bernoulli promise.
+    ///
+    /// Returning `Some(rates)` is a *contract*: each call of
+    /// [`FaultInjector::host_ok`], [`FaultInjector::sensor_ok`] and
+    /// [`FaultInjector::broadcast_ok`] is exactly one `rng.gen::<f64>() <
+    /// p` with the fixed `p` of `rates` for its host or sensor (and
+    /// `broadcast_ok` makes no draw at all when `rates.broadcast >= 1`);
+    /// nothing else draws or keeps state, and every other hook keeps its
+    /// default. A lane-group run whose lanes all make the same promise
+    /// draws every lane's Bernoulli trial of a site in one loop over the
+    /// lanes' generators instead of calling the hooks lane by lane. The
+    /// default is `None` (no promise: always call).
+    fn bernoulli_rates(&self) -> Option<BernoulliRates<'_>> {
+        None
+    }
+}
+
+/// The fixed success probabilities of an injector that makes the
+/// Bernoulli promise ([`FaultInjector::bernoulli_rates`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BernoulliRates<'a> {
+    /// Per host: the probability that an invocation succeeds.
+    pub host: &'a [f64],
+    /// Per sensor: the probability that a reading is reliable.
+    pub sensor: &'a [f64],
+    /// The probability that a broadcast is delivered.
+    pub broadcast: f64,
 }
 
 /// Forwarding, so that a boxed injector — type-erased or not — is an
@@ -136,6 +164,9 @@ impl<T: FaultInjector + ?Sized> FaultInjector for Box<T> {
     }
     fn adaptive(&self) -> bool {
         (**self).adaptive()
+    }
+    fn bernoulli_rates(&self) -> Option<BernoulliRates<'_>> {
+        (**self).bernoulli_rates()
     }
 }
 
@@ -282,6 +313,13 @@ impl FaultInjector for ProbabilisticFaults {
     }
     fn corrupts(&self) -> bool {
         false
+    }
+    fn bernoulli_rates(&self) -> Option<BernoulliRates<'_>> {
+        Some(BernoulliRates {
+            host: &self.host_rel,
+            sensor: &self.sensor_rel,
+            broadcast: self.broadcast_rel,
+        })
     }
 }
 

@@ -45,7 +45,7 @@
 use crate::behavior::BehaviorMap;
 use crate::bitslice::LaneContext;
 use crate::environment::Environment;
-use crate::fault::FaultInjector;
+use crate::fault::{BernoulliRates, FaultInjector};
 use crate::monitor::LrcMonitor;
 use crate::trace::Trace;
 use logrel_core::{
@@ -542,6 +542,9 @@ impl<T: FaultInjector + ?Sized> FaultInjector for Fwd<'_, T> {
     fn adaptive(&self) -> bool {
         self.0.adaptive()
     }
+    fn bernoulli_rates(&self) -> Option<BernoulliRates<'_>> {
+        self.0.bernoulli_rates()
+    }
 }
 
 impl<T: Environment + ?Sized> Environment for Fwd<'_, T> {
@@ -556,6 +559,9 @@ impl<T: Environment + ?Sized> Environment for Fwd<'_, T> {
     }
     fn is_passive(&self) -> bool {
         self.0.is_passive()
+    }
+    fn constant_reading(&self, comm: CommunicatorId) -> Option<Value> {
+        self.0.constant_reading(comm)
     }
 }
 

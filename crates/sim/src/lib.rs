@@ -60,6 +60,7 @@ pub mod behavior;
 pub mod bitslice;
 pub mod campaign;
 pub mod cosim;
+mod draws;
 pub mod emrun;
 pub mod environment;
 pub mod fault;
@@ -81,8 +82,8 @@ pub use campaign::{
 };
 pub use environment::{ConstantEnvironment, Environment};
 pub use fault::{
-    CorruptingFaults, FaultInjector, HostSilencer, NoFaults, PermanentFaults, ProbabilisticFaults,
-    UnplugAt,
+    BernoulliRates, CorruptingFaults, FaultInjector, HostSilencer, NoFaults, PermanentFaults,
+    ProbabilisticFaults, UnplugAt,
 };
 pub use fuzz::{run_fuzz, FuzzArtifact, FuzzConfig, FuzzOutcome};
 pub use kernel::{SimBuildError, SimConfig, SimOutput, Simulation};

@@ -12,9 +12,12 @@
 //! raising needs mean + ε to fall short.
 //!
 //! One monitor watches a whole lane group: the lanes share the update
-//! instants, so each window is one ring of reliable-lane masks, and once
-//! it is full only the lanes whose bit changed are evaluated again. A
-//! one-lane run is a group of width 1.
+//! instants, so each window is one ring of reliable-lane masks, and the
+//! lanes' counts of reliable updates in the window are bit planes, one
+//! word per bit of the count. Every predicate is monotone in the count,
+//! so it is one integer cut per window length (`WindowCuts`), and an
+//! update evaluates all lanes at once by comparing the planes with the
+//! cuts. A one-lane run is a group of width 1.
 //!
 //! Degradation rules ride on the monitor ([`LrcMonitor::with_rules`])
 //! and turn its alarms into scripted responses: drop a flaky replica
@@ -29,6 +32,7 @@ use logrel_core::{CommunicatorId, HostId, Specification, TaskId, Tick};
 use logrel_obs::ObsEvent;
 use logrel_reliability::hoeffding_epsilon;
 use std::fmt;
+use std::sync::{Arc, Mutex};
 
 /// Configuration of the online monitor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,8 +81,6 @@ pub struct Alarm {
 /// One lane's verdicts on one LRC communicator.
 #[derive(Debug, Clone, Default)]
 struct LaneVerdicts {
-    /// Reliable updates in the lane's current window.
-    ones: usize,
     first_violation: Option<Tick>,
     /// First instant the full-window mean dipped below µ_c by at least
     /// *half* the Hoeffding band — the ground-truth violation the alarm
@@ -95,16 +97,148 @@ struct LaneVerdicts {
     alarm_update: Option<u64>,
 }
 
+/// The monitor's predicates on a window of `n` updates, `ones` of them
+/// reliable, as integer cuts on `ones`, for every length `n` up to a full
+/// window, with the Hoeffding band ε(n).
+///
+/// Each predicate evaluates the monitor's float expression itself — the
+/// mean `ones as f64 / n as f64`, plus ε or ε/2, against µ — and each is
+/// monotone in `ones`: a correctly rounded division and a correctly
+/// rounded sum never decrease when an operand grows. So "raise" (`mean +
+/// ε < µ`) and "dip" (`mean + ε/2 < µ`) hold exactly for `ones` below
+/// their cut, and "clear" (`mean >= µ`) exactly for `ones` at or above
+/// its cut: each cut is the first `ones` in `0..=n` on which the float
+/// predicate flips, found by evaluating it.
+#[derive(Debug)]
+struct WindowCuts {
+    /// Per length `n` (at `n − 1`): ε(n) and the raise and clear cuts.
+    epsilon: Vec<f64>,
+    raise: Vec<u64>,
+    clear: Vec<u64>,
+    /// The dip cut of a full window (a dip needs a full window).
+    dip: u64,
+}
+
+impl WindowCuts {
+    /// The cuts of `lrc` over windows of `window` updates at
+    /// `confidence`, computed once per process and shared: every
+    /// campaign unit builds its monitor anew, and its windows fill
+    /// through every length.
+    fn shared(lrc: f64, window: usize, confidence: f64) -> Arc<WindowCuts> {
+        /// Past this many distinct keys the cache starts over, so a
+        /// long-running service does not grow it without bound.
+        const CAPACITY: usize = 64;
+        type Key = (u64, usize, u64);
+        static CACHE: Mutex<Vec<(Key, Arc<WindowCuts>)>> = Mutex::new(Vec::new());
+        let key = (lrc.to_bits(), window, confidence.to_bits());
+        // Every update below leaves the cache valid (a key is pushed with
+        // its finished cuts, or the cache is emptied), so a panic in
+        // another thread cannot have left it half-updated.
+        let mut cache = CACHE
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        if let Some((_, cuts)) = cache.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(cuts);
+        }
+        let cuts = Arc::new(WindowCuts::new(lrc, window, confidence));
+        if cache.len() == CAPACITY {
+            cache.clear();
+        }
+        cache.push((key, Arc::clone(&cuts)));
+        cuts
+    }
+
+    fn new(lrc: f64, window: usize, confidence: f64) -> Self {
+        let mut cuts = WindowCuts {
+            epsilon: Vec::with_capacity(window),
+            raise: Vec::with_capacity(window),
+            clear: Vec::with_capacity(window),
+            dip: 0,
+        };
+        for n in 1..=window {
+            let epsilon = hoeffding_epsilon(n, confidence);
+            let mean = |ones: u64| ones as f64 / n as f64;
+            // The estimate `(µ − ε)·n` lands within a step or two of the
+            // exact cut; `flip` walks from it to the cut itself.
+            cuts.raise.push(flip(n, (lrc - epsilon) * n as f64, |k| {
+                mean(k) + epsilon < lrc
+            }));
+            cuts.clear.push(flip(n, lrc * n as f64, |k| mean(k) < lrc));
+            if n == window {
+                cuts.dip = flip(n, (lrc - epsilon / 2.0) * n as f64, |k| {
+                    mean(k) + epsilon / 2.0 < lrc
+                });
+            }
+            cuts.epsilon.push(epsilon);
+        }
+        cuts
+    }
+}
+
+/// The number of `ones` in `0..=n` on which `holds` is true, for a
+/// `holds` that is true on a prefix of `0..=n`, starting the walk at the
+/// estimate `guess`.
+fn flip(n: usize, guess: f64, holds: impl Fn(u64) -> bool) -> u64 {
+    let n = n as u64;
+    // Saturating: a NaN or negative guess starts at 0.
+    let mut k = (guess.ceil() as u64).min(n + 1);
+    while k > 0 && !holds(k - 1) {
+        k -= 1;
+    }
+    while k <= n && holds(k) {
+        k += 1;
+    }
+    k
+}
+
+/// The lanes of `lanes` whose bit-sliced count (`planes[b]` holds bit
+/// `b` of every lane's count) is below `cut`: a comparison from the top
+/// bit down, over the lanes whose count equals `cut` on the bits so far.
+#[inline(always)]
+fn count_below(planes: &[u64], cut: u64, lanes: u64) -> u64 {
+    if cut.checked_shr(planes.len() as u32).unwrap_or(0) != 0 {
+        // Above every count the planes can hold.
+        return lanes;
+    }
+    let (mut below, mut equal) = (0, lanes);
+    for (b, &plane) in planes.iter().enumerate().rev() {
+        if equal == 0 {
+            break;
+        }
+        if cut >> b & 1 != 0 {
+            below |= equal & !plane;
+            equal &= plane;
+        } else {
+            equal &= !plane;
+        }
+    }
+    below
+}
+
+/// Lane `lane`'s count in the bit planes `planes`.
+fn lane_count(planes: &[u64], lane: usize) -> u64 {
+    planes
+        .iter()
+        .enumerate()
+        .fold(0, |count, (b, &plane)| count | (plane >> lane & 1) << b)
+}
+
 /// One LRC communicator's window, shared by the whole lane group: every
 /// lane sees the same update instants, so one ring of reliable-lane
-/// masks replaces a ring of bits per lane.
+/// masks replaces a ring of bits per lane, and bit planes of the lanes'
+/// counts replace a count per lane.
 #[derive(Debug, Clone)]
 struct CommWindow {
     lrc: f64,
+    cuts: Arc<WindowCuts>,
     /// The reliable-lane masks of the last `window` updates; once the
     /// window is full, the oldest sits at `next`.
     ring: Vec<u64>,
     next: usize,
+    /// Reliable updates in each lane's window, bit-sliced: plane `b`
+    /// holds bit `b` of every lane's count, and there are enough planes
+    /// for a full window's count.
+    ones: Vec<u64>,
     /// Masks in `ring`: the window length seen by every lane.
     filled: usize,
     /// While the window fills: the lanes that have seen an unreliable
@@ -148,10 +282,6 @@ fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
 #[derive(Debug, Clone)]
 pub struct LrcMonitor {
     config: MonitorConfig,
-    /// `epsilon[i]`: the Hoeffding band of a window of `i + 1` updates,
-    /// for the lengths evaluated so far (grown as the windows fill, up to
-    /// a full window).
-    epsilon: Vec<f64>,
     /// The group's lanes.
     all_mask: u64,
     /// Indexed by communicator; `None` for communicators without an LRC.
@@ -207,17 +337,20 @@ impl LrcMonitor {
             (1..=64).contains(&lanes),
             "monitor needs 1..=64 lanes, got {lanes}"
         );
+        // Enough planes for a count of a full window.
+        let planes = (usize::BITS - config.window.leading_zeros()) as usize;
         LrcMonitor {
             config,
-            epsilon: Vec::new(),
             all_mask: u64::MAX >> (64 - lanes),
             windows: spec
                 .communicator_ids()
                 .map(|c| {
                     spec.communicator(c).lrc().map(|lrc| CommWindow {
                         lrc: lrc.get(),
+                        cuts: WindowCuts::shared(lrc.get(), config.window, config.confidence),
                         ring: vec![0; config.window],
                         next: 0,
+                        ones: vec![0; planes],
                         filled: 0,
                         faulted: 0,
                         updates: 0,
@@ -301,9 +434,10 @@ impl LrcMonitor {
     /// order — a lane fires at most one per update — and, after a raised
     /// alarm, for each rule of `comm` it engages on that lane.
     ///
-    /// ε comes from a table of the band per window length, computed once
-    /// per length and monitor. Two rules skip lanes whose verdicts cannot
-    /// move:
+    /// The lanes' counts move by one bit-plane add of the lanes that
+    /// gained a reliable update and one subtract of those that lost one,
+    /// and the predicates are comparisons of the planes with the window
+    /// length's cuts. Two rules skip updates whose verdicts cannot move:
     ///
     /// - While the window fills, only the lanes that have seen an
     ///   unreliable update are evaluated. Nothing is evicted yet, so any
@@ -318,6 +452,8 @@ impl LrcMonitor {
     ///   leaves mean ≥ µ, so no raise can follow; a dip latches. The rule
     ///   needs the window to have been full *before* the push, so that
     ///   the lane's last evaluation saw the same length and band.
+    ///
+    /// An alarm's mean is computed from its lane's count when it fires.
     pub(crate) fn observe_lanes(
         &mut self,
         comm: CommunicatorId,
@@ -326,10 +462,11 @@ impl LrcMonitor {
         mut fired: impl FnMut(usize, Fired<'_>),
     ) {
         let width = self.alarms.len();
+        let all = self.all_mask;
         let Some(w) = &mut self.windows[comm.index()] else {
             return;
         };
-        let reliable = reliable & self.all_mask;
+        let reliable = reliable & all;
         let was_full = w.filled == w.ring.len();
         let evicted = if was_full {
             w.ring[w.next]
@@ -344,59 +481,63 @@ impl LrcMonitor {
         }
         w.updates += 1;
         let changed = reliable ^ evicted;
-        for li in lanes_of(changed) {
-            if reliable >> li & 1 != 0 {
-                w.lanes[li].ones += 1;
-            } else {
-                w.lanes[li].ones -= 1;
+        if changed != 0 {
+            // Add one on the lanes that gained a reliable update, then
+            // take one off those that lost one, plane by plane.
+            let (mut carry, mut borrow) = (changed & reliable, changed & evicted);
+            for plane in &mut w.ones {
+                let (p, up, down) = (*plane, carry, borrow);
+                *plane = p ^ up ^ down;
+                carry = p & up;
+                borrow = !p & down;
             }
         }
         let evaluate = if was_full {
             changed
         } else {
-            w.faulted |= !reliable & self.all_mask;
+            w.faulted |= !reliable & all;
             w.faulted
         };
         if evaluate == 0 {
             return;
         }
-        let full = w.filled == w.ring.len();
-        while self.epsilon.len() < w.filled {
-            let length = self.epsilon.len() + 1;
-            self.epsilon
-                .push(hoeffding_epsilon(length, self.config.confidence));
-        }
-        let epsilon = self.epsilon[w.filled - 1];
-        for li in lanes_of(evaluate) {
-            let bit = 1u64 << li;
-            let lane = &mut w.lanes[li];
-            let mean = lane.ones as f64 / w.filled as f64;
-            if w.dipped & bit == 0 && full && mean + epsilon / 2.0 < w.lrc {
-                // The full-window mean is under µ_c by half the band: a
-                // ground-truth violation, whether or not the full band
-                // makes it confident enough to alarm.
-                w.dipped |= bit;
+        let n = w.filled;
+        let cuts = &*w.cuts;
+        if n == w.ring.len() {
+            // The full-window mean is under µ_c by half the band: a
+            // ground-truth violation, whether or not the full band makes
+            // it confident enough to alarm.
+            let dips = count_below(&w.ones, cuts.dip, evaluate & !w.dipped);
+            w.dipped |= dips;
+            for li in lanes_of(dips) {
+                let lane = &mut w.lanes[li];
                 lane.first_dip = Some(now);
                 lane.dip_update = Some(w.updates);
             }
-            let kind = if w.active & bit == 0 && mean + epsilon < w.lrc {
-                // Even the optimistic end of the confidence band is
-                // below µ_c: the violation is statistically confident.
-                w.active |= bit;
+        }
+        // Even the optimistic end of the confidence band is below µ_c:
+        // the violation is statistically confident. A raised alarm clears
+        // once the mean itself recovers to µ_c.
+        let (idle, active) = (evaluate & !w.active, evaluate & w.active);
+        let raises = count_below(&w.ones, cuts.raise[n - 1], idle);
+        let clears = active & !count_below(&w.ones, cuts.clear[n - 1], active);
+        w.active ^= raises | clears;
+        let epsilon = cuts.epsilon[n - 1];
+        for li in lanes_of(raises | clears) {
+            let bit = 1u64 << li;
+            let kind = if raises & bit != 0 {
+                let lane = &mut w.lanes[li];
                 lane.alarm_update.get_or_insert(w.updates);
                 lane.first_violation.get_or_insert(now);
                 AlarmKind::Raised
-            } else if w.active & bit != 0 && mean >= w.lrc {
-                w.active &= !bit;
-                AlarmKind::Cleared
             } else {
-                continue;
+                AlarmKind::Cleared
             };
             let alarm = Alarm {
                 comm,
                 at: now,
                 kind,
-                mean,
+                mean: lane_count(&w.ones, li) as f64 / n as f64,
                 epsilon,
                 lrc: w.lrc,
             };
@@ -896,12 +1037,33 @@ mod tests {
         }
     }
 
+    /// Window lengths: the shortest, short odd ones, the production 200,
+    /// and both sides of a power of two (a count of 255 fills eight bit
+    /// planes, one of 256 needs a ninth).
+    fn windows() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            Just(1usize),
+            Just(2usize),
+            Just(3usize),
+            Just(200usize),
+            Just(255usize),
+            Just(256usize),
+            Just(257usize),
+        ]
+    }
+
+    /// Confidences near 0 (the narrowest band), the usual ones, and near 1
+    /// (a band wider than any mean for short windows).
+    fn confidences() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(1e-9), Just(0.9), Just(0.99), Just(1.0 - 1e-9)]
+    }
+
     proptest! {
         #[test]
         fn group_monitor_matches_per_lane_oracle(
             width in 1usize..=64,
-            window in prop_oneof![Just(1usize), Just(2usize), Just(3usize), Just(200usize)],
-            confidence in prop_oneof![Just(0.9), Just(0.99)],
+            window in windows(),
+            confidence in confidences(),
             seed in any::<u64>(),
             updates in 1u64..1200,
         ) {
@@ -914,8 +1076,8 @@ mod tests {
         #[test]
         fn group_monitor_matches_oracle_on_late_failing_lanes(
             width in prop_oneof![Just(1usize), Just(7usize), Just(64usize)],
-            window in prop_oneof![Just(1usize), Just(2usize), Just(3usize), Just(200usize)],
-            confidence in prop_oneof![Just(0.9), Just(0.99)],
+            window in windows(),
+            confidence in confidences(),
             seed in any::<u64>(),
             late in any::<u64>(),
             updates in 1u64..2400,

@@ -22,7 +22,7 @@
 //! monitor fires for one lane — alarm transitions, engaged degradation
 //! rules and their mode switches — reaches the ring verbatim, tagged with
 //! its lane, through [`GroupObs::fired`]. A lane's flight recorder is
-//! rebuilt from the ring only where someone can look at it: at each of
+//! rebuilt from the ring only where someone can look at it: for each of
 //! its alarms (the automatic dump, while the lanes up to it hold fewer
 //! than [`FlightRecorder::MAX_DUMPS`] dumps), and, for lane 0, whose
 //! ring the merged registry keeps, at the end of the run or when a panic
@@ -30,14 +30,19 @@
 //!
 //! Every task read gives every lane at least one event, its vote, so the
 //! last `c` task records (and the verbatim events after the oldest of
-//! them) hold each lane's last `c` events: the ring keeps as many
-//! records as the recorder holds events.
+//! them) hold each lane's last `c` events. An alarm's dump is built from
+//! the ring as it stood at the alarm, but only when the ring is about to
+//! drop a record the dump needs, or at the end of the run: by then a
+//! later alarm on a lower lane may have pushed it past the cap, and it is
+//! dropped unbuilt ([`GroupObs::settle`]). So the ring keeps twice as
+//! many records as the recorder holds events.
 
 use crate::bitslice::MaskTally;
 use crate::monitor::{AlarmKind, Fired};
 use logrel_obs::{
     names, DropReason, Dump, DumpTrigger, FlightRecorder, MetricsSink, ObsEvent, VoteOutcome,
 };
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 // Keys of `GroupObs::counts`. `PER_VOTE + k` counts the votes with
@@ -228,7 +233,17 @@ enum Entry {
     },
 }
 
-/// The event ring of a lane group: at least the last `keep` task reads,
+/// A position in a [`GroupRing`]: the entries and replicas pushed before
+/// it, counted from the start of the run.
+#[derive(Debug, Clone, Copy, Default)]
+struct Mark {
+    entries: u64,
+    replicas: u64,
+    reads: u64,
+}
+
+/// The event ring of a lane group: at least the last `keep` task reads
+/// (twice the recorder capacity, see [`GroupRing::set_keep`]),
 /// and the verbatim events since the oldest of them, oldest first.
 #[derive(Debug, Default)]
 struct GroupRing {
@@ -242,15 +257,42 @@ struct GroupRing {
     replicas: Vec<Replica>,
     evicted: usize,
     reads: usize,
+    /// What was dropped from the front so far: entries, replicas (from
+    /// `replicas` itself) and reads.
+    dropped: Mark,
 }
 
 impl GroupRing {
-    /// Sets the number of reads to keep: the largest recorder capacity.
-    fn set_keep(&mut self, keep: usize) {
-        self.keep = keep;
-        self.slack = (keep / 8).max(1);
+    /// Sets the number of reads to keep: twice the largest recorder
+    /// capacity, the live ring's and as many again for the alarm dumps
+    /// waiting to be built (see [`GroupObs::settle`]). Call it on an
+    /// empty ring: it takes over the storage of the last ring dropped on
+    /// this thread, if any.
+    fn set_keep(&mut self, capacity: usize) {
+        debug_assert!(self.entries.is_empty() && self.replicas.is_empty());
+        self.keep = 2 * capacity;
+        self.slack = (capacity / 8).max(1);
+        if let Some((entries, replicas)) = SPARE_RING.try_with(Cell::take).ok().flatten() {
+            self.entries = entries;
+            self.replicas = replicas;
+        }
         // Room for the reads and a few verbatim events among them.
-        self.entries.reserve(keep + 2 * self.slack);
+        self.entries.reserve(self.keep + 2 * self.slack);
+    }
+
+    /// The position after the last entry.
+    fn mark(&self) -> Mark {
+        Mark {
+            entries: self.dropped.entries + self.entries.len() as u64,
+            replicas: self.dropped.replicas + self.replicas.len() as u64,
+            reads: self.dropped.reads + self.reads as u64,
+        }
+    }
+
+    /// When pushing the next read drops the oldest reads, the first read
+    /// the ring keeps after it.
+    fn front_after_push(&self) -> Option<u64> {
+        (self.reads == self.keep + self.slack).then(|| self.dropped.reads + self.slack as u64 + 1)
     }
 
     fn push_read(&mut self, read: Read, replicas: &[Replica]) {
@@ -283,8 +325,11 @@ impl GroupRing {
         self.entries.drain(..cut);
         self.reads -= reads;
         self.evicted += replicas;
+        self.dropped.entries += cut as u64;
+        self.dropped.reads += reads as u64;
         if self.evicted > self.replicas.len() / 2 {
             self.replicas.drain(..self.evicted);
+            self.dropped.replicas += self.evicted as u64;
             self.evicted = 0;
         }
     }
@@ -294,42 +339,118 @@ impl GroupRing {
     }
 
     /// Lane `lane`'s last `count` events (fewer if the ring holds fewer),
-    /// oldest first: made newest first, walking back from the newest
-    /// entry — a read's vote, then its replicas' events from the last
-    /// replica back.
-    fn tail(&self, lane: usize, count: usize) -> VecDeque<ObsEvent> {
-        let bit = 1u64 << lane;
-        let mut events = VecDeque::with_capacity(count);
-        let mut end = self.replicas.len();
-        for entry in self.entries.iter().rev() {
-            if events.len() >= count {
+    /// oldest first.
+    fn tail(&self, lane: usize, count: usize) -> Vec<ObsEvent> {
+        let mut tails = self.tails(&[(lane, count, self.mark())]);
+        tails.pop().unwrap_or_default()
+    }
+
+    /// For each `(lane, count, mark)` of `wanted`, lane `lane`'s last
+    /// `count` events before `mark` (fewer if the ring holds fewer),
+    /// oldest first, all in one walk back from the last mark. A lane's
+    /// events are made newest first: a read's vote, then its replicas'
+    /// events from the last replica back. A tail is complete at its
+    /// `count`th read back at the latest, since every read gives every
+    /// lane an event.
+    fn tails(&self, wanted: &[(usize, usize, Mark)]) -> Vec<Vec<ObsEvent>> {
+        let mut tails: Vec<Vec<ObsEvent>> = wanted
+            .iter()
+            .map(|&(_, count, _)| Vec::with_capacity(count))
+            .collect();
+        let mut open = wanted.iter().filter(|&&(_, count, _)| count > 0).count();
+        let Some(last) = wanted
+            .iter()
+            .map(|&(_, _, mark)| mark)
+            .max_by_key(|m| m.entries)
+        else {
+            return tails;
+        };
+        let mut end = (last.replicas - self.dropped.replicas) as usize;
+        let entries = (last.entries - self.dropped.entries) as usize;
+        for (i, entry) in self.entries.range(..entries).enumerate().rev() {
+            if open == 0 {
                 break;
             }
-            match entry {
-                Entry::Verbatim { lane: l, event } => {
-                    if *l == lane {
-                        events.push_front(event.clone());
-                    }
-                }
+            let index = self.dropped.entries + i as u64;
+            let replicas = match entry {
                 Entry::Read(read) => {
                     let start = end - read.stored();
-                    let replicas = &self.replicas[start..end];
                     end = start;
-                    events.push_front(read.vote(replicas.iter(), lane));
-                    if read.noisy & bit != 0 {
-                        for rep in replicas.iter().rev() {
-                            rep.lane_events_rev(read.at, read.task, read.exec, bit, |event| {
-                                if events.len() < count {
-                                    events.push_front(event);
-                                }
-                            });
+                    &self.replicas[start..start + read.stored()]
+                }
+                Entry::Verbatim { .. } => &[],
+            };
+            for (&(lane, count, mark), events) in wanted.iter().zip(&mut tails) {
+                if index >= mark.entries || events.len() >= count {
+                    continue;
+                }
+                match entry {
+                    Entry::Verbatim { lane: l, event } => {
+                        if *l == lane {
+                            events.push(event.clone());
+                        }
+                    }
+                    Entry::Read(read) => {
+                        events.push(read.vote(replicas.iter(), lane));
+                        let bit = 1u64 << lane;
+                        if read.noisy & bit != 0 {
+                            for rep in replicas.iter().rev() {
+                                rep.lane_events_rev(read.at, read.task, read.exec, bit, |event| {
+                                    if events.len() < count {
+                                        events.push(event);
+                                    }
+                                });
+                            }
                         }
                     }
                 }
+                if events.len() >= count {
+                    open -= 1;
+                }
             }
         }
-        events
+        for events in &mut tails {
+            events.reverse();
+        }
+        tails
     }
+}
+
+impl Drop for GroupRing {
+    /// Leaves the ring's storage, emptied, for the next group run on this
+    /// thread.
+    fn drop(&mut self) {
+        if self.keep == 0 {
+            return;
+        }
+        let mut entries = std::mem::take(&mut self.entries);
+        let mut replicas = std::mem::take(&mut self.replicas);
+        entries.clear();
+        replicas.clear();
+        let _ = SPARE_RING.try_with(|spare| spare.set(Some((entries, replicas))));
+    }
+}
+
+thread_local! {
+    /// The storage of the last recording group ring dropped on this
+    /// thread, for the next one. A campaign runs unit after unit on a
+    /// thread, and a unit's ring is tens of kilobytes: freeing it at the
+    /// end of each unit and allocating it again at the start of the next
+    /// made the allocator give the top of the heap back and fault it in
+    /// again, about 7% of a 64-lane steer-by-wire unit with a registry.
+    static SPARE_RING: Cell<Option<(VecDeque<Entry>, Vec<Replica>)>> = const { Cell::new(None) };
+}
+
+/// An alarm dump waiting to be built: lane `lane`'s `index`th, of its
+/// last `kept` events before `mark`.
+#[derive(Debug)]
+struct PendingDump {
+    lane: usize,
+    index: usize,
+    at: u64,
+    comm: usize,
+    kept: usize,
+    mark: Mark,
 }
 
 /// The observation state of one lane-group run: counters and the vote
@@ -348,10 +469,12 @@ pub(crate) struct GroupObs {
     reads: u64,
     /// Per lane: events that reached the ring verbatim.
     verbatim: Vec<u64>,
-    /// Per lane: the dumps its one-lane recorder holds, and those built
-    /// in this run, which reach the sink's recorder in lane order.
+    /// Per lane: the dumps its one-lane recorder holds, those built in
+    /// this run, which reach the sink's recorder in lane order, and those
+    /// waiting to be built, in firing order.
     held: Vec<usize>,
     dumps: Vec<Vec<Dump>>,
+    pending: VecDeque<PendingDump>,
     /// Per host: the lanes that last saw it up.
     host_up: Vec<u64>,
     /// The open task read: instant, task, executing lanes, and the
@@ -392,6 +515,7 @@ impl GroupObs {
             verbatim: vec![0; lanes],
             held: vec![0; lanes],
             dumps: (0..lanes).map(|_| Vec::new()).collect(),
+            pending: VecDeque::new(),
             host_up: Vec::new(),
             at: 0,
             task: 0,
@@ -410,11 +534,11 @@ impl GroupObs {
             obs.recording = true;
             obs.capacity = rec.capacity();
             obs.held[0] = rec.dumps().len();
+            obs.ring.set_keep(obs.capacity);
             for event in rec.events() {
                 obs.ring.push_verbatim(0, event.clone());
                 obs.verbatim[0] += 1;
             }
-            obs.ring.set_keep(obs.capacity);
         }
         obs
     }
@@ -512,6 +636,11 @@ impl GroupObs {
                 majority,
                 tie,
             };
+            // A waiting dump reaches back at most `capacity` reads, which
+            // the ring holds until it drops reads.
+            if let Some(front) = self.ring.front_after_push() {
+                self.settle(front);
+            }
             self.ring.push_read(read, &self.open);
         }
         self.open.clear();
@@ -558,10 +687,12 @@ impl GroupObs {
     }
 
     /// Takes `event`, fired by the monitor for lane `lane`: into the ring
-    /// when the sink records, else straight to the sink. An alarm builds
-    /// the lane's dump from the ring, unless the lanes up to it already
-    /// hold [`FlightRecorder::MAX_DUMPS`] dumps: the merged registry
-    /// keeps only the first that many, in lane order.
+    /// when the sink records, else straight to the sink. An alarm gives
+    /// the lane a dump, unless the lanes up to it already hold
+    /// [`FlightRecorder::MAX_DUMPS`] dumps: the merged registry keeps only
+    /// the first that many, in lane order. The dump waits to be built
+    /// ([`GroupObs::settle`]), since a later alarm on a lower lane may
+    /// still push it past the cap.
     fn event<M: MetricsSink + ?Sized>(&mut self, lane: usize, event: &ObsEvent, sink: &mut M) {
         if !self.recording {
             sink.event(event);
@@ -572,13 +703,49 @@ impl GroupObs {
         if let ObsEvent::AlarmRaised { at, comm, .. } = *event {
             if self.held[..=lane].iter().sum::<usize>() < FlightRecorder::MAX_DUMPS {
                 let (_, kept) = self.events(lane);
-                self.dumps[lane].push(Dump {
+                self.pending.push_back(PendingDump {
+                    lane,
+                    index: self.held[lane],
                     at,
-                    trigger: DumpTrigger::AlarmRaised { comm },
-                    events: self.ring.tail(lane, kept).into(),
+                    comm,
+                    kept,
+                    mark: self.ring.mark(),
                 });
                 self.held[lane] += 1;
             }
+        }
+    }
+
+    /// Builds or drops the waiting dumps, oldest first, up to the last
+    /// one whose events reach back before read `front` — the ring is
+    /// about to drop the reads before it. A dump is built only if it is
+    /// still among the first [`FlightRecorder::MAX_DUMPS`] in lane order;
+    /// otherwise the merged registry would drop it, and it is dropped
+    /// here unbuilt. `front = u64::MAX` settles every waiting dump.
+    fn settle(&mut self, front: u64) {
+        let Some(due) = self
+            .pending
+            .iter()
+            .rposition(|dump| dump.mark.reads.saturating_sub(dump.kept as u64) < front)
+        else {
+            return;
+        };
+        let held = &self.held;
+        let built: Vec<PendingDump> = self
+            .pending
+            .drain(..=due)
+            .filter(|dump| {
+                let ahead: usize = held[..dump.lane].iter().sum();
+                ahead + dump.index < FlightRecorder::MAX_DUMPS
+            })
+            .collect();
+        let wanted: Vec<_> = built.iter().map(|d| (d.lane, d.kept, d.mark)).collect();
+        for (dump, events) in built.iter().zip(self.ring.tails(&wanted)) {
+            self.dumps[dump.lane].push(Dump {
+                at: dump.at,
+                trigger: DumpTrigger::AlarmRaised { comm: dump.comm },
+                events,
+            });
         }
     }
 
@@ -664,7 +831,8 @@ impl GroupObs {
             })
             .sum();
         let (_, kept) = self.events(0);
-        rec.install_ring(self.ring.tail(0, kept), evicted);
+        rec.install_ring(self.ring.tail(0, kept).into(), evicted);
+        self.settle(u64::MAX);
         for dump in self.dumps.iter_mut().flat_map(std::mem::take) {
             rec.install_dump(dump.at, dump.trigger, dump.events);
         }
@@ -1102,10 +1270,12 @@ mod tests {
         }
     }
 
-    /// The dump cap's edge: lane 1 dumps early, lane 0 reaches exactly
+    /// The dump cap's edge: lane 1 alarms early, lane 0 reaches exactly
     /// [`FlightRecorder::MAX_DUMPS`] dumps in the middle of the run, and
-    /// later alarms on lanes 1 and 2 are never built — the group sink
-    /// still equals the merged lane sinks, which keep lane 0's dumps only.
+    /// later alarms on lanes 1 and 2 get no dump. Lane 1's early dump,
+    /// pushed past the cap by lane 0's, is dropped unbuilt — the group
+    /// sink still equals the merged lane sinks, which keep lane 0's dumps
+    /// only.
     #[test]
     fn group_dumps_stop_at_the_cap() {
         let read = |at| Step::Read {
@@ -1132,9 +1302,10 @@ mod tests {
         check_against_lane_oracles(&steps, 3, &sink, &None);
 
         let mut group = sink.clone();
-        let obs = drive(&steps, 3, &mut group);
+        let mut obs = drive(&steps, 3, &mut group);
+        obs.settle(u64::MAX);
         let built: Vec<usize> = obs.dumps.iter().map(Vec::len).collect();
-        assert_eq!(built, [FlightRecorder::MAX_DUMPS, 1, 0]);
+        assert_eq!(built, [FlightRecorder::MAX_DUMPS, 0, 0]);
         finish(obs, &mut group, &None);
         let dumps = group.recorder().unwrap().dumps();
         assert!(dumps

@@ -1064,6 +1064,13 @@ impl<E: Environment> Environment for ScenarioEnvironment<E> {
         // forward, so passivity is the inner environment's.
         self.inner.is_passive()
     }
+
+    fn constant_reading(&self, comm: CommunicatorId) -> Option<Value> {
+        // A frozen value is always an earlier fresh one, so a constant
+        // inner reading stays constant through every stuck window (and
+        // the frozen value is read by nothing but `sense`).
+        self.inner.constant_reading(comm)
+    }
 }
 
 #[cfg(test)]

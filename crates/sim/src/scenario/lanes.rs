@@ -15,18 +15,26 @@
 //!   group (every lane makes the same calls in the same order);
 //! * the partition part of delivery and the adversary's pivot rule.
 //!
-//! What remains per lane is its draws ([`ScenarioLanes::draw_host`],
-//! [`ScenarioLanes::draw_bursts`]), made on the lane's own stream in the
-//! order a one-lane run makes them, and folded into lane masks: one
+//! What remains per lane is its draws, made on the lane's own stream in
+//! the order a one-lane run makes them, and folded into lane masks: one
 //! "down" mask per flaky host, wear-out host and common-cause group, a
 //! `bad` and a `lose_now` mask per burst chain, and the adversary's
-//! holds per (host, lane). [`ScenarioInjector`](super::ScenarioInjector)
-//! is the width-1 form of this object.
+//! holds per (host, lane). A lane group draws them site by site for all
+//! its lanes at once ([`ScenarioLanes::draw_host_lanes`],
+//! [`ScenarioLanes::draw_bursts_lanes`]), or lane by lane on a lane's own
+//! generator when the lane's own injector draws in between
+//! ([`ScenarioLanes::draw_host`], [`ScenarioLanes::draw_bursts`]).
+//! The group form compares each draw with the integer cut of its
+//! probability ([`rand::unit_threshold`]), the lane form with the
+//! probability itself; the two decide every draw alike.
+//! [`ScenarioInjector`](super::ScenarioInjector) is the width-1 form of
+//! this object.
 
 use super::{HostSet, Scenario, ScenarioError, ScenarioEvent};
+use crate::draws::LaneRngs;
 use logrel_core::{HostId, Tick};
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{unit_threshold, Rng};
 
 /// A half-open window `[from, until)` carrying `what`.
 #[derive(Debug, Clone, Copy)]
@@ -54,12 +62,16 @@ impl<T> Window<T> {
     }
 }
 
-/// Gilbert–Elliott parameters of one burst window.
+/// Gilbert–Elliott parameters of one burst window, and the integer cuts
+/// of their draws for the group form.
 #[derive(Debug, Clone, Copy)]
 struct Chain {
     p_enter: f64,
     p_exit: f64,
     loss: f64,
+    cut_enter: u64,
+    cut_exit: u64,
+    cut_loss: u64,
 }
 
 /// A host's scripted crash/rejoin state at an instant.
@@ -151,6 +163,9 @@ impl Timeline {
                         p_enter,
                         p_exit,
                         loss,
+                        cut_enter: unit_threshold(p_enter),
+                        cut_exit: unit_threshold(p_exit),
+                        cut_loss: unit_threshold(loss),
                     },
                 )),
                 ScenarioEvent::CommonCause {
@@ -491,6 +506,16 @@ impl ScenarioLanes {
         }
     }
 
+    /// Every lane's draws for the host of the last
+    /// [`ScenarioLanes::begin_host`], site by site over all lanes.
+    #[inline]
+    pub(crate) fn draw_host_lanes(&mut self, rngs: &mut LaneRngs) {
+        for d in &self.host_draws {
+            let below = rngs.below(unit_threshold(d.p));
+            self.down[d.slot as usize] |= if d.down_if { below } else { !below & self.all };
+        }
+    }
+
     /// Plans the burst draws every lane makes at `now`: a transition and
     /// a loss draw per active chain that has not advanced at this instant.
     #[inline]
@@ -528,6 +553,23 @@ impl ScenarioLanes {
             if rng.gen::<f64>() < chain.loss {
                 self.burst_lose[i] |= bit;
             }
+        }
+    }
+
+    /// Every lane's burst draws planned by the last
+    /// [`ScenarioLanes::begin_bursts`], site by site over all lanes: per
+    /// chain, the transition draws, each lane's against the cut of its
+    /// own chain state, then the loss draws.
+    #[inline]
+    pub(crate) fn draw_bursts_lanes(&mut self, rngs: &mut LaneRngs) {
+        for &b in &self.burst_draws {
+            let i = b as usize;
+            let chain = self.tl.bursts[i].what;
+            let bad = self.burst_bad[i];
+            // A Bad lane leaves on a draw under `exit`, a Good one enters
+            // on a draw under `enter`: either way the state flips.
+            self.burst_bad[i] = bad ^ rngs.below_select(bad, chain.cut_exit, chain.cut_enter);
+            self.burst_lose[i] |= rngs.below(chain.cut_loss);
         }
     }
 

@@ -10,9 +10,10 @@
 # defaults to results/. A binary whose own paper-shape asserts fail
 # exits non-zero, and so does this script.
 #
-# Every file is a pure function of the source tree, except
-# exp_refinement.txt: its columns are wall-clock timings, so it changes
-# on every run and no check diffs it (`verify.sh` diffs the rest).
+# Every file is a pure function of the source tree, and `verify.sh`
+# diffs them all: exp_refinement prints only its system sizes to stdout
+# and its wall-clock timing columns to stderr, which this script passes
+# through.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -5,7 +5,8 @@
 //! any of them that moves a draw, a counter or a recorded event shows up
 //! here. `htlc simulate` runs every shipped spec at a short and a long
 //! horizon, and at 2 rounds, where some communicator has no update left
-//! after the two it skips.
+//! after the two it skips; and once at a seed whose two skipped updates
+//! include an unreliable one, so the pin sees how many it skips.
 
 use logrel_core::hash::fnv1a;
 
@@ -55,6 +56,13 @@ const SIMULATE_PINS: [(&str, &str, u64); 7] = [
     ("assets/steer_by_wire.htl", "20000", 0x66a5_973e_bd41_4116),
 ];
 
+/// `(spec, rounds, seed, FNV-1a digest of stdout)` of an `htlc simulate`
+/// run whose skipped first two updates include an unreliable one (`r1`'s
+/// second update): skipping one update fewer or more moves a printed
+/// reliability at this horizon.
+const UNRELIABLE_HEAD_PIN: (&str, &str, u64, u64) =
+    ("assets/three_tank.htl", "100", 170, 0x95a3_c944_30ae_c9bc);
+
 /// The FNV-1a digest of `htlc <args>`'s stdout, run from the repository
 /// root.
 fn stdout_digest(args: &[&str]) -> u64 {
@@ -100,4 +108,35 @@ fn simulate_stdout_is_pinned_on_every_shipped_spec() {
     assert_pinned(
         SIMULATE_PINS.map(|(spec, rounds, pinned)| (vec!["simulate", spec, rounds, "7"], pinned)),
     );
+}
+
+/// The pin at a seed whose first two updates of some communicator — the
+/// two `htlc simulate` skips — include an unreliable one, which a traced
+/// run of the seed's first two rounds shows.
+#[test]
+fn simulate_pin_skips_an_unreliable_update() {
+    let (spec, rounds, seed, pinned) = UNRELIABLE_HEAD_PIN;
+    let source =
+        std::fs::read_to_string(std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(spec))
+            .expect("shipped spec reads");
+    let sys = logrel::lang::compile(&source).expect("shipped spec compiles");
+    let td = logrel::core::TimeDependentImplementation::from(sys.imp.clone());
+    let sim = logrel::sim::Simulation::new(&sys.spec, &sys.arch, &td);
+    let head = sim.run(
+        &mut logrel::sim::BehaviorMap::new(),
+        &mut logrel::sim::ConstantEnvironment::new(logrel::core::Value::Float(1.0)),
+        &mut logrel::sim::ProbabilisticFaults::from_architecture(&sys.arch),
+        &logrel::sim::SimConfig { rounds: 2, seed },
+    );
+    assert!(
+        sys.spec.communicator_ids().any(|c| {
+            let values = head.trace.values(c);
+            values[..values.len().min(2)]
+                .iter()
+                .any(|(_, v)| !v.is_reliable())
+        }),
+        "seed {seed}: the skipped updates are all reliable"
+    );
+    let seed = seed.to_string();
+    assert_pinned([(vec!["simulate", spec, rounds, &seed], pinned)]);
 }
