@@ -11,15 +11,9 @@ fn bench_refinement(c: &mut Criterion) {
         let sys = layered_system(layers, width, 4, 31);
         let kappa = Kappa::identity(&sys.spec);
         let tasks = layers * width;
-        group.bench_with_input(
-            BenchmarkId::new("full_analysis", tasks),
-            &sys,
-            |b, sys| {
-                b.iter(|| {
-                    validate(SystemRef::new(&sys.spec, &sys.arch, &sys.imp)).expect("valid")
-                })
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("full_analysis", tasks), &sys, |b, sys| {
+            b.iter(|| validate(SystemRef::new(&sys.spec, &sys.arch, &sys.imp)).expect("valid"))
+        });
         group.bench_with_input(
             BenchmarkId::new("incremental_check", tasks),
             &(&sys, &kappa),

@@ -6,8 +6,7 @@ use logrel_sched::analyze;
 
 fn bench_sched(c: &mut Criterion) {
     let mut group = c.benchmark_group("sched");
-    for &(layers, width, hosts) in &[(2usize, 4usize, 2usize), (4, 8, 4), (8, 16, 8), (12, 24, 8)]
-    {
+    for &(layers, width, hosts) in &[(2usize, 4usize, 2usize), (4, 8, 4), (8, 16, 8), (12, 24, 8)] {
         let sys = layered_system(layers, width, hosts, 23);
         group.bench_with_input(
             BenchmarkId::new("tasks_hosts", format!("{}x{hosts}", layers * width)),

@@ -22,21 +22,17 @@ fn bench_simulator(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulator");
     for &rounds in &[100u64, 1_000, 10_000] {
         group.throughput(Throughput::Elements(rounds));
-        group.bench_with_input(
-            BenchmarkId::new("kernel", rounds),
-            &rounds,
-            |b, &rounds| {
-                b.iter(|| {
-                    let mut inj = ProbabilisticFaults::from_architecture(&sys.arch);
-                    sim.run(
-                        &mut BehaviorMap::new(),
-                        &mut ConstantEnvironment::new(Value::Float(0.2)),
-                        &mut inj,
-                        &SimConfig { rounds, seed: 5 },
-                    )
-                })
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("kernel", rounds), &rounds, |b, &rounds| {
+            b.iter(|| {
+                let mut inj = ProbabilisticFaults::from_architecture(&sys.arch);
+                sim.run(
+                    &mut BehaviorMap::new(),
+                    &mut ConstantEnvironment::new(Value::Float(0.2)),
+                    &mut inj,
+                    &SimConfig { rounds, seed: 5 },
+                )
+            })
+        });
         group.bench_with_input(
             BenchmarkId::new("reference", rounds),
             &rounds,
@@ -52,28 +48,24 @@ fn bench_simulator(c: &mut Criterion) {
                 })
             },
         );
-        group.bench_with_input(
-            BenchmarkId::new("ecode", rounds),
-            &rounds,
-            |b, &rounds| {
-                b.iter(|| {
-                    let mut inj = ProbabilisticFaults::from_architecture(&sys.arch);
-                    logrel_sim::cosim::run_cosim(
-                        &sys.spec,
-                        &sys.imp,
-                        &mut BehaviorMap::new(),
-                        &mut ConstantEnvironment::new(Value::Float(0.2)),
-                        &mut inj,
-                        sys.arch.host_ids(),
-                        logrel_sim::cosim::CosimParams {
-                            rounds,
-                            seed: 5,
-                            voting: logrel_sim::VotingStrategy::AnyReliable,
-                        },
-                    )
-                })
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("ecode", rounds), &rounds, |b, &rounds| {
+            b.iter(|| {
+                let mut inj = ProbabilisticFaults::from_architecture(&sys.arch);
+                logrel_sim::cosim::run_cosim(
+                    &sys.spec,
+                    &sys.imp,
+                    &mut BehaviorMap::new(),
+                    &mut ConstantEnvironment::new(Value::Float(0.2)),
+                    &mut inj,
+                    sys.arch.host_ids(),
+                    logrel_sim::cosim::CosimParams {
+                        rounds,
+                        seed: 5,
+                        voting: logrel_sim::VotingStrategy::AnyReliable,
+                    },
+                )
+            })
+        });
     }
     group.finish();
 }

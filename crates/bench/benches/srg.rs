@@ -11,9 +11,7 @@ fn bench_srg(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(layers * width),
             &sys,
-            |b, sys| {
-                b.iter(|| compute_srgs(&sys.spec, &sys.arch, &sys.imp).expect("analyzable"))
-            },
+            |b, sys| b.iter(|| compute_srgs(&sys.spec, &sys.arch, &sys.imp).expect("analyzable")),
         );
     }
     group.finish();

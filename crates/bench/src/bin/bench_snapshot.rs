@@ -70,15 +70,15 @@
 
 use logrel_core::json::{self, Json};
 use logrel_core::prelude::*;
+use logrel_obs::export::to_json_line;
 use logrel_obs::{MetricsSink, NoopSink, Registry};
 use logrel_reliability::{compute_srgs, exhaustive_synthesize, synthesize, SynthesisOptions};
-use logrel_obs::export::to_json_line;
 use logrel_serve::pipeline::{campaign_config, replication_context, CompiledSpec, Plan, Symbols};
 use logrel_sim::{
-    derive_seed, run_campaign_unit, run_indexed_units, BehaviorMap, CampaignUnit, ConstantEnvironment, HostSet,
-    LaneContext, LaneMode, LrcMonitor, MonitorConfig, ProbabilisticFaults,
-    Scenario as FaultScenario, ScenarioEnvironment, ScenarioEvent, ScenarioInjector, SimConfig,
-    SimOutput, Simulation,
+    derive_seed, run_campaign_unit, run_indexed_units, BehaviorMap, CampaignUnit,
+    ConstantEnvironment, HostSet, LaneContext, LaneMode, LrcMonitor, MonitorConfig,
+    ProbabilisticFaults, Scenario as FaultScenario, ScenarioEnvironment, ScenarioEvent,
+    ScenarioInjector, SimConfig, SimOutput, Simulation,
 };
 use logrel_threetank::{Scenario, ThreeTankSystem};
 use std::collections::BTreeMap;
@@ -461,7 +461,10 @@ fn compare(
     );
     for &(key, higher_is_better) in GATES {
         let (Some(&base), Some(&cur)) = (baseline.get(key), current.get(key)) else {
-            println!("{key:<42} {:>14} {:>14} {:>8}  skipped (missing)", "-", "-", "-");
+            println!(
+                "{key:<42} {:>14} {:>14} {:>8}  skipped (missing)",
+                "-", "-", "-"
+            );
             continue;
         };
         let delta = if base == 0.0 { 0.0 } else { cur / base - 1.0 };
@@ -559,16 +562,15 @@ fn main() -> ExitCode {
     // single-task WCET decrease against the cold database — only the
     // dirtied cone runs (schedulability transfers by refinement reuse,
     // everything else is green).
-    let steer_db = logrel_query::analyze_source(
-        STEER_SRC,
-        "steer_by_wire.htl",
-        None,
-        &mut NoopSink,
-    )
-    .db
-    .expect("steer-by-wire parses");
+    let steer_db =
+        logrel_query::analyze_source(STEER_SRC, "steer_by_wire.htl", None, &mut NoopSink)
+            .db
+            .expect("steer-by-wire parses");
     let steer_edited = STEER_SRC.replace("wcet torque on ecu_a 5;", "wcet torque on ecu_a 4;");
-    assert_ne!(steer_edited, STEER_SRC, "edit site must exist in the fixture");
+    assert_ne!(
+        steer_edited, STEER_SRC,
+        "edit site must exist in the fixture"
+    );
     let analyze_batch = |source: &str, prior: Option<&logrel_query::QueryDb>, batch: usize| {
         secs(|| {
             for _ in 0..batch {
@@ -945,14 +947,20 @@ fn main() -> ExitCode {
 
     if let Some(baseline_path) = &args.compare {
         let read = std::fs::read_to_string(baseline_path).map_err(|e| e.to_string());
-        let (baseline, current) = match (read.and_then(|t| snapshot_numbers(&t)), snapshot_numbers(&json)) {
+        let (baseline, current) = match (
+            read.and_then(|t| snapshot_numbers(&t)),
+            snapshot_numbers(&json),
+        ) {
             (Ok(baseline), Ok(current)) => (baseline, current),
             (Err(e), _) | (_, Err(e)) => {
                 eprintln!("bench_snapshot: cannot compare with `{baseline_path}`: {e}");
                 return ExitCode::from(1);
             }
         };
-        println!("\ncomparing against {baseline_path} (tolerance {:.0}%):", args.tolerance * 100.0);
+        println!(
+            "\ncomparing against {baseline_path} (tolerance {:.0}%):",
+            args.tolerance * 100.0
+        );
         let regressions =
             compare(&current, &baseline, args.tolerance) + check_ratios(&current, RATIO_BOUNDS);
         if regressions > 0 {

@@ -122,7 +122,10 @@ fn main() {
         println!("{q:>8} {any:>14.5} {maj:>14.5} {analytic:>18.5}");
         if q > 0.0 {
             assert!(maj > any, "majority must dominate under corruption");
-            assert!((maj - analytic).abs() < 0.01, "majority tracks the analytic value");
+            assert!(
+                (maj - analytic).abs() < 0.01,
+                "majority tracks the analytic value"
+            );
         }
     }
     println!(

@@ -34,7 +34,11 @@ fn build(model: FailureModel) -> (Specification, Architecture, TimeDependentImpl
     (spec, arch, imp.into())
 }
 
-fn simulate(spec: &Specification, arch: &Architecture, imp: &TimeDependentImplementation) -> Vec<f64> {
+fn simulate(
+    spec: &Specification,
+    arch: &Architecture,
+    imp: &TimeDependentImplementation,
+) -> Vec<f64> {
     let sim = Simulation::new(spec, arch, imp);
     let mut behaviors = BehaviorMap::new();
     let t = spec.find_task("t").expect("declared");
@@ -73,7 +77,13 @@ fn main() {
     }
     let windows = simulate(&spec, &arch, &imp);
     println!("  simulated per-window reliability (2000 updates each):");
-    println!("    {:?}", windows.iter().map(|x| (x * 1000.0).round() / 1000.0).collect::<Vec<_>>());
+    println!(
+        "    {:?}",
+        windows
+            .iter()
+            .map(|x| (x * 1000.0).round() / 1000.0)
+            .collect::<Vec<_>>()
+    );
     let tail = windows[9];
     assert!(tail == 0.0, "the tail must be all-⊥, got {tail}");
     println!("  → long-run average collapses to 0, as §3 predicts\n");
@@ -87,7 +97,13 @@ fn main() {
     );
     let windows = simulate(&spec, &arch, &imp);
     println!("  simulated per-window reliability:");
-    println!("    {:?}", windows.iter().map(|x| (x * 1000.0).round() / 1000.0).collect::<Vec<_>>());
+    println!(
+        "    {:?}",
+        windows
+            .iter()
+            .map(|x| (x * 1000.0).round() / 1000.0)
+            .collect::<Vec<_>>()
+    );
     let mean: f64 = windows.iter().sum::<f64>() / windows.len() as f64;
     assert!((mean - 0.95).abs() < 0.01, "mean {mean}");
     println!("  → long-run average stays at λ_t = 0.95: the default value breaks the ⊥ chain");

@@ -20,11 +20,15 @@ fn main() {
     assert!(!verdict.is_reliable());
 
     let opts = SynthesisOptions::default();
-    let schedulable = |imp: &logrel_core::Implementation| analyze(&sys.spec, &sys.arch, imp).is_ok();
+    let schedulable =
+        |imp: &logrel_core::Implementation| analyze(&sys.spec, &sys.arch, imp).is_ok();
 
     let greedy = synthesize(&sys.spec, &sys.arch, &sys.imp, &opts, schedulable)
         .expect("the LRC is achievable");
-    println!("\ngreedy synthesis found ({} replicas):", greedy.replication_count());
+    println!(
+        "\ngreedy synthesis found ({} replicas):",
+        greedy.replication_count()
+    );
     for t in sys.spec.task_ids() {
         let hosts: Vec<&str> = greedy
             .hosts_of(t)

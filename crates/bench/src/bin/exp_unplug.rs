@@ -22,8 +22,7 @@ fn run(scenario: Scenario, unplug: bool) -> (f64, Vec<(u64, f64)>) {
     let imp = TimeDependentImplementation::from(sys.imp.clone());
     let sim = Simulation::new(&sys.spec, &sys.arch, &imp);
     let mut behaviors: BehaviorMap = build_behaviors(&sys, &params);
-    let mut env =
-        ThreeTankEnvironment::new(params, sys.ids, 0.001, sys.gains.ref1, sys.gains.ref2);
+    let mut env = ThreeTankEnvironment::new(params, sys.ids, 0.001, sys.gains.ref1, sys.gains.ref2);
     env.perturb_at(Tick::new(PERTURB_AT), 0, 0.3);
     let config = SimConfig {
         rounds: ROUNDS,

@@ -62,9 +62,8 @@ fn main() {
             .expect("analyzable")
             .is_reliable();
         let sched = logrel_sched::analyze(&sys.spec, &sys.arch, &sys.imp).is_ok();
-        let matches = verdict == row.paper_reliable
-            && (lambda_u - row.paper_lambda_u).abs() < 5e-7
-            && sched;
+        let matches =
+            verdict == row.paper_reliable && (lambda_u - row.paper_lambda_u).abs() < 5e-7 && sched;
         all_match &= matches;
         println!(
             "{:<44} {:>12.9} {:>12.9} {:>12.9} {:>9} {:>7}",

@@ -80,11 +80,10 @@ pub fn layered_system(layers: usize, width: usize, hosts: usize, seed: u64) -> G
                 .expect("unique names")
         })
         .collect();
-    let sensor = ab
-        .sensor(SensorDecl::new("sen", rel))
-        .expect("unique name");
+    let sensor = ab.sensor(SensorDecl::new("sen", rel)).expect("unique name");
     for &t in &task_decls {
-        ab.wcet_all(t, 1 + (t.index() as u64 % 3)).expect("hosts exist");
+        ab.wcet_all(t, 1 + (t.index() as u64 % 3))
+            .expect("hosts exist");
         ab.wctt_all(t, 1).expect("hosts exist");
     }
     let arch = ab.build();
