@@ -24,14 +24,16 @@
 
 pub mod analysis;
 pub mod bus;
-pub mod dbf;
+// The processor-demand criterion is an analytical oracle for the EDF
+// simulation, cross-checked by its own unit tests and used by nothing else.
+#[cfg(test)]
+mod dbf;
 pub mod edf;
 pub mod error;
 pub mod latency;
 pub mod schedule;
 
 pub use analysis::{analyze, analyze_time_dependent};
-pub use dbf::processor_demand_check;
 pub use latency::{data_ages, DataAges};
 pub use error::SchedError;
 pub use schedule::{BusSlot, ExecSlot, Schedule};

@@ -5,8 +5,10 @@
 #
 # Builds `htlc` and the `logrel-bench` binaries (release), then writes
 # the stdout of every experiment binary (`exp_*`, `fig1_timeline`,
-# `table_3ts`) to DIR/<binary>.txt and the `htlc check` + `htlc latency`
-# report of the three-tank asset to DIR/htlc_check_three_tank.txt. DIR
+# `table_3ts`) to DIR/<binary>.txt, the stdout of the `steer_by_wire`
+# example (EXPERIMENTS X5) to DIR/steer_by_wire.txt and the `htlc check`
+# + `htlc latency` report of the three-tank asset to
+# DIR/htlc_check_three_tank.txt. DIR
 # defaults to results/. A binary whose own paper-shape asserts fail
 # exits non-zero, and so does this script.
 #
@@ -22,12 +24,15 @@ mkdir -p "$out"
 
 cargo build --release -q
 cargo build --release -q -p logrel-bench --bins
+cargo build --release -q --example steer_by_wire
 
 for src in crates/bench/src/bin/exp_*.rs crates/bench/src/bin/fig1_timeline.rs \
            crates/bench/src/bin/table_3ts.rs; do
     bin=$(basename "$src" .rs)
     "target/release/$bin" > "$out/$bin.txt"
 done
+
+target/release/examples/steer_by_wire > "$out/steer_by_wire.txt"
 
 {
     target/release/htlc check assets/three_tank.htl

@@ -22,10 +22,11 @@ cargo test -q -p logrel-sim > /dev/null
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# The simulator and the vendored rand crate are rustfmt-clean; the rest
-# of the workspace is not yet, so the check covers these two.
-echo "==> cargo fmt --check (logrel-sim, rand)"
-cargo fmt --check -p logrel-sim -p rand
+# The simulator, the vendored rand crate and the benchmark binaries are
+# rustfmt-clean; the rest of the workspace is not yet, so the check
+# covers these three.
+echo "==> cargo fmt --check (logrel-sim, rand, logrel-bench)"
+cargo fmt --check -p logrel-sim -p rand -p logrel-bench
 
 echo "==> cargo doc (every workspace crate but the vendored shims)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace \
