@@ -24,11 +24,11 @@ fn bench_simulator(c: &mut Criterion) {
         group.throughput(Throughput::Elements(rounds));
         group.bench_with_input(BenchmarkId::new("kernel", rounds), &rounds, |b, &rounds| {
             b.iter(|| {
-                let mut inj = ProbabilisticFaults::from_architecture(&sys.arch);
+                let inj = ProbabilisticFaults::from_architecture(&sys.arch);
                 sim.run(
                     &mut BehaviorMap::new(),
                     &mut ConstantEnvironment::new(Value::Float(0.2)),
-                    &mut inj,
+                    &inj,
                     &SimConfig { rounds, seed: 5 },
                 )
             })

@@ -78,7 +78,7 @@ use logrel_sim::{
     derive_seed, run_campaign_unit, run_indexed_units, BehaviorMap, CampaignUnit,
     ConstantEnvironment, HostSet, LaneContext, LaneMode, LrcMonitor, MonitorConfig,
     ProbabilisticFaults, Scenario as FaultScenario, ScenarioEnvironment, ScenarioEvent,
-    ScenarioInjector, SimConfig, SimOutput, Simulation,
+    ScenarioFaults, SimConfig, SimOutput, Simulation,
 };
 use logrel_threetank::{Scenario, ThreeTankSystem};
 use std::collections::BTreeMap;
@@ -356,20 +356,15 @@ fn run_sim(sim: &Simulation, arch: &Architecture, mode: &Mode) -> SimOutput {
         seed: 5,
     };
     match mode {
-        Mode::Kernel => sim.run(&mut behaviors, &mut env, &mut inj, &config),
+        Mode::Kernel => sim.run(&mut behaviors, &mut env, &inj, &config),
         Mode::Reference => sim.run_reference(&mut behaviors, &mut env, &mut inj, &config),
-        Mode::ObservedNoop => sim.run_observed(
-            &mut behaviors,
-            &mut env,
-            &mut inj,
-            None,
-            &mut NoopSink,
-            &config,
-        ),
+        Mode::ObservedNoop => {
+            sim.run_observed(&mut behaviors, &mut env, &inj, None, &mut NoopSink, &config)
+        }
         Mode::ObservedRegistry => sim.run_observed(
             &mut behaviors,
             &mut env,
-            &mut inj,
+            &inj,
             None,
             &mut Registry::new(),
             &config,
@@ -751,7 +746,7 @@ fn main() -> ExitCode {
         let mut behaviors = BehaviorMap::new();
         let mut env =
             ScenarioEnvironment::new(ConstantEnvironment::new(Value::Float(0.2)), scn, comms);
-        let mut inj = ScenarioInjector::new(
+        let inj = ScenarioFaults::new(
             ProbabilisticFaults::from_architecture(&sys.arch),
             scn,
             sys.arch.host_count(),
@@ -762,7 +757,7 @@ fn main() -> ExitCode {
             rounds: SIM_ROUNDS,
             seed: 5,
         };
-        secs(|| sim.run(&mut behaviors, &mut env, &mut inj, &config))
+        secs(|| sim.run(&mut behaviors, &mut env, &inj, &config))
     };
     let scenario = sample(&mut [&mut || scenario_run(&scenario_plain), &mut || {
         scenario_run(&scenario_correlated)

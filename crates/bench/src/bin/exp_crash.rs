@@ -5,9 +5,10 @@
 //! closed-form mission analysis of `logrel-reliability::mission` against
 //! the crash-fault simulator for replication degrees 1–3.
 //!
-//! The trials run as one fault-free-scenario campaign
-//! (`logrel_sim::Campaign`): per-trial seeds are derived from the base
-//! seed, so the reported numbers are independent of the worker count.
+//! The trials run as one campaign (`logrel_sim::Campaign`) whose scenario
+//! is one `hazard` event per host over no transient faults: per-trial
+//! seeds are derived from the base seed, so the reported numbers are
+//! independent of the worker count.
 //! The simulated fraction counts every update of `u`, the initial one at
 //! t = 0 included.
 //!
@@ -17,8 +18,8 @@ use logrel_core::prelude::*;
 use logrel_obs::{NoopSink, Registry};
 use logrel_reliability::mission::{expected_delivered_fraction, replication_for_mission};
 use logrel_sim::{
-    BatchConfig, BehaviorMap, Campaign, CampaignConfig, ConstantEnvironment, PermanentFaults,
-    ReplicationContext, Scenario, Simulation,
+    BatchConfig, BehaviorMap, Campaign, CampaignConfig, ConstantEnvironment, NoFaults,
+    ReplicationContext, Scenario, ScenarioEvent, Simulation,
 };
 
 const HAZARD: f64 = 0.002; // per-round crash probability per host
@@ -90,14 +91,19 @@ fn main() {
             },
             ..CampaignConfig::default()
         };
-        let report = Campaign::new(&spec, Scenario::new(), config, arch.host_count(), 0)
+        let hazards = arch
+            .host_ids()
+            .map(|host| ScenarioEvent::Hazard { host, p: HAZARD })
+            .collect();
+        let scenario = Scenario::from_events(hazards).expect("valid hazards");
+        let report = Campaign::new(&spec, scenario, config, arch.host_count(), 0)
             .and_then(|campaign| {
                 campaign.run::<NoopSink, _, _>(
                     &sim,
                     |_trial| ReplicationContext {
                         behaviors: BehaviorMap::new(),
                         environment: ConstantEnvironment::new(Value::Float(1.0)),
-                        injector: PermanentFaults::new(vec![HAZARD; k]),
+                        injector: NoFaults,
                     },
                     &[],
                     &mut Registry::new(),

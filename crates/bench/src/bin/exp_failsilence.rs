@@ -2,7 +2,8 @@
 //! assumes hosts are fail-silent (its ref \[2\]: achievable "at a
 //! reasonable cost") and therefore votes by taking *any* delivered value.
 //! Here we violate the assumption: faulty replicas deliver corrupted
-//! values instead of staying silent, with probability `q` per invocation.
+//! values instead of staying silent, with probability `q` per invocation
+//! (a `corrupt` scenario event per host, over no transient faults).
 //! Any-reliable voting degrades linearly with the corruption rate (one bad
 //! replica can poison the communicator); majority voting over 3 replicas
 //! recovers all but the multi-corruption rounds.
@@ -17,8 +18,8 @@
 use logrel_core::prelude::*;
 use logrel_obs::NoopSink;
 use logrel_sim::{
-    derive_seed, BehaviorMap, ConstantEnvironment, CorruptingFaults, LaneContext, Simulation,
-    VotingStrategy,
+    derive_seed, BehaviorMap, ConstantEnvironment, LaneContext, NoFaults, Scenario, ScenarioEvent,
+    ScenarioFaults, Simulation, VotingStrategy,
 };
 
 const ROUNDS: u64 = 5_000;
@@ -79,11 +80,28 @@ fn correct_fraction(
     sim.set_voting(strategy);
     let mut behaviors = BehaviorMap::new();
     behaviors.register(t, |_: &[Value]| vec![Value::Float(TRUTH)]);
+    let corrupt = Scenario::from_events(
+        arch.host_ids()
+            .map(|host| ScenarioEvent::Corrupt {
+                host,
+                p: corruption,
+                value: GARBAGE,
+            })
+            .collect(),
+    )
+    .expect("a probability");
+    let faults = ScenarioFaults::new(
+        NoFaults,
+        &corrupt,
+        arch.host_count(),
+        spec.communicator_count(),
+    )
+    .expect("hosts in range");
     let mut lanes: Vec<_> = (0..REPLICATIONS)
         .map(|rep| {
             LaneContext::plain(
                 derive_seed(31, rep),
-                CorruptingFaults::new(corruption, GARBAGE),
+                faults.clone(),
                 ConstantEnvironment::new(Value::Float(0.0)),
             )
         })

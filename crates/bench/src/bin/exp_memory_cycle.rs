@@ -45,11 +45,11 @@ fn simulate(
     behaviors.register(t, |i: &[Value]| {
         vec![Value::Float(i[0].as_float().unwrap_or(0.0) + 1.0)]
     });
-    let mut inj = ProbabilisticFaults::from_architecture(arch);
+    let inj = ProbabilisticFaults::from_architecture(arch);
     let out = sim.run(
         &mut behaviors,
         &mut ConstantEnvironment::new(Value::Float(0.0)),
-        &mut inj,
+        &inj,
         &SimConfig {
             rounds: 20_000,
             seed: 13,

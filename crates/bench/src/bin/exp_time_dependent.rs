@@ -82,11 +82,11 @@ fn main() {
 
     // Confirm by simulation.
     let sim = Simulation::new(&spec, &arch, &td);
-    let mut inj = ProbabilisticFaults::from_architecture(&arch);
+    let inj = ProbabilisticFaults::from_architecture(&arch);
     let out = sim.run(
         &mut BehaviorMap::new(),
         &mut ConstantEnvironment::new(Value::Float(1.0)),
-        &mut inj,
+        &inj,
         &SimConfig {
             rounds: 100_000,
             seed: 21,

@@ -4,11 +4,14 @@
 //!
 //! Paper: "We unplugged one of the two hosts from the network and verified
 //! that there was no change in the control performance of the system."
+//! The unplug is a scenario `crash` without a `rejoin`.
 //!
 //! Run with: `cargo run -p logrel-bench --bin exp_unplug`
 
 use logrel_core::{Tick, TimeDependentImplementation};
-use logrel_sim::{BehaviorMap, NoFaults, SimConfig, Simulation, UnplugAt};
+use logrel_sim::{
+    BehaviorMap, NoFaults, Scenario as Faults, ScenarioFaults, SimConfig, Simulation,
+};
 use logrel_threetank::behaviors::build_behaviors;
 use logrel_threetank::{PlantParams, Scenario, ThreeTankEnvironment, ThreeTankSystem};
 
@@ -29,10 +32,12 @@ fn run(scenario: Scenario, unplug: bool) -> (f64, Vec<(u64, f64)>) {
         seed: 42,
     };
     if unplug {
-        let mut inj = UnplugAt::new(NoFaults, sys.ids.h1, Tick::new(UNPLUG_AT));
-        sim.run(&mut behaviors, &mut env, &mut inj, &config);
+        let unplug = Faults::unplug(sys.ids.h1, Tick::new(UNPLUG_AT));
+        let (hosts, comms) = (sys.arch.host_count(), sys.spec.communicator_count());
+        let faults = ScenarioFaults::new(NoFaults, &unplug, hosts, comms).expect("h1 is a host");
+        sim.run(&mut behaviors, &mut env, &faults, &config);
     } else {
-        sim.run(&mut behaviors, &mut env, &mut NoFaults, &config);
+        sim.run(&mut behaviors, &mut env, &NoFaults, &config);
     }
     let series: Vec<(u64, f64)> = env
         .error_log()

@@ -2,8 +2,8 @@
 //!
 //! The paper's SRG model is *transient*: each invocation fails
 //! independently and the long-run average is governed by the SLLN. Under
-//! the complementary *crash* regime (a host that fails stays silent — the
-//! `PermanentFaults` injector of `logrel-sim`), long-run averages are
+//! the complementary *crash* regime (a host that fails stays silent — a
+//! `hazard` event of a `logrel-sim` scenario), long-run averages are
 //! degenerate: eventually every replica is dead. The meaningful question
 //! becomes mission-horizon reliability:
 //!

@@ -18,28 +18,27 @@
 //! # Lane semantics
 //!
 //! Lane `i` replays replication `i` *exactly*: it owns a private RNG
-//! seeded with lane `i`'s seed, plus its own fault injector and
-//! environment ([`LaneContext`]). At every site that consumes a draw or
-//! calls a hook, the kernel loops over the lanes and performs the call
-//! on the lane's own context, in lane order — so each lane's RNG stream
-//! is the one a one-lane run of the same seed produces, whatever the
-//! group width. For the run the lanes' generator states are held word by
-//! word (`draws.rs`), so when every lane's injector promises fixed
-//! Bernoulli draws ([`FaultInjector::bernoulli_rates`]) a draw site is
-//! one lockstep loop over the lanes' generators, and when every lane's
-//! environment promises a constant reading
-//! ([`Environment::constant_reading`]) a sensor update is one value
-//! class; otherwise the hooks are called lane by lane over the same
-//! storage. The kernel's only watch is one group [`LrcMonitor`], and
-//! its only metrics sink is one group sink, both outside the lanes (see
-//! below).
+//! seeded with lane `i`'s seed and its own environment ([`LaneContext`]).
+//! Its faults are data ([`FaultModel`]): the per-invocation success
+//! probabilities and one scenario [`Timeline`], the same for every lane
+//! of the group (a group whose lanes carry unequal models is rejected).
+//! So the sequence of draw sites at an instant follows from the round
+//! program and the timeline alone, and every site is one lockstep loop
+//! over the lanes' generators, held word by word for the run
+//! (`draws.rs`). A site where only some lanes draw — a crash hazard on
+//! the lanes whose host is alive, a corruption on the lanes that
+//! delivered — steps the others without keeping their new state. Each
+//! lane's stream is then the one a one-lane run of the same seed draws,
+//! whatever the group width. The timeline is evaluated once per group at
+//! each (replica, instant) (`scenario/lanes.rs`), and the lanes fold its
+//! draws into lane masks.
 //!
-//! A campaign unit adds one group scenario layer over the lanes' base
-//! injectors (`scenario/lanes.rs`): the timeline is evaluated once per
-//! group at each (replica, instant), and the lanes only make their
-//! scenario draws, between their inner host and broadcast draws, and
-//! fold them into lane masks. The public entry points run under the
-//! empty layer, which draws nothing.
+//! The environments keep real per-lane state (closed-loop plants), so
+//! they stay hooks: when every lane's environment promises a constant
+//! reading ([`Environment::constant_reading`]) a sensor update is one
+//! value class, otherwise each lane senses on its own. The kernel's only
+//! watch is one group [`LrcMonitor`], and its only metrics sink is one
+//! group sink, both outside the lanes (see below).
 //!
 //! # What a run records
 //!
@@ -74,14 +73,13 @@
 //!
 //! # Corruption and the fast path
 //!
-//! When no lane's injector can corrupt outputs
-//! ([`FaultInjector::corrupts`] is `false` for every lane), all delivering
-//! replicas of a lane hold the identical voted-in value, so voting
-//! reduces to mask intersection and the per-replica output buffers are
-//! never materialized. A corrupting injector on any lane switches the
-//! whole run to the slow path, which stores per-(replica, lane) output
-//! rows and votes each lane with [`vote_into`] — still bit-identical,
-//! just without the class compression on the vote.
+//! When the timeline has no `corrupt` event, all delivering replicas of a
+//! lane hold the identical voted-in value, so voting reduces to mask
+//! intersection and the per-replica output buffers are never
+//! materialized. A `corrupt` event switches the run to the slow path,
+//! which stores per-(replica, lane) output rows and votes each lane with
+//! [`vote_into`] — still bit-identical, just without the class
+//! compression on the vote.
 //!
 //! [`RoundProgram`]: logrel_core::RoundProgram
 //! [`vote_into`]: crate::voting::vote_into
@@ -89,14 +87,14 @@
 use crate::behavior::BehaviorMap;
 use crate::draws::LaneRngs;
 use crate::environment::Environment;
-use crate::fault::FaultInjector;
+use crate::fault::{FaultModel, ProbabilisticFaults};
 use crate::kernel::{task_audiences, warm_after_rejoin, SimOutput, Simulation, TaskStats};
 use crate::monitor::LrcMonitor;
 use crate::observe::{GroupObs, ReplicaMasks};
-use crate::scenario::{CrashState, ScenarioLanes};
+use crate::scenario::{CrashState, ScenarioLanes, Timeline};
 use crate::trace::Trace;
 use logrel_core::roundprog::UpdateOp;
-use logrel_core::{CommunicatorId, FailureModel, HostId, TaskId, Tick, Value};
+use logrel_core::{CommunicatorId, FailureModel, TaskId, Tick, Value};
 use logrel_obs::{names, MetricsSink, NoopSink, VoteOutcome};
 use rand::rngs::StdRng;
 use rand::{unit_threshold, SeedableRng};
@@ -330,11 +328,12 @@ impl BitslicedOutput {
     }
 }
 
-/// One lane's private execution context: seeded RNG, fault injector and
+/// One lane's private execution context: seeded RNG, fault model and
 /// environment.
 ///
-/// Every draw and hook call of the lane's replication happens on this
-/// context, in the order a one-lane run of seed `seed` makes them.
+/// Every draw of the lane's replication is made on its generator, in the
+/// order a one-lane run of seed `seed` makes them. The fault model is
+/// data, and every lane of a group must carry an equal one.
 #[derive(Debug, Clone)]
 pub struct LaneContext<I, E> {
     rng: StdRng,
@@ -344,8 +343,10 @@ pub struct LaneContext<I, E> {
 
 impl<I, E> LaneContext<I, E> {
     /// The lane of the replication of seed `seed` (the
-    /// [`SimConfig::seed`](crate::SimConfig) of a one-lane run) over
-    /// `injector` and `environment`.
+    /// [`SimConfig::seed`](crate::SimConfig) of a one-lane run) under
+    /// the fault model `injector` and over `environment`. (The name and
+    /// the parameter's are the ones the benchmark's replay calls; ROADMAP
+    /// item 1 may rename them.)
     pub fn plain(seed: u64, injector: I, environment: E) -> Self {
         LaneContext {
             rng: StdRng::seed_from_u64(seed),
@@ -354,59 +355,53 @@ impl<I, E> LaneContext<I, E> {
         }
     }
 
-    /// The lane's random stream.
-    #[cfg(test)]
-    pub(crate) fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
+    /// The lane's random stream, where its draws have left it.
+    pub fn rng(&self) -> &StdRng {
+        &self.rng
     }
 }
 
-/// One replica of a task read, as the lanes' own hooks see it.
-struct Replica<'a> {
-    host: HostId,
-    now: Tick,
-    round: u64,
-    /// The task's partition audience, when a lane's own injector may
-    /// partition.
-    audience: Option<&'a [HostId]>,
-    /// Whether each lane's own injector decides the warm-up (the group
-    /// layer scripts nothing for the host).
-    warm_per_lane: bool,
-    /// The lanes on which an engaged degradation rule drops the replica.
-    excluded: u64,
+/// The fault model every lane of `lanes` carries: its rates and its
+/// timeline.
+///
+/// # Panics
+///
+/// Panics if two lanes carry unequal fault models: a group runs one.
+pub(crate) fn group_model<I: FaultModel, E>(
+    lanes: &[LaneContext<I, E>],
+) -> (Option<&ProbabilisticFaults>, Option<&Timeline>) {
+    fn model<I: FaultModel, E>(
+        lane: &LaneContext<I, E>,
+    ) -> (Option<&ProbabilisticFaults>, Option<&Timeline>) {
+        (lane.injector.rates(), lane.injector.timeline())
+    }
+    let first = lanes.first().map_or((None, None), model);
+    for (li, lane) in lanes.iter().enumerate().skip(1) {
+        assert!(
+            model(lane) == first,
+            "a lane group runs one fault model, but lane {li}'s differs from lane 0's"
+        );
+    }
+    first
 }
 
-/// The draws of a run whose lanes all make the same Bernoulli promise
-/// ([`FaultInjector::bernoulli_rates`]): per host and per sensor the
-/// integer cut ([`unit_threshold`]) of its success probability, and the
+/// The draws of the group's rates: per host and per sensor the integer
+/// cut ([`unit_threshold`]) of its success probability, and the
 /// broadcast's, `None` when the broadcast never fails and draws nothing.
-struct SharedCuts {
+struct Cuts {
     host: Vec<u64>,
     sensor: Vec<u64>,
     broadcast: Option<u64>,
 }
 
-impl SharedCuts {
-    /// The lanes' shared promise, if every lane makes the same one.
-    fn of<I: FaultInjector, E>(lanes: &[LaneContext<I, E>]) -> Option<Self> {
-        let (first, rest) = lanes.split_first()?;
-        let rates = first.injector.bernoulli_rates()?;
-        if !rest
-            .iter()
-            .all(|lane| lane.injector.bernoulli_rates() == Some(rates))
-        {
-            return None;
-        }
+impl Cuts {
+    fn of(rates: &ProbabilisticFaults) -> Self {
         let cuts = |ps: &[f64]| ps.iter().map(|&p| unit_threshold(p)).collect();
-        Some(SharedCuts {
-            host: cuts(rates.host),
-            sensor: cuts(rates.sensor),
-            broadcast: if rates.broadcast >= 1.0 {
-                None
-            } else {
-                Some(unit_threshold(rates.broadcast))
-            },
-        })
+        Cuts {
+            host: cuts(rates.host()),
+            sensor: cuts(rates.sensor()),
+            broadcast: rates.broadcast().map(unit_threshold),
+        }
     }
 }
 
@@ -431,92 +426,54 @@ fn shared_reading<I, E: Environment>(
         .filter(|&v| same(v))
 }
 
-/// Every lane's draws for `r` under the lanes' shared Bernoulli promise,
-/// site by site over all lanes, each lane in its stream order — the
-/// inner host draw, the group layer's host draws, the inner broadcast
-/// draw, the layer's burst draws — as masks. The promise keeps
-/// `rejoined_at` at its default, so the lanes' own warm-up verdict is
-/// "warm". Specialized on `SCRIPTED`, so the loop of a run without a
-/// scenario carries no layer call.
+/// Every lane's draws for the replica on host `h`, site by site over all
+/// lanes, each lane in its stream order — the rates' host draw, the
+/// timeline's host draws, the rates' broadcast draw, the timeline's burst
+/// draws — as the host and broadcast masks. Specialized on `SCRIPTED`, so
+/// the loop of a run without a timeline carries no layer call.
 #[inline(always)]
-fn sample_shared<const SCRIPTED: bool>(
+fn sample<const SCRIPTED: bool>(
     rngs: &mut LaneRngs,
     layer: &mut ScenarioLanes,
-    cuts: &SharedCuts,
+    cuts: Option<&Cuts>,
     all: u64,
-    r: &Replica<'_>,
-) -> ReplicaMasks {
-    let host_ok = rngs.below(cuts.host[r.host.index()]);
+    h: usize,
+) -> (u64, u64) {
+    let host_ok = cuts.map_or(all, |c| rngs.below(c.host[h]));
     if SCRIPTED {
         layer.draw_host_lanes(rngs);
     }
-    let bc_ok = cuts.broadcast.map_or(all, |cut| rngs.below(cut));
+    let bc_ok = cuts
+        .and_then(|c| c.broadcast)
+        .map_or(all, |cut| rngs.below(cut));
     if SCRIPTED {
         layer.draw_bursts_lanes(rngs);
     }
-    ReplicaMasks {
-        host: r.host.index(),
-        host_ok,
-        bc_ok,
-        warm: if r.warm_per_lane { all } else { 0 },
-        excluded: r.excluded,
-    }
+    (host_ok, bc_ok)
 }
 
-/// Makes every lane's own calls for `r`, lane by lane on the lane's
-/// generator, each lane in its stream order — the inner host draw, the
-/// group layer's host draws, the inner broadcast draw, the layer's burst
-/// draws — and folds the outcomes into masks: the inner host and
-/// broadcast outcomes (a replica cut off from any audience host counts as
-/// a broadcast drop) and the lanes' own warm-up verdicts, beside the
-/// replica's exclusion mask. Specialized on `SCRIPTED`, so the loop of a
-/// run without a scenario carries no layer call.
-#[inline(always)]
-fn sample_lanes<const SCRIPTED: bool, I, E>(
-    lanes: &mut [LaneContext<I, E>],
-    rngs: &mut LaneRngs,
-    layer: &mut ScenarioLanes,
-    r: &Replica<'_>,
-) -> ReplicaMasks
-where
-    I: FaultInjector,
-{
-    let mut m = ReplicaMasks {
-        host: r.host.index(),
-        host_ok: 0,
-        bc_ok: 0,
-        warm: 0,
-        excluded: r.excluded,
-    };
-    for (li, lane) in lanes.iter_mut().enumerate() {
-        let bit = 1u64 << li;
-        let injector = &mut lane.injector;
-        let (host_ok, bc_ok) = rngs.with_lane(li, |rng| {
-            let host_ok = injector.host_ok(r.host, r.now, rng);
-            if SCRIPTED {
-                layer.draw_host(rng, bit);
-            }
-            let bc_ok = injector.broadcast_ok(r.host, r.now, rng)
-                && r.audience
-                    .is_none_or(|a| a.iter().all(|&rcv| injector.delivers(r.host, rcv, r.now)));
-            if SCRIPTED {
-                layer.draw_bursts(rng, bit);
-            }
-            (host_ok, bc_ok)
-        });
-        let warm = r.warm_per_lane
-            && warm_after_rejoin(injector.rejoined_at(r.host, r.now), r.now, r.round);
-        m.host_ok |= u64::from(host_ok) << li;
-        m.bc_ok |= u64::from(bc_ok) << li;
-        m.warm |= u64::from(warm) << li;
+/// A group's fault model, ready for the rounds: the cuts of its rates
+/// (`None`: nothing ever fails, nothing is drawn) and its timeline run
+/// for the group's lanes.
+pub(crate) struct GroupFaults {
+    cuts: Option<Cuts>,
+    layer: ScenarioLanes,
+}
+
+impl GroupFaults {
+    /// The fault model of `rates` under `layer`.
+    pub(crate) fn new(rates: Option<&ProbabilisticFaults>, layer: ScenarioLanes) -> Self {
+        GroupFaults {
+            cuts: rates.map(Cuts::of),
+            layer,
+        }
     }
-    m
 }
 
 impl<'a> Simulation<'a> {
     /// Runs 1..=64 replications bit-sliced in one pass over the round
     /// program. Lane `i` replays the replication of `lanes[i]`'s seed,
-    /// injector and environment exactly; see the module docs for the
+    /// fault model and environment exactly; see the module docs for the
     /// shared-behaviors purity contract and the fast/slow path split.
     ///
     /// The run is unobserved; [`Simulation::run_monitored`] reports to a
@@ -524,7 +481,8 @@ impl<'a> Simulation<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` is empty or holds more than 64 contexts.
+    /// Panics if `lanes` is empty or holds more than 64 contexts, or if
+    /// two lanes carry unequal fault models (a group runs one).
     pub fn run_bitsliced<I, E>(
         &self,
         behaviors: &mut BehaviorMap,
@@ -532,10 +490,19 @@ impl<'a> Simulation<'a> {
         rounds: u64,
     ) -> BitslicedOutput
     where
-        I: FaultInjector,
+        I: FaultModel,
         E: Environment,
     {
-        self.run_plain(behaviors, lanes, None, &mut NoopSink, rounds, &mut ())
+        let mut faults = self.group_faults(lanes);
+        self.run_lanes(
+            behaviors,
+            lanes,
+            None,
+            &mut NoopSink,
+            &mut faults,
+            rounds,
+            &mut (),
+        )
     }
 
     /// [`Simulation::run_bitsliced`] watched by one group [`LrcMonitor`]
@@ -563,11 +530,20 @@ impl<'a> Simulation<'a> {
         rounds: u64,
     ) -> BitslicedOutput
     where
-        I: FaultInjector,
+        I: FaultModel,
         E: Environment,
         M: MetricsSink + ?Sized,
     {
-        self.run_plain(behaviors, lanes, Some(monitor), sink, rounds, &mut ())
+        let mut faults = self.group_faults(lanes);
+        self.run_lanes(
+            behaviors,
+            lanes,
+            Some(monitor),
+            sink,
+            &mut faults,
+            rounds,
+            &mut (),
+        )
     }
 
     /// [`Simulation::run_bitsliced`], watched by `monitor` when given and
@@ -588,7 +564,26 @@ impl<'a> Simulation<'a> {
         rounds: u64,
     ) -> Vec<SimOutput>
     where
-        I: FaultInjector,
+        I: FaultModel,
+        E: Environment,
+        M: MetricsSink + ?Sized,
+    {
+        let mut faults = self.group_faults(lanes);
+        self.run_traced_under(behaviors, lanes, &mut faults, monitor, sink, rounds)
+    }
+
+    /// [`Simulation::run_traced`] under the group fault model `faults`,
+    /// whatever the lanes carry.
+    pub(crate) fn run_traced_under<I, E, M>(
+        &self,
+        behaviors: &mut BehaviorMap,
+        lanes: &mut [LaneContext<I, E>],
+        faults: &mut GroupFaults,
+        monitor: Option<&mut LrcMonitor>,
+        sink: &mut M,
+        rounds: u64,
+    ) -> Vec<SimOutput>
+    where
         E: Environment,
         M: MetricsSink + ?Sized,
     {
@@ -605,7 +600,15 @@ impl<'a> Simulation<'a> {
                 trace
             })
             .collect();
-        let out = self.run_plain(behaviors, lanes, monitor, sink, rounds, &mut traces[..]);
+        let out = self.run_lanes(
+            behaviors,
+            lanes,
+            monitor,
+            sink,
+            faults,
+            rounds,
+            &mut traces[..],
+        );
         traces
             .into_iter()
             .enumerate()
@@ -617,25 +620,36 @@ impl<'a> Simulation<'a> {
             .collect()
     }
 
-    /// The public entry points' group run, under the empty scenario
-    /// layer.
-    fn run_plain<I, E, M, L>(
+    /// The fault model the lanes carry, for a group of their width.
+    ///
+    /// # Panics
+    ///
+    /// As [`Simulation::run_bitsliced`].
+    fn group_faults<I: FaultModel, E>(&self, lanes: &[LaneContext<I, E>]) -> GroupFaults {
+        let (rates, timeline) = group_model(lanes);
+        self.faults(rates, timeline, lanes.len())
+    }
+
+    /// The fault model of `rates` under `timeline` (the empty one when
+    /// `None`), for a group of `width` lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is outside `1..=64`.
+    pub(crate) fn faults(
         &self,
-        behaviors: &mut BehaviorMap,
-        lanes: &mut [LaneContext<I, E>],
-        monitor: Option<&mut LrcMonitor>,
-        sink: &mut M,
-        rounds: u64,
-        log: &mut L,
-    ) -> BitslicedOutput
-    where
-        I: FaultInjector,
-        E: Environment,
-        M: MetricsSink + ?Sized,
-        L: UpdateLog + ?Sized,
-    {
-        let mut layer = ScenarioLanes::none(self.host_count(), lanes.len());
-        self.run_lanes(behaviors, lanes, monitor, sink, &mut layer, rounds, log)
+        rates: Option<&ProbabilisticFaults>,
+        timeline: Option<&Timeline>,
+        width: usize,
+    ) -> GroupFaults {
+        assert!(
+            (1..=64).contains(&width),
+            "bit-sliced run needs 1..=64 lanes, got {width}"
+        );
+        let timeline = timeline
+            .cloned()
+            .unwrap_or_else(|| Timeline::empty(self.host_count()));
+        GroupFaults::new(rates, ScenarioLanes::new(timeline, width))
     }
 
     /// The number of hosts the round program places replicas on.
@@ -649,10 +663,9 @@ impl<'a> Simulation<'a> {
             .map_or(0, |m| m + 1)
     }
 
-    /// [`Simulation::run_bitsliced`] under the group scenario layer
-    /// `layer` (over the lanes' own injectors, which it wraps), watched by
-    /// `monitor` when given, reporting to `sink` and writing every update
-    /// to `log` as well.
+    /// [`Simulation::run_bitsliced`] under the group fault model
+    /// `faults`, watched by `monitor` when given, reporting to `sink` and
+    /// writing every update to `log` as well.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_lanes<I, E, M, L>(
         &self,
@@ -660,12 +673,11 @@ impl<'a> Simulation<'a> {
         lanes: &mut [LaneContext<I, E>],
         monitor: Option<&mut LrcMonitor>,
         sink: &mut M,
-        layer: &mut ScenarioLanes,
+        faults: &mut GroupFaults,
         rounds: u64,
         log: &mut L,
     ) -> BitslicedOutput
     where
-        I: FaultInjector,
         E: Environment,
         M: MetricsSink + ?Sized,
         L: UpdateLog + ?Sized,
@@ -675,14 +687,18 @@ impl<'a> Simulation<'a> {
             (1..=64).contains(&n),
             "bit-sliced run needs 1..=64 lanes, got {n}"
         );
-        assert_eq!(layer.width(), n, "the scenario layer must cover every lane");
+        assert_eq!(
+            faults.layer.width(),
+            n,
+            "the scenario layer must cover every lane"
+        );
         if let Some(monitor) = &monitor {
             assert_eq!(monitor.width(), n, "the monitor must watch every lane");
         }
         let mut obs = GroupObs::new(sink, n, self.host_count(), self.program.max_replicas);
         let run = panic::catch_unwind(AssertUnwindSafe(|| {
             self.run_rounds(
-                behaviors, lanes, &mut obs, sink, monitor, layer, rounds, log,
+                behaviors, lanes, &mut obs, sink, monitor, faults, rounds, log,
             )
         }));
         run.unwrap_or_else(|payload| {
@@ -706,12 +722,11 @@ impl<'a> Simulation<'a> {
         obs: &mut GroupObs,
         sink: &mut M,
         mut monitor: Option<&mut LrcMonitor>,
-        layer: &mut ScenarioLanes,
+        faults: &mut GroupFaults,
         rounds: u64,
         log: &mut L,
     ) -> BitslicedOutput
     where
-        I: FaultInjector,
         E: Environment,
         M: MetricsSink + ?Sized,
         L: UpdateLog + ?Sized,
@@ -722,34 +737,22 @@ impl<'a> Simulation<'a> {
         let phase_count = prog.phases.len() as u64;
         let n = lanes.len();
         let all_mask: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        // Any corrupting lane forces the slow (materialized-replicas)
-        // path for the whole run; see the module docs.
-        let corrupting = lanes.iter().any(|l| l.injector.corrupts());
+        let GroupFaults { cuts, layer } = faults;
+        let cuts = cuts.as_ref();
+        // A `corrupt` event forces the slow (materialized-replicas) path
+        // for the whole run; see the module docs.
+        let corrupting = layer.corrupting();
         // Passive environments contract their `advance`/`actuate` hooks
         // to no-ops, so the per-lane hook loops below can be skipped.
         let passive_env = lanes.iter().all(|l| l.environment.is_passive());
-        // Correlated-failure gates: the partition delivery check and the
-        // adaptive vote echo are pure (no RNG draws), so lanes with a
-        // plain injector see exactly their one-lane call sequence whether
-        // or not another lane partitions or adapts. The group layer's
-        // share of each is evaluated once for all lanes.
         let scripted = layer.scripted();
-        let lane_partitioned = lanes.iter().any(|l| l.injector.partitions());
-        let partitioned = lane_partitioned || layer.partitions();
-        // The lanes whose own injector wants vote feedback.
-        let adaptive = lanes.iter().enumerate().fold(0u64, |m, (li, l)| {
-            m | u64::from(l.injector.adaptive()) << li
-        });
-        let audiences = if partitioned {
+        let audiences = if layer.partitions() {
             task_audiences(spec, self.imp.phases())
         } else {
             Vec::new()
         };
-        // The lanes' promises, checked once per run: shared Bernoulli
-        // draws make each draw site one loop over the lanes' generators,
-        // and shared constant readings make a sensor update one value
-        // class. The lanes' generators live in `rngs` for the run.
-        let cuts = SharedCuts::of(lanes);
+        // Shared constant readings make a sensor update one value class.
+        // The lanes' generators live in `rngs` for the run.
         let readings: Vec<Option<Value>> = spec
             .communicator_ids()
             .map(|c| shared_reading(lanes, c))
@@ -796,7 +799,6 @@ impl<'a> Simulation<'a> {
         let mut lane_rep_vals = vec![Value::Unreliable; prog.max_replicas * max_out];
         let mut lane_rep_ok = vec![false; prog.max_replicas];
         let mut voted_buf = vec![Value::Unreliable; max_out];
-        let mut delivered_hosts: Vec<HostId> = Vec::with_capacity(prog.max_replicas);
 
         // Constant `false` for `NoopSink`, so the obs blocks below
         // monomorphize away.
@@ -825,18 +827,13 @@ impl<'a> Simulation<'a> {
                             // so the failure process is independent of
                             // evaluation order.
                             let sensors = &phase.sensors[ci];
-                            let ok = match &cuts {
+                            let ok = match cuts {
                                 Some(cuts) => sensors
                                     .iter()
                                     .fold(0, |ok, s| ok | rngs.below(cuts.sensor[s.index()])),
-                                None => lanes.iter_mut().enumerate().fold(0, |ok, (li, lane)| {
-                                    let any_ok = rngs.with_lane(li, |rng| {
-                                        sensors.iter().fold(false, |any, &s| {
-                                            lane.injector.sensor_ok(s, now, rng) | any
-                                        })
-                                    });
-                                    ok | u64::from(any_ok) << li
-                                }),
+                                // No reading fails, but one needs a sensor.
+                                None if sensors.is_empty() => 0,
+                                None => all_mask,
                             };
                             let cls = &mut comm_classes[ci];
                             if let Some(v) = readings[ci] {
@@ -992,75 +989,66 @@ impl<'a> Simulation<'a> {
                         let crash = if scripted {
                             layer.begin_host(h, now.as_u64());
                             layer.begin_bursts(now.as_u64());
-                            layer.crash_state(h, now.as_u64())
+                            layer.crash_state(h)
                         } else {
                             CrashState::Unscripted
                         };
-                        let shared_warm = match crash {
-                            CrashState::Unscripted if tt.stateful => None,
+                        let warm = match crash {
                             CrashState::Rejoined(at)
                                 if tt.stateful
                                     && !warm_after_rejoin(Some(Tick::new(at)), now, round) =>
                             {
-                                Some(0)
+                                0
                             }
-                            _ => Some(all_mask),
+                            _ => all_mask,
                         };
-                        let replica = Replica {
-                            host: h,
-                            now,
-                            round,
-                            audience: lane_partitioned.then(|| &audiences[t][..]),
-                            warm_per_lane: shared_warm.is_none(),
-                            excluded: dropped.get(h.index()).copied().unwrap_or(0),
-                        };
-                        let own = match (&cuts, scripted) {
-                            (Some(cuts), true) => {
-                                sample_shared::<true>(&mut rngs, layer, cuts, all_mask, &replica)
-                            }
-                            (Some(cuts), false) => {
-                                sample_shared::<false>(&mut rngs, layer, cuts, all_mask, &replica)
-                            }
-                            (None, true) => {
-                                sample_lanes::<true, _, _>(lanes, &mut rngs, layer, &replica)
-                            }
-                            (None, false) => {
-                                sample_lanes::<false, _, _>(lanes, &mut rngs, layer, &replica)
-                            }
-                        };
-                        let mut masks = ReplicaMasks {
-                            warm: shared_warm.unwrap_or(own.warm),
-                            ..own
+                        let (mut host_ok, mut bc_ok) = if scripted {
+                            sample::<true>(&mut rngs, layer, cuts, all_mask, h.index())
+                        } else {
+                            sample::<false>(&mut rngs, layer, cuts, all_mask, h.index())
                         };
                         if scripted {
                             let up = layer.up_mask(h, now.as_u64());
-                            masks.host_ok &= up;
-                            masks.bc_ok &= up & layer.burst_ok();
+                            host_ok &= up;
+                            bc_ok &= up & layer.burst_ok();
                             if layer.partitions()
-                                && !audiences[t]
-                                    .iter()
-                                    .all(|&rcv| layer.delivers(h, rcv, now.as_u64()))
+                                && !audiences[t].iter().all(|&rcv| layer.delivers(h, rcv))
                             {
-                                masks.bc_ok = 0;
+                                bc_ok = 0;
                             }
                         }
+                        let masks = ReplicaMasks {
+                            host: h.index(),
+                            host_ok,
+                            bc_ok,
+                            warm,
+                            excluded: dropped.get(h.index()).copied().unwrap_or(0),
+                        };
                         let okm = exec & masks.host_ok & masks.bc_ok & masks.warm & !masks.excluded;
                         // Only the slow path materializes the delivering
-                        // lanes' replica rows and lets their injectors
-                        // corrupt them, after the lane's other draws for
-                        // this replica. On the fast path `corrupts()`
-                        // guarantees the hook neither mutates nor draws,
-                        // so the call is skipped entirely.
+                        // lanes' replica rows, and then draws the
+                        // corruptions on exactly those lanes, after their
+                        // other draws for this replica.
                         if corrupting {
                             let mut m = okm;
                             while m != 0 {
                                 let li = m.trailing_zeros() as usize;
                                 m &= m - 1;
-                                let lane = &mut lanes[li];
                                 let dst = &mut rep_vals[(i * n + li) * max_out..][..n_out];
                                 let cidx = lane_cell[li];
                                 dst.copy_from_slice(&cell_outs[cidx * n_out..(cidx + 1) * n_out]);
-                                rngs.with_lane(li, |rng| lane.injector.corrupt(h, now, dst, rng));
+                            }
+                            for &(cut, garbage) in layer.corrupts(h) {
+                                let mut hit = rngs.below_masked(cut, okm);
+                                while hit != 0 {
+                                    let li = hit.trailing_zeros() as usize;
+                                    hit &= hit - 1;
+                                    for v in &mut rep_vals[(i * n + li) * max_out..][..n_out] {
+                                        if matches!(v, Value::Float(_)) {
+                                            *v = Value::Float(garbage);
+                                        }
+                                    }
+                                }
                             }
                         }
                         if any_obs {
@@ -1140,31 +1128,10 @@ impl<'a> Simulation<'a> {
 
                     // Adaptive vote echo: lane `li`'s delivering hosts are
                     // the replicas whose ok-mask has bit `li` set, so the
-                    // fast path needs no materialized replica rows. The
-                    // group layer reads the pivot off the masks directly.
+                    // layer reads the pivot off the masks directly.
                     if layer.adaptive() {
                         let replicas = hosts_of.iter().copied().zip(ok_masks.iter().copied());
                         layer.observe_votes(now.as_u64(), replicas, hosts_of.len());
-                    }
-                    if adaptive != 0 {
-                        for (li, lane) in lanes.iter_mut().enumerate() {
-                            let bit = 1u64 << li;
-                            if adaptive & bit == 0 {
-                                continue;
-                            }
-                            delivered_hosts.clear();
-                            for (i, &h) in hosts_of.iter().enumerate() {
-                                if ok_masks[i] & bit != 0 {
-                                    delivered_hosts.push(h);
-                                }
-                            }
-                            lane.injector.observe_vote(
-                                TaskId::new(ti),
-                                now,
-                                &delivered_hosts,
-                                hosts_of.len(),
-                            );
-                        }
                     }
 
                     if any_obs {

@@ -22,9 +22,9 @@
 //! bit-deterministic in the batch configuration — rerunning a report, at
 //! any thread count, reproduces it exactly.
 
-use crate::bitslice::{BitslicedOutput, LaneContext};
+use crate::bitslice::{group_model, BitslicedOutput, GroupFaults, LaneContext};
 use crate::environment::Environment;
-use crate::fault::FaultInjector;
+use crate::fault::FaultModel;
 use crate::kernel::Simulation;
 use crate::monitor::{AlarmKind, LrcMonitor, MonitorConfig, MonitorLane};
 use crate::montecarlo::{derive_seed, run_indexed_units, BatchConfig, ReplicationContext};
@@ -302,7 +302,7 @@ impl Campaign {
     ) -> UnitResult<M>
     where
         M: RepSink,
-        I: FaultInjector,
+        I: FaultModel,
         E: Environment,
     {
         run_campaign_unit(
@@ -355,7 +355,7 @@ impl Campaign {
     ) -> Result<ScenarioReport, CampaignError>
     where
         M: RepSink,
-        I: FaultInjector,
+        I: FaultModel,
         E: Environment,
     {
         let per_unit = run_indexed_units(self.config.batch.threads, &self.units, |&unit, _| {
@@ -491,19 +491,25 @@ fn rep_stats(
 /// Bounds that [`Campaign::new`] checks once up front are re-validated
 /// here (compiling the scenario propagates its error), so a malformed
 /// unit diagnoses rather than takes down a service worker. The unit runs
-/// as one lane group under one group scenario layer (the timeline is
-/// compiled once per unit; each lane's base injector makes only that
-/// lane's draws) and one group [`LrcMonitor`] without degradation rules,
+/// as one lane group under one fault model — the base contexts' rates,
+/// which must be equal, under the scenario's timeline, compiled once per
+/// unit — and one group [`LrcMonitor`] without degradation rules,
 /// and reduces each lane to its [`RepStats`] from the counts the kernel
 /// kept and the monitor's verdicts: no trace is recorded, so memory does
 /// not grow with the rounds. Seeds depend only on `(base_seed, rep)`, so
 /// a replication is the same in any unit of any width.
 ///
-/// The lanes hold their base injector `I` and environment `E` by value:
-/// each context type is one instantiation of this one body. With concrete
-/// types, as the job service's context has, every per-lane draw and sense
+/// The lanes hold their base fault model `I` and environment `E` by
+/// value: each context type is one instantiation of this one body. With
+/// concrete types, as the job service's context has, every per-lane sense
 /// is a static call; boxed `dyn` contexts make the same calls in the same
 /// order through the `Box` forwarding impls.
+///
+/// # Panics
+///
+/// Panics if the base contexts carry unequal fault models, or one that
+/// runs a timeline of its own (the campaign's scenario is the unit's
+/// timeline).
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_unit<S, I, E, M, FM>(
     sim: &Simulation<'_>,
@@ -517,7 +523,7 @@ pub fn run_campaign_unit<S, I, E, M, FM>(
 ) -> UnitResult<M>
 where
     S: Fn(u64) -> ReplicationContext<I, E>,
-    I: FaultInjector,
+    I: FaultModel,
     E: Environment,
     M: MetricsSink,
     FM: Fn(u64) -> M,
@@ -527,9 +533,9 @@ where
     if width == 0 || width > 64 {
         return Err(CampaignError::LaneWidth(width));
     }
-    // The scenario is compiled once for the unit and runs as one group
-    // layer over the lanes' base injectors.
-    let mut layer = ScenarioLanes::new(Timeline::compile(scenario, host_count, comm_count)?, width);
+    // The scenario is compiled once for the unit and runs as the
+    // timeline of the lanes' one fault model.
+    let timeline = Timeline::compile(scenario, host_count, comm_count)?;
     // One shared behavior map per group (the first replication's):
     // behaviors are pure by the lane-group kernel's contract. A lane's
     // draw sequence never depends on the group width, so narrower tail
@@ -553,6 +559,12 @@ where
         // diagnose, never panic, inside a service worker.
         return Err(CampaignError::LaneWidth(0));
     };
+    let (rates, own) = group_model(&lanes);
+    assert!(
+        own.is_none(),
+        "a campaign's base fault model runs no timeline of its own"
+    );
+    let mut faults = GroupFaults::new(rates, ScenarioLanes::new(timeline, width));
     let mut monitor = LrcMonitor::with_lanes(spec, config.monitor, width);
     let mut sink = make_sink(first_rep);
     let out = sim.run_lanes(
@@ -560,7 +572,7 @@ where
         &mut lanes,
         Some(&mut monitor),
         &mut sink,
-        &mut layer,
+        &mut faults,
         config.batch.rounds,
         &mut (),
     );

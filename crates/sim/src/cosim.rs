@@ -51,11 +51,7 @@ struct CoPlatform<'a> {
     replica_ok: Vec<bool>,
     /// Scratch: task inputs after default substitution.
     inputs_buf: Vec<Value>,
-    /// Correlated-failure gates, constant over a run (see
-    /// [`crate::fault::FaultInjector::partitions`]).
-    parts: bool,
-    adaptive: bool,
-    /// Per-task partition audiences (empty unless `parts`).
+    /// Per-task partition audiences.
     audiences: Vec<Vec<HostId>>,
     /// Releases collected during the current instant: (task, host).
     pending_releases: Vec<(TaskId, HostId)>,
@@ -123,10 +119,9 @@ impl<'a> CoPlatform<'a> {
             for (i, &h) in hosts.iter().enumerate() {
                 let host_ok = self.injector.host_ok(h, now, &mut self.rng);
                 let bc_ok = self.injector.broadcast_ok(h, now, &mut self.rng)
-                    && (!self.parts
-                        || self.audiences[t.index()]
-                            .iter()
-                            .all(|&rcv| self.injector.delivers(h, rcv, now)));
+                    && self.audiences[t.index()]
+                        .iter()
+                        .all(|&rcv| self.injector.delivers(h, rcv, now));
                 let warm = !stateful
                     || crate::kernel::warm_after_rejoin(
                         self.injector.rejoined_at(h, now),
@@ -150,15 +145,13 @@ impl<'a> CoPlatform<'a> {
                 self.voting,
                 &mut self.result_vals[parity][base..base + n_out],
             );
-            if self.adaptive {
-                let delivered_hosts: Vec<HostId> = hosts
-                    .iter()
-                    .zip(&self.replica_ok)
-                    .filter_map(|(&h, &ok)| ok.then_some(h))
-                    .collect();
-                self.injector
-                    .observe_vote(t, now, &delivered_hosts, hosts.len());
-            }
+            let delivered_hosts: Vec<HostId> = hosts
+                .iter()
+                .zip(&self.replica_ok)
+                .filter_map(|(&h, &ok)| ok.then_some(h))
+                .collect();
+            self.injector
+                .observe_vote(t, now, &delivered_hosts, hosts.len());
             self.result_delivered[parity][t.index()] = delivered;
         }
     }
@@ -263,13 +256,7 @@ pub fn run_cosim(
     let round = spec.round_period().as_u64();
     let (out_base, total_outputs) = logrel_core::roundprog::output_layout(spec);
     let landing = logrel_core::Calendar::new(spec).landing().clone();
-    let parts = injector.partitions();
-    let adaptive = injector.adaptive();
-    let audiences = if parts {
-        crate::kernel::task_audiences(spec, std::slice::from_ref(imp))
-    } else {
-        Vec::new()
-    };
+    let audiences = crate::kernel::task_audiences(spec, std::slice::from_ref(imp));
     let mut platform = CoPlatform {
         spec,
         imp,
@@ -299,8 +286,6 @@ pub fn run_cosim(
         ],
         replica_vals: Vec::new(),
         replica_ok: Vec::new(),
-        parts,
-        adaptive,
         audiences,
         inputs_buf: Vec::new(),
         pending_releases: Vec::new(),

@@ -10,9 +10,12 @@
 //!
 //! A draw `gen::<f64>() < p` is the integer comparison `next_u64() >> 11
 //! < unit_threshold(p)` ([`rand::unit_threshold`]), so a site keeps one
-//! integer cut instead of a probability. Sites whose calls a lane's own
-//! hooks must make borrow the lane's generator for the call
-//! ([`LaneRngs::with_lane`]) and put it back, over the same storage.
+//! integer cut instead of a probability. A site where only some lanes
+//! draw (a crash hazard on the lanes whose host is still alive, a
+//! corruption draw on the lanes that delivered) is a *masked* step
+//! ([`LaneRngs::below_masked`]): every lane's generator is stepped, but
+//! only the lanes of the mask keep their new state, so the others' streams
+//! stay where they were.
 
 use rand::rngs::{xoshiro_step, StdRng};
 
@@ -56,18 +59,6 @@ impl LaneRngs {
         [self.s[0][li], self.s[1][li], self.s[2][li], self.s[3][li]]
     }
 
-    /// Calls `f` on lane `li`'s generator, which continues the lane's
-    /// stream, and keeps where `f` left it.
-    #[inline]
-    pub(crate) fn with_lane<R>(&mut self, li: usize, f: impl FnOnce(&mut StdRng) -> R) -> R {
-        let mut rng = StdRng::from_state(self.state(li));
-        let r = f(&mut rng);
-        for (w, word) in rng.state().into_iter().enumerate() {
-            self.s[w][li] = word;
-        }
-        r
-    }
-
     /// One draw on every lane: the lanes whose draw falls below `cut`
     /// (`gen::<f64>() < p` for `cut = unit_threshold(p)`).
     #[inline]
@@ -82,6 +73,13 @@ impl LaneRngs {
     pub(crate) fn below_select(&mut self, select: u64, cut_set: u64, cut_clear: u64) -> u64 {
         let w = self.width;
         let [s0, s1, s2, s3] = &mut self.s;
+        // A one-lane group steps its one generator without the loop (the
+        // width-1 campaign units and single runs draw at every site).
+        if w == 1 {
+            let cut = if select & 1 != 0 { cut_set } else { cut_clear };
+            let x = xoshiro_step(&mut s0[0], &mut s1[0], &mut s2[0], &mut s3[0]);
+            return u64::from(x >> 11 < cut);
+        }
         let words = s0[..w]
             .iter_mut()
             .zip(&mut s1[..w])
@@ -98,6 +96,33 @@ impl LaneRngs {
             mask |= u64::from(x >> 11 < cut) << li;
         }
         mask
+    }
+
+    /// One draw on the lanes of `mask` only: the lanes of `mask` whose
+    /// draw falls below `cut`. Every lane's generator is stepped in the
+    /// loop, but a lane outside `mask` keeps its old state, so its stream
+    /// is as if it had not drawn.
+    #[inline]
+    pub(crate) fn below_masked(&mut self, cut: u64, mask: u64) -> u64 {
+        let w = self.width;
+        let [s0, s1, s2, s3] = &mut self.s;
+        let words = s0[..w]
+            .iter_mut()
+            .zip(&mut s1[..w])
+            .zip(&mut s2[..w])
+            .zip(&mut s3[..w]);
+        let mut below = 0;
+        for (li, (((a, b), c), d)) in words.enumerate() {
+            // All ones on a drawing lane, zero elsewhere.
+            let keep = (mask >> li & 1).wrapping_neg();
+            let old = [*a, *b, *c, *d];
+            let x = xoshiro_step(a, b, c, d);
+            for (word, old) in [a, b, c, d].into_iter().zip(old) {
+                *word = old ^ ((*word ^ old) & keep);
+            }
+            below |= u64::from(x >> 11 < cut) << li;
+        }
+        below & mask
     }
 }
 
@@ -173,6 +198,40 @@ mod tests {
                 for (li, rng) in own.iter_mut().enumerate() {
                     let cut = if select >> li & 1 != 0 { p } else { q };
                     prop_assert_eq!(mask >> li & 1 != 0, rng.gen::<f64>() < cut);
+                }
+            }
+            let mut back: Vec<StdRng> = (0..width).map(|_| StdRng::seed_from_u64(0)).collect();
+            lanes.store(back.iter_mut());
+            prop_assert_eq!(back, own);
+        }
+
+        /// Masked steps among plain ones leave every lane where its own
+        /// generator leaves it when the lane draws only at the sites whose
+        /// mask holds it, with the same outcomes, at widths 1, 7 and 64.
+        #[test]
+        fn masked_draws_follow_each_lanes_own_stream(
+            pick in 0usize..3,
+            seed in any::<u64>(),
+            sites in proptest::collection::vec((probability(), any::<u64>(), 0u8..4), 1..24),
+        ) {
+            let width = [1, 7, 64][pick];
+            let all = u64::MAX >> (64 - width);
+            let mut own: Vec<StdRng> =
+                (0..width as u64).map(|li| StdRng::seed_from_u64(seed ^ li)).collect();
+            let mut lanes = LaneRngs::load(own.iter());
+            for (p, mask, kind) in sites {
+                // Every fourth site is a plain step; the masks include the
+                // empty and the full one.
+                let mask = match kind {
+                    0 => all,
+                    1 => 0,
+                    _ => mask & all,
+                };
+                let cut = unit_threshold(p);
+                let got = if kind == 0 { lanes.below(cut) } else { lanes.below_masked(cut, mask) };
+                for (li, rng) in own.iter_mut().enumerate() {
+                    let draws = mask >> li & 1 != 0;
+                    prop_assert_eq!(got >> li & 1 != 0, draws && rng.gen::<f64>() < p, "lane {}", li);
                 }
             }
             let mut back: Vec<StdRng> = (0..width).map(|_| StdRng::seed_from_u64(0)).collect();

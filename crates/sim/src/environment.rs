@@ -3,7 +3,7 @@
 //! The paper assumes the environment "writes identical values to all
 //! replications of a sensor when the update is due"; [`Environment::sense`]
 //! produces that single value (per-sensor *failures* are injected
-//! separately by the fault injector). Output communicators are "read by
+//! separately by the fault model). Output communicators are "read by
 //! physical actuators": the kernel forwards every task-written communicator
 //! update to [`Environment::actuate`], so a closed-loop plant can react.
 

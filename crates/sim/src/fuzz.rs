@@ -45,7 +45,7 @@
 
 use crate::campaign::{Campaign, CampaignConfig, CampaignError, ScenarioReport};
 use crate::environment::Environment;
-use crate::fault::FaultInjector;
+use crate::fault::FaultModel;
 use crate::kernel::Simulation;
 use crate::montecarlo::ReplicationContext;
 use crate::scenario::{HostSet, Scenario, ScenarioEvent};
@@ -163,10 +163,14 @@ fn is_miss(report: &ScenarioReport) -> bool {
         .any(|c| c.violations > 0 && c.alarms_before_violation == 0)
 }
 
-/// The `[from, until)` window of an event, if it has one.
+/// The `[from, until)` window of an event, if it has one (crash, rejoin,
+/// hazard and corrupt events have none).
 fn window(e: &ScenarioEvent) -> Option<(Tick, Tick)> {
     match *e {
-        ScenarioEvent::Crash { .. } | ScenarioEvent::Rejoin { .. } => None,
+        ScenarioEvent::Crash { .. }
+        | ScenarioEvent::Rejoin { .. }
+        | ScenarioEvent::Hazard { .. }
+        | ScenarioEvent::Corrupt { .. } => None,
         ScenarioEvent::Flaky { from, until, .. }
         | ScenarioEvent::StuckSensor { from, until, .. }
         | ScenarioEvent::Burst { from, until, .. }
@@ -177,10 +181,14 @@ fn window(e: &ScenarioEvent) -> Option<(Tick, Tick)> {
     }
 }
 
-/// The same event with its window replaced (no-op for point events).
+/// The same event with its window replaced (no-op for events without
+/// one).
 fn with_window(e: ScenarioEvent, from: Tick, until: Tick) -> ScenarioEvent {
     match e {
-        ScenarioEvent::Crash { .. } | ScenarioEvent::Rejoin { .. } => e,
+        ScenarioEvent::Crash { .. }
+        | ScenarioEvent::Rejoin { .. }
+        | ScenarioEvent::Hazard { .. }
+        | ScenarioEvent::Corrupt { .. } => e,
         ScenarioEvent::Flaky { host, up, .. } => ScenarioEvent::Flaky {
             host,
             from,
@@ -478,7 +486,7 @@ pub fn run_fuzz<S, I, E>(
 ) -> Result<FuzzOutcome, CampaignError>
 where
     S: Fn(u64) -> ReplicationContext<I, E> + Sync,
-    I: FaultInjector,
+    I: FaultModel,
     E: Environment,
 {
     let horizon = (config.campaign.batch.rounds * spec.round_period().as_u64()).max(1);

@@ -30,8 +30,8 @@
 //!
 //! # Host rejoin and warm-up
 //!
-//! When a scenario brings a crashed host back
-//! ([`FaultInjector::rejoined_at`]), the host re-latches communicator
+//! When a scenario brings a crashed host back (a `rejoin` event), the
+//! host re-latches communicator
 //! state from the next broadcast round. A replica of a *memory-free*
 //! task — one whose inputs are all sensor-fed, so its output depends only
 //! on the current round's fresh readings (Proposition 1's precondition) —
@@ -45,12 +45,12 @@
 use crate::behavior::BehaviorMap;
 use crate::bitslice::LaneContext;
 use crate::environment::Environment;
-use crate::fault::{BernoulliRates, FaultInjector};
+use crate::fault::{FaultInjector, FaultModel};
 use crate::monitor::LrcMonitor;
 use crate::trace::Trace;
 use logrel_core::{
-    Architecture, Calendar, CommunicatorId, FailureModel, HostId, RoundProgram, SensorId,
-    Specification, TaskId, Tick, TimeDependentImplementation, Value,
+    Architecture, Calendar, CommunicatorId, FailureModel, HostId, RoundProgram, Specification,
+    TaskId, Tick, TimeDependentImplementation, Value,
 };
 use logrel_obs::{names, MetricsSink, NoopSink, Span};
 use rand::rngs::StdRng;
@@ -259,18 +259,19 @@ impl<'a> Simulation<'a> {
     }
 
     /// Runs the simulation by interpreting the compiled round program as
-    /// a one-lane group of [`Simulation::run_bitsliced`], recording the
-    /// communicator trace.
+    /// a one-lane group of [`Simulation::run_bitsliced`] under the fault
+    /// model `injector`, recording the communicator trace.
     ///
-    /// Produces bit-identical output to [`Simulation::run_reference`] for
-    /// equal inputs and seed: the instruction lists replay the reference
+    /// Produces bit-identical output to [`Simulation::run_reference`]
+    /// over a per-call interpretation of the same fault model, for equal
+    /// inputs and seed: the instruction lists replay the reference
     /// interpreter's exact iteration orders, so every RNG draw, trace
     /// record and environment call happens in the same sequence.
     pub fn run(
         &self,
         behaviors: &mut BehaviorMap,
         env: &mut dyn Environment,
-        injector: &mut dyn FaultInjector,
+        injector: &dyn FaultModel,
         config: &SimConfig,
     ) -> SimOutput {
         self.run_observed(behaviors, env, injector, None, &mut NoopSink, config)
@@ -300,13 +301,21 @@ impl<'a> Simulation<'a> {
         &self,
         behaviors: &mut BehaviorMap,
         env: &mut dyn Environment,
-        injector: &mut dyn FaultInjector,
+        injector: &dyn FaultModel,
         monitor: Option<&mut LrcMonitor>,
         sink: &mut M,
         config: &SimConfig,
     ) -> SimOutput {
-        let lane = LaneContext::plain(config.seed, Fwd(injector), Fwd(env));
-        let mut outputs = self.run_traced(behaviors, &mut [lane], monitor, sink, config.rounds);
+        let mut faults = self.faults(injector.rates(), injector.timeline(), 1);
+        let lane = LaneContext::plain(config.seed, (), Fwd(env));
+        let mut outputs = self.run_traced_under(
+            behaviors,
+            &mut [lane],
+            &mut faults,
+            monitor,
+            sink,
+            config.rounds,
+        );
         outputs.pop().expect("one lane")
     }
 
@@ -319,12 +328,13 @@ impl<'a> Simulation<'a> {
         per_round
     }
 
-    /// Runs the simulation with the original map-driven interpreter.
+    /// Runs the simulation with the original map-driven interpreter,
+    /// asking `injector` call by call for every fault.
     ///
     /// Retained as the differential oracle for the compiled round program
     /// (`tests` assert bit-identical [`SimOutput`]s) and as the baseline
     /// of the `simulator` benchmark. Semantically identical to
-    /// [`Simulation::run`], only slower.
+    /// [`Simulation::run`], only slower; it shares no fault code with it.
     pub fn run_reference(
         &self,
         behaviors: &mut BehaviorMap,
@@ -349,17 +359,9 @@ impl<'a> Simulation<'a> {
             .collect();
         let mut task_stats = vec![TaskStats::default(); spec.task_count()];
 
-        // Correlated-failure hooks, mirroring `run_observed` exactly
-        // (same gates, same pure delivery check, same vote echo) so the
-        // two interpreters stay bit-identical under partitions and
-        // adaptive adversaries.
-        let parts = injector.partitions();
-        let adaptive = injector.adaptive();
-        let audiences = if parts {
-            task_audiences(spec, self.imp.phases())
-        } else {
-            Vec::new()
-        };
+        // The pure partition check asks about every audience host, and
+        // every vote is echoed to the injector.
+        let audiences = task_audiences(spec, self.imp.phases());
 
         for r in 0..config.rounds {
             let phase = self.imp.at_iteration(r);
@@ -454,13 +456,12 @@ impl<'a> Simulation<'a> {
                             // Sample both draws for every replica so the
                             // process is order-independent; the pure
                             // partition check folds into the broadcast
-                            // outcome as in `run_observed`.
+                            // outcome.
                             let host_ok = injector.host_ok(h, now, &mut rng);
                             let bc_ok = injector.broadcast_ok(h, now, &mut rng)
-                                && (!parts
-                                    || audiences[t.index()]
-                                        .iter()
-                                        .all(|&rcv| injector.delivers(h, rcv, now)));
+                                && audiences[t.index()]
+                                    .iter()
+                                    .all(|&rcv| injector.delivers(h, rcv, now));
                             let warm = !stateful
                                 || warm_after_rejoin(injector.rejoined_at(h, now), now, round);
                             if executes && host_ok && bc_ok && warm {
@@ -477,15 +478,13 @@ impl<'a> Simulation<'a> {
                             decl.outputs().len(),
                             self.voting,
                         );
-                        if adaptive {
-                            let delivered_hosts: Vec<HostId> = phase
-                                .hosts_of(t)
-                                .iter()
-                                .zip(&replica_outputs)
-                                .filter_map(|(&h, o)| o.is_some().then_some(h))
-                                .collect();
-                            injector.observe_vote(t, now, &delivered_hosts, replica_outputs.len());
-                        }
+                        let delivered_hosts: Vec<HostId> = phase
+                            .hosts_of(t)
+                            .iter()
+                            .zip(&replica_outputs)
+                            .filter_map(|(&h, o)| o.is_some().then_some(h))
+                            .collect();
+                        injector.observe_vote(t, now, &delivered_hosts, replica_outputs.len());
                         task_stats[t.index()].invocations += 1;
                         if delivered {
                             task_stats[t.index()].delivered += 1;
@@ -506,46 +505,10 @@ impl<'a> Simulation<'a> {
     }
 }
 
-/// Forwards a borrowed hook object, so the one-lane entry points can
-/// hand their `&mut dyn` injector and environment to the lane-group
-/// kernel, whose lane contexts own them by value.
+/// Forwards a borrowed environment, so the one-lane entry points can hand
+/// their `&mut dyn` environment to the lane-group kernel, whose lane
+/// contexts own theirs by value.
 struct Fwd<'r, T: ?Sized>(&'r mut T);
-
-impl<T: FaultInjector + ?Sized> FaultInjector for Fwd<'_, T> {
-    fn host_ok(&mut self, host: HostId, now: Tick, rng: &mut StdRng) -> bool {
-        self.0.host_ok(host, now, rng)
-    }
-    fn sensor_ok(&mut self, sensor: SensorId, now: Tick, rng: &mut StdRng) -> bool {
-        self.0.sensor_ok(sensor, now, rng)
-    }
-    fn broadcast_ok(&mut self, host: HostId, now: Tick, rng: &mut StdRng) -> bool {
-        self.0.broadcast_ok(host, now, rng)
-    }
-    fn corrupt(&mut self, host: HostId, now: Tick, outputs: &mut [Value], rng: &mut StdRng) {
-        self.0.corrupt(host, now, outputs, rng);
-    }
-    fn rejoined_at(&self, host: HostId, now: Tick) -> Option<Tick> {
-        self.0.rejoined_at(host, now)
-    }
-    fn corrupts(&self) -> bool {
-        self.0.corrupts()
-    }
-    fn delivers(&self, sender: HostId, receiver: HostId, now: Tick) -> bool {
-        self.0.delivers(sender, receiver, now)
-    }
-    fn partitions(&self) -> bool {
-        self.0.partitions()
-    }
-    fn observe_vote(&mut self, task: TaskId, now: Tick, delivered: &[HostId], total: usize) {
-        self.0.observe_vote(task, now, delivered, total);
-    }
-    fn adaptive(&self) -> bool {
-        self.0.adaptive()
-    }
-    fn bernoulli_rates(&self) -> Option<BernoulliRates<'_>> {
-        self.0.bernoulli_rates()
-    }
-}
 
 impl<T: Environment + ?Sized> Environment for Fwd<'_, T> {
     fn advance(&mut self, now: Tick) {
@@ -579,8 +542,8 @@ pub(crate) fn warm_after_rejoin(rejoined: Option<Tick>, now: Tick, round: u64) -
 /// that reads a communicator this task writes, unioned over all mapping
 /// phases (a result written in one phase may be read under another).
 ///
-/// Under a partitioned injector ([`FaultInjector::partitions`]) a replica
-/// only enters the vote when its broadcast reaches the *whole* audience —
+/// Under a partition a replica only enters the vote when its broadcast
+/// reaches the *whole* audience —
 /// the model keeps one logical copy per communicator, so a partial
 /// delivery cannot be represented and is classified as a broadcast drop.
 /// The check is pure (no RNG draws), so partitions never perturb the
@@ -614,7 +577,8 @@ pub(crate) fn task_audiences(
 mod tests {
     use super::*;
     use crate::environment::ConstantEnvironment;
-    use crate::fault::{NoFaults, ProbabilisticFaults, UnplugAt};
+    use crate::fault::{NoFaults, ProbabilisticFaults};
+    use crate::scenario::{Scenario, ScenarioEvent, ScenarioFaults};
     use logrel_core::{
         CommunicatorDecl, HostDecl, HostId, Implementation, Reliability, SensorDecl, SensorId,
         TaskDecl, ValueType,
@@ -683,7 +647,7 @@ mod tests {
         let out = sim.run(
             &mut behaviors,
             &mut env,
-            &mut NoFaults,
+            &NoFaults,
             &SimConfig { rounds: 5, seed: 1 },
         );
         let u = sys.spec.find_communicator("u").unwrap();
@@ -708,11 +672,11 @@ mod tests {
         let run = |seed| {
             let mut behaviors = doubling_behaviors(&sys.spec);
             let mut env = ConstantEnvironment::new(Value::Float(1.0));
-            let mut inj = ProbabilisticFaults::from_architecture(&sys.arch);
+            let inj = ProbabilisticFaults::from_architecture(&sys.arch);
             let out = sim.run(
                 &mut behaviors,
                 &mut env,
-                &mut inj,
+                &inj,
                 &SimConfig { rounds: 200, seed },
             );
             let u = sys.spec.find_communicator("u").unwrap();
@@ -728,11 +692,11 @@ mod tests {
         let sim = Simulation::new(&sys.spec, &sys.arch, &sys.imp);
         let mut behaviors = doubling_behaviors(&sys.spec);
         let mut env = ConstantEnvironment::new(Value::Float(1.0));
-        let mut inj = ProbabilisticFaults::from_architecture(&sys.arch);
+        let inj = ProbabilisticFaults::from_architecture(&sys.arch);
         let out = sim.run(
             &mut behaviors,
             &mut env,
-            &mut inj,
+            &inj,
             &SimConfig {
                 rounds: 40_000,
                 seed: 3,
@@ -748,19 +712,8 @@ mod tests {
 
     #[test]
     fn series_model_fails_on_unreliable_input() {
-        // Sensor reliability 0 is not representable; use a custom injector.
-        struct DeadSensor;
-        impl FaultInjector for DeadSensor {
-            fn host_ok(&mut self, _: HostId, _: Tick, _: &mut StdRng) -> bool {
-                true
-            }
-            fn sensor_ok(&mut self, _: SensorId, _: Tick, _: &mut StdRng) -> bool {
-                false
-            }
-            fn broadcast_ok(&mut self, _: HostId, _: Tick, _: &mut StdRng) -> bool {
-                true
-            }
-        }
+        // Sensor reliability 0 is not declarable; set the rate directly.
+        let dead_sensor = ProbabilisticFaults::new(vec![1.0], vec![0.0], 1.0);
         let sys = pipeline(0.999, 0.999);
         let sim = Simulation::new(&sys.spec, &sys.arch, &sys.imp);
         let mut behaviors = doubling_behaviors(&sys.spec);
@@ -768,7 +721,7 @@ mod tests {
         let out = sim.run(
             &mut behaviors,
             &mut env,
-            &mut DeadSensor,
+            &dead_sensor,
             &SimConfig {
                 rounds: 10,
                 seed: 1,
@@ -820,18 +773,7 @@ mod tests {
             .unwrap()
             .into();
 
-        struct DeadSensors;
-        impl FaultInjector for DeadSensors {
-            fn host_ok(&mut self, _: HostId, _: Tick, _: &mut StdRng) -> bool {
-                true
-            }
-            fn sensor_ok(&mut self, _: SensorId, _: Tick, _: &mut StdRng) -> bool {
-                false
-            }
-            fn broadcast_ok(&mut self, _: HostId, _: Tick, _: &mut StdRng) -> bool {
-                true
-            }
-        }
+        let dead_sensors = ProbabilisticFaults::new(vec![1.0], vec![0.0, 0.0], 1.0);
         let sim = Simulation::new(&spec, &arch, &imp);
         let mut behaviors = BehaviorMap::new();
         behaviors.register(t, |inputs: &[Value]| {
@@ -841,7 +783,7 @@ mod tests {
         let out = sim.run(
             &mut behaviors,
             &mut env,
-            &mut DeadSensors,
+            &dead_sensors,
             &SimConfig { rounds: 3, seed: 1 },
         );
         // Wait: parallel with ALL inputs unreliable fails to execute.
@@ -896,19 +838,8 @@ mod tests {
             .unwrap()
             .into();
 
-        /// Kills only sensor 1 (`sb`).
-        struct HalfDead;
-        impl FaultInjector for HalfDead {
-            fn host_ok(&mut self, _: HostId, _: Tick, _: &mut StdRng) -> bool {
-                true
-            }
-            fn sensor_ok(&mut self, s: SensorId, _: Tick, _: &mut StdRng) -> bool {
-                s.index() == 0
-            }
-            fn broadcast_ok(&mut self, _: HostId, _: Tick, _: &mut StdRng) -> bool {
-                true
-            }
-        }
+        // Kills only sensor 1 (`sb`).
+        let half_dead = ProbabilisticFaults::new(vec![1.0], vec![1.0, 0.0], 1.0);
         let sim2 = Simulation::new(&spec2, &arch2, &imp2);
         let mut behaviors2 = BehaviorMap::new();
         behaviors2.register(t2, |inputs: &[Value]| {
@@ -920,7 +851,7 @@ mod tests {
         let out2 = sim2.run(
             &mut behaviors2,
             &mut env2,
-            &mut HalfDead,
+            &half_dead,
             &SimConfig { rounds: 2, seed: 1 },
         );
         let o_vals = out2.trace.values(o);
@@ -965,11 +896,16 @@ mod tests {
         });
         let mut env = ConstantEnvironment::new(Value::Float(21.0));
         // Unplug h1 from the very beginning: h2 carries the system alone.
-        let mut inj = UnplugAt::new(NoFaults, h1, Tick::ZERO);
+        let unplug = Scenario::from_events(vec![ScenarioEvent::Crash {
+            host: h1,
+            at: Tick::ZERO,
+        }])
+        .unwrap();
+        let faults = ScenarioFaults::new(NoFaults, &unplug, 2, 2).unwrap();
         let out = sim.run(
             &mut behaviors,
             &mut env,
-            &mut inj,
+            &faults,
             &SimConfig {
                 rounds: 20,
                 seed: 9,
@@ -1020,7 +956,7 @@ mod tests {
         let out = sim.run(
             &mut behaviors,
             &mut env,
-            &mut NoFaults,
+            &NoFaults,
             &SimConfig { rounds: 3, seed: 1 },
         );
         let vals: Vec<Value> = out.trace.values(u).iter().map(|&(_, v)| v).collect();
@@ -1101,7 +1037,7 @@ mod tests {
         let out = sim.run(
             &mut behaviors,
             &mut RampEnv,
-            &mut NoFaults,
+            &NoFaults,
             &SimConfig { rounds: 1, seed: 1 },
         );
         // o written at instance 1 = t 12 — beyond round 0's trace (lands at
@@ -1110,7 +1046,7 @@ mod tests {
         let out2 = sim.run(
             &mut BehaviorMap::new(),
             &mut RampEnv,
-            &mut NoFaults,
+            &NoFaults,
             &SimConfig { rounds: 1, seed: 1 },
         );
         let _ = (out, out2);
@@ -1119,7 +1055,7 @@ mod tests {
         let out3 = sim.run(
             &mut behaviors,
             &mut RampEnv,
-            &mut NoFaults,
+            &NoFaults,
             &SimConfig { rounds: 2, seed: 1 },
         );
         let o_vals = out3.trace.values(o);
@@ -1131,10 +1067,10 @@ mod tests {
 
     #[test]
     fn corruption_poisons_any_reliable_but_majority_recovers() {
-        use crate::fault::CorruptingFaults;
         use crate::voting::VotingStrategy;
         // One task on three hosts; one replica is corrupted per round
-        // (deterministically, by a custom injector that corrupts host 0).
+        // (deterministically, by a custom injector that corrupts host 0,
+        // which the reference interpreter asks call by call).
         struct CorruptH0;
         impl FaultInjector for CorruptH0 {
             fn host_ok(&mut self, _: HostId, _: Tick, _: &mut StdRng) -> bool {
@@ -1188,7 +1124,7 @@ mod tests {
             sim.set_voting(strategy);
             let mut behaviors = BehaviorMap::new();
             behaviors.register(t, |_: &[Value]| vec![Value::Float(42.0)]);
-            let out = sim.run(
+            let out = sim.run_reference(
                 &mut behaviors,
                 &mut ConstantEnvironment::new(Value::Float(0.0)),
                 &mut CorruptH0,
@@ -1203,8 +1139,6 @@ mod tests {
         // Majority: two healthy replicas outvote the corrupted one.
         let maj = run(VotingStrategy::Majority);
         assert_eq!(maj[1].1, Value::Float(42.0));
-        // The random corrupting injector compiles against the trait too.
-        let _ = CorruptingFaults::new(0.1, 9999.0);
     }
 
     #[test]
@@ -1241,18 +1175,7 @@ mod tests {
         let p1 = p0.with_assignment(t, [h2]);
         let imp = TimeDependentImplementation::new(vec![p0, p1]).unwrap();
 
-        struct DeadH2;
-        impl FaultInjector for DeadH2 {
-            fn host_ok(&mut self, h: HostId, _: Tick, _: &mut StdRng) -> bool {
-                h.index() == 0
-            }
-            fn sensor_ok(&mut self, _: SensorId, _: Tick, _: &mut StdRng) -> bool {
-                true
-            }
-            fn broadcast_ok(&mut self, _: HostId, _: Tick, _: &mut StdRng) -> bool {
-                true
-            }
-        }
+        let dead_h2 = ProbabilisticFaults::new(vec![1.0, 0.0], vec![1.0], 1.0);
         let sim = Simulation::new(&spec, &arch, &imp);
         let mut behaviors = BehaviorMap::new();
         behaviors.register(t, |i: &[Value]| {
@@ -1262,7 +1185,7 @@ mod tests {
         let out = sim.run(
             &mut behaviors,
             &mut env,
-            &mut DeadH2,
+            &dead_h2,
             &SimConfig {
                 rounds: 100,
                 seed: 1,
@@ -1283,11 +1206,11 @@ mod tests {
             let sys = pipeline(0.8, 0.9);
             let sim = Simulation::new(&sys.spec, &sys.arch, &sys.imp);
             let config = SimConfig { rounds: 500, seed };
-            let mut inj = ProbabilisticFaults::from_architecture(&sys.arch);
+            let inj = ProbabilisticFaults::from_architecture(&sys.arch);
             let fast = sim.run(
                 &mut doubling_behaviors(&sys.spec),
                 &mut ConstantEnvironment::new(Value::Float(21.0)),
-                &mut inj,
+                &inj,
                 &config,
             );
             let mut inj = ProbabilisticFaults::from_architecture(&sys.arch);
@@ -1305,7 +1228,7 @@ mod tests {
     /// voting and corruption, plus a phase-alternating implementation.
     #[test]
     fn compiled_program_matches_reference_on_replicated_phased_system() {
-        use crate::fault::CorruptingFaults;
+        use crate::scenario::oracle::PerLaneInjector;
         use crate::voting::VotingStrategy;
         let mut sb = Specification::builder();
         let s = sb
@@ -1350,16 +1273,26 @@ mod tests {
             rounds: 400,
             seed: 42,
         };
+        let corrupt = Scenario::from_events(
+            hs.iter()
+                .map(|&host| ScenarioEvent::Corrupt {
+                    host,
+                    p: 0.2,
+                    value: -7.0,
+                })
+                .collect(),
+        )
+        .unwrap();
         let fast = sim.run(
             &mut behaviors(),
             &mut ConstantEnvironment::new(Value::Float(1.0)),
-            &mut CorruptingFaults::new(0.2, -7.0),
+            &ScenarioFaults::new(NoFaults, &corrupt, 3, 2).unwrap(),
             &config,
         );
         let slow = sim.run_reference(
             &mut behaviors(),
             &mut ConstantEnvironment::new(Value::Float(1.0)),
-            &mut CorruptingFaults::new(0.2, -7.0),
+            &mut PerLaneInjector::new(NoFaults, &corrupt, 3, 2).unwrap(),
             &config,
         );
         assert_eq!(fast, slow);

@@ -12,20 +12,21 @@
 //!   reference interpreter it is checked against;
 //! * [`bitslice`] — the one production round loop, over groups of 1..=64
 //!   replications packed into `u64` lane masks (a single run is a
-//!   one-lane group). A lane is a seed, an injector and an environment;
+//!   one-lane group). A lane is a seed, a fault model and an environment;
 //!   the group is watched by one [`LrcMonitor`] and reports to one
 //!   metrics sink, which ends up as the lanes' one-lane sinks merged in
 //!   lane order;
 //! * [`behavior`] — task function registries ([`TaskBehavior`]);
 //! * [`environment`] — the world outside the program: sensor value
 //!   sources and actuator sinks (a closed-loop plant implements this);
-//! * [`fault`] — fault injectors: per-invocation transient faults from the
-//!   architecture's reliabilities, scheduled "unplug" events, and
-//!   compositions;
-//! * [`scenario`] — scripted fault timelines (crash/rejoin, flaky hosts,
-//!   burst broadcast loss, stuck sensors, common-cause host groups,
-//!   network partitions, Weibull wear-out, adaptive adversaries) with a
-//!   replayable, versioned text format;
+//! * [`fault`] — fault models as data: per-invocation transient faults
+//!   from the architecture's reliabilities plus one scenario timeline,
+//!   and the per-call hooks the kernel's oracles interpret them through;
+//! * [`scenario`] — scripted fault timelines (crash/rejoin and unplug,
+//!   flaky hosts, burst broadcast loss, stuck sensors, common-cause host
+//!   groups, network partitions, Weibull wear-out, adaptive adversaries,
+//!   permanent crash hazards, value corruption) with a replayable,
+//!   versioned text format;
 //! * [`fuzz`] — coverage-guided mutation fuzzing of scenario timelines,
 //!   hunting monitor misses (µ-violations the LRC monitor slept
 //!   through) and shrinking them to minimal `.scn` reproducers;
@@ -56,6 +57,11 @@
 //!
 //! [`TaskBehavior`]: behavior::TaskBehavior
 
+// The shared test oracle (`scenario/oracle.rs`) names this crate by its
+// name, so that integration tests can include the same file.
+#[cfg(test)]
+extern crate self as logrel_sim;
+
 pub mod behavior;
 pub mod bitslice;
 pub mod campaign;
@@ -81,10 +87,7 @@ pub use campaign::{
     UnitResult, MAX_REPLICATIONS, MAX_ROUNDS,
 };
 pub use environment::{ConstantEnvironment, Environment};
-pub use fault::{
-    BernoulliRates, CorruptingFaults, FaultInjector, HostSilencer, NoFaults, PermanentFaults,
-    ProbabilisticFaults, UnplugAt,
-};
+pub use fault::{FaultInjector, FaultModel, NoFaults, ProbabilisticFaults};
 pub use fuzz::{run_fuzz, FuzzArtifact, FuzzConfig, FuzzOutcome};
 pub use kernel::{SimBuildError, SimConfig, SimOutput, Simulation};
 pub use monitor::{
@@ -92,8 +95,8 @@ pub use monitor::{
 };
 pub use montecarlo::{derive_seed, run_indexed_units, BatchConfig, ReplicationContext};
 pub use scenario::{
-    HostSet, Scenario, ScenarioEnvironment, ScenarioError, ScenarioEvent, ScenarioInjector,
-    ScenarioSymbols,
+    HostSet, Scenario, ScenarioEnvironment, ScenarioError, ScenarioEvent, ScenarioFaults,
+    ScenarioInjector, ScenarioSymbols, Timeline,
 };
 pub use trace::Trace;
 pub use voting::{classify_outcome, vote, vote_into, VotingStrategy};

@@ -105,10 +105,10 @@ where
 
 /// Everything one replication mutates while it runs.
 ///
-/// Generic over the injector `I` and environment `E`, so a campaign
+/// Generic over the fault model `I` and environment `E`, so a campaign
 /// unit's lanes hold them by value and their calls are static: the job
 /// service's context is `ReplicationContext<ProbabilisticFaults,
-/// ConstantEnvironment>`. Boxed contexts (`Box<dyn FaultInjector>`,
+/// ConstantEnvironment>`. Boxed contexts (`Box<dyn FaultModel>`,
 /// `Box<dyn Environment>`, or boxes of concrete types) are one more
 /// instantiation, through the `Box` forwarding impls.
 pub struct ReplicationContext<I, E> {
@@ -116,7 +116,10 @@ pub struct ReplicationContext<I, E> {
     pub behaviors: BehaviorMap,
     /// The environment (sensor source / actuator sink).
     pub environment: E,
-    /// The fault injector.
+    /// The fault model (its rates: the campaign's scenario is the
+    /// timeline). The field keeps the name it had when it held hook
+    /// objects, which the benchmark's replay names; ROADMAP item 1 may
+    /// rename it.
     pub injector: I,
 }
 
@@ -180,7 +183,7 @@ mod tests {
         sim.run(
             &mut BehaviorMap::new(),
             &mut ConstantEnvironment::new(Value::Float(1.0)),
-            &mut ProbabilisticFaults::from_architecture(&sys.arch),
+            &ProbabilisticFaults::from_architecture(&sys.arch),
             &SimConfig {
                 rounds: 100,
                 seed: derive_seed(2024, rep),

@@ -4,12 +4,15 @@
 //! rejoins, intermittent ("flaky") host windows, stuck-at sensor windows,
 //! correlated broadcast burst loss via a Gilbert–Elliott two-state
 //! channel, common-cause group outages, network partitions, Weibull
-//! wear-out and an adaptive vote-pivot adversary — that layers over any
-//! inner [`FaultInjector`] through [`ScenarioInjector`] and over any
-//! [`Environment`] through [`ScenarioEnvironment`]. Scenarios serialize
-//! to a small line-oriented text format (see [`Scenario::parse`]); the
-//! canonical rendering round-trips exactly, so a replay from the
-//! serialized form is bit-identical to the original run.
+//! wear-out, an adaptive vote-pivot adversary, permanent crash hazards and
+//! value corruption. Compiled against a model, a scenario is a
+//! [`Timeline`]: [`ScenarioFaults`] pairs one with the per-invocation
+//! rates of a base model into the fault model the lane-group kernel reads
+//! as data, and [`ScenarioEnvironment`] applies the stuck-sensor windows
+//! over any [`Environment`]. Scenarios serialize to a small line-oriented
+//! text format (see [`Scenario::parse`]); the canonical rendering
+//! round-trips exactly, so a replay from the serialized form is
+//! bit-identical to the original run.
 //!
 //! # Text format
 //!
@@ -36,33 +39,48 @@
 //! wearout host=1 from=0 until=100000 shape=2 scale=40000
 //! # adversary knocks out the vote pivot for 500 ticks at a time
 //! adversary from=0 until=100000 hold=500
+//! # each invocation of live host 0 crashes it for good with p = 0.001
+//! hazard host=0 p=0.001
+//! # each delivered replica on host 2 emits -5 on its float outputs
+//! # with p = 0.1
+//! corrupt host=2 p=0.1 value=-5
 //! ```
 //!
 //! Instants are ticks; windows are half-open `[from, until)`. Crashed
 //! hosts are fail-silent on every channel (no execution, no broadcast,
 //! no corruption) until their `rejoin`; the kernel then applies the
-//! warm-up rule via [`FaultInjector::rejoined_at`]. Flaky, common-cause,
-//! wear-out and adversary windows are transient — they never trigger
-//! warm-up. All scenario randomness is drawn from the simulation's
-//! seeded RNG in a fixed order (one flaky draw per host and instant, one
-//! chain-advance plus one loss draw per burst window and broadcast
-//! instant, one draw per common-cause group and instant made by the
-//! first member queried, one draw per wear-out window per host and
-//! instant; partitions and the adversary are draw-free), so runs remain
-//! bit-reproducible and the inner injector's draw sequence is
-//! unperturbed.
+//! warm-up rule. A crash without a rejoin is an unplugged host. Flaky,
+//! common-cause, wear-out and adversary windows are transient — they
+//! never trigger warm-up. `hazard` and `corrupt` hold for the whole run:
+//! a host killed by a hazard stays silent forever, and corruption
+//! replaces a delivered replica's float outputs by `value` (the
+//! non-fail-silent host the paper's ref \[2\] rules out).
+//!
+//! All scenario randomness is drawn from the simulation's seeded RNG in a
+//! fixed order. Per replica: the base model's host draw; one flaky draw
+//! per host and instant, one draw per common-cause group and instant made
+//! by the first member queried, one draw per wear-out window per host and
+//! instant; one draw per hazard of the host at every invocation while the
+//! host is alive; the base model's broadcast draw; one chain-advance plus
+//! one loss draw per burst window and broadcast instant; and, when the
+//! replica delivers, one draw per `corrupt` event of its host. Partitions
+//! and the
+//! adversary are draw-free. So runs remain bit-reproducible, and the base
+//! model's draw sequence is unperturbed.
 
 use crate::environment::Environment;
-use crate::fault::FaultInjector;
-use logrel_core::{CommunicatorId, HostId, SensorId, TaskId, Tick, Value};
-use rand::rngs::StdRng;
+use crate::fault::{FaultModel, ProbabilisticFaults};
+use logrel_core::{CommunicatorId, HostId, Tick, Value};
 use std::fmt;
 
 mod lanes;
 #[cfg(test)]
-mod oracle;
+pub(crate) mod oracle;
+#[cfg(test)]
+mod oracle_tests;
 
-pub(crate) use lanes::{CrashState, ScenarioLanes, Timeline};
+pub use lanes::Timeline;
+pub(crate) use lanes::{CrashState, ScenarioLanes};
 
 /// A set of hosts identified by index, packed as a bitmask. Scenario
 /// events that name host *groups* (common-cause outages, partitions)
@@ -206,8 +224,8 @@ pub enum ScenarioEvent {
     /// During `[from, until)`, the network splits into two sides: the
     /// listed `hosts` and everyone else. A broadcast is delivered only
     /// between hosts on the same side. Membership is scripted and
-    /// draw-free; the kernels consult it through
-    /// [`FaultInjector::delivers`].
+    /// draw-free. A replica cut off from any host that reads its outputs
+    /// counts as a broadcast drop.
     Partition {
         /// One side of the split (the complement is the other side).
         hosts: HostSet,
@@ -233,8 +251,8 @@ pub enum ScenarioEvent {
         /// Weibull scale parameter `λ > 0`, in ticks.
         scale: f64,
     },
-    /// During `[from, until)`, an adaptive adversary watches every vote
-    /// (via [`FaultInjector::observe_vote`]); whenever a vote sits at
+    /// During `[from, until)`, an adaptive adversary watches every vote;
+    /// whenever a vote sits at
     /// the minimal strict majority — losing any one replica would flip
     /// it — the lowest-indexed delivering host is knocked out for the
     /// next `hold` ticks. Entirely draw-free, so it perturbs no RNG
@@ -246,6 +264,29 @@ pub enum ScenarioEvent {
         until: Tick,
         /// How many ticks a targeted host stays down after the vote.
         hold: u64,
+    },
+    /// Permanent (crash) faults: at every invocation of `host` while it
+    /// is alive, it crashes with probability `p` and then stays silent on
+    /// every channel forever — the fail-silent crash regime, in contrast
+    /// to the paper's per-invocation transient model.
+    Hazard {
+        /// The crashing host.
+        host: HostId,
+        /// Per-invocation crash probability.
+        p: f64,
+    },
+    /// A non-fail-silent host: each replica `host` delivers carries
+    /// corrupted values with probability `p` — its float outputs replaced
+    /// by `value`. Under `AnyReliable` voting one corrupted replica
+    /// poisons the communicator; `Majority` voting over three or more
+    /// replicas recovers.
+    Corrupt {
+        /// The corrupting host.
+        host: HostId,
+        /// Per-replica corruption probability.
+        p: f64,
+        /// The garbage a corrupted float output holds.
+        value: f64,
     },
 }
 
@@ -335,6 +376,10 @@ impl fmt::Display for ScenarioEvent {
                 until.as_u64(),
                 hold
             ),
+            ScenarioEvent::Hazard { host, p } => write!(f, "hazard host={} p={}", host.index(), p),
+            ScenarioEvent::Corrupt { host, p, value } => {
+                write!(f, "corrupt host={} p={p} value={value}", host.index())
+            }
         }
     }
 }
@@ -496,6 +541,21 @@ impl<'a> LineParser<'a> {
         Ok(x)
     }
 
+    /// A finite number (a corrupted output value).
+    fn finite(&self, key: &str) -> Result<f64, ScenarioError> {
+        let v = self.get(key)?;
+        let x: f64 = v
+            .parse()
+            .map_err(|_| err(self.line, format!("field `{key}`: `{v}` is not a number")))?;
+        if !x.is_finite() {
+            return Err(err(
+                self.line,
+                format!("field `{key}`: {x} is not a finite number"),
+            ));
+        }
+        Ok(x)
+    }
+
     /// A strictly positive integer (tick counts).
     fn count(&self, key: &str) -> Result<u64, ScenarioError> {
         let v = self.get(key)?;
@@ -539,6 +599,14 @@ impl Scenario {
     /// An empty scenario (pure pass-through).
     pub fn new() -> Self {
         Scenario::default()
+    }
+
+    /// The paper's §4 experiment: `host` unplugged from the network at
+    /// `at`, for good — a crash without a rejoin.
+    pub fn unplug(host: HostId, at: Tick) -> Self {
+        Scenario {
+            events: vec![ScenarioEvent::Crash { host, at }],
+        }
     }
 
     /// Builds a scenario from events, validating the timeline.
@@ -674,6 +742,21 @@ impl Scenario {
                         hold: p.count("hold")?,
                     }
                 }
+                "hazard" => {
+                    p.known_keys(&["host", "p"])?;
+                    ScenarioEvent::Hazard {
+                        host: p.host("host")?,
+                        p: p.prob("p")?,
+                    }
+                }
+                "corrupt" => {
+                    p.known_keys(&["host", "p", "value"])?;
+                    ScenarioEvent::Corrupt {
+                        host: p.host("host")?,
+                        p: p.prob("p")?,
+                        value: p.finite("value")?,
+                    }
+                }
                 other => return Err(err(line, format!("unknown event `{other}`"))),
             };
             events.push(event);
@@ -718,7 +801,9 @@ impl Scenario {
                     loss,
                     ..
                 } => &[*p_enter, *p_exit, *loss],
-                ScenarioEvent::CommonCause { p, .. } => &[*p],
+                ScenarioEvent::CommonCause { p, .. }
+                | ScenarioEvent::Hazard { p, .. }
+                | ScenarioEvent::Corrupt { p, .. } => &[*p],
                 _ => &[],
             };
             if !probs.iter().all(|p| (0.0..=1.0).contains(p)) {
@@ -744,6 +829,9 @@ impl Scenario {
                         0,
                         format!("adversary hold must be at least 1 in `{e}`"),
                     ));
+                }
+                ScenarioEvent::Corrupt { value, .. } if !value.is_finite() => {
+                    return Err(err(0, format!("corrupt value must be finite in `{e}`")));
                 }
                 _ => {}
             }
@@ -787,7 +875,10 @@ impl Scenario {
             match *e {
                 ScenarioEvent::Crash { host, .. }
                 | ScenarioEvent::Rejoin { host, .. }
-                | ScenarioEvent::Flaky { host, .. } => {
+                | ScenarioEvent::Flaky { host, .. }
+                | ScenarioEvent::Wearout { host, .. }
+                | ScenarioEvent::Hazard { host, .. }
+                | ScenarioEvent::Corrupt { host, .. } => {
                     if host.index() >= host_count {
                         return Err(err(
                             0,
@@ -803,14 +894,6 @@ impl Scenario {
                                 "communicator {} out of range (have {comm_count})",
                                 comm.index()
                             ),
-                        ));
-                    }
-                }
-                ScenarioEvent::Wearout { host, .. } => {
-                    if host.index() >= host_count {
-                        return Err(err(
-                            0,
-                            format!("host {} out of range (have {host_count})", host.index()),
                         ));
                     }
                 }
@@ -876,123 +959,55 @@ impl fmt::Display for Scenario {
     }
 }
 
-/// Runs a [`Scenario`] over an inner injector: the one-lane form of the
-/// lane-group scenario layer a campaign unit runs once for all its
-/// lanes, so both forms share one definition of every event kind.
+/// A fault model under a scenario, as data: the per-invocation rates of a
+/// base model plus the scenario compiled into a [`Timeline`].
 ///
-/// Crash/rejoin windows silence the host on every channel and surface
-/// through [`FaultInjector::rejoined_at`] for the kernel's warm-up rule.
-/// The inner injector's draws are sampled unconditionally and first, so
-/// outside scripted outages the composite behaves bit-identically to the
-/// inner injector alone.
-#[derive(Debug, Clone)]
-pub struct ScenarioInjector<I> {
-    inner: I,
-    layer: ScenarioLanes,
-    /// The host, instant and scenario verdict of the last `host_ok`. By
-    /// then every entity that can down the host has drawn at that
-    /// instant, so until a vote moves the adversary a `broadcast_ok` of
-    /// the same host and instant only adds the bursts.
-    last_host: Option<(HostId, u64, bool)>,
+/// The base model's draws come first at every site, so outside the
+/// scenario's windows the model draws exactly as its base does.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScenarioFaults {
+    rates: Option<ProbabilisticFaults>,
+    timeline: Timeline,
 }
 
-impl<I: FaultInjector> ScenarioInjector<I> {
-    /// Compiles `scenario` over `inner` for a model with `host_count`
-    /// hosts and `comm_count` communicators.
-    pub fn new(
-        inner: I,
+impl ScenarioFaults {
+    /// Compiles `scenario` over the rates of `base` for a model with
+    /// `host_count` hosts and `comm_count` communicators.
+    ///
+    /// # Errors
+    ///
+    /// An index out of the model's range, or a `base` that runs a
+    /// timeline of its own (a fault model runs one).
+    pub fn new<I: FaultModel>(
+        base: I,
         scenario: &Scenario,
         host_count: usize,
         comm_count: usize,
     ) -> Result<Self, ScenarioError> {
-        let timeline = Timeline::compile(scenario, host_count, comm_count)?;
-        Ok(ScenarioInjector {
-            inner,
-            layer: ScenarioLanes::new(timeline, 1),
-            last_host: None,
+        if base.timeline().is_some() {
+            return Err(err(0, "the base fault model already runs a timeline"));
+        }
+        Ok(ScenarioFaults {
+            rates: base.rates().cloned(),
+            timeline: Timeline::compile(scenario, host_count, comm_count)?,
         })
     }
+}
 
-    /// The inner injector.
-    pub fn inner(&self) -> &I {
-        &self.inner
+impl FaultModel for ScenarioFaults {
+    fn rates(&self) -> Option<&ProbabilisticFaults> {
+        self.rates.as_ref()
+    }
+    fn timeline(&self) -> Option<&Timeline> {
+        Some(&self.timeline)
     }
 }
 
-impl<I: FaultInjector> FaultInjector for ScenarioInjector<I> {
-    fn host_ok(&mut self, host: HostId, now: Tick, rng: &mut StdRng) -> bool {
-        let inner_ok = self.inner.host_ok(host, now, rng);
-        let t = now.as_u64();
-        self.layer.begin_host(host, t);
-        self.layer.draw_host(rng, 1);
-        let up = self.layer.up_mask(host, t) != 0;
-        self.last_host = Some((host, t, up));
-        inner_ok && up
-    }
-
-    fn sensor_ok(&mut self, sensor: SensorId, now: Tick, rng: &mut StdRng) -> bool {
-        self.inner.sensor_ok(sensor, now, rng)
-    }
-
-    fn broadcast_ok(&mut self, host: HostId, now: Tick, rng: &mut StdRng) -> bool {
-        let inner_ok = self.inner.broadcast_ok(host, now, rng);
-        let t = now.as_u64();
-        self.layer.begin_bursts(t);
-        self.layer.draw_bursts(rng, 1);
-        let up = match self.last_host {
-            Some((h, at, up)) if h == host && at == t => up,
-            _ => {
-                self.layer.begin_host(host, t);
-                self.layer.draw_host(rng, 1);
-                self.layer.up_mask(host, t) != 0
-            }
-        };
-        inner_ok && up && self.layer.burst_ok() != 0
-    }
-
-    fn corrupt(&mut self, host: HostId, now: Tick, outputs: &mut [Value], rng: &mut StdRng) {
-        // A host silenced by any scripted process is fail-silent: no
-        // corruption. The up mask only reads decisions already drawn at
-        // this instant, so no draws shift.
-        if self.layer.up_mask(host, now.as_u64()) != 0 {
-            self.inner.corrupt(host, now, outputs, rng);
-        }
-    }
-
-    fn rejoined_at(&self, host: HostId, now: Tick) -> Option<Tick> {
-        match self.layer.crash_state(host, now.as_u64()) {
-            CrashState::Rejoined(at) => Some(Tick::new(at)),
-            CrashState::Down => None,
-            CrashState::Unscripted => self.inner.rejoined_at(host, now),
-        }
-    }
-
-    fn corrupts(&self) -> bool {
-        // The scenario layer only *suppresses* inner corruption (crashed
-        // or flaked-out hosts are fail-silent); it never corrupts itself.
-        self.inner.corrupts()
-    }
-
-    fn delivers(&self, sender: HostId, receiver: HostId, now: Tick) -> bool {
-        self.layer.delivers(sender, receiver, now.as_u64())
-            && self.inner.delivers(sender, receiver, now)
-    }
-
-    fn partitions(&self) -> bool {
-        self.layer.partitions() || self.inner.partitions()
-    }
-
-    fn observe_vote(&mut self, task: TaskId, now: Tick, delivered: &[HostId], total: usize) {
-        self.inner.observe_vote(task, now, delivered, total);
-        let replicas = delivered.iter().map(|&h| (h, 1));
-        self.layer.observe_votes(now.as_u64(), replicas, total);
-        self.last_host = None;
-    }
-
-    fn adaptive(&self) -> bool {
-        self.layer.adaptive() || self.inner.adaptive()
-    }
-}
+/// The name [`ScenarioFaults`] had when it was a per-lane injector, kept
+/// so that `ScenarioInjector::new` callers build the same data. The
+/// benchmark's replay still calls it; ROADMAP item 1, which moves that
+/// replay onto the job path, may delete this alias.
+pub type ScenarioInjector = ScenarioFaults;
 
 /// Applies a scenario's stuck-at sensor windows over an inner
 /// environment: during a window, [`Environment::sense`] keeps returning
@@ -1078,11 +1093,6 @@ mod tests {
     use super::*;
     use crate::environment::ConstantEnvironment;
     use crate::fault::NoFaults;
-    use rand::{Rng, SeedableRng};
-
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(7)
-    }
 
     const EXAMPLE: &str = "\
 # outage of host 1
@@ -1095,6 +1105,8 @@ common hosts=0,2 from=5000 until=9000 p=0.25
 partition hosts=1 from=3000 until=4000
 wearout host=2 from=60000 until=90000 shape=2 scale=10000
 adversary from=0 until=20000 hold=50
+hazard host=0 p=0.001
+corrupt host=1 p=0.25 value=-1.5
 ";
 
     #[test]
@@ -1102,7 +1114,7 @@ adversary from=0 until=20000 hold=50
         // Headerless input is v1; the canonical rendering carries the
         // `scn v2` header and is a parse/display fixpoint.
         let s = Scenario::parse(EXAMPLE).unwrap();
-        assert_eq!(s.events().len(), 9);
+        assert_eq!(s.events().len(), 11);
         let canon = s.to_string();
         assert!(canon.starts_with("scn v2\n"), "canon: {canon}");
         let s2 = Scenario::parse(&canon).unwrap();
@@ -1164,6 +1176,21 @@ adversary from=0 until=20000 hold=50
             ("adversary from=0 until=5 hold=1 p=0.5", "unknown field"),
             ("crash host=0 at=5 at=10", "field `at` given twice"),
             ("flaky host=0 from=0 until=9 up=0.5 from=3", "given twice"),
+            ("hazard host=0", "missing field `p`"),
+            ("hazard p=0.5", "missing field `host`"),
+            ("hazard host=0 p=1.5", "probability"),
+            ("hazard host=0 p=-0.1", "probability"),
+            ("hazard host=x p=0.1", "unknown host `x`"),
+            ("hazard host=0 p=0.1 from=3", "unknown field"),
+            ("hazard host=0 p=0.1 p=0.2", "given twice"),
+            ("corrupt host=0 p=0.1", "missing field `value`"),
+            ("corrupt host=0 value=1", "missing field `p`"),
+            ("corrupt p=0.1 value=1", "missing field `host`"),
+            ("corrupt host=0 p=2 value=1", "probability"),
+            ("corrupt host=0 p=0.1 value=nan", "not a finite number"),
+            ("corrupt host=0 p=0.1 value=inf", "not a finite number"),
+            ("corrupt host=0 p=0.1 value=x", "not a number"),
+            ("corrupt host=0 p=0.1 value=1 at=3", "unknown field"),
         ] {
             let e = Scenario::parse(text).unwrap_err();
             assert!(
@@ -1232,216 +1259,37 @@ adversary from=0 until=20000 hold=50
         assert!(s.check_bounds(10, 0).is_ok());
         let s = Scenario::parse("wearout host=5 from=0 until=5 shape=1 scale=1").unwrap();
         assert!(s.check_bounds(5, 0).is_err());
+        let s = Scenario::parse("hazard host=3 p=0.5").unwrap();
+        assert!(s.check_bounds(3, 0).is_err());
+        assert!(ScenarioInjector::new(NoFaults, &s, 3, 0).is_err());
+        assert!(s.check_bounds(4, 0).is_ok());
     }
 
+    /// `from_events` applies `parse`'s checks to the two whole-run kinds,
+    /// and a fault model runs one timeline.
     #[test]
-    fn crash_and_rejoin_silence_the_window() {
-        let s = Scenario::parse("crash host=0 at=10\nrejoin host=0 at=20").unwrap();
-        let mut inj = ScenarioInjector::new(NoFaults, &s, 2, 0).unwrap();
-        let mut r = rng();
-        let h = HostId::new(0);
-        assert!(inj.host_ok(h, Tick::new(9), &mut r));
-        for t in 10..20 {
-            assert!(!inj.host_ok(h, Tick::new(t), &mut r), "t={t}");
-            assert!(!inj.broadcast_ok(h, Tick::new(t), &mut r));
-            assert_eq!(inj.rejoined_at(h, Tick::new(t)), None);
+    fn hazard_and_corrupt_are_validated() {
+        let hazard = |p| ScenarioEvent::Hazard {
+            host: HostId::new(0),
+            p,
+        };
+        let corrupt = |p, value| ScenarioEvent::Corrupt {
+            host: HostId::new(0),
+            p,
+            value,
+        };
+        for bad in [
+            hazard(1.5),
+            hazard(f64::NAN),
+            corrupt(-0.5, 1.0),
+            corrupt(0.5, f64::NAN),
+            corrupt(0.5, f64::NEG_INFINITY),
+        ] {
+            assert!(Scenario::from_events(vec![bad]).is_err(), "{bad}");
         }
-        assert!(inj.host_ok(h, Tick::new(20), &mut r));
-        assert_eq!(inj.rejoined_at(h, Tick::new(20)), Some(Tick::new(20)));
-        assert_eq!(inj.rejoined_at(h, Tick::new(999)), Some(Tick::new(20)));
-        // The other host is untouched and has no rejoin.
-        let other = HostId::new(1);
-        assert!(inj.host_ok(other, Tick::new(15), &mut r));
-        assert_eq!(inj.rejoined_at(other, Tick::new(15)), None);
-    }
-
-    #[test]
-    fn scenario_draws_nothing_outside_windows() {
-        // With NoFaults inside and no flaky/burst window at `now`, the
-        // injector must not consume randomness: two RNG clones stay in
-        // lockstep.
-        let s = Scenario::parse("crash host=0 at=10\nrejoin host=0 at=20").unwrap();
-        let mut inj = ScenarioInjector::new(NoFaults, &s, 1, 0).unwrap();
-        let mut r = rng();
-        for t in 0..40 {
-            inj.host_ok(HostId::new(0), Tick::new(t), &mut r);
-            inj.broadcast_ok(HostId::new(0), Tick::new(t), &mut r);
-        }
-        let mut fresh = rng();
-        assert_eq!(r.gen::<f64>(), fresh.gen::<f64>());
-    }
-
-    #[test]
-    fn flaky_rate_matches_up_probability() {
-        let s = Scenario::parse("flaky host=0 from=0 until=1000000 up=0.8").unwrap();
-        let mut inj = ScenarioInjector::new(NoFaults, &s, 1, 0).unwrap();
-        let mut r = rng();
-        let n = 100_000u64;
-        let mut up = 0u64;
-        for t in 0..n {
-            let a = inj.host_ok(HostId::new(0), Tick::new(t), &mut r);
-            // Broadcast agrees with execution within the same instant.
-            let b = inj.broadcast_ok(HostId::new(0), Tick::new(t), &mut r);
-            assert_eq!(a, b, "t={t}");
-            up += u64::from(a);
-        }
-        let rate = up as f64 / n as f64;
-        assert!((rate - 0.8).abs() < 0.01, "rate {rate}");
-        // Flaky windows are transient: never a rejoin.
-        assert_eq!(inj.rejoined_at(HostId::new(0), Tick::new(n)), None);
-    }
-
-    #[test]
-    fn burst_loss_only_in_bad_state() {
-        // enter=1 forces Bad at the first instant; loss=1 kills every
-        // broadcast in the window; exit=0 keeps it Bad.
-        let s = Scenario::parse("burst from=10 until=20 enter=1 exit=0 loss=1").unwrap();
-        let mut inj = ScenarioInjector::new(NoFaults, &s, 1, 0).unwrap();
-        let mut r = rng();
-        let h = HostId::new(0);
-        assert!(inj.broadcast_ok(h, Tick::new(9), &mut r));
-        for t in 10..20 {
-            assert!(!inj.broadcast_ok(h, Tick::new(t), &mut r), "t={t}");
-            // Host execution is unaffected by broadcast bursts.
-            assert!(inj.host_ok(h, Tick::new(t), &mut r));
-        }
-        assert!(inj.broadcast_ok(h, Tick::new(20), &mut r));
-    }
-
-    #[test]
-    fn common_cause_downs_the_group_together() {
-        let s = Scenario::parse("common hosts=0,1 from=0 until=100000 p=0.3").unwrap();
-        let mut inj = ScenarioInjector::new(NoFaults, &s, 3, 0).unwrap();
-        let mut r = rng();
-        let n = 50_000u64;
-        let mut down = 0u64;
-        for t in 0..n {
-            let a = inj.host_ok(HostId::new(0), Tick::new(t), &mut r);
-            let b = inj.host_ok(HostId::new(1), Tick::new(t), &mut r);
-            // One draw per instant for the whole group: members always
-            // agree — the failures are perfectly correlated.
-            assert_eq!(a, b, "t={t}");
-            // Broadcast of the same instant reuses the cached decision.
-            assert_eq!(a, inj.broadcast_ok(HostId::new(0), Tick::new(t), &mut r));
-            // A host outside the group is untouched.
-            assert!(inj.host_ok(HostId::new(2), Tick::new(t), &mut r));
-            down += u64::from(!a);
-        }
-        // The marginal per-instant failure rate of each member matches
-        // the group probability (what an independent flaky window with
-        // up = 1 − p would give it).
-        let rate = down as f64 / n as f64;
-        assert!((rate - 0.3).abs() < 0.01, "rate {rate}");
-    }
-
-    #[test]
-    fn wearout_hazard_grows_with_age() {
-        // shape=2, scale=1000: survival exp(−(τ/1000)²) — certain at age
-        // 0, astronomically unlikely by age 5000.
-        let s = Scenario::parse("wearout host=0 from=100 until=10000 shape=2 scale=1000").unwrap();
-        let mut inj = ScenarioInjector::new(NoFaults, &s, 1, 0).unwrap();
-        let mut r = rng();
-        let h = HostId::new(0);
-        // Outside the window: untouched (and draw-free, checked below).
-        assert!(inj.host_ok(h, Tick::new(99), &mut r));
-        // Age 0: survival probability exactly 1.
-        assert!(inj.host_ok(h, Tick::new(100), &mut r));
-        // Execution and broadcast of one instant agree via the cache.
-        for t in 100..200 {
-            let a = inj.host_ok(h, Tick::new(t), &mut r);
-            assert_eq!(a, inj.broadcast_ok(h, Tick::new(t), &mut r), "t={t}");
-        }
-        // Deep into wear-out the host is effectively gone.
-        let up = (5000..5100)
-            .filter(|&t| inj.host_ok(h, Tick::new(t), &mut r))
-            .count();
-        assert_eq!(up, 0, "survivals at age 4900+: {up}");
-        // Wear-out is transient (no rejoin bookkeeping).
-        assert_eq!(inj.rejoined_at(h, Tick::new(9999)), None);
-    }
-
-    #[test]
-    fn partition_masks_cross_side_delivery_only() {
-        let s = Scenario::parse("partition hosts=0 from=10 until=20").unwrap();
-        let mut inj = ScenarioInjector::new(NoFaults, &s, 3, 0).unwrap();
-        assert!(inj.partitions());
-        let (a, b, c) = (HostId::new(0), HostId::new(1), HostId::new(2));
-        // Inside the window: the listed side {0} is cut off from {1, 2},
-        // both directions; same-side pairs still deliver.
-        for t in 10..20 {
-            let now = Tick::new(t);
-            assert!(!inj.delivers(a, b, now), "t={t}");
-            assert!(!inj.delivers(b, a, now), "t={t}");
-            assert!(inj.delivers(b, c, now), "t={t}");
-            assert!(inj.delivers(a, a, now), "t={t}");
-        }
-        // Outside: everything delivers.
-        for t in [0, 9, 20, 100] {
-            assert!(inj.delivers(a, b, Tick::new(t)), "t={t}");
-        }
-        // Partitions never touch execution or broadcast draws.
-        let mut r = rng();
-        for t in 0..40 {
-            assert!(inj.host_ok(a, Tick::new(t), &mut r));
-            assert!(inj.broadcast_ok(a, Tick::new(t), &mut r));
-        }
-        let mut fresh = rng();
-        assert_eq!(r.gen::<f64>(), fresh.gen::<f64>());
-    }
-
-    #[test]
-    fn adversary_holds_the_vote_pivot_down() {
-        let s = Scenario::parse("adversary from=0 until=100 hold=5").unwrap();
-        let mut inj = ScenarioInjector::new(NoFaults, &s, 3, 0).unwrap();
-        assert!(inj.adaptive());
-        let mut r = rng();
-        let (a, b, c) = (HostId::new(0), HostId::new(1), HostId::new(2));
-        let task = TaskId::new(0);
-        // Unanimous vote (3/3): no pivot, nothing happens.
-        inj.observe_vote(task, Tick::new(10), &[a, b, c], 3);
-        assert!(inj.host_ok(a, Tick::new(11), &mut r));
-        // Below majority (1/3): the vote already failed, nothing to flip.
-        inj.observe_vote(task, Tick::new(10), &[b], 3);
-        assert!(inj.host_ok(b, Tick::new(11), &mut r));
-        // Minimal strict majority (2/3): the lowest-indexed delivering
-        // host is held down for `hold` instants starting next instant.
-        inj.observe_vote(task, Tick::new(10), &[b, c], 3);
-        for t in 11..16 {
-            assert!(!inj.host_ok(b, Tick::new(t), &mut r), "t={t}");
-            assert!(!inj.broadcast_ok(b, Tick::new(t), &mut r), "t={t}");
-        }
-        assert!(inj.host_ok(b, Tick::new(16), &mut r));
-        assert!(inj.host_ok(c, Tick::new(12), &mut r), "non-pivot untouched");
-        // Outside the adversary window the hook is inert.
-        inj.observe_vote(task, Tick::new(500), &[b, c], 3);
-        assert!(inj.host_ok(b, Tick::new(501), &mut r));
-        // The whole adversary machinery is draw-free.
-        let mut fresh = rng();
-        assert_eq!(r.gen::<f64>(), fresh.gen::<f64>());
-    }
-
-    #[test]
-    fn new_events_draw_nothing_outside_windows() {
-        // Same discipline as crash/rejoin: with every window in the
-        // future, the composite consumes no randomness at all.
-        let s = Scenario::parse(
-            "common hosts=0,1 from=1000 until=2000 p=0.5\n\
-             wearout host=0 from=1000 until=2000 shape=1 scale=10\n\
-             partition hosts=0 from=1000 until=2000\n\
-             adversary from=1000 until=2000 hold=5",
-        )
-        .unwrap();
-        let mut inj = ScenarioInjector::new(NoFaults, &s, 2, 0).unwrap();
-        let mut r = rng();
-        for t in 0..100 {
-            for h in [HostId::new(0), HostId::new(1)] {
-                assert!(inj.host_ok(h, Tick::new(t), &mut r));
-                assert!(inj.broadcast_ok(h, Tick::new(t), &mut r));
-            }
-            inj.delivers(HostId::new(0), HostId::new(1), Tick::new(t));
-        }
-        let mut fresh = rng();
-        assert_eq!(r.gen::<f64>(), fresh.gen::<f64>());
+        let s = Scenario::from_events(vec![hazard(0.0), corrupt(1.0, -0.0)]).unwrap();
+        let faults = ScenarioFaults::new(NoFaults, &s, 1, 0).unwrap();
+        assert!(ScenarioFaults::new(faults, &s, 1, 0).is_err());
     }
 
     #[test]
@@ -1553,7 +1401,7 @@ adversary from=0 until=20000 hold=50
                         .take(1 + (c % 2) as usize),
                 )
                 .unwrap();
-                match a % 8 {
+                match a % 10 {
                     0 if !closed[h] => {
                         let start = clock[h] + 1 + b % 1000;
                         events.push(ScenarioEvent::Crash {
@@ -1607,6 +1455,12 @@ adversary from=0 until=20000 hold=50
                         shape: (c % 40 + 1) as f64 / 10.0,
                         scale: (b % 5000 + 1) as f64,
                     }),
+                    8 => events.push(ScenarioEvent::Hazard { host, p: prob(c) }),
+                    9 => events.push(ScenarioEvent::Corrupt {
+                        host,
+                        p: prob(c),
+                        value: (b % 2001) as f64 / 8.0 - 125.0,
+                    }),
                     _ => events.push(ScenarioEvent::Adversary {
                         from: Tick::new(b % 10_000),
                         until: Tick::new(b % 10_000 + 1 + c % 1000),
@@ -1652,7 +1506,7 @@ adversary from=0 until=20000 hold=50
                 let from = Tick::new(b % 100);
                 let until = Tick::new(b % 100 + (a >> 20) % 50);
                 let hosts = HostSet::from_hosts([host]).unwrap();
-                events.push(match a % 9 {
+                events.push(match a % 11 {
                     0 => ScenarioEvent::Crash { host, at: from },
                     1 => ScenarioEvent::Rejoin { host, at: until },
                     2 => ScenarioEvent::Flaky { host, from, until, up: num(b) },
@@ -1673,12 +1527,58 @@ adversary from=0 until=20000 hold=50
                         shape: num(b) * 4.0,
                         scale: num(b >> 11) * 1e4,
                     },
-                    _ => ScenarioEvent::Adversary { from, until, hold: b % 3 },
+                    8 => ScenarioEvent::Adversary { from, until, hold: b % 3 },
+                    9 => ScenarioEvent::Hazard { host, p: num(b) },
+                    _ => ScenarioEvent::Corrupt { host, p: num(b), value: num(b >> 7) * -9.0 },
                 });
             }
             if let Ok(s) = Scenario::from_events(events) {
                 let reparsed = Scenario::parse(&s.to_string());
                 proptest::prop_assert_eq!(reparsed.as_ref(), Ok(&s), "{}", s);
+            }
+        }
+    }
+
+    /// The bytes the mutation proptest below splices into `.scn` lines:
+    /// separators, digits, signs, exponents and the letters of `inf`,
+    /// `nan`, the keys and the verbs.
+    const MUTATION_ALPHABET: &[u8] = b" =.-+0129eEinfapvlostruhcz#\t,";
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Every `hazard` or `corrupt` line with bytes replaced, deleted
+        /// or inserted is either diagnosed, on a line of the input, or
+        /// accepted and reparsed from its canonical form to itself;
+        /// parsing never panics.
+        #[test]
+        fn mutated_hazard_and_corrupt_lines_are_diagnosed_or_round_trip(
+            pick in 0usize..3,
+            edits in proptest::collection::vec(
+                (0usize..4096, 0u8..3, 0..MUTATION_ALPHABET.len()),
+                1..6,
+            ),
+        ) {
+            let base = [
+                "hazard host=1 p=0.25",
+                "corrupt host=0 p=1 value=-9.5",
+                "hazard host=2 p=0\ncorrupt host=2 p=0.5 value=3",
+            ][pick];
+            let mut bytes = base.as_bytes().to_vec();
+            for (at, op, c) in edits {
+                let at = at % (bytes.len() + 1);
+                match op {
+                    0 if at < bytes.len() => bytes[at] = MUTATION_ALPHABET[c],
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.insert(at, MUTATION_ALPHABET[c]),
+                }
+            }
+            let text = String::from_utf8(bytes).expect("ASCII edits");
+            match Scenario::parse(&text) {
+                Ok(s) => proptest::prop_assert_eq!(Scenario::parse(&s.to_string()), Ok(s)),
+                Err(e) => proptest::prop_assert!(e.line <= text.lines().count(), "{}", e),
             }
         }
     }

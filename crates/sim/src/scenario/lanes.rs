@@ -1,10 +1,14 @@
 //! The scenario layer as a lane-group object.
 //!
 //! A [`Timeline`] is a [`Scenario`] compiled once against a model: its
-//! events sorted by kind, in event order, plus the sorted instants at
-//! which anything starts, stops, crashes or rejoins. [`ScenarioLanes`]
-//! runs one timeline for a group of 1..=64 lanes. Everything that does
-//! not depend on a lane's random stream is evaluated once per group:
+//! events sorted by kind, in event order, with each probability as the
+//! integer cut of its draw ([`rand::unit_threshold`]), plus the sorted
+//! instants at which anything starts, stops, crashes or rejoins. It is
+//! the scripted half of a fault model as the lane-group kernel reads it
+//! ([`FaultModel::timeline`](crate::fault::FaultModel::timeline)).
+//! [`ScenarioLanes`] runs one timeline for a group of 1..=64 lanes.
+//! Everything that does not depend on a lane's random stream is
+//! evaluated once per group:
 //!
 //! * a cursor over the timeline keeps the *frame* — which windows are
 //!   active, each host's crash/rejoin state, the adversary's hold — for
@@ -15,29 +19,22 @@
 //!   group (every lane makes the same calls in the same order);
 //! * the partition part of delivery and the adversary's pivot rule.
 //!
-//! What remains per lane is its draws, made on the lane's own stream in
-//! the order a one-lane run makes them, and folded into lane masks: one
-//! "down" mask per flaky host, wear-out host and common-cause group, a
-//! `bad` and a `lose_now` mask per burst chain, and the adversary's
-//! holds per (host, lane). A lane group draws them site by site for all
-//! its lanes at once ([`ScenarioLanes::draw_host_lanes`],
-//! [`ScenarioLanes::draw_bursts_lanes`]), or lane by lane on a lane's own
-//! generator when the lane's own injector draws in between
-//! ([`ScenarioLanes::draw_host`], [`ScenarioLanes::draw_bursts`]).
-//! The group form compares each draw with the integer cut of its
-//! probability ([`rand::unit_threshold`]), the lane form with the
-//! probability itself; the two decide every draw alike.
-//! [`ScenarioInjector`](super::ScenarioInjector) is the width-1 form of
-//! this object.
+//! What remains per lane is its draws, made site by site for all lanes at
+//! once on the lanes' own streams in the order a one-lane run makes them
+//! ([`ScenarioLanes::draw_host_lanes`], [`ScenarioLanes::draw_bursts_lanes`]),
+//! and folded into lane masks: one "down" mask per flaky host, wear-out
+//! host and common-cause group, a `bad` and a `lose_now` mask per burst
+//! chain, a "dead" mask per host under a crash hazard, and the adversary's
+//! holds per (host, lane). A hazard draws only on the lanes whose host is
+//! still alive, as a masked step, so a dead lane's stream stands still.
 
 use super::{HostSet, Scenario, ScenarioError, ScenarioEvent};
 use crate::draws::LaneRngs;
 use logrel_core::{HostId, Tick};
-use rand::rngs::StdRng;
-use rand::{unit_threshold, Rng};
+use rand::unit_threshold;
 
 /// A half-open window `[from, until)` carrying `what`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Window<T> {
     from: u64,
     until: u64,
@@ -62,13 +59,9 @@ impl<T> Window<T> {
     }
 }
 
-/// Gilbert–Elliott parameters of one burst window, and the integer cuts
-/// of their draws for the group form.
-#[derive(Debug, Clone, Copy)]
+/// The integer cuts of the Gilbert–Elliott draws of one burst window.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Chain {
-    p_enter: f64,
-    p_exit: f64,
-    loss: f64,
     cut_enter: u64,
     cut_exit: u64,
     cut_loss: u64,
@@ -85,23 +78,28 @@ pub(crate) enum CrashState {
     Rejoined(u64),
 }
 
-/// A scenario compiled against a model with a fixed number of hosts.
-#[derive(Debug, Clone)]
-pub(crate) struct Timeline {
+/// A scenario compiled against a model with a fixed number of hosts: the
+/// scripted half of a fault model (see the module docs).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Timeline {
     hosts: usize,
     /// Per host: crash/rejoin transitions as (instant, is_rejoin), sorted.
     transitions: Vec<Vec<(u64, bool)>>,
-    /// Flaky windows: (host, up).
-    flaky: Vec<Window<(usize, f64)>>,
+    /// Flaky windows: (host, cut of `up`).
+    flaky: Vec<Window<(usize, u64)>>,
     /// Wear-out windows: (host, shape, scale).
     wearouts: Vec<Window<(usize, f64, f64)>>,
-    /// Common-cause groups: (members, p).
-    commons: Vec<Window<(HostSet, f64)>>,
+    /// Common-cause groups: (members, cut of `p`).
+    commons: Vec<Window<(HostSet, u64)>>,
     bursts: Vec<Window<Chain>>,
     /// Partition windows: one side of the split.
     splits: Vec<Window<HostSet>>,
     /// Adversary windows: the hold.
     adversaries: Vec<Window<u64>>,
+    /// Per host: the cuts of its crash hazards, in event order.
+    hazards: Vec<Vec<u64>>,
+    /// Per host: its corruptions as (cut, garbage value), in event order.
+    corrupts: Vec<Vec<(u64, f64)>>,
     /// Every instant at which the frame changes, sorted and distinct.
     breakpoints: Vec<u64>,
 }
@@ -133,6 +131,8 @@ impl Timeline {
             bursts: Vec::new(),
             splits: Vec::new(),
             adversaries: Vec::new(),
+            hazards: vec![Vec::new(); hosts],
+            corrupts: vec![Vec::new(); hosts],
             breakpoints: Vec::new(),
         };
         for e in scenario.events() {
@@ -148,7 +148,9 @@ impl Timeline {
                     from,
                     until,
                     up,
-                } => tl.flaky.push(Window::new(from, until, (host.index(), up))),
+                } => tl
+                    .flaky
+                    .push(Window::new(from, until, (host.index(), unit_threshold(up)))),
                 ScenarioEvent::StuckSensor { .. } => {} // environment-side
                 ScenarioEvent::Burst {
                     from,
@@ -160,9 +162,6 @@ impl Timeline {
                     from,
                     until,
                     Chain {
-                        p_enter,
-                        p_exit,
-                        loss,
                         cut_enter: unit_threshold(p_enter),
                         cut_exit: unit_threshold(p_exit),
                         cut_loss: unit_threshold(loss),
@@ -173,7 +172,9 @@ impl Timeline {
                     from,
                     until,
                     p,
-                } => tl.commons.push(Window::new(from, until, (hosts, p))),
+                } => tl
+                    .commons
+                    .push(Window::new(from, until, (hosts, unit_threshold(p)))),
                 ScenarioEvent::Partition { hosts, from, until } => {
                     tl.splits.push(Window::new(from, until, hosts));
                 }
@@ -188,6 +189,12 @@ impl Timeline {
                     .push(Window::new(from, until, (host.index(), shape, scale))),
                 ScenarioEvent::Adversary { from, until, hold } => {
                     tl.adversaries.push(Window::new(from, until, hold));
+                }
+                ScenarioEvent::Hazard { host, p } => {
+                    tl.hazards[host.index()].push(unit_threshold(p));
+                }
+                ScenarioEvent::Corrupt { host, p, value } => {
+                    tl.corrupts[host.index()].push((unit_threshold(p), value));
                 }
             }
         }
@@ -223,11 +230,6 @@ impl Timeline {
     }
 }
 
-/// Whether `sender` and `receiver` sit on the same side of every split.
-fn same_side(mut splits: impl Iterator<Item = HostSet>, sender: HostId, receiver: HostId) -> bool {
-    splits.all(|side| side.contains(sender) == side.contains(receiver))
-}
-
 /// The timeline's state on the segment `[lo, hi)` between two
 /// breakpoints, where no window starts or stops and no host crashes or
 /// rejoins.
@@ -235,8 +237,8 @@ fn same_side(mut splits: impl Iterator<Item = HostSet>, sender: HostId, receiver
 struct Frame {
     lo: u64,
     hi: u64,
-    /// Per host: the `up` of each active flaky window, in event order.
-    flaky: Vec<Vec<f64>>,
+    /// Per host: the cut of each active flaky window, in event order.
+    flaky: Vec<Vec<u64>>,
     /// Per host: the active wear-out windows (from, shape, scale).
     wear: Vec<Vec<(u64, f64, f64)>>,
     /// Per host: the active common-cause groups holding it.
@@ -252,11 +254,12 @@ struct Frame {
     draws: bool,
 }
 
-/// One Bernoulli draw a lane makes for the host being queried: lane bits
-/// whose draw `x < p` equals `down_if` are set in `down[slot]`.
+/// One Bernoulli draw every lane makes for the host being queried: lane
+/// bits whose draw falls below `cut` exactly when `down_if` are set in
+/// `down[slot]`.
 #[derive(Debug, Clone, Copy)]
 struct Draw {
-    p: f64,
+    cut: u64,
     slot: u32,
     down_if: bool,
 }
@@ -285,7 +288,10 @@ pub(crate) struct ScenarioLanes {
     /// `now < until`; per host, the largest such `until` over the lanes.
     adv_until: Vec<u64>,
     adv_max: Vec<u64>,
-    /// The draws the current query makes on each lane.
+    /// Per host: the lanes on which a crash hazard has killed it.
+    dead: Vec<u64>,
+    /// The host of the current query, and the draws it makes on each lane.
+    host: usize,
     host_draws: Vec<Draw>,
     burst_draws: Vec<u32>,
 }
@@ -324,15 +330,12 @@ impl ScenarioLanes {
             burst_lose: vec![0; bursts],
             adv_until: vec![0; hosts * width],
             adv_max: vec![0; hosts],
+            dead: vec![0; hosts],
+            host: 0,
             host_draws: Vec::new(),
             burst_draws: Vec::new(),
             tl,
         }
-    }
-
-    /// The pass-through layer for `hosts` hosts and `width` lanes.
-    pub(crate) fn none(hosts: usize, width: usize) -> Self {
-        Self::new(Timeline::empty(hosts), width)
     }
 
     /// The number of lanes.
@@ -340,11 +343,24 @@ impl ScenarioLanes {
         self.width
     }
 
-    /// Whether the timeline scripts anything for the injector side: with
-    /// no breakpoint, no host is ever crashed, held or drawn for.
+    /// Whether the timeline scripts anything for the hosts: with no
+    /// breakpoint and no hazard, no host is ever crashed, held or drawn
+    /// for.
     #[inline]
     pub(crate) fn scripted(&self) -> bool {
-        !self.tl.breakpoints.is_empty()
+        !self.tl.breakpoints.is_empty() || self.tl.hazards.iter().any(|h| !h.is_empty())
+    }
+
+    /// Whether the timeline has a `corrupt` event.
+    pub(crate) fn corrupting(&self) -> bool {
+        self.tl.corrupts.iter().any(|c| !c.is_empty())
+    }
+
+    /// The corruptions a delivered replica on `host` draws for: (cut,
+    /// garbage value), in event order.
+    #[inline]
+    pub(crate) fn corrupts(&self, host: HostId) -> &[(u64, f64)] {
+        &self.tl.corrupts[host.index()]
     }
 
     /// Whether the timeline has a partition window.
@@ -365,13 +381,6 @@ impl ScenarioLanes {
         if !(self.frame.lo <= now && now < self.frame.hi) {
             self.rebuild(now);
         }
-    }
-
-    /// Whether the frame holds at `now` (the `&self` queries fall back
-    /// to the timeline itself when it does not).
-    #[inline]
-    fn current(&self, now: u64) -> bool {
-        self.frame.lo <= now && now < self.frame.hi
     }
 
     #[cold]
@@ -434,6 +443,7 @@ impl ScenarioLanes {
         self.seek(now);
         self.host_draws.clear();
         let h = host.index();
+        self.host = h;
         let at = now.wrapping_add(1);
         if self.frame.draws {
             self.plan_host(h, at, now);
@@ -452,8 +462,8 @@ impl ScenarioLanes {
         if self.stamp[h] != at {
             self.stamp[h] = at;
             self.down[h] = 0;
-            self.host_draws.extend(f.flaky[h].iter().map(|&p| Draw {
-                p,
+            self.host_draws.extend(f.flaky[h].iter().map(|&cut| Draw {
+                cut,
                 slot: h as u32,
                 down_if: false,
             }));
@@ -464,7 +474,7 @@ impl ScenarioLanes {
                 self.stamp[slot] = at;
                 self.down[slot] = 0;
                 self.host_draws.push(Draw {
-                    p: self.tl.commons[g as usize].what.1,
+                    cut: self.tl.commons[g as usize].what.1,
                     slot: slot as u32,
                     down_if: true,
                 });
@@ -487,7 +497,7 @@ impl ScenarioLanes {
                         x.powf(shape)
                     };
                     Draw {
-                        p: (-hazard).exp(),
+                        cut: unit_threshold((-hazard).exp()),
                         slot: slot as u32,
                         down_if: false,
                     }
@@ -495,24 +505,29 @@ impl ScenarioLanes {
         }
     }
 
-    /// Lane `bit`'s draws for the host of the last
-    /// [`ScenarioLanes::begin_host`], on the lane's own stream.
-    #[inline]
-    pub(crate) fn draw_host(&mut self, rng: &mut StdRng, bit: u64) {
-        for d in &self.host_draws {
-            if (rng.gen::<f64>() < d.p) == d.down_if {
-                self.down[d.slot as usize] |= bit;
-            }
-        }
-    }
-
     /// Every lane's draws for the host of the last
-    /// [`ScenarioLanes::begin_host`], site by site over all lanes.
+    /// [`ScenarioLanes::begin_host`], site by site over all lanes: the
+    /// planned draws, then the host's crash hazards on the lanes where it
+    /// is still alive.
     #[inline]
     pub(crate) fn draw_host_lanes(&mut self, rngs: &mut LaneRngs) {
         for d in &self.host_draws {
-            let below = rngs.below(unit_threshold(d.p));
+            let below = rngs.below(d.cut);
             self.down[d.slot as usize] |= if d.down_if { below } else { !below & self.all };
+        }
+        if !self.tl.hazards[self.host].is_empty() {
+            self.draw_hazards(rngs);
+        }
+    }
+
+    /// The crash hazards of the host of the last
+    /// [`ScenarioLanes::begin_host`], each on the lanes where the host is
+    /// still alive.
+    #[inline(never)]
+    fn draw_hazards(&mut self, rngs: &mut LaneRngs) {
+        let dead = &mut self.dead[self.host];
+        for &cut in &self.tl.hazards[self.host] {
+            *dead |= rngs.below_masked(cut, self.all & !*dead);
         }
     }
 
@@ -528,30 +543,6 @@ impl ScenarioLanes {
                 self.burst_last[i] = now;
                 self.burst_lose[i] = 0;
                 self.burst_draws.push(b);
-            }
-        }
-    }
-
-    /// Lane `bit`'s burst draws planned by the last
-    /// [`ScenarioLanes::begin_bursts`]: for each chain, the transition
-    /// draw, then the loss draw (made whatever the chain state, so the
-    /// stream does not depend on it).
-    #[inline]
-    pub(crate) fn draw_bursts(&mut self, rng: &mut StdRng, bit: u64) {
-        for &b in &self.burst_draws {
-            let i = b as usize;
-            let chain = self.tl.bursts[i].what;
-            let flip = rng.gen::<f64>();
-            let bad = &mut self.burst_bad[i];
-            if *bad & bit != 0 {
-                if flip < chain.p_exit {
-                    *bad &= !bit;
-                }
-            } else if flip < chain.p_enter {
-                *bad |= bit;
-            }
-            if rng.gen::<f64>() < chain.loss {
-                self.burst_lose[i] |= bit;
             }
         }
     }
@@ -574,9 +565,10 @@ impl ScenarioLanes {
     }
 
     /// The lanes on which `host` is up at `now` as far as the scenario
-    /// goes: not crashed, not held by the adversary, and not downed by a
-    /// flaky, common-cause or wear-out entity that drew at this instant
-    /// (an entity that has not drawn yet counts as up).
+    /// goes: not crashed, not killed by a hazard, not held by the
+    /// adversary, and not downed by a flaky, common-cause or wear-out
+    /// entity that drew at this instant (an entity that has not drawn yet
+    /// counts as up).
     #[inline]
     pub(crate) fn up_mask(&mut self, host: HostId, now: u64) -> u64 {
         self.seek(now);
@@ -584,7 +576,7 @@ impl ScenarioLanes {
         if self.frame.crash[h] == CrashState::Down {
             return 0;
         }
-        let mut down = self.adv_mask(h, now);
+        let mut down = self.adv_mask(h, now) | self.dead[h];
         if self.frame.draws {
             let at = now.wrapping_add(1);
             let hosts = self.tl.hosts;
@@ -625,33 +617,22 @@ impl ScenarioLanes {
             .fold(0, |m, (li, &until)| m | u64::from(now < until) << li)
     }
 
-    /// `host`'s crash/rejoin state at `now`.
+    /// `host`'s crash/rejoin state at the instant of the last
+    /// [`ScenarioLanes::begin_host`].
     #[inline]
-    pub(crate) fn crash_state(&self, host: HostId, now: u64) -> CrashState {
-        if self.current(now) {
-            self.frame.crash[host.index()]
-        } else {
-            self.tl.crash_state(host.index(), now)
-        }
+    pub(crate) fn crash_state(&self, host: HostId) -> CrashState {
+        self.frame.crash[host.index()]
     }
 
-    /// Whether the broadcast `sender` makes at `now` reaches `receiver`
-    /// across every active split.
+    /// Whether a broadcast `sender` makes at the instant of the last
+    /// [`ScenarioLanes::begin_host`] reaches `receiver` across every
+    /// active split.
     #[inline]
-    pub(crate) fn delivers(&self, sender: HostId, receiver: HostId, now: u64) -> bool {
-        if self.current(now) {
-            same_side(self.frame.splits.iter().copied(), sender, receiver)
-        } else {
-            same_side(
-                self.tl
-                    .splits
-                    .iter()
-                    .filter(|w| w.active(now))
-                    .map(|w| w.what),
-                sender,
-                receiver,
-            )
-        }
+    pub(crate) fn delivers(&self, sender: HostId, receiver: HostId) -> bool {
+        self.frame
+            .splits
+            .iter()
+            .all(|side| side.contains(sender) == side.contains(receiver))
     }
 
     /// Feeds one vote back to the adversary: `replicas` are the task's

@@ -20,10 +20,10 @@ fn main() {
     let sim = Simulation::new(&sys.spec, &sys.arch, &imp);
     let mut behaviors = BehaviorMap::new();
     let mut env = ConstantEnvironment::new(Value::Float(0.25));
-    let mut injector = ProbabilisticFaults::from_architecture(&sys.arch);
+    let injector = ProbabilisticFaults::from_architecture(&sys.arch);
     let config = SimConfig { rounds, seed: 7 };
     println!("simulating {rounds} rounds with seed {} …\n", config.seed);
-    let out = sim.run(&mut behaviors, &mut env, &mut injector, &config);
+    let out = sim.run(&mut behaviors, &mut env, &injector, &config);
 
     println!("{:<6} {:>12} {:>12} {:>12}", "comm", "empirical", "analytic", "diff");
     for c in sys.spec.communicator_ids() {

@@ -6,7 +6,7 @@
 
 use logrel::core::{Tick, TimeDependentImplementation};
 use logrel::reliability::check;
-use logrel::sim::{BehaviorMap, NoFaults, SimConfig, Simulation, UnplugAt};
+use logrel::sim::{BehaviorMap, NoFaults, Scenario, ScenarioFaults, SimConfig, Simulation};
 use logrel::steerbywire::behaviors::build_behaviors;
 use logrel::steerbywire::env::LaneChange;
 use logrel::steerbywire::{SteerEnvironment, SteerScenario, SteerSystem, VehicleParams};
@@ -37,10 +37,13 @@ fn closed_loop(scenario: SteerScenario, unplug: bool) -> (f64, f64) {
         seed: 6,
     };
     if unplug {
-        let mut inj = UnplugAt::new(NoFaults, sys.ids.ecu_a, Tick::new(8_000));
-        sim.run(&mut behaviors, &mut env, &mut inj, &config);
+        let scenario = Scenario::unplug(sys.ids.ecu_a, Tick::new(8_000));
+        let (hosts, comms) = (sys.arch.host_count(), sys.spec.communicator_count());
+        let faults =
+            ScenarioFaults::new(NoFaults, &scenario, hosts, comms).expect("ecu_a is a host");
+        sim.run(&mut behaviors, &mut env, &faults, &config);
     } else {
-        sim.run(&mut behaviors, &mut env, &mut NoFaults, &config);
+        sim.run(&mut behaviors, &mut env, &NoFaults, &config);
     }
     (
         env.mean_yaw_error_since(Tick::new(10_000)),

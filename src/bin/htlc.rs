@@ -883,7 +883,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
             let head = sim.run(
                 &mut logrel::sim::BehaviorMap::new(),
                 &mut env(),
-                &mut faults(),
+                &faults(),
                 &logrel::sim::SimConfig {
                     rounds: rounds.min(2),
                     seed,
@@ -1072,7 +1072,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
             // under the scenario layers.
             let base = pipeline::replication_context(&sys.arch);
             let comms = sys.spec.communicator_count();
-            let injector = logrel::sim::ScenarioInjector::new(
+            let injector = logrel::sim::ScenarioFaults::new(
                 base.injector,
                 &scenario,
                 sys.arch.host_count(),

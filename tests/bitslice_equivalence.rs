@@ -1,31 +1,40 @@
 //! Differential tests of the lane-group kernel: every lane of
 //! `Simulation::run_bitsliced` must be bit-identical to the scalar
 //! reference interpreter (`Simulation::run_reference`) run on the same
-//! seed, injector and environment — under every scenario event kind
+//! seed, fault model and environment — under every scenario event kind
 //! (crash/rejoin, flaky windows, GE bursts, stuck sensors, unplug,
 //! common-cause groups, partitions, Weibull wear-out, adaptive
-//! adversaries), under value corruption (the slow voting path), on the
-//! 3TS and steer-by-wire systems, and on randomly generated pipeline
-//! systems. The LRC monitor and the metrics sink, which the reference
-//! takes none of, are checked against one-lane runs of the same seeds.
+//! adversaries, crash hazards), under value corruption (the slow voting
+//! path), on the 3TS and steer-by-wire systems, and on randomly generated
+//! pipeline systems. The kernel reads a scenario as data; the reference
+//! asks the scenario's per-call oracle injector
+//! (`crates/sim/src/scenario/oracle.rs`, included here by path). The LRC
+//! monitor and the metrics sink, which the reference takes none of, are
+//! checked against one-lane runs of the same seeds.
+
+// The shared oracle; this suite does not read where its streams stand.
+#[allow(dead_code)]
+#[path = "../crates/sim/src/scenario/oracle.rs"]
+mod oracle;
 
 use logrel_core::prelude::*;
 use logrel_core::TimeDependentImplementation;
 use logrel_obs::{NoopSink, Registry};
 use logrel_sim::bitslice::LaneContext;
 use logrel_sim::{
-    BehaviorMap, ConstantEnvironment, CorruptingFaults, Environment, FaultInjector, HostSet,
-    LrcMonitor, MonitorConfig, ProbabilisticFaults, Scenario, ScenarioEnvironment, ScenarioEvent,
-    ScenarioInjector, SimConfig, SimOutput, Simulation, UnplugAt, VotingStrategy,
+    BehaviorMap, ConstantEnvironment, Environment, FaultModel, HostSet, LrcMonitor, MonitorConfig,
+    NoFaults, ProbabilisticFaults, Scenario, ScenarioEnvironment, ScenarioEvent, ScenarioFaults,
+    SimConfig, SimOutput, Simulation, VotingStrategy,
 };
 use logrel_steerbywire::{SteerScenario, SteerSystem};
 use logrel_threetank::behaviors::build_behaviors;
 use logrel_threetank::{PlantParams, Scenario as Deployment, ThreeTankSystem};
+use oracle::PerLaneInjector;
 use proptest::prelude::*;
 
-/// Runs one lane group of `(seed, injector, environment)` lanes and
+/// Runs one lane group of `(seed, fault model, environment)` lanes and
 /// returns every lane's output, trace included.
-fn run_group<I: FaultInjector, E: Environment>(
+fn run_group<I: FaultModel, E: Environment>(
     sim: &Simulation<'_>,
     behaviors: &mut BehaviorMap,
     lanes: impl IntoIterator<Item = (u64, I, E)>,
@@ -38,10 +47,10 @@ fn run_group<I: FaultInjector, E: Environment>(
     sim.run_traced(behaviors, &mut lanes, None, &mut NoopSink, rounds)
 }
 
-/// A scenario exercising every event kind at once (3TS ids): crash and
-/// rejoin, a flaky window, a stuck sensor, a Gilbert–Elliott burst, a
-/// common-cause group, a partition, Weibull wear-out and an adaptive
-/// adversary.
+/// A scenario exercising every event kind but corruption at once (3TS
+/// ids): crash and rejoin, a flaky window, a stuck sensor, a
+/// Gilbert–Elliott burst, a common-cause group, a partition, Weibull
+/// wear-out, an adaptive adversary and a crash hazard.
 fn full_scenario(sys: &ThreeTankSystem) -> Scenario {
     Scenario::from_events(vec![
         ScenarioEvent::Crash {
@@ -93,6 +102,10 @@ fn full_scenario(sys: &ThreeTankSystem) -> Scenario {
             until: Tick::new(100_000),
             hold: 25,
         },
+        ScenarioEvent::Hazard {
+            host: sys.ids.h3,
+            p: 0.001,
+        },
     ])
     .unwrap()
 }
@@ -110,15 +123,9 @@ fn threetank_lanes_match_scalar_under_full_scenario() {
     let rounds = 200;
     let seeds: Vec<u64> = (0..9).map(|i| 0xBEEF + 31 * i).collect();
 
-    let fresh_inj = || {
-        ScenarioInjector::new(
-            ProbabilisticFaults::from_architecture(&sys.arch),
-            &scn,
-            sys.arch.host_count(),
-            comms,
-        )
-        .unwrap()
-    };
+    let base = ProbabilisticFaults::from_architecture(&sys.arch);
+    let hosts = sys.arch.host_count();
+    let fresh_inj = || ScenarioFaults::new(base.clone(), &scn, hosts, comms).unwrap();
     let fresh_env =
         || ScenarioEnvironment::new(ConstantEnvironment::new(Value::Float(0.25)), &scn, comms);
 
@@ -129,7 +136,7 @@ fn threetank_lanes_match_scalar_under_full_scenario() {
             sim.run_reference(
                 &mut behaviors,
                 &mut fresh_env(),
-                &mut fresh_inj(),
+                &mut PerLaneInjector::new(base.clone(), &scn, hosts, comms).unwrap(),
                 &SimConfig { rounds, seed },
             )
         })
@@ -164,7 +171,7 @@ fn supervised_observed_lanes_match_one_lane_runs() {
         confidence: 0.9,
     };
     let fresh_inj = || {
-        ScenarioInjector::new(
+        ScenarioFaults::new(
             ProbabilisticFaults::from_architecture(&sys.arch),
             &scn,
             sys.arch.host_count(),
@@ -185,7 +192,7 @@ fn supervised_observed_lanes_match_one_lane_runs() {
             let one = sim.run_observed(
                 &mut BehaviorMap::default(),
                 &mut fresh_env(),
-                &mut fresh_inj(),
+                &fresh_inj(),
                 Some(&mut one_monitor),
                 &mut one_registry,
                 &SimConfig { rounds, seed },
@@ -241,9 +248,9 @@ fn supervised_observed_lanes_match_one_lane_runs() {
     }
 }
 
-/// Steer-by-wire with an ECU unplug (the fifth fault kind): lanes match
-/// reference runs, including the warm-up bookkeeping of the stateful
-/// tasks.
+/// Steer-by-wire with an ECU unplug (a crash without a rejoin) over
+/// probabilistic faults: lanes match reference runs, including the
+/// warm-up bookkeeping of the stateful tasks.
 #[test]
 fn steerbywire_lanes_match_scalar_with_unplug() {
     let sys = SteerSystem::new(SteerScenario::ReplicatedEcus, None).unwrap();
@@ -252,13 +259,10 @@ fn steerbywire_lanes_match_scalar_with_unplug() {
     let rounds = 150;
     let seeds: Vec<u64> = (0..7).map(|i| 0x51EE + 17 * i).collect();
 
-    let fresh_inj = || {
-        UnplugAt::new(
-            ProbabilisticFaults::from_architecture(&sys.arch),
-            sys.ids.ecu_a,
-            Tick::new(4_000),
-        )
-    };
+    let unplug = Scenario::unplug(sys.ids.ecu_a, Tick::new(4_000));
+    let base = ProbabilisticFaults::from_architecture(&sys.arch);
+    let (hosts, comms) = (sys.arch.host_count(), sys.spec.communicator_count());
+    let fresh_inj = || ScenarioFaults::new(base.clone(), &unplug, hosts, comms).unwrap();
 
     let scalar: Vec<SimOutput> = seeds
         .iter()
@@ -267,7 +271,7 @@ fn steerbywire_lanes_match_scalar_with_unplug() {
             sim.run_reference(
                 &mut behaviors,
                 &mut ConstantEnvironment::new(Value::Float(0.1)),
-                &mut fresh_inj(),
+                &mut PerLaneInjector::new(base.clone(), &unplug, hosts, comms).unwrap(),
                 &SimConfig { rounds, seed },
             )
         })
@@ -299,7 +303,20 @@ fn corrupting_majority_voting_matches_scalar() {
     sim.set_voting(VotingStrategy::Majority);
     let rounds = 120;
     let seeds: Vec<u64> = (0..6).map(|i| 0xC0DE + 7 * i).collect();
-    let fresh_inj = || CorruptingFaults::new(0.2, 9_999.0);
+    // Every host corrupts a delivered replica with probability 0.2.
+    let corrupt = Scenario::from_events(
+        sys.arch
+            .host_ids()
+            .map(|host| ScenarioEvent::Corrupt {
+                host,
+                p: 0.2,
+                value: 9_999.0,
+            })
+            .collect(),
+    )
+    .unwrap();
+    let (hosts, comms) = (sys.arch.host_count(), sys.spec.communicator_count());
+    let fresh_inj = || ScenarioFaults::new(NoFaults, &corrupt, hosts, comms).unwrap();
 
     let scalar: Vec<SimOutput> = seeds
         .iter()
@@ -308,7 +325,7 @@ fn corrupting_majority_voting_matches_scalar() {
             sim.run_reference(
                 &mut behaviors,
                 &mut ConstantEnvironment::new(Value::Float(0.25)),
-                &mut fresh_inj(),
+                &mut PerLaneInjector::new(NoFaults, &corrupt, hosts, comms).unwrap(),
                 &SimConfig { rounds, seed },
             )
         })

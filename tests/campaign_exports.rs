@@ -18,19 +18,18 @@
 use std::sync::Arc;
 
 use logrel::core::hash::fnv1a;
-use logrel::core::{HostId, SensorId, Tick, TimeDependentImplementation, Value};
+use logrel::core::{HostId, Tick, TimeDependentImplementation, Value};
 use logrel::obs::export::to_json_line;
 use logrel::obs::{names, MetricsSink, NoopSink, ObsEvent, Registry};
 use logrel::serve::pipeline::{campaign_config, CompiledSpec, Plan, Symbols};
 use logrel::sim::{
-    BatchConfig, BehaviorMap, Campaign, CampaignConfig, ConstantEnvironment,
-    CorruptingFaults, DegradationRule, FaultInjector, HostSet, LaneMode, LrcMonitor, MonitorConfig,
-    ProbabilisticFaults, ReplicationContext, Response, Scenario, ScenarioEnvironment,
-    ScenarioEvent, ScenarioInjector, SimConfig, Simulation, VotingStrategy,
+    BatchConfig, BehaviorMap, Campaign, CampaignConfig, ConstantEnvironment, DegradationRule,
+    FaultModel, HostSet, LaneMode, LrcMonitor, MonitorConfig, NoFaults, ProbabilisticFaults,
+    ReplicationContext, Response, Scenario, ScenarioEnvironment, ScenarioEvent, ScenarioFaults,
+    SimConfig, Simulation, VotingStrategy,
 };
 use logrel::threetank::behaviors::build_behaviors;
 use logrel::threetank::{PlantParams, Scenario as Deployment, ThreeTankSystem};
-use rand::rngs::StdRng;
 
 const SPEC: &str = include_str!("../assets/steer_by_wire.htl");
 const SCENARIO: &str = include_str!("assets/scenarios/steer_every_event.scn");
@@ -136,8 +135,9 @@ fn full_scenario(sys: &ThreeTankSystem) -> Scenario {
 /// three-tank campaign (replicated controllers, LRCs at 0.95) under the
 /// full scenario, with `recorder`-event flight recorders (capacity 1
 /// evicts on every event). `corrupting`
-/// swaps the probabilistic inner faults for value corruption under
-/// majority voting, the kernel's slow voting path.
+/// swaps the probabilistic inner faults for value corruption on every
+/// host (a `corrupt` event each) under majority voting, the kernel's slow
+/// voting path.
 fn threetank_export(lanes: LaneMode, recorder: usize, corrupting: bool) -> String {
     threetank_scenario_export(full_scenario, lanes, recorder, corrupting)
 }
@@ -156,7 +156,16 @@ fn threetank_scenario_export(
     if corrupting {
         sim.set_voting(VotingStrategy::Majority);
     }
-    let scenario = scenario(&sys);
+    let mut scenario = scenario(&sys);
+    if corrupting {
+        let corrupt = sys.arch.host_ids().map(|host| ScenarioEvent::Corrupt {
+            host,
+            p: 0.05,
+            value: 9_999.0,
+        });
+        let events = scenario.events().iter().copied().chain(corrupt).collect();
+        scenario = Scenario::from_events(events).expect("valid scenario");
+    }
     let config = CampaignConfig {
         batch: BatchConfig {
             replications: 70,
@@ -180,7 +189,7 @@ fn threetank_scenario_export(
                     behaviors: build_behaviors(&sys, &params),
                     environment: Box::new(ConstantEnvironment::new(Value::Float(0.25))),
                     injector: if corrupting {
-                        Box::new(CorruptingFaults::new(0.05, 9_999.0)) as Box<dyn FaultInjector>
+                        Box::new(NoFaults) as Box<dyn FaultModel>
                     } else {
                         Box::new(ProbabilisticFaults::from_architecture(&sys.arch))
                     },
@@ -344,15 +353,15 @@ fn trace_path_recorder_is_pinned() {
     registry.set_gauge(names::CAMPAIGN_SEED, SEED as f64);
     let base = logrel::serve::pipeline::replication_context(&sys.arch);
     let comms = sys.spec.communicator_count();
-    let mut injector =
-        ScenarioInjector::new(base.injector, &scenario, sys.arch.host_count(), comms).unwrap();
+    let injector =
+        ScenarioFaults::new(base.injector, &scenario, sys.arch.host_count(), comms).unwrap();
     let mut environment = ScenarioEnvironment::new(base.environment, &scenario, comms);
     let mut monitor = LrcMonitor::new(&sys.spec, MonitorConfig::default());
     let mut behaviors = base.behaviors;
     sim.run_observed(
         &mut behaviors,
         &mut environment,
-        &mut injector,
+        &injector,
         Some(&mut monitor),
         &mut registry,
         &SimConfig {
@@ -372,25 +381,17 @@ fn trace_path_recorder_is_pinned() {
     );
 }
 
-/// A non-fail-silent host: always up and delivering, but replacing every
-/// output with garbage.
-struct BadHost(HostId);
-
-impl FaultInjector for BadHost {
-    fn host_ok(&mut self, _host: HostId, _now: Tick, _rng: &mut StdRng) -> bool {
-        true
-    }
-    fn sensor_ok(&mut self, _sensor: SensorId, _now: Tick, _rng: &mut StdRng) -> bool {
-        true
-    }
-    fn broadcast_ok(&mut self, _host: HostId, _now: Tick, _rng: &mut StdRng) -> bool {
-        true
-    }
-    fn corrupt(&mut self, host: HostId, _now: Tick, outputs: &mut [Value], _rng: &mut StdRng) {
-        if host == self.0 {
-            outputs.fill(Value::Float(1.0e9));
-        }
-    }
+/// A non-fail-silent host, and no other fault: `host` always up and
+/// delivering, but replacing every output with garbage.
+fn bad_host(sys: &ThreeTankSystem, host: HostId) -> ScenarioFaults {
+    let corrupt = ScenarioEvent::Corrupt {
+        host,
+        p: 1.0,
+        value: 1.0e9,
+    };
+    let scenario = Scenario::from_events(vec![corrupt]).expect("valid scenario");
+    let (hosts, comms) = (sys.arch.host_count(), sys.spec.communicator_count());
+    ScenarioFaults::new(NoFaults, &scenario, hosts, comms).expect("a host of the system")
 }
 
 /// A degrader on a one-lane run: its engage and mode-switch events and
@@ -426,7 +427,7 @@ fn degrader_events_are_pinned() {
     sim.run_observed(
         &mut build_behaviors(&sys, &params),
         &mut ConstantEnvironment::new(Value::Float(0.25)),
-        &mut BadHost(sys.ids.h1),
+        &bad_host(&sys, sys.ids.h1),
         Some(&mut degrader),
         &mut registry,
         &SimConfig {
@@ -457,7 +458,7 @@ fn panic_dump_is_pinned() {
     let sim = Simulation::new(&sys.spec, &sys.arch, &imp);
     let scn = full_scenario(&sys);
     let comms = sys.spec.communicator_count();
-    let mut injector = ScenarioInjector::new(
+    let injector = ScenarioFaults::new(
         ProbabilisticFaults::from_architecture(&sys.arch),
         &scn,
         sys.arch.host_count(),
@@ -485,7 +486,7 @@ fn panic_dump_is_pinned() {
         sim.run_observed(
             &mut behaviors,
             &mut environment,
-            &mut injector,
+            &injector,
             Some(&mut monitor),
             &mut registry,
             &SimConfig {

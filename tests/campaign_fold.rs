@@ -12,7 +12,7 @@ use logrel::obs::{names, FlightRecorder, Registry};
 use logrel::serve::pipeline::{campaign_config, replication_context, Symbols};
 use logrel::sim::{
     run_campaign_unit, BehaviorMap, Campaign, CampaignError, CampaignUnit, ConstantEnvironment,
-    Environment, FaultInjector, LaneMode, ProbabilisticFaults, RepSink, RepStats,
+    Environment, FaultModel, LaneMode, ProbabilisticFaults, RepSink, RepStats,
     ReplicationContext, Scenario, Simulation,
 };
 use proptest::prelude::*;
@@ -196,7 +196,7 @@ fn typed_and_boxed_contexts_give_the_same_job() {
     let campaign = Campaign::new(&steer.sys.spec, scenario, config, hosts, 256).expect("plans");
     let widths: Vec<usize> = campaign.units().iter().map(|u| u.width).collect();
     assert_eq!(widths, [64, 6]);
-    let boxed = |_rep| -> ReplicationContext<Box<dyn FaultInjector>, Box<dyn Environment>> {
+    let boxed = |_rep| -> ReplicationContext<Box<dyn FaultModel>, Box<dyn Environment>> {
         ReplicationContext {
             behaviors: BehaviorMap::new(),
             environment: Box::new(ConstantEnvironment::new(Value::Float(1.0))),

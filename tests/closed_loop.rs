@@ -5,7 +5,7 @@
 //! `cargo run -p logrel-bench --bin exp_unplug`.
 
 use logrel_core::{Tick, TimeDependentImplementation};
-use logrel_sim::{BehaviorMap, NoFaults, SimConfig, Simulation, UnplugAt};
+use logrel_sim::{BehaviorMap, NoFaults, ScenarioFaults, SimConfig, Simulation};
 use logrel_threetank::behaviors::build_behaviors;
 use logrel_threetank::{PlantParams, Scenario, ThreeTankEnvironment, ThreeTankSystem};
 
@@ -30,12 +30,14 @@ fn run(scenario: Scenario, rounds: u64, unplug_at: Option<Tick>, perturb_at: Tic
     
     match unplug_at {
         Some(at) => {
-            let mut inj = UnplugAt::new(NoFaults, sys.ids.h1, at);
-            sim.run(&mut behaviors, &mut env, &mut inj, &config);
+            let unplug = logrel_sim::Scenario::unplug(sys.ids.h1, at);
+            let (hosts, comms) = (sys.arch.host_count(), sys.spec.communicator_count());
+            let faults = ScenarioFaults::new(NoFaults, &unplug, hosts, comms).unwrap();
+            sim.run(&mut behaviors, &mut env, &faults, &config);
             env.mean_error_since(perturb_at)
         }
         None => {
-            sim.run(&mut behaviors, &mut env, &mut NoFaults, &config);
+            sim.run(&mut behaviors, &mut env, &NoFaults, &config);
             env.mean_error_since(perturb_at)
         }
     }
@@ -54,7 +56,7 @@ fn controller_reaches_the_references() {
     sim.run(
         &mut behaviors,
         &mut env,
-        &mut NoFaults,
+        &NoFaults,
         &SimConfig {
             rounds: 600,
             seed: 1,
@@ -86,7 +88,7 @@ fn perturbation_estimator_reacts_to_the_tap() {
     let out = sim.run(
         &mut behaviors,
         &mut env,
-        &mut NoFaults,
+        &NoFaults,
         &SimConfig {
             rounds: 800,
             seed: 4,

@@ -21,11 +21,11 @@ fn compare(scenario: Scenario, host_rel: f64, rounds: u64, seed: u64, faults: bo
     let mut behaviors = BehaviorMap::new();
     let mut env = ConstantEnvironment::new(Value::Float(0.3));
     let kernel_trace = if faults {
-        let mut inj = ProbabilisticFaults::from_architecture(&sys.arch);
+        let inj = ProbabilisticFaults::from_architecture(&sys.arch);
         sim.run(
             &mut behaviors,
             &mut env,
-            &mut inj,
+            &inj,
             &SimConfig { rounds, seed },
         )
         .trace
@@ -33,7 +33,7 @@ fn compare(scenario: Scenario, host_rel: f64, rounds: u64, seed: u64, faults: bo
         sim.run(
             &mut behaviors,
             &mut env,
-            &mut NoFaults,
+            &NoFaults,
             &SimConfig { rounds, seed },
         )
         .trace

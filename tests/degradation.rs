@@ -6,48 +6,41 @@
 //! steer-by-wire) or by switching a modal E-machine program into a
 //! degraded-rate mode.
 
-use logrel_core::{HostId, SensorId, Tick, TimeDependentImplementation, Value};
+use logrel_core::{Architecture, HostId, Specification, Tick, TimeDependentImplementation, Value};
 use logrel_emachine::{generate_modal, DriverOp, EMachine, ModalMode, ModeSwitch, Platform};
 use logrel_lang::{elaborate_modes, parse};
 use logrel_obs::NoopSink;
 use logrel_sim::{
-    AlarmKind, BehaviorMap, ConstantEnvironment, DegradationRule, FaultInjector, LrcMonitor,
-    MonitorConfig, NoFaults, Response, Scenario, ScenarioInjector, SimConfig, SimOutput,
-    Simulation, VotingStrategy,
+    AlarmKind, BehaviorMap, ConstantEnvironment, DegradationRule, LrcMonitor, MonitorConfig,
+    NoFaults, Response, Scenario, ScenarioEvent, ScenarioFaults, SimConfig, SimOutput, Simulation,
+    VotingStrategy,
 };
 use logrel_steerbywire::behaviors::build_behaviors as build_steer_behaviors;
 use logrel_steerbywire::{SteerScenario, SteerSystem, VehicleParams};
 use logrel_threetank::behaviors::build_behaviors as build_tank_behaviors;
 use logrel_threetank::{PlantParams, Scenario as Deployment, ThreeTankSystem};
-use rand::rngs::StdRng;
 
 const GARBAGE: f64 = 1.0e9;
 
-/// A non-fail-silent host: always up, always delivering, but replacing
-/// every output with garbage — the failure mode the paper's fail-silence
-/// assumption (its ref [2]) rules out, and [`VotingStrategy::Majority`]
-/// plus replica-dropping tolerates.
-struct BadHost {
-    host: HostId,
-}
-
-impl FaultInjector for BadHost {
-    fn host_ok(&mut self, _host: HostId, _now: Tick, _rng: &mut StdRng) -> bool {
-        true
-    }
-    fn sensor_ok(&mut self, _sensor: SensorId, _now: Tick, _rng: &mut StdRng) -> bool {
-        true
-    }
-    fn broadcast_ok(&mut self, _host: HostId, _now: Tick, _rng: &mut StdRng) -> bool {
-        true
-    }
-    fn corrupt(&mut self, host: HostId, _now: Tick, outputs: &mut [Value], _rng: &mut StdRng) {
-        if host == self.host {
-            for o in outputs {
-                *o = Value::Float(GARBAGE);
-            }
-        }
-    }
+/// A non-fail-silent host, and no other fault: `host` always up, always
+/// delivering, but replacing every output with garbage (a `corrupt`
+/// event that always strikes) — the failure mode the paper's
+/// fail-silence assumption (its ref [2]) rules out, and
+/// [`VotingStrategy::Majority`] plus replica-dropping tolerates.
+fn bad_host(spec: &Specification, arch: &Architecture, host: HostId) -> ScenarioFaults {
+    let corrupt = ScenarioEvent::Corrupt {
+        host,
+        p: 1.0,
+        value: GARBAGE,
+    };
+    let scenario = Scenario::from_events(vec![corrupt]).expect("valid scenario");
+    ScenarioFaults::new(
+        NoFaults,
+        &scenario,
+        arch.host_count(),
+        spec.communicator_count(),
+    )
+    .expect("a host of the system")
 }
 
 /// Reliable updates of `comm` strictly after `from`, as (total, reliable).
@@ -83,11 +76,11 @@ fn three_tank_drops_the_corrupting_replica() {
     let run = |monitor: &mut LrcMonitor| -> SimOutput {
         let mut behaviors: BehaviorMap = build_tank_behaviors(&sys, &params);
         let mut env = ConstantEnvironment::new(Value::Float(0.25));
-        let mut inj = BadHost { host: sys.ids.h1 };
+        let inj = bad_host(&sys.spec, &sys.arch, sys.ids.h1);
         sim.run_observed(
             &mut behaviors,
             &mut env,
-            &mut inj,
+            &inj,
             Some(monitor),
             &mut NoopSink,
             &config,
@@ -166,11 +159,11 @@ fn steer_by_wire_drops_the_corrupting_ecu() {
     let run = |monitor: &mut LrcMonitor| -> SimOutput {
         let mut behaviors: BehaviorMap = build_steer_behaviors(&sys, &params);
         let mut env = ConstantEnvironment::new(Value::Float(0.1));
-        let mut inj = BadHost { host: sys.ids.ecu_a };
+        let inj = bad_host(&sys.spec, &sys.arch, sys.ids.ecu_a);
         sim.run_observed(
             &mut behaviors,
             &mut env,
-            &mut inj,
+            &inj,
             Some(monitor),
             &mut NoopSink,
             &config,
@@ -296,8 +289,8 @@ fn lrc_alarm_switches_the_modal_program_to_the_degraded_mode() {
     let scn = Scenario::parse("burst from=200 until=400 enter=1 exit=0 loss=1").unwrap();
     let imp = TimeDependentImplementation::from(modal.modes[0].imp.clone());
     let sim = Simulation::new(spec, &modal.arch, &imp);
-    let mut inj =
-        ScenarioInjector::new(NoFaults, &scn, modal.arch.host_count(), spec.communicator_count())
+    let inj =
+        ScenarioFaults::new(NoFaults, &scn, modal.arch.host_count(), spec.communicator_count())
             .unwrap();
     // `overload` is switch 0 in declaration order.
     let mut degrader = LrcMonitor::new(spec, MonitorConfig::default())
@@ -309,7 +302,7 @@ fn lrc_alarm_switches_the_modal_program_to_the_degraded_mode() {
     sim.run_observed(
         &mut BehaviorMap::new(),
         &mut ConstantEnvironment::new(Value::Float(1.0)),
-        &mut inj,
+        &inj,
         Some(&mut degrader),
         &mut NoopSink,
         &SimConfig {

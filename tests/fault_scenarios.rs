@@ -6,6 +6,11 @@
 //! ε-band with unchanged marginals, plus thread/lane determinism for
 //! every new event kind).
 
+// The shared oracle; this suite does not read where its streams stand.
+#[allow(dead_code)]
+#[path = "../crates/sim/src/scenario/oracle.rs"]
+mod oracle;
+
 use logrel_core::{Tick, TimeDependentImplementation, Value};
 use logrel_obs::export::to_json_line;
 use logrel_obs::{NoopSink, Registry};
@@ -13,11 +18,12 @@ use logrel_reliability::compute_srgs;
 use logrel_sim::{
     AlarmKind, BatchConfig, BehaviorMap, Campaign, CampaignConfig, ConstantEnvironment,
     FaultInjector, HostSet, LaneMode, LrcMonitor, MonitorConfig, NoFaults, ProbabilisticFaults,
-    ReplicationContext, Scenario, ScenarioEnvironment, ScenarioEvent, ScenarioInjector, SimConfig,
+    ReplicationContext, Scenario, ScenarioEnvironment, ScenarioEvent, ScenarioFaults, SimConfig,
     SimOutput, Simulation,
 };
 use logrel_threetank::behaviors::build_behaviors;
 use logrel_threetank::{PlantParams, Scenario as Deployment, ThreeTankEnvironment, ThreeTankSystem};
+use oracle::PerLaneInjector;
 
 const CRASH_AT: u64 = 50_000;
 const REJOIN_AT: u64 = 60_000;
@@ -49,12 +55,11 @@ fn open_loop(sys: &ThreeTankSystem, scn: &Scenario, rounds: u64) -> SimOutput {
     let comms = sys.spec.communicator_count();
     let mut env =
         ScenarioEnvironment::new(ConstantEnvironment::new(Value::Float(0.25)), scn, comms);
-    let mut inj =
-        ScenarioInjector::new(NoFaults, scn, sys.arch.host_count(), comms).unwrap();
+    let inj = ScenarioFaults::new(NoFaults, scn, sys.arch.host_count(), comms).unwrap();
     sim.run(
         &mut behaviors,
         &mut env,
-        &mut inj,
+        &inj,
         &SimConfig { rounds, seed: 11 },
     )
 }
@@ -116,13 +121,12 @@ fn replicated_controllers_ride_through_crash_and_rejoin() {
             seed: 42,
         };
         match scn {
-            None => sim.run(&mut behaviors, &mut env, &mut NoFaults, &config),
+            None => sim.run(&mut behaviors, &mut env, &NoFaults, &config),
             Some(scn) => {
                 let comms = sys.spec.communicator_count();
                 let mut env = ScenarioEnvironment::new(env, scn, comms);
-                let mut inj =
-                    ScenarioInjector::new(NoFaults, scn, sys.arch.host_count(), comms).unwrap();
-                sim.run(&mut behaviors, &mut env, &mut inj, &config)
+                let inj = ScenarioFaults::new(NoFaults, scn, sys.arch.host_count(), comms).unwrap();
+                sim.run(&mut behaviors, &mut env, &inj, &config)
             }
         }
     };
@@ -149,13 +153,12 @@ fn monitor_raises_and_clears_across_the_outage() {
     let mut behaviors = build_behaviors(&sys, &params);
     let comms = sys.spec.communicator_count();
     let mut env = ConstantEnvironment::new(Value::Float(0.25));
-    let mut inj =
-        ScenarioInjector::new(NoFaults, &scn, sys.arch.host_count(), comms).unwrap();
+    let inj = ScenarioFaults::new(NoFaults, &scn, sys.arch.host_count(), comms).unwrap();
     let mut monitor = LrcMonitor::new(&sys.spec, MonitorConfig::default());
     sim.run_observed(
         &mut behaviors,
         &mut env,
-        &mut inj,
+        &inj,
         Some(&mut monitor),
         &mut NoopSink,
         &SimConfig {
@@ -344,6 +347,15 @@ fn compiled_and_reference_kernels_agree_under_scenarios() {
             until: Tick::new(100_000),
             hold: 25,
         },
+        ScenarioEvent::Hazard {
+            host: sys.ids.h3,
+            p: 0.002,
+        },
+        ScenarioEvent::Corrupt {
+            host: sys.ids.h2,
+            p: 0.05,
+            value: -3.0,
+        },
     ])
     .unwrap();
 
@@ -353,25 +365,21 @@ fn compiled_and_reference_kernels_agree_under_scenarios() {
     };
     let fresh = || {
         let behaviors = build_behaviors(&sys, &params);
-        let env = ScenarioEnvironment::new(
-            ConstantEnvironment::new(Value::Float(0.25)),
-            &scn,
-            comms,
-        );
-        let inj = ScenarioInjector::new(
-            ProbabilisticFaults::from_architecture(&sys.arch),
-            &scn,
-            sys.arch.host_count(),
-            comms,
-        )
-        .unwrap();
-        (behaviors, env, inj)
+        let env =
+            ScenarioEnvironment::new(ConstantEnvironment::new(Value::Float(0.25)), &scn, comms);
+        (behaviors, env)
     };
+    let base = ProbabilisticFaults::from_architecture(&sys.arch);
+    let hosts = sys.arch.host_count();
 
-    let (mut b1, mut e1, mut i1) = fresh();
-    let compiled = sim.run(&mut b1, &mut e1, &mut i1, &config);
-    let (mut b2, mut e2, mut i2) = fresh();
-    let reference = sim.run_reference(&mut b2, &mut e2, &mut i2, &config);
+    // The kernel reads the scenario as data; the reference interpreter
+    // asks the scenario's per-call oracle injector.
+    let (mut b1, mut e1) = fresh();
+    let faults = ScenarioFaults::new(base.clone(), &scn, hosts, comms).unwrap();
+    let compiled = sim.run(&mut b1, &mut e1, &faults, &config);
+    let (mut b2, mut e2) = fresh();
+    let mut oracle = PerLaneInjector::new(base, &scn, hosts, comms).unwrap();
+    let reference = sim.run_reference(&mut b2, &mut e2, &mut oracle, &config);
     assert_eq!(compiled, reference);
 }
 
@@ -438,10 +446,12 @@ fn exp_unplug_output_is_seed_stable() {
             seed: 42,
         };
         if unplug {
-            let mut inj = logrel_sim::UnplugAt::new(NoFaults, sys.ids.h1, Tick::new(250 * 500));
-            sim.run(&mut behaviors, &mut env, &mut inj, &config);
+            let unplug = Scenario::unplug(sys.ids.h1, Tick::new(250 * 500));
+            let (hosts, comms) = (sys.arch.host_count(), sys.spec.communicator_count());
+            let faults = ScenarioFaults::new(NoFaults, &unplug, hosts, comms).unwrap();
+            sim.run(&mut behaviors, &mut env, &faults, &config);
         } else {
-            sim.run(&mut behaviors, &mut env, &mut NoFaults, &config);
+            sim.run(&mut behaviors, &mut env, &NoFaults, &config);
         }
         env.mean_error_since(Tick::new(450 * 500))
     };
@@ -504,9 +514,10 @@ fn common_cause_breaks_the_epsilon_band_with_matching_marginals() {
     .unwrap();
 
     // Both scenarios give h1 and h2 the same per-instant marginal
-    // availability; only the joint distribution differs.
+    // availability; only the joint distribution differs. The per-call
+    // oracle answers host by host.
     let marginals = |scn: &Scenario| -> [f64; 2] {
-        let mut inj = ScenarioInjector::new(NoFaults, scn, sys.arch.host_count(), comms).unwrap();
+        let mut inj = PerLaneInjector::new(NoFaults, scn, sys.arch.host_count(), comms).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let mut up = [0u32; 2];
         const SAMPLES: u64 = 20_000;

@@ -219,7 +219,7 @@ proptest! {
         let out = sim.run(
             &mut BehaviorMap::new(),
             &mut ConstantEnvironment::new(Value::Float(1.0)),
-            &mut inj,
+            &inj,
             &SimConfig { rounds: 6000, seed: 99 },
         );
         let last = CommunicatorId::new(spec.communicator_count() as u32 - 1);

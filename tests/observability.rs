@@ -11,7 +11,7 @@ use logrel_obs::{
 use logrel_sim::{
     BatchConfig, BehaviorMap, Campaign, CampaignConfig, ConstantEnvironment,
     LaneMode, LrcMonitor, MonitorConfig, NoFaults, ProbabilisticFaults,
-    ReplicationContext, Scenario, ScenarioEnvironment, ScenarioEvent, ScenarioInjector, SimConfig,
+    ReplicationContext, Scenario, ScenarioEnvironment, ScenarioEvent, ScenarioFaults, SimConfig,
     SimOutput, Simulation,
 };
 use logrel_threetank::{Scenario as Deployment, ThreeTankSystem};
@@ -30,7 +30,7 @@ fn pinned_metrics_on_a_three_round_baseline_run() {
     let out = sim.run_observed(
         &mut BehaviorMap::new(),
         &mut ConstantEnvironment::new(Value::Float(0.2)),
-        &mut NoFaults,
+        &NoFaults,
         None,
         &mut reg,
         &SimConfig { rounds: 3, seed: 1 },
@@ -79,7 +79,7 @@ fn observed_runs_are_bit_identical_to_plain_runs() {
         sim.run(
             &mut BehaviorMap::new(),
             &mut ConstantEnvironment::new(Value::Float(0.2)),
-            &mut ProbabilisticFaults::from_architecture(&sys.arch),
+            &ProbabilisticFaults::from_architecture(&sys.arch),
             config,
         )
     });
@@ -87,7 +87,7 @@ fn observed_runs_are_bit_identical_to_plain_runs() {
         sim.run_observed(
             &mut BehaviorMap::new(),
             &mut ConstantEnvironment::new(Value::Float(0.2)),
-            &mut ProbabilisticFaults::from_architecture(&sys.arch),
+            &ProbabilisticFaults::from_architecture(&sys.arch),
             None,
             &mut NoopSink,
             config,
@@ -98,7 +98,7 @@ fn observed_runs_are_bit_identical_to_plain_runs() {
         sim.run_observed(
             &mut BehaviorMap::new(),
             &mut ConstantEnvironment::new(Value::Float(0.2)),
-            &mut ProbabilisticFaults::from_architecture(&sys.arch),
+            &ProbabilisticFaults::from_architecture(&sys.arch),
             None,
             &mut reg,
             config,
@@ -206,14 +206,14 @@ fn flight_recorder_dumps_on_a_scripted_lrc_violation() {
         &scenario,
         comms,
     );
-    let mut inj = ScenarioInjector::new(NoFaults, &scenario, sys.arch.host_count(), comms).unwrap();
+    let inj = ScenarioFaults::new(NoFaults, &scenario, sys.arch.host_count(), comms).unwrap();
     let mut monitor = LrcMonitor::new(&sys.spec, MonitorConfig::default());
     let mut reg = Registry::with_recorder(4096);
 
     sim.run_observed(
         &mut BehaviorMap::new(),
         &mut env,
-        &mut inj,
+        &inj,
         Some(&mut monitor),
         &mut reg,
         &SimConfig {

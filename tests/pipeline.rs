@@ -35,7 +35,7 @@ fn source_to_simulation() {
     let out = sim.run(
         &mut behaviors,
         &mut env,
-        &mut logrel_sim::NoFaults,
+        &logrel_sim::NoFaults,
         &logrel_sim::SimConfig {
             rounds: 20,
             seed: 1,

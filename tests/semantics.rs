@@ -20,11 +20,11 @@ fn three_tank_simulation_matches_analysis() {
     let sim = Simulation::new(&sys.spec, &sys.arch, &imp);
     let mut behaviors = BehaviorMap::new(); // zero fallbacks suffice
     let mut env = ConstantEnvironment::new(Value::Float(0.3));
-    let mut inj = ProbabilisticFaults::from_architecture(&sys.arch);
+    let inj = ProbabilisticFaults::from_architecture(&sys.arch);
     let out = sim.run(
         &mut behaviors,
         &mut env,
-        &mut inj,
+        &inj,
         &SimConfig {
             rounds: 30_000,
             seed: 2024,
@@ -74,7 +74,7 @@ fn update_counts_follow_periods() {
     let out = sim.run(
         &mut BehaviorMap::new(),
         &mut ConstantEnvironment::new(Value::Float(0.0)),
-        &mut NoFaults,
+        &NoFaults,
         &SimConfig {
             rounds: 10,
             seed: 1,
@@ -119,11 +119,11 @@ fn memory_cycle_with_series_model_collapses_to_zero() {
     behaviors.register(t, |i: &[Value]| {
         vec![Value::Float(i[0].as_float().unwrap_or(0.0) + 1.0)]
     });
-    let mut inj = ProbabilisticFaults::from_architecture(&arch);
+    let inj = ProbabilisticFaults::from_architecture(&arch);
     let out = sim.run(
         &mut behaviors,
         &mut ConstantEnvironment::new(Value::Float(0.0)),
-        &mut inj,
+        &inj,
         &SimConfig {
             rounds: 5_000,
             seed: 11,
@@ -177,11 +177,11 @@ fn memory_cycle_with_independent_model_recovers() {
     behaviors.register(t, |i: &[Value]| {
         vec![Value::Float(i[0].as_float().unwrap_or(0.0) + 1.0)]
     });
-    let mut inj = ProbabilisticFaults::from_architecture(&arch);
+    let inj = ProbabilisticFaults::from_architecture(&arch);
     let out = sim.run(
         &mut behaviors,
         &mut ConstantEnvironment::new(Value::Float(0.0)),
-        &mut inj,
+        &inj,
         &SimConfig {
             rounds: 30_000,
             seed: 5,
@@ -264,11 +264,11 @@ fn time_dependent_alternation_achieves_the_long_run_average() {
 
     // Simulation agrees.
     let sim = Simulation::new(&spec, &arch, &td);
-    let mut inj = ProbabilisticFaults::from_architecture(&arch);
+    let inj = ProbabilisticFaults::from_architecture(&arch);
     let out = sim.run(
         &mut BehaviorMap::new(),
         &mut ConstantEnvironment::new(Value::Float(1.0)),
-        &mut inj,
+        &inj,
         &SimConfig {
             rounds: 40_000,
             seed: 77,

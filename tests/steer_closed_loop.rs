@@ -2,7 +2,7 @@
 //! unplug during a lane change; the single-ECU deployment loses steering.
 
 use logrel_core::{Tick, TimeDependentImplementation};
-use logrel_sim::{BehaviorMap, NoFaults, SimConfig, Simulation, UnplugAt};
+use logrel_sim::{BehaviorMap, NoFaults, Scenario, ScenarioFaults, SimConfig, Simulation};
 use logrel_steerbywire::behaviors::build_behaviors;
 use logrel_steerbywire::env::LaneChange;
 use logrel_steerbywire::{SteerEnvironment, SteerScenario, SteerSystem, VehicleParams};
@@ -35,10 +35,12 @@ fn run(scenario: SteerScenario, unplug: bool) -> (f64, f64) {
         seed: 6,
     };
     if unplug {
-        let mut inj = UnplugAt::new(NoFaults, sys.ids.ecu_a, Tick::new(8_000));
-        sim.run(&mut behaviors, &mut env, &mut inj, &config);
+        let unplug = Scenario::unplug(sys.ids.ecu_a, Tick::new(8_000));
+        let (hosts, comms) = (sys.arch.host_count(), sys.spec.communicator_count());
+        let faults = ScenarioFaults::new(NoFaults, &unplug, hosts, comms).unwrap();
+        sim.run(&mut behaviors, &mut env, &faults, &config);
     } else {
-        sim.run(&mut behaviors, &mut env, &mut NoFaults, &config);
+        sim.run(&mut behaviors, &mut env, &NoFaults, &config);
     }
     // Mean |yaw error| over the manoeuvre window [10 s, 13.5 s].
     let window: Vec<f64> = env

@@ -125,7 +125,7 @@ fn simulate_pin_skips_an_unreliable_update() {
     let head = sim.run(
         &mut logrel::sim::BehaviorMap::new(),
         &mut logrel::sim::ConstantEnvironment::new(logrel::core::Value::Float(1.0)),
-        &mut logrel::sim::ProbabilisticFaults::from_architecture(&sys.arch),
+        &logrel::sim::ProbabilisticFaults::from_architecture(&sys.arch),
         &logrel::sim::SimConfig { rounds: 2, seed },
     );
     assert!(
