@@ -268,7 +268,9 @@ mod tests {
         let reader = sb
             .task(TaskDecl::new("reader").reads(s, 0).writes(l, 1))
             .unwrap();
-        let ctrl = sb.task(TaskDecl::new("ctrl").reads(l, 1).writes(u, 3)).unwrap();
+        let ctrl = sb
+            .task(TaskDecl::new("ctrl").reads(l, 1).writes(u, 3))
+            .unwrap();
         let spec = sb.build().unwrap();
 
         let mut ab = Architecture::builder();
@@ -320,13 +322,9 @@ mod tests {
     fn feasibility_predicate_vetoes_candidates() {
         let (spec, arch, base) = system(0.9995);
         // Forbid every change: synthesis must fail.
-        let err = synthesize(
-            &spec,
-            &arch,
-            &base,
-            &SynthesisOptions::default(),
-            |imp| imp.replication_count() <= base.replication_count(),
-        )
+        let err = synthesize(&spec, &arch, &base, &SynthesisOptions::default(), |imp| {
+            imp.replication_count() <= base.replication_count()
+        })
         .unwrap_err();
         assert!(matches!(err, ReliabilityError::Unsatisfiable { .. }));
     }
@@ -348,14 +346,9 @@ mod tests {
     #[test]
     fn exhaustive_unsatisfiable() {
         let (spec, arch, base) = system(0.999_999_999_9);
-        let err = exhaustive_synthesize(
-            &spec,
-            &arch,
-            &base,
-            &SynthesisOptions::default(),
-            |_| true,
-        )
-        .unwrap_err();
+        let err =
+            exhaustive_synthesize(&spec, &arch, &base, &SynthesisOptions::default(), |_| true)
+                .unwrap_err();
         assert!(matches!(err, ReliabilityError::Unsatisfiable { .. }));
     }
 
@@ -376,7 +369,9 @@ mod tests {
         let b = sb
             .communicator(CommunicatorDecl::new("b", ValueType::Float, 10).unwrap())
             .unwrap();
-        let t1 = sb.task(TaskDecl::new("t1").reads(s, 0).writes(a, 1)).unwrap();
+        let t1 = sb
+            .task(TaskDecl::new("t1").reads(s, 0).writes(a, 1))
+            .unwrap();
         let t2 = sb
             .task(
                 TaskDecl::new("t2")
