@@ -93,10 +93,9 @@ impl Reliability {
     }
 
     /// Returns `true` if this reliability meets the constraint `other`
-    /// (i.e. `self >= other`), with a tiny tolerance for floating-point
-    /// round-off in long series products.
+    /// (i.e. `self >= other`), with the tolerance of [`meets`].
     pub fn meets(self, constraint: Reliability) -> bool {
-        self.0 + 1e-12 >= constraint.0
+        meets(self.0, constraint.0)
     }
 
     /// The pointwise minimum of two reliabilities.
@@ -128,6 +127,15 @@ impl From<Reliability> for f64 {
     fn from(r: Reliability) -> f64 {
         r.0
     }
+}
+
+/// Proposition 1's check of an achieved reliability against a required
+/// one, `achieved ≥ required`, with a tiny tolerance (`1e-12`) for
+/// floating-point round-off in long series products: the one tolerance of
+/// [`Reliability::meets`], the reliability verdict and the analysis
+/// report.
+pub fn meets(achieved: f64, required: f64) -> bool {
+    achieved + 1e-12 >= required
 }
 
 #[cfg(test)]

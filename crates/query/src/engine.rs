@@ -26,6 +26,7 @@
 
 use crate::db::{dep_digest, depends_on, CacheStats, QueryDb, QueryEntry};
 use crate::payload::{store_diags, Payload, StoredDiag};
+use logrel_core::prob::meets;
 use logrel_core::TimeDependentImplementation;
 use logrel_lang::ast::Program;
 use logrel_lang::subspec::{split_units, units_digest, SubspecUnit};
@@ -404,7 +405,7 @@ fn render(
                     .and_then(|c| c.lrc);
                 match lrc {
                     Some(l) => {
-                        let marker = if v + 1e-12 < l { "VIOLATED" } else { "ok" };
+                        let marker = if meets(v, l) { "ok" } else { "VIOLATED" };
                         if marker == "VIOLATED" {
                             invalid
                                 .push(format!("communicator `{name}` achieves {v} < lrc {l}"));

@@ -30,8 +30,8 @@ pub enum ReliabilityError {
         /// achieved SRG.
         unmet: Vec<(String, f64)>,
     },
-    /// An ill-formed reliability block diagram or fault tree (e.g. an empty
-    /// parallel block, or `k > n` in a voting gate).
+    /// An ill-formed analysis input (e.g. an exhaustive synthesis space
+    /// too large to enumerate).
     Structure {
         /// Explanation of the structural problem.
         detail: String,

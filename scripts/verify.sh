@@ -22,11 +22,11 @@ cargo test -q -p logrel-sim > /dev/null
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# The simulator, the vendored rand crate and the benchmark binaries are
-# rustfmt-clean; the rest of the workspace is not yet, so the check
-# covers these three.
-echo "==> cargo fmt --check (logrel-sim, rand, logrel-bench)"
-cargo fmt --check -p logrel-sim -p rand -p logrel-bench
+# The simulator, the vendored rand crate, the benchmark binaries and the
+# reliability analysis are rustfmt-clean; the rest of the workspace is
+# not yet, so the check covers these four.
+echo "==> cargo fmt --check (logrel-sim, rand, logrel-bench, logrel-reliability)"
+cargo fmt --check -p logrel-sim -p rand -p logrel-bench -p logrel-reliability
 
 echo "==> cargo doc (every workspace crate but the vendored shims)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace \

@@ -1,9 +1,15 @@
 //! Soundness and cross-validation suite for the static certification
 //! engine: the point SRG of every shipped and corpus spec lies inside its
-//! certified enclosure and equals its symbolic SRG, the symbolic Birnbaum
-//! partials agree with the RBD-pinning `importance` analysis on every
-//! shipped spec, random specs covering every input failure model keep
-//! both properties (proptest), a Monte-Carlo fault-injection
+//! certified enclosure and equals its symbolic SRG; the Birnbaum
+//! importances of `architecture_importance` (pinned runs of the compiled
+//! §3 plan) equal both the polynomial's pinned differences and the
+//! pinning of named units in the RBD test oracle
+//! (`crates/reliability/src/oracle.rs`, included by path), and rank
+//! exactly the polynomial's symbols, whose multilinearity the certificate
+//! reports; random specs covering every input failure model, shared
+//! inputs and constant communicators keep all of it (proptest); a
+//! five-layer spec whose polynomials certification cannot afford is
+//! ranked like its oracle; a Monte-Carlo fault-injection
 //! campaign's ε-band overlaps the certified interval, and the query
 //! layer's certify refinement reuse is exercised in both directions
 //! (LRC weakening reuses, tightening recomputes, warm ≡ cold always).
@@ -11,6 +17,9 @@
 use logrel_core::{TimeDependentImplementation, Value};
 use logrel_obs::{NoopSink, Registry};
 use logrel_query::analyze_source;
+#[path = "../crates/reliability/src/oracle.rs"]
+mod oracle;
+
 use logrel_reliability::{
     architecture_importance, certify, compute_srgs, compute_symbolic_srgs, pinned_birnbaum,
     standard_assignment, CertStatus,
@@ -21,6 +30,7 @@ use logrel_sim::{
 };
 use logrel_threetank::behaviors::build_behaviors;
 use logrel_threetank::{PlantParams, Scenario as Deployment, ThreeTankSystem};
+use oracle::{block_importance, communicator_block};
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -60,18 +70,78 @@ fn assert_symbolic_matches_point(sys: &logrel::lang::ElaboratedSystem, ctx: &str
     }
 }
 
+/// Checks the three Birnbaum importances of every component of every
+/// communicator of one system against each other, to 1e-9: the plan's
+/// pinned runs (`architecture_importance`), the polynomial's pinned
+/// difference and the RBD oracle's unit pinning. The plan ranks exactly
+/// the polynomial's symbols; the oracle also names constant
+/// communicators, and units a constant-one operand absorbs, all of zero
+/// importance. Returns the number of importances compared.
+fn assert_birnbaum_three_ways(sys: &logrel::lang::ElaboratedSystem, ctx: &str) -> usize {
+    let symbolic = compute_symbolic_srgs(&sys.spec, &sys.imp).unwrap();
+    let assign = standard_assignment(&sys.arch);
+    let mut compared = 0;
+    for c in sys.spec.communicator_ids() {
+        let comm = sys.spec.communicator(c).name();
+        let rows = architecture_importance(&sys.spec, &sys.arch, &sys.imp, c).unwrap();
+        let block = communicator_block(&sys.spec, &sys.arch, &sys.imp, c).unwrap();
+        let oracle = block_importance(&block);
+        let poly = symbolic.communicator(c);
+        let symbols = poly.symbols();
+        assert_eq!(rows.len(), symbols.len(), "{ctx}: `{comm}` ranks {rows:?}");
+        for sym in symbols {
+            let label = sym.label(&sys.spec, &sys.arch);
+            let row = rows
+                .iter()
+                .find(|r| r.name == label)
+                .unwrap_or_else(|| panic!("{ctx}: `{comm}` does not rank `{label}`"));
+            let o = oracle
+                .iter()
+                .find(|o| o.name == label)
+                .unwrap_or_else(|| panic!("{ctx}: `{comm}` has no RBD unit `{label}`"));
+            let symbolic_b = pinned_birnbaum(poly, sym, &assign);
+            assert!(
+                (row.birnbaum - symbolic_b).abs() <= 1e-9
+                    && (row.birnbaum - o.birnbaum).abs() <= 1e-9
+                    && (row.improvement - o.improvement).abs() <= 1e-9,
+                "{ctx}: `{comm}`: Birnbaum for `{label}` diverges: plan {row:?}, \
+                 symbolic {symbolic_b}, rbd {o:?}"
+            );
+            compared += 1;
+        }
+        for o in oracle
+            .iter()
+            .filter(|o| !rows.iter().any(|r| r.name == o.name))
+        {
+            assert!(
+                o.name.starts_with("const:") || (o.birnbaum == 0.0 && o.improvement == 0.0),
+                "{ctx}: `{comm}`: the plan does not rank {o:?}"
+            );
+        }
+    }
+    compared
+}
+
 /// Checks the certification invariants of one elaborated system: the
 /// point SRG lies inside the certified enclosure for every communicator
 /// and equals the symbolic SRG, verdicts are exactly what the enclosure
-/// dictates, and the degradation box only ever widens the enclosure.
+/// dictates, the multilinearity flag is the polynomial's, and the
+/// degradation box only ever widens the enclosure.
 fn assert_sound(sys: &logrel::lang::ElaboratedSystem, ctx: &str) {
     assert_symbolic_matches_point(sys, ctx);
+    let symbolic = compute_symbolic_srgs(&sys.spec, &sys.imp).unwrap();
     let srgs = compute_srgs(&sys.spec, &sys.arch, &sys.imp).unwrap();
     let cert = certify(&sys.spec, &sys.arch, &sys.imp, Some(1e-3)).unwrap();
     assert_eq!(cert.comms.len(), sys.spec.communicator_count(), "{ctx}");
     for row in &cert.comms {
         let point = srgs.communicator(row.comm).get();
         assert_eq!(row.point, point, "{ctx}: `{}` point mismatch", row.name);
+        assert_eq!(
+            row.multilinear,
+            symbolic.communicator(row.comm).is_multilinear(),
+            "{ctx}: `{}` multilinearity",
+            row.name
+        );
         assert!(
             row.interval.contains(point),
             "{ctx}: `{}` point {point} outside [{}, {}]",
@@ -118,11 +188,9 @@ fn point_srg_inside_certified_interval_for_every_shipped_spec() {
     }
 }
 
-/// Differential test of the two independent sensitivity analyses: the
-/// symbolic polynomial's pinned Birnbaum (`λ_c(x=1) − λ_c(x=0)`) must
-/// agree with `importance.rs`, which pins the named unit inside the RBD
-/// instead, on every communicator of every shipped spec, and the
-/// polynomial itself must evaluate to the point SRG.
+/// Differential test of the three sensitivity analyses (see
+/// `assert_birnbaum_three_ways`) on every communicator of every shipped
+/// spec, where the polynomial must also evaluate to the point SRG.
 #[test]
 fn symbolic_birnbaum_matches_rbd_importance_on_every_shipped_spec() {
     let mut compared = 0usize;
@@ -132,34 +200,44 @@ fn symbolic_birnbaum_matches_rbd_importance_on_every_shipped_spec() {
         let program = logrel::lang::parse(&source).unwrap();
         let sys = logrel::lang::elaborate(&program).unwrap();
         assert_symbolic_matches_point(&sys, &name);
-        let symbolic = compute_symbolic_srgs(&sys.spec, &sys.imp).unwrap();
-        let assign = standard_assignment(&sys.arch);
-        for c in sys.spec.communicator_ids() {
-            let rows = architecture_importance(&sys.spec, &sys.arch, &sys.imp, c).unwrap();
-            let poly = symbolic.communicator(c);
-            for sym in poly.symbols() {
-                let label = sym.label(&sys.spec, &sys.arch);
-                let row = rows
-                    .iter()
-                    .find(|r| r.name == label)
-                    .unwrap_or_else(|| panic!("{name}: no importance row for `{label}`"));
-                let symbolic_b = pinned_birnbaum(poly, sym, &assign);
-                assert!(
-                    (symbolic_b - row.birnbaum).abs() <= 1e-9,
-                    "{name}: Birnbaum for `{label}` diverges: symbolic {symbolic_b} vs rbd {}",
-                    row.birnbaum
-                );
-                compared += 1;
-            }
-        }
+        compared += assert_birnbaum_three_ways(&sys, &name);
     }
-    assert!(compared >= 73, "only {compared} partials compared");
+    assert!(compared >= 73, "only {compared} importances compared");
+}
+
+/// Deep-spec regression: five layers of four tasks, each task of a later
+/// layer reading two communicators of the layer before, shaped like the
+/// benchmark's generated spec. Its polynomials grow exponentially with
+/// depth, so `certify`, which still expands them for its degradation
+/// margins, is not called here; `architecture_importance` takes no
+/// polynomial and must answer on a last-layer communicator, as the RBD
+/// oracle does.
+#[test]
+fn importance_of_a_deep_spec_matches_the_oracle() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/assets/deep/layered_5x4.htl");
+    let source = fs::read_to_string(path).unwrap();
+    let sys = logrel::lang::elaborate(&logrel::lang::parse(&source).unwrap()).unwrap();
+    let c = sys.spec.find_communicator("c5_3").unwrap();
+    let rows = architecture_importance(&sys.spec, &sys.arch, &sys.imp, c).unwrap();
+    let oracle = block_importance(&communicator_block(&sys.spec, &sys.arch, &sys.imp, c).unwrap());
+    // Every task of the last four layers and every sensor feeds `c5_3`.
+    assert!(rows.len() >= 20, "{rows:?}");
+    assert_eq!(rows.len(), oracle.len());
+    for (row, o) in rows.iter().zip(&oracle) {
+        assert_eq!(row.name, o.name);
+        assert!(
+            (row.birnbaum - o.birnbaum).abs() <= 1e-9
+                && (row.improvement - o.improvement).abs() <= 1e-9,
+            "plan {row:?} vs rbd {o:?}"
+        );
+    }
 }
 
 /// Renders a well-formed random spec: `replicas` controller replicas over
 /// hosts of the given reliabilities, a sensor chain and an optional LRC,
 /// plus a task `fuse` with input failure model `model` that reads both
-/// the sensor and the controller's output.
+/// the sensor and the controller's output (so the sensor is shared) and,
+/// with `konst`, a constant communicator `k`.
 fn render_spec(
     period: u64,
     replicas: usize,
@@ -167,6 +245,7 @@ fn render_spec(
     srel: u32,
     lrc: &str,
     model: &str,
+    konst: bool,
 ) -> String {
     let hosts = ["h1", "h2", "h3"];
     let constraint = if lrc.is_empty() {
@@ -174,16 +253,25 @@ fn render_spec(
     } else {
         format!(" {lrc}")
     };
-    let defaults = if model == "series" {
-        ""
+    let (k_decl, k_read, k_default) = if konst {
+        (
+            format!("    communicator k : float period {period};\n"),
+            ", k[0]",
+            ", 0.0",
+        )
     } else {
-        " defaults 0.0, 0.0"
+        (String::new(), "", "")
+    };
+    let defaults = if model == "series" {
+        String::new()
+    } else {
+        format!(" defaults 0.0, 0.0{k_default}")
     };
     let mut out = format!(
-        "program rnd {{\n    communicator s : float period {period} sensor;\n    communicator u : float period {period}{constraint};\n    communicator v : float period {period};\n"
+        "program rnd {{\n    communicator s : float period {period} sensor;\n    communicator u : float period {period}{constraint};\n    communicator v : float period {period};\n{k_decl}"
     );
     out.push_str(&format!(
-        "    module m {{\n        start mode main period {period} {{\n            invoke ctrl reads s[0] writes u[1];\n            invoke fuse model {model} reads s[0], u[0] writes v[1]{defaults};\n        }}\n    }}\n"
+        "    module m {{\n        start mode main period {period} {{\n            invoke ctrl reads s[0] writes u[1];\n            invoke fuse model {model} reads s[0], u[0]{k_read} writes v[1]{defaults};\n        }}\n    }}\n"
     ));
     out.push_str("    architecture {\n");
     for (h, r) in hosts.iter().zip(hrel) {
@@ -210,9 +298,10 @@ fn render_spec(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The enclosure property is not an artifact of the shipped examples:
-    /// it holds across randomly drawn architectures, replication degrees,
-    /// input failure models and constraints.
+    /// The enclosure property and the three-way Birnbaum agreement are not
+    /// artifacts of the shipped examples: they hold across randomly drawn
+    /// architectures, replication degrees, input failure models,
+    /// constraints and constant inputs.
     #[test]
     fn certified_interval_encloses_point_srg(
         period in (0usize..3).prop_map(|i| [5u64, 10, 20][i]),
@@ -223,16 +312,18 @@ proptest! {
         h3 in 5000u32..=9999,
         srel in 5000u32..=9999,
         lrc_micro in proptest::option::of(500_000u32..=999_999),
+        konst in any::<bool>(),
     ) {
         let hrel = [h1, h2, h3];
         let lrc = match lrc_micro {
             Some(m) => format!("lrc 0.{m:06}"),
             None => String::new(),
         };
-        let source = render_spec(period, replicas, hrel, srel, &lrc, model);
+        let source = render_spec(period, replicas, hrel, srel, &lrc, model, konst);
         let program = logrel::lang::parse(&source).unwrap();
         let sys = logrel::lang::elaborate(&program).unwrap();
         assert_sound(&sys, "random spec");
+        assert_birnbaum_three_ways(&sys, "random spec");
     }
 }
 
@@ -297,6 +388,7 @@ fn spec_with_lrc(lrc: &str) -> String {
         9990,
         &format!("lrc {lrc}"),
         "series",
+        false,
     )
 }
 

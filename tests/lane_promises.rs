@@ -116,9 +116,9 @@ fn mixed_fault_models_are_rejected() {
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         sim.run_bitsliced(&mut BehaviorMap::new(), &mut lanes, ROUNDS)
     }));
-    let payload = run
-        .err()
-        .expect("a group of unequal fault models is rejected");
+    let Err(payload) = run else {
+        panic!("a group of unequal fault models is rejected");
+    };
     let message = payload
         .downcast_ref::<String>()
         .map(String::as_str)

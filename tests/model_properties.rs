@@ -1,16 +1,19 @@
 //! Property-based tests over randomly generated pipeline systems:
 //!
-//! * the SRG induction agrees with the equivalent RBD evaluation;
+//! * the SRG induction agrees with the equivalent RBD evaluation (the
+//!   test oracle `crates/reliability/src/oracle.rs`, included by path);
 //! * replication is monotone (more replicas never lower any SRG);
 //! * greedy synthesis output is reliable whenever it returns;
 //! * simulation limit averages converge to the analytic SRGs;
 //! * every generated system refines itself.
 
+#[path = "../crates/reliability/src/oracle.rs"]
+mod oracle;
+
 use logrel_core::prelude::*;
 use logrel_refine::{check_refinement, Kappa, SystemRef};
-use logrel_reliability::{
-    communicator_block, compute_srgs, synthesize, SynthesisOptions,
-};
+use logrel_reliability::{compute_srgs, synthesize, SynthesisOptions};
+use oracle::communicator_block;
 use proptest::prelude::*;
 
 /// A randomly parameterised linear pipeline:
