@@ -194,9 +194,15 @@ pub const CATALOG: &[MetricDef] = &[
     ),
     counter!(names::VOTE_SILENT, "Votes with no delivering replica"),
     counter!(names::REPLICA_OK, "Replica invocations that delivered"),
-    counter!(names::REPLICA_DROP, "Replica invocations dropped (any reason)"),
+    counter!(
+        names::REPLICA_DROP,
+        "Replica invocations dropped (any reason)"
+    ),
     counter!(names::REPLICA_DROP_HOST, "Replica drops: host down"),
-    counter!(names::REPLICA_DROP_BROADCAST, "Replica drops: broadcast lost"),
+    counter!(
+        names::REPLICA_DROP_BROADCAST,
+        "Replica drops: broadcast lost"
+    ),
     counter!(names::REPLICA_DROP_WARMUP, "Replica drops: rejoin warm-up"),
     counter!(
         names::REPLICA_DROP_EXCLUDED,

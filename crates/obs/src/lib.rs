@@ -35,4 +35,4 @@ pub mod recorder;
 
 pub use catalog::{names, MetricDef, MetricKind, CATALOG};
 pub use metrics::{Histogram, MetricsSink, NoopSink, Registry, Span};
-pub use recorder::{Dump, DumpTrigger, DropReason, FlightRecorder, ObsEvent, VoteOutcome};
+pub use recorder::{DropReason, Dump, DumpTrigger, FlightRecorder, ObsEvent, VoteOutcome};
