@@ -29,11 +29,7 @@ pub(crate) struct ModeBlocks {
     pub block_offsets: Vec<usize>,
 }
 
-pub(crate) fn emit_blocks(
-    spec: &Specification,
-    imp: &Implementation,
-    host: HostId,
-) -> ModeBlocks {
+pub(crate) fn emit_blocks(spec: &Specification, imp: &Implementation, host: HostId) -> ModeBlocks {
     let round = spec.round_period().as_u64();
 
     // Collect event instants.
@@ -156,7 +152,9 @@ mod tests {
         let u = sb
             .communicator(CommunicatorDecl::new("u", ValueType::Float, 5).unwrap())
             .unwrap();
-        let t = sb.task(TaskDecl::new("ctrl").reads(s, 0).writes(u, 1)).unwrap();
+        let t = sb
+            .task(TaskDecl::new("ctrl").reads(s, 0).writes(u, 1))
+            .unwrap();
         let spec = sb.build().unwrap();
         let mut ab = Architecture::builder();
         let h1 = ab
@@ -310,7 +308,9 @@ mod tests {
         let ops: Vec<_> = (0..code.len()).map(|i| code.instruction(Addr(i))).collect();
         let read_pos = ops
             .iter()
-            .position(|i| matches!(i, Instruction::Call(DriverOp::ReadSensors { comm }) if *comm == s))
+            .position(
+                |i| matches!(i, Instruction::Call(DriverOp::ReadSensors { comm }) if *comm == s),
+            )
             .expect("sensor read emitted");
         let update_pos = ops
             .iter()

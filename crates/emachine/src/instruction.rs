@@ -120,7 +120,10 @@ impl ECode {
                 Instruction::Future { target, .. }
                 | Instruction::Jump(target)
                 | Instruction::JumpIfEvent { target, .. } => {
-                    assert!(target.0 < instructions.len(), "target {target} out of range");
+                    assert!(
+                        target.0 < instructions.len(),
+                        "target {target} out of range"
+                    );
                 }
                 _ => {}
             }

@@ -113,10 +113,7 @@ impl EMachine {
                     pc = Addr(pc.0 + 1);
                 }
                 Instruction::Future { delta, target } => {
-                    assert!(
-                        self.trigger.is_none(),
-                        "block armed more than one trigger"
-                    );
+                    assert!(self.trigger.is_none(), "block armed more than one trigger");
                     self.trigger = Some((at + delta, target));
                     pc = Addr(pc.0 + 1);
                 }

@@ -187,7 +187,9 @@ mod tests {
         let u = sb
             .communicator(CommunicatorDecl::new("u", ValueType::Float, 10).unwrap())
             .unwrap();
-        let t = sb.task(TaskDecl::new(task).reads(s, 0).writes(u, 1)).unwrap();
+        let t = sb
+            .task(TaskDecl::new(task).reads(s, 0).writes(u, 1))
+            .unwrap();
         let spec = sb.build().unwrap();
         let mut ab = Architecture::builder();
         let h = ab
@@ -271,7 +273,7 @@ mod tests {
             .collect();
         assert_eq!(before.len(), 3); // t = 0, 10, 20
         assert_eq!(after.len(), 3); // t = 30, 40, 50
-        // Communicator updates continue at every period across the switch.
+                                    // Communicator updates continue at every period across the switch.
         let expected: Vec<u64> = (0..=5).map(|k| k * 10).collect();
         let mut got: Vec<u64> = platform.updates.iter().map(|t| t.as_u64()).collect();
         got.dedup();
@@ -326,7 +328,9 @@ mod tests {
         let u = sb
             .communicator(CommunicatorDecl::new("u", ValueType::Float, 20).unwrap())
             .unwrap();
-        let t = sb.task(TaskDecl::new("slow").reads(s, 0).writes(u, 1)).unwrap();
+        let t = sb
+            .task(TaskDecl::new("slow").reads(s, 0).writes(u, 1))
+            .unwrap();
         let spec_b = sb.build().unwrap();
         let mut ab = Architecture::builder();
         let h = ab
