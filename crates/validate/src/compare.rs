@@ -87,10 +87,7 @@ pub fn compare_denotations(
                 continue;
             };
             match (ref_src, cand_src) {
-                (
-                    UpdateSource::Sensor { sensors: rs },
-                    UpdateSource::Sensor { sensors: cs },
-                ) => {
+                (UpdateSource::Sensor { sensors: rs }, UpdateSource::Sensor { sensors: cs }) => {
                     if rs != cs {
                         diags.push(err(
                             "V005",
@@ -283,7 +280,9 @@ pub fn compare_denotations(
                     ));
                 } else if (redge.latch_slot, redge.origin) != (cedge.latch_slot, cedge.origin) {
                     let inst = |slot: u64, origin: Option<u64>| match origin {
-                        Some(o) => format!("the instance updated at slot {o}, latched at slot {slot}"),
+                        Some(o) => {
+                            format!("the instance updated at slot {o}, latched at slot {slot}")
+                        }
                         None => format!("a stale pre-round value latched at slot {slot}"),
                     };
                     diags.push(err(

@@ -227,9 +227,7 @@ pub fn ecode_denotation(
         if r0 != r1 {
             diags.push(err(
                 "V007",
-                format!(
-                    "host `{host}`: round 1 diverges from round 0 (phase drift across rounds)"
-                ),
+                format!("host `{host}`: round 1 diverges from round 0 (phase drift across rounds)"),
             ));
         }
         // The steady-state round is the denotation's witness.

@@ -59,8 +59,7 @@ pub fn kernel_denotation(
     let owner_of_out_slot = |s: u32| -> Option<(u32, usize)> {
         prog.tasks.iter().enumerate().find_map(|(t, tt)| {
             let s = s as usize;
-            (s >= tt.out_base && s < tt.out_base + tt.n_out)
-                .then_some((t as u32, s - tt.out_base))
+            (s >= tt.out_base && s < tt.out_base + tt.n_out).then_some((t as u32, s - tt.out_base))
         })
     };
 
@@ -84,8 +83,10 @@ pub fn kernel_denotation(
                 if comm as usize >= n_comms {
                     diags.push(err(
                         "V006",
-                        format!("phase {p}: update of undeclared communicator {} at slot {slot}",
-                            comm_name(comm)),
+                        format!(
+                            "phase {p}: update of undeclared communicator {} at slot {slot}",
+                            comm_name(comm)
+                        ),
                     ));
                     continue;
                 }
@@ -182,8 +183,10 @@ pub fn kernel_denotation(
                 let Some(tt) = prog.tasks.get(ti as usize) else {
                     diags.push(err(
                         "V010",
-                        format!("phase {p}: read of undeclared task {} at slot {slot}",
-                            task_name(ti)),
+                        format!(
+                            "phase {p}: read of undeclared task {} at slot {slot}",
+                            task_name(ti)
+                        ),
                     ));
                     continue;
                 };

@@ -69,7 +69,10 @@ pub fn certify_kernel(
     let candidate = kernel_denotation(spec, prog).map_err(sorted)?;
     let diags = compare_denotations(spec, &reference, &candidate, "round program");
     if diags.is_empty() {
-        Ok(Certificate::from_denotation(&reference, vec!["round-program"]))
+        Ok(Certificate::from_denotation(
+            &reference,
+            vec!["round-program"],
+        ))
     } else {
         Err(sorted(diags))
     }

@@ -12,18 +12,17 @@ use logrel_core::{Specification, TimeDependentImplementation};
 use std::collections::BTreeMap;
 
 /// Builds the specification's denotation for one round, per mapping phase.
-pub fn spec_denotation(
-    spec: &Specification,
-    imp: &TimeDependentImplementation,
-) -> RoundDenotation {
+pub fn spec_denotation(spec: &Specification, imp: &TimeDependentImplementation) -> RoundDenotation {
     let round = spec.round_period().as_u64();
     let n = imp.phase_count();
 
     // Landing sites straight from the declared write instants: the output
     // written at absolute instant `abs` lands at slot `abs % round`, one
     // round later when `abs == round`.
-    let mut landing: BTreeMap<(logrel_core::CommunicatorId, u64), (logrel_core::TaskId, usize, u64)> =
-        BTreeMap::new();
+    let mut landing: BTreeMap<
+        (logrel_core::CommunicatorId, u64),
+        (logrel_core::TaskId, usize, u64),
+    > = BTreeMap::new();
     for t in spec.task_ids() {
         for (idx, &a) in spec.task(t).outputs().iter().enumerate() {
             let abs = spec.access_instant(a).as_u64();
