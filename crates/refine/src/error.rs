@@ -90,13 +90,13 @@ impl fmt::Display for Violation {
                 refined,
                 first,
                 second,
-            } => write!(
-                f,
-                "κ maps both `{first}` and `{second}` to `{refined}`"
-            ),
+            } => write!(f, "κ maps both `{first}` and `{second}` to `{refined}`"),
             Violation::HostSetMismatch { detail } => write!(f, "host sets differ: {detail}"),
             Violation::MappingMismatch { task } => {
-                write!(f, "task `{task}` is mapped to different hosts than its image")
+                write!(
+                    f,
+                    "task `{task}` is mapped to different hosts than its image"
+                )
             }
             Violation::MetricIncreased {
                 metric,
@@ -109,7 +109,11 @@ impl fmt::Display for Violation {
                 "{metric} of `{task}` on `{host}` grew from {refined} to {refining}"
             ),
             Violation::LetNotContained { task, read_side } => {
-                let side = if *read_side { "reads earlier" } else { "writes later" };
+                let side = if *read_side {
+                    "reads earlier"
+                } else {
+                    "writes later"
+                };
                 write!(f, "task `{task}` {side} than its image")
             }
             Violation::LrcExceeded {

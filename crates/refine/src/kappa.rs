@@ -147,8 +147,10 @@ mod tests {
         let e = b
             .communicator(CommunicatorDecl::new("e", ValueType::Float, 2).unwrap())
             .unwrap();
-        b.task(TaskDecl::new(names[0]).reads(c, 0).writes(d, 1)).unwrap();
-        b.task(TaskDecl::new(names[1]).reads(c, 0).writes(e, 1)).unwrap();
+        b.task(TaskDecl::new(names[0]).reads(c, 0).writes(d, 1))
+            .unwrap();
+        b.task(TaskDecl::new(names[1]).reads(c, 0).writes(e, 1))
+            .unwrap();
         b.build().unwrap()
     }
 

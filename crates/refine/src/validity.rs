@@ -244,9 +244,8 @@ mod tests {
         let not_refining = make(0, 3, 5, 0.99, 0.99); // stronger LRC
         let cert = validate(refined.as_ref()).unwrap();
         let kappa = Kappa::by_name(&not_refining.spec, &refined.spec);
-        let err =
-            incremental_validate(not_refining.as_ref(), refined.as_ref(), &kappa, &cert)
-                .unwrap_err();
+        let err = incremental_validate(not_refining.as_ref(), refined.as_ref(), &kappa, &cert)
+            .unwrap_err();
         assert!(matches!(err, ValidityError::Refinement(_)));
     }
 
@@ -270,7 +269,9 @@ mod tests {
                         .with_lrc(r(0.9)),
                 )
                 .unwrap();
-            let t = sb.task(TaskDecl::new("t").reads(s, 0).writes(u, 1)).unwrap();
+            let t = sb
+                .task(TaskDecl::new("t").reads(s, 0).writes(u, 1))
+                .unwrap();
             let spec = sb.build().unwrap();
             let mut ab = Architecture::builder();
             let h1 = ab.host(logrel_core::HostDecl::new("h1", r(rel1))).unwrap();
@@ -304,8 +305,7 @@ mod tests {
     fn error_conversions() {
         let s: ValidityError = SchedError::NotSchedulable { misses: vec![] }.into();
         assert!(matches!(s, ValidityError::Sched(_)));
-        let rel: ValidityError =
-            ReliabilityError::Structure { detail: "x".into() }.into();
+        let rel: ValidityError = ReliabilityError::Structure { detail: "x".into() }.into();
         assert!(matches!(rel, ValidityError::Reliability(_)));
         let rf: ValidityError = RefineError::NotARefinement { violations: vec![] }.into();
         assert!(matches!(rf, ValidityError::Refinement(_)));
