@@ -1,7 +1,6 @@
 //! Emits a performance snapshot of the hot paths as one comparable JSON
-//! artefact (the Criterion benches need a dev-dependency and an
-//! interactive run; this binary gives CI and future sessions a
-//! dependency-free trajectory point).
+//! artefact: the workspace's one micro-benchmark harness, and the
+//! trajectory point `scripts/verify.sh` gates on.
 //!
 //! Every ratio comes from one sampler, [`sample`]: it runs a set of arms
 //! once per rep, rotating which arm goes first, for at least

@@ -1,4 +1,4 @@
-//! Shared workload generators for the experiment binaries and benches.
+//! Shared workload generators for the experiment binaries and `bench_snapshot`.
 
 use logrel_core::prelude::*;
 use rand::rngs::StdRng;

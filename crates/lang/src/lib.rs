@@ -55,7 +55,6 @@
 
 pub mod ast;
 pub mod elaborate;
-pub mod emit;
 pub mod error;
 pub mod lexer;
 pub mod parser;
@@ -70,11 +69,10 @@ pub use elaborate::{
     core_error_span, elaborate, elaborate_file, elaborate_modes, ElaboratedFile, ElaboratedMode,
     ElaboratedModes, ElaboratedSystem, ResolvedRefinement,
 };
-pub use emit::{emit_source, program_from_system};
 pub use error::LangError;
 pub use parser::{parse, parse_file};
 pub use printer::print_program;
-pub use subspec::{program_digest, split_units, units_digest, FnvWriter, SubspecUnit};
+pub use subspec::{split_units, units_digest, FnvWriter, SubspecUnit};
 
 /// Parses and elaborates `source` in one step.
 ///

@@ -379,15 +379,6 @@ pub fn units_digest(units: &[SubspecUnit]) -> u64 {
     w.finish()
 }
 
-/// The whole-program digest: [`units_digest`] over [`split_units`].
-/// Deterministic; equal digests imply the programs print — and
-/// therefore re-parse — identically *and* agree on every item's source
-/// position.
-#[must_use]
-pub fn program_digest(program: &Program) -> u64 {
-    units_digest(&split_units(program))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,11 +522,11 @@ program demo {
     }
 
     #[test]
-    fn program_digest_tracks_any_edit() {
-        let p1 = parse(SRC).unwrap();
-        let p2 = parse(&SRC.replace("period 10 sensor", "period 5 sensor")).unwrap();
-        assert_ne!(program_digest(&p1), program_digest(&p2));
-        assert_eq!(program_digest(&p1), program_digest(&parse(SRC).unwrap()));
+    fn units_digest_tracks_any_edit() {
+        let digest = |src: &str| units_digest(&split_units(&parse(src).unwrap()));
+        let edited = SRC.replace("period 10 sensor", "period 5 sensor");
+        assert_ne!(digest(SRC), digest(&edited));
+        assert_eq!(digest(SRC), digest(SRC));
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub use diagnostic::{
 };
 pub use ecode::{verify, verify_instructions, ModeCtx, VerifyCtx};
 pub use refine_diag::{refine_error_diagnostics, violation_diagnostic};
-pub use spec_lints::{lint_time_dependent, spanned_restriction_checks, spec_lints};
+pub use spec_lints::{spanned_restriction_checks, spec_lints};
 
 use logrel_emachine::{generate, generate_modal, ModalMode, ModeSwitch};
 use logrel_lang::ast::Program;

@@ -12,7 +12,6 @@
 //! | L004 | error    | reliability-sink cycle (§3 "specification with memory") |
 //! | L005 | warning  | replicas co-located on one host (degenerate RBD block) |
 //! | L006 | warning  | stale read: a fresher instance arrives before release |
-//! | L007 | warning  | phase aliasing in a time-dependent mapping |
 //! | L008 | warning  | mode unreachable from the start mode |
 //! | L009 | warning  | host with no task mapped to it |
 //! | L010 | warning  | sensor never bound to a communicator |
@@ -31,7 +30,7 @@
 
 use crate::diagnostic::{Diagnostic, Severity};
 use logrel_core::graph::{CommDependencyGraph, SpecGraph};
-use logrel_core::{CommunicatorId, TimeDependentImplementation};
+use logrel_core::CommunicatorId;
 use logrel_lang::ast::{Access, MapItem, Mode, Program};
 use logrel_lang::ElaboratedSystem;
 use logrel_reliability::compute_srgs;
@@ -456,41 +455,6 @@ fn unused_architecture(program: &Program, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// L007: phase aliasing in a time-dependent mapping. If the declared
-/// phase sequence has a shorter period `q < p` (every phase repeats after
-/// `q` steps), the extra phases never introduce a new mapping and the
-/// rotation silently collapses.
-pub fn lint_time_dependent(td: &TimeDependentImplementation) -> Vec<Diagnostic> {
-    let phases = td.phases();
-    let p = phases.len();
-    for q in 1..p {
-        if !p.is_multiple_of(q) {
-            continue;
-        }
-        if (q..p).all(|i| phases[i] == phases[i % q]) {
-            let msg = if q == 1 {
-                format!(
-                    "time-dependent mapping declares {p} phases but all are identical; \
-                     the rotation is a no-op"
-                )
-            } else {
-                format!(
-                    "time-dependent mapping declares {p} phases but repeats with \
-                     period {q}; phases {q}..{p} alias earlier ones"
-                )
-            };
-            return vec![Diagnostic::new(
-                "L007",
-                Severity::Warning,
-                Default::default(),
-                msg,
-            )
-            .with_help("declare only the distinct phases")];
-        }
-    }
-    Vec::new()
-}
-
 /// Spanned re-derivation of the core race-freedom restrictions (§2) plus
 /// the environment-write rule, emitted when elaboration fails with a
 /// core-model error so the CLI can report a source position.
@@ -627,75 +591,4 @@ pub fn spanned_restriction_checks(program: &Program) -> Vec<Diagnostic> {
         }
     }
     diags
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use logrel_core::{
-        Architecture, CommunicatorDecl, HostDecl, Implementation, Reliability, SensorDecl,
-        SensorId, Specification, TaskDecl, ValueType,
-    };
-
-    /// A one-task system on two hosts, with a phase mapping per host.
-    fn two_phase_fixture() -> (Implementation, Implementation) {
-        let mut sb = Specification::builder();
-        let s = sb
-            .communicator(
-                CommunicatorDecl::new("s", ValueType::Float, 10)
-                    .unwrap()
-                    .from_sensor(),
-            )
-            .unwrap();
-        let u = sb
-            .communicator(CommunicatorDecl::new("u", ValueType::Float, 10).unwrap())
-            .unwrap();
-        let t = sb.task(TaskDecl::new("t").reads(s, 0).writes(u, 1)).unwrap();
-        let spec = sb.build().unwrap();
-        let mut ab = Architecture::builder();
-        let r = |v| Reliability::new(v).unwrap();
-        let h1 = ab.host(HostDecl::new("h1", r(0.99))).unwrap();
-        let h2 = ab.host(HostDecl::new("h2", r(0.99))).unwrap();
-        ab.sensor(SensorDecl::new("sen", Reliability::ONE)).unwrap();
-        for h in [h1, h2] {
-            ab.wcet(t, h, 1).unwrap();
-            ab.wctt(t, h, 1).unwrap();
-        }
-        let arch = ab.build();
-        let p0 = Implementation::builder()
-            .assign(t, [h1])
-            .bind_sensor(s, SensorId::new(0))
-            .build(&spec, &arch)
-            .unwrap();
-        let p1 = p0.with_assignment(t, [h2]);
-        (p0, p1)
-    }
-
-    #[test]
-    fn aliasing_rotation_warns() {
-        let (p0, p1) = two_phase_fixture();
-        // a b a b: repeats with period 2 out of 4 declared phases.
-        let td = TimeDependentImplementation::new(vec![p0.clone(), p1.clone(), p0, p1])
-            .unwrap();
-        let diags = lint_time_dependent(&td);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, "L007");
-        assert!(diags[0].message.contains("period 2"));
-    }
-
-    #[test]
-    fn identical_phases_warn_as_noop() {
-        let (p0, _) = two_phase_fixture();
-        let td = TimeDependentImplementation::new(vec![p0.clone(), p0]).unwrap();
-        let diags = lint_time_dependent(&td);
-        assert_eq!(diags.len(), 1);
-        assert!(diags[0].message.contains("no-op"));
-    }
-
-    #[test]
-    fn distinct_rotation_is_clean() {
-        let (p0, p1) = two_phase_fixture();
-        let td = TimeDependentImplementation::new(vec![p0, p1]).unwrap();
-        assert!(lint_time_dependent(&td).is_empty());
-    }
 }

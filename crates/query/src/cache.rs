@@ -267,7 +267,7 @@ mod tests {
     use super::*;
     use crate::db::dep_digest;
     use crate::payload::Payload;
-    use logrel_lang::{parse, program_digest};
+    use logrel_lang::parse;
 
     const SRC: &str = r#"
 program p {
@@ -298,7 +298,7 @@ program p {
         let source = SRC.to_string();
         let units = split_units(&program);
         let dep = dep_digest("sched", &units);
-        let mut db = QueryDb::new(source, program_digest(&program), units, true);
+        let mut db = QueryDb::new(source, units_digest(&units), units, true);
         db.queries.insert(
             "sched".into(),
             QueryEntry { dep, payload: Payload::Sched { ok: true, message: String::new() } },

@@ -273,7 +273,9 @@ mod tests {
         let sched = system(4, 8, 2, false).unwrap();
         // h1 runs 4 + 8 ticks in a round of 30.
         assert!((sched.utilization(HostId::new(0)) - 12.0 / 30.0).abs() < 1e-12);
-        assert!((sched.bus_utilization() - 4.0 / 30.0).abs() < 1e-12);
+        // The bus carries 4 ticks of the round.
+        let bus_busy: u64 = sched.bus_slots().iter().map(|b| b.end - b.start).sum();
+        assert_eq!(bus_busy, 4);
     }
 
     #[test]

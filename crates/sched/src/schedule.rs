@@ -94,12 +94,6 @@ impl Schedule {
         busy as f64 / self.round.as_u64() as f64
     }
 
-    /// Bus utilisation over one round, in `[0, 1]`.
-    pub fn bus_utilization(&self) -> f64 {
-        let busy: u64 = self.bus_slots.iter().map(|s| s.end - s.start).sum();
-        busy as f64 / self.round.as_u64() as f64
-    }
-
     /// Renders a text Gantt chart using the provided name lookups.
     pub fn gantt(
         &self,
@@ -185,7 +179,8 @@ mod tests {
         let s = mini();
         assert!((s.utilization(HostId::new(0)) - 0.3).abs() < 1e-12);
         assert_eq!(s.utilization(HostId::new(7)), 0.0);
-        assert!((s.bus_utilization() - 0.1).abs() < 1e-12);
+        let bus_busy: u64 = s.bus_slots().iter().map(|b| b.end - b.start).sum();
+        assert_eq!(bus_busy, 1);
     }
 
     #[test]

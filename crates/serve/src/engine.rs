@@ -32,7 +32,11 @@
 //! library's [`Campaign`](logrel_sim::Campaign): [`Plan::new`] shards the
 //! replications into units, the units are scattered over the worker
 //! pool, and their results land in per-job slots indexed by unit for
-//! [`Plan::finish`] to merge in unit (= replication) order. Seeds
+//! [`Plan::finish`] to merge in unit (= replication) order. The queue
+//! holds one entry per admitted job with a cursor to its next unit, and
+//! workers take units round-robin across jobs, so a one-unit job admitted
+//! behind a long one waits for at most one unit of each job ahead of it,
+//! not for all of their units. Seeds
 //! derive from `(base_seed, replication)`, never from a worker id, so the
 //! exported registry is **byte-identical at any worker count**. `htlc
 //! inject` runs the same [`Plan`] on one thread per core, so a job's
@@ -136,9 +140,32 @@ struct JobState {
     done_cv: Condvar,
 }
 
+/// An admitted job in the work queue, with the index of its next unit.
+struct QueuedJob {
+    job: Arc<JobState>,
+    next_unit: usize,
+}
+
 struct WorkQueue {
-    items: VecDeque<WorkItem>,
+    jobs: VecDeque<QueuedJob>,
     stop: bool,
+}
+
+impl WorkQueue {
+    /// The next unit of the job at the front; the job goes to the back
+    /// while it has units left, so jobs take turns unit by unit.
+    fn take(&mut self) -> Option<WorkItem> {
+        let mut queued = self.jobs.pop_front()?;
+        let item = WorkItem {
+            job: Arc::clone(&queued.job),
+            unit_index: queued.next_unit,
+        };
+        queued.next_unit += 1;
+        if queued.next_unit < queued.job.plan.units().len() {
+            self.jobs.push_back(queued);
+        }
+        Some(item)
+    }
 }
 
 /// One spec's cache entry: empty while its first compile runs (or after
@@ -279,7 +306,7 @@ impl Engine {
         };
         let inner = Arc::new(Inner {
             config,
-            queue: Mutex::new(WorkQueue { items: VecDeque::new(), stop: false }),
+            queue: Mutex::new(WorkQueue { jobs: VecDeque::new(), stop: false }),
             work_cv: Condvar::new(),
             cache: Mutex::new(CompileCache::default()),
             db,
@@ -358,12 +385,9 @@ impl Engine {
             }),
             done_cv: Condvar::new(),
         });
-        {
-            let mut q = lock(&inner.queue);
-            for unit_index in 0..unit_count {
-                q.items.push_back(WorkItem { job: Arc::clone(&state), unit_index });
-            }
-        }
+        // A plan has at least one unit: `Plan::new` rejects zero replications.
+        let queued = QueuedJob { job: Arc::clone(&state), next_unit: 0 };
+        lock(&inner.queue).jobs.push_back(queued);
         inner.work_cv.notify_all();
         let mut board = lock(&state.slots);
         while board.remaining > 0 {
@@ -538,7 +562,7 @@ fn worker_loop(inner: &Inner) {
         let item = {
             let mut q = lock(&inner.queue);
             loop {
-                if let Some(item) = q.items.pop_front() {
+                if let Some(item) = q.take() {
                     break item;
                 }
                 if q.stop {

@@ -333,8 +333,9 @@ impl<'a> Simulation<'a> {
     ///
     /// Retained as the differential oracle for the compiled round program
     /// (`tests` assert bit-identical [`SimOutput`]s) and as the baseline
-    /// of the `simulator` benchmark. Semantically identical to
-    /// [`Simulation::run`], only slower; it shares no fault code with it.
+    /// of `bench_snapshot`'s `kernel_speedup_over_reference`. Semantically
+    /// identical to [`Simulation::run`], only slower; it shares no fault
+    /// code with it.
     pub fn run_reference(
         &self,
         behaviors: &mut BehaviorMap,

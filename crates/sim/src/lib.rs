@@ -42,8 +42,8 @@
 //!   reliability/availability/alarm reports;
 //! * [`trace`] — recorded traces, their reliability abstraction ρ and
 //!   limit averages;
-//! * [`emrun`] — cross-validation of the E-machine code generator against
-//!   the kernel's event sequence.
+//! * [`cosim`] — co-simulation: the generated E-code on one E-machine per
+//!   host reproduces the kernel's trace bit for bit.
 //!
 //! A key simplification, justified by the paper's assumptions: because the
 //! broadcast is atomic (a lost broadcast reaches *no* host) and all
@@ -67,7 +67,6 @@ pub mod bitslice;
 pub mod campaign;
 pub mod cosim;
 mod draws;
-pub mod emrun;
 pub mod environment;
 pub mod fault;
 pub mod fuzz;

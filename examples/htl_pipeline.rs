@@ -1,13 +1,16 @@
 //! The compiler pipeline end to end: HTL-style source text → parse →
-//! elaborate → joint analysis → E-code generation → disassembly.
+//! elaborate → joint analysis → E-code generation → disassembly →
+//! translation validation.
 //!
 //! Run with: `cargo run --example htl_pipeline`
 
+use logrel::core::TimeDependentImplementation;
 use logrel::emachine::generate;
 use logrel::lang::compile;
 use logrel::refine::{validate, SystemRef};
 use logrel::threetank::htl::three_tank_source;
 use logrel::threetank::Scenario;
+use logrel::validate::certify_system;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let source = three_tank_source(Scenario::ReplicatedControllers, 0.999, Some(0.998));
@@ -44,10 +47,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n── E-code for h1 ({} instructions) ──", code.len());
     println!("{}", code.disassemble());
 
-    // Cross-validate the generated code against the specification's
-    // event calendar for three rounds.
-    logrel::sim::emrun::validate_ecode(&system.spec, &system.imp, system.arch.host_ids(), 3)
-        .map_err(std::io::Error::other)?;
-    println!("E-code validated against the event calendar for 3 rounds ✓");
+    // Certify every host's generated code against the specification's
+    // one-round dataflow (translation validation).
+    let td = TimeDependentImplementation::from(system.imp.clone());
+    let cert = certify_system(&system.spec, &system.arch, &td).map_err(|diags| {
+        let lines: Vec<String> = diags.iter().map(|d| d.ci_line("three_tank")).collect();
+        std::io::Error::other(lines.join("\n"))
+    })?;
+    println!("certified artifacts: {} ✓", cert.artifacts.join(", "));
     Ok(())
 }

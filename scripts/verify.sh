@@ -22,15 +22,15 @@ cargo test -q -p logrel-sim > /dev/null
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# The simulator, the vendored rand crate, the benchmark binaries and the
-# reliability analysis are rustfmt-clean; the rest of the workspace is
-# not yet, so the check covers these four.
-echo "==> cargo fmt --check (logrel-sim, rand, logrel-bench, logrel-reliability)"
-cargo fmt --check -p logrel-sim -p rand -p logrel-bench -p logrel-reliability
+# These crates are rustfmt-clean; the rest of the workspace is not yet,
+# so the check covers only them.
+echo "==> cargo fmt --check (the rustfmt-clean crates)"
+cargo fmt --check -p logrel-sim -p rand -p logrel-bench -p logrel-reliability \
+    -p logrel-obs -p logrel-emachine -p logrel-validate -p logrel-refine
 
 echo "==> cargo doc (every workspace crate but the vendored shims)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace \
-    --exclude rand --exclude proptest --exclude criterion
+    --exclude rand --exclude proptest
 
 HTLC=target/release/htlc
 

@@ -1,9 +1,9 @@
 //! The full compiler pipeline: HTL-style source → elaboration → joint
-//! schedulability/reliability analysis → E-code generation → runtime
-//! cross-validation → simulation.
+//! schedulability/reliability analysis → E-code generation and its
+//! translation validation → simulation.
 
 use logrel_core::{TimeDependentImplementation, Value};
-use logrel_lang::compile;
+use logrel_lang::{compile, elaborate, parse};
 use logrel_refine::{validate, SystemRef};
 use logrel_threetank::htl::three_tank_source;
 use logrel_threetank::Scenario;
@@ -20,8 +20,14 @@ fn source_to_valid_system() {
 #[test]
 fn source_to_ecode_validation() {
     let src = three_tank_source(Scenario::Baseline, 0.999, None);
-    let sys = compile(&src).unwrap();
-    logrel_sim::emrun::validate_ecode(&sys.spec, &sys.imp, sys.arch.host_ids(), 3).unwrap();
+    let program = parse(&src).unwrap();
+    let sys = elaborate(&program).unwrap();
+    // Translation validation of every host's generated E-code.
+    let td = TimeDependentImplementation::from(sys.imp.clone());
+    let cert = logrel_validate::certify_system(&sys.spec, &sys.arch, &td).unwrap();
+    assert!(cert.artifacts.contains(&"e-code"));
+    // The static E-code verifier finds nothing on the same source.
+    assert!(logrel_lint::verify_generated(&program, &sys).is_empty());
 }
 
 #[test]

@@ -350,6 +350,43 @@ fn cold_compile_does_not_block_cache_hits() {
     engine.shutdown();
 }
 
+/// Units are fair across jobs: with one worker, a one-unit job admitted
+/// while a 64-unit job runs is served between that job's units and
+/// returns first, instead of waiting behind all 64 of them.
+#[test]
+fn short_job_is_not_queued_behind_every_unit_of_a_long_one() {
+    let engine = engine(1, 4);
+    let long = Job {
+        rounds: 2_000,
+        replications: 64,
+        lanes: LaneMode::Off,
+        ..job()
+    };
+    let short = Job {
+        replications: 1,
+        ..long.clone()
+    };
+    // Compile the spec first, so the long job's units are queued as soon
+    // as it reads its cache hit.
+    assert!(!submit_ok(&engine, &short).cache_hit);
+    let finished = std::sync::Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            assert!(submit_ok(&engine, &long).cache_hit);
+            finished.lock().unwrap().push("long");
+        });
+        while engine.counter(names::SERVE_CACHE_HITS) < 1 {
+            std::thread::yield_now();
+        }
+        // The hit is counted just before the long job plans its units.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert!(submit_ok(&engine, &short).cache_hit);
+        finished.lock().unwrap().push("short");
+    });
+    assert_eq!(*finished.lock().unwrap(), ["short", "long"]);
+    engine.shutdown();
+}
+
 fn htlc(args: &[&str], stdin: &str) -> std::process::Output {
     use std::io::Write as _;
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_htlc"))
