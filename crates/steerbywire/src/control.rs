@@ -10,12 +10,7 @@ pub fn filter_hand_wheel(raw: f64, max: f64) -> f64 {
 /// The steering command law (task `torque`): geared hand-wheel angle plus
 /// speed-scheduled yaw damping,
 /// `δ_cmd = θ / ratio − k_yaw(v) · r`, with `k_yaw(v) = k·v / (1 + (v/v₀)²)`.
-pub fn steering_command(
-    hand_wheel: f64,
-    yaw_rate: f64,
-    speed: f64,
-    gains: &SteerGains,
-) -> f64 {
+pub fn steering_command(hand_wheel: f64, yaw_rate: f64, speed: f64, gains: &SteerGains) -> f64 {
     let k_yaw = gains.yaw_damping * speed / (1.0 + (speed / gains.damping_corner).powi(2));
     hand_wheel / gains.steering_ratio - k_yaw * yaw_rate
 }
@@ -81,7 +76,12 @@ mod tests {
     fn damping_rolls_off_at_high_speed() {
         let g = SteerGains::default();
         let k = |v: f64| -steering_command(0.0, 1.0, v, &g);
-        assert!(k(20.0) > k(60.0) * 0.9, "k(20)={}, k(60)={}", k(20.0), k(60.0));
+        assert!(
+            k(20.0) > k(60.0) * 0.9,
+            "k(20)={}, k(60)={}",
+            k(20.0),
+            k(60.0)
+        );
         assert!(k(5.0) < k(20.0));
     }
 

@@ -100,8 +100,8 @@ impl Environment for SteerEnvironment {
         // Reference yaw rate: the geared hand wheel through the
         // steady-state gain; error = tracking deviation.
         let t = now.as_u64() as f64 * self.dt;
-        let reference = self.plant.steady_state_yaw_gain() * self.scenario.hand_wheel(t)
-            / self.steering_ratio;
+        let reference =
+            self.plant.steady_state_yaw_gain() * self.scenario.hand_wheel(t) / self.steering_ratio;
         self.error_log
             .push((now, (self.plant.state().yaw_rate - reference).abs()));
     }

@@ -239,7 +239,11 @@ mod tests {
         car.set_command(0.0);
         run(&mut car, 5.0);
         let s = car.state();
-        assert!(s.yaw_rate.abs() < 1e-3, "yaw rate must decay: {}", s.yaw_rate);
+        assert!(
+            s.yaw_rate.abs() < 1e-3,
+            "yaw rate must decay: {}",
+            s.yaw_rate
+        );
         assert!(s.vy.abs() < 1e-2);
     }
 }

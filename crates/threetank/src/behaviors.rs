@@ -20,10 +20,14 @@ pub fn build_behaviors(sys: &ThreeTankSystem, params: &PlantParams) -> BehaviorM
 
     let mut map = BehaviorMap::new();
     map.register(sys.ids.read1, move |inputs: &[Value]| {
-        vec![Value::Float(read_level(inputs[0].as_float().unwrap_or(0.0)))]
+        vec![Value::Float(read_level(
+            inputs[0].as_float().unwrap_or(0.0),
+        ))]
     });
     map.register(sys.ids.read2, move |inputs: &[Value]| {
-        vec![Value::Float(read_level(inputs[0].as_float().unwrap_or(0.0)))]
+        vec![Value::Float(read_level(
+            inputs[0].as_float().unwrap_or(0.0),
+        ))]
     });
     map.register(sys.ids.t1, move |inputs: &[Value]| {
         let level = inputs[0].as_float().unwrap_or(0.0);

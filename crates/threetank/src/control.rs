@@ -27,12 +27,7 @@ pub fn pump_control(level: f64, reference: f64, kp: f64, outflow_gain: f64) -> f
 /// Perturbation estimator (tasks `estimate1`, `estimate2`): estimates the
 /// unmodelled net outflow as the difference between the pump inflow
 /// implied by `u` and the nominal outflow implied by the level.
-pub fn estimate_perturbation(
-    level: f64,
-    u: f64,
-    pump_max_flow: f64,
-    nominal_outflow: f64,
-) -> f64 {
+pub fn estimate_perturbation(level: f64, u: f64, pump_max_flow: f64, nominal_outflow: f64) -> f64 {
     u * pump_max_flow - nominal_outflow * level.max(0.0).sqrt()
 }
 
