@@ -26,7 +26,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 # so the check covers only them.
 echo "==> cargo fmt --check (the rustfmt-clean crates)"
 cargo fmt --check -p logrel-sim -p rand -p logrel-bench -p logrel-reliability \
-    -p logrel-obs -p logrel-emachine -p logrel-validate -p logrel-refine
+    -p logrel-obs -p logrel-emachine -p logrel-validate -p logrel-refine \
+    -p logrel-threetank -p logrel-steerbywire
 
 echo "==> cargo doc (every workspace crate but the vendored shims)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace \

@@ -1,6 +1,6 @@
-//! Golden-file test: `assets/three_tank.htl` stays in sync with the
-//! programmatic generator and compiles to the validated scenario-1
-//! system. Regenerate with:
+//! Golden-file test: `assets/three_tank.htl` is the scenario-1 output of
+//! `three_tank_source`, the source `ThreeTankSystem` compiles from, and
+//! compiles to the validated scenario-1 system. Regenerate with:
 //! `cargo run -p logrel-bench --bin export_htl -- scenario1 0.998 > assets/three_tank.htl`
 
 use logrel_lang::compile;

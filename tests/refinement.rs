@@ -81,9 +81,12 @@ fn abstract_three_tank(lrc_u: f64) -> (Specification, Architecture, Implementati
         let orig = sys.spec.find_task(name).unwrap();
         ib = ib.assign(t, sys.imp.hosts_of(orig).iter().copied());
     }
-    ib = ib
-        .bind_sensor(s1, sys.ids.sen1a)
-        .bind_sensor(s2, sys.ids.sen2a);
+    // And its sensor bindings (`sen1a`, `sen2a`) by communicator.
+    for (abstract_comm, concrete_comm) in [(s1, sys.ids.s1), (s2, sys.ids.s2)] {
+        for &sensor in sys.imp.sensors_of(concrete_comm) {
+            ib = ib.bind_sensor(abstract_comm, sensor);
+        }
+    }
     let imp = ib.build(&spec, &arch).unwrap();
     (spec, arch, imp)
 }
