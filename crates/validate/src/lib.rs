@@ -23,7 +23,8 @@
 //! On success a machine-readable [`Certificate`] is returned; on failure,
 //! stable V-series diagnostics (V001–V010, rendered through
 //! `logrel-lint`'s shared [`Diagnostic`] model — see
-//! [`compare`] for the catalog).
+//! [`compare`] for the catalog), plus, for E-code, the static
+//! verifier's E-series errors.
 //!
 //! Soundness (DESIGN.md §8): the denotation captures every dataflow
 //! choice the artifact makes within one round — which instance each
@@ -56,7 +57,7 @@ use logrel_core::{
     TimeDependentImplementation,
 };
 use logrel_emachine::ECode;
-use logrel_lint::{sort_diagnostics, Diagnostic};
+use logrel_lint::{sort_diagnostics, verify, Diagnostic, VerifyCtx};
 
 /// Certifies a compiled round program against the specification's
 /// denotational dataflow.
@@ -81,15 +82,31 @@ pub fn certify_kernel(
 /// Certifies the composition of per-host E-code programs (one round of
 /// the whole distributed system, including broadcast replica sets and
 /// voting) against the specification's denotational dataflow.
+///
+/// The denotation records what happens at each instant, not in which
+/// order; each program must therefore also pass the static verifier
+/// (E001–E009), which proves the order within an instant, e.g. that a
+/// sensor communicator is updated only after its sensors are read.
 pub fn certify_ecode(
     spec: &Specification,
     imp: &Implementation,
     programs: &[(HostId, ECode)],
 ) -> Result<Certificate, Vec<Diagnostic>> {
+    let mut diags: Vec<Diagnostic> = programs
+        .iter()
+        .flat_map(|(host, code)| verify(code, &VerifyCtx::single(spec, imp, *host)))
+        .collect();
     let td: TimeDependentImplementation = imp.clone().into();
     let reference = spec_denotation(spec, &td);
-    let candidate = ecode_denotation(spec, imp, programs).map_err(sorted)?;
-    let diags = compare_denotations(spec, &reference, &candidate, "E-code composition");
+    match ecode_denotation(spec, imp, programs) {
+        Ok(candidate) => diags.extend(compare_denotations(
+            spec,
+            &reference,
+            &candidate,
+            "E-code composition",
+        )),
+        Err(d) => diags.extend(d),
+    }
     if diags.is_empty() {
         Ok(Certificate::from_denotation(&reference, vec!["e-code"]))
     } else {
